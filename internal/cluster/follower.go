@@ -14,6 +14,7 @@ import (
 	"infogram/internal/clock"
 	"infogram/internal/gsi"
 	"infogram/internal/journal"
+	"infogram/internal/session"
 	"infogram/internal/telemetry"
 	"infogram/internal/wire"
 )
@@ -150,26 +151,23 @@ func (f *Follower) run() {
 // follower stops. failures is reset once the backlog lands (the leader
 // is demonstrably alive).
 func (f *Follower) syncOnce(failures *int) error {
-	conn, err := wire.DialTimeout(f.cfg.Leader, f.cfg.DialTimeout)
+	sess, err := session.Dial(context.Background(), f.cfg.Leader, session.DialOptions{
+		Credential:  f.cfg.Credential,
+		Trust:       f.cfg.Trust,
+		Clock:       f.cfg.Clock,
+		DialTimeout: f.cfg.DialTimeout,
+		Timeout:     f.cfg.DialTimeout,
+		Repl:        true,
+	})
 	if err != nil {
 		return err
 	}
+	conn := sess.Conn
 	defer conn.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.DialTimeout)
-	_, err = gsi.ClientHandshakeContext(ctx, conn, f.cfg.Credential, f.cfg.Trust, f.cfg.Clock.Now())
-	cancel()
-	if err != nil {
-		return err
-	}
-	nctx, ncancel := context.WithTimeout(context.Background(), f.cfg.DialTimeout)
-	manifest, accepted, err := wire.NegotiateRepl(nctx, conn)
-	ncancel()
-	if err != nil {
-		return err
-	}
-	if !accepted {
+	if sess.Repl == nil {
 		return fmt.Errorf("cluster: leader %s declined replication (no journal?)", f.cfg.Leader)
 	}
+	manifest := *sess.Repl
 	// Unblock the stop path: closing the connection fails the blocking
 	// Read below.
 	stopWatch := make(chan struct{})

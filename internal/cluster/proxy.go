@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"infogram/internal/clock"
 	"infogram/internal/gram"
 	"infogram/internal/gsi"
+	"infogram/internal/session"
 	"infogram/internal/telemetry"
 	"infogram/internal/wire"
 	"infogram/internal/xrsl"
@@ -36,28 +36,24 @@ type ProxyConfig struct {
 	// exactly as core.Config.RequestTimeout does. Zero means unbounded.
 	RequestTimeout time.Duration
 	// ConnParallelism bounds concurrent forwards on one mux'd client
-	// connection; <=0 selects the core default (8).
+	// connection; <=0 selects session.DefaultParallelism.
 	ConnParallelism int
 	// Telemetry optionally receives the proxy's counters.
 	Telemetry *telemetry.Registry
 }
 
-// Proxy is the cluster's thin routing tier: it terminates the client's
-// GSI session and mux negotiation, classifies each request frame, and
-// relays it to the owning backend over the router's pooled mux
-// connections — so any legacy client pointed at the proxy transparently
-// talks to an N-node cluster. The proxy holds no job or cache state of
-// its own; PING is the only verb it answers locally.
+// Proxy is the cluster's thin routing tier: a session server whose
+// handler classifies each request frame and relays it to the owning
+// backend over the router's pooled mux connections — so any legacy
+// client pointed at the proxy transparently talks to an N-node cluster.
+// The proxy holds no job or cache state of its own; PING is the only
+// verb it answers locally.
 //
-// TRACE offers are declined (the relayed frames would need their trace
-// prefix re-encoded per backend hop); clients fall back exactly as they
-// do against a pre-trace server.
+// The proxy runs no tracer, so its session declines TRACE offers and
+// clients fall back exactly as they do against a pre-trace server.
 type Proxy struct {
 	cfg    ProxyConfig
-	server *wire.Server
-
-	mu   sync.Mutex
-	addr string
+	server *session.Server
 
 	relayed  *telemetry.Counter
 	relayErr *telemetry.Counter
@@ -75,108 +71,31 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 		p.relayErr = cfg.Telemetry.Counter("cluster_proxy_relay_errors_total",
 			"relays that failed after routing (backend unreachable or exchange failed)")
 	}
-	p.server = wire.NewServer(wire.HandlerFunc(p.serveConn))
+	p.server = session.NewServer(session.Config{
+		Credential:  cfg.Credential,
+		Trust:       cfg.Trust,
+		Clock:       cfg.Clock,
+		Timeout:     cfg.RequestTimeout,
+		Parallelism: cfg.ConnParallelism,
+		ErrorVerb:   gram.VerbError,
+		Handler:     p.relay,
+	})
 	return p
 }
 
 // Listen binds the proxy and returns the bound address.
-func (p *Proxy) Listen(addr string) (string, error) {
-	bound, err := p.server.Listen(addr)
-	if err != nil {
-		return "", err
-	}
-	p.mu.Lock()
-	p.addr = bound
-	p.mu.Unlock()
-	return bound, nil
-}
+func (p *Proxy) Listen(addr string) (string, error) { return p.server.Listen(addr) }
 
 // Addr returns the bound address.
-func (p *Proxy) Addr() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.addr
-}
+func (p *Proxy) Addr() string { return p.server.Addr() }
 
 // Close stops accepting and closes client connections. The router is
 // the caller's to close.
 func (p *Proxy) Close() error { return p.server.Close() }
 
-func (p *Proxy) connParallelism() int {
-	if p.cfg.ConnParallelism > 0 {
-		return p.cfg.ConnParallelism
-	}
-	return 8
-}
-
-// serveConn mirrors the gatekeeper's connection loop: one GSI
-// handshake, then the serial protocol until (and unless) the client
-// upgrades to MUX.
-func (p *Proxy) serveConn(c *wire.Conn) {
-	if p.cfg.RequestTimeout > 0 {
-		c.SetIOTimeout(p.cfg.RequestTimeout)
-	}
-	hctx, hcancel := p.requestCtx(context.Background())
-	_, err := gsi.ServerHandshakeContext(hctx, c, p.cfg.Credential, p.cfg.Trust, p.cfg.Clock.Now())
-	hcancel()
-	if err != nil {
-		return
-	}
-	for {
-		f, err := c.Read()
-		if err != nil {
-			return
-		}
-		switch f.Verb {
-		case wire.VerbTrace:
-			// Declined: relayed frames would need per-hop re-encoding.
-			if err := c.Write(wire.Frame{Verb: gram.VerbError, Payload: []byte("cluster: tracing not supported at the proxy tier")}); err != nil {
-				return
-			}
-			continue
-		case wire.VerbMux:
-			if err := c.WriteString(wire.VerbMuxOK, ""); err != nil {
-				return
-			}
-			p.serveMux(c)
-			return
-		}
-		_ = c.Write(p.relay(context.Background(), f))
-	}
-}
-
-// serveMux relays a mux'd connection's frames concurrently, mirroring
-// core.Service.serveMux: the bounded semaphore makes the read loop stop
-// when the connection has ConnParallelism relays in flight.
-func (p *Proxy) serveMux(c *wire.Conn) {
-	sem := make(chan struct{}, p.connParallelism())
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		f, err := c.Read()
-		if err != nil {
-			return
-		}
-		id, req, err := wire.DecodeMux(f)
-		if err != nil {
-			return
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			resp := p.relay(context.Background(), req)
-			_ = c.Write(wire.EncodeMux(id, resp))
-		}()
-	}
-}
-
 // relay classifies one request frame, routes it, and returns the
 // backend's response (or a local answer/error).
-func (p *Proxy) relay(ctx context.Context, f wire.Frame) wire.Frame {
-	rctx, cancel := p.requestCtx(ctx)
-	defer cancel()
+func (p *Proxy) relay(ctx context.Context, _ *session.Peer, f wire.Frame) wire.Frame {
 	payload := zerocopy.String(f.Payload)
 	var resp wire.Frame
 	var err error
@@ -187,17 +106,17 @@ func (p *Proxy) relay(ctx context.Context, f wire.Frame) wire.Frame {
 	case gram.VerbSubmit:
 		key, idempotent := classify(payload)
 		p.relayed.Inc()
-		resp, err = p.cfg.Router.Forward(rctx, key, f, idempotent)
+		resp, err = p.cfg.Router.Forward(ctx, key, f, idempotent)
 	case gram.VerbStatus:
 		p.relayed.Inc()
-		resp, err = p.cfg.Router.ForwardToContact(rctx, strings.TrimSpace(payload), f, true)
+		resp, err = p.cfg.Router.ForwardToContact(ctx, strings.TrimSpace(payload), f, true)
 	case gram.VerbCancel:
 		p.relayed.Inc()
-		resp, err = p.cfg.Router.ForwardToContact(rctx, strings.TrimSpace(payload), f, false)
+		resp, err = p.cfg.Router.ForwardToContact(ctx, strings.TrimSpace(payload), f, false)
 	case gram.VerbSignal:
 		contact, _, _ := strings.Cut(strings.TrimSpace(payload), " ")
 		p.relayed.Inc()
-		resp, err = p.cfg.Router.ForwardToContact(rctx, contact, f, false)
+		resp, err = p.cfg.Router.ForwardToContact(ctx, contact, f, false)
 	default:
 		return wire.Frame{Verb: gram.VerbError, Payload: []byte(fmt.Sprintf("cluster: unknown verb %s", f.Verb))}
 	}
@@ -206,13 +125,6 @@ func (p *Proxy) relay(ctx context.Context, f wire.Frame) wire.Frame {
 		return wire.Frame{Verb: gram.VerbError, Payload: []byte(fmt.Sprintf("cluster: relay: %v", err))}
 	}
 	return resp
-}
-
-func (p *Proxy) requestCtx(parent context.Context) (context.Context, context.CancelFunc) {
-	if p.cfg.RequestTimeout > 0 {
-		return context.WithTimeout(parent, p.cfg.RequestTimeout)
-	}
-	return context.WithCancel(parent)
 }
 
 // classify derives a SUBMIT frame's routing key and idempotency: a pure

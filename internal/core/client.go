@@ -18,6 +18,7 @@ import (
 	"infogram/internal/gram"
 	"infogram/internal/gsi"
 	"infogram/internal/ldif"
+	"infogram/internal/session"
 	"infogram/internal/telemetry"
 	"infogram/internal/wire"
 	"infogram/internal/xmlenc"
@@ -125,11 +126,9 @@ type Client struct {
 	clk     clock.Clock
 	retries *telemetry.Counter
 
-	mu     sync.Mutex
-	conn   *wire.Conn
-	mux    *wire.MuxConn // non-nil when the server accepted MUX mode
-	traced bool          // the server accepted TRACE mode on this conn
-	peer   *gsi.Peer
+	mu   sync.Mutex
+	sess *session.Client // nil while disconnected
+	peer *gsi.Peer
 }
 
 // Dial connects and authenticates to an InfoGram service.
@@ -156,9 +155,9 @@ func DialWithOptions(addr string, cred *gsi.Credential, trust *gsi.TrustStore, o
 	}
 	attempts := opts.Retry.attempts()
 	for attempt := 1; ; attempt++ {
-		conn, mux, traced, peer, err := c.connect()
+		sess, err := c.connect()
 		if err == nil {
-			c.conn, c.mux, c.traced, c.peer = conn, mux, traced, peer
+			c.sess, c.peer = sess, sess.Peer
 			return c, nil
 		}
 		if attempt >= attempts || !isTransient(err) {
@@ -169,55 +168,20 @@ func DialWithOptions(addr string, cred *gsi.Credential, trust *gsi.TrustStore, o
 	}
 }
 
-// connect dials, authenticates, and — unless disabled — negotiates the
-// trace and mux capabilities on one fresh connection. A server that
-// declines an offer (any pre-capability deployment answers it with
-// ERROR) leaves the connection in the corresponding legacy mode, so the
-// client interoperates in both directions. TRACE is offered before MUX
-// because NewMuxConn takes over the connection's read side; on a mux'd
-// connection the trace prefix then rides inside the mux inner frame.
-func (c *Client) connect() (*wire.Conn, *wire.MuxConn, bool, *gsi.Peer, error) {
-	var conn *wire.Conn
-	var err error
-	if c.opts.DialTimeout > 0 {
-		conn, err = wire.DialTimeout(c.addr, c.opts.DialTimeout)
-	} else {
-		conn, err = wire.Dial(c.addr)
-	}
-	if err != nil {
-		return nil, nil, false, nil, fmt.Errorf("infogram: dial %s: %w", c.addr, err)
-	}
-	ctx, cancel := c.callCtx(context.Background())
-	peer, err := gsi.ClientHandshakeContext(ctx, conn, c.cred, c.trust, c.clk.Now())
-	cancel()
-	if err != nil {
-		conn.Close()
-		return nil, nil, false, nil, err
-	}
-	var traced bool
-	if !c.opts.DisableTrace {
-		nctx, ncancel := c.callCtx(context.Background())
-		traced, err = wire.NegotiateTrace(nctx, conn)
-		ncancel()
-		if err != nil {
-			conn.Close()
-			return nil, nil, false, nil, err
-		}
-	}
-	var mux *wire.MuxConn
-	if !c.opts.DisableMux {
-		nctx, ncancel := c.callCtx(context.Background())
-		ok, err := wire.NegotiateMux(nctx, conn)
-		ncancel()
-		if err != nil {
-			conn.Close()
-			return nil, nil, false, nil, err
-		}
-		if ok {
-			mux = wire.NewMuxConn(conn)
-		}
-	}
-	return conn, mux, traced, peer, nil
+// connect establishes one fresh session: dial, authenticate, and — unless
+// disabled — offer the trace and mux capabilities. A server that declines
+// an offer leaves the connection in the corresponding legacy mode, so the
+// client interoperates in both directions.
+func (c *Client) connect() (*session.Client, error) {
+	return session.Dial(context.Background(), c.addr, session.DialOptions{
+		Credential:  c.cred,
+		Trust:       c.trust,
+		Clock:       c.clk,
+		DialTimeout: c.opts.DialTimeout,
+		Timeout:     c.opts.RequestTimeout,
+		Trace:       !c.opts.DisableTrace,
+		Mux:         !c.opts.DisableMux,
+	})
 }
 
 func (c *Client) callCtx(parent context.Context) (context.Context, context.CancelFunc) {
@@ -237,62 +201,50 @@ func (c *Client) Server() *gsi.Peer {
 // Close closes the connection.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	conn, mux := c.conn, c.mux
-	c.conn, c.mux = nil, nil
+	sess := c.sess
+	c.sess = nil
 	c.mu.Unlock()
-	if mux != nil {
-		return mux.Close()
-	}
-	if conn == nil {
+	if sess == nil {
 		return nil
 	}
-	return conn.Close()
+	return sess.Close()
 }
 
-// current snapshots the live connection (and its mux layer and trace
-// mode, when negotiated).
-func (c *Client) current() (*wire.Conn, *wire.MuxConn, bool) {
+// current snapshots the live session (nil while disconnected).
+func (c *Client) current() *session.Client {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.conn, c.mux, c.traced
+	return c.sess
 }
 
-// dropConn discards a connection observed failing, unless a concurrent
+// dropConn discards a session observed failing, unless a concurrent
 // caller already replaced it.
-func (c *Client) dropConn(old *wire.Conn, oldMux *wire.MuxConn) {
-	if oldMux != nil {
-		oldMux.Close()
-	} else {
-		old.Close()
-	}
+func (c *Client) dropConn(old *session.Client) {
+	old.Close()
 	c.mu.Lock()
-	if c.conn == old {
-		c.conn, c.mux = nil, nil
+	if c.sess == old {
+		c.sess = nil
 	}
 	c.mu.Unlock()
 }
 
-// reconnect establishes a connection if none is live.
+// reconnect establishes a session if none is live.
 func (c *Client) reconnect() error {
-	if conn, _, _ := c.current(); conn != nil {
+	if c.current() != nil {
 		return nil
 	}
-	conn, mux, traced, peer, err := c.connect()
+	sess, err := c.connect()
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	if c.conn != nil {
+	if c.sess != nil {
 		c.mu.Unlock()
 		// Lost the race to another caller's reconnect.
-		if mux != nil {
-			mux.Close()
-		} else {
-			conn.Close()
-		}
+		sess.Close()
 		return nil
 	}
-	c.conn, c.mux, c.traced, c.peer = conn, mux, traced, peer
+	c.sess, c.peer = sess, sess.Peer
 	c.mu.Unlock()
 	return nil
 }
@@ -302,10 +254,7 @@ func (c *Client) reconnect() error {
 // transport fails: the connection is torn down, the backoff elapses on the
 // client's clock, and a fresh connection is dialed and authenticated.
 // Non-idempotent requests (submit, cancel, signal) are never retried once
-// the request may have been sent. On a traced connection, the caller's
-// trace context — the current span when parent carries one, the bare
-// trace ID otherwise, a freshly minted trace as the last resort — is
-// prefixed to the request so the server joins the caller's trace.
+// the request may have been sent.
 func (c *Client) call(parent context.Context, req wire.Frame, idempotent bool) (wire.Frame, error) {
 	attempts := 1
 	if idempotent {
@@ -324,31 +273,13 @@ func (c *Client) call(parent context.Context, req wire.Frame, idempotent bool) (
 			}
 			continue
 		}
-		conn, mux, traced := c.current()
-		if conn == nil {
+		sess := c.current()
+		if sess == nil {
 			lastErr = fmt.Errorf("infogram: connection closed")
 			continue
 		}
-		sendReq := req
-		if traced {
-			tc := wire.TraceContext{Sampled: true}
-			if sp := telemetry.SpanFrom(parent); sp != nil {
-				tc.Trace, tc.Parent = sp.Trace(), sp.ID()
-			} else if trace := telemetry.TraceFrom(parent); trace != "" {
-				tc.Trace = trace
-			} else {
-				tc.Trace = telemetry.NewTraceID()
-			}
-			sendReq = wire.EncodeTraceCtx(tc, req)
-		}
 		ctx, cancel := c.callCtx(parent)
-		var resp wire.Frame
-		var err error
-		if mux != nil {
-			resp, err = mux.Call(ctx, sendReq)
-		} else {
-			resp, err = conn.CallContext(ctx, sendReq)
-		}
+		resp, err := sess.Call(ctx, req)
 		cancel()
 		if err == nil {
 			if resp.Verb == wire.VerbReject {
@@ -373,15 +304,8 @@ func (c *Client) call(parent context.Context, req wire.Frame, idempotent bool) (
 			return resp, nil
 		}
 		lastErr = err
-		// A mux'd call that failed alone (its own deadline expired while
-		// the transport stayed healthy) must not tear down the shared
-		// connection under its sibling requests — the correlation ID
-		// already guarantees its late response is discarded, never
-		// mis-paired. A serial connection has no such guarantee, so it is
-		// always dropped: the unread response would otherwise answer the
-		// next request.
-		if mux == nil || mux.Err() != nil {
-			c.dropConn(conn, mux)
+		if sess.Broken() {
+			c.dropConn(sess)
 		}
 		if !idempotent || !isTransient(err) {
 			return wire.Frame{}, err

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"errors"
 	"strings"
 	"time"
 
 	"infogram/internal/clock"
 	"infogram/internal/gram"
-	"infogram/internal/gsi"
 	"infogram/internal/logging"
+	"infogram/internal/session"
 	"infogram/internal/telemetry"
 	"infogram/internal/wire"
 )
@@ -20,24 +19,14 @@ import (
 type instruments struct {
 	tel *telemetry.Registry
 
-	connsAccepted *telemetry.Counter
-	connsActive   *telemetry.Gauge
-	bytesRead     *telemetry.Counter
-	bytesWritten  *telemetry.Counter
-	frameErrors   *telemetry.Counter
-
-	authOK      *telemetry.Counter
-	authFailed  *telemetry.Counter
-	authExpired *telemetry.Counter
-	authLatency *telemetry.Histogram
+	// session is what the session layer feeds: listener, connection,
+	// handshake-outcome and mux series.
+	session session.Instruments
 
 	inFlight         *telemetry.Gauge
 	infoQueries      *telemetry.Counter
 	jobSubmissions   *telemetry.Counter
 	requestsDegraded *telemetry.Counter
-
-	muxConns    *telemetry.Counter
-	muxInFlight *telemetry.Gauge
 
 	replFollowers      *telemetry.Gauge
 	replRecordsShipped *telemetry.Counter
@@ -70,24 +59,28 @@ func newInstruments(tel *telemetry.Registry) *instruments {
 	in := &instruments{
 		tel: tel,
 
-		connsAccepted: tel.Counter("infogram_connections_accepted_total", "connections accepted by the gatekeeper listener"),
-		connsActive:   tel.Gauge("infogram_connections_active", "connections currently being served"),
-		bytesRead:     tel.Counter("infogram_wire_bytes_read_total", "protocol bytes read from clients, framing included"),
-		bytesWritten:  tel.Counter("infogram_wire_bytes_written_total", "protocol bytes written to clients, framing included"),
-		frameErrors:   tel.Counter("infogram_wire_frame_errors_total", "malformed or oversized protocol frames"),
-
-		authOK:      tel.Counter("infogram_auth_total", "GSI handshake outcomes", telemetry.Label{Key: "outcome", Value: "ok"}),
-		authFailed:  tel.Counter("infogram_auth_total", "GSI handshake outcomes", telemetry.Label{Key: "outcome", Value: "failed"}),
-		authExpired: tel.Counter("infogram_auth_total", "GSI handshake outcomes", telemetry.Label{Key: "outcome", Value: "expired"}),
-		authLatency: tel.Histogram("infogram_auth_duration_seconds", "GSI mutual-authentication handshake latency"),
+		session: session.Instruments{
+			Server: wire.ServerInstruments{
+				Accepted: tel.Counter("infogram_connections_accepted_total", "connections accepted by the gatekeeper listener"),
+				Active:   tel.Gauge("infogram_connections_active", "connections currently being served"),
+			},
+			Conn: wire.ConnInstruments{
+				BytesRead:    tel.Counter("infogram_wire_bytes_read_total", "protocol bytes read from clients, framing included"),
+				BytesWritten: tel.Counter("infogram_wire_bytes_written_total", "protocol bytes written to clients, framing included"),
+				FrameErrors:  tel.Counter("infogram_wire_frame_errors_total", "malformed or oversized protocol frames"),
+			},
+			AuthOK:      tel.Counter("infogram_auth_total", "GSI handshake outcomes", telemetry.Label{Key: "outcome", Value: "ok"}),
+			AuthFailed:  tel.Counter("infogram_auth_total", "GSI handshake outcomes", telemetry.Label{Key: "outcome", Value: "failed"}),
+			AuthExpired: tel.Counter("infogram_auth_total", "GSI handshake outcomes", telemetry.Label{Key: "outcome", Value: "expired"}),
+			AuthLatency: tel.Histogram("infogram_auth_duration_seconds", "GSI mutual-authentication handshake latency"),
+			MuxConns:    tel.Counter("infogram_mux_connections_total", "connections upgraded to multiplexed framing"),
+			MuxInFlight: tel.Gauge("infogram_mux_inflight", "mux'd requests currently executing, summed over all connections"),
+		},
 
 		inFlight:         tel.Gauge("infogram_requests_in_flight", "protocol requests currently executing"),
 		infoQueries:      tel.Counter("infogram_info_queries_total", "information query parts evaluated"),
 		jobSubmissions:   tel.Counter("infogram_job_submissions_total", "job submission parts evaluated"),
 		requestsDegraded: tel.Counter("infogram_requests_degraded_total", "information replies answered partially because a provider failed or timed out"),
-
-		muxConns:    tel.Counter("infogram_mux_connections_total", "connections upgraded to multiplexed framing"),
-		muxInFlight: tel.Gauge("infogram_mux_inflight", "mux'd requests currently executing, summed over all connections"),
 
 		replFollowers:      tel.Gauge("infogram_repl_followers", "hot-standby followers currently tailing the journal"),
 		replRecordsShipped: tel.Counter("infogram_repl_records_shipped_total", "live journal records shipped to followers"),
@@ -144,35 +137,6 @@ func (in *instruments) requestLatency(verb string) *telemetry.Histogram {
 		return h
 	}
 	return in.unknownLatency
-}
-
-// serverInstruments is what the wire listener feeds.
-func (in *instruments) serverInstruments() wire.ServerInstruments {
-	return wire.ServerInstruments{Accepted: in.connsAccepted, Active: in.connsActive}
-}
-
-// connInstruments is what each accepted connection feeds.
-func (in *instruments) connInstruments() wire.ConnInstruments {
-	return wire.ConnInstruments{
-		BytesRead:    in.bytesRead,
-		BytesWritten: in.bytesWritten,
-		FrameErrors:  in.frameErrors,
-	}
-}
-
-// observeAuth classifies one handshake outcome and its latency. Expired
-// certificates (typically short-lived proxies) are an expected operational
-// event and get their own bucket.
-func (in *instruments) observeAuth(err error, elapsed time.Duration) {
-	in.authLatency.Observe(elapsed)
-	switch {
-	case err == nil:
-		in.authOK.Inc()
-	case errors.Is(err, gsi.ErrExpired):
-		in.authExpired.Inc()
-	default:
-		in.authFailed.Inc()
-	}
 }
 
 // span appends a span record to log, tagging it with the trace ID and —

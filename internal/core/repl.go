@@ -18,9 +18,9 @@ import (
 // must re-sync — bounding leader memory per follower.
 const replTapBuffer = 1024
 
-// serveRepl streams the journal to one follower connection. It owns the
-// connection from REPL-OK on; returning closes it (the server's conn
-// loop has already exited).
+// serveRepl is the session's REPL takeover hook: it streams the journal
+// to one follower connection. It owns the connection from REPL-OK on;
+// returning closes it.
 func (s *Service) serveRepl(c *wire.Conn) {
 	tap, backlog, err := s.cfg.Journal.Subscribe(replTapBuffer)
 	if err != nil || tap == nil {

@@ -6,6 +6,7 @@ package core_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"infogram/internal/gram"
 	"infogram/internal/job"
 	"infogram/internal/provider"
+	"infogram/internal/telemetry"
 	"infogram/internal/wire"
 )
 
@@ -176,5 +178,34 @@ func TestProviderFailureIsIsolated(t *testing.T) {
 	// ...and the service survives it all.
 	if err := cl.Ping(); err != nil {
 		t.Errorf("Ping: %v", err)
+	}
+}
+
+// An identity with a valid certificate and no gridmap entry gets the
+// gatekeeper's reason, not a negotiation failure: the gate runs after the
+// TRACE and MUX exchanges, so Dial succeeds and the first request carries
+// the refusal — a protocol answer the client does not retry.
+func TestGatekeeperErrorSurvivesNegotiation(t *testing.T) {
+	g := newTestGrid(t, provider.NewRegistry(nil))
+	mallory, err := g.ca.IssueIdentity("/O=Grid/CN=mallory", time.Hour, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.NewRegistry()
+	cl, err := core.DialWithOptions(g.addr, mallory, g.trust, core.Options{
+		Telemetry: tel,
+		Retry:     core.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatalf("Dial (authn and negotiation should succeed): %v", err)
+	}
+	defer cl.Close()
+	if err := cl.Ping(); err == nil || !strings.Contains(err.Error(), "gridmap") {
+		t.Errorf("first request: got %v, want the gatekeeper's gridmap refusal", err)
+	}
+	retries := tel.Counter("infogram_client_retries_total",
+		"transparent client retries after transient connect, handshake, or wire failures")
+	if n := retries.Value(); n != 0 {
+		t.Errorf("client retried %d times over a gatekeeper refusal", n)
 	}
 }

@@ -20,9 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"path/filepath"
@@ -38,6 +36,7 @@ import (
 	"infogram/internal/provider"
 	"infogram/internal/rsl"
 	"infogram/internal/scheduler"
+	"infogram/internal/session"
 	"infogram/internal/telemetry"
 	"infogram/internal/wire"
 	"infogram/internal/xrsl"
@@ -195,24 +194,17 @@ type Config struct {
 	// this many of its requests execute at once (responses return by
 	// correlation ID, so ordering is preserved per request, not per
 	// connection). 1 forces mux'd connections serial; 0 (or negative)
-	// selects DefaultConnParallelism. Serial (non-mux) connections are
+	// selects session.DefaultParallelism. Serial (non-mux) connections are
 	// unaffected.
 	ConnParallelism int
 }
-
-// DefaultConnParallelism is the per-connection worker bound for mux'd
-// connections when Config.ConnParallelism is zero. Requests are mostly
-// provider- and scheduler-bound, not CPU-bound, so a moderate constant
-// beats scaling with the host: the global fan-out bound
-// (CollectParallelism) governs total provider pressure.
-const DefaultConnParallelism = 8
 
 // Service is one InfoGram instance.
 type Service struct {
 	cfg     Config
 	manager *gram.Manager
 	table   *job.Table
-	server  *wire.Server
+	server  *session.Server
 	dialer  *gram.CallbackDialer
 	info    *infoEngine
 	resp    *respCache
@@ -221,8 +213,7 @@ type Service struct {
 	instr   *instruments
 	gate    *gate
 
-	mu   sync.Mutex
-	addr string
+	mu sync.Mutex
 }
 
 // NewService builds an InfoGram service.
@@ -296,8 +287,34 @@ func NewService(cfg Config) *Service {
 			s.refresh.start()
 		}
 	}
-	s.server = wire.NewServer(wire.HandlerFunc(s.serveConn))
-	s.server.Instrument(s.instr.serverInstruments())
+	sc := session.Config{
+		Credential:  cfg.Credential,
+		Trust:       cfg.Trust,
+		Clock:       cfg.Clock,
+		Timeout:     cfg.RequestTimeout,
+		Parallelism: cfg.ConnParallelism,
+		ErrorVerb:   gram.VerbError,
+		Gate:        cfg.Gridmap.Map,
+		Tracer:      cfg.Tracer,
+		Instruments: s.instr.session,
+		Handler:     s.dispatch,
+	}
+	if cfg.Journal != nil {
+		// A journaled leader accepts REPL and ships its history plus a
+		// live record feed (repl.go).
+		sc.Repl = s.serveRepl
+	}
+	if cfg.Log != nil {
+		// The legacy "auth" span record. It predates any request, so it —
+		// and every request the tracer does not give a trace of its own —
+		// is logged under a trace ID minted per connection.
+		sc.OnAuth = func(ctx context.Context, _ error, elapsed time.Duration) context.Context {
+			trace := telemetry.NewTraceID()
+			span(s.cfg.Log, s.cfg.Clock, trace, nil, "auth", "", elapsed)
+			return telemetry.WithTrace(ctx, trace)
+		}
+	}
+	s.server = session.NewServer(sc)
 	return s
 }
 
@@ -308,7 +325,6 @@ func (s *Service) Listen(addr string) (string, error) {
 		return "", err
 	}
 	s.mu.Lock()
-	s.addr = bound
 	s.table = job.NewTable(bound)
 	s.manager = gram.NewManager(gram.ManagerConfig{
 		Table:        s.table,
@@ -329,11 +345,7 @@ func (s *Service) Listen(addr string) (string, error) {
 }
 
 // Addr returns the bound address.
-func (s *Service) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.addr
-}
+func (s *Service) Addr() string { return s.server.Addr() }
 
 // Registry returns the provider registry.
 func (s *Service) Registry() *provider.Registry { return s.cfg.Registry }
@@ -345,9 +357,8 @@ func (s *Service) Table() *job.Table {
 	return s.table
 }
 
-// AcceptedConns reports accepted connections (experiments E3/E4). It is a
-// thin reader over the telemetry counter that now carries the count.
-func (s *Service) AcceptedConns() int64 { return s.instr.connsAccepted.Value() }
+// AcceptedConns reports accepted connections (experiments E3/E4).
+func (s *Service) AcceptedConns() int64 { return s.server.AcceptedConns() }
 
 // Telemetry returns the service's metrics registry (for exposition or
 // embedding into a larger one).
@@ -441,193 +452,18 @@ func (s *Service) RecoverJournal(rec *journal.Recovered) ([]string, error) {
 	return m.RecoverJournal(rec, s.env)
 }
 
-// serveConn is the InfoGram gatekeeper: one GSI handshake, one gridmap
-// lookup, then a loop over the single unified protocol. A trace ID is
-// minted per connection and follows each request through every layer;
-// each verb is timed into the per-verb latency histogram and, when a
-// logger is configured, emitted as a span record.
-//
-// The loop starts strictly serial — read one frame, answer it — which is
-// the seed-era wire contract, so clients that never heard of MUX work
-// unchanged. A MUX frame upgrades the connection: the one handshake and
-// gridmap identity are reused for every subsequent request, but requests
-// dispatch concurrently and responses return by correlation ID.
-func (s *Service) serveConn(c *wire.Conn) {
-	c.Instrument(s.instr.connInstruments())
-	// The request timeout doubles as the connection's per-operation I/O
-	// deadline: a slow sender cannot park a handshake or frame read, and a
-	// slow reader cannot wedge a response write.
-	if s.cfg.RequestTimeout > 0 {
-		c.SetIOTimeout(s.cfg.RequestTimeout)
-	}
-	trace := telemetry.NewTraceID()
-	ctx := telemetry.WithTrace(context.Background(), trace)
-
-	authStart := s.cfg.Clock.Now()
-	hctx, hcancel := s.requestCtx(ctx)
-	peer, err := gsi.ServerHandshakeContext(hctx, c, s.cfg.Credential, s.cfg.Trust, authStart)
-	hcancel()
-	authElapsed := s.cfg.Clock.Now().Sub(authStart)
-	s.instr.observeAuth(err, authElapsed)
-	span(s.cfg.Log, s.cfg.Clock, trace, nil, "auth", "", authElapsed)
-	if err != nil {
-		return
-	}
-	// The handshake predates any trace, so its timing is kept aside and
-	// recorded as a child of the connection's first traced request.
-	ts := &traceState{hsStart: authStart, hsDur: authElapsed}
-	ts.hsPending.Store(true)
-	local, err := s.cfg.Gridmap.Map(peer.Identity)
-	if err != nil {
-		_ = c.WriteString(gram.VerbError, fmt.Sprintf("gatekeeper: %v", err))
-		return
-	}
-	for {
-		f, err := c.Read()
-		if err != nil {
-			return
-		}
-		if f.Verb == wire.VerbTrace {
-			// Capability negotiation: a tracing server accepts and from
-			// then on expects a trace-context prefix on every request
-			// frame; a server without a tracer declines with ERROR,
-			// byte-identical to a pre-trace peer.
-			if s.cfg.Tracer == nil {
-				if err := c.Write(errorFrame("infogram: tracing not enabled")); err != nil {
-					return
-				}
-				continue
-			}
-			if err := c.WriteString(wire.VerbTraceOK, ""); err != nil {
-				return
-			}
-			ts.enabled = true
-			continue
-		}
-		if f.Verb == wire.VerbRepl {
-			// Capability upgrade to a replication stream: a journaled
-			// leader accepts and ships its history plus a live record
-			// feed (repl.go); a journal-less service declines with
-			// ERROR, byte-identical to a pre-capability peer.
-			if s.cfg.Journal == nil {
-				if err := c.Write(errorFrame("infogram: replication requires a journal (-state-dir)")); err != nil {
-					return
-				}
-				continue
-			}
-			s.serveRepl(c)
-			return
-		}
-		if f.Verb == wire.VerbMux {
-			// Capability upgrade: acknowledge, then dispatch this
-			// connection's remaining requests concurrently. Negotiation
-			// itself is not a protocol request, so it is not counted
-			// into the per-verb series.
-			if err := c.WriteString(wire.VerbMuxOK, ""); err != nil {
-				return
-			}
-			s.serveMux(ctx, c, peer, local, ts)
-			return
-		}
-		resp := s.dispatch(ctx, f, peer, local, ts)
-		_ = c.Write(resp)
-	}
-}
-
-// traceState is the per-connection tracing state: whether the peer
-// negotiated the trace-context prefix, and the handshake timing waiting
-// to be recorded into the connection's first traced request.
-type traceState struct {
-	enabled   bool // trace prefix negotiated (set only pre-mux, in the serial loop)
-	hsStart   time.Time
-	hsDur     time.Duration
-	hsPending atomic.Bool
-}
-
-// connParallelism resolves the per-connection mux worker bound.
-func (s *Service) connParallelism() int {
-	if s.cfg.ConnParallelism > 0 {
-		return s.cfg.ConnParallelism
-	}
-	return DefaultConnParallelism
-}
-
-// serveMux serves the post-negotiation half of a multiplexed connection:
-// every frame carries a correlation ID, and up to connParallelism
-// requests evaluate concurrently under one worker semaphore — reusing the
-// connection's single GSI handshake and gridmap identity for all of them,
-// while SUBMIT authorization (evalPart) still runs per request. The read
-// loop itself provides backpressure: when the semaphore is full it stops
-// reading, so a client cannot queue unbounded work on one connection.
-func (s *Service) serveMux(ctx context.Context, c *wire.Conn, peer *gsi.Peer, local string, ts *traceState) {
-	s.instr.muxConns.Inc()
-	sem := make(chan struct{}, s.connParallelism())
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		f, err := c.Read()
-		if err != nil {
-			return
-		}
-		id, req, err := wire.DecodeMux(f)
-		if err != nil {
-			// A peer that negotiated mux and then sends uncorrelated
-			// frames is broken; count the violation and drop it.
-			s.instr.frameErrors.Inc()
-			return
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			s.instr.muxInFlight.Inc()
-			resp := s.dispatch(ctx, req, peer, local, ts)
-			s.instr.muxInFlight.Dec()
-			// Conn serializes concurrent writers; responses may leave in
-			// any completion order because the ID re-pairs them.
-			_ = c.Write(wire.EncodeMux(id, resp))
-		}()
-	}
-}
-
-// dispatch instruments and evaluates one request frame, returning the
-// response frame. It is shared by the serial loop and the mux workers:
-// every layer below it — policy, job manager, provider cache, telemetry —
-// already serves concurrent connections, so concurrent dispatches on one
-// connection need no extra locking. Counting happens before handling, so
-// a request that queries selfmetrics sees itself in the answer; verbs
-// outside the instrumented set fall into the catch-all "unknown" series
-// rather than indexing the per-verb maps with a hostile key.
-func (s *Service) dispatch(ctx context.Context, f wire.Frame, peer *gsi.Peer, local string, ts *traceState) wire.Frame {
-	var root *telemetry.Span
-	if ts.enabled {
-		// The peer negotiated trace propagation: every request frame
-		// carries a trace-context prefix. The server joins the caller's
-		// trace instead of minting its own, so multi-hop queries build
-		// one coherent tree.
-		tc, inner, derr := wire.DecodeTraceCtx(f)
-		if derr != nil {
-			s.instr.frameErrors.Inc()
-			return errorFrame(derr.Error())
-		}
-		f = inner
-		ctx = telemetry.WithTrace(ctx, tc.Trace)
-		if tc.Sampled {
-			ctx, root = s.cfg.Tracer.JoinTrace(ctx, tc.Trace, tc.Parent, "request:"+f.Verb)
-		}
-	} else if s.cfg.Tracer != nil {
-		// Legacy peer on a tracing server: mint a server-local trace.
-		ctx, root = s.cfg.Tracer.StartTrace(ctx, "request:"+f.Verb)
-	}
-	if root != nil {
-		root.SetAttr("peer", peer.Identity)
-		// The connection's first traced request adopts the handshake
-		// timing as a child span (the handshake predates any trace).
-		if ts.hsPending.CompareAndSwap(true, false) {
-			s.cfg.Tracer.RecordSpan(root, "gsi.handshake", ts.hsStart, ts.hsDur, "")
-		}
-	}
+// dispatch is the service's session handler: it instruments and evaluates
+// one request frame, returning the response frame. It runs concurrently
+// for mux'd connections: every layer below it — policy, job manager,
+// provider cache, telemetry — already serves concurrent connections, so
+// concurrent dispatches on one connection need no extra locking. Counting
+// happens before handling, so a request that queries selfmetrics sees
+// itself in the answer; verbs outside the instrumented set fall into the
+// catch-all "unknown" series rather than indexing the per-verb maps with a
+// hostile key.
+func (s *Service) dispatch(ctx context.Context, sp *session.Peer, f wire.Frame) wire.Frame {
+	peer := &sp.Peer
+	root := telemetry.SpanFrom(ctx)
 	s.instr.requestCounter(f.Verb).Inc()
 	// Admission runs after the request is counted (so selfmetrics sees the
 	// arrival) but before any handling: a rejected request costs one quota
@@ -637,60 +473,36 @@ func (s *Service) dispatch(ctx context.Context, f wire.Frame, peer *gsi.Peer, lo
 	// the histogram exists to reveal.
 	release, reject, admitted := s.admit(f.Verb, peer, root)
 	if !admitted {
-		root.End()
 		span(s.cfg.Log, s.cfg.Clock, telemetry.TraceFrom(ctx), root, "reject:"+f.Verb, "", 0)
 		return reject
 	}
 	defer release()
 	s.instr.inFlight.Inc()
 	start := s.cfg.Clock.Now()
-	resp := s.handleFrame(ctx, f, peer, local)
+	var resp wire.Frame
+	switch f.Verb {
+	case gram.VerbPing:
+		resp = wire.Frame{Verb: gram.VerbPong}
+	case gram.VerbSubmit:
+		// The payload buffer is freshly allocated per frame and never
+		// reused, so it may be aliased as a string without a copy.
+		resp = s.handleSubmit(ctx, zerocopy.String(f.Payload), peer, sp.Local)
+	default:
+		var ok bool
+		if resp, ok = s.manager.Control(f); !ok {
+			resp = errorFrame(fmt.Sprintf("infogram: unknown verb %s", f.Verb))
+		}
+	}
 	elapsed := s.cfg.Clock.Now().Sub(start)
 	s.instr.requestLatency(f.Verb).ObserveTrace(elapsed, telemetry.TraceFrom(ctx))
 	s.instr.inFlight.Dec()
-	if resp.Verb == gram.VerbError {
-		root.Fail(string(resp.Payload))
-	}
-	root.End()
 	span(s.cfg.Log, s.cfg.Clock, telemetry.TraceFrom(ctx), root, "request:"+f.Verb, "", elapsed)
 	return resp
-}
-
-// handleFrame evaluates one request and returns its response frame.
-func (s *Service) handleFrame(ctx context.Context, f wire.Frame, peer *gsi.Peer, local string) wire.Frame {
-	// The payload buffer is freshly allocated per frame and never
-	// reused, so handlers may alias it as a string without a copy.
-	payload := zerocopy.String(f.Payload)
-	switch f.Verb {
-	case gram.VerbPing:
-		return wire.Frame{Verb: gram.VerbPong}
-	case gram.VerbSubmit:
-		rctx, rcancel := s.requestCtx(ctx)
-		defer rcancel()
-		return s.handleSubmit(rctx, payload, peer, local)
-	case gram.VerbStatus:
-		return s.handleStatus(strings.TrimSpace(payload))
-	case gram.VerbCancel:
-		return s.handleCancel(strings.TrimSpace(payload))
-	case gram.VerbSignal:
-		return s.handleSignal(strings.TrimSpace(payload))
-	default:
-		return errorFrame(fmt.Sprintf("infogram: unknown verb %s", f.Verb))
-	}
 }
 
 // errorFrame builds an ERROR response.
 func errorFrame(msg string) wire.Frame {
 	return wire.Frame{Verb: gram.VerbError, Payload: []byte(msg)}
-}
-
-// requestCtx derives the per-request context: bounded by the configured
-// request timeout when one is set, plain cancellation otherwise.
-func (s *Service) requestCtx(parent context.Context) (context.Context, context.CancelFunc) {
-	if s.cfg.RequestTimeout > 0 {
-		return context.WithTimeout(parent, s.cfg.RequestTimeout)
-	}
-	return context.WithCancel(parent)
 }
 
 // PartResult is one element of a multi-request response.
@@ -897,43 +709,4 @@ func (s *Service) env(local string) rsl.Env {
 		env[k] = v
 	}
 	return env
-}
-
-func (s *Service) handleStatus(contact string) wire.Frame {
-	rec, err := s.table.Get(contact)
-	if err != nil {
-		return errorFrame(err.Error())
-	}
-	reply := gram.StatusReply{
-		Contact:  rec.Contact,
-		State:    rec.State,
-		ExitCode: rec.ExitCode,
-		Error:    rec.Error,
-		Stdout:   rec.Stdout,
-		Stderr:   rec.Stderr,
-		Restarts: rec.Restarts,
-	}
-	b, err := json.Marshal(reply)
-	if err != nil {
-		return errorFrame(err.Error())
-	}
-	return wire.Frame{Verb: gram.VerbStatusOK, Payload: b}
-}
-
-func (s *Service) handleCancel(contact string) wire.Frame {
-	if err := s.manager.Cancel(contact); err != nil {
-		return errorFrame(err.Error())
-	}
-	return wire.Frame{Verb: gram.VerbCancelOK, Payload: []byte(contact)}
-}
-
-func (s *Service) handleSignal(payload string) wire.Frame {
-	contact, signal, ok := strings.Cut(payload, " ")
-	if !ok {
-		return errorFrame("infogram: SIGNAL payload must be 'contact signal'")
-	}
-	if err := s.manager.Signal(contact, strings.TrimSpace(signal)); err != nil {
-		return errorFrame(err.Error())
-	}
-	return wire.Frame{Verb: gram.VerbSignalOK, Payload: []byte(contact)}
 }

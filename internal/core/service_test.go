@@ -608,6 +608,12 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	cl.Close()
 	g.svc.Close() // crash
+	// The log is read as the crash left it: once the stall is released
+	// the abandoned run finishes and would log itself DONE.
+	records, err := logging.Replay(bytes.NewReader(logBuf.Snapshot()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	close(stall)
 
 	// Phase 2: recovery resumes from step=3.
@@ -615,10 +621,6 @@ func TestCheckpointResume(t *testing.T) {
 	g2.fn.RegisterFunc("phased", func(ctx context.Context, sb *scheduler.Sandbox, args []string, stdin string) (string, error) {
 		return "resumed-from-checkpoint:" + sb.Restored(), nil
 	})
-	records, err := logging.Replay(bytes.NewReader(logBuf.Snapshot()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	contacts, err := g2.svc.Recover(records)
 	if err != nil || len(contacts) != 1 {
 		t.Fatalf("recovered %d (%v)", len(contacts), err)

@@ -44,7 +44,7 @@ type Point string
 
 // The failpoints compiled into the stack.
 const (
-	// WireRead fires at the top of every frame read.
+	// WireRead fires on every frame read, once the frame has arrived.
 	WireRead Point = "wire.read"
 	// WireWrite fires at the top of every frame write.
 	WireWrite Point = "wire.write"

@@ -10,7 +10,7 @@ import (
 	"infogram/internal/clock"
 	"infogram/internal/gsi"
 	"infogram/internal/job"
-	"infogram/internal/telemetry"
+	"infogram/internal/session"
 	"infogram/internal/wire"
 )
 
@@ -19,11 +19,8 @@ import (
 // submit a job, poll its status through the job handle, cancel it, or
 // receive event notifications through a callback listener.
 type Client struct {
-	conn    *wire.Conn
-	peer    *gsi.Peer
-	clk     clock.Clock
+	sess    *session.Client
 	timeout time.Duration
-	traced  bool // server accepted the TRACE capability
 }
 
 // Dial connects and authenticates to a GRAM service at addr.
@@ -44,62 +41,40 @@ func DialClock(addr string, cred *gsi.Credential, trust *gsi.TrustStore, clk clo
 }
 
 func dial(addr string, cred *gsi.Credential, trust *gsi.TrustStore, clk clock.Clock, timeout time.Duration) (*Client, error) {
-	var conn *wire.Conn
-	var err error
-	if timeout > 0 {
-		conn, err = wire.DialTimeout(addr, timeout)
-	} else {
-		conn, err = wire.Dial(addr)
-	}
+	// Trace propagation is offered; an old server declines with ERROR and
+	// the client simply sends unprefixed frames.
+	sess, err := session.Dial(context.Background(), addr, session.DialOptions{
+		Credential:  cred,
+		Trust:       trust,
+		Clock:       clk,
+		DialTimeout: timeout,
+		Timeout:     timeout,
+		Trace:       true,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("gram: dial %s: %w", addr, err)
-	}
-	c := &Client{conn: conn, clk: clk, timeout: timeout}
-	ctx, cancel := c.callCtx()
-	defer cancel()
-	peer, err := gsi.ClientHandshakeContext(ctx, conn, cred, trust, clk.Now())
-	if err != nil {
-		conn.Close()
 		return nil, err
 	}
-	c.peer = peer
-	// Offer trace propagation; an old server declines with ERROR and the
-	// client simply sends unprefixed frames.
-	traced, err := wire.NegotiateTrace(ctx, conn)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	c.traced = traced
-	return c, nil
-}
-
-// callCtx bounds one exchange by the client's timeout; without one the
-// context is merely cancellable.
-func (c *Client) callCtx() (context.Context, context.CancelFunc) {
-	if c.timeout > 0 {
-		return context.WithTimeout(context.Background(), c.timeout)
-	}
-	return context.WithCancel(context.Background())
+	return &Client{sess: sess, timeout: timeout}, nil
 }
 
 // call performs one deadline-bounded request/response exchange. On a
 // trace-negotiated connection each request carries a freshly minted,
 // sampled trace context so the server records a span tree for it.
 func (c *Client) call(req wire.Frame) (wire.Frame, error) {
-	if c.traced {
-		req = wire.EncodeTraceCtx(wire.TraceContext{Trace: telemetry.NewTraceID(), Sampled: true}, req)
+	ctx := context.Background()
+	if c.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
+		defer cancel()
 	}
-	ctx, cancel := c.callCtx()
-	defer cancel()
-	return c.conn.CallContext(ctx, req)
+	return c.sess.Call(ctx, req)
 }
 
 // Server returns the authenticated server identity.
-func (c *Client) Server() *gsi.Peer { return c.peer }
+func (c *Client) Server() *gsi.Peer { return c.sess.Peer }
 
 // Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.sess.Close() }
 
 // errorReply converts an ERROR frame to an error.
 func errorReply(f wire.Frame) error {

@@ -13,6 +13,7 @@ import (
 	"infogram/internal/job"
 	"infogram/internal/logging"
 	"infogram/internal/scheduler"
+	"infogram/internal/xrsl"
 )
 
 // harness bundles a GRAM service with its security fabric.
@@ -129,11 +130,17 @@ func waitDone(t *testing.T, cl *gram.Client, contact string) gram.StatusReply {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	st, err := cl.WaitTerminal(ctx, contact, 5*time.Millisecond)
-	if err != nil {
-		t.Fatalf("WaitTerminal: %v", err)
+	for {
+		st, err := cl.WaitTerminal(ctx, contact, 5*time.Millisecond)
+		if err != nil {
+			t.Fatalf("WaitTerminal: %v", err)
+		}
+		// A FAILED marked "(will restart)" is the state between two
+		// attempts of a restartable job, not its outcome.
+		if !strings.Contains(st.Error, "will restart") {
+			return st
+		}
 	}
-	return st
 }
 
 func TestFigure1GRAMArchitecture(t *testing.T) {
@@ -520,5 +527,61 @@ func TestMaxWallTime(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Error("maxtime not enforced promptly")
+	}
+}
+
+func TestSignalFromActiveCallback(t *testing.T) {
+	// ACTIVE means signalable: a SIGNAL issued from inside the ACTIVE
+	// notification itself — the tightest a client can react — must find
+	// the job's backend handle registered and its process started.
+	var m *gram.Manager
+	suspended := make(chan error, 1)
+	m = gram.NewManager(gram.ManagerConfig{
+		Table:    job.NewTable("127.0.0.1:0"),
+		Backends: gram.Backends{Exec: &scheduler.Fork{}},
+		Notify: gram.NotifierFunc(func(_ string, ev job.Event) {
+			if ev.State == job.Active {
+				suspended <- m.Signal(ev.Contact, "suspend")
+			}
+		}),
+	})
+	req, err := xrsl.DecodeOne(`&(executable=/bin/sh)(arguments=-c "sleep 0.05; echo finished")(callback=127.0.0.1:1)`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	contact, err := m.Submit(context.Background(), req.Job, job.Record{Owner: "alice"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-suspended:
+		if err != nil {
+			t.Fatalf("suspend from ACTIVE callback: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ACTIVE never notified")
+	}
+	if rec, err := m.Table().Get(contact); err != nil || rec.State != job.Suspended {
+		t.Fatalf("state after suspend = %s (%v)", rec.State, err)
+	}
+	if err := m.Signal(contact, "resume"); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rec, err := m.Table().Get(contact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.State.Terminal() {
+			if rec.State != job.Done || !strings.Contains(rec.Stdout, "finished") {
+				t.Errorf("final = %+v", rec)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck in %s", rec.State)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

@@ -350,11 +350,17 @@ func (m *Manager) runFrom(ctx context.Context, contact string, req *xrsl.JobRequ
 				return
 			}
 		}
-		if err := m.transition(ctx, contact, req, job.Mutation{State: job.Active, Restarts: intPtr(attempt)}); err != nil {
+		// ACTIVE means signalable: the transition is published only once
+		// the attempt's backend handles are registered, so a client that
+		// reacts to ACTIVE with SIGNAL or CANCEL always finds them.
+		var activeErr error
+		res, runErr := m.attempt(ctx, backend, contact, req, func() error {
+			activeErr = m.transition(ctx, contact, req, job.Mutation{State: job.Active, Restarts: intPtr(attempt)})
+			return activeErr
+		})
+		if activeErr != nil {
 			return
 		}
-
-		res, runErr := m.attempt(ctx, backend, contact, req)
 		if ctx.Err() != nil {
 			// Cancelled: no restart, report the cancellation.
 			m.fail(ctx, contact, req, res, -1, "cancelled: "+ctx.Err().Error(), attempt)
@@ -389,11 +395,12 @@ func (m *Manager) runFrom(ctx context.Context, contact string, req *xrsl.JobRequ
 
 // attempt runs one execution attempt, expanding count and applying the
 // timeout/action extension. A traced attempt records a "scheduler.run"
-// span naming the backend.
-func (m *Manager) attempt(ctx context.Context, backend scheduler.Backend, contact string, req *xrsl.JobRequest) (scheduler.Result, error) {
+// span naming the backend. activate publishes the ACTIVE transition; it
+// runs after the handles are registered and before they are waited on.
+func (m *Manager) attempt(ctx context.Context, backend scheduler.Backend, contact string, req *xrsl.JobRequest, activate func() error) (scheduler.Result, error) {
 	ctx, sp := telemetry.StartSpan(ctx, "scheduler.run")
 	sp.SetAttr("backend", backend.Name())
-	res, err := m.attemptRun(ctx, backend, contact, req)
+	res, err := m.attemptRun(ctx, backend, contact, req, activate)
 	if err != nil {
 		sp.Fail(err.Error())
 	}
@@ -401,7 +408,7 @@ func (m *Manager) attempt(ctx context.Context, backend scheduler.Backend, contac
 	return res, err
 }
 
-func (m *Manager) attemptRun(ctx context.Context, backend scheduler.Backend, contact string, req *xrsl.JobRequest) (scheduler.Result, error) {
+func (m *Manager) attemptRun(ctx context.Context, backend scheduler.Backend, contact string, req *xrsl.JobRequest, activate func() error) (scheduler.Result, error) {
 	runCtx := ctx
 	var cancel context.CancelFunc
 	if req.MaxWallTime > 0 {
@@ -458,6 +465,12 @@ func (m *Manager) attemptRun(ctx context.Context, backend scheduler.Backend, con
 		delete(m.running, contact)
 		m.mu.Unlock()
 	}()
+	if err := activate(); err != nil {
+		for _, h := range handles {
+			h.Cancel()
+		}
+		return scheduler.Result{}, err
+	}
 
 	if req.Timeout > 0 {
 		return m.waitWithTimeout(runCtx, handles, req)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"infogram/internal/clock"
 	"infogram/internal/gsi"
@@ -15,9 +13,11 @@ import (
 	"infogram/internal/journal"
 	"infogram/internal/logging"
 	"infogram/internal/rsl"
+	"infogram/internal/session"
 	"infogram/internal/telemetry"
 	"infogram/internal/wire"
 	"infogram/internal/xrsl"
+	"infogram/internal/zerocopy"
 )
 
 // GRAMP protocol verbs. The protocol is request/response over one framed
@@ -81,11 +81,10 @@ type Service struct {
 	cfg     Config
 	manager *Manager
 	table   *job.Table
-	server  *wire.Server
+	server  *session.Server
 	dialer  *CallbackDialer
 
-	mu   sync.Mutex
-	addr string
+	mu sync.Mutex
 }
 
 // NewService builds a GRAM service. The job table is created when the
@@ -98,7 +97,15 @@ func NewService(cfg Config) *Service {
 		cfg.Policy = gsi.AllowAll()
 	}
 	s := &Service{cfg: cfg, dialer: NewCallbackDialer()}
-	s.server = wire.NewServer(wire.HandlerFunc(s.serveConn))
+	s.server = session.NewServer(session.Config{
+		Credential: cfg.Credential,
+		Trust:      cfg.Trust,
+		Clock:      cfg.Clock,
+		ErrorVerb:  VerbError,
+		Gate:       cfg.Gridmap.Map,
+		Tracer:     cfg.Tracer,
+		Handler:    s.dispatch,
+	})
 	return s
 }
 
@@ -109,7 +116,6 @@ func (s *Service) Listen(addr string) (string, error) {
 		return "", err
 	}
 	s.mu.Lock()
-	s.addr = bound
 	s.table = job.NewTable(bound)
 	s.manager = NewManager(ManagerConfig{
 		Table:    s.table,
@@ -127,11 +133,7 @@ func (s *Service) Listen(addr string) (string, error) {
 }
 
 // Addr returns the bound address.
-func (s *Service) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.addr
-}
+func (s *Service) Addr() string { return s.server.Addr() }
 
 // Table returns the job table (nil before Listen).
 func (s *Service) Table() *job.Table {
@@ -167,141 +169,49 @@ func (s *Service) RecoverJournal(rec *journal.Recovered) ([]string, error) {
 	return s.Manager().RecoverJournal(rec, s.env)
 }
 
-// serveConn is the gatekeeper: authenticate, authorize, map to a local
-// account, then serve GRAMP requests on the connection.
-func (s *Service) serveConn(c *wire.Conn) {
-	authStart := s.cfg.Clock.Now()
-	peer, err := gsi.ServerHandshake(c, s.cfg.Credential, s.cfg.Trust, s.cfg.Clock.Now())
-	if err != nil {
-		return // handshake already reported AUTH-ERR where possible
-	}
-	// The handshake predates any trace; its timing is kept aside and
-	// adopted by the connection's first traced request.
-	ts := &traceState{hsStart: authStart, hsDur: s.cfg.Clock.Now().Sub(authStart)}
-	ts.hsPending.Store(true)
-	// The gridmap check waits for the first real request so that
-	// capability negotiation (TRACE) completes even for identities the
-	// gatekeeper will reject — the rejection then answers the request
-	// that needed the mapping, as it did before tracing existed.
-	local, mapped := "", false
-	for {
-		f, err := c.Read()
-		if err != nil {
-			return
-		}
-		if f.Verb == wire.VerbTrace {
-			if s.cfg.Tracer == nil {
-				_ = c.WriteString(VerbError, "gram: tracing not enabled")
-			} else {
-				_ = c.WriteString(wire.VerbTraceOK, "")
-				ts.enabled = true
-			}
-			continue
-		}
-		if !mapped {
-			local, err = s.cfg.Gridmap.Map(peer.Identity)
-			if err != nil {
-				_ = c.WriteString(VerbError, fmt.Sprintf("gatekeeper: %v", err))
-				return
-			}
-			mapped = true
-		}
-		s.dispatch(c, f, peer, local, ts)
-	}
+// errorFrame builds an ERROR response.
+func errorFrame(msg string) wire.Frame {
+	return wire.Frame{Verb: VerbError, Payload: []byte(msg)}
 }
 
-// traceState is the per-connection tracing state: whether the peer
-// negotiated the trace-context prefix, and the handshake timing waiting
-// to be recorded into the connection's first traced request.
-type traceState struct {
-	enabled   bool
-	hsStart   time.Time
-	hsDur     time.Duration
-	hsPending atomic.Bool
-}
-
-func (s *Service) dispatch(c *wire.Conn, f wire.Frame, peer *gsi.Peer, local string, ts *traceState) {
-	ctx := context.Background()
-	var root *telemetry.Span
-	if ts.enabled {
-		// The peer negotiated trace propagation: join its trace rather
-		// than minting a server-local one.
-		tc, inner, derr := wire.DecodeTraceCtx(f)
-		if derr != nil {
-			_ = c.WriteString(VerbError, derr.Error())
-			return
-		}
-		f = inner
-		ctx = telemetry.WithTrace(ctx, tc.Trace)
-		if tc.Sampled {
-			ctx, root = s.cfg.Tracer.JoinTrace(ctx, tc.Trace, tc.Parent, "request:"+f.Verb)
-		}
-	} else if s.cfg.Tracer != nil {
-		ctx, root = s.cfg.Tracer.StartTrace(ctx, "request:"+f.Verb)
-	}
-	if root != nil {
-		root.SetAttr("peer", peer.Identity)
-		if ts.hsPending.CompareAndSwap(true, false) {
-			s.cfg.Tracer.RecordSpan(root, "gsi.handshake", ts.hsStart, ts.hsDur, "")
-		}
-	}
+// dispatch is the gatekeeper's session handler: the session has already
+// authenticated the peer and mapped it to a local account; this serves
+// one GRAMP request.
+func (s *Service) dispatch(ctx context.Context, peer *session.Peer, f wire.Frame) wire.Frame {
 	switch f.Verb {
 	case VerbPing:
-		_ = c.WriteString(VerbPong, "")
+		return wire.Frame{Verb: VerbPong}
 	case VerbSubmit:
-		s.handleSubmit(ctx, c, string(f.Payload), peer, local)
-	case VerbStatus:
-		s.handleStatus(c, strings.TrimSpace(string(f.Payload)))
-	case VerbCancel:
-		s.handleCancel(c, strings.TrimSpace(string(f.Payload)))
-	case VerbSignal:
-		s.handleSignal(c, strings.TrimSpace(string(f.Payload)))
-	default:
-		_ = c.WriteString(VerbError, fmt.Sprintf("gram: unknown verb %s", f.Verb))
+		return s.handleSubmit(ctx, string(f.Payload), peer)
 	}
-	root.End()
+	if resp, ok := s.manager.Control(f); ok {
+		return resp
+	}
+	return errorFrame(fmt.Sprintf("gram: unknown verb %s", f.Verb))
 }
 
-// handleSignal parses "contact signal" and applies it.
-func (s *Service) handleSignal(c *wire.Conn, payload string) {
-	contact, signal, ok := strings.Cut(payload, " ")
-	if !ok {
-		_ = c.WriteString(VerbError, "gram: SIGNAL payload must be 'contact signal'")
-		return
-	}
-	if err := s.manager.Signal(contact, strings.TrimSpace(signal)); err != nil {
-		_ = c.WriteString(VerbError, err.Error())
-		return
-	}
-	_ = c.WriteString(VerbSignalOK, contact)
-}
-
-func (s *Service) handleSubmit(ctx context.Context, c *wire.Conn, src string, peer *gsi.Peer, local string) {
+func (s *Service) handleSubmit(ctx context.Context, src string, peer *session.Peer) wire.Frame {
 	if err := s.cfg.Policy.Authorize(peer.Identity, gsi.OpJobSubmit, s.cfg.Clock.Now()); err != nil {
-		_ = c.WriteString(VerbError, err.Error())
-		return
+		return errorFrame(err.Error())
 	}
-	req, err := xrsl.DecodeOne(src, s.env(local))
+	req, err := xrsl.DecodeOne(src, s.env(peer.Local))
 	if err != nil {
-		_ = c.WriteString(VerbError, err.Error())
-		return
+		return errorFrame(err.Error())
 	}
 	if req.Kind != xrsl.KindJob {
 		// The whole point of the baseline: GRAM only executes jobs; info
 		// queries need the separate MDS service and protocol (Figure 2).
-		_ = c.WriteString(VerbError, "gram: this service accepts job submissions only; query MDS for information")
-		return
+		return errorFrame("gram: this service accepts job submissions only; query MDS for information")
 	}
 	contact, err := s.manager.Submit(ctx, req.Job, job.Record{
 		Spec:     src,
-		Owner:    local,
+		Owner:    peer.Local,
 		Identity: peer.Identity,
 	})
 	if err != nil {
-		_ = c.WriteString(VerbError, err.Error())
-		return
+		return errorFrame(err.Error())
 	}
-	_ = c.WriteString(VerbSubmitted, contact)
+	return wire.Frame{Verb: VerbSubmitted, Payload: []byte(contact)}
 }
 
 // env merges the service environment with per-user bindings, the variable
@@ -314,13 +224,40 @@ func (s *Service) env(local string) rsl.Env {
 	return env
 }
 
-func (s *Service) handleStatus(c *wire.Conn, contact string) {
-	rec, err := s.table.Get(contact)
-	if err != nil {
-		_ = c.WriteString(VerbError, err.Error())
-		return
+// Control answers the job-control verbs — STATUS, CANCEL, SIGNAL — that
+// GRAM and InfoGram serve identically, which is what keeps InfoGram
+// backwards compatible with GRAM clients. ok is false for any other verb.
+func (m *Manager) Control(f wire.Frame) (resp wire.Frame, ok bool) {
+	// The payload buffer is freshly allocated per frame and never reused,
+	// so it may be aliased as a string without a copy.
+	payload := strings.TrimSpace(zerocopy.String(f.Payload))
+	switch f.Verb {
+	case VerbStatus:
+		return m.status(payload), true
+	case VerbCancel:
+		if err := m.Cancel(payload); err != nil {
+			return errorFrame(err.Error()), true
+		}
+		return wire.Frame{Verb: VerbCancelOK, Payload: []byte(payload)}, true
+	case VerbSignal:
+		contact, signal, cut := strings.Cut(payload, " ")
+		if !cut {
+			return errorFrame("gram: SIGNAL payload must be 'contact signal'"), true
+		}
+		if err := m.Signal(contact, strings.TrimSpace(signal)); err != nil {
+			return errorFrame(err.Error()), true
+		}
+		return wire.Frame{Verb: VerbSignalOK, Payload: []byte(contact)}, true
 	}
-	reply := StatusReply{
+	return wire.Frame{}, false
+}
+
+func (m *Manager) status(contact string) wire.Frame {
+	rec, err := m.cfg.Table.Get(contact)
+	if err != nil {
+		return errorFrame(err.Error())
+	}
+	b, err := json.Marshal(StatusReply{
 		Contact:  rec.Contact,
 		State:    rec.State,
 		ExitCode: rec.ExitCode,
@@ -328,19 +265,9 @@ func (s *Service) handleStatus(c *wire.Conn, contact string) {
 		Stdout:   rec.Stdout,
 		Stderr:   rec.Stderr,
 		Restarts: rec.Restarts,
-	}
-	b, err := json.Marshal(reply)
+	})
 	if err != nil {
-		_ = c.WriteString(VerbError, err.Error())
-		return
+		return errorFrame(err.Error())
 	}
-	_ = c.Write(wire.Frame{Verb: VerbStatusOK, Payload: b})
-}
-
-func (s *Service) handleCancel(c *wire.Conn, contact string) {
-	if err := s.manager.Cancel(contact); err != nil {
-		_ = c.WriteString(VerbError, err.Error())
-		return
-	}
-	_ = c.WriteString(VerbCancelOK, contact)
+	return wire.Frame{Verb: VerbStatusOK, Payload: b}
 }

@@ -142,12 +142,8 @@ func ServerHandshakeContext(ctx context.Context, conn *wire.Conn, cred *Credenti
 	return serverHandshakeFrame(ctx, conn, first, cred, trust, now)
 }
 
-// ServerHandshakeFrame completes the server side of the handshake when the
-// initial frame has already been read from conn.
-func ServerHandshakeFrame(conn *wire.Conn, first wire.Frame, cred *Credential, trust *TrustStore, now time.Time) (*Peer, error) {
-	return serverHandshakeFrame(context.Background(), conn, first, cred, trust, now)
-}
-
+// serverHandshakeFrame completes the server side of the handshake once
+// the initial frame has been read from conn.
 func serverHandshakeFrame(ctx context.Context, conn *wire.Conn, first wire.Frame, cred *Credential, trust *TrustStore, now time.Time) (*Peer, error) {
 	fail := func(format string, args ...any) (*Peer, error) {
 		msg := fmt.Sprintf(format, args...)

@@ -8,18 +8,24 @@ package integration_test
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"infogram/internal/cluster"
 	"infogram/internal/core"
 	"infogram/internal/faultinject"
+	"infogram/internal/gram"
 	"infogram/internal/job"
+	"infogram/internal/mds"
 	"infogram/internal/provider"
 	"infogram/internal/scheduler"
+	"infogram/internal/session"
 	"infogram/internal/telemetry"
 )
 
@@ -435,55 +441,120 @@ func TestChaosSchedulerDispatchFailsJob(t *testing.T) {
 	}
 }
 
-// A client that feeds bytes too slowly is cut off by the server's request
-// timeout: the broken frame is counted and the handler goroutine exits —
-// no leak, no unbounded stall.
+// slowClientBound is the cut-off the slow-client table runs under: the
+// request timeout on the rows whose server has one, the session's
+// handshake timeout (shortened through its test hook) on the rest.
+const slowClientBound = 150 * time.Millisecond
+
+// A client that connects and then says nothing, or feeds bytes too slowly,
+// is cut off by every server — the session layer bounds the handshake for
+// all five — and the connection's goroutine exits: no leak, no unbounded
+// stall.
 func TestChaosSlowClientCutOff(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
+	defer session.SetHandshakeTimeout(slowClientBound)()
 	d := newDeployment(t)
-	addr, tel := startInfoGram(t, d, func(cfg *core.Config) {
-		cfg.RequestTimeout = 150 * time.Millisecond
-	})
-	baseline := runtime.NumGoroutine()
 
-	raw, err := net.Dial("tcp", addr)
+	servers := []struct {
+		name string
+		// start returns the address and, where the server exports one, its
+		// wire frame-error counter.
+		start func(t *testing.T) (string, *telemetry.Counter)
+	}{
+		{"core", func(t *testing.T) (string, *telemetry.Counter) {
+			addr, tel := startInfoGram(t, d, func(cfg *core.Config) { cfg.RequestTimeout = slowClientBound })
+			return addr, tel.Counter("infogram_wire_frame_errors_total", "malformed or oversized protocol frames")
+		}},
+		{"gram", func(t *testing.T) (string, *telemetry.Counter) {
+			svc := gram.NewService(gram.Config{
+				Credential: d.svcCred, Trust: d.trust, Gridmap: d.gridmap, Backends: d.backends(),
+			})
+			t.Cleanup(func() { svc.Close() })
+			return listen(t, svc.Listen), nil
+		}},
+		{"gris", func(t *testing.T) (string, *telemetry.Counter) {
+			gris := mds.NewGRIS(mds.GRISConfig{ResourceName: "site", Registry: d.reg, Credential: d.svcCred, Trust: d.trust})
+			t.Cleanup(func() { gris.Close() })
+			return listen(t, gris.Listen), nil
+		}},
+		{"giis", func(t *testing.T) (string, *telemetry.Counter) {
+			giis := mds.NewGIIS(mds.GIISConfig{OrgName: "vo", Credential: d.svcCred, Trust: d.trust})
+			t.Cleanup(func() { giis.Close() })
+			return listen(t, giis.Listen), nil
+		}},
+		{"proxy", func(t *testing.T) (string, *telemetry.Counter) {
+			member, _ := startInfoGram(t, d, nil)
+			router, err := cluster.NewRouter(cluster.RouterConfig{Members: []string{member}, Cred: d.user, Trust: d.trust})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { router.Close() })
+			proxy := cluster.NewProxy(cluster.ProxyConfig{Credential: d.svcCred, Trust: d.trust, Router: router})
+			t.Cleanup(func() { proxy.Close() })
+			return listen(t, proxy.Listen), nil
+		}},
+	}
+	for _, srv := range servers {
+		for _, drip := range []bool{false, true} {
+			name := srv.name + "/silent"
+			if drip {
+				name = srv.name + "/drip"
+			}
+			t.Run(name, func(t *testing.T) {
+				addr, frameErrs := srv.start(t)
+				baseline := runtime.NumGoroutine()
+				raw, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer raw.Close()
+				dripped := make(chan struct{})
+				go func() {
+					defer close(dripped)
+					// One byte every 50ms: the frame never completes
+					// within the server's deadline.
+					for drip {
+						if _, err := raw.Write([]byte("A")); err != nil {
+							return // the server closed the connection
+						}
+						time.Sleep(50 * time.Millisecond)
+					}
+				}()
+				// The server closes the connection inside the bound (plus
+				// scheduling slack): the read ends with EOF or a reset,
+				// not with this side's own deadline.
+				_ = raw.SetReadDeadline(time.Now().Add(slowClientBound + 2*time.Second))
+				_, err = io.Copy(io.Discard, raw)
+				if errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatalf("connection still open %s after connecting", slowClientBound+2*time.Second)
+				}
+				<-dripped
+				raw.Close()
+				if frameErrs != nil && frameErrs.Value() == 0 {
+					t.Error("server never counted the stalled frame as a frame error")
+				}
+				// The connection's goroutine must be gone: poll until the
+				// count returns to the pre-connection baseline, with slack
+				// for unrelated runtime goroutines.
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() > baseline+1 {
+					if time.Now().After(deadline) {
+						t.Fatalf("goroutines: baseline %d, now %d — connection goroutine leaked", baseline, runtime.NumGoroutine())
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
+			})
+		}
+	}
+}
+
+// listen binds a server to an ephemeral loopback port.
+func listen(t *testing.T, listen func(string) (string, error)) string {
+	t.Helper()
+	addr, err := listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer raw.Close()
-	// Drip-feed one byte every 50ms: the frame never completes within the
-	// server's deadline.
-	closed := make(chan struct{})
-	go func() {
-		defer close(closed)
-		for i := 0; i < 100; i++ {
-			if _, err := raw.Write([]byte("A")); err != nil {
-				return // server closed the connection: mission accomplished
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-	}()
-
-	frameErrs := tel.Counter("infogram_wire_frame_errors_total", "malformed or oversized protocol frames")
-	deadline := time.Now().Add(5 * time.Second)
-	for frameErrs.Value() == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if frameErrs.Value() == 0 {
-		t.Fatal("server never counted the stalled frame as a frame error")
-	}
-	<-closed // the writer observed the cut-off
-	raw.Close()
-
-	// The handler goroutine must be gone: poll until the count returns to
-	// (or below) the pre-connection baseline, with slack for unrelated
-	// runtime goroutines.
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline+1 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines: baseline %d, now %d — handler leaked", baseline, runtime.NumGoroutine())
+	return addr
 }

@@ -4,12 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"strings"
 
 	"infogram/internal/clock"
 	"infogram/internal/gsi"
 	"infogram/internal/ldif"
+	"infogram/internal/session"
 	"infogram/internal/wire"
 )
 
@@ -17,8 +17,7 @@ import (
 // Figure 2 client needs both this client and a gram.Client — two protocol
 // implementations — where the Figure 4 InfoGram client needs one.
 type Client struct {
-	conn *wire.Conn
-	peer *gsi.Peer
+	sess *session.Client
 }
 
 // Dial connects and authenticates to an MDS server.
@@ -35,25 +34,20 @@ func DialClock(addr string, cred *gsi.Credential, trust *gsi.TrustStore, clk clo
 // GSI handshake, and nothing else. Subsequent calls carry their own
 // contexts.
 func DialContext(ctx context.Context, addr string, cred *gsi.Credential, trust *gsi.TrustStore, clk clock.Clock) (*Client, error) {
-	dialer := net.Dialer{}
-	nc, err := dialer.DialContext(ctx, "tcp", addr)
+	// No capability is offered: the directory protocol's client is the
+	// baseline's, byte for byte.
+	sess, err := session.Dial(ctx, addr, session.DialOptions{Credential: cred, Trust: trust, Clock: clk})
 	if err != nil {
-		return nil, fmt.Errorf("mds: dial %s: %w", addr, err)
-	}
-	conn := wire.NewConn(nc)
-	peer, err := gsi.ClientHandshakeContext(ctx, conn, cred, trust, clk.Now())
-	if err != nil {
-		conn.Close()
 		return nil, err
 	}
-	return &Client{conn: conn, peer: peer}, nil
+	return &Client{sess: sess}, nil
 }
 
 // Server returns the authenticated server identity.
-func (c *Client) Server() *gsi.Peer { return c.peer }
+func (c *Client) Server() *gsi.Peer { return c.sess.Peer }
 
 // Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+func (c *Client) Close() error { return c.sess.Close() }
 
 // Search performs one search and decodes the LDIF result.
 func (c *Client) Search(req SearchRequest) ([]ldif.Entry, error) {
@@ -68,7 +62,7 @@ func (c *Client) SearchContext(ctx context.Context, req SearchRequest) ([]ldif.E
 	if err != nil {
 		return nil, fmt.Errorf("mds: encode search: %w", err)
 	}
-	resp, err := c.conn.CallContext(ctx, wire.Frame{Verb: VerbSearch, Payload: payload})
+	resp, err := c.sess.Call(ctx, wire.Frame{Verb: VerbSearch, Payload: payload})
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +74,7 @@ func (c *Client) SearchContext(ctx context.Context, req SearchRequest) ([]ldif.E
 
 // RegisterWith registers a GRIS address with a GIIS.
 func (c *Client) RegisterWith(grisAddr string) error {
-	resp, err := c.conn.Call(wire.Frame{Verb: VerbRegister, Payload: []byte(grisAddr)})
+	resp, err := c.sess.Call(context.Background(), wire.Frame{Verb: VerbRegister, Payload: []byte(grisAddr)})
 	if err != nil {
 		return err
 	}

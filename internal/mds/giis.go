@@ -2,7 +2,6 @@ package mds
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"infogram/internal/clock"
 	"infogram/internal/gsi"
 	"infogram/internal/ldif"
+	"infogram/internal/session"
 	"infogram/internal/telemetry"
 	"infogram/internal/wire"
 	"infogram/internal/zerocopy"
@@ -73,7 +73,7 @@ type GIISConfig struct {
 // how a virtual organization aggregates its resources' information.
 type GIIS struct {
 	cfg    GIISConfig
-	server *wire.Server
+	server *session.Server
 
 	mu      sync.Mutex
 	members map[string]time.Time // GRIS address -> registration time
@@ -135,7 +135,13 @@ func NewGIIS(cfg GIISConfig) *GIIS {
 			}
 		}
 	}
-	g.server = wire.NewServer(wire.HandlerFunc(g.serveConn))
+	g.server = session.NewServer(session.Config{
+		Credential: cfg.Credential,
+		Trust:      cfg.Trust,
+		Clock:      cfg.Clock,
+		ErrorVerb:  VerbMDSError,
+		Handler:    g.dispatch,
+	})
 	return g
 }
 
@@ -190,49 +196,20 @@ func (g *GIIS) Members() []string {
 	return out
 }
 
-func (g *GIIS) serveConn(c *wire.Conn) {
-	peer, err := gsi.ServerHandshake(c, g.cfg.Credential, g.cfg.Trust, g.cfg.Clock.Now())
-	if err != nil {
-		return
-	}
-	for {
-		f, err := c.Read()
-		if err != nil {
-			return
+func (g *GIIS) dispatch(ctx context.Context, peer *session.Peer, f wire.Frame) wire.Frame {
+	switch f.Verb {
+	case VerbRegister:
+		addr := strings.TrimSpace(string(f.Payload))
+		if addr == "" {
+			return errorFrame("mds: empty registration address")
 		}
-		switch f.Verb {
-		case VerbRegister:
-			addr := strings.TrimSpace(string(f.Payload))
-			if addr == "" {
-				_ = c.WriteString(VerbMDSError, "mds: empty registration address")
-				continue
-			}
-			g.Register(addr)
-			_ = c.WriteString(VerbRegOK, addr)
-		case VerbSearch:
-			g.handleSearch(c, f.Payload, peer)
-		default:
-			_ = c.WriteString(VerbMDSError, fmt.Sprintf("mds: unknown verb %s", f.Verb))
-		}
+		g.Register(addr)
+		return wire.Frame{Verb: VerbRegOK, Payload: []byte(addr)}
+	case VerbSearch:
+		return searchFrame(ctx, g, g.cfg.Policy, g.cfg.Clock.Now(), peer, f.Payload)
+	default:
+		return errorFrame(fmt.Sprintf("mds: unknown verb %s", f.Verb))
 	}
-}
-
-func (g *GIIS) handleSearch(c *wire.Conn, payload []byte, peer *gsi.Peer) {
-	if err := g.cfg.Policy.Authorize(peer.Identity, gsi.OpInfoQuery, g.cfg.Clock.Now()); err != nil {
-		_ = c.WriteString(VerbMDSError, err.Error())
-		return
-	}
-	var req SearchRequest
-	if err := json.Unmarshal(payload, &req); err != nil {
-		_ = c.WriteString(VerbMDSError, fmt.Sprintf("mds: bad search payload: %v", err))
-		return
-	}
-	body, err := g.SearchLDIF(context.Background(), req)
-	if err != nil {
-		_ = c.WriteString(VerbMDSError, err.Error())
-		return
-	}
-	_ = c.Write(wire.Frame{Verb: VerbResult, Payload: body})
 }
 
 // Search fans the request out to every live registrant and merges results.

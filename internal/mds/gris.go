@@ -13,6 +13,7 @@ import (
 	"infogram/internal/gsi"
 	"infogram/internal/ldif"
 	"infogram/internal/provider"
+	"infogram/internal/session"
 	"infogram/internal/telemetry"
 	"infogram/internal/wire"
 	"infogram/internal/zerocopy"
@@ -50,8 +51,8 @@ type GRISConfig struct {
 	// Policy authorizes info queries; nil allows all authenticated users.
 	Policy *gsi.Policy
 	Clock  clock.Clock
-	// Tracer, when set, records a span tree per SEARCH (the MDS protocol
-	// itself carries no trace context, so GRIS traces are local roots).
+	// Tracer, when set, records a span tree per request (the MDS client
+	// offers no trace context, so GRIS traces are local roots).
 	Tracer *telemetry.Tracer
 	// CacheTTL, when positive, enables the response cache: rendered LDIF
 	// bodies and filter→keyword projections are cached in a sharded byte
@@ -90,7 +91,7 @@ const minNegTTL = time.Second
 // MDS-2.0-style caching provided by the registry's TTL cache.
 type GRIS struct {
 	cfg    GRISConfig
-	server *wire.Server
+	server *session.Server
 	// resp caches rendered LDIF bodies and filter→keyword projections,
 	// keyed by the registry generation so provider churn invalidates both
 	// wholesale. Nil when CacheTTL is zero.
@@ -146,7 +147,14 @@ func NewGRIS(cfg GRISConfig) *GRIS {
 			}
 		}
 	}
-	g.server = wire.NewServer(wire.HandlerFunc(g.serveConn))
+	g.server = session.NewServer(session.Config{
+		Credential: cfg.Credential,
+		Trust:      cfg.Trust,
+		Clock:      cfg.Clock,
+		ErrorVerb:  VerbMDSError,
+		Tracer:     cfg.Tracer,
+		Handler:    g.dispatch,
+	})
 	return g
 }
 
@@ -165,49 +173,40 @@ func (g *GRIS) Close() error {
 	return g.server.Close()
 }
 
-func (g *GRIS) serveConn(c *wire.Conn) {
-	peer, err := gsi.ServerHandshake(c, g.cfg.Credential, g.cfg.Trust, g.cfg.Clock.Now())
-	if err != nil {
-		return
-	}
-	for {
-		f, err := c.Read()
-		if err != nil {
-			return
-		}
-		switch f.Verb {
-		case VerbSearch:
-			g.handleSearch(c, f.Payload, peer)
-		default:
-			_ = c.WriteString(VerbMDSError, fmt.Sprintf("mds: unknown verb %s", f.Verb))
-		}
-	}
+// errorFrame builds an MDS-ERROR response.
+func errorFrame(msg string) wire.Frame {
+	return wire.Frame{Verb: VerbMDSError, Payload: []byte(msg)}
 }
 
-func (g *GRIS) handleSearch(c *wire.Conn, payload []byte, peer *gsi.Peer) {
-	if err := g.cfg.Policy.Authorize(peer.Identity, gsi.OpInfoQuery, g.cfg.Clock.Now()); err != nil {
-		_ = c.WriteString(VerbMDSError, err.Error())
-		return
+// searcher is what GRIS and GIIS share: a search answered as rendered LDIF.
+type searcher interface {
+	SearchLDIF(ctx context.Context, req SearchRequest) ([]byte, error)
+}
+
+// searchFrame answers one SEARCH for either directory server: authorize,
+// decode, evaluate, and put the rendered body onto the wire as-is — on a
+// cache hit it aliases the cache arena, on a miss the fresh render, zero
+// copies either way.
+func searchFrame(ctx context.Context, s searcher, policy *gsi.Policy, now time.Time, peer *session.Peer, payload []byte) wire.Frame {
+	if err := policy.Authorize(peer.Identity, gsi.OpInfoQuery, now); err != nil {
+		return errorFrame(err.Error())
 	}
 	var req SearchRequest
 	if err := json.Unmarshal(payload, &req); err != nil {
-		_ = c.WriteString(VerbMDSError, fmt.Sprintf("mds: bad search payload: %v", err))
-		return
+		return errorFrame(fmt.Sprintf("mds: bad search payload: %v", err))
 	}
-	ctx, root := g.cfg.Tracer.StartTrace(context.Background(), "request:"+VerbSearch)
-	root.SetAttr("peer", peer.Identity)
-	// The rendered body goes onto the wire as-is: on a cache hit it
-	// aliases the cache arena, on a miss it aliases the fresh render —
-	// zero copies either way.
-	body, err := g.SearchLDIF(ctx, req)
+	body, err := s.SearchLDIF(ctx, req)
 	if err != nil {
-		root.Fail(err.Error())
-		root.End()
-		_ = c.WriteString(VerbMDSError, err.Error())
-		return
+		return errorFrame(err.Error())
 	}
-	root.End()
-	_ = c.Write(wire.Frame{Verb: VerbResult, Payload: body})
+	return wire.Frame{Verb: VerbResult, Payload: body}
+}
+
+func (g *GRIS) dispatch(ctx context.Context, peer *session.Peer, f wire.Frame) wire.Frame {
+	if f.Verb != VerbSearch {
+		return errorFrame(fmt.Sprintf("mds: unknown verb %s", f.Verb))
+	}
+	return searchFrame(ctx, g, g.cfg.Policy, g.cfg.Clock.Now(), peer, f.Payload)
 }
 
 // Search evaluates a request locally and returns the matching entries.

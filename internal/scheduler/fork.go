@@ -65,43 +65,46 @@ func (f *Fork) Submit(ctx context.Context, t Task) (Handle, error) {
 	if maxOut <= 0 {
 		maxOut = 1 << 20
 	}
+	start := time.Now()
+	cmd := exec.CommandContext(runCtx, t.Executable, t.Args...)
+	cmd.Dir = t.Dir
+	env := t.Env
+	if t.Checkpoint != "" {
+		// Forked processes receive their restart checkpoint through
+		// the environment.
+		env = make(map[string]string, len(t.Env)+1)
+		for k, v := range t.Env {
+			env[k] = v
+		}
+		env["INFOGRAM_CHECKPOINT"] = t.Checkpoint
+	}
+	if len(env) > 0 {
+		cmd.Env = flattenEnv(env)
+	}
+	if t.Stdin != "" {
+		cmd.Stdin = strings.NewReader(t.Stdin)
+	}
+	stdout := &limitedBuffer{max: maxOut}
+	stderr := &limitedBuffer{max: maxOut}
+	cmd.Stdout = stdout
+	cmd.Stderr = stderr
+	// Each job leads its own process group so suspend/cancel reach
+	// the whole tree, not just the immediate child.
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	cmd.Cancel = func() error {
+		return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
+	}
+
+	// The process is started before Submit returns, so the handle is
+	// signalable (or already finished with the start error) the moment
+	// the caller holds it.
+	err := cmd.Start()
+	if err == nil {
+		h.pid = cmd.Process.Pid
+	}
 	go func() {
 		defer cancel()
-		start := time.Now()
-		cmd := exec.CommandContext(runCtx, t.Executable, t.Args...)
-		cmd.Dir = t.Dir
-		env := t.Env
-		if t.Checkpoint != "" {
-			// Forked processes receive their restart checkpoint through
-			// the environment.
-			env = make(map[string]string, len(t.Env)+1)
-			for k, v := range t.Env {
-				env[k] = v
-			}
-			env["INFOGRAM_CHECKPOINT"] = t.Checkpoint
-		}
-		if len(env) > 0 {
-			cmd.Env = flattenEnv(env)
-		}
-		if t.Stdin != "" {
-			cmd.Stdin = strings.NewReader(t.Stdin)
-		}
-		stdout := &limitedBuffer{max: maxOut}
-		stderr := &limitedBuffer{max: maxOut}
-		cmd.Stdout = stdout
-		cmd.Stderr = stderr
-		// Each job leads its own process group so suspend/cancel reach
-		// the whole tree, not just the immediate child.
-		cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
-		cmd.Cancel = func() error {
-			return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
-		}
-
-		err := cmd.Start()
 		if err == nil {
-			h.mu.Lock()
-			h.pid = cmd.Process.Pid
-			h.mu.Unlock()
 			err = cmd.Wait()
 			h.mu.Lock()
 			h.pid = 0

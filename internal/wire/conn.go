@@ -186,10 +186,6 @@ func (c *Conn) ReadContext(ctx context.Context) (Frame, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	for {
-		v, ferr := faultinject.Eval(ctx, faultinject.WireRead)
-		if ferr != nil {
-			return Frame{}, ferr
-		}
 		fin := c.armDeadline(ctx, false)
 		f, err := ReadFrame(c.r)
 		raw := err
@@ -203,6 +199,14 @@ func (c *Conn) ReadContext(ctx context.Context) (Frame, error) {
 		}
 		if err != nil {
 			return Frame{}, err
+		}
+		// The failpoint fires once a frame has arrived, not when the read
+		// starts: a reader already parked on an idle connection would
+		// otherwise have evaluated it long before the test armed it, and
+		// the fault would land an exchange late.
+		v, ferr := faultinject.Eval(ctx, faultinject.WireRead)
+		if ferr != nil {
+			return Frame{}, ferr
 		}
 		if v.Drop {
 			continue // injected drop: discard this frame, deliver the next

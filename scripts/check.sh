@@ -23,6 +23,12 @@ go vet ./...
 echo "== go test -race =="
 go test -race ./...
 
+# The benchmark suite is a nested module that ./... does not reach: vet
+# and test it here, so a refactor of internal/ that breaks it fails this
+# gate instead of the next benchmark run.
+echo "== benchmark module (vet, test -race) =="
+(cd benchmark && go vet ./... && go test -race ./...)
+
 # The trace chaos scenarios re-run explicitly (and under -race): they
 # assert that injected wire and provider faults still leave finished,
 # correctly-parented span trees in the trace store.
@@ -39,6 +45,7 @@ for target in \
 	FuzzFrameRoundTrip:./internal/wire \
 	FuzzFrameDecode:./internal/wire \
 	FuzzRejectFrameDecode:./internal/wire \
+	FuzzSessionFrames:./internal/session \
 	FuzzParseXRSL:./internal/xrsl \
 	FuzzParseFilter:./internal/mds \
 	FuzzReplay:./internal/logging \
