@@ -69,7 +69,6 @@ func main() {
 		cacheMaxB   = flag.Int64("cache-max-bytes", 0, "response-cache total byte budget (0 = 256 MiB)")
 		cacheSnap   = flag.Duration("cache-snapshot-interval", time.Minute, "background response-cache snapshot period into -state-dir; restarts restore the snapshot and serve previously cached answers warm (needs -cache-ttl and -state-dir; 0 snapshots only on shutdown)")
 		refreshFrac = flag.Float64("refresh-ahead", 0, "refresh-ahead threshold as a fraction of entry TTL: hot cached answers past it are re-collected in the background so they never expire under load (e.g. 0.8; 0 disables)")
-		refreshWk   = flag.Int("refresh-workers", 0, "bound on concurrent background refresh fills (0 = 2)")
 		snapGzip    = flag.Bool("snapshot-compress", false, "write cache snapshots gzip-compressed; restore reads either layout, so the flag can change between restarts")
 		clusterMem  = flag.String("cluster-members", "", "comma-separated backend gatekeeper addresses: run as a consistent-hash routing proxy over them instead of a gatekeeper")
 		clusterVN   = flag.Int("cluster-vnodes", 0, "virtual nodes per cluster member on the hash ring (0 = 128)")
@@ -220,7 +219,6 @@ func main() {
 		CacheSnapshotInterval: *cacheSnap,
 		SnapshotCompress:      *snapGzip,
 		RefreshAhead:          *refreshFrac,
-		RefreshWorkers:        *refreshWk,
 	})
 	bound, err := svc.Listen(*addr)
 	if err != nil {

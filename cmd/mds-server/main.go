@@ -42,7 +42,6 @@ func main() {
 		cacheSnap   = flag.Duration("cache-snapshot-interval", time.Minute, "background cache snapshot period into -state-dir (0 snapshots only on shutdown)")
 		snapGzip    = flag.Bool("snapshot-compress", false, "write cache snapshots gzip-compressed; restore reads either layout, so the flag can change between restarts")
 		refreshFrac = flag.Float64("refresh-ahead", 0, "refresh-ahead threshold as a fraction of -cache-ttl: hot cached searches past it are re-run in the background so they never expire under load (e.g. 0.8; 0 disables)")
-		refreshWk   = flag.Int("refresh-workers", 0, "bound on concurrent background refresh searches (0 = 2)")
 	)
 	flag.Parse()
 
@@ -87,7 +86,6 @@ func main() {
 		CacheShards:      *cacheShards,
 		CacheMaxBytes:    *cacheMaxB,
 		RefreshAhead:     *refreshFrac,
-		RefreshWorkers:   *refreshWk,
 		SnapshotCompress: *snapGzip,
 		Telemetry:        tel,
 	})
@@ -119,7 +117,6 @@ func main() {
 			CacheShards:      *cacheShards,
 			CacheMaxBytes:    *cacheMaxB,
 			RefreshAhead:     *refreshFrac,
-			RefreshWorkers:   *refreshWk,
 			SnapshotCompress: *snapGzip,
 			Telemetry:        tel,
 		})

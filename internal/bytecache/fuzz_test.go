@@ -26,6 +26,21 @@ func FuzzSnapshotRestore(f *testing.F) {
 	}
 	f.Add(whole.Bytes())
 	f.Add(whole.Bytes()[:whole.Len()/2])
+	// Keys as a Managed cache writes them — generation stamp first — so the
+	// fuzzer also starts from input the mapper re-stamps instead of drops.
+	stamped := NewManaged(ManagedOptions{
+		Options:    Options{Shards: 2, Clock: clk},
+		Generation: func() uint64 { return 3 },
+		Digest:     func() uint64 { return 9 },
+	})
+	for i := 0; i < 8; i++ {
+		stamped.Set(fmt.Appendf(stamped.AppendGen(nil), "key-%d", i), bytes.Repeat([]byte{byte(i)}, i*7), time.Hour)
+	}
+	var managed bytes.Buffer
+	if _, err := stamped.WriteSnapshot(&managed, SnapshotMeta{Generation: 3, Digest: 9}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(managed.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("not a snapshot at all"))
 

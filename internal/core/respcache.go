@@ -1,14 +1,11 @@
 package core
 
 import (
-	"sort"
-	"sync"
-	"sync/atomic"
+	"context"
 	"time"
 
 	"infogram/internal/bytecache"
 	"infogram/internal/cache"
-	"infogram/internal/clock"
 	"infogram/internal/provider"
 	"infogram/internal/telemetry"
 	"infogram/internal/xrsl"
@@ -29,51 +26,18 @@ import (
 // unreachable in O(1); the dead entries age out through TTL eviction and
 // arena compaction.
 type respCache struct {
-	c   *bytecache.Cache
-	reg *provider.Registry
+	// c is the managed stack: the byte cache, the generation stamp, the
+	// negative TTL, refresh-ahead and the snapshot wiring.
+	c    *bytecache.Managed
+	reg  *provider.Registry
+	info *infoEngine // the fill path refresh-ahead re-runs
 	// ttl caps every entry's lifetime; effective TTL is min(ttl, the
 	// smallest provider TTL among the keywords a response covers), so a
 	// rendered blob never outlives the §5.1 freshness of its inputs.
 	ttl time.Duration
-	// negTTL bounds negative entries — unknown keywords and
-	// filters that matched nothing — which must recover quickly after a
-	// provider registration or a data change.
-	negTTL time.Duration
-
-	scratch sync.Pool // *[]byte, reused for key and value assembly
-
-	// tracked remembers, per key hash, the request whose rendered answer
-	// was stored — enough for the refresh-ahead scanner to re-execute the
-	// fill and swap the blob before the TTL lapses. The map is bounded
-	// (maxTracked) and only touched on the store path and by the scanner,
-	// never on the hit path.
-	trackMu sync.Mutex
-	tracked map[uint64]*trackedReq
 
 	negHits *telemetry.Counter
 }
-
-// trackedReq is one refresh-ahead candidate: the cloned request and the
-// key it was cached under.
-type trackedReq struct {
-	req *xrsl.InfoRequest
-	key []byte
-	// inflight guards against queueing the same entry twice while a
-	// refresh is still running (1 while queued or executing).
-	inflight atomic.Bool
-}
-
-// maxTracked bounds the refresh-ahead candidate map. When full, new stores
-// are simply not tracked: the scanner prunes entries that expired or aged
-// out of the cache each cycle, and hot keys — re-stored on every refill —
-// re-enter the moment space frees up. An approximate top-K, not a
-// guarantee, which is all refresh-ahead needs.
-const maxTracked = 4096
-
-// minNegTTL floors the negative-TTL default: TTL/4 of a small -cache-ttl
-// would otherwise truncate toward zero and make empty or failed answers
-// effectively uncacheable — the exact flood they exist to absorb.
-const minNegTTL = time.Second
 
 // Value-blob flag bytes: every cached value is one flag byte followed by
 // the payload.
@@ -82,41 +46,29 @@ const (
 	respNeg = 1 // payload is the error text of a deterministic failure
 )
 
-// newRespCache builds the response cache; ttl must be positive.
-func newRespCache(reg *provider.Registry, shards int, maxBytes int64, ttl, negTTL time.Duration, clk clock.Clock) *respCache {
-	if negTTL <= 0 || negTTL > ttl {
-		negTTL = ttl / 4
-		if negTTL < minNegTTL {
-			negTTL = minNegTTL
-		}
-		if negTTL > ttl {
-			negTTL = ttl
-		}
-	}
-	rc := &respCache{
-		c: bytecache.New(bytecache.Options{
-			Shards:     shards,
-			MaxBytes:   maxBytes,
-			DefaultTTL: ttl,
-			Clock:      clk,
-		}),
-		reg:    reg,
-		ttl:    ttl,
-		negTTL: negTTL,
-	}
-	rc.scratch.New = func() any {
-		b := make([]byte, 0, 256)
-		return &b
-	}
-	rc.tracked = make(map[uint64]*trackedReq)
-	return rc
-}
-
-// setTelemetry arms the underlying byte cache's counters and gauges.
-func (rc *respCache) setTelemetry(reg *telemetry.Registry) {
-	rc.c.SetTelemetry(reg)
-	rc.negHits = reg.Counter("infogram_respcache_negative_hits_total",
+// newRespCache builds the response cache from the service configuration
+// (CacheTTL must be positive); info is the engine whose Answer filled the
+// entries and re-fills them ahead of expiry.
+func newRespCache(cfg Config, info *infoEngine) *respCache {
+	rc := &respCache{reg: cfg.Registry, info: info, ttl: cfg.CacheTTL}
+	rc.c = bytecache.NewManaged(bytecache.ManagedOptions{
+		Options: bytecache.Options{
+			Shards:     cfg.CacheShards,
+			MaxBytes:   cfg.CacheMaxBytes,
+			DefaultTTL: cfg.CacheTTL,
+			Clock:      cfg.Clock,
+		},
+		Generation:    cfg.Registry.Generation,
+		Digest:        cfg.Registry.Digest,
+		RefreshAhead:  cfg.RefreshAhead,
+		RefillTimeout: cfg.RequestTimeout,
+		Refill:        rc.refill,
+		Telemetry:     cfg.Telemetry,
+		Family:        "infogram_refresh_ahead",
+	})
+	rc.negHits = cfg.Telemetry.Counter("infogram_respcache_negative_hits_total",
 		"information queries answered from a cached negative result")
+	return rc
 }
 
 // cacheable reports whether a request's answer may be served from and
@@ -133,10 +85,7 @@ func (rc *respCache) cacheable(req *xrsl.InfoRequest) bool {
 // first (membership churn invalidates wholesale), then every request
 // dimension that selects a distinct rendered body.
 func (rc *respCache) appendKey(buf []byte, req *xrsl.InfoRequest) []byte {
-	gen := rc.reg.Generation()
-	buf = append(buf,
-		byte(gen), byte(gen>>8), byte(gen>>16), byte(gen>>24),
-		byte(gen>>32), byte(gen>>40), byte(gen>>48), byte(gen>>56))
+	buf = rc.c.AppendGen(buf)
 	var flags byte
 	if req.All {
 		flags |= 1
@@ -158,11 +107,10 @@ func (rc *respCache) appendKey(buf []byte, req *xrsl.InfoRequest) []byte {
 // cached blob (zero-copy — the arena is append-only, so the alias stays
 // valid). The hit path performs no heap allocation.
 func (rc *respCache) lookup(req *xrsl.InfoRequest) (body string, negErr string, ok bool) {
-	bufp := rc.scratch.Get().(*[]byte)
+	bufp := bytecache.GetScratch()
 	key := rc.appendKey((*bufp)[:0], req)
 	blob, hit := rc.c.Get(key)
-	*bufp = key[:0]
-	rc.scratch.Put(bufp)
+	bytecache.PutScratch(bufp, key)
 	if !hit || len(blob) == 0 {
 		return "", "", false
 	}
@@ -174,81 +122,43 @@ func (rc *respCache) lookup(req *xrsl.InfoRequest) (body string, negErr string, 
 	return payload, "", true
 }
 
-// store caches a successful rendered body. empty marks a response whose
-// filter matched nothing: still worth caching (the evaluation cost is
-// identical) but under the shorter negative TTL, so new data appears
-// promptly.
+// store caches a successful rendered body and remembers the request for
+// refresh-ahead. empty marks a response whose filter matched nothing: still
+// worth caching (the evaluation cost is identical) but under the shorter
+// negative TTL, so new data appears promptly, and never refreshed.
 func (rc *respCache) store(req *xrsl.InfoRequest, body string, empty bool) {
 	ttl, ok := rc.storeTTL(req)
 	if !ok {
 		return
 	}
-	if empty && rc.negTTL < ttl {
-		ttl = rc.negTTL
-	}
-	rc.put(req, respOK, body, ttl)
-	if !empty {
-		rc.track(req)
-	}
-}
-
-// track remembers req as a refresh-ahead candidate. Runs on the store
-// (miss) path, so its allocations are amortized against a provider
-// execution. When the map is full the entry is simply not tracked.
-func (rc *respCache) track(req *xrsl.InfoRequest) {
-	key := rc.appendKey(nil, req)
-	h := hashKey(key)
-	rc.trackMu.Lock()
-	if t, ok := rc.tracked[h]; ok {
-		// Same hash: refresh the key bytes (the generation stamp may have
-		// advanced) and keep the existing entry's inflight state.
-		t.key = key
-		rc.trackMu.Unlock()
+	if empty {
+		rc.put(req, respOK, body, min(ttl, rc.c.NegTTL()), nil)
 		return
 	}
-	if len(rc.tracked) >= maxTracked {
-		rc.trackMu.Unlock()
-		return
-	}
-	clone := *req
-	clone.Keywords = append([]string(nil), req.Keywords...)
-	rc.tracked[h] = &trackedReq{req: &clone, key: key}
-	rc.trackMu.Unlock()
+	rc.put(req, respOK, body, ttl, func() any {
+		clone := *req
+		clone.Keywords = append([]string(nil), req.Keywords...)
+		return &clone
+	})
 }
 
-// candidates appends every tracked entry to dst (scanner use).
-func (rc *respCache) candidates(dst []*trackedReq) []*trackedReq {
-	rc.trackMu.Lock()
-	for _, t := range rc.tracked {
-		dst = append(dst, t)
+// refill is the refresh-ahead callback: re-execute one tracked request's
+// fill and swap the blob in place. Immediate mode forces the provider
+// executions the refresh exists for; the entry is re-stored under the
+// original request (and its original response mode), so the key matches
+// what clients look up. When providers are down the entry keeps aging
+// toward its TTL, and once it expires the request path's CollectDegraded
+// serves the provider cache's last value, marked stale.
+func (rc *respCache) refill(ctx context.Context, tracked any) (bool, error) {
+	req := tracked.(*xrsl.InfoRequest)
+	fresh := *req
+	fresh.Response = cache.Immediate
+	body, empty, degraded, err := rc.info.Answer(ctx, &fresh)
+	if err != nil || degraded {
+		return false, err
 	}
-	rc.trackMu.Unlock()
-	return dst
-}
-
-// untrack drops a candidate whose cache entry is gone or orphaned.
-func (rc *respCache) untrack(t *trackedReq) {
-	h := hashKey(t.key)
-	rc.trackMu.Lock()
-	if cur, ok := rc.tracked[h]; ok && cur == t {
-		delete(rc.tracked, h)
-	}
-	rc.trackMu.Unlock()
-}
-
-// hashKey mirrors the byte cache's FNV-1a so the tracker and the cache
-// agree on identity.
-func hashKey(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
+	rc.store(req, body, empty)
+	return true, nil
 }
 
 // storeNegative caches a deterministic failure (an unknown keyword) under
@@ -256,22 +166,21 @@ func hashKey(b []byte) uint64 {
 // resolve cost — and a subsequent registration, by advancing the
 // generation, makes the entry unreachable immediately.
 func (rc *respCache) storeNegative(req *xrsl.InfoRequest, errText string) {
-	rc.put(req, respNeg, errText, rc.negTTL)
+	rc.put(req, respNeg, errText, rc.c.NegTTL(), nil)
 }
 
-// put assembles flag+payload in pooled scratch and inserts it. Set copies
-// into the shard arena, so the scratch buffer is immediately reusable.
-func (rc *respCache) put(req *xrsl.InfoRequest, flag byte, payload string, ttl time.Duration) {
-	keyp := rc.scratch.Get().(*[]byte)
+// put assembles key and flag+payload in pooled scratch and inserts them;
+// the cache copies both, so the buffers are immediately reusable. track,
+// when non-nil, clones req for the refresh-ahead table.
+func (rc *respCache) put(req *xrsl.InfoRequest, flag byte, payload string, ttl time.Duration, track func() any) {
+	keyp := bytecache.GetScratch()
 	key := rc.appendKey((*keyp)[:0], req)
-	valp := rc.scratch.Get().(*[]byte)
+	valp := bytecache.GetScratch()
 	val := append((*valp)[:0], flag)
 	val = append(val, payload...)
-	rc.c.Set(key, val, ttl)
-	*keyp = key[:0]
-	rc.scratch.Put(keyp)
-	*valp = val[:0]
-	rc.scratch.Put(valp)
+	rc.c.Store(key, val, ttl, track)
+	bytecache.PutScratch(keyp, key)
+	bytecache.PutScratch(valp, val)
 }
 
 // storeTTL resolves the lifetime a cached response may have: the cap,
@@ -300,63 +209,4 @@ func (rc *respCache) storeTTL(req *xrsl.InfoRequest) (time.Duration, bool) {
 		}
 	}
 	return ttl, true
-}
-
-// stats exposes the underlying cache aggregates (tests, debug).
-func (rc *respCache) stats() bytecache.Stats { return rc.c.Stats() }
-
-// registryDigest fingerprints the provider population — sorted keywords
-// and their TTLs — so a snapshot taken under one membership is never
-// trusted by a server configured with another. The generation counter
-// alone cannot carry this: it restarts at the same value for any
-// same-length registration sequence.
-func registryDigest(reg *provider.Registry) uint64 {
-	kws := reg.Keywords()
-	sort.Strings(kws)
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	for _, kw := range kws {
-		for i := 0; i < len(kw); i++ {
-			mix(kw[i])
-		}
-		mix(0)
-		var ttl int64
-		if g, ok := reg.Lookup(kw); ok {
-			ttl = int64(g.TTL())
-		}
-		for i := 0; i < 8; i++ {
-			mix(byte(ttl >> (8 * i)))
-		}
-	}
-	return h
-}
-
-// newPersister wires the byte cache's snapshot lifecycle to this cache's
-// invalidation scheme: the registry generation is embedded at offset 0 of
-// every key, so restore re-stamps it, and the registry digest gates
-// whether a snapshot is trusted at all.
-func (rc *respCache) newPersister(path string, interval time.Duration, compress bool, clk clock.Clock) *bytecache.Persister {
-	return bytecache.NewPersister(rc.c, bytecache.PersistOptions{
-		Path:     path,
-		Interval: interval,
-		Name:     "resp",
-		Compress: compress,
-		Meta: func() bytecache.SnapshotMeta {
-			return bytecache.SnapshotMeta{
-				Generation: rc.reg.Generation(),
-				Digest:     registryDigest(rc.reg),
-			}
-		},
-		MapKey: func(snap, cur bytecache.SnapshotMeta) func([]byte, bytecache.SnapshotMeta) ([]byte, bool) {
-			return bytecache.GenKeyMapper(0, cur.Generation)
-		},
-		Clock: clk,
-	})
 }

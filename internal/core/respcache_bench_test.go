@@ -30,7 +30,7 @@ func benchRespEngine() (*infoEngine, *respCache) {
 		}, nil
 	}), provider.RegisterOptions{TTL: time.Hour})
 	eng := &infoEngine{resource: "bench.resource", registry: reg}
-	rc := newRespCache(reg, 256, 1<<30, time.Hour, time.Hour, clock.System)
+	rc := testRespCache(reg, 256, 1<<30, time.Hour, clock.System)
 	return eng, rc
 }
 
@@ -87,7 +87,7 @@ func BenchmarkRespCacheHit1MZipf(b *testing.B) {
 	if b.N > 0 {
 		b.ReportMetric(float64(hits)/float64(b.N), "hit_ratio")
 	}
-	st := rc.stats()
+	st := rc.c.Stats()
 	b.ReportMetric(float64(st.LiveBytes), "resident_bytes")
 }
 

@@ -154,9 +154,6 @@ type Config struct {
 	// fill path on miss, preserving §6.2 single-flight and
 	// inter-execution-delay semantics. Zero disables the layer.
 	CacheTTL time.Duration
-	// CacheNegTTL bounds negative entries — unknown keywords and
-	// filters matching nothing. Zero defaults to CacheTTL/4.
-	CacheNegTTL time.Duration
 	// CacheShards is the response-cache shard count (rounded up to a
 	// power of two); 0 selects bytecache.DefaultShards.
 	CacheShards int
@@ -187,8 +184,6 @@ type Config struct {
 	// delay) and swaps the blob in place, so steady-state hot keys never
 	// pay the provider path on a request. 0 disables.
 	RefreshAhead float64
-	// RefreshWorkers bounds concurrent refresh-ahead fills; 0 selects 2.
-	RefreshWorkers int
 	// ConnParallelism bounds concurrent request evaluation on one
 	// multiplexed connection: after a client negotiates MUX mode, up to
 	// this many of its requests execute at once (responses return by
@@ -209,7 +204,6 @@ type Service struct {
 	info    *infoEngine
 	resp    *respCache
 	persist *bytecache.Persister
-	refresh *refresher
 	instr   *instruments
 	gate    *gate
 
@@ -265,26 +259,18 @@ func NewService(cfg Config) *Service {
 		providerTimeout: cfg.ProviderTimeout,
 	}
 	if cfg.CacheTTL > 0 {
-		s.resp = newRespCache(cfg.Registry, cfg.CacheShards, cfg.CacheMaxBytes,
-			cfg.CacheTTL, cfg.CacheNegTTL, cfg.Clock)
-		s.resp.setTelemetry(cfg.Telemetry)
+		s.resp = newRespCache(cfg, s.info)
 		if cfg.CacheStateDir != "" {
 			// Restore happens here — after the self providers above are
 			// registered, so the registry digest the snapshot is checked
 			// against matches the one it was taken under; and before
 			// Listen, so the first request already hits warm.
-			s.persist = s.resp.newPersister(
-				filepath.Join(cfg.CacheStateDir, "respcache.snap"),
-				cfg.CacheSnapshotInterval, cfg.SnapshotCompress, cfg.Clock)
+			s.persist = s.resp.c.Persister(
+				filepath.Join(cfg.CacheStateDir, "respcache.snap"), "resp",
+				cfg.CacheSnapshotInterval, cfg.SnapshotCompress)
 			s.persist.SetTelemetry(cfg.Telemetry)
 			_, _ = s.persist.Restore() // every failure mode is a cold start
 			s.persist.Start()
-		}
-		if cfg.RefreshAhead > 0 {
-			s.refresh = newRefresher(s.resp, s.info, cfg.Clock,
-				cfg.RefreshAhead, cfg.RefreshWorkers, cfg.RequestTimeout)
-			s.refresh.setTelemetry(cfg.Telemetry)
-			s.refresh.start()
 		}
 	}
 	sc := session.Config{
@@ -374,7 +360,9 @@ func (s *Service) SnapshotCache() error { return s.persist.Snapshot() }
 // Close shuts the service down.
 func (s *Service) Close() error {
 	s.dialer.Close()
-	s.refresh.close()
+	if s.resp != nil {
+		s.resp.c.Close()
+	}
 	err := s.server.Close()
 	// The final snapshot runs after the server stops accepting requests,
 	// so it captures the cache's last state.
@@ -401,7 +389,6 @@ func (s *Service) GRIS() *mds.GRIS {
 		Clock:         s.cfg.Clock,
 		Tracer:        s.cfg.Tracer,
 		CacheTTL:      s.cfg.CacheTTL,
-		CacheNegTTL:   s.cfg.CacheNegTTL,
 		CacheShards:   s.cfg.CacheShards,
 		CacheMaxBytes: s.cfg.CacheMaxBytes,
 	})

@@ -53,7 +53,7 @@ func warmBenchSnapshot(tb testing.TB, path string) []*xrsl.InfoRequest {
 	tb.Helper()
 	reg := warmBenchRegistry(warmProviderDelay)
 	eng := &infoEngine{resource: "bench.resource", registry: reg}
-	rc := newRespCache(reg, 64, 64<<20, time.Hour, 0, clock.System)
+	rc := testRespCache(reg, 64, 64<<20, time.Hour, clock.System)
 	reqs := make([]*xrsl.InfoRequest, warmBenchKeys)
 	ctx := context.Background()
 	for i := range reqs {
@@ -67,7 +67,7 @@ func warmBenchSnapshot(tb testing.TB, path string) []*xrsl.InfoRequest {
 		}
 		rc.store(reqs[i], body, empty)
 	}
-	if err := rc.newPersister(path, 0, false, clock.System).Snapshot(); err != nil {
+	if err := rc.c.Persister(path, "resp", 0, false).Snapshot(); err != nil {
 		tb.Fatal(err)
 	}
 	return reqs
@@ -80,7 +80,7 @@ func coldFirstAnswer(tb testing.TB, req *xrsl.InfoRequest) time.Duration {
 	tb.Helper()
 	reg := warmBenchRegistry(warmProviderDelay)
 	eng := &infoEngine{resource: "bench.resource", registry: reg}
-	rc := newRespCache(reg, 64, 64<<20, time.Hour, 0, clock.System)
+	rc := testRespCache(reg, 64, 64<<20, time.Hour, clock.System)
 	t0 := time.Now()
 	if _, _, ok := rc.lookup(req); ok {
 		tb.Fatal("cold cache answered from nowhere")
@@ -98,9 +98,9 @@ func coldFirstAnswer(tb testing.TB, req *xrsl.InfoRequest) time.Duration {
 func warmFirstHit(tb testing.TB, path string, req *xrsl.InfoRequest) time.Duration {
 	tb.Helper()
 	reg := warmBenchRegistry(warmProviderDelay)
-	rc := newRespCache(reg, 64, 64<<20, time.Hour, 0, clock.System)
+	rc := testRespCache(reg, 64, 64<<20, time.Hour, clock.System)
 	t0 := time.Now()
-	st, err := rc.newPersister(path, 0, false, clock.System).Restore()
+	st, err := rc.c.Persister(path, "resp", 0, false).Restore()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -150,7 +150,6 @@ func BenchmarkRestartWarmFirstHit(b *testing.B) {
 type refreshBench struct {
 	eng  *infoEngine
 	rc   *respCache
-	r    *refresher
 	reqs []*xrsl.InfoRequest
 }
 
@@ -166,9 +165,10 @@ func newRefreshBench() *refreshBench {
 		s.reqs[i] = &xrsl.InfoRequest{Keywords: []string{kw}}
 	}
 	s.eng = &infoEngine{resource: "bench.resource", registry: reg}
-	s.rc = newRespCache(reg, 64, 64<<20, refreshBenchTTL, 0, clock.System)
-	s.r = newRefresher(s.rc, s.eng, clock.System, 0.75, 2, time.Second)
-	s.r.start()
+	s.rc = newRespCache(Config{
+		Registry: reg, CacheShards: 64, CacheMaxBytes: 64 << 20, CacheTTL: refreshBenchTTL,
+		RefreshAhead: 0.75, RequestTimeout: time.Second,
+	}, s.eng)
 	return s
 }
 
@@ -243,7 +243,7 @@ func refreshMetrics(access []int, hits []bool, samples []time.Duration) (hotMiss
 // hot keys kept warm by background refills.
 func BenchmarkRefreshAheadZipfSteadyState(b *testing.B) {
 	s := newRefreshBench()
-	defer s.r.close()
+	defer s.rc.c.Close()
 	ctx := context.Background()
 	access := benchZipfAccess(refreshBenchKeys, 1<<16, refreshBenchZipf)
 	s.warm(ctx, access)
@@ -268,7 +268,7 @@ func BenchmarkRefreshAheadZipfSteadyState(b *testing.B) {
 
 // TestWarmRestartReference is the nightly regression reference point for
 // warm-restart persistence and refresh-ahead, driven by
-// scripts/warmstart-regress.sh. Gated on INFOGRAM_WARMBENCH=1 because it
+// scripts/cache-regress.sh. Gated on INFOGRAM_WARMBENCH=1 because it
 // sleeps through provider delays for seconds and the numbers only mean
 // something on a quiet machine. The result is one JSON object written to
 // INFOGRAM_WARMBENCH_OUT (or the test log when unset):
@@ -298,7 +298,7 @@ func TestWarmRestartReference(t *testing.T) {
 	// Refresh-ahead steady state: a fixed sample count after the warm
 	// phase, large enough that the hot-decile ratio and the p99 are stable.
 	s := newRefreshBench()
-	defer s.r.close()
+	defer s.rc.c.Close()
 	ctx := context.Background()
 	access := benchZipfAccess(refreshBenchKeys, 1<<16, refreshBenchZipf)
 	s.warm(ctx, access)

@@ -1,33 +1,22 @@
 package mds
 
-import "sync"
-
-// keyScratch pools key-building buffers so the response-cache hit path
-// performs no heap allocation.
-var keyScratch = sync.Pool{New: func() any {
-	b := make([]byte, 0, 256)
-	return &b
-}}
-
-// appendGen appends a little-endian generation counter. Every cache key
-// embeds the owning registry's (or membership set's) generation, so any
-// churn makes every older entry unreachable at once — O(1) wholesale
-// invalidation; the orphans age out by TTL or LRU.
-func appendGen(b []byte, gen uint64) []byte {
-	return append(b,
-		byte(gen), byte(gen>>8), byte(gen>>16), byte(gen>>24),
-		byte(gen>>32), byte(gen>>40), byte(gen>>48), byte(gen>>56))
-}
-
-// appendSearchKey builds the cache key of one search: a type prefix, the
-// generation, the filter text, and the NUL-separated attribute projection.
-func appendSearchKey(b []byte, prefix byte, gen uint64, req *SearchRequest) []byte {
-	b = append(b, prefix)
-	b = appendGen(b, gen)
+// appendSearchKey appends the key body of one search after the managed
+// cache's generation stamp: a type byte ('b' GRIS body, 'g' GIIS merge),
+// the filter text, and the NUL-separated attribute projection.
+func appendSearchKey(b []byte, kind byte, req *SearchRequest) []byte {
+	b = append(b, kind)
 	b = append(b, req.Filter...)
 	for _, a := range req.Attrs {
 		b = append(b, 0)
 		b = append(b, a...)
 	}
 	return b
+}
+
+// clone copies the request for the refresh-ahead table, which outlives the
+// caller's buffers.
+func (req *SearchRequest) clone() any {
+	c := *req
+	c.Attrs = append([]string(nil), req.Attrs...)
+	return &c
 }

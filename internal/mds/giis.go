@@ -57,8 +57,6 @@ type GIISConfig struct {
 	// CacheTTL, so a steady-state hot aggregate query never pays the
 	// member fan-out on a request. Zero disables the pool.
 	RefreshAhead float64
-	// RefreshWorkers bounds concurrent refresh-ahead fan-outs; 0 selects 2.
-	RefreshWorkers int
 	// SnapshotCompress writes cache snapshots gzip-compressed; restore
 	// reads both layouts regardless.
 	SnapshotCompress bool
@@ -81,8 +79,9 @@ type GIIS struct {
 	// NOT soft-state re-registration (registrars re-register continuously
 	// and must not thrash the cache). Cache keys embed it.
 	memGen atomic.Uint64
-	// resp caches rendered fan-out bodies; nil when CacheTTL is zero.
-	resp *bytecache.Cache
+	// resp caches rendered fan-out bodies and, with RefreshAhead set, keeps
+	// hot ones from expiring under load; nil when CacheTTL is zero.
+	resp *bytecache.Managed
 	// conns holds idle authenticated member clients for reuse across
 	// searches, so the fan-out does not pay a dial + GSI handshake per
 	// member per query.
@@ -92,9 +91,6 @@ type GIIS struct {
 
 	fanDegraded  *telemetry.Counter
 	memberErrors *telemetry.Counter
-	// refresh keeps hot cached fan-outs from expiring under load; nil
-	// unless both CacheTTL and RefreshAhead are set.
-	refresh *searchRefresher
 }
 
 // NewGIIS builds an index service.
@@ -113,27 +109,25 @@ func NewGIIS(cfg GIISConfig) *GIIS {
 			"GIIS member queries that failed or timed out")
 	}
 	if cfg.CacheTTL > 0 {
-		g.resp = bytecache.New(bytecache.Options{
-			Shards:     cfg.CacheShards,
-			MaxBytes:   cfg.CacheMaxBytes,
-			DefaultTTL: cfg.CacheTTL,
-			Clock:      cfg.Clock,
+		g.resp = bytecache.NewManaged(bytecache.ManagedOptions{
+			Options: bytecache.Options{
+				Shards:     cfg.CacheShards,
+				MaxBytes:   cfg.CacheMaxBytes,
+				DefaultTTL: cfg.CacheTTL,
+				Clock:      cfg.Clock,
+			},
+			Generation:   g.memGen.Load,
+			Digest:       func() uint64 { return membershipDigest(g.Members()) },
+			RefreshAhead: cfg.RefreshAhead,
+			Refill: func(ctx context.Context, req any) (bool, error) {
+				_, stored, err := g.fillSearch(ctx, req.(*SearchRequest))
+				return stored, err
+			},
+			Telemetry: cfg.Telemetry,
+			Family:    "mds_refresh_ahead",
+			Subject:   "directory ",
+			Labels:    []telemetry.Label{{Key: "tier", Value: "giis"}},
 		})
-		if cfg.Telemetry != nil {
-			g.resp.SetTelemetry(cfg.Telemetry)
-		}
-		if cfg.RefreshAhead > 0 {
-			g.refresh = newSearchRefresher(g.resp, cfg.Clock, cfg.CacheTTL,
-				cfg.RefreshAhead, cfg.RefreshWorkers,
-				g.memGen.Load,
-				func(ctx context.Context, req *SearchRequest) (bool, error) {
-					_, stored, err := g.fillSearch(ctx, req)
-					return stored, err
-				})
-			if cfg.Telemetry != nil {
-				g.refresh.setTelemetry(cfg.Telemetry, "giis")
-			}
-		}
 	}
 	g.server = session.NewServer(session.Config{
 		Credential: cfg.Credential,
@@ -153,7 +147,7 @@ func (g *GIIS) Addr() string { return g.server.Addr() }
 
 // Close shuts the GIIS down and drops the pooled member connections.
 func (g *GIIS) Close() error {
-	g.refresh.close()
+	g.resp.Close()
 	g.connMu.Lock()
 	g.closed = true
 	for addr, pool := range g.conns {
@@ -229,13 +223,11 @@ func (g *GIIS) Search(ctx context.Context, req SearchRequest) ([]ldif.Entry, err
 // failing it, matching the decentralized tolerance a Grid information
 // service requires (§3).
 func (g *GIIS) SearchLDIF(ctx context.Context, req SearchRequest) ([]byte, error) {
-	gen := g.memGen.Load()
 	if g.resp != nil {
-		keyp := keyScratch.Get().(*[]byte)
-		key := appendSearchKey((*keyp)[:0], 'g', gen, &req)
+		keyp := bytecache.GetScratch()
+		key := appendSearchKey(g.resp.AppendGen((*keyp)[:0]), 'g', &req)
 		blob, ok := g.resp.Get(key)
-		*keyp = key[:0]
-		keyScratch.Put(keyp)
+		bytecache.PutScratch(keyp, key)
 		if ok {
 			return blob, nil
 		}
@@ -251,9 +243,13 @@ func (g *GIIS) SearchLDIF(ctx context.Context, req SearchRequest) ([]byte, error
 // are, so the next search retries the failed members instead of pinning
 // the partial body for CacheTTL.
 func (g *GIIS) fillSearch(ctx context.Context, req *SearchRequest) ([]byte, bool, error) {
-	// Capture the generation before the fan-out: if the membership changes
-	// mid-flight the stored entry is orphaned, never served stale.
-	gen := g.memGen.Load()
+	// The key — and with it the generation — is fixed before the fan-out:
+	// if the membership changes mid-flight the stored entry is orphaned,
+	// never served stale.
+	var key []byte
+	if g.resp != nil {
+		key = appendSearchKey(g.resp.AppendGen(nil), 'g', req)
+	}
 	members := g.Members()
 	results := g.scatter(ctx, members, *req)
 	var merged []ldif.Entry
@@ -281,12 +277,7 @@ func (g *GIIS) fillSearch(ctx context.Context, req *SearchRequest) ([]byte, bool
 	}
 	stored := false
 	if g.resp != nil && len(failed) == 0 {
-		keyp := keyScratch.Get().(*[]byte)
-		key := appendSearchKey((*keyp)[:0], 'g', gen, req)
-		g.resp.Set(key, zerocopy.Bytes(out), g.cfg.CacheTTL)
-		g.refresh.track(req, key)
-		*keyp = key[:0]
-		keyScratch.Put(keyp)
+		g.resp.Store(key, zerocopy.Bytes(out), g.cfg.CacheTTL, req.clone)
 		stored = true
 	}
 	return zerocopy.Bytes(out), stored, nil

@@ -60,9 +60,6 @@ type GRISConfig struct {
 	// effective per-entry TTL is capped by the smallest provider TTL among
 	// the keywords a response covers. Zero disables the layer.
 	CacheTTL time.Duration
-	// CacheNegTTL bounds entries for filters that matched nothing; zero
-	// defaults to CacheTTL/4.
-	CacheNegTTL time.Duration
 	// CacheShards / CacheMaxBytes size the byte cache (0 selects the
 	// bytecache defaults).
 	CacheShards   int
@@ -72,8 +69,6 @@ type GRISConfig struct {
 	// their TTL, so a steady-state hot filter never pays a provider
 	// collection on a request. Zero disables the pool.
 	RefreshAhead float64
-	// RefreshWorkers bounds concurrent refresh-ahead fills; 0 selects 2.
-	RefreshWorkers int
 	// SnapshotCompress writes cache snapshots gzip-compressed; restore
 	// reads both layouts regardless.
 	SnapshotCompress bool
@@ -81,10 +76,6 @@ type GRISConfig struct {
 	// cache's counters and per-shard occupancy series.
 	Telemetry *telemetry.Registry
 }
-
-// minNegTTL floors the default negative TTL (CacheTTL/4) so empty-match
-// bodies stay cacheable even under a very small CacheTTL.
-const minNegTTL = time.Second
 
 // GRIS is a Grid Resource Information Service for one resource: it answers
 // LDAP-style searches from the resource's information providers, with
@@ -94,12 +85,9 @@ type GRIS struct {
 	server *session.Server
 	// resp caches rendered LDIF bodies and filter→keyword projections,
 	// keyed by the registry generation so provider churn invalidates both
-	// wholesale. Nil when CacheTTL is zero.
-	resp   *bytecache.Cache
-	negTTL time.Duration
-	// refresh keeps hot cached searches from expiring under load; nil
-	// unless both CacheTTL and RefreshAhead are set.
-	refresh *searchRefresher
+	// wholesale; with RefreshAhead set it also keeps hot searches from
+	// expiring under load. Nil when CacheTTL is zero.
+	resp *bytecache.Managed
 }
 
 // NewGRIS builds a GRIS.
@@ -112,40 +100,25 @@ func NewGRIS(cfg GRISConfig) *GRIS {
 	}
 	g := &GRIS{cfg: cfg}
 	if cfg.CacheTTL > 0 {
-		g.resp = bytecache.New(bytecache.Options{
-			Shards:     cfg.CacheShards,
-			MaxBytes:   cfg.CacheMaxBytes,
-			DefaultTTL: cfg.CacheTTL,
-			Clock:      cfg.Clock,
+		g.resp = bytecache.NewManaged(bytecache.ManagedOptions{
+			Options: bytecache.Options{
+				Shards:     cfg.CacheShards,
+				MaxBytes:   cfg.CacheMaxBytes,
+				DefaultTTL: cfg.CacheTTL,
+				Clock:      cfg.Clock,
+			},
+			Generation:   cfg.Registry.Generation,
+			Digest:       cfg.Registry.Digest,
+			RefreshAhead: cfg.RefreshAhead,
+			Refill: func(ctx context.Context, req any) (bool, error) {
+				_, stored, err := g.fillSearch(ctx, req.(*SearchRequest), cache.Immediate)
+				return stored, err
+			},
+			Telemetry: cfg.Telemetry,
+			Family:    "mds_refresh_ahead",
+			Subject:   "directory ",
+			Labels:    []telemetry.Label{{Key: "tier", Value: "gris"}},
 		})
-		if cfg.Telemetry != nil {
-			g.resp.SetTelemetry(cfg.Telemetry)
-		}
-		g.negTTL = cfg.CacheNegTTL
-		if g.negTTL <= 0 || g.negTTL > cfg.CacheTTL {
-			// Default TTL/4, floored: a small CacheTTL would otherwise
-			// truncate the negative TTL toward zero and make empty-match
-			// bodies effectively uncacheable.
-			g.negTTL = cfg.CacheTTL / 4
-			if g.negTTL < minNegTTL {
-				g.negTTL = minNegTTL
-			}
-			if g.negTTL > cfg.CacheTTL {
-				g.negTTL = cfg.CacheTTL
-			}
-		}
-		if cfg.RefreshAhead > 0 {
-			g.refresh = newSearchRefresher(g.resp, cfg.Clock, cfg.CacheTTL,
-				cfg.RefreshAhead, cfg.RefreshWorkers,
-				cfg.Registry.Generation,
-				func(ctx context.Context, req *SearchRequest) (bool, error) {
-					_, stored, err := g.fillSearch(ctx, req, cache.Immediate)
-					return stored, err
-				})
-			if cfg.Telemetry != nil {
-				g.refresh.setTelemetry(cfg.Telemetry, "gris")
-			}
-		}
 	}
 	g.server = session.NewServer(session.Config{
 		Credential: cfg.Credential,
@@ -169,7 +142,7 @@ func (g *GRIS) AcceptedConns() int64 { return g.server.AcceptedConns() }
 
 // Close shuts the GRIS down.
 func (g *GRIS) Close() error {
-	g.refresh.close()
+	g.resp.Close()
 	return g.server.Close()
 }
 
@@ -227,11 +200,10 @@ func (g *GRIS) Search(ctx context.Context, req SearchRequest) ([]ldif.Entry, err
 // mutated in place).
 func (g *GRIS) SearchLDIF(ctx context.Context, req SearchRequest) ([]byte, error) {
 	if g.resp != nil {
-		keyp := keyScratch.Get().(*[]byte)
-		key := appendSearchKey((*keyp)[:0], 'b', g.cfg.Registry.Generation(), &req)
+		keyp := bytecache.GetScratch()
+		key := appendSearchKey(g.resp.AppendGen((*keyp)[:0]), 'b', &req)
 		blob, ok := g.resp.Get(key)
-		*keyp = key[:0]
-		keyScratch.Put(keyp)
+		bytecache.PutScratch(keyp, key)
 		if ok {
 			return blob, nil
 		}
@@ -258,18 +230,16 @@ func (g *GRIS) fillSearch(ctx context.Context, req *SearchRequest, mode cache.Mo
 	}
 	stored := false
 	if g.resp != nil && ttl > 0 {
-		if len(entries) == 0 && g.negTTL < ttl {
+		if len(entries) == 0 {
 			// Filters that matched nothing are worth caching — evaluation
 			// cost is identical — but under the shorter negative TTL so new
 			// data appears promptly.
-			ttl = g.negTTL
+			ttl = min(ttl, g.resp.NegTTL())
 		}
-		keyp := keyScratch.Get().(*[]byte)
-		key := appendSearchKey((*keyp)[:0], 'b', g.cfg.Registry.Generation(), req)
-		g.resp.Set(key, zerocopy.Bytes(out), ttl)
-		g.refresh.track(req, key)
-		*keyp = key[:0]
-		keyScratch.Put(keyp)
+		keyp := bytecache.GetScratch()
+		key := appendSearchKey(g.resp.AppendGen((*keyp)[:0]), 'b', req)
+		g.resp.Store(key, zerocopy.Bytes(out), ttl, req.clone)
+		bytecache.PutScratch(keyp, key)
 		stored = true
 	}
 	return zerocopy.Bytes(out), stored, nil
@@ -335,15 +305,12 @@ func (g *GRIS) keywordHints(raw string, f Filter) ([]string, bool) {
 	if g.resp == nil {
 		return KeywordHints(f, known)
 	}
-	gen := g.cfg.Registry.Generation()
-	keyp := keyScratch.Get().(*[]byte)
-	key := append((*keyp)[:0], 'p')
-	key = appendGen(key, gen)
+	keyp := bytecache.GetScratch()
+	key := append(g.resp.AppendGen((*keyp)[:0]), 'p')
 	key = append(key, raw...)
 	blob, ok := g.resp.Get(key)
 	if ok && len(blob) > 0 {
-		*keyp = key[:0]
-		keyScratch.Put(keyp)
+		bytecache.PutScratch(keyp, key)
 		if blob[0] == 1 {
 			return nil, true
 		}
@@ -366,8 +333,7 @@ func (g *GRIS) keywordHints(raw string, f Filter) ([]string, bool) {
 		}
 	}
 	g.resp.Set(key, val, g.cfg.CacheTTL)
-	*keyp = key[:0]
-	keyScratch.Put(keyp)
+	bytecache.PutScratch(keyp, key)
 	return kws, all
 }
 

@@ -1,75 +1,40 @@
 package mds
 
 import (
+	"hash/fnv"
 	"sort"
 	"time"
 
 	"infogram/internal/bytecache"
-	"infogram/internal/provider"
 )
 
-// Warm-restart persistence for the MDS caches. Both the GRIS and the GIIS
-// response caches key every entry with a generation counter at offset 1
-// (after the one-byte key-type prefix), so a restore re-stamps that
-// counter and a digest over what the counter ranges over — the provider
-// population for a GRIS, the member set for a GIIS — gates whether the
-// snapshot is trusted at all. The counters restart from zero on boot and
-// would otherwise collide meaninglessly with a snapshot's values.
-
-// grisDigest fingerprints the provider population — sorted keywords and
-// their TTLs — exactly as the core response cache does, so a GRIS
-// snapshot taken under one provider set is never restored into another.
-func grisDigest(reg *provider.Registry) uint64 {
-	kws := reg.Keywords()
-	h := newFNV()
-	for _, kw := range sortedStrings(kws) {
-		h.writeString(kw)
-		h.writeByte(0)
-		var ttl int64
-		if g, ok := reg.Lookup(kw); ok {
-			ttl = int64(g.TTL())
-		}
-		h.writeInt64(ttl)
-	}
-	return h.sum()
-}
+// Warm-restart persistence for the MDS caches. The managed cache stamps
+// every key with a generation counter and gates a restore on a digest over
+// what the counter ranges over — the provider population for a GRIS
+// (provider.Registry.Digest, as the gatekeeper's response cache uses), the
+// member set for a GIIS. The counters restart from zero on boot and would
+// otherwise collide meaninglessly with a snapshot's values.
 
 // membershipDigest fingerprints a GIIS's member set. Member provider TTLs
 // are not visible across the wire, so the addresses alone carry the
 // identity: a GIIS restarted with the same registrants trusts its
 // snapshot, one pointed at different GRISes starts cold.
 func membershipDigest(members []string) uint64 {
-	h := newFNV()
-	for _, m := range sortedStrings(members) {
-		h.writeString(m)
-		h.writeByte(0)
+	sorted := append([]string(nil), members...)
+	sort.Strings(sorted)
+	h := fnv.New64a()
+	for _, m := range sorted {
+		h.Write([]byte(m))
+		h.Write([]byte{0})
 	}
-	return h.sum()
+	return h.Sum64()
 }
 
 // NewPersister wires the GRIS response cache's snapshot lifecycle, or
 // returns nil when the cache is disabled. Call Restore before serving,
 // Start for the background loop, Close on shutdown.
 func (g *GRIS) NewPersister(path string, interval time.Duration) *bytecache.Persister {
-	if g.resp == nil {
-		return nil
-	}
-	return bytecache.NewPersister(g.resp, bytecache.PersistOptions{
-		Path:     path,
-		Interval: interval,
-		Name:     "gris",
-		Compress: g.cfg.SnapshotCompress,
-		Meta: func() bytecache.SnapshotMeta {
-			return bytecache.SnapshotMeta{
-				Generation: g.cfg.Registry.Generation(),
-				Digest:     grisDigest(g.cfg.Registry),
-			}
-		},
-		MapKey: func(snap, cur bytecache.SnapshotMeta) func([]byte, bytecache.SnapshotMeta) ([]byte, bool) {
-			return bytecache.GenKeyMapper(1, cur.Generation)
-		},
-		Clock: g.cfg.Clock,
-	})
+	return g.resp.Persister(path, "gris", interval, g.cfg.SnapshotCompress)
 }
 
 // NewPersister wires the GIIS aggregate cache's snapshot lifecycle, or
@@ -78,55 +43,5 @@ func (g *GRIS) NewPersister(path string, interval time.Duration) *bytecache.Pers
 // members BEFORE calling Restore — mds-server registers the -member flags
 // first — or the digest comes up empty and every snapshot is refused.
 func (g *GIIS) NewPersister(path string, interval time.Duration) *bytecache.Persister {
-	if g.resp == nil {
-		return nil
-	}
-	return bytecache.NewPersister(g.resp, bytecache.PersistOptions{
-		Path:     path,
-		Interval: interval,
-		Name:     "giis",
-		Compress: g.cfg.SnapshotCompress,
-		Meta: func() bytecache.SnapshotMeta {
-			return bytecache.SnapshotMeta{
-				Generation: g.memGen.Load(),
-				Digest:     membershipDigest(g.Members()),
-			}
-		},
-		MapKey: func(snap, cur bytecache.SnapshotMeta) func([]byte, bytecache.SnapshotMeta) ([]byte, bool) {
-			return bytecache.GenKeyMapper(1, cur.Generation)
-		},
-		Clock: g.cfg.Clock,
-	})
+	return g.resp.Persister(path, "giis", interval, g.cfg.SnapshotCompress)
 }
-
-// sortedStrings sorts a copy, leaving the caller's slice alone.
-func sortedStrings(in []string) []string {
-	out := append([]string(nil), in...)
-	sort.Strings(out)
-	return out
-}
-
-// fnv is the cache's FNV-1a, inlined so digests stay allocation-free and
-// identical across packages.
-type fnv struct{ h uint64 }
-
-func newFNV() *fnv { return &fnv{h: 14695981039346656037} }
-
-func (f *fnv) writeByte(b byte) {
-	f.h ^= uint64(b)
-	f.h *= 1099511628211
-}
-
-func (f *fnv) writeString(s string) {
-	for i := 0; i < len(s); i++ {
-		f.writeByte(s[i])
-	}
-}
-
-func (f *fnv) writeInt64(v int64) {
-	for i := 0; i < 8; i++ {
-		f.writeByte(byte(v >> (8 * i)))
-	}
-}
-
-func (f *fnv) sum() uint64 { return f.h }

@@ -381,3 +381,36 @@ func TestRegisteredCacheStats(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 }
+
+// TestRegistryDigestGolden pins the snapshot trust gate's byte sequence —
+// FNV-1a over sorted keyword, NUL, TTL little-endian — to the value the
+// response cache and the GRIS computed (each with its own copy of this
+// function) before the digest moved here: a cache snapshot written by an
+// older build must still be recognized.
+func TestRegistryDigestGolden(t *testing.T) {
+	reg := NewRegistry(nil)
+	for _, kw := range []struct {
+		name string
+		ttl  time.Duration
+	}{{"Memory", 10 * time.Second}, {"CPULoad", time.Minute}, {"Disk", 0}} {
+		reg.Register(NewFuncProvider(kw.name, func(ctx context.Context) (Attributes, error) {
+			return nil, nil
+		}), RegisterOptions{TTL: kw.ttl})
+	}
+	const golden = 0x5270698338d62c
+	if got := reg.Digest(); got != golden {
+		t.Fatalf("Digest() = %#x; want %#x", got, uint64(golden))
+	}
+	// Registration order and history are not part of the identity.
+	reg.Unregister("Disk")
+	reg.Register(NewFuncProvider("Disk", func(ctx context.Context) (Attributes, error) {
+		return nil, nil
+	}), RegisterOptions{TTL: 0})
+	if got := reg.Digest(); got != golden {
+		t.Fatalf("Digest() after re-registration = %#x; want %#x", got, uint64(golden))
+	}
+	reg.Unregister("Disk")
+	if reg.Digest() == golden {
+		t.Fatal("Digest() did not change with the population")
+	}
+}

@@ -2,8 +2,11 @@ package provider
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -210,6 +213,26 @@ func (r *Registry) Register(p Provider, opts RegisterOptions) *Registered {
 // and successful Unregister. Response caches key blobs by generation so
 // provider churn invalidates them without scanning.
 func (r *Registry) Generation() uint64 { return r.gen.Load() }
+
+// Digest fingerprints the provider population — sorted keywords and their
+// TTLs, FNV-1a — so a cache snapshot taken under one population is never
+// trusted by a server configured with another. The generation counter
+// alone cannot carry this: it restarts at the same value for any
+// same-length registration sequence.
+func (r *Registry) Digest() uint64 {
+	kws := r.Keywords()
+	sort.Strings(kws)
+	h := fnv.New64a()
+	for _, kw := range kws {
+		h.Write([]byte(kw))
+		var ttl [9]byte // NUL separator, then the TTL little-endian
+		if g, ok := r.Lookup(kw); ok {
+			binary.LittleEndian.PutUint64(ttl[1:], uint64(g.TTL()))
+		}
+		h.Write(ttl[:])
+	}
+	return h.Sum64()
+}
 
 // Unregister removes a keyword; it reports whether it existed.
 func (r *Registry) Unregister(keyword string) bool {
