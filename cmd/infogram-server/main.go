@@ -57,8 +57,6 @@ func main() {
 		traceSlow   = flag.Duration("trace-slow", 0, "always keep traces at least this slow (0 disables the slow rule)")
 		reqTO       = flag.Duration("request-timeout", 0, "per-request deadline and slow-client I/O timeout (0 disables)")
 		provTO      = flag.Duration("provider-timeout", 0, "per-provider collection timeout; failures degrade replies instead of erroring (0 disables)")
-		collectP    = flag.Int("collect-parallelism", 0, "bound on the parallel provider fan-out per info query and on concurrent multi-request parts (0 = GOMAXPROCS-scaled default, 1 = serial)")
-		connP       = flag.Int("conn-parallelism", 0, "bound on concurrently executing requests per multiplexed connection (0 = default of 8, 1 = serial)")
 		quotaPath   = flag.String("quota", "", "admission-control contract file: §5.3 contracts with rate=/burst=/priority= clauses metering each identity with a token bucket (empty = unmetered)")
 		maxInflight = flag.Int("max-inflight", 0, "global bound on concurrently executing requests; excess waits briefly, then is shed with REJECT (0 disables)")
 		shedQueue   = flag.Int("shed-queue", 0, "backpressure wait-queue length; low/normal/high priorities shed at 1/2, 3/4, and full occupancy (0 = 2*max-inflight)")
@@ -71,7 +69,6 @@ func main() {
 		refreshFrac = flag.Float64("refresh-ahead", 0, "refresh-ahead threshold as a fraction of entry TTL: hot cached answers past it are re-collected in the background so they never expire under load (e.g. 0.8; 0 disables)")
 		snapGzip    = flag.Bool("snapshot-compress", false, "write cache snapshots gzip-compressed; restore reads either layout, so the flag can change between restarts")
 		clusterMem  = flag.String("cluster-members", "", "comma-separated backend gatekeeper addresses: run as a consistent-hash routing proxy over them instead of a gatekeeper")
-		clusterVN   = flag.Int("cluster-vnodes", 0, "virtual nodes per cluster member on the hash ring (0 = 128)")
 		clusterFail = flag.Int("cluster-fail-threshold", 0, "consecutive forward failures that eject a member from routing until a probe readmits it (0 = 3)")
 		clusterPrb  = flag.Duration("cluster-probe-interval", 0, "how often ejected members are pinged for readmission (0 = 2s)")
 		follow      = flag.String("follow", "", "run as a hot-standby follower of this leader gatekeeper: mirror its journal into -state-dir and wait for promotion")
@@ -87,7 +84,7 @@ func main() {
 	}
 
 	if *clusterMem != "" {
-		runProxy(fabric, *addr, *clusterMem, *clusterVN, *clusterFail, *clusterPrb, *reqTO, *connP, *metrics)
+		runProxy(fabric, *addr, *clusterMem, *clusterFail, *clusterPrb, *reqTO, *metrics)
 		return
 	}
 	if *follow != "" {
@@ -132,8 +129,12 @@ func main() {
 	var priorRecords []logging.Record
 	if *logPath != "" {
 		if *restore {
-			if recs, err := logging.ReplayFile(*logPath); err == nil {
-				priorRecords = recs
+			// A torn final line is tolerated inside Replay; anything that
+			// surfaces here means the log was not read, which must not
+			// look like a clean boot with nothing to recover.
+			priorRecords, err = logging.ReplayFile(*logPath)
+			if err != nil {
+				log.Printf("recover: %s not replayed, no job will be recovered from it: %v", *logPath, err)
 			}
 		}
 		logger, err = logging.OpenFile(*logPath)
@@ -205,8 +206,6 @@ func main() {
 		TraceOptions:          telemetry.TracerOptionsFromFlags(*traceSample, *traceSlow),
 		RequestTimeout:        *reqTO,
 		ProviderTimeout:       *provTO,
-		CollectParallelism:    *collectP,
-		ConnParallelism:       *connP,
 		Quota:                 quota,
 		MaxInflight:           *maxInflight,
 		ShedQueue:             *shedQueue,
@@ -237,6 +236,9 @@ func main() {
 			len(recovered.Jobs), *stateDir, len(contacts))
 	}
 
+	// The journal is the restart source when both exist: a job it already
+	// resumed is skipped here, so -state-dir with -log -recover runs each
+	// unfinished job once.
 	if len(priorRecords) > 0 {
 		contacts, err := svc.Recover(priorRecords)
 		if err != nil {
@@ -305,7 +307,7 @@ func main() {
 
 // runProxy serves the cluster routing tier: no providers, no jobs, no
 // state — just the consistent-hash router over the configured backends.
-func runProxy(fabric *bootstrap.Fabric, addr, members string, vnodes, failThresh int, probeInt, reqTO time.Duration, connP int, metricsAddr string) {
+func runProxy(fabric *bootstrap.Fabric, addr, members string, failThresh int, probeInt, reqTO time.Duration, metricsAddr string) {
 	var backends []string
 	for _, m := range strings.Split(members, ",") {
 		if m = strings.TrimSpace(m); m != "" {
@@ -319,7 +321,6 @@ func runProxy(fabric *bootstrap.Fabric, addr, members string, vnodes, failThresh
 	tel := telemetry.NewRegistry()
 	router, err := cluster.NewRouter(cluster.RouterConfig{
 		Members:       backends,
-		Vnodes:        vnodes,
 		Cred:          fabric.Service,
 		Trust:         fabric.Trust,
 		FailThreshold: failThresh,
@@ -332,12 +333,11 @@ func runProxy(fabric *bootstrap.Fabric, addr, members string, vnodes, failThresh
 	defer router.Close()
 
 	proxy := cluster.NewProxy(cluster.ProxyConfig{
-		Credential:      fabric.Service,
-		Trust:           fabric.Trust,
-		Router:          router,
-		RequestTimeout:  reqTO,
-		ConnParallelism: connP,
-		Telemetry:       tel,
+		Credential:     fabric.Service,
+		Trust:          fabric.Trust,
+		Router:         router,
+		RequestTimeout: reqTO,
+		Telemetry:      tel,
 	})
 	bound, err := proxy.Listen(addr)
 	if err != nil {

@@ -35,9 +35,6 @@ type ProxyConfig struct {
 	// RequestTimeout bounds connection I/O and each forwarded exchange,
 	// exactly as core.Config.RequestTimeout does. Zero means unbounded.
 	RequestTimeout time.Duration
-	// ConnParallelism bounds concurrent forwards on one mux'd client
-	// connection; <=0 selects session.DefaultParallelism.
-	ConnParallelism int
 	// Telemetry optionally receives the proxy's counters.
 	Telemetry *telemetry.Registry
 }
@@ -72,13 +69,12 @@ func NewProxy(cfg ProxyConfig) *Proxy {
 			"relays that failed after routing (backend unreachable or exchange failed)")
 	}
 	p.server = session.NewServer(session.Config{
-		Credential:  cfg.Credential,
-		Trust:       cfg.Trust,
-		Clock:       cfg.Clock,
-		Timeout:     cfg.RequestTimeout,
-		Parallelism: cfg.ConnParallelism,
-		ErrorVerb:   gram.VerbError,
-		Handler:     p.relay,
+		Credential: cfg.Credential,
+		Trust:      cfg.Trust,
+		Clock:      cfg.Clock,
+		Timeout:    cfg.RequestTimeout,
+		ErrorVerb:  gram.VerbError,
+		Handler:    p.relay,
 	})
 	return p
 }

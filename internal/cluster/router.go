@@ -22,9 +22,6 @@ var ErrNoMembers = fmt.Errorf("cluster: no healthy members")
 type RouterConfig struct {
 	// Members are the backend infogram-server addresses (host:port).
 	Members []string
-	// Vnodes is the virtual-node count per member; <=0 selects
-	// DefaultVnodes.
-	Vnodes int
 	// Cred and Trust authenticate the router to every backend.
 	Cred  *gsi.Credential
 	Trust *gsi.TrustStore
@@ -63,7 +60,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		return nil, ErrNoMembers
 	}
 	r := &Router{
-		ring:  NewRing(cfg.Members, cfg.Vnodes),
+		ring:  NewRing(cfg.Members, DefaultVnodes),
 		pools: make(map[string]*core.Pool, len(cfg.Members)),
 	}
 	for _, m := range cfg.Members {

@@ -38,7 +38,7 @@ const DefaultQueueTimeout = time.Second
 
 // gate is the global max-inflight backpressure gate. Slots bound
 // concurrent request execution across every connection (composing with the
-// per-connection -conn-parallelism bound, which only limits one client);
+// per-connection session.DefaultParallelism bound, which only limits one client);
 // the wait queue absorbs short bursts; the shed thresholds turn sustained
 // excess into fast rejections, low-priority classes first.
 type gate struct {

@@ -114,11 +114,6 @@ type Config struct {
 	// fails or times out are reported in a degraded status entry while the
 	// rest of the reply is delivered. Zero keeps all-or-nothing.
 	ProviderTimeout time.Duration
-	// CollectParallelism bounds the two request-path fan-outs: the
-	// provider worker pool behind a multi-keyword info query, and the
-	// concurrent evaluation of a multi-request's (+) parts. 1 forces both
-	// serial; 0 (or negative) selects provider.DefaultParallelism.
-	CollectParallelism int
 	// Quota is the admission-control policy: §5.3 contracts whose rate=
 	// clauses meter each identity with a token bucket, charged before any
 	// request work happens (an empty bucket answers REJECT with a
@@ -184,14 +179,6 @@ type Config struct {
 	// delay) and swaps the blob in place, so steady-state hot keys never
 	// pay the provider path on a request. 0 disables.
 	RefreshAhead float64
-	// ConnParallelism bounds concurrent request evaluation on one
-	// multiplexed connection: after a client negotiates MUX mode, up to
-	// this many of its requests execute at once (responses return by
-	// correlation ID, so ordering is preserved per request, not per
-	// connection). 1 forces mux'd connections serial; 0 (or negative)
-	// selects session.DefaultParallelism. Serial (non-mux) connections are
-	// unaffected.
-	ConnParallelism int
 }
 
 // Service is one InfoGram instance.
@@ -228,7 +215,6 @@ func NewService(cfg Config) *Service {
 	// Per-keyword cache counters, for providers registered before and
 	// after this point.
 	cfg.Registry.SetTelemetry(cfg.Telemetry)
-	cfg.Registry.SetParallelism(cfg.CollectParallelism)
 	// The self-monitoring provider (§4 dogfooded): the service's own
 	// telemetry is just another key information provider, queryable with
 	// &(info=selfmetrics). TTL 0 = execute on every request, so the
@@ -278,7 +264,6 @@ func NewService(cfg Config) *Service {
 		Trust:       cfg.Trust,
 		Clock:       cfg.Clock,
 		Timeout:     cfg.RequestTimeout,
-		Parallelism: cfg.ConnParallelism,
 		ErrorVerb:   gram.VerbError,
 		Gate:        cfg.Gridmap.Map,
 		Tracer:      cfg.Tracer,
@@ -394,32 +379,21 @@ func (s *Service) GRIS() *mds.GRIS {
 	})
 }
 
-// Recover replays a log and resubmits every job that had not reached a
-// terminal state, implementing the restart capability of §6 ("the log can
-// be used to restart our InfoGRAM service in case it needs to be
-// restarted"). It returns the recovered job contacts (new contacts are
-// allocated; the log ties them to the original spec).
+// Recover restarts the service from its audit log (§6: "the log can be
+// used to restart our InfoGRAM service in case it needs to be
+// restarted"): the unfinished jobs are folded into the journal's job-state
+// shape and handed to RecoverJournal, the one replay function, so a job
+// recovered from the log keeps its contact, restart count and checkpoint
+// exactly as one recovered from the journal does.
 func (s *Service) Recover(records []logging.Record) ([]string, error) {
-	pending := logging.Recover(records)
-	contacts := make([]string, 0, len(pending))
-	for _, rj := range pending {
-		req, err := xrsl.DecodeOne(rj.Spec, s.env(rj.Owner))
-		if err != nil || req.Kind != xrsl.KindJob {
-			continue // info queries and undecodable specs are not restartable
-		}
-		// Resume from the last checkpoint the crashed run logged (§10).
-		req.Job.Checkpoint = rj.Checkpoint
-		contact, err := s.manager.Submit(context.Background(), req.Job, job.Record{
-			Spec:     rj.Spec,
-			Owner:    rj.Owner,
-			Identity: rj.Identity,
+	rec := &journal.Recovered{}
+	for _, rj := range logging.Recover(records) {
+		rec.Jobs = append(rec.Jobs, journal.JobState{
+			Contact: rj.Contact, Spec: rj.Spec, Owner: rj.Owner, Identity: rj.Identity,
+			State: rj.LastState, Restarts: rj.Restarts, Checkpoint: rj.Checkpoint,
 		})
-		if err != nil {
-			return contacts, fmt.Errorf("core: recover %q: %w", rj.Contact, err)
-		}
-		contacts = append(contacts, contact)
 	}
-	return contacts, nil
+	return s.RecoverJournal(rec)
 }
 
 // RecoverJournal rebuilds the job table from a journal replay: terminal

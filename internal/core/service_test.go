@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -15,12 +16,14 @@ import (
 	"infogram/internal/gram"
 	"infogram/internal/gsi"
 	"infogram/internal/job"
+	"infogram/internal/journal"
 	"infogram/internal/ldif"
 	"infogram/internal/logging"
 	"infogram/internal/mds"
 	"infogram/internal/provider"
 	"infogram/internal/quality"
 	"infogram/internal/scheduler"
+	"infogram/internal/telemetry"
 	"infogram/internal/xrsl"
 )
 
@@ -638,6 +641,142 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	if st.State != job.Done || st.Stdout != "resumed-from-checkpoint:step=3" {
 		t.Errorf("recovered job = %+v", st)
+	}
+}
+
+// crashLog is the audit log of a service that died while the job was
+// ACTIVE on the attempt numbered restarts.
+func crashLog(contact, spec string, restarts int) []logging.Record {
+	return []logging.Record{
+		{Kind: logging.KindSubmit, Contact: contact, Spec: spec, Owner: "alice", Identity: "/O=Grid/CN=alice"},
+		{Kind: logging.KindState, Contact: contact, State: "ACTIVE", Restarts: restarts},
+	}
+}
+
+// waitTerminal polls contact on g until it reaches a terminal state.
+func waitTerminal(t *testing.T, g *testGrid, contact string) gram.StatusReply {
+	t.Helper()
+	cl, err := core.Dial(g.addr, g.user, g.trust)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	st, err := cl.WaitTerminal(ctx, contact, 2*time.Millisecond)
+	if err != nil {
+		t.Fatalf("status of %s: %v", contact, err)
+	}
+	return st
+}
+
+// A job recovered from the log alone keeps its contact and its place in
+// the restart budget: restart=2 allows three attempts, the crash hit the
+// third, so recovery re-runs that one attempt and no more. With a journal
+// configured, the adopted job is journaled for the next restart.
+func TestRecoverFromLogKeepsContactAndRestartBudget(t *testing.T) {
+	const contact = "gram://old.host:1/7/1234"
+	jnl, _, err := journal.Open(journal.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	g := newTestGridConfig(t, provider.NewRegistry(nil), nil, func(c *core.Config) { c.Journal = jnl })
+	var runs atomic.Int32
+	g.fn.RegisterFunc("flaky", func(ctx context.Context, sb *scheduler.Sandbox, args []string, stdin string) (string, error) {
+		runs.Add(1)
+		return "", errors.New("still broken")
+	})
+
+	resumed, err := g.svc.Recover(crashLog(contact, "&(executable=flaky)(jobtype=func)(restart=2)", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed) != 1 || resumed[0] != contact {
+		t.Fatalf("resumed %v; want the original contact %s", resumed, contact)
+	}
+	st := waitTerminal(t, g, contact)
+	if st.State != job.Failed || st.Restarts != 2 || runs.Load() != 1 {
+		t.Errorf("state %s restarts %d after %d run(s); want FAILED at restart 2 after 1 run", st.State, st.Restarts, runs.Load())
+	}
+	folded := jnl.Jobs()
+	if len(folded) != 1 || folded[0].Contact != contact || folded[0].Restarts != 2 {
+		t.Errorf("journal holds %+v; want the adopted job at restart 2", folded)
+	}
+}
+
+// A logged job whose spec no longer decodes is reported, not dropped.
+func TestRecoverFromLogUndecodableSpecFails(t *testing.T) {
+	const contact = "gram://old.host:1/8/1234"
+	g := newTestGrid(t, provider.NewRegistry(nil))
+	resumed, err := g.svc.Recover(crashLog(contact, "&(executable=", 0))
+	if err != nil || len(resumed) != 0 {
+		t.Fatalf("Recover = %v, %v; want nothing resumed and no error", resumed, err)
+	}
+	st := waitTerminal(t, g, contact)
+	if st.State != job.Failed || !strings.HasPrefix(st.Error, "recovery:") {
+		t.Errorf("status = %+v; want FAILED with a recovery: annotation", st)
+	}
+}
+
+// The journal and the log of one crash describe the same jobs: recovering
+// from both runs each unfinished job once, under its one contact.
+func TestRecoverJournalThenLogRunsEachJobOnce(t *testing.T) {
+	contacts := []string{"gram://old.host:1/1/1234", "gram://old.host:1/2/1234"}
+	const spec = "&(executable=hello)(jobtype=func)"
+	dir := t.TempDir()
+	jnl, _, err := journal.Open(journal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []logging.Record
+	for _, c := range contacts {
+		if err := jnl.Append(context.Background(), journal.Entry{
+			Kind: journal.KindSubmit, Contact: c, Spec: spec, Owner: "alice", Identity: "/O=Grid/CN=alice",
+		}); err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, crashLog(c, spec, 0)...)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jnl, rec, err := journal.Open(journal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+
+	tel := telemetry.NewRegistry()
+	g := newTestGridConfig(t, provider.NewRegistry(nil), nil, func(c *core.Config) {
+		c.Journal = jnl
+		c.Telemetry = tel
+	})
+	fromJournal, err := g.svc.RecoverJournal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromLog, err := g.svc.Recover(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fromJournal) != 2 || len(fromLog) != 0 {
+		t.Errorf("journal resumed %v, log resumed %v; want both jobs from the journal and none again from the log", fromJournal, fromLog)
+	}
+	for _, c := range contacts {
+		if st := waitTerminal(t, g, c); st.State != job.Done {
+			t.Errorf("%s = %+v; want DONE", c, st)
+		}
+	}
+	if n := tel.Counter("infogram_gram_jobs_spawned_total", "").Value(); n != 2 {
+		t.Errorf("spawned %d job goroutines for 2 unfinished jobs", n)
+	}
+}
+
+func TestRecoverBeforeListenIsAnError(t *testing.T) {
+	svc := core.NewService(core.Config{ResourceName: "unbound", Registry: provider.NewRegistry(nil)})
+	if _, err := svc.Recover(crashLog("gram://old.host:1/9/1234", "&(executable=hello)(jobtype=func)", 0)); err == nil {
+		t.Error("Recover before Listen succeeded; want an error")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // The warm-restart benchmark pair plus the refresh-ahead steady-state
-// point. BENCH acceptance: restart-to-first-hit through the restored
+// point. Acceptance: restart-to-first-hit through the restored
 // snapshot must be >= 10x faster than the cold path (a ~5ms provider),
 // and under Zipf steady state with refresh-ahead armed the hot-decile
 // keys must miss < 1% with a p99 within 2x of the pure hit path.
@@ -266,19 +266,63 @@ func BenchmarkRefreshAheadZipfSteadyState(b *testing.B) {
 	b.ReportMetric(hitP99, "hit_p99_ns")
 }
 
-// TestWarmRestartReference is the nightly regression reference point for
-// warm-restart persistence and refresh-ahead, driven by
-// scripts/cache-regress.sh. Gated on INFOGRAM_WARMBENCH=1 because it
-// sleeps through provider delays for seconds and the numbers only mean
-// something on a quiet machine. The result is one JSON object written to
-// INFOGRAM_WARMBENCH_OUT (or the test log when unset):
-// {"restart_cold_ns":...,"restart_warm_ns":...,"restart_speedup":...,
-// "hot_miss_ratio":...,"p99_ns":...,"hit_p99_ns":...}.
+// warmRestartAttempts is how many measurements TestWarmRestartReference
+// takes before it fails: the p99 of 200k samples is its ~2000 worst, and a
+// loaded host can starve the refresh workers, so one attempt is noisy — a
+// genuine regression is persistent across attempts, scheduler jitter is
+// not.
+const warmRestartAttempts = 3
+
+// TestWarmRestartReference is the regression reference point for
+// warm-restart persistence and refresh-ahead, step 2 of scripts/gate.sh.
+// Gated on INFOGRAM_WARMBENCH=1 because it sleeps through provider delays
+// for seconds and the numbers only mean something on a quiet machine. The
+// thresholds are ratios, so no per-host baseline is needed:
+//
+//   - restart_speedup >= 10: a warm restart's first answer (snapshot
+//     restore + first hit) is at least 10x faster than a cold one (which
+//     pays the deliberate ~5ms provider delay).
+//   - hot_miss_ratio < 0.01: under Zipf steady state with refresh-ahead
+//     armed, the top-decile keys miss less than 1% of the time.
+//   - p99_ns <= 2 * hit_p99_ns: the overall request p99 stays within 2x of
+//     the pure hit path — refresh-ahead, not requests, pays provider cost.
+//
+// Each attempt logs one JSON object; the test passes when any attempt
+// clears all three thresholds.
 func TestWarmRestartReference(t *testing.T) {
 	if os.Getenv("INFOGRAM_WARMBENCH") != "1" {
 		t.Skip("set INFOGRAM_WARMBENCH=1 to run the warm-restart reference point")
 	}
+	for attempt := 1; attempt <= warmRestartAttempts; attempt++ {
+		p := measureWarmRestart(t)
+		out, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("warm-restart reference point, attempt %d: %s", attempt, out)
+		if p.RestartSpeedup >= 10 && p.HotMissRatio < 0.01 && p.P99ns <= 2*p.HitP99ns {
+			return
+		}
+	}
+	t.Errorf("no attempt of %d cleared restart_speedup >= 10, hot_miss_ratio < 0.01 and p99_ns <= 2*hit_p99_ns",
+		warmRestartAttempts)
+}
 
+// warmRestartPoint is one measurement of the reference point.
+type warmRestartPoint struct {
+	RestartColdNs  int64   `json:"restart_cold_ns"`
+	RestartWarmNs  int64   `json:"restart_warm_ns"`
+	RestartSpeedup float64 `json:"restart_speedup"`
+	HotMissRatio   float64 `json:"hot_miss_ratio"`
+	P99ns          float64 `json:"p99_ns"`
+	HitP99ns       float64 `json:"hit_p99_ns"`
+	Keys           int     `json:"keys"`
+	Zipf           float64 `json:"zipf"`
+}
+
+// measureWarmRestart takes one measurement: the restart pair, then the
+// refresh-ahead steady state.
+func measureWarmRestart(t *testing.T) warmRestartPoint {
 	// Restart pair: median of a handful of runs each — the cold side is
 	// dominated by the deliberate provider delay, the warm side by reading
 	// and inserting the snapshot population.
@@ -311,26 +355,9 @@ func TestWarmRestartReference(t *testing.T) {
 		hits[i], samples[i] = s.one(ctx, run[i])
 	}
 	hotMiss, p99, hitP99 := refreshMetrics(run, hits, samples)
-
-	out, err := json.Marshal(struct {
-		RestartColdNs  int64   `json:"restart_cold_ns"`
-		RestartWarmNs  int64   `json:"restart_warm_ns"`
-		RestartSpeedup float64 `json:"restart_speedup"`
-		HotMissRatio   float64 `json:"hot_miss_ratio"`
-		P99ns          float64 `json:"p99_ns"`
-		HitP99ns       float64 `json:"hit_p99_ns"`
-		Keys           int     `json:"keys"`
-		Zipf           float64 `json:"zipf"`
-	}{cold.Nanoseconds(), warm.Nanoseconds(),
+	return warmRestartPoint{
+		cold.Nanoseconds(), warm.Nanoseconds(),
 		float64(cold.Nanoseconds()) / float64(warm.Nanoseconds()),
-		hotMiss, p99, hitP99, refreshBenchKeys, refreshBenchZipf})
-	if err != nil {
-		t.Fatal(err)
+		hotMiss, p99, hitP99, refreshBenchKeys, refreshBenchZipf,
 	}
-	if path := os.Getenv("INFOGRAM_WARMBENCH_OUT"); path != "" {
-		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Logf("warm-restart reference point: %s", out)
 }

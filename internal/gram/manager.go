@@ -690,9 +690,8 @@ func (m *Manager) restoreFailed(js journal.JobState, msg string) error {
 // contact and restarts its manager goroutine. Execution starts at the
 // journaled restart count (clamped to the request's restart budget), so
 // the interrupted attempt is re-run rather than the job gaining a fresh
-// budget. The submission is not re-journaled: the journal seeded its
-// folded state from the very records being recovered, so the next
-// snapshot already covers this job.
+// budget. The submission is not re-journaled here: RecoverJournal has
+// already made sure the journal knows the contact (see adopt).
 func (m *Manager) Resume(req *xrsl.JobRequest, js journal.JobState) error {
 	now := m.cfg.Clock.Now()
 	rec := job.Record{
@@ -746,13 +745,39 @@ func (m *Manager) Resume(req *xrsl.JobRequest, js journal.JobState) error {
 	return nil
 }
 
-// RecoverJournal rebuilds the job table from a journal replay. Terminal
-// jobs are restored verbatim; non-terminal jobs are resubmitted to their
-// backends under their original contacts, resuming from the last
-// journaled checkpoint and honouring the remaining restart budget. Jobs
-// whose spec no longer decodes — or whose backend is absent — come back
-// FAILED with a "recovery:" annotation instead of vanishing. It returns
-// the contacts of the jobs that were resumed.
+// adopt journals the submission and checkpoint of a recovered job the
+// journal has no record of — one folded from the audit log rather than
+// replayed from the journal itself — so the next restart from the journal
+// alone still knows it. The restart count follows with the job's first
+// journaled transition.
+func (m *Manager) adopt(js journal.JobState) error {
+	if m.cfg.Journal.Has(js.Contact) {
+		return nil
+	}
+	now := m.cfg.Clock.Now().UnixNano()
+	err := m.cfg.Journal.Append(context.Background(), journal.Entry{
+		Kind: journal.KindSubmit, Time: now, Contact: js.Contact,
+		Spec: js.Spec, Owner: js.Owner, Identity: js.Identity,
+	})
+	if err == nil && js.Checkpoint != "" {
+		err = m.cfg.Journal.Append(context.Background(), journal.Entry{
+			Kind: journal.KindCheckpoint, Time: now, Contact: js.Contact, Checkpoint: js.Checkpoint,
+		})
+	}
+	return err
+}
+
+// RecoverJournal is the one restart path: it rebuilds the job table from
+// folded pre-crash job state, whether that was replayed from the journal
+// or folded from the audit log (core.Service.Recover). Terminal jobs are
+// restored verbatim; non-terminal jobs are resubmitted to their backends
+// under their original contacts, resuming from the last recorded
+// checkpoint and honouring the remaining restart budget. Jobs whose spec
+// no longer decodes — or whose backend is absent — come back FAILED with a
+// "recovery:" annotation instead of vanishing. A contact already in the
+// table is skipped, so recovering from the journal and then from the log
+// of the same crash runs each job once. It returns the contacts of the
+// jobs that were resumed.
 func (m *Manager) RecoverJournal(rec *journal.Recovered, envFor func(owner string) rsl.Env) ([]string, error) {
 	if rec == nil {
 		return nil, nil
@@ -760,6 +785,9 @@ func (m *Manager) RecoverJournal(rec *journal.Recovered, envFor func(owner strin
 	var resumed []string
 	replayed := 0
 	for _, js := range rec.Jobs {
+		if _, err := m.cfg.Table.Get(js.Contact); err == nil {
+			continue
+		}
 		if js.State.Terminal() {
 			if err := m.restoreTerminal(js); err != nil {
 				return resumed, fmt.Errorf("gram: recover %q: %w", js.Contact, err)
@@ -767,6 +795,9 @@ func (m *Manager) RecoverJournal(rec *journal.Recovered, envFor func(owner strin
 			continue
 		}
 		replayed++
+		if err := m.adopt(js); err != nil {
+			return resumed, fmt.Errorf("gram: recover %q: %w", js.Contact, err)
+		}
 		req, err := xrsl.DecodeOne(js.Spec, envFor(js.Owner))
 		if err != nil || req.Kind != xrsl.KindJob {
 			msg := "recovery: spec is not a restartable job"

@@ -496,6 +496,19 @@ func (j *Journal) Jobs() []JobState {
 	return out
 }
 
+// Has reports whether the journal holds a record of the contact, live or
+// terminal. A nil journal knows nothing.
+func (j *Journal) Has(contact string) bool {
+	if j == nil {
+		return false
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	_, live := j.state[contact]
+	_, retired := j.retired[contact]
+	return live || retired
+}
+
 // fsyncLoop is the FsyncInterval background syncer. It flushes the
 // group-commit buffer under the lock but syncs outside it: an fsync can
 // take milliseconds, and holding the append mutex across it would stall

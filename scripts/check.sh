@@ -68,12 +68,4 @@ if [ "$soaktime" != "0" ]; then
 		go test -race -count=1 -run '^TestSoakOpenLoopUnderAdmission$' ./internal/loadgen/
 fi
 
-# Benchmarks are opt-in — they add minutes and their numbers only mean
-# something on a quiet machine. CHECK_BENCH=1 ./scripts/check.sh runs them
-# and records BENCH_<n>.json via scripts/bench.sh.
-if [ "${CHECK_BENCH:-}" = "1" ]; then
-	echo "== benchmarks =="
-	./scripts/bench.sh
-fi
-
 echo "ok: all checks passed"
