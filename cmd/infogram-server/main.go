@@ -71,8 +71,8 @@ func main() {
 		clusterMem  = flag.String("cluster-members", "", "comma-separated backend gatekeeper addresses: run as a consistent-hash routing proxy over them instead of a gatekeeper")
 		clusterFail = flag.Int("cluster-fail-threshold", 0, "consecutive forward failures that eject a member from routing until a probe readmits it (0 = 3)")
 		clusterPrb  = flag.Duration("cluster-probe-interval", 0, "how often ejected members are pinged for readmission (0 = 2s)")
-		follow      = flag.String("follow", "", "run as a hot-standby follower of this leader gatekeeper: mirror its journal into -state-dir and wait for promotion")
-		promote     = flag.Bool("promote", false, "with -follow: promote automatically (boot as the gatekeeper from the mirrored journal) once the leader is lost; SIGUSR1 promotes on demand either way")
+		follow      = flag.String("follow", "", "run as a hot-standby follower of this leader gatekeeper: replicate its journal records into a local journal in -state-dir and wait for promotion")
+		promote     = flag.Bool("promote", false, "with -follow: promote automatically (boot as the gatekeeper from the replicated journal) once the leader is lost; SIGUSR1 promotes on demand either way")
 		faults      = flag.String("faultpoints", os.Getenv("INFOGRAM_FAULTPOINTS"),
 			"arm fault-injection failpoints, e.g. 'wire.read=delay(100ms),provider.collect=hang' (also via INFOGRAM_FAULTPOINTS)")
 	)
@@ -89,15 +89,15 @@ func main() {
 	}
 	if *follow != "" {
 		if *stateDir == "" {
-			log.Fatal("follow: -state-dir is required (the leader's journal is mirrored there)")
+			log.Fatal("follow: -state-dir is required (the follower keeps its journal there)")
 		}
 		if !runFollower(fabric, *follow, *stateDir, *promote) {
 			return
 		}
 		// Promoted: fall through into the ordinary gatekeeper boot. The
-		// journal replay below recovers the mirrored state and resubmits
+		// journal replay below recovers the replicated state and resubmits
 		// unfinished jobs — the same path a crash restart takes.
-		fmt.Printf("infogram: promoting to gatekeeper from mirrored journal in %s\n", *stateDir)
+		fmt.Printf("infogram: promoting to gatekeeper from replicated journal in %s\n", *stateDir)
 	}
 
 	var quota *gsi.Policy
@@ -365,9 +365,9 @@ func runProxy(fabric *bootstrap.Fabric, addr, members string, failThresh int, pr
 	fmt.Println("infogram: shutting down")
 }
 
-// runFollower mirrors the leader's journal into stateDir until the
+// runFollower replicates the leader's journal into stateDir until the
 // process is stopped or a promotion fires. It returns true when the
-// caller should boot as the gatekeeper from the mirrored journal —
+// caller should boot as the gatekeeper from the replicated journal —
 // either SIGUSR1 arrived, or -promote is set and the leader was declared
 // lost — and false on an ordinary shutdown.
 func runFollower(fabric *bootstrap.Fabric, leader, stateDir string, autoPromote bool) bool {
@@ -380,7 +380,7 @@ func runFollower(fabric *bootstrap.Fabric, leader, stateDir string, autoPromote 
 		Telemetry:  tel,
 	})
 	fl.Start()
-	fmt.Printf("infogram: following %s, mirroring its journal into %s (SIGUSR1 promotes)\n", leader, stateDir)
+	fmt.Printf("infogram: following %s, replicating its journal into %s (SIGUSR1 promotes)\n", leader, stateDir)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGUSR1)

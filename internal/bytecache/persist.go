@@ -413,6 +413,9 @@ func (p *Persister) Snapshot() error {
 	if err == nil {
 		err = os.Rename(tmp, p.opts.Path)
 	}
+	if err == nil {
+		err = journal.SyncDir(filepath.Dir(p.opts.Path))
+	}
 	if err != nil {
 		_ = os.Remove(tmp)
 		p.snapErrs.Inc()

@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,9 +20,9 @@ import (
 type FollowerConfig struct {
 	// Leader is the leader gatekeeper's address.
 	Leader string
-	// Dir is the follower's local state directory: the leader's journal
-	// is mirrored here so a promotion boots from local disk exactly like
-	// a crash restart.
+	// Dir is the follower's local state directory: an ordinary journal
+	// fed with the leader's records, so a promotion boots from local disk
+	// exactly like a crash restart.
 	Dir string
 	// Credential and Trust authenticate the follower to the leader.
 	Credential *gsi.Credential
@@ -46,7 +43,7 @@ type FollowerConfig struct {
 }
 
 // Follower tails a leader's journal over the REPL capability into a
-// local state directory. Promotion is deliberately nothing special: stop
+// local journal on Dir. Promotion is deliberately nothing special: stop
 // the tail, then boot a gatekeeper on Dir through the ordinary
 // journal.Open → core.NewService → RecoverJournal path — the same code
 // that recovers a crashed leader recovers a promoted follower, so the
@@ -58,12 +55,16 @@ type Follower struct {
 	done     chan struct{}
 	stopOnce sync.Once
 
-	synced     chan struct{} // closed after the first complete backlog ship
+	synced     chan struct{} // closed after the first complete cut lands
 	syncedOnce sync.Once
 	lost       chan struct{} // closed when FailThreshold consecutive failures accrue
 	lostOnce   sync.Once
 
 	records atomic.Int64 // live records applied
+
+	// jnl is the local copy, opened on Dir by the first completed sync
+	// and owned by the run goroutine; run closes it on exit.
+	jnl *journal.Journal
 
 	applied *telemetry.Counter
 	resyncs *telemetry.Counter
@@ -94,7 +95,7 @@ func NewFollower(cfg FollowerConfig) *Follower {
 		f.applied = cfg.Telemetry.Counter("cluster_follower_records_applied_total",
 			"live journal records received from the leader and applied locally")
 		f.resyncs = cfg.Telemetry.Counter("cluster_follower_resyncs_total",
-			"full backlog re-synchronizations (first sync included)")
+			"full re-synchronizations: leader cuts swapped in as the local journal (first sync included)")
 	}
 	return f
 }
@@ -104,15 +105,15 @@ func (f *Follower) Start() {
 	go f.run()
 }
 
-// Stop ends tailing and syncs the mirrored files to disk. After Stop,
-// Dir holds a journal any gatekeeper can boot from.
+// Stop ends tailing and closes the local journal, syncing it to disk.
+// After Stop, Dir holds a journal any gatekeeper can boot from.
 func (f *Follower) Stop() {
 	f.stopOnce.Do(func() { close(f.stop) })
 	<-f.done
 }
 
-// Synced is closed once the first full backlog has been mirrored (the
-// follower is live-tailing from then on, across re-syncs).
+// Synced is closed once the first complete cut has landed in the local
+// journal (the follower is live-tailing from then on, across re-syncs).
 func (f *Follower) Synced() <-chan struct{} { return f.synced }
 
 // LeaderLost is closed when FailThreshold consecutive connection or
@@ -124,6 +125,8 @@ func (f *Follower) Records() int64 { return f.records.Load() }
 
 func (f *Follower) run() {
 	defer close(f.done)
+	// Stop has no error to return; every record already reached the OS.
+	defer func() { _ = f.jnl.Close() }()
 	failures := 0
 	for {
 		select {
@@ -146,10 +149,15 @@ func (f *Follower) run() {
 	}
 }
 
-// syncOnce performs one full replication session: connect, mirror the
-// backlog, then tail live records until the stream breaks or the
-// follower stops. failures is reset once the backlog lands (the leader
-// is demonstrably alive).
+// leaderSilence bounds each stream read once the stream is live: a
+// leader heartbeats every wire.ReplHeartbeat, so three missed beats mean
+// it is gone even if no RST ever arrives.
+const leaderSilence = 3 * wire.ReplHeartbeat
+
+// syncOnce performs one full replication session: connect, take the
+// cut, then tail live records until the stream breaks or the follower
+// stops. failures is reset once the cut lands (the leader is
+// demonstrably alive).
 func (f *Follower) syncOnce(failures *int) error {
 	sess, err := session.Dial(context.Background(), f.cfg.Leader, session.DialOptions{
 		Credential:  f.cfg.Credential,
@@ -164,10 +172,9 @@ func (f *Follower) syncOnce(failures *int) error {
 	}
 	conn := sess.Conn
 	defer conn.Close()
-	if sess.Repl == nil {
+	if !sess.Repl {
 		return fmt.Errorf("cluster: leader %s declined replication (no journal?)", f.cfg.Leader)
 	}
-	manifest := *sess.Repl
 	// Unblock the stop path: closing the connection fails the blocking
 	// Read below.
 	stopWatch := make(chan struct{})
@@ -180,244 +187,85 @@ func (f *Follower) syncOnce(failures *int) error {
 		}
 	}()
 
-	if err := f.wipeDir(); err != nil {
-		return err
-	}
-	f.resyncs.Inc()
-
-	mirror, err := newMirror(f.cfg.Dir, manifest)
-	if err != nil {
-		return err
-	}
-	defer mirror.close()
-
+	var st stream
 	for {
 		fr, err := conn.Read()
 		if err != nil {
 			return err
 		}
-		switch fr.Verb {
-		case wire.VerbReplSnap:
-			if err := mirror.snapChunk(fr.Payload); err != nil {
-				return err
-			}
-		case wire.VerbReplSeg:
-			if err := mirror.segChunk(fr.Payload); err != nil {
-				return err
-			}
-		case wire.VerbReplLive:
-			// Backlog complete: commit the mirrored files, then tail.
-			if err := mirror.commitBacklog(); err != nil {
-				return err
-			}
+		if err := f.step(&st, fr); err != nil {
+			return err
+		}
+		if st.live {
 			*failures = 0
-			f.syncedOnce.Do(func() { close(f.synced) })
-		case wire.VerbReplRec:
-			if err := mirror.record(fr.Payload); err != nil {
-				return err
-			}
-			f.records.Add(1)
-			f.applied.Inc()
-		default:
-			return fmt.Errorf("cluster: unexpected repl frame %s", fr.Verb)
+			conn.SetIOTimeout(leaderSilence)
 		}
 	}
 }
 
-// wipeDir clears the mirrored journal state for a fresh sync.
-func (f *Follower) wipeDir() error {
-	if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
+// stream is one replication session's follower-side state.
+type stream struct {
+	cut  []journal.Entry // records before the first REPL-LIVE
+	live bool
+}
+
+// step applies one stream frame. It touches no socket, so the fuzz
+// target drives it directly. Records before the first REPL-LIVE are
+// held in memory; that REPL-LIVE swaps them in as the local journal, and
+// later records are appended as they arrive. A malformed record or an
+// unknown verb ends the session.
+func (f *Follower) step(st *stream, fr wire.Frame) error {
+	switch fr.Verb {
+	case wire.VerbReplRec:
+		var e journal.Entry
+		if err := json.Unmarshal(fr.Payload, &e); err != nil {
+			return fmt.Errorf("cluster: malformed repl record: %w", err)
+		}
+		if !st.live {
+			st.cut = append(st.cut, e)
+			return nil
+		}
+		if err := f.jnl.Append(context.Background(), e); err != nil {
+			return err
+		}
+		f.records.Add(1)
+		f.applied.Inc()
+	case wire.VerbReplLive:
+		if st.live {
+			return nil // heartbeat
+		}
+		if err := f.replace(st.cut); err != nil {
+			return err
+		}
+		st.cut, st.live = nil, true
+		f.resyncs.Inc()
+		f.syncedOnce.Do(func() { close(f.synced) })
+	default:
+		return fmt.Errorf("cluster: unexpected repl frame %s", fr.Verb)
+	}
+	return nil
+}
+
+// replace discards the previous local journal and opens a fresh one on
+// Dir holding exactly cut. It runs only once the whole cut is in hand,
+// so a stream that dies early leaves the previous copy intact. The
+// journal never fsyncs: durability is the leader journal's job; the
+// copy is for takeover, and every append still reaches the OS at once.
+func (f *Follower) replace(cut []journal.Entry) error {
+	_ = f.jnl.Close() // discarded next; a failed sync loses nothing kept
+	f.jnl = nil
+	if err := journal.Discard(f.cfg.Dir); err != nil {
 		return err
 	}
-	entries, err := os.ReadDir(f.cfg.Dir)
+	jnl, _, err := journal.Open(journal.Options{Dir: f.cfg.Dir, Fsync: journal.FsyncNever, Clock: f.cfg.Clock})
 	if err != nil {
 		return err
 	}
-	for _, de := range entries {
-		name := de.Name()
-		if name == "snapshot.json" || name == "snapshot.json.tmp" ||
-			(strings.HasPrefix(name, "journal-") && strings.HasSuffix(name, ".seg")) {
-			if err := os.Remove(filepath.Join(f.cfg.Dir, name)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// mirror materializes one replication session's files: the snapshot, the
-// shipped segment prefixes, and the live tail segment.
-type mirror struct {
-	dir      string
-	manifest wire.ReplManifest
-
-	snap     *os.File // snapshot.json.tmp while the backlog ships
-	snapLeft int64
-
-	segIdx  int // position in manifest.Segments
-	seg     *os.File
-	segLeft int64
-
-	tail    *os.File // live record segment
-	tailBuf *bufio.Writer
-	encBuf  []byte
-}
-
-func newMirror(dir string, m wire.ReplManifest) (*mirror, error) {
-	mi := &mirror{dir: dir, manifest: m, snapLeft: m.SnapshotSize}
-	if m.SnapshotSize >= 0 {
-		fh, err := os.OpenFile(filepath.Join(dir, "snapshot.json.tmp"), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		mi.snap = fh
-	}
-	// Materialize every manifest segment up front so zero-length ones
-	// (the leader's freshly rotated current segment) exist too.
-	for _, seg := range m.Segments {
-		fh, err := os.OpenFile(mi.segPath(seg.Index), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		fh.Close()
-	}
-	if err := mi.openSeg(); err != nil {
-		return nil, err
-	}
-	return mi, nil
-}
-
-func (m *mirror) segPath(idx int) string {
-	return filepath.Join(m.dir, fmt.Sprintf("journal-%08d.seg", idx))
-}
-
-// openSeg positions the writer at the next manifest segment that still
-// expects bytes.
-func (m *mirror) openSeg() error {
-	for m.segIdx < len(m.manifest.Segments) && m.manifest.Segments[m.segIdx].Size == 0 {
-		m.segIdx++
-	}
-	if m.segIdx >= len(m.manifest.Segments) {
-		return nil
-	}
-	seg := m.manifest.Segments[m.segIdx]
-	fh, err := os.OpenFile(m.segPath(seg.Index), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	m.seg, m.segLeft = fh, seg.Size
-	return nil
-}
-
-func (m *mirror) snapChunk(b []byte) error {
-	if m.snap == nil || int64(len(b)) > m.snapLeft {
-		return fmt.Errorf("cluster: unexpected snapshot chunk")
-	}
-	if _, err := m.snap.Write(b); err != nil {
-		return err
-	}
-	m.snapLeft -= int64(len(b))
-	return nil
-}
-
-func (m *mirror) segChunk(b []byte) error {
-	for len(b) > 0 {
-		if m.seg == nil {
-			return fmt.Errorf("cluster: segment bytes beyond manifest")
-		}
-		n := int64(len(b))
-		if n > m.segLeft {
-			n = m.segLeft
-		}
-		if _, err := m.seg.Write(b[:n]); err != nil {
-			return err
-		}
-		m.segLeft -= n
-		b = b[n:]
-		if m.segLeft == 0 {
-			if err := m.seg.Sync(); err != nil {
-				return err
-			}
-			if err := m.seg.Close(); err != nil {
-				return err
-			}
-			m.seg = nil
-			m.segIdx++
-			if err := m.openSeg(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// commitBacklog finalizes the shipped history — snapshot renamed into
-// place, all segments on disk — and opens the live tail segment.
-func (m *mirror) commitBacklog() error {
-	if m.snapLeft > 0 || (m.seg != nil && m.segLeft > 0) {
-		return fmt.Errorf("cluster: backlog marked live before fully shipped")
-	}
-	if m.snap != nil {
-		if err := m.snap.Sync(); err != nil {
-			return err
-		}
-		if err := m.snap.Close(); err != nil {
-			return err
-		}
-		m.snap = nil
-		if err := os.Rename(filepath.Join(m.dir, "snapshot.json.tmp"), filepath.Join(m.dir, "snapshot.json")); err != nil {
+	f.jnl = jnl
+	for _, e := range cut {
+		if err := jnl.Append(context.Background(), e); err != nil {
 			return err
 		}
 	}
-	// Live records land in a fresh segment after the shipped history,
-	// exactly like a new process epoch.
-	next := 0
-	for _, seg := range m.manifest.Segments {
-		if seg.Index >= next {
-			next = seg.Index + 1
-		}
-	}
-	fh, err := os.OpenFile(m.segPath(next), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	m.tail = fh
-	m.tailBuf = bufio.NewWriterSize(fh, 64<<10)
 	return nil
-}
-
-// record appends one live record payload to the tail segment, CRC-framed
-// exactly as the leader framed it.
-func (m *mirror) record(payload []byte) error {
-	if m.tailBuf == nil {
-		return fmt.Errorf("cluster: record before backlog completed")
-	}
-	m.encBuf = journal.AppendFrame(m.encBuf[:0], payload)
-	if _, err := m.tailBuf.Write(m.encBuf); err != nil {
-		return err
-	}
-	// Flushed per record: a promotion reads this file from disk, and the
-	// process-local buffer would hide the newest transitions. (No fsync —
-	// the durability story is the leader's; the mirror is for takeover.)
-	return m.tailBuf.Flush()
-}
-
-// close releases every open file (idempotent; commit state preserved).
-func (m *mirror) close() {
-	if m.snap != nil {
-		m.snap.Close()
-		m.snap = nil
-	}
-	if m.seg != nil {
-		m.seg.Close()
-		m.seg = nil
-	}
-	if m.tail != nil {
-		if m.tailBuf != nil {
-			m.tailBuf.Flush()
-		}
-		m.tail.Sync()
-		m.tail.Close()
-		m.tail = nil
-	}
 }

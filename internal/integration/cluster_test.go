@@ -1,7 +1,7 @@
 // Cluster failover suite: the hot-standby acceptance scenarios. A
 // journaled leader gatekeeper streams its write-ahead journal to a
-// follower over the REPL capability; the follower's mirrored state
-// directory must boot an equivalent gatekeeper — terminal jobs answer
+// follower over the REPL capability; the follower's local journal must
+// boot an equivalent gatekeeper — terminal jobs answer
 // STATUS with their recorded output under their original contacts, and
 // in-flight jobs are resubmitted, so a promotion loses no journaled job.
 package integration_test
@@ -84,7 +84,7 @@ func waitState(t *testing.T, cl *core.Client, contact string, want job.State) {
 // waitReplicated waits until the follower's applied-record count has
 // been stable for a while: the leader has stopped generating records
 // (every job is in its observed steady state), so a quiet tap means the
-// mirror holds everything the journal does.
+// follower's journal holds everything the leader's does.
 func waitReplicated(t *testing.T, fl *cluster.Follower) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -104,7 +104,7 @@ func waitReplicated(t *testing.T, fl *cluster.Follower) {
 	t.Fatalf("follower live tail never went quiet (records=%d)", last)
 }
 
-// promote boots a gatekeeper from the follower's mirrored directory —
+// promote boots a gatekeeper from the follower's journal directory —
 // the ordinary crash-restart path — and returns it with the recovered
 // journal state.
 func promote(t *testing.T, d *deployment, dir string, release <-chan struct{}) (*core.Service, *journal.Recovered, []string) {
@@ -130,8 +130,8 @@ func promote(t *testing.T, d *deployment, dir string, release <-chan struct{}) (
 	return svc, rec, resumed
 }
 
-// TestFollowerReplayEquivalence: a follower that mirrored both the
-// shipped backlog AND the live record tail boots into the same job table
+// TestFollowerReplayEquivalence: a follower that took both the leader's
+// cut AND the live record tail boots into the same job table
 // the leader holds — terminal output preserved verbatim, in-flight jobs
 // resubmitted.
 func TestFollowerReplayEquivalence(t *testing.T) {
@@ -146,8 +146,8 @@ func TestFollowerReplayEquivalence(t *testing.T) {
 	}
 	defer clA.Close()
 
-	// Pre-sync history: these records reach the follower as shipped
-	// backlog (snapshot/segment bytes), not live records.
+	// Pre-sync history: these jobs reach the follower as the synthesized
+	// cut, not as live records.
 	var doneContacts, blockContacts []string
 	for i := 0; i < 2; i++ {
 		c, err := clA.Submit(fmt.Sprintf("&(executable=noop)(jobtype=func)(arguments=pre%d)", i))
@@ -210,7 +210,7 @@ func TestFollowerReplayEquivalence(t *testing.T) {
 	waitReplicated(t, fl)
 	fl.Stop()
 
-	// Boot from the mirror and compare against the leader's table.
+	// Boot from the follower's journal and compare against the leader's.
 	releaseB := make(chan struct{})
 	close(releaseB)
 	svcB, rec, resumed := promote(t, d, followDir, releaseB)
@@ -389,5 +389,37 @@ func TestKillLeaderPromoteChaos(t *testing.T) {
 		if st.State != job.Done || st.Stdout != "released" {
 			t.Errorf("in-flight job %s = %+v; want DONE from the promoted re-run", c, st)
 		}
+	}
+}
+
+// TestFollowerIdleLeaderNoResync: an idle leader heartbeats, so a
+// follower whose DialTimeout is far shorter than the idle spell keeps
+// its one stream instead of failing a read, re-dialing and re-taking
+// the whole history every DialTimeout.
+func TestFollowerIdleLeaderNoResync(t *testing.T) {
+	d := newDeployment(t)
+	release := make(chan struct{})
+	defer close(release)
+	svc, addr := startLeader(t, d, release)
+	defer svc.Close()
+	tel := telemetry.NewRegistry()
+	fl := cluster.NewFollower(cluster.FollowerConfig{
+		Leader:      addr,
+		Dir:         t.TempDir(),
+		Credential:  d.svcCred,
+		Trust:       d.trust,
+		DialTimeout: time.Second,
+		Telemetry:   tel,
+	})
+	fl.Start()
+	defer fl.Stop()
+	select {
+	case <-fl.Synced():
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower never synced")
+	}
+	time.Sleep(5 * time.Second)
+	if n := tel.Counter("cluster_follower_resyncs_total", "").Value(); n != 1 {
+		t.Fatalf("cluster_follower_resyncs_total = %d after 5s of leader idleness; want 1", n)
 	}
 }

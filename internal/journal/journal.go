@@ -25,8 +25,8 @@
 //
 // Snapshots bound recovery time by live state rather than append history:
 // every SnapshotEvery appends the journal rotates, writes the folded state
-// of every job to snapshot.json (atomically, via rename), and deletes the
-// segments the snapshot now covers.
+// of every job to snapshot.json (atomically, via rename), syncs the
+// directory, and deletes the segments the snapshot now covers.
 //
 // The fsync policy trades durability against append latency: "always"
 // writes and syncs before every append returns (no acknowledged record can
@@ -667,14 +667,14 @@ func (j *Journal) jobStateLocked(contact string) (JobState, bool) {
 	return JobState{}, false
 }
 
-// segPath names segment i.
-func (j *Journal) segPath(i int) string {
-	return filepath.Join(j.opts.Dir, fmt.Sprintf("%s%08d%s", segPrefix, i, segSuffix))
+// segPath names segment i of the journal in dir.
+func segPath(dir string, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", segPrefix, i, segSuffix))
 }
 
 // openSegment opens segment j.segIndex fresh for appending.
 func (j *Journal) openSegment() error {
-	f, err := os.OpenFile(j.segPath(j.segIndex), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(segPath(j.opts.Dir, j.segIndex), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: open segment: %w", err)
 	}
@@ -752,10 +752,6 @@ func (j *Journal) snapshotLocked(ctx context.Context) error {
 		f.Close()
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
-	if _, err := faultinject.Eval(ctx, faultinject.JournalFsync); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: snapshot fsync: %w", err)
-	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		return fmt.Errorf("journal: snapshot: %w", err)
@@ -763,15 +759,22 @@ func (j *Journal) snapshotLocked(ctx context.Context) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
-	// The rename is the commit point: only after it may covered segments
-	// go. A crash in between leaves extra segments behind, which recovery
-	// skips via NextSeg.
+	// The rename is the commit point, and it is durable only once the
+	// directory is synced: only then may covered segments go. A crash in
+	// between leaves extra segments behind, which recovery skips via
+	// NextSeg. The fsync failpoint sits at this last barrier.
 	if err := os.Rename(tmp, filepath.Join(j.opts.Dir, snapshotName)); err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
-	for _, idx := range j.listSegments() {
+	if _, err := faultinject.Eval(ctx, faultinject.JournalFsync); err != nil {
+		return fmt.Errorf("journal: snapshot fsync: %w", err)
+	}
+	if err := SyncDir(j.opts.Dir); err != nil {
+		return fmt.Errorf("journal: snapshot: %w", err)
+	}
+	for _, idx := range listSegments(j.opts.Dir) {
 		if idx < rawSnap.NextSeg {
-			_ = os.Remove(j.segPath(idx))
+			_ = os.Remove(segPath(j.opts.Dir, idx))
 		}
 	}
 	j.sinceSnap = 0
@@ -781,9 +784,42 @@ func (j *Journal) snapshotLocked(ctx context.Context) error {
 	return nil
 }
 
-// listSegments returns the indices of segment files on disk, sorted.
-func (j *Journal) listSegments() []int {
-	entries, err := os.ReadDir(j.opts.Dir)
+// SyncDir fsyncs directory dir, making a rename into it durable. A file
+// committed by rename must be synced this way before anything it
+// replaces is deleted: otherwise, after a power loss, the deletions can
+// survive while the rename is lost.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// Discard deletes the journal in dir — its segments and snapshot — so
+// the next Open there starts empty. dir must not be open as a journal.
+// A hot-standby follower uses it to replace its copy with a fresh cut.
+func Discard(dir string) error {
+	for _, idx := range listSegments(dir) {
+		if err := os.Remove(segPath(dir, idx)); err != nil {
+			return fmt.Errorf("journal: discard: %w", err)
+		}
+	}
+	for _, name := range []string{snapshotName, snapshotName + ".tmp"} {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("journal: discard: %w", err)
+		}
+	}
+	return nil
+}
+
+// listSegments returns the indices of the segment files in dir, sorted.
+func listSegments(dir string) []int {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
@@ -804,7 +840,7 @@ func (j *Journal) listSegments() []int {
 }
 
 func (j *Journal) updateSegmentGauge() {
-	j.segments.Set(int64(len(j.listSegments())))
+	j.segments.Set(int64(len(listSegments(j.opts.Dir))))
 }
 
 // replay loads the snapshot and replays uncovered segments into j.state,
@@ -835,7 +871,7 @@ func (j *Journal) replay() (*Recovered, int, error) {
 		return nil, 0, fmt.Errorf("journal: read snapshot: %w", err)
 	}
 
-	segs := j.listSegments()
+	segs := listSegments(j.opts.Dir)
 	epoch := nextSeg
 	for i, idx := range segs {
 		if idx >= epoch {
@@ -845,7 +881,7 @@ func (j *Journal) replay() (*Recovered, int, error) {
 			continue // covered by the snapshot (compaction died pre-delete)
 		}
 		last := i == len(segs)-1
-		torn, err := j.replaySegment(j.segPath(idx), last)
+		torn, err := j.replaySegment(segPath(j.opts.Dir, idx), last)
 		if err != nil {
 			return nil, 0, err
 		}

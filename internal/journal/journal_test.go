@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -173,7 +174,7 @@ func TestSegmentRotationAndSnapshotCompaction(t *testing.T) {
 	}
 	// Compaction must have deleted covered segments: far fewer files than
 	// the ~25 jobs * 4 records / tiny segment size would otherwise leave.
-	segs := j.listSegments()
+	segs := listSegments(j.opts.Dir)
 	if len(segs) > 10 {
 		t.Fatalf("%d segments after compaction; snapshots are not deleting covered history", len(segs))
 	}
@@ -253,6 +254,42 @@ func TestFsyncFailpointFailsAlwaysPolicyAppend(t *testing.T) {
 	if err == nil || !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("fsync failpoint not surfaced under FsyncAlways: %v", err)
 	}
+}
+
+// TestSnapshotDirSyncFailureKeepsSegments: a snapshot whose directory
+// sync fails must not delete the segments it covers — after a power loss
+// the rename could be lost while the unlinks survive.
+func TestSnapshotDirSyncFailureKeepsSegments(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	j, _ := openTestJournal(t, dir, func(o *Options) {
+		o.SegmentBytes = 512
+		o.SnapshotEvery = -1
+	})
+	for i := 0; i < 8; i++ {
+		submitAndFinish(t, j, "c"+strconv.Itoa(i), job.Done)
+	}
+	before := listSegments(dir)
+	if len(before) < 2 {
+		t.Fatalf("want several segments before the snapshot, got %v", before)
+	}
+	faultinject.Arm(faultinject.JournalFsync, faultinject.Action{Err: errors.New("dir sync lost"), Count: 1})
+	if err := j.Snapshot(); err == nil || !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("snapshot with a failing directory sync: %v", err)
+	}
+	after := listSegments(dir)
+	for _, idx := range before {
+		if _, err := os.Stat(segPath(dir, idx)); err != nil {
+			t.Fatalf("covered segment %d deleted before the directory sync (now %v): %v", idx, after, err)
+		}
+	}
+	want := j.Jobs()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec := openTestJournal(t, dir, nil)
+	sameJobs(t, rec.Jobs, want)
 }
 
 func TestClosedJournalRefusesAppends(t *testing.T) {

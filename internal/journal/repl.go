@@ -1,34 +1,16 @@
 package journal
 
-import (
-	"os"
-	"path/filepath"
-)
+import "encoding/json"
 
 // Wire replication support: a follower gatekeeper tails this journal
 // over the REPL capability (internal/core serves it, internal/cluster
-// consumes it). Subscribe captures a consistent cut of the on-disk
-// history — the snapshot plus every segment's current byte length —
-// and registers a live tap in the same critical section, so the
-// backlog and the record stream compose without a gap or a duplicate:
-// every record is either inside a captured prefix or delivered on the
-// tap, never both, never neither.
-
-// SegmentInfo describes one segment file at subscription time. Size is
-// the flushed byte length at the cut; bytes past it belong to the live
-// stream.
-type SegmentInfo struct {
-	Index int   `json:"index"`
-	Size  int64 `json:"size"`
-}
-
-// Backlog is the consistent cut Subscribe captured: the snapshot file
-// (nil when none exists) and the segment prefixes that, replayed in
-// order, reproduce the journal's folded state at the cut.
-type Backlog struct {
-	Snapshot []byte        `json:"-"`
-	Segments []SegmentInfo `json:"segments"`
-}
+// consumes it). Replication ships records, never files: Subscribe cuts
+// the folded state of every job into synthesized entries and registers
+// a live tap in the same critical section, so the cut and the record
+// stream compose without a gap or a duplicate — every append is either
+// folded into the cut or delivered on the tap, never both, never
+// neither. The follower Appends both to an ordinary journal of its own,
+// so the on-disk layout stays this package's business alone.
 
 // Tap is a live subscription to appended records. Records() yields each
 // post-cut record's JSON payload (unframed); the channel closes when the
@@ -45,48 +27,70 @@ type Tap struct {
 // receiver owns them.
 func (t *Tap) Records() <-chan []byte { return t.ch }
 
-// Subscribe captures the backlog cut and registers a live tap with the
-// given channel buffer (minimum 16). The caller must Unsubscribe when
-// done. Nil-safe: a nil journal returns nils.
-func (j *Journal) Subscribe(buffer int) (*Tap, *Backlog, error) {
+// Subscribe registers a live tap with the given channel buffer (minimum
+// 16) and returns the cut: for every job, in first-submission order, a
+// Submit at Submitted, a Checkpoint if one is set, then one State record
+// at Updated carrying the rest of the folded state. Appended to an empty
+// journal, the cut folds back into identical JobStates. The caller must
+// Unsubscribe when done. Nil-safe: a nil journal returns nils.
+func (j *Journal) Subscribe(buffer int) (*Tap, []Entry, error) {
 	if j == nil {
 		return nil, nil, nil
 	}
 	if buffer < 16 {
 		buffer = 16
 	}
+	// Under the lock only references are taken: live states are copied,
+	// retired jobs are immutable blobs. Decoding waits for the unlock.
+	type ref struct {
+		live *JobState
+		blob []byte
+	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.closed {
+		j.mu.Unlock()
 		return nil, nil, ErrClosed
 	}
-	// Flush the group-commit buffer so file sizes cover every append that
-	// happened before the cut.
-	if err := j.flushLocked(); err != nil {
-		return nil, nil, err
-	}
-	bl := &Backlog{}
-	if b, err := os.ReadFile(filepath.Join(j.opts.Dir, snapshotName)); err == nil {
-		bl.Snapshot = b
-	} else if !os.IsNotExist(err) {
-		return nil, nil, err
-	}
-	for _, idx := range j.listSegments() {
-		var size int64
-		if idx == j.segIndex {
-			size = j.segBytes
-		} else {
-			st, err := os.Stat(j.segPath(idx))
-			if err != nil {
-				continue // compacted between list and stat; snapshot covers it
-			}
-			size = st.Size()
+	refs := make([]ref, 0, len(j.order))
+	for _, c := range j.order {
+		if js, ok := j.state[c]; ok {
+			cp := *js
+			refs = append(refs, ref{live: &cp})
+		} else if blob, ok := j.retired[c]; ok {
+			refs = append(refs, ref{blob: blob})
 		}
-		bl.Segments = append(bl.Segments, SegmentInfo{Index: idx, Size: size})
 	}
 	t := &Tap{ch: make(chan []byte, buffer)}
 	j.taps = append(j.taps, t)
-	return t, bl, nil
+	j.mu.Unlock()
+
+	cut := make([]Entry, 0, 2*len(refs))
+	for _, r := range refs {
+		js := r.live
+		if js == nil {
+			js = new(JobState)
+			if err := json.Unmarshal(r.blob, js); err != nil {
+				continue // as jobStateLocked: an unreadable blob is no job
+			}
+		}
+		cut = appendJobEntries(cut, js)
+	}
+	return t, cut, nil
+}
+
+// appendJobEntries appends the records that fold into js on an empty
+// journal (see applyLocked). The pointers alias js, which the caller
+// owns.
+func appendJobEntries(dst []Entry, js *JobState) []Entry {
+	updated := js.Updated.UnixNano()
+	dst = append(dst, Entry{Kind: KindSubmit, Time: js.Submitted.UnixNano(), Contact: js.Contact,
+		Spec: js.Spec, Owner: js.Owner, Identity: js.Identity})
+	if js.Checkpoint != "" {
+		dst = append(dst, Entry{Kind: KindCheckpoint, Time: updated, Contact: js.Contact, Checkpoint: js.Checkpoint})
+	}
+	return append(dst, Entry{Kind: KindState, Time: updated, Contact: js.Contact,
+		State: js.State.String(), ExitCode: &js.ExitCode, Error: js.Error, Restarts: js.Restarts,
+		Stdout: &js.Stdout, Stderr: &js.Stderr})
 }
 
 // Unsubscribe removes a tap; its channel closes. Safe to call twice.
@@ -134,13 +138,4 @@ func (j *Journal) notifyTapsLocked(raw []byte) {
 			j.dropTapLocked(t) // mutates j.taps in place; retry index i
 		}
 	}
-}
-
-// SegmentPath exposes the path of segment idx for the replication
-// reader (read-only open by the serving layer).
-func (j *Journal) SegmentPath(idx int) string {
-	if j == nil {
-		return ""
-	}
-	return j.segPath(idx)
 }

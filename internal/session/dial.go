@@ -47,9 +47,9 @@ type Client struct {
 	// Traced reports that the server accepted TRACE: Call prefixes every
 	// request with the caller's trace context.
 	Traced bool
-	// Repl is the leader's manifest when the server accepted REPL (the
-	// stream follows on Conn); nil when it declined or was not asked.
-	Repl *wire.ReplManifest
+	// Repl reports that the server accepted REPL: the record stream
+	// follows on Conn.
+	Repl bool
 }
 
 // Dial connects to addr over TCP, authenticates, and negotiates the
@@ -99,13 +99,10 @@ func (cl *Client) establish(ctx context.Context, o DialOptions) error {
 	switch {
 	case o.Repl:
 		sctx, cancel := bound()
-		m, accepted, err := wire.NegotiateRepl(sctx, cl.Conn)
+		cl.Repl, err = wire.NegotiateRepl(sctx, cl.Conn)
 		cancel()
 		if err != nil {
 			return err
-		}
-		if accepted {
-			cl.Repl = &m
 		}
 	case o.Mux:
 		sctx, cancel := bound()

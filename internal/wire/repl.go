@@ -2,106 +2,66 @@ package wire
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"time"
 )
 
 // Journal replication rides on the frame layout exactly like MUX and
 // TRACE: an opt-in capability negotiated after the GSI handshake. A
 // follower gatekeeper sends a REPL frame; a leader with a journal
-// answers REPL-OK carrying a JSON manifest of its on-disk history (the
-// snapshot's byte length and every segment's index and flushed length at
-// the cut), then unilaterally streams that history followed by a live
-// record feed:
+// answers an empty REPL-OK and then unilaterally streams journal
+// records — never files:
 //
-//	REPL-SNAP  chunks of snapshot.json            (manifest order)
-//	REPL-SEG   chunks of segment bytes, segments in manifest order —
-//	           the follower counts bytes against the manifest, so no
-//	           per-chunk framing is needed
-//	REPL-LIVE  empty: the backlog is fully shipped, live feed follows
-//	REPL-REC   one journal record payload (unframed JSON) per frame
+//	REPL-REC   one journal record payload (the journal's JSON entry)
+//	REPL-LIVE  empty: the records so far are the leader's consistent
+//	           cut, live records follow; repeated as a heartbeat
+//	           whenever the live feed has been idle for ReplHeartbeat
+//
+// Appended to an empty journal, the records before the first REPL-LIVE
+// rebuild the leader's job table exactly; every later REPL-REC is an
+// append as it happened. The follower is therefore an ordinary journal
+// that swaps in a new cut only once REPL-LIVE confirms it is complete.
 //
 // REPL takes over the whole connection (it is a stream, not
 // request/response — MUX is never negotiated on it). A leader without a
-// journal declines with ERROR, exactly as a pre-capability peer would,
-// so followers interoperate with any deployment. If the leader cannot
-// finish shipping the backlog (a concurrent compaction deleted a
-// streamed segment, a slow follower overflowed its tap), it closes the
-// connection; the follower re-dials and re-syncs from the fresh
-// manifest, which by then covers the compacted history.
+// journal declines with ERROR, exactly as a pre-capability peer would.
+// A leader that cannot keep the follower fed (a slow follower overflowed
+// its tap) closes the connection; the follower re-dials and re-syncs
+// from a fresh cut. Leader and follower must run the same build: the
+// stream has no version field, and a REPL-OK carrying a payload (an
+// older leader's file manifest) fails negotiation.
 const (
 	// VerbRepl offers journal replication (follower → leader, after
 	// handshake, instead of MUX).
 	VerbRepl = "REPL"
-	// VerbReplOK accepts the offer; the payload is the JSON manifest.
+	// VerbReplOK accepts the offer; it carries no payload.
 	VerbReplOK = "REPL-OK"
-	// VerbReplSnap carries a chunk of the snapshot file.
-	VerbReplSnap = "REPL-SNAP"
-	// VerbReplSeg carries a chunk of segment bytes.
-	VerbReplSeg = "REPL-SEG"
-	// VerbReplLive marks the backlog complete; live records follow.
+	// VerbReplLive ends the cut, and later is the idle heartbeat.
 	VerbReplLive = "REPL-LIVE"
-	// VerbReplRec carries one live journal record payload.
+	// VerbReplRec carries one journal record payload.
 	VerbReplRec = "REPL-REC"
 )
 
-// ReplChunkSize bounds one REPL-SNAP/REPL-SEG payload, comfortably
-// under MaxPayload while keeping per-frame overhead negligible.
-const ReplChunkSize = 256 << 10
-
-// ReplSegment is one segment's manifest entry.
-type ReplSegment struct {
-	Index int   `json:"index"`
-	Size  int64 `json:"size"`
-}
-
-// ReplManifest is the REPL-OK payload: the history the leader is about
-// to ship.
-type ReplManifest struct {
-	// SnapshotSize is snapshot.json's byte length, -1 when the leader
-	// has no snapshot.
-	SnapshotSize int64 `json:"snapshot"`
-	// Segments lists segment prefixes in replay (and shipping) order.
-	Segments []ReplSegment `json:"segments"`
-}
-
-// EncodeReplManifest renders the manifest as a REPL-OK frame.
-func EncodeReplManifest(m ReplManifest) (Frame, error) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return Frame{}, fmt.Errorf("wire: encode repl manifest: %w", err)
-	}
-	return Frame{Verb: VerbReplOK, Payload: b}, nil
-}
-
-// DecodeReplManifest parses a REPL-OK frame.
-func DecodeReplManifest(f Frame) (ReplManifest, error) {
-	if f.Verb != VerbReplOK {
-		return ReplManifest{}, fmt.Errorf("wire: repl manifest: unexpected verb %q", f.Verb)
-	}
-	var m ReplManifest
-	if err := json.Unmarshal(f.Payload, &m); err != nil {
-		return ReplManifest{}, fmt.Errorf("wire: decode repl manifest: %w", err)
-	}
-	return m, nil
-}
+// ReplHeartbeat is how long a leader's live feed may stay idle before it
+// sends REPL-LIVE, so a follower can bound its reads by a few periods
+// and tell an idle leader from a silent (partitioned) one.
+const ReplHeartbeat = time.Second
 
 // NegotiateRepl offers replication on a freshly authenticated client
 // connection. accepted=false means the peer declined (it has no journal
 // or predates the capability) — a protocol answer, not a failure.
 // After acceptance the connection is a one-way stream: the caller reads
-// REPL-SNAP/REPL-SEG/REPL-LIVE/REPL-REC frames until it closes.
-func NegotiateRepl(ctx context.Context, conn *Conn) (ReplManifest, bool, error) {
+// REPL-REC/REPL-LIVE frames until it closes.
+func NegotiateRepl(ctx context.Context, conn *Conn) (accepted bool, err error) {
 	resp, err := conn.CallContext(ctx, Frame{Verb: VerbRepl})
 	if err != nil {
-		return ReplManifest{}, false, fmt.Errorf("wire: repl negotiation: %w", err)
+		return false, fmt.Errorf("wire: repl negotiation: %w", err)
 	}
 	if resp.Verb != VerbReplOK {
-		return ReplManifest{}, false, nil
+		return false, nil
 	}
-	m, err := DecodeReplManifest(resp)
-	if err != nil {
-		return ReplManifest{}, false, err
+	if len(resp.Payload) != 0 {
+		return false, fmt.Errorf("wire: repl negotiation: %s carries a payload (leader runs a different build)", VerbReplOK)
 	}
-	return m, true, nil
+	return true, nil
 }

@@ -46,6 +46,7 @@ for target in \
 	FuzzFrameDecode:./internal/wire \
 	FuzzRejectFrameDecode:./internal/wire \
 	FuzzSessionFrames:./internal/session \
+	FuzzFollowerStream:./internal/cluster \
 	FuzzParseXRSL:./internal/xrsl \
 	FuzzParseFilter:./internal/mds \
 	FuzzReplay:./internal/logging \

@@ -13,7 +13,7 @@
 #    its own ratio thresholds (see TestWarmRestartReference).
 # 3. Kill-leader failover through the real binaries. A journaled leader
 #    accepts a mix of terminal and long-running jobs, then dies with
-#    SIGKILL. A -follow -promote standby that has been mirroring the
+#    SIGKILL. A -follow -promote standby that has been replicating the
 #    journal must detect the loss, promote itself, and resubmit every
 #    non-terminal job — zero journaled-job loss. No cmd/ package has a
 #    test, so this is the only place the binaries themselves run.
@@ -102,7 +102,7 @@ s1=$(cli "$leader" submit '&(executable=/bin/sleep)(arguments=60)')
 s2=$(cli "$leader" submit '&(executable=/bin/sleep)(arguments=60)')
 for c in $s1 $s2; do wait_state "$leader" "$c" ACTIVE; done
 for c in $c1 $c2; do wait_state "$leader" "$c" DONE; done
-# Give the live record tail a moment to reach the standby's mirror.
+# Give the live record tail a moment to reach the standby's journal.
 sleep 2
 
 kill -9 "$leaderpid" 2>/dev/null || true
