@@ -529,9 +529,9 @@ func BenchmarkE15_SchedulerBackends(b *testing.B) {
 			b.StopTimer()
 			switch q := backend.(type) {
 			case *scheduler.Queue:
-				b.ReportMetric(q.WaitStats().Mean.Seconds()*1e6, "queueWait-us")
+				b.ReportMetric(q.WaitStats().Mean().Seconds()*1e6, "queueWait-us")
 			case *scheduler.Condor:
-				b.ReportMetric(q.WaitStats().Mean.Seconds()*1e6, "queueWait-us")
+				b.ReportMetric(q.WaitStats().Mean().Seconds()*1e6, "queueWait-us")
 			}
 		})
 	}

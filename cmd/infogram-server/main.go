@@ -63,7 +63,6 @@ func main() {
 		queueTO     = flag.Duration("queue-timeout", 0, "max wait for an inflight slot before shedding (0 = 1s default)")
 		submitBL    = flag.Int("submit-backlog", 0, "refuse job submissions with REJECT while the selected backend holds this many pending tasks (0 disables)")
 		cacheTTL    = flag.Duration("cache-ttl", 0, "enable the sharded response cache: rendered info bodies served zero-copy for up to this long, capped by each covered provider's TTL (0 disables)")
-		cacheShards = flag.Int("cache-shards", 0, "response-cache shard count, rounded up to a power of two (0 = 64)")
 		cacheMaxB   = flag.Int64("cache-max-bytes", 0, "response-cache total byte budget (0 = 256 MiB)")
 		cacheSnap   = flag.Duration("cache-snapshot-interval", time.Minute, "background response-cache snapshot period into -state-dir; restarts restore the snapshot and serve previously cached answers warm (needs -cache-ttl and -state-dir; 0 snapshots only on shutdown)")
 		refreshFrac = flag.Float64("refresh-ahead", 0, "refresh-ahead threshold as a fraction of entry TTL: hot cached answers past it are re-collected in the background so they never expire under load (e.g. 0.8; 0 disables)")
@@ -212,7 +211,6 @@ func main() {
 		QueueTimeout:          *queueTO,
 		SubmitBacklog:         *submitBL,
 		CacheTTL:              *cacheTTL,
-		CacheShards:           *cacheShards,
 		CacheMaxBytes:         *cacheMaxB,
 		CacheStateDir:         *stateDir,
 		CacheSnapshotInterval: *cacheSnap,

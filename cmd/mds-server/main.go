@@ -36,7 +36,6 @@ func main() {
 		traceSample = flag.Float64("trace-sample", 1.0, "fraction of healthy traces to keep (errored and slow traces are always kept; 0 keeps only those)")
 		traceSlow   = flag.Duration("trace-slow", 0, "always keep traces at least this slow (0 disables the slow rule)")
 		cacheTTL    = flag.Duration("cache-ttl", 0, "enable the sharded response cache: rendered LDIF bodies served zero-copy for up to this long, capped by each covered provider's TTL (0 disables)")
-		cacheShards = flag.Int("cache-shards", 0, "response-cache shard count, rounded up to a power of two (0 = 64)")
 		cacheMaxB   = flag.Int64("cache-max-bytes", 0, "response-cache total byte budget (0 = 256 MiB)")
 		stateDir    = flag.String("state-dir", "", "durable cache-state directory: the GRIS (and GIIS) response caches snapshot here and restore warm on restart (needs -cache-ttl; empty = memory only)")
 		cacheSnap   = flag.Duration("cache-snapshot-interval", time.Minute, "background cache snapshot period into -state-dir (0 snapshots only on shutdown)")
@@ -83,7 +82,6 @@ func main() {
 		Trust:            fabric.Trust,
 		Tracer:           tracer,
 		CacheTTL:         *cacheTTL,
-		CacheShards:      *cacheShards,
 		CacheMaxBytes:    *cacheMaxB,
 		RefreshAhead:     *refreshFrac,
 		SnapshotCompress: *snapGzip,
@@ -114,7 +112,6 @@ func main() {
 			Credential:       fabric.Service,
 			Trust:            fabric.Trust,
 			CacheTTL:         *cacheTTL,
-			CacheShards:      *cacheShards,
 			CacheMaxBytes:    *cacheMaxB,
 			RefreshAhead:     *refreshFrac,
 			SnapshotCompress: *snapGzip,

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"infogram/internal/clock"
-	"infogram/internal/metrics"
 	"infogram/internal/quality"
 	"infogram/internal/telemetry"
 )
@@ -95,9 +94,9 @@ type Options struct {
 	// and new value; when Degrade is self-correcting the measurement is
 	// fed back as an observation.
 	Drift func(old, new any) float64
-	// Series optionally records provider execution durations for the
-	// performance tag.
-	Series *metrics.Series
+	// Series optionally records every provider execution's duration,
+	// successful or failed, for the performance tag. Nil is a no-op.
+	Series *telemetry.Histogram
 	// Telemetry optionally attaches service-wide cache counters; see
 	// SetTelemetry. Nil metrics inside are no-ops.
 	Telemetry Counters
@@ -376,10 +375,7 @@ func (e *Entry) get(ctx context.Context, mode Mode, threshold quality.Score) (Re
 
 		start := e.opts.Clock.Now()
 		v, err := e.fn(ctx)
-		elapsed := e.opts.Clock.Since(start)
-		if e.opts.Series != nil {
-			e.opts.Series.Observe(elapsed)
-		}
+		e.opts.Series.Observe(e.opts.Clock.Since(start))
 		e.execs.Add(1)
 
 		e.mu.Lock()

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"infogram/internal/clock"
-	"infogram/internal/metrics"
 	"infogram/internal/quality"
+	"infogram/internal/telemetry"
 )
 
 // counter is an UpdateFunc that counts executions and returns a fresh
@@ -393,7 +393,7 @@ func TestQualityReportedWithoutDegradeIs100(t *testing.T) {
 }
 
 func TestSeriesRecordsUpdateDurations(t *testing.T) {
-	series := &metrics.Series{}
+	series := &telemetry.Histogram{}
 	e := NewEntry(Options{TTL: 0, Series: series}, (&counter{}).fn)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {

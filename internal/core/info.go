@@ -140,9 +140,9 @@ func (e *infoEngine) augmentPerformance(entries []ldif.Entry, reports []provider
 			continue
 		}
 		st := g.AverageUpdateTime()
-		entries[i].Add("performance:mean", fmt.Sprintf("%.6f", st.Mean.Seconds()))
-		entries[i].Add("performance:stddev", fmt.Sprintf("%.6f", st.StdDev.Seconds()))
-		entries[i].Add("performance:samples", strconv.FormatInt(st.Count, 10))
+		entries[i].Add("performance:mean", fmt.Sprintf("%.6f", st.Mean().Seconds()))
+		entries[i].Add("performance:stddev", fmt.Sprintf("%.6f", st.StdDev().Seconds()))
+		entries[i].Add("performance:samples", strconv.FormatUint(st.Count, 10))
 	}
 }
 
@@ -163,8 +163,8 @@ func (e *infoEngine) schemaEntries() []ldif.Entry {
 			entry.Add("degradation", ks.Degradation)
 		}
 		if ks.Performance.Count > 0 {
-			entry.Add("performance:mean", fmt.Sprintf("%.6f", ks.Performance.Mean.Seconds()))
-			entry.Add("performance:stddev", fmt.Sprintf("%.6f", ks.Performance.StdDev.Seconds()))
+			entry.Add("performance:mean", fmt.Sprintf("%.6f", ks.Performance.Mean().Seconds()))
+			entry.Add("performance:stddev", fmt.Sprintf("%.6f", ks.Performance.StdDev().Seconds()))
 		}
 		for _, as := range ks.Attributes {
 			doc := as.Type

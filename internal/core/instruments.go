@@ -2,11 +2,8 @@ package core
 
 import (
 	"strings"
-	"time"
 
-	"infogram/internal/clock"
 	"infogram/internal/gram"
-	"infogram/internal/logging"
 	"infogram/internal/session"
 	"infogram/internal/telemetry"
 	"infogram/internal/wire"
@@ -137,24 +134,4 @@ func (in *instruments) requestLatency(verb string) *telemetry.Histogram {
 		return h
 	}
 	return in.unknownLatency
-}
-
-// span appends a span record to log, tagging it with the trace ID and —
-// when a live span is supplied — the span/parent IDs, so a grep for the
-// trace correlates log records with the stored span tree. A nil log or
-// empty trace drops the record; a nil span leaves the IDs blank.
-func span(log *logging.Logger, clk clock.Clock, trace telemetry.TraceID, sp *telemetry.Span, name, contact string, elapsed time.Duration) {
-	if log == nil || trace == "" {
-		return
-	}
-	_ = log.Append(logging.Record{
-		Time:      clk.Now(),
-		Kind:      logging.KindSpan,
-		Contact:   contact,
-		Trace:     string(trace),
-		Span:      name,
-		SpanID:    sp.ID().String(),
-		ParentID:  sp.Parent().String(),
-		ElapsedUS: elapsed.Microseconds(),
-	})
 }

@@ -37,7 +37,11 @@ func (s *Service) serveRepl(c *wire.Conn) {
 
 	// The follower sends nothing after REPL; a read here returns only
 	// when it disconnects, which unblocks the tap loop below by closing
-	// the tap (Unsubscribe closes its channel).
+	// the tap (Unsubscribe closes its channel). The read therefore waits
+	// without limit — under the server's request timeout it would end a
+	// healthy, quiet stream every timeout. Writes keep that bound, so a
+	// follower that stops reading is still cut off.
+	c.SetReadTimeout(0)
 	go func() {
 		_, _ = c.Read()
 		s.cfg.Journal.Unsubscribe(tap)

@@ -53,7 +53,6 @@ func newRespCache(cfg Config, info *infoEngine) *respCache {
 	rc := &respCache{reg: cfg.Registry, info: info, ttl: cfg.CacheTTL}
 	rc.c = bytecache.NewManaged(bytecache.ManagedOptions{
 		Options: bytecache.Options{
-			Shards:     cfg.CacheShards,
 			MaxBytes:   cfg.CacheMaxBytes,
 			DefaultTTL: cfg.CacheTTL,
 			Clock:      cfg.Clock,

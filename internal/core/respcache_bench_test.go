@@ -30,7 +30,7 @@ func benchRespEngine() (*infoEngine, *respCache) {
 		}, nil
 	}), provider.RegisterOptions{TTL: time.Hour})
 	eng := &infoEngine{resource: "bench.resource", registry: reg}
-	rc := testRespCache(reg, 256, 1<<30, time.Hour, clock.System)
+	rc := testRespCache(reg, 1<<30, time.Hour, clock.System)
 	return eng, rc
 }
 

@@ -38,7 +38,6 @@ func TestResponseCacheServesRepeatQueries(t *testing.T) {
 
 	g := newTestGridConfig(t, reg, nil, func(cfg *core.Config) {
 		cfg.CacheTTL = time.Minute
-		cfg.CacheShards = 8
 	})
 	cl, err := core.Dial(g.addr, g.user, g.trust)
 	if err != nil {

@@ -32,14 +32,14 @@ func respTestRegistry(clk clock.Clock) *provider.Registry {
 
 // testRespCache builds a response cache with refresh-ahead off, which needs
 // no fill engine.
-func testRespCache(reg *provider.Registry, shards int, maxBytes int64, ttl time.Duration, clk clock.Clock) *respCache {
-	return newRespCache(Config{Registry: reg, CacheShards: shards, CacheMaxBytes: maxBytes, CacheTTL: ttl, Clock: clk}, nil)
+func testRespCache(reg *provider.Registry, maxBytes int64, ttl time.Duration, clk clock.Clock) *respCache {
+	return newRespCache(Config{Registry: reg, CacheMaxBytes: maxBytes, CacheTTL: ttl, Clock: clk}, nil)
 }
 
 func TestRespCacheStoreLookup(t *testing.T) {
 	clk := clock.NewFake(time.Unix(5000, 0))
 	reg := respTestRegistry(clk)
-	rc := testRespCache(reg, 4, 1<<20, time.Minute, clk)
+	rc := testRespCache(reg, 1<<20, time.Minute, clk)
 	req := &xrsl.InfoRequest{Keywords: []string{"Memory"}, Filter: "Memory:*"}
 
 	if _, _, ok := rc.lookup(req); ok {
@@ -67,7 +67,7 @@ func TestRespCacheTTLCappedByProviderTTL(t *testing.T) {
 	reg := respTestRegistry(clk)
 	// Cache cap 1 minute, but Memory's provider TTL is 10s: the blob must
 	// expire with its input.
-	rc := testRespCache(reg, 4, 1<<20, time.Minute, clk)
+	rc := testRespCache(reg, 1<<20, time.Minute, clk)
 	req := &xrsl.InfoRequest{Keywords: []string{"Memory"}}
 	rc.store(req, "body", false)
 	clk.Advance(11 * time.Second)
@@ -76,7 +76,7 @@ func TestRespCacheTTLCappedByProviderTTL(t *testing.T) {
 	}
 
 	// CPULoad's TTL (1m) exceeds the cap: capped at the cache TTL.
-	rc2 := testRespCache(reg, 4, 1<<20, 5*time.Second, clk)
+	rc2 := testRespCache(reg, 1<<20, 5*time.Second, clk)
 	req2 := &xrsl.InfoRequest{Keywords: []string{"CPULoad"}}
 	rc2.store(req2, "body", false)
 	clk.Advance(6 * time.Second)
@@ -91,7 +91,7 @@ func TestRespCacheZeroTTLProviderNeverCached(t *testing.T) {
 	reg.Register(provider.NewFuncProvider("Live", func(ctx context.Context) (provider.Attributes, error) {
 		return provider.Attributes{{Name: "v", Value: "x"}}, nil
 	}), provider.RegisterOptions{TTL: 0, Clock: clk})
-	rc := testRespCache(reg, 4, 1<<20, time.Minute, clk)
+	rc := testRespCache(reg, 1<<20, time.Minute, clk)
 
 	req := &xrsl.InfoRequest{Keywords: []string{"Live"}}
 	rc.store(req, "body", false)
@@ -110,7 +110,7 @@ func TestRespCacheNegativeShorterTTL(t *testing.T) {
 	clk := clock.NewFake(time.Unix(5000, 0))
 	reg := respTestRegistry(clk)
 	// Cap 40s → default negative TTL 10s.
-	rc := testRespCache(reg, 4, 1<<20, 40*time.Second, clk)
+	rc := testRespCache(reg, 1<<20, 40*time.Second, clk)
 
 	req := &xrsl.InfoRequest{Keywords: []string{"Ghost"}}
 	rc.storeNegative(req, `provider: unknown keyword "Ghost"`)
@@ -142,7 +142,7 @@ func TestRespCacheNegativeShorterTTL(t *testing.T) {
 func TestRespCacheInvalidatedByRegistryGeneration(t *testing.T) {
 	clk := clock.NewFake(time.Unix(5000, 0))
 	reg := respTestRegistry(clk)
-	rc := testRespCache(reg, 4, 1<<20, time.Minute, clk)
+	rc := testRespCache(reg, 1<<20, time.Minute, clk)
 
 	req := &xrsl.InfoRequest{Keywords: []string{"Ghost"}}
 	rc.storeNegative(req, `provider: unknown keyword "Ghost"`)
@@ -169,7 +169,7 @@ func TestRespCacheInvalidatedByRegistryGeneration(t *testing.T) {
 
 func TestRespCacheNotCacheable(t *testing.T) {
 	clk := clock.NewFake(time.Unix(5000, 0))
-	rc := testRespCache(respTestRegistry(clk), 4, 1<<20, time.Minute, clk)
+	rc := testRespCache(respTestRegistry(clk), 1<<20, time.Minute, clk)
 	cases := []struct {
 		name string
 		req  *xrsl.InfoRequest
@@ -193,7 +193,7 @@ func TestRespCacheNotCacheable(t *testing.T) {
 // from the request, shard lookup, blob alias — at zero heap allocations.
 func TestRespCacheLookupAllocationFree(t *testing.T) {
 	clk := clock.NewFake(time.Unix(5000, 0))
-	rc := testRespCache(respTestRegistry(clk), 8, 1<<20, time.Minute, clk)
+	rc := testRespCache(respTestRegistry(clk), 1<<20, time.Minute, clk)
 	req := &xrsl.InfoRequest{Keywords: []string{"Memory", "CPULoad"}, Filter: "Memory:*"}
 	rc.store(req, "the rendered body", false)
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -223,7 +223,7 @@ func TestRespCacheNegativeTTLFloor(t *testing.T) {
 		{500 * time.Millisecond, 500 * time.Millisecond}, // floor capped at the cache TTL
 	}
 	for _, tc := range cases {
-		rc := testRespCache(reg, 4, 1<<20, tc.ttl, clk)
+		rc := testRespCache(reg, 1<<20, tc.ttl, clk)
 		if got := rc.c.NegTTL(); got != tc.want {
 			t.Errorf("ttl=%v: negTTL = %v; want %v", tc.ttl, got, tc.want)
 		}
@@ -231,7 +231,7 @@ func TestRespCacheNegativeTTLFloor(t *testing.T) {
 
 	// Behavioral check at ttl=2s: before the floor, a negative entry died
 	// after 500ms; it must now survive most of a second.
-	rc := testRespCache(reg, 4, 1<<20, 2*time.Second, clk)
+	rc := testRespCache(reg, 1<<20, 2*time.Second, clk)
 	req := &xrsl.InfoRequest{Keywords: []string{"Ghost"}}
 	rc.storeNegative(req, `provider: unknown keyword "Ghost"`)
 	clk.Advance(900 * time.Millisecond)
@@ -254,7 +254,7 @@ func TestRespCachePersistRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "respcache.snap")
 
 	reg1 := respTestRegistry(clk)
-	rc1 := testRespCache(reg1, 4, 1<<20, time.Minute, clk)
+	rc1 := testRespCache(reg1, 1<<20, time.Minute, clk)
 	req := &xrsl.InfoRequest{Keywords: []string{"Memory"}, Filter: "Memory:*"}
 	negReq := &xrsl.InfoRequest{Keywords: []string{"Ghost"}}
 	rc1.store(req, "warm-body", false)
@@ -273,7 +273,7 @@ func TestRespCachePersistRoundTrip(t *testing.T) {
 	if reg2.Generation() == reg1.Generation() {
 		t.Fatal("test needs distinct registry generations")
 	}
-	rc2 := testRespCache(reg2, 4, 1<<20, time.Minute, clk)
+	rc2 := testRespCache(reg2, 1<<20, time.Minute, clk)
 	st, err := rc2.c.Persister(path, "resp", 0, false).Restore()
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestRespCachePersistRoundTrip(t *testing.T) {
 	// travel in the snapshot, never extended. Memory's 10s provider TTL has
 	// lapsed; the negative entry (15s) is still alive.
 	clk.Advance(11 * time.Second)
-	rc3 := testRespCache(reg2, 4, 1<<20, time.Minute, clk)
+	rc3 := testRespCache(reg2, 1<<20, time.Minute, clk)
 	st, err = rc3.c.Persister(path, "resp", 0, false).Restore()
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ func TestRespCachePersistRoundTrip(t *testing.T) {
 	regOther.Register(provider.NewFuncProvider("Disk", func(ctx context.Context) (provider.Attributes, error) {
 		return provider.Attributes{{Name: "free", Value: "9"}}, nil
 	}), provider.RegisterOptions{TTL: time.Minute, Clock: clk})
-	rcOther := testRespCache(regOther, 4, 1<<20, time.Minute, clk)
+	rcOther := testRespCache(regOther, 1<<20, time.Minute, clk)
 	st, err = rcOther.c.Persister(path, "resp", 0, false).Restore()
 	if !errors.Is(err, bytecache.ErrSnapshotRejected) {
 		t.Fatalf("foreign-registry restore err = %v; want ErrSnapshotRejected", err)
@@ -346,7 +346,7 @@ func TestRespCacheRestoresParentLayoutSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rc := testRespCache(reg, 4, 1<<20, time.Minute, clk)
+	rc := testRespCache(reg, 1<<20, time.Minute, clk)
 	st, err := rc.c.Persister(path, "resp", 0, false).Restore()
 	if err != nil || st.Restored != 1 {
 		t.Fatalf("restore = %+v, %v; want 1 restored", st, err)

@@ -149,9 +149,6 @@ type Config struct {
 	// fill path on miss, preserving §6.2 single-flight and
 	// inter-execution-delay semantics. Zero disables the layer.
 	CacheTTL time.Duration
-	// CacheShards is the response-cache shard count (rounded up to a
-	// power of two); 0 selects bytecache.DefaultShards.
-	CacheShards int
 	// CacheMaxBytes is the response cache's total byte budget; 0 selects
 	// bytecache.DefaultMaxBytes.
 	CacheMaxBytes int64
@@ -275,16 +272,6 @@ func NewService(cfg Config) *Service {
 		// live record feed (repl.go).
 		sc.Repl = s.serveRepl
 	}
-	if cfg.Log != nil {
-		// The legacy "auth" span record. It predates any request, so it —
-		// and every request the tracer does not give a trace of its own —
-		// is logged under a trace ID minted per connection.
-		sc.OnAuth = func(ctx context.Context, _ error, elapsed time.Duration) context.Context {
-			trace := telemetry.NewTraceID()
-			span(s.cfg.Log, s.cfg.Clock, trace, nil, "auth", "", elapsed)
-			return telemetry.WithTrace(ctx, trace)
-		}
-	}
 	s.server = session.NewServer(sc)
 	return s
 }
@@ -374,7 +361,6 @@ func (s *Service) GRIS() *mds.GRIS {
 		Clock:         s.cfg.Clock,
 		Tracer:        s.cfg.Tracer,
 		CacheTTL:      s.cfg.CacheTTL,
-		CacheShards:   s.cfg.CacheShards,
 		CacheMaxBytes: s.cfg.CacheMaxBytes,
 	})
 }
@@ -434,7 +420,6 @@ func (s *Service) dispatch(ctx context.Context, sp *session.Peer, f wire.Frame) 
 	// the histogram exists to reveal.
 	release, reject, admitted := s.admit(f.Verb, peer, root)
 	if !admitted {
-		span(s.cfg.Log, s.cfg.Clock, telemetry.TraceFrom(ctx), root, "reject:"+f.Verb, "", 0)
 		return reject
 	}
 	defer release()
@@ -457,7 +442,6 @@ func (s *Service) dispatch(ctx context.Context, sp *session.Peer, f wire.Frame) 
 	elapsed := s.cfg.Clock.Now().Sub(start)
 	s.instr.requestLatency(f.Verb).ObserveTrace(elapsed, telemetry.TraceFrom(ctx))
 	s.instr.inFlight.Dec()
-	span(s.cfg.Log, s.cfg.Clock, telemetry.TraceFrom(ctx), root, "request:"+f.Verb, "", elapsed)
 	return resp
 }
 
@@ -610,14 +594,12 @@ func (s *Service) evalPart(ctx context.Context, req *xrsl.Request, peer *gsi.Pee
 				return PartResult{Kind: "info", Format: string(req.Info.Format), Body: body}
 			}
 		}
-		start := s.cfg.Clock.Now()
 		ictx, isp := telemetry.StartSpan(ctx, "info.collect")
 		body, empty, degraded, err := s.info.Answer(ictx, req.Info)
 		if err != nil {
 			isp.Fail(err.Error())
 		}
 		isp.End()
-		span(s.cfg.Log, s.cfg.Clock, telemetry.TraceFrom(ctx), isp, "info-collect", "", s.cfg.Clock.Now().Sub(start))
 		if err != nil {
 			// Unknown keywords are deterministic failures: cache the error
 			// text under the negative TTL so repeated bad queries stop

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"infogram/internal/cache"
+	"infogram/internal/clock"
 	"infogram/internal/core"
 	"infogram/internal/gram"
 	"infogram/internal/gsi"
@@ -230,6 +232,50 @@ func TestPerformanceTagAccuracy(t *testing.T) {
 	}
 	if _, ok := res.Entries[0].Get("performance:mean"); ok {
 		t.Error("performance attributes leaked without the tag")
+	}
+}
+
+// The performance tag's numbers are exact: a provider that takes 10, 20
+// and 30 ms on a fake clock reports mean 20 ms and sample σ 10 ms, on the
+// query and on its schema entry alike.
+func TestPerformanceTagExactOnFakeClock(t *testing.T) {
+	clk := clock.NewFake(time.Now())
+	reg := provider.NewRegistry(clk)
+	var calls atomic.Int64
+	reg.Register(provider.NewFuncProvider("Timed", func(ctx context.Context) (provider.Attributes, error) {
+		clk.Advance(time.Duration(calls.Add(1)) * 10 * time.Millisecond)
+		return provider.Attributes{{Name: "v", Value: "x"}}, nil
+	}), provider.RegisterOptions{TTL: 0})
+	g := newTestGrid(t, reg)
+	cl, err := core.Dial(g.addr, g.user, g.trust)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	var res core.InfoResult
+	for i := 0; i < 3; i++ {
+		if res, err = cl.QueryRaw("&(info=Timed)(performance=true)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]string{"performance:mean": "0.020000", "performance:stddev": "0.010000", "performance:samples": "3"}
+	for name, v := range want {
+		if got, _ := res.Entries[0].Get(name); got != v {
+			t.Errorf("%s = %q, want %q", name, got, v)
+		}
+	}
+	schema, err := cl.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"performance:mean", "performance:stddev"} {
+		if got, _ := schema[0].Get(name); got != want[name] {
+			t.Errorf("schema %s = %q, want %q", name, got, want[name])
+		}
+	}
+	if p := reg.Schema()[0].Performance; p.Mean() != 20*time.Millisecond || p.StdDev() != 10*time.Millisecond {
+		t.Errorf("KeywordSchema.Performance mean, σ = %v, %v; want 20ms, 10ms", p.Mean(), p.StdDev())
 	}
 }
 
@@ -716,6 +762,51 @@ func TestRecoverFromLogUndecodableSpecFails(t *testing.T) {
 	st := waitTerminal(t, g, contact)
 	if st.State != job.Failed || !strings.HasPrefix(st.Error, "recovery:") {
 		t.Errorf("status = %+v; want FAILED with a recovery: annotation", st)
+	}
+}
+
+// A log written while the server still logged "span" records restarts the
+// service exactly as the same log without them: the span lines are
+// skipped, the ACTIVE job resumes under its original contact.
+func TestRecoverFromLegacySpanLog(t *testing.T) {
+	raw, err := os.ReadFile("../logging/testdata/legacy-span.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if !strings.Contains(line, `"kind":"span"`) {
+			kept = append(kept, line)
+		}
+	}
+	recoverLog := func(log string) ([]string, gram.StatusReply) {
+		records, err := logging.Replay(strings.NewReader(log))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The logged job ran /bin/sleep on the exec backend; here a func
+		// of that name stands in for it, so recovery runs nothing real.
+		g := newTestGridConfig(t, provider.NewRegistry(nil), nil, func(c *core.Config) {
+			c.Backends = gram.Backends{Exec: c.Backends.Func}
+		})
+		g.fn.RegisterFunc("/bin/sleep", func(ctx context.Context, sb *scheduler.Sandbox, args []string, stdin string) (string, error) {
+			return "slept " + strings.Join(args, " "), nil
+		})
+		resumed, err := g.svc.Recover(records)
+		if err != nil || len(resumed) != 1 {
+			t.Fatalf("Recover = %v, %v; want the one unfinished job", resumed, err)
+		}
+		return resumed, waitTerminal(t, g, resumed[0])
+	}
+	with, withSt := recoverLog(string(raw))
+	without, withoutSt := recoverLog(strings.Join(kept, ""))
+	const contact = "gram://127.0.0.1:21391/2/1792073793665565085"
+	if with[0] != contact || without[0] != contact {
+		t.Errorf("resumed %v with spans, %v without; want %s", with, without, contact)
+	}
+	if withSt.State != job.Done || withSt.Stdout != "slept 30" ||
+		withSt.State != withoutSt.State || withSt.Stdout != withoutSt.Stdout || withSt.Restarts != withoutSt.Restarts {
+		t.Errorf("status %+v with spans, %+v without; want both DONE with \"slept 30\"", withSt, withoutSt)
 	}
 }
 

@@ -53,7 +53,7 @@ func warmBenchSnapshot(tb testing.TB, path string) []*xrsl.InfoRequest {
 	tb.Helper()
 	reg := warmBenchRegistry(warmProviderDelay)
 	eng := &infoEngine{resource: "bench.resource", registry: reg}
-	rc := testRespCache(reg, 64, 64<<20, time.Hour, clock.System)
+	rc := testRespCache(reg, 64<<20, time.Hour, clock.System)
 	reqs := make([]*xrsl.InfoRequest, warmBenchKeys)
 	ctx := context.Background()
 	for i := range reqs {
@@ -80,7 +80,7 @@ func coldFirstAnswer(tb testing.TB, req *xrsl.InfoRequest) time.Duration {
 	tb.Helper()
 	reg := warmBenchRegistry(warmProviderDelay)
 	eng := &infoEngine{resource: "bench.resource", registry: reg}
-	rc := testRespCache(reg, 64, 64<<20, time.Hour, clock.System)
+	rc := testRespCache(reg, 64<<20, time.Hour, clock.System)
 	t0 := time.Now()
 	if _, _, ok := rc.lookup(req); ok {
 		tb.Fatal("cold cache answered from nowhere")
@@ -98,7 +98,7 @@ func coldFirstAnswer(tb testing.TB, req *xrsl.InfoRequest) time.Duration {
 func warmFirstHit(tb testing.TB, path string, req *xrsl.InfoRequest) time.Duration {
 	tb.Helper()
 	reg := warmBenchRegistry(warmProviderDelay)
-	rc := testRespCache(reg, 64, 64<<20, time.Hour, clock.System)
+	rc := testRespCache(reg, 64<<20, time.Hour, clock.System)
 	t0 := time.Now()
 	st, err := rc.c.Persister(path, "resp", 0, false).Restore()
 	if err != nil {
@@ -166,7 +166,7 @@ func newRefreshBench() *refreshBench {
 	}
 	s.eng = &infoEngine{resource: "bench.resource", registry: reg}
 	s.rc = newRespCache(Config{
-		Registry: reg, CacheShards: 64, CacheMaxBytes: 64 << 20, CacheTTL: refreshBenchTTL,
+		Registry: reg, CacheMaxBytes: 64 << 20, CacheTTL: refreshBenchTTL,
 		RefreshAhead: 0.75, RequestTimeout: time.Second,
 	}, s.eng)
 	return s

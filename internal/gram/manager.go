@@ -226,23 +226,7 @@ func (m *Manager) submit(ctx context.Context, req *xrsl.JobRequest, rec job.Reco
 		m.run(jobCtx, rec.Contact, req)
 	}()
 	m.cfg.JobsSpawned.Inc()
-	spawnElapsed := m.cfg.Clock.Now().Sub(now)
-	m.cfg.SpawnLatency.Observe(spawnElapsed)
-	if trace != "" {
-		lr := logging.Record{
-			Time:      m.cfg.Clock.Now(),
-			Kind:      logging.KindSpan,
-			Contact:   rec.Contact,
-			Trace:     string(trace),
-			Span:      "gram-submit",
-			ElapsedUS: spawnElapsed.Microseconds(),
-		}
-		if sp := telemetry.SpanFrom(ctx); sp != nil {
-			lr.SpanID = sp.ID().String()
-			lr.ParentID = sp.Parent().String()
-		}
-		m.logRecord(lr)
-	}
+	m.cfg.SpawnLatency.Observe(m.cfg.Clock.Now().Sub(now))
 	return rec.Contact, nil
 }
 

@@ -40,10 +40,11 @@ func clusterBackends(release <-chan struct{}) gram.Backends {
 	return gram.Backends{Func: fn, Exec: &scheduler.Fork{}}
 }
 
-// startLeader boots a journaled gatekeeper on its own state directory.
-// The standby's service identity is mapped in the gridmap so the REPL
-// connection survives the gatekeeper's identity-mapping gate.
-func startLeader(t *testing.T, d *deployment, release <-chan struct{}) (*core.Service, string) {
+// startLeader boots a journaled gatekeeper on its own state directory,
+// with the given request timeout (0 for none). The standby's service
+// identity is mapped in the gridmap so the REPL connection survives the
+// gatekeeper's identity-mapping gate.
+func startLeader(t *testing.T, d *deployment, release <-chan struct{}, requestTimeout time.Duration) (*core.Service, string) {
 	t.Helper()
 	d.gridmap.Add("/O=Grid/CN=site-service", "standby")
 	jnl, rec, err := journal.Open(journal.Options{Dir: t.TempDir(), SegmentBytes: 2048})
@@ -56,9 +57,10 @@ func startLeader(t *testing.T, d *deployment, release <-chan struct{}) (*core.Se
 	svc := core.NewService(core.Config{
 		ResourceName: "leader-site",
 		Credential:   d.svcCred, Trust: d.trust, Gridmap: d.gridmap,
-		Registry: d.reg,
-		Backends: clusterBackends(release),
-		Journal:  jnl,
+		Registry:       d.reg,
+		Backends:       clusterBackends(release),
+		Journal:        jnl,
+		RequestTimeout: requestTimeout,
 	})
 	addr, err := svc.Listen("127.0.0.1:0")
 	if err != nil {
@@ -138,7 +140,7 @@ func TestFollowerReplayEquivalence(t *testing.T) {
 	d := newDeployment(t)
 	releaseA := make(chan struct{})
 	defer close(releaseA)
-	svcA, addrA := startLeader(t, d, releaseA)
+	svcA, addrA := startLeader(t, d, releaseA, 0)
 	defer svcA.Close()
 	clA, err := core.Dial(addrA, d.user, d.trust)
 	if err != nil {
@@ -259,7 +261,7 @@ func TestKillLeaderPromoteChaos(t *testing.T) {
 	d := newDeployment(t)
 	releaseA := make(chan struct{})
 	defer close(releaseA)
-	svcA, addrA := startLeader(t, d, releaseA)
+	svcA, addrA := startLeader(t, d, releaseA, 0)
 	leaderClosed := false
 	defer func() {
 		if !leaderClosed {
@@ -400,7 +402,7 @@ func TestFollowerIdleLeaderNoResync(t *testing.T) {
 	d := newDeployment(t)
 	release := make(chan struct{})
 	defer close(release)
-	svc, addr := startLeader(t, d, release)
+	svc, addr := startLeader(t, d, release, 0)
 	defer svc.Close()
 	tel := telemetry.NewRegistry()
 	fl := cluster.NewFollower(cluster.FollowerConfig{
@@ -421,5 +423,36 @@ func TestFollowerIdleLeaderNoResync(t *testing.T) {
 	time.Sleep(5 * time.Second)
 	if n := tel.Counter("cluster_follower_resyncs_total", "").Value(); n != 1 {
 		t.Fatalf("cluster_follower_resyncs_total = %d after 5s of leader idleness; want 1", n)
+	}
+}
+
+// TestFollowerOutlivesLeaderRequestTimeout: a leader's request timeout
+// bounds its writes to a follower, not the wait for the follower to hang
+// up, so a quiet follower keeps its one stream across many timeouts.
+func TestFollowerOutlivesLeaderRequestTimeout(t *testing.T) {
+	d := newDeployment(t)
+	release := make(chan struct{})
+	defer close(release)
+	svc, addr := startLeader(t, d, release, 200*time.Millisecond)
+	defer svc.Close()
+	tel := telemetry.NewRegistry()
+	fl := cluster.NewFollower(cluster.FollowerConfig{
+		Leader:      addr,
+		Dir:         t.TempDir(),
+		Credential:  d.svcCred,
+		Trust:       d.trust,
+		DialTimeout: time.Second,
+		Telemetry:   tel,
+	})
+	fl.Start()
+	defer fl.Stop()
+	select {
+	case <-fl.Synced():
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower never synced")
+	}
+	time.Sleep(2 * time.Second)
+	if n := tel.Counter("cluster_follower_resyncs_total", "").Value(); n != 1 {
+		t.Fatalf("cluster_follower_resyncs_total = %d after 2s idle under a 200ms leader request timeout; want 1", n)
 	}
 }

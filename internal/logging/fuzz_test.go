@@ -20,6 +20,8 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte("{\"kind\":\"checkpoint\",\"contact\":\"c1\",\"checkpoint\":\"step=1\"}\n"))
 	f.Add([]byte{0x00, 0xFF, 0x7B, 0x7D, 0x0A})
+	legacy, _ := readLegacySpanLog(f) // span records of an older server
+	f.Add(legacy)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {

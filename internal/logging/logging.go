@@ -42,9 +42,6 @@ const (
 	KindCheckpoint Kind = "checkpoint"
 	// KindServiceStart marks a service (re)start, delimiting recovery.
 	KindServiceStart Kind = "service-start"
-	// KindSpan records one timed span of a traced request (telemetry);
-	// span records are ignored by Recover and Accounting.
-	KindSpan Kind = "span"
 )
 
 // Record is one log line.
@@ -67,18 +64,9 @@ type Record struct {
 	// Checkpoint carries opaque application checkpoint data.
 	Checkpoint string `json:"checkpoint,omitempty"`
 	// Trace is the telemetry trace ID of the request that produced the
-	// record, correlating log lines across one request path.
+	// record, joining the log line to the request's span tree in the
+	// trace store. Empty when the request ran untraced.
 	Trace string `json:"trace,omitempty"`
-	// Span names the timed section for span records ("request:SUBMIT",
-	// "auth", "info-collect", "gram-submit").
-	Span string `json:"span,omitempty"`
-	// SpanID/ParentID are the hex span IDs of the timed section within
-	// the trace's span tree, so a grep for the trace correlates log
-	// records with stored spans. Empty when the section ran untraced.
-	SpanID   string `json:"spanId,omitempty"`
-	ParentID string `json:"parentSpanId,omitempty"`
-	// ElapsedUS is the span duration in microseconds.
-	ElapsedUS int64 `json:"elapsedUs,omitempty"`
 }
 
 // IntPtr adapts a plain exit code to the Record.ExitCode field.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -392,6 +393,65 @@ func TestAccountingCountsRestarts(t *testing.T) {
 	sums := Accounting(recs)
 	if len(sums) != 1 || sums[0].JobsRestart != 1 || sums[0].JobsDone != 1 {
 		t.Errorf("sums = %+v", sums)
+	}
+}
+
+// legacySpanLog was written by a server that also logged a flat "span"
+// record per handshake, request, info collect and job spawn. It holds two
+// info queries, an echo job run to DONE and a sleep job left ACTIVE by the
+// shutdown.
+const legacySpanLog = "testdata/legacy-span.log"
+
+// readLegacySpanLog returns the legacy log and the same log with its span
+// lines removed.
+func readLegacySpanLog(t testing.TB) (withSpans, withoutSpans []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(legacySpanLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if !strings.Contains(line, `"kind":"span"`) {
+			kept = append(kept, line)
+		}
+	}
+	return raw, []byte(strings.Join(kept, ""))
+}
+
+// A log from before span records were dropped still replays: the span
+// lines decode as records of an unknown kind that recovery and accounting
+// skip, so both see exactly what they see without them.
+func TestLegacySpanRecordsReplay(t *testing.T) {
+	raw, stripped := readLegacySpanLog(t)
+	with, err := Replay(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := Replay(bytes.NewReader(stripped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(with) != 24 || len(without) != 10 {
+		t.Fatalf("replayed %d records with spans, %d without; want 24 and 10", len(with), len(without))
+	}
+
+	recovered := Recover(with)
+	if !reflect.DeepEqual(recovered, Recover(without)) {
+		t.Errorf("Recover differs: %+v with spans, %+v without", recovered, Recover(without))
+	}
+	if len(recovered) != 1 || recovered[0].LastState != job.Active ||
+		recovered[0].Spec != "&(executable=/bin/sleep)(arguments=30)" {
+		t.Errorf("recovered %+v; want the ACTIVE sleep job alone", recovered)
+	}
+
+	sums := Accounting(with)
+	if !reflect.DeepEqual(sums, Accounting(without)) {
+		t.Errorf("Accounting differs: %+v with spans, %+v without", sums, Accounting(without))
+	}
+	if len(sums) != 1 || sums[0].JobsSubmit != 2 || sums[0].JobsDone != 1 || sums[0].InfoQueries != 2 ||
+		sums[0].KeywordsSeen["CPULoad"] != 2 || sums[0].KeywordsSeen["Memory"] != 1 {
+		t.Errorf("summaries = %+v", sums)
 	}
 }
 

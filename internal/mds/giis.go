@@ -39,9 +39,8 @@ type GIISConfig struct {
 	// membership change invalidates the lot. Member provider TTLs are not
 	// visible across the wire, so CacheTTL alone bounds staleness here.
 	CacheTTL time.Duration
-	// CacheShards / CacheMaxBytes size the byte cache (0 selects the
-	// bytecache defaults).
-	CacheShards   int
+	// CacheMaxBytes is the byte cache's total budget; 0 selects
+	// bytecache.DefaultMaxBytes.
 	CacheMaxBytes int64
 	// FanoutParallelism bounds concurrent member queries per search; 0
 	// selects defaultFanoutParallelism. Unbounded fan-out would let one
@@ -111,7 +110,6 @@ func NewGIIS(cfg GIISConfig) *GIIS {
 	if cfg.CacheTTL > 0 {
 		g.resp = bytecache.NewManaged(bytecache.ManagedOptions{
 			Options: bytecache.Options{
-				Shards:     cfg.CacheShards,
 				MaxBytes:   cfg.CacheMaxBytes,
 				DefaultTTL: cfg.CacheTTL,
 				Clock:      cfg.Clock,

@@ -60,9 +60,8 @@ type GRISConfig struct {
 	// effective per-entry TTL is capped by the smallest provider TTL among
 	// the keywords a response covers. Zero disables the layer.
 	CacheTTL time.Duration
-	// CacheShards / CacheMaxBytes size the byte cache (0 selects the
-	// bytecache defaults).
-	CacheShards   int
+	// CacheMaxBytes is the byte cache's total budget; 0 selects
+	// bytecache.DefaultMaxBytes.
 	CacheMaxBytes int64
 	// RefreshAhead, when in (0,1) and the cache is enabled, proactively
 	// re-fills hot cached searches once they age past this fraction of
@@ -102,7 +101,6 @@ func NewGRIS(cfg GRISConfig) *GRIS {
 	if cfg.CacheTTL > 0 {
 		g.resp = bytecache.NewManaged(bytecache.ManagedOptions{
 			Options: bytecache.Options{
-				Shards:     cfg.CacheShards,
 				MaxBytes:   cfg.CacheMaxBytes,
 				DefaultTTL: cfg.CacheTTL,
 				Clock:      cfg.Clock,

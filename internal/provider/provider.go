@@ -19,8 +19,8 @@ import (
 
 	"infogram/internal/cache"
 	"infogram/internal/ldif"
-	"infogram/internal/metrics"
 	"infogram/internal/quality"
+	"infogram/internal/telemetry"
 )
 
 // Attr is one attribute produced by a provider.
@@ -113,7 +113,7 @@ type SystemInformation interface {
 	SetDelay(d time.Duration)
 	// Format returns the provider's preferred output format name.
 	Format() string
-	AverageUpdateTime() metrics.Stats
+	AverageUpdateTime() telemetry.HistogramSnapshot
 }
 
 // Registered binds a Provider to its cache entry and statistics; it is the
@@ -121,7 +121,9 @@ type SystemInformation interface {
 type Registered struct {
 	provider Provider
 	entry    *cache.Entry
-	series   *metrics.Series
+	// execTime times every provider execution, successful or failed. It is
+	// private to the keyword and never exported to a telemetry registry.
+	execTime *telemetry.Histogram
 	ttl      time.Duration
 	degrade  quality.Degradation
 	format   string
@@ -144,9 +146,11 @@ func (g *Registered) Format() string { return g.format }
 // SetDelay sets the minimum inter-execution delay.
 func (g *Registered) SetDelay(d time.Duration) { g.entry.SetDelay(d) }
 
-// AverageUpdateTime returns the running execution-time statistics
-// (the paper's getaverageupdatetime, extended with the stddev §6.5 needs).
-func (g *Registered) AverageUpdateTime() metrics.Stats { return g.series.Snapshot() }
+// AverageUpdateTime returns the execution-time statistics (the paper's
+// getaverageupdatetime): Mean, and the StdDev §6.5 needs.
+func (g *Registered) AverageUpdateTime() telemetry.HistogramSnapshot {
+	return g.execTime.Snapshot()
+}
 
 // CacheStats exposes the underlying cache counters for experiments.
 func (g *Registered) CacheStats() cache.Stats { return g.entry.Stats() }

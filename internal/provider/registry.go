@@ -15,7 +15,6 @@ import (
 	"infogram/internal/cache"
 	"infogram/internal/clock"
 	"infogram/internal/faultinject"
-	"infogram/internal/metrics"
 	"infogram/internal/quality"
 	"infogram/internal/telemetry"
 )
@@ -56,7 +55,6 @@ type Registry struct {
 	mu        sync.RWMutex
 	order     []string
 	byKeyword map[string]*Registered
-	catalogue *metrics.Catalogue
 	clk       clock.Clock
 	tel       *telemetry.Registry
 
@@ -117,13 +115,9 @@ func NewRegistry(clk clock.Clock) *Registry {
 	}
 	return &Registry{
 		byKeyword: make(map[string]*Registered),
-		catalogue: metrics.NewCatalogue(),
 		clk:       clk,
 	}
 }
-
-// Catalogue returns the performance catalogue shared by all providers.
-func (r *Registry) Catalogue() *metrics.Catalogue { return r.catalogue }
 
 // SetTelemetry attaches a telemetry registry: every provider's cache entry
 // — already registered or registered later — feeds per-keyword hit, miss,
@@ -171,10 +165,9 @@ func (r *Registry) Register(p Provider, opts RegisterOptions) *Registered {
 	if opts.Format == "" {
 		opts.Format = "ldif"
 	}
-	series := &metrics.Series{}
 	reg := &Registered{
 		provider: p,
-		series:   series,
+		execTime: &telemetry.Histogram{},
 		ttl:      opts.TTL,
 		degrade:  opts.Degrade,
 		format:   opts.Format,
@@ -187,7 +180,7 @@ func (r *Registry) Register(p Provider, opts RegisterOptions) *Registered {
 		Delay:     opts.Delay,
 		Degrade:   opts.Degrade,
 		Drift:     opts.Drift,
-		Series:    series,
+		Series:    reg.execTime,
 		Telemetry: cacheCounters(tel, p.Keyword()),
 		Clock:     opts.Clock,
 	}, func(ctx context.Context) (any, error) {
@@ -457,7 +450,7 @@ type KeywordSchema struct {
 	Attributes  []AttrSchema
 	// Performance is included when the provider has been executed, so
 	// clients can see expected retrieval cost.
-	Performance metrics.Stats
+	Performance telemetry.HistogramSnapshot
 }
 
 // Schema returns the reflection records for all keywords in registration

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"infogram/internal/metrics"
+	"infogram/internal/telemetry"
 )
 
 // Machine is a Condor-style resource advertisement: a named machine with
@@ -24,7 +24,7 @@ type Machine struct {
 // requirement-driven placement.
 type Condor struct {
 	executor Backend
-	waits    *metrics.Series
+	waits    telemetry.Histogram
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -44,7 +44,7 @@ func NewCondor(machines []Machine, exec Backend) *Condor {
 	if exec == nil {
 		exec = &Fork{}
 	}
-	c := &Condor{executor: exec, waits: &metrics.Series{}}
+	c := &Condor{executor: exec}
 	c.cond = sync.NewCond(&c.mu)
 	for _, m := range machines {
 		if m.Slots <= 0 {
@@ -60,7 +60,7 @@ func NewCondor(machines []Machine, exec Backend) *Condor {
 func (*Condor) Name() string { return "condor" }
 
 // WaitStats returns matchmaking-wait statistics.
-func (c *Condor) WaitStats() metrics.Stats { return c.waits.Snapshot() }
+func (c *Condor) WaitStats() telemetry.HistogramSnapshot { return c.waits.Snapshot() }
 
 // Depth returns the number of unmatched tasks.
 func (c *Condor) Depth() int {

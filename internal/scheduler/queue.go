@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"infogram/internal/faultinject"
-	"infogram/internal/metrics"
 	"infogram/internal/telemetry"
 )
 
@@ -91,8 +90,9 @@ type QueueConfig struct {
 	// DepthGauge optionally mirrors the pending-task count into a
 	// telemetry gauge.
 	DepthGauge *telemetry.Gauge
-	// DispatchLatency optionally records queue-wait time (enqueue to
-	// dispatch) per task.
+	// DispatchLatency records queue-wait time (enqueue to dispatch) per
+	// task; WaitStats and the saturation retry-after estimate read it. Nil
+	// selects a private histogram.
 	DispatchLatency *telemetry.Histogram
 }
 
@@ -102,8 +102,7 @@ type QueueConfig struct {
 // free slots according to the policy; queue-wait times are recorded for
 // the E15 experiment.
 type Queue struct {
-	cfg   QueueConfig
-	waits *metrics.Series
+	cfg QueueConfig
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -126,7 +125,10 @@ func NewQueue(cfg QueueConfig) *Queue {
 	if cfg.Name == "" {
 		cfg.Name = "queue"
 	}
-	q := &Queue{cfg: cfg, waits: &metrics.Series{}}
+	if cfg.DispatchLatency == nil {
+		cfg.DispatchLatency = &telemetry.Histogram{}
+	}
+	q := &Queue{cfg: cfg}
 	q.cond = sync.NewCond(&q.mu)
 	go q.dispatch()
 	return q
@@ -139,7 +141,9 @@ func (q *Queue) Name() string { return q.cfg.Name }
 func (q *Queue) PolicyName() string { return q.cfg.Policy.Name() }
 
 // WaitStats returns queue-wait statistics across completed dispatches.
-func (q *Queue) WaitStats() metrics.Stats { return q.waits.Snapshot() }
+func (q *Queue) WaitStats() telemetry.HistogramSnapshot {
+	return q.cfg.DispatchLatency.Snapshot()
+}
 
 // Depth returns the number of pending (not yet running) tasks.
 func (q *Queue) Depth() int {
@@ -220,9 +224,8 @@ func (q *Queue) Submit(ctx context.Context, t Task) (Handle, error) {
 // falling back to a modest constant before any dispatch has completed.
 // It is a hint for REJECT retry-after, not a promise.
 func (q *Queue) drainEstimate(depth int) time.Duration {
-	st := q.waits.Snapshot()
-	est := st.Mean
-	if st.Count == 0 || est <= 0 {
+	est := q.WaitStats().Mean()
+	if est <= 0 {
 		est = 100 * time.Millisecond
 	}
 	est *= time.Duration(1 + depth/q.cfg.Slots)
@@ -295,7 +298,6 @@ func (q *Queue) dispatch() {
 // the queue wait recorded as an attribute.
 func (q *Queue) run(qt *QueuedTask) {
 	wait := time.Since(qt.Enqueued)
-	q.waits.Observe(wait)
 	q.cfg.DispatchLatency.Observe(wait)
 	start := time.Now()
 

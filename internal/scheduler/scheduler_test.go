@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"infogram/internal/telemetry"
 )
 
 func waitRes(t *testing.T, h Handle) Result {
@@ -490,7 +492,8 @@ func TestQueueSlotsBoundConcurrency(t *testing.T) {
 		mu.Unlock()
 		return "", nil
 	})
-	q := NewQueue(QueueConfig{Slots: 2, Executor: fn})
+	lat := &telemetry.Histogram{}
+	q := NewQueue(QueueConfig{Slots: 2, Executor: fn, DispatchLatency: lat})
 	defer q.Close()
 
 	var handles []Handle
@@ -507,8 +510,10 @@ func TestQueueSlotsBoundConcurrency(t *testing.T) {
 	if peak > 2 {
 		t.Errorf("peak concurrency = %d, want <= 2", peak)
 	}
-	if st := q.WaitStats(); st.Count != 8 {
-		t.Errorf("wait samples = %d", st.Count)
+	// One histogram, one observation per wait: WaitStats reads the
+	// caller's DispatchLatency rather than a second copy.
+	if st := q.WaitStats(); st.Count != 8 || st != lat.Snapshot() {
+		t.Errorf("wait samples = %d, DispatchLatency = %d", st.Count, lat.Snapshot().Count)
 	}
 }
 

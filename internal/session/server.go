@@ -120,9 +120,8 @@ type Config struct {
 	// Repl, when set, accepts REPL: it takes over the gated connection,
 	// which closes when it returns. Nil declines like an older peer.
 	Repl func(c *wire.Conn)
-	// OnAuth, when set, is told each handshake's outcome and duration; it
-	// returns the base context of the connection's requests.
-	OnAuth      func(ctx context.Context, err error, elapsed time.Duration) context.Context
+	// Instruments receives the session's telemetry; the zero value
+	// records nothing.
 	Instruments Instruments
 	// Handler answers the protocol's requests. Required.
 	Handler Handler
@@ -165,14 +164,10 @@ func (s *Server) ServeConn(c *wire.Conn) {
 	cancel()
 	elapsed := cfg.Clock.Now().Sub(start)
 	cfg.Instruments.observeAuth(err, elapsed)
-	ctx := context.Background()
-	if cfg.OnAuth != nil {
-		ctx = cfg.OnAuth(ctx, err, elapsed)
-	}
 	if err != nil {
 		return // the handshake already reported AUTH-ERR where possible
 	}
-	cn := &conn{cfg: cfg, c: c, ctx: ctx, peer: Peer{Peer: *peer}, hsStart: start, hsDur: elapsed}
+	cn := &conn{cfg: cfg, c: c, peer: Peer{Peer: *peer}, hsStart: start, hsDur: elapsed}
 	cn.hsPending.Store(true)
 	cn.serve()
 }
@@ -181,7 +176,6 @@ func (s *Server) ServeConn(c *wire.Conn) {
 type conn struct {
 	cfg  *Config
 	c    *wire.Conn
-	ctx  context.Context
 	peer Peer
 
 	// traced and gated are written only by the goroutine reading the
@@ -340,7 +334,7 @@ func (cn *conn) handle(f wire.Frame) wire.Frame {
 // cached query.
 func (cn *conn) joinTrace(f wire.Frame) (context.Context, *telemetry.Span, wire.Frame, error) {
 	cfg := cn.cfg
-	ctx := cn.ctx
+	ctx := context.Background()
 	var root *telemetry.Span
 	if cn.traced {
 		// Join the caller's trace instead of minting one, so multi-hop

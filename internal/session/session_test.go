@@ -32,7 +32,7 @@ func startConn(t testing.TB, cfg Config) (*wire.Conn, <-chan struct{}) {
 	}
 	srv := NewServer(cfg)
 	a, b := net.Pipe()
-	cn := &conn{cfg: &srv.cfg, c: wire.NewConn(a), ctx: context.Background(),
+	cn := &conn{cfg: &srv.cfg, c: wire.NewConn(a),
 		peer: Peer{Peer: gsi.Peer{Subject: "/CN=test", Identity: "/CN=test"}}}
 	done := make(chan struct{})
 	go func() {

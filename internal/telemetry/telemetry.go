@@ -2,11 +2,11 @@
 // registry of counters, gauges, and latency histograms that every tier of
 // the InfoGram stack (wire, core, cache, gsi, scheduler, gram) records
 // into, plus the request trace context threaded through the unified
-// protocol path. Where package metrics keeps the paper's §6.5 per-keyword
-// Welford statistics (the "performance" tag), this package answers the
-// operational questions the MDS performance studies ask of a deployed
-// information service: request rates, latency distributions under load,
-// and per-component breakdowns.
+// protocol path. It answers the operational questions the MDS performance
+// studies ask of a deployed information service — request rates, latency
+// distributions under load, per-component breakdowns — and, because a
+// histogram keeps an exact sum and sum of squares, the paper's §6.5
+// per-keyword mean and standard deviation (the "performance" tag) too.
 //
 // Metric types are nil-safe: calling Inc/Add/Observe on a nil metric is a
 // no-op, so instrumented code needs no "is telemetry enabled" branches.
@@ -24,6 +24,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"sort"
@@ -128,11 +129,25 @@ func bucketIndex(d time.Duration) int {
 }
 
 // histStripe is one shard of a histogram, padded so adjacent stripes do
-// not share cache lines under concurrent writers.
+// not share cache lines under concurrent writers. sumSq holds the float64
+// bits of the sum of squared durations in ns², updated by CAS so Observe
+// stays lock-free.
 type histStripe struct {
 	counts [NumBuckets + 1]atomic.Uint64
 	sumNS  atomic.Int64
-	_      [6]uint64
+	sumSq  atomic.Uint64
+	_      [5]uint64
+}
+
+// addSq adds d² (in ns²) to the stripe's sum of squares.
+func (s *histStripe) addSq(d time.Duration) {
+	sq := float64(d) * float64(d)
+	for {
+		old := s.sumSq.Load()
+		if s.sumSq.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+sq)) {
+			return
+		}
+	}
 }
 
 // Exemplar links one histogram bucket to a concrete trace: the most
@@ -163,6 +178,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	s := &h.stripes[rand.Uint64()&(histStripes-1)]
 	s.counts[bucketIndex(d)].Add(1)
 	s.sumNS.Add(int64(d))
+	s.addSq(d)
 }
 
 // ObserveTrace is Observe plus an exemplar: when trace is non-empty the
@@ -185,6 +201,8 @@ type HistogramSnapshot struct {
 	Count uint64
 	// Sum is the total of all observed durations.
 	Sum time.Duration
+	// SumSq is the total of all squared durations, in ns².
+	SumSq float64
 	// Buckets holds the per-bucket (non-cumulative) counts; index i covers
 	// (BucketBound(i-1), BucketBound(i)], index NumBuckets is overflow.
 	Buckets [NumBuckets + 1]uint64
@@ -199,6 +217,21 @@ func (s HistogramSnapshot) Mean() time.Duration {
 		return 0
 	}
 	return s.Sum / time.Duration(s.Count)
+}
+
+// StdDev returns the sample standard deviation (n−1 denominator), or 0
+// with fewer than two observations. Rounding can push the variance
+// slightly below zero for near-constant data; it is clamped at 0.
+func (s HistogramSnapshot) StdDev() time.Duration {
+	if s.Count < 2 {
+		return 0
+	}
+	n, sum := float64(s.Count), float64(s.Sum)
+	v := (s.SumSq - sum*sum/n) / (n - 1)
+	if v <= 0 {
+		return 0
+	}
+	return time.Duration(math.Round(math.Sqrt(v)))
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
@@ -245,6 +278,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	for i := range h.stripes {
 		st := &h.stripes[i]
 		out.Sum += time.Duration(st.sumNS.Load())
+		out.SumSq += math.Float64frombits(st.sumSq.Load())
 		for b := range st.counts {
 			n := st.counts[b].Load()
 			out.Buckets[b] += n
@@ -302,10 +336,10 @@ type instance struct {
 	h      *Histogram
 }
 
-// Registry holds named metrics. Lookups are idempotent: asking for the
-// same name and labels returns the same metric instance, so registration
-// can happen at instrumentation-setup time and the hot path touch only
-// atomics.
+// Registry holds named counters, gauges and histograms. Lookups are
+// idempotent: asking for the same name and labels returns the same metric
+// instance, so registration can happen at instrumentation-setup time and
+// the hot path touch only atomics.
 type Registry struct {
 	mu       sync.Mutex
 	names    []string

@@ -3,10 +3,12 @@ package telemetry
 import (
 	"bufio"
 	"context"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -92,6 +94,91 @@ func TestHistogramSumAndMean(t *testing.T) {
 	}
 	if snap.Mean() != 2*time.Millisecond {
 		t.Errorf("mean = %v", snap.Mean())
+	}
+
+	// The §6.5 performance tag's σ: 10, 20, 30 ms → sample σ exactly 10 ms.
+	t.Run("stddev", func(t *testing.T) {
+		h := &Histogram{}
+		for _, d := range []time.Duration{10, 20, 30} {
+			h.Observe(d * time.Millisecond)
+		}
+		snap := h.Snapshot()
+		if snap.Mean() != 20*time.Millisecond || snap.StdDev() != 10*time.Millisecond {
+			t.Errorf("mean, σ = %v, %v; want 20ms, 10ms", snap.Mean(), snap.StdDev())
+		}
+	})
+
+	t.Run("single_observation", func(t *testing.T) {
+		if (HistogramSnapshot{}).StdDev() != 0 {
+			t.Error("empty histogram σ must be 0")
+		}
+		one := &Histogram{}
+		one.Observe(time.Second)
+		if one.Snapshot().StdDev() != 0 {
+			t.Error("one-sample σ must be 0")
+		}
+	})
+
+	// Concurrent observers lose no square: every stripe's CAS loop retries
+	// until its add lands, so sum, sum of squares and σ stay exact.
+	t.Run("concurrent", func(t *testing.T) {
+		h := &Histogram{}
+		const workers, per = 8, 500
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					h.Observe(time.Millisecond)
+					h.Observe(3 * time.Millisecond)
+				}
+			}()
+		}
+		wg.Wait()
+		snap := h.Snapshot()
+		n := float64(2 * workers * per)
+		if snap.Count != 2*workers*per || snap.Sum != time.Duration(n)*2*time.Millisecond {
+			t.Fatalf("count, sum = %d, %v", snap.Count, snap.Sum)
+		}
+		if want := n / 2 * (1e12 + 9e12); snap.SumSq != want {
+			t.Errorf("sum of squares = %g ns², want %g", snap.SumSq, want)
+		}
+		// Population σ is 1 ms; the sample σ is √(n/(n−1)) ms.
+		want := time.Duration(math.Round(1e6 * math.Sqrt(n/(n-1))))
+		if snap.StdDev() != want {
+			t.Errorf("σ = %v, want %v", snap.StdDev(), want)
+		}
+	})
+}
+
+// TestHistogramStdDevMatchesNaive checks the one-pass σ against the
+// two-pass formula on random durations.
+func TestHistogramStdDevMatchesNaive(t *testing.T) {
+	prop := func(us []uint32) bool {
+		if len(us) < 2 {
+			return true
+		}
+		h := &Histogram{}
+		var sum float64
+		for _, u := range us {
+			d := time.Duration(u) * time.Microsecond
+			h.Observe(d)
+			sum += float64(d)
+		}
+		n := float64(len(us))
+		mean := sum / n
+		var ss float64
+		for _, u := range us {
+			x := float64(time.Duration(u)*time.Microsecond) - mean
+			ss += x * x
+		}
+		want := math.Sqrt(ss / (n - 1))
+		got := float64(h.Snapshot().StdDev())
+		return math.Abs(got-want) <= math.Max(1, 1e-9*want)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 

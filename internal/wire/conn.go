@@ -31,11 +31,11 @@ type Conn struct {
 
 	callMu sync.Mutex
 
-	// ioTimeout bounds each individual frame read and write, in
-	// nanoseconds. Zero means unbounded (context deadlines, when present,
-	// still apply). Atomic so SetIOTimeout is safe while a reader or
-	// writer goroutine is in flight.
-	ioTimeout atomic.Int64
+	// readTimeout and writeTimeout bound each individual frame read and
+	// write, in nanoseconds. Zero means unbounded (context deadlines, when
+	// present, still apply). Atomic so the setters are safe while a reader
+	// or writer goroutine is in flight.
+	readTimeout, writeTimeout atomic.Int64
 
 	// instr is atomic for the same reason: the server attaches telemetry
 	// while the connection may already be shared.
@@ -102,7 +102,15 @@ func DialTimeout(addr string, d time.Duration) (*Conn, error) {
 // zero removes the bound. The write is atomic, so it is safe while other
 // goroutines are already reading or writing; operations that are already
 // in flight keep the deadline they armed with.
-func (c *Conn) SetIOTimeout(d time.Duration) { c.ioTimeout.Store(int64(d)) }
+func (c *Conn) SetIOTimeout(d time.Duration) {
+	c.readTimeout.Store(int64(d))
+	c.writeTimeout.Store(int64(d))
+}
+
+// SetReadTimeout is SetIOTimeout for the read side alone: writes keep
+// their bound. A reader that only waits for the peer to hang up uses it
+// to wait without limit while its writes stay bounded.
+func (c *Conn) SetReadTimeout(d time.Duration) { c.readTimeout.Store(int64(d)) }
 
 // finNop finishes an operation that armed no deadline and no watcher.
 var finNop = func(err error) error { return err }
@@ -116,7 +124,11 @@ var finNop = func(err error) error { return err }
 // caused by the context back to the context's error.
 func (c *Conn) armDeadline(ctx context.Context, write bool) func(error) error {
 	var dl time.Time
-	if io := time.Duration(c.ioTimeout.Load()); io > 0 {
+	timeout := &c.readTimeout
+	if write {
+		timeout = &c.writeTimeout
+	}
+	if io := time.Duration(timeout.Load()); io > 0 {
 		dl = time.Now().Add(io)
 	}
 	ctxBound := false
