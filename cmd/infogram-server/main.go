@@ -66,7 +66,6 @@ func main() {
 		cacheMaxB   = flag.Int64("cache-max-bytes", 0, "response-cache total byte budget (0 = 256 MiB)")
 		cacheSnap   = flag.Duration("cache-snapshot-interval", time.Minute, "background response-cache snapshot period into -state-dir; restarts restore the snapshot and serve previously cached answers warm (needs -cache-ttl and -state-dir; 0 snapshots only on shutdown)")
 		refreshFrac = flag.Float64("refresh-ahead", 0, "refresh-ahead threshold as a fraction of entry TTL: hot cached answers past it are re-collected in the background so they never expire under load (e.g. 0.8; 0 disables)")
-		snapGzip    = flag.Bool("snapshot-compress", false, "write cache snapshots gzip-compressed; restore reads either layout, so the flag can change between restarts")
 		clusterMem  = flag.String("cluster-members", "", "comma-separated backend gatekeeper addresses: run as a consistent-hash routing proxy over them instead of a gatekeeper")
 		clusterFail = flag.Int("cluster-fail-threshold", 0, "consecutive forward failures that eject a member from routing until a probe readmits it (0 = 3)")
 		clusterPrb  = flag.Duration("cluster-probe-interval", 0, "how often ejected members are pinged for readmission (0 = 2s)")
@@ -214,7 +213,6 @@ func main() {
 		CacheMaxBytes:         *cacheMaxB,
 		CacheStateDir:         *stateDir,
 		CacheSnapshotInterval: *cacheSnap,
-		SnapshotCompress:      *snapGzip,
 		RefreshAhead:          *refreshFrac,
 	})
 	bound, err := svc.Listen(*addr)

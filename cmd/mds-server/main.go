@@ -39,7 +39,6 @@ func main() {
 		cacheMaxB   = flag.Int64("cache-max-bytes", 0, "response-cache total byte budget (0 = 256 MiB)")
 		stateDir    = flag.String("state-dir", "", "durable cache-state directory: the GRIS (and GIIS) response caches snapshot here and restore warm on restart (needs -cache-ttl; empty = memory only)")
 		cacheSnap   = flag.Duration("cache-snapshot-interval", time.Minute, "background cache snapshot period into -state-dir (0 snapshots only on shutdown)")
-		snapGzip    = flag.Bool("snapshot-compress", false, "write cache snapshots gzip-compressed; restore reads either layout, so the flag can change between restarts")
 		refreshFrac = flag.Float64("refresh-ahead", 0, "refresh-ahead threshold as a fraction of -cache-ttl: hot cached searches past it are re-run in the background so they never expire under load (e.g. 0.8; 0 disables)")
 	)
 	flag.Parse()
@@ -76,16 +75,15 @@ func main() {
 	}
 
 	gris := mds.NewGRIS(mds.GRISConfig{
-		ResourceName:     name,
-		Registry:         registry,
-		Credential:       fabric.Service,
-		Trust:            fabric.Trust,
-		Tracer:           tracer,
-		CacheTTL:         *cacheTTL,
-		CacheMaxBytes:    *cacheMaxB,
-		RefreshAhead:     *refreshFrac,
-		SnapshotCompress: *snapGzip,
-		Telemetry:        tel,
+		ResourceName:  name,
+		Registry:      registry,
+		Credential:    fabric.Service,
+		Trust:         fabric.Trust,
+		Tracer:        tracer,
+		CacheTTL:      *cacheTTL,
+		CacheMaxBytes: *cacheMaxB,
+		RefreshAhead:  *refreshFrac,
+		Telemetry:     tel,
 	})
 	if *stateDir != "" {
 		if p := gris.NewPersister(filepath.Join(*stateDir, "gris.snap"), *cacheSnap); p != nil {
@@ -108,14 +106,13 @@ func main() {
 
 	if *giisAddr != "" {
 		giis := mds.NewGIIS(mds.GIISConfig{
-			OrgName:          name,
-			Credential:       fabric.Service,
-			Trust:            fabric.Trust,
-			CacheTTL:         *cacheTTL,
-			CacheMaxBytes:    *cacheMaxB,
-			RefreshAhead:     *refreshFrac,
-			SnapshotCompress: *snapGzip,
-			Telemetry:        tel,
+			OrgName:       name,
+			Credential:    fabric.Service,
+			Trust:         fabric.Trust,
+			CacheTTL:      *cacheTTL,
+			CacheMaxBytes: *cacheMaxB,
+			RefreshAhead:  *refreshFrac,
+			Telemetry:     tel,
 		})
 		giisBound, err := giis.Listen(*giisAddr)
 		if err != nil {

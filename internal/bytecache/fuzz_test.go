@@ -3,6 +3,7 @@ package bytecache
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -43,6 +44,12 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add(managed.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("not a snapshot at all"))
+	// The version-2 (gzip) layout older builds wrote, now a cold start.
+	v2, err := os.ReadFile("testdata/snapshot-v2.bin")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := New(Options{Shards: 1, Clock: clock.NewFake(time.Unix(2000, 0))})

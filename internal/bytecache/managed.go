@@ -313,7 +313,7 @@ func (m *Managed) Close() {
 // another digest and re-stamps every key from the snapshot's generation to
 // the current one (keys of any other generation are orphans and dropped).
 // Returns nil for a nil cache, which every Persister method tolerates.
-func (m *Managed) Persister(path, name string, interval time.Duration, compress bool) *Persister {
+func (m *Managed) Persister(path, name string, interval time.Duration) *Persister {
 	if m == nil {
 		return nil
 	}
@@ -321,7 +321,6 @@ func (m *Managed) Persister(path, name string, interval time.Duration, compress 
 		Path:     path,
 		Interval: interval,
 		Name:     name,
-		Compress: compress,
 		Meta: func() SnapshotMeta {
 			return SnapshotMeta{Generation: m.gen(), Digest: m.digest()}
 		},

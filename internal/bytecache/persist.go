@@ -2,7 +2,6 @@ package bytecache
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,14 +29,10 @@ const (
 	// snapshotMagic opens the header frame.
 	snapshotMagic = "IGBC"
 	// snapshotVersion is bumped when the entry layout changes; a mismatch
-	// reads as a cold start, never a misparse.
+	// reads as a cold start, never a misparse. Older builds could also
+	// write version 2, the same frames behind a gzip stream; it too
+	// restores as a cold start.
 	snapshotVersion = 1
-	// snapshotVersionGzip marks the compressed layout: the header frame is
-	// written plain (so Accept hooks never pay a decompression), and every
-	// entry frame that follows travels through one gzip stream. Restore
-	// handles both versions transparently, so flipping compression on or
-	// off between runs still restores the previous run's snapshot.
-	snapshotVersionGzip = 2
 	// snapshotHeaderLen is magic + version + generation + digest + savedAt.
 	snapshotHeaderLen = 4 + 1 + 8 + 8 + 8
 	// entryHeaderLen is klen + vlen + stored + expire before the bytes.
@@ -92,44 +87,18 @@ type RestoreOptions struct {
 // under the shard lock but written outside it, so a slow disk never stalls
 // the read path.
 func (c *Cache) WriteSnapshot(w io.Writer, meta SnapshotMeta) (int, error) {
-	return c.writeSnapshot(w, meta, false)
-}
-
-// WriteSnapshotGzip is WriteSnapshot in the version-2 layout: the entry
-// frames are gzip-compressed behind the plain header frame. Rendered
-// response bodies are highly repetitive LDIF, so this typically shrinks
-// the file severalfold at the cost of CPU during the snapshot.
-func (c *Cache) WriteSnapshotGzip(w io.Writer, meta SnapshotMeta) (int, error) {
-	return c.writeSnapshot(w, meta, true)
-}
-
-func (c *Cache) writeSnapshot(w io.Writer, meta SnapshotMeta, compress bool) (int, error) {
 	bw := bufio.NewWriterSize(w, 256<<10)
 
-	version := byte(snapshotVersion)
-	if compress {
-		version = snapshotVersionGzip
-	}
 	var frame []byte
 	frame = journal.BeginFrame(frame[:0])
 	frame = append(frame, snapshotMagic...)
-	frame = append(frame, version)
+	frame = append(frame, snapshotVersion)
 	frame = binary.LittleEndian.AppendUint64(frame, meta.Generation)
 	frame = binary.LittleEndian.AppendUint64(frame, meta.Digest)
 	frame = binary.LittleEndian.AppendUint64(frame, uint64(meta.SavedAt))
 	journal.FinishFrame(frame)
 	if _, err := bw.Write(frame); err != nil {
 		return 0, fmt.Errorf("bytecache: snapshot: %w", err)
-	}
-
-	// Entry frames go through the gzip stream when compressing; framing
-	// inside the stream keeps the per-entry CRC story identical, and a
-	// truncated stream still surfaces as a torn tail on restore.
-	var out io.Writer = bw
-	var zw *gzip.Writer
-	if compress {
-		zw = gzip.NewWriter(bw)
-		out = zw
 	}
 
 	entries := 0
@@ -143,16 +112,13 @@ func (c *Cache) writeSnapshot(w io.Writer, meta SnapshotMeta, compress bool) (in
 		frame = append(frame, v.Key...)
 		frame = append(frame, v.Value...)
 		journal.FinishFrame(frame)
-		if _, err := out.Write(frame); err != nil {
+		if _, err := bw.Write(frame); err != nil {
 			werr = err
 			return false
 		}
 		entries++
 		return true
 	})
-	if werr == nil && zw != nil {
-		werr = zw.Close()
-	}
 	if werr == nil {
 		werr = bw.Flush()
 	}
@@ -180,7 +146,7 @@ func (c *Cache) RestoreSnapshot(r io.Reader, opts RestoreOptions) (RestoreStats,
 	if len(header) != snapshotHeaderLen || string(header[:4]) != snapshotMagic {
 		return st, meta, fmt.Errorf("%w: not a cache snapshot", journal.ErrFrameCorrupt)
 	}
-	if header[4] != snapshotVersion && header[4] != snapshotVersionGzip {
+	if header[4] != snapshotVersion {
 		return st, meta, fmt.Errorf("bytecache: restore: snapshot version %d not supported", header[4])
 	}
 	meta.Generation = binary.LittleEndian.Uint64(header[5:])
@@ -188,17 +154,6 @@ func (c *Cache) RestoreSnapshot(r io.Reader, opts RestoreOptions) (RestoreStats,
 	meta.SavedAt = int64(binary.LittleEndian.Uint64(header[21:]))
 	if opts.Accept != nil && !opts.Accept(meta) {
 		return st, meta, ErrSnapshotRejected
-	}
-	if header[4] == snapshotVersionGzip {
-		// The frame reader consumed exactly the header frame's bytes from
-		// br, so the gzip stream starts at br's current position. A file
-		// truncated right after the header reads as a torn (empty) tail.
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			st.Torn = true
-			return st, meta, nil
-		}
-		fr = journal.NewFrameReader(zr, maxSnapshotPayload)
 	}
 
 	now := c.clk.Now().UnixNano()
@@ -281,9 +236,6 @@ type PersistOptions struct {
 	// MapKey is passed through to RestoreSnapshot, built per restore so it
 	// can close over the current generation. Nil keeps keys as-is.
 	MapKey func(snap, current SnapshotMeta) func(key []byte, meta SnapshotMeta) ([]byte, bool)
-	// Compress writes snapshots in the gzip layout. Restore reads either
-	// layout regardless, so the flag can change between runs.
-	Compress bool
 	// Clock defaults to the system clock.
 	Clock clock.Clock
 }
@@ -403,7 +355,7 @@ func (p *Persister) Snapshot() error {
 		p.snapErrs.Inc()
 		return fmt.Errorf("bytecache: snapshot: %w", err)
 	}
-	entries, err := p.c.writeSnapshot(f, meta, p.opts.Compress)
+	entries, err := p.c.WriteSnapshot(f, meta)
 	if err == nil {
 		err = f.Sync()
 	}

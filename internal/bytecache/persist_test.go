@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"infogram/internal/clock"
 	"infogram/internal/journal"
+	"infogram/internal/telemetry"
 )
 
 func snapshotBytes(t *testing.T, c *Cache, meta SnapshotMeta) []byte {
@@ -305,91 +308,49 @@ func TestFrameReaderGuardsSnapshotOversize(t *testing.T) {
 	}
 }
 
-// TestSnapshotGzipRoundTrip: the version-2 layout restores identically to
-// version 1, compresses repetitive bodies, and tolerates a torn tail.
-func TestSnapshotGzipRoundTrip(t *testing.T) {
-	clk := clock.NewFake(time.Unix(1000, 0))
-	src := New(Options{Shards: 4, Clock: clk})
-	for i := 0; i < 100; i++ {
-		val := bytes.Repeat(fmt.Appendf(nil, "attr: value-%03d\n", i), 20)
-		src.Set(fmt.Appendf(nil, "key-%03d", i), val, time.Hour)
-	}
-
-	var plain, packed bytes.Buffer
-	if _, err := src.WriteSnapshot(&plain, SnapshotMeta{Generation: 7, Digest: 42}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := src.WriteSnapshotGzip(&packed, SnapshotMeta{Generation: 7, Digest: 42}); err != nil {
-		t.Fatal(err)
-	}
-	if packed.Len() >= plain.Len()/2 {
-		t.Errorf("gzip snapshot %d bytes vs plain %d — barely compressed", packed.Len(), plain.Len())
-	}
-
-	dst := New(Options{Shards: 8, Clock: clk})
-	st, meta, err := dst.RestoreSnapshot(bytes.NewReader(packed.Bytes()), RestoreOptions{})
+// TestSnapshotVersion2IsColdStart: older builds could write version 2,
+// the entry frames behind a gzip stream. testdata/snapshot-v2.bin is such
+// a file, written by that writer (four live entries, generation 3, digest
+// 9). It restores as one counted cold start — nothing restored, nothing
+// panics, the error is the informational kind every cold start returns —
+// and the next snapshot replaces it with the current layout.
+func TestSnapshotVersion2IsColdStart(t *testing.T) {
+	v2, err := os.ReadFile("testdata/snapshot-v2.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Generation != 7 || meta.Digest != 42 {
-		t.Fatalf("meta = %+v", meta)
-	}
-	if st.Restored != 100 || st.Torn {
-		t.Fatalf("stats = %+v", st)
-	}
-	for i := 0; i < 100; i++ {
-		v, ok := dst.Get(fmt.Appendf(nil, "key-%03d", i))
-		if !ok || !bytes.Equal(v, bytes.Repeat(fmt.Appendf(nil, "attr: value-%03d\n", i), 20)) {
-			t.Fatalf("key %d: got %d bytes, %v", i, len(v), ok)
-		}
-	}
-
-	// A truncated gzip stream restores the intact prefix as a torn tail,
-	// never an error.
-	cut := New(Options{Shards: 2, Clock: clk})
-	st, _, err = cut.RestoreSnapshot(bytes.NewReader(packed.Bytes()[:packed.Len()/2]), RestoreOptions{})
-	if err != nil {
-		t.Fatalf("truncated gzip restore errored: %v", err)
-	}
-	if !st.Torn {
-		t.Error("truncated gzip restore not reported as torn")
-	}
-	if st.Restored >= 100 {
-		t.Errorf("truncated restore claims %d entries", st.Restored)
-	}
-}
-
-// TestSnapshotMixedCompression: a persister restores the other layout's
-// snapshot, so toggling Compress between runs keeps warm restarts.
-func TestSnapshotMixedCompression(t *testing.T) {
 	clk := clock.NewFake(time.Unix(1000, 0))
-	dir := t.TempDir()
-	path := dir + "/mixed.snap"
-
-	src := New(Options{Shards: 2, Clock: clk})
-	src.Set([]byte("k1"), []byte("v1"), time.Hour)
-	src.Set([]byte("k2"), []byte("v2"), time.Hour)
-
-	// Plain writer, compressed-config reader.
-	if err := NewPersister(src, PersistOptions{Path: path, Clock: clk}).Snapshot(); err != nil {
+	path := filepath.Join(t.TempDir(), "resp.snap")
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	warm := New(Options{Shards: 2, Clock: clk})
-	st, err := NewPersister(warm, PersistOptions{Path: path, Compress: true, Clock: clk}).Restore()
-	if err != nil || st.Restored != 2 {
-		t.Fatalf("plain->compressed restore: %+v, %v", st, err)
+	tel := telemetry.NewRegistry()
+	m := NewManaged(ManagedOptions{
+		Options:    Options{Shards: 2, Clock: clk},
+		Generation: func() uint64 { return 3 },
+		Digest:     func() uint64 { return 9 },
+	})
+	p := m.Persister(path, "resp", 0)
+	p.SetTelemetry(tel)
+	st, err := p.Restore()
+	if err == nil || st != (RestoreStats{}) || m.Stats().Entries != 0 {
+		t.Fatalf("version-2 restore = %+v, %v, %d resident; want a cold start", st, err, m.Stats().Entries)
+	}
+	cold := tel.Counter("infogram_cache_restore_cold_total", "", telemetry.Label{Key: "cache", Value: "resp"})
+	if n := cold.Value(); n != 1 {
+		t.Fatalf("restore_cold_total = %d, want 1", n)
 	}
 
-	// Compressed writer, plain-config reader.
-	if err := NewPersister(src, PersistOptions{Path: path, Compress: true, Clock: clk}).Snapshot(); err != nil {
+	m.Set(append(m.AppendGen(nil), "k"...), []byte("v"), time.Hour)
+	if err := p.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	warm2 := New(Options{Shards: 2, Clock: clk})
-	st, err = NewPersister(warm2, PersistOptions{Path: path, Clock: clk}).Restore()
-	if err != nil || st.Restored != 2 {
-		t.Fatalf("compressed->plain restore: %+v, %v", st, err)
-	}
-	if v, ok := warm2.Get([]byte("k2")); !ok || string(v) != "v2" {
-		t.Fatalf("k2 = %q, %v", v, ok)
+	warm := NewManaged(ManagedOptions{
+		Options:    Options{Shards: 2, Clock: clk},
+		Generation: func() uint64 { return 3 },
+		Digest:     func() uint64 { return 9 },
+	})
+	if st, err := warm.Persister(path, "resp", 0).Restore(); err != nil || st.Restored != 1 {
+		t.Fatalf("restore after the rewrite = %+v, %v; want 1 restored", st, err)
 	}
 }

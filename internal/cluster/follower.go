@@ -42,7 +42,7 @@ type FollowerConfig struct {
 	Telemetry *telemetry.Registry
 }
 
-// Follower tails a leader's journal over the REPL capability into a
+// Follower tails a leader's journal over the repl capability into a
 // local journal on Dir. Promotion is deliberately nothing special: stop
 // the tail, then boot a gatekeeper on Dir through the ordinary
 // journal.Open → core.NewService → RecoverJournal path — the same code

@@ -14,8 +14,8 @@ import (
 	"infogram/internal/wire"
 )
 
-// fakeLeader serves REPL with hook, called with the 1-based session
-// number; it owns the connection after the handshake, like
+// fakeLeader serves repl with hook, called with the 1-based session
+// number; it owns the connection after the session's HELLO-OK, like
 // core.serveRepl. The returned config points a follower at it.
 func fakeLeader(t *testing.T, hook func(n int32, c *wire.Conn)) FollowerConfig {
 	t.Helper()
@@ -35,11 +35,7 @@ func fakeLeader(t *testing.T, hook func(n int32, c *wire.Conn)) FollowerConfig {
 		Handler: func(context.Context, *session.Peer, wire.Frame) wire.Frame {
 			return wire.Frame{Verb: "ERROR"}
 		},
-		Repl: func(c *wire.Conn) {
-			if c.Write(wire.Frame{Verb: wire.VerbReplOK}) == nil {
-				hook(sessions.Add(1), c)
-			}
-		},
+		Repl: func(c *wire.Conn) { hook(sessions.Add(1), c) },
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -170,7 +166,9 @@ func TestFollowerSilentLeaderTripsLeaderLost(t *testing.T) {
 // the session with an error, and whatever the sequence, Dir afterwards
 // opens as a journal.
 func FuzzFollowerStream(f *testing.F) {
-	verbs := []string{wire.VerbReplRec, wire.VerbReplLive, wire.VerbReplOK, "X"}
+	// ERROR is what a leader whose journal refuses the subscription sends
+	// in place of the stream.
+	verbs := []string{wire.VerbReplRec, wire.VerbReplLive, "ERROR", "X"}
 	seed := func(frames ...[]byte) []byte {
 		var out []byte
 		for _, fr := range frames {

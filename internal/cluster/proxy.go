@@ -46,8 +46,8 @@ type ProxyConfig struct {
 // The proxy holds no job or cache state of its own; PING is the only
 // verb it answers locally.
 //
-// The proxy runs no tracer, so its session declines TRACE offers and
-// clients fall back exactly as they do against a pre-trace server.
+// The proxy runs no tracer, so its session declines trace and clients
+// fall back exactly as they do against a pre-trace server.
 type Proxy struct {
 	cfg    ProxyConfig
 	server *session.Server

@@ -7,11 +7,9 @@ import (
 	"time"
 
 	"infogram/internal/core"
-	"infogram/internal/gram"
 	"infogram/internal/gsi"
 	"infogram/internal/telemetry"
 	"infogram/internal/wire"
-	"infogram/internal/xrsl"
 )
 
 // ErrNoMembers reports that routing was attempted with every member
@@ -94,12 +92,6 @@ func (r *Router) Close() error {
 	return nil
 }
 
-// Members returns the configured member addresses, sorted.
-func (r *Router) Members() []string { return r.ring.Members() }
-
-// Ejected returns the currently-ejected member set (nil when healthy).
-func (r *Router) Ejected() map[string]bool { return r.health.ejected() }
-
 // owner resolves key to a healthy member, falling back past ejections.
 func (r *Router) owner(key string) (string, error) {
 	rejected := r.health.ejected()
@@ -179,47 +171,7 @@ func (r *Router) forwardTo(ctx context.Context, member string, req wire.Frame, i
 	return resp, err
 }
 
-// Query routes a typed information request by its first keyword.
-func (r *Router) Query(ctx context.Context, req xrsl.InfoRequest) (core.InfoResult, error) {
-	return r.QueryRaw(ctx, req.Encode())
-}
-
-// QueryRaw routes a raw info query by RouteKey.
-func (r *Router) QueryRaw(ctx context.Context, src string) (core.InfoResult, error) {
-	m, err := r.owner(RouteKey(src))
-	if err != nil {
-		return core.InfoResult{}, err
-	}
-	res, qerr := r.pools[m].QueryRaw(ctx, src)
-	r.observe(m, qerr)
-	return res, qerr
-}
-
-// Submit routes a job submission by its source hash; the returned
-// contact embeds the owning member, so subsequent Status/Cancel calls
-// route back to it.
-func (r *Router) Submit(ctx context.Context, src string) (string, error) {
-	m, err := r.owner(RouteKey(src))
-	if err != nil {
-		return "", err
-	}
-	contact, serr := r.pools[m].Submit(ctx, src)
-	r.observe(m, serr)
-	return contact, serr
-}
-
-// Status routes a status poll to the contact's owner.
-func (r *Router) Status(ctx context.Context, contact string) (gram.StatusReply, error) {
-	m, err := r.MemberForContact(contact)
-	if err != nil {
-		return gram.StatusReply{}, err
-	}
-	reply, serr := r.pools[m].Status(ctx, contact)
-	r.observe(m, serr)
-	return reply, serr
-}
-
 // Pool exposes the member's pool (nil for unknown members) so callers
-// with out-of-band needs — the load generator's ring-aware mode, tests —
-// reuse the router's connections.
+// with out-of-band needs — warming a member's connections, tests — reuse
+// the router's connections.
 func (r *Router) Pool(member string) *core.Pool { return r.pools[member] }

@@ -101,12 +101,6 @@ type Options struct {
 	// server), concurrent requests share the one authenticated connection
 	// and responses return by correlation ID; without it they serialize.
 	DisableMux bool
-	// DisableTrace skips the TRACE capability offer, so requests never
-	// carry a trace-context prefix — byte-for-byte the pre-trace
-	// protocol. With trace propagation (the default against a tracing
-	// server), every request carries the caller's trace context and the
-	// server joins the caller's trace instead of minting its own.
-	DisableTrace bool
 }
 
 // Client is the single client an InfoGram deployment needs: one
@@ -145,6 +139,12 @@ func DialClock(addr string, cred *gsi.Credential, trust *gsi.TrustStore, clk clo
 // Connection establishment itself honours the retry policy: transient
 // dial and handshake failures back off and try again.
 func DialWithOptions(addr string, cred *gsi.Credential, trust *gsi.TrustStore, opts Options) (*Client, error) {
+	return dialContext(context.Background(), addr, cred, trust, opts)
+}
+
+// dialContext is DialWithOptions bounded by ctx: every connect attempt
+// runs under it, and its expiry ends the retries.
+func dialContext(ctx context.Context, addr string, cred *gsi.Credential, trust *gsi.TrustStore, opts Options) (*Client, error) {
 	if opts.Clock == nil {
 		opts.Clock = clock.System
 	}
@@ -155,12 +155,12 @@ func DialWithOptions(addr string, cred *gsi.Credential, trust *gsi.TrustStore, o
 	}
 	attempts := opts.Retry.attempts()
 	for attempt := 1; ; attempt++ {
-		sess, err := c.connect()
+		sess, err := c.connect(ctx)
 		if err == nil {
 			c.sess, c.peer = sess, sess.Peer
 			return c, nil
 		}
-		if attempt >= attempts || !isTransient(err) {
+		if attempt >= attempts || !isTransient(err) || ctx.Err() != nil {
 			return nil, err
 		}
 		c.retries.Inc()
@@ -168,18 +168,20 @@ func DialWithOptions(addr string, cred *gsi.Credential, trust *gsi.TrustStore, o
 	}
 }
 
-// connect establishes one fresh session: dial, authenticate, and — unless
-// disabled — offer the trace and mux capabilities. A server that declines
-// an offer leaves the connection in the corresponding legacy mode, so the
-// client interoperates in both directions.
-func (c *Client) connect() (*session.Client, error) {
-	return session.Dial(context.Background(), c.addr, session.DialOptions{
+// connect establishes one fresh session: dial, authenticate, and ask for
+// trace and — unless disabled — mux in one HELLO exchange. With trace
+// granted (by any tracing server) every request carries the caller's
+// trace context and the server joins the caller's trace. Whatever the
+// server declines stays in the legacy mode, so the client interoperates
+// in both directions.
+func (c *Client) connect(ctx context.Context) (*session.Client, error) {
+	return session.Dial(ctx, c.addr, session.DialOptions{
 		Credential:  c.cred,
 		Trust:       c.trust,
 		Clock:       c.clk,
 		DialTimeout: c.opts.DialTimeout,
 		Timeout:     c.opts.RequestTimeout,
-		Trace:       !c.opts.DisableTrace,
+		Trace:       true,
 		Mux:         !c.opts.DisableMux,
 	})
 }
@@ -228,12 +230,12 @@ func (c *Client) dropConn(old *session.Client) {
 	c.mu.Unlock()
 }
 
-// reconnect establishes a session if none is live.
-func (c *Client) reconnect() error {
+// reconnect establishes a session, under ctx, if none is live.
+func (c *Client) reconnect(ctx context.Context) error {
 	if c.current() != nil {
 		return nil
 	}
-	sess, err := c.connect()
+	sess, err := c.connect(ctx)
 	if err != nil {
 		return err
 	}
@@ -266,9 +268,9 @@ func (c *Client) call(parent context.Context, req wire.Frame, idempotent bool) (
 			c.retries.Inc()
 			clock.SleepFor(c.clk, c.opts.Retry.backoff(attempt-1))
 		}
-		if err := c.reconnect(); err != nil {
+		if err := c.reconnect(parent); err != nil {
 			lastErr = err
-			if !isTransient(err) {
+			if !isTransient(err) || parent.Err() != nil {
 				return wire.Frame{}, err
 			}
 			continue
@@ -307,7 +309,7 @@ func (c *Client) call(parent context.Context, req wire.Frame, idempotent bool) (
 		if sess.Broken() {
 			c.dropConn(sess)
 		}
-		if !idempotent || !isTransient(err) {
+		if !idempotent || !isTransient(err) || parent.Err() != nil {
 			return wire.Frame{}, err
 		}
 	}
@@ -622,7 +624,7 @@ func (c *Client) WaitTerminal(ctx context.Context, contact string, poll time.Dur
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
 	for {
-		st, err := c.Status(contact)
+		st, err := c.StatusContext(ctx, contact)
 		if err != nil {
 			return gram.StatusReply{}, err
 		}

@@ -85,7 +85,7 @@ func TestMuxClientConcurrentRequests(t *testing.T) {
 	}
 }
 
-// A seed-era client that never offers MUX must still work against the new
+// A seed-era client that never sends HELLO must still work against the new
 // server: the serial one-frame-in, one-frame-out protocol is unchanged.
 // This speaks the raw wire protocol exactly as the pre-mux client did.
 func TestSerialWireCompatAgainstMuxServer(t *testing.T) {

@@ -149,17 +149,26 @@ func (p *Pool) Checkout(ctx context.Context) (*Client, error) {
 			return entry.client, nil
 		}
 		// Idle long enough that the server may have restarted or cut us
-		// off: verify before handing it to a caller.
-		if entry.client.Ping() == nil {
+		// off: verify before handing it to a caller. The ping and the dial
+		// below run under ctx, so a member that went silent without a
+		// reset cannot hold the caller past its deadline.
+		if entry.client.PingContext(ctx) == nil {
 			return entry.client, nil
 		}
 		entry.client.Close()
 		p.connsOpen.Dec()
+		if err := ctx.Err(); err != nil {
+			<-p.slots
+			return nil, err
+		}
 	}
 
-	client, err := DialWithOptions(p.addr, p.cred, p.trust, p.opts.Client)
+	client, err := dialContext(ctx, p.addr, p.cred, p.trust, p.opts.Client)
 	if err != nil {
 		<-p.slots
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		return nil, err
 	}
 	p.connsOpen.Inc()

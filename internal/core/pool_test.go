@@ -13,7 +13,9 @@ import (
 	"infogram/internal/gsi"
 	"infogram/internal/provider"
 	"infogram/internal/scheduler"
+	"infogram/internal/session"
 	"infogram/internal/telemetry"
+	"infogram/internal/wire"
 )
 
 // waitGoroutines polls until the goroutine count drops back near the
@@ -185,4 +187,70 @@ func TestPoolSurvivesServerRestart(t *testing.T) {
 	if open, _ := pool.Stats(); open != 1 {
 		t.Fatalf("open connections after restart = %d, want 1 (dead conn not evicted)", open)
 	}
+}
+
+// A member that goes silent without a reset (a partition) must not hold a
+// checkout past its context: the health-check ping of an idle connection
+// runs under the caller's context, and so does the dial that replaces it.
+func TestPoolCheckoutHonoursContextOnSilentMember(t *testing.T) {
+	now := time.Now()
+	ca, err := gsi.NewCA("/O=Grid/CN=Test CA", time.Hour, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trust := gsi.NewTrustStore(ca.Certificate())
+	svcCred, _ := ca.IssueIdentity("/O=Grid/CN=service", time.Hour, now)
+	user, _ := ca.IssueIdentity("/O=Grid/CN=alice", time.Hour, now)
+	baseline := runtime.NumGoroutine()
+
+	release := make(chan struct{})
+	srv := session.NewServer(session.Config{
+		Credential: svcCred,
+		Trust:      trust,
+		ErrorVerb:  gram.VerbError,
+		Handler: func(context.Context, *session.Peer, wire.Frame) wire.Frame {
+			<-release // never answers while the test runs
+			return wire.Frame{Verb: gram.VerbPong}
+		},
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := core.NewPool(addr, user, trust, core.PoolOptions{Size: 1, HealthCheckAfter: time.Nanosecond})
+
+	cl, err := pool.Checkout(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Checkin(cl)
+	time.Sleep(time.Millisecond) // idle past HealthCheckAfter
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		cl, err := pool.Checkout(ctx)
+		if err == nil {
+			pool.Checkin(cl)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("Checkout = %v, want context.DeadlineExceeded", err)
+		}
+		close(release)
+	case <-time.After(time.Second):
+		t.Error("Checkout still blocked 1s after a 200ms context")
+		close(release)
+		<-done
+	}
+	if open, _ := pool.Stats(); open != 0 {
+		t.Errorf("open connections after the expired checkout = %d, want 0 (slot not freed)", open)
+	}
+	pool.Close()
+	srv.Close()
+	waitGoroutines(t, baseline)
 }

@@ -7,8 +7,8 @@ import (
 	"infogram/internal/wire"
 )
 
-// Leader-side journal replication: serveRepl answers a follower's REPL
-// offer by streaming the journal's cut — the folded state of every job,
+// Leader-side journal replication: serveRepl serves a follower granted
+// repl by streaming the journal's cut — the folded state of every job,
 // as synthesized records — and then relaying every subsequent append
 // live, with a heartbeat while the journal is idle. The follower half
 // lives in internal/cluster (core cannot import cluster); the protocol
@@ -19,9 +19,9 @@ import (
 // must re-sync — bounding leader memory per follower.
 const replTapBuffer = 1024
 
-// serveRepl is the session's REPL takeover hook: it streams the journal
-// to one follower connection. It owns the connection from REPL-OK on;
-// returning closes it.
+// serveRepl is the session's repl takeover hook: it streams the journal
+// to one follower connection. It owns the connection from the session's
+// HELLO-OK on; returning closes it.
 func (s *Service) serveRepl(c *wire.Conn) {
 	tap, cut, err := s.cfg.Journal.Subscribe(replTapBuffer)
 	if err != nil || tap == nil {
@@ -31,11 +31,8 @@ func (s *Service) serveRepl(c *wire.Conn) {
 	defer s.cfg.Journal.Unsubscribe(tap)
 	s.instr.replFollowers.Inc()
 	defer s.instr.replFollowers.Dec()
-	if err := c.Write(wire.Frame{Verb: wire.VerbReplOK}); err != nil {
-		return
-	}
 
-	// The follower sends nothing after REPL; a read here returns only
+	// The follower sends nothing after HELLO; a read here returns only
 	// when it disconnects, which unblocks the tap loop below by closing
 	// the tap (Unsubscribe closes its channel). The read therefore waits
 	// without limit — under the server's request timeout it would end a

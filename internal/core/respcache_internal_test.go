@@ -259,7 +259,7 @@ func TestRespCachePersistRoundTrip(t *testing.T) {
 	negReq := &xrsl.InfoRequest{Keywords: []string{"Ghost"}}
 	rc1.store(req, "warm-body", false)
 	rc1.storeNegative(negReq, `provider: unknown keyword "Ghost"`)
-	if err := rc1.c.Persister(path, "resp", 0, false).Snapshot(); err != nil {
+	if err := rc1.c.Persister(path, "resp", 0).Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -274,7 +274,7 @@ func TestRespCachePersistRoundTrip(t *testing.T) {
 		t.Fatal("test needs distinct registry generations")
 	}
 	rc2 := testRespCache(reg2, 1<<20, time.Minute, clk)
-	st, err := rc2.c.Persister(path, "resp", 0, false).Restore()
+	st, err := rc2.c.Persister(path, "resp", 0).Restore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestRespCachePersistRoundTrip(t *testing.T) {
 	// lapsed; the negative entry (15s) is still alive.
 	clk.Advance(11 * time.Second)
 	rc3 := testRespCache(reg2, 1<<20, time.Minute, clk)
-	st, err = rc3.c.Persister(path, "resp", 0, false).Restore()
+	st, err = rc3.c.Persister(path, "resp", 0).Restore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestRespCachePersistRoundTrip(t *testing.T) {
 		return provider.Attributes{{Name: "free", Value: "9"}}, nil
 	}), provider.RegisterOptions{TTL: time.Minute, Clock: clk})
 	rcOther := testRespCache(regOther, 1<<20, time.Minute, clk)
-	st, err = rcOther.c.Persister(path, "resp", 0, false).Restore()
+	st, err = rcOther.c.Persister(path, "resp", 0).Restore()
 	if !errors.Is(err, bytecache.ErrSnapshotRejected) {
 		t.Fatalf("foreign-registry restore err = %v; want ErrSnapshotRejected", err)
 	}
@@ -347,7 +347,7 @@ func TestRespCacheRestoresParentLayoutSnapshot(t *testing.T) {
 	}
 
 	rc := testRespCache(reg, 1<<20, time.Minute, clk)
-	st, err := rc.c.Persister(path, "resp", 0, false).Restore()
+	st, err := rc.c.Persister(path, "resp", 0).Restore()
 	if err != nil || st.Restored != 1 {
 		t.Fatalf("restore = %+v, %v; want 1 restored", st, err)
 	}

@@ -182,8 +182,8 @@ func TestProviderFailureIsIsolated(t *testing.T) {
 }
 
 // An identity with a valid certificate and no gridmap entry gets the
-// gatekeeper's reason, not a negotiation failure: the gate runs after the
-// TRACE and MUX exchanges, so Dial succeeds and the first request carries
+// gatekeeper's reason, not a negotiation failure: a HELLO for trace and
+// mux does not run the gate, so Dial succeeds and the first request carries
 // the refusal — a protocol answer the client does not retry.
 func TestGatekeeperErrorSurvivesNegotiation(t *testing.T) {
 	g := newTestGrid(t, provider.NewRegistry(nil))

@@ -92,9 +92,8 @@ type Config struct {
 	// TraceOptions configures the tracer built when Tracer is nil
 	// (sample rate, slow-trace threshold, store capacity).
 	TraceOptions telemetry.TracerOptions
-	// DisableTracing turns span recording and TRACE negotiation off
-	// entirely; the server then declines TRACE offers like a pre-trace
-	// peer.
+	// DisableTracing turns span recording and the trace capability off
+	// entirely; the server then declines trace like a pre-trace peer.
 	DisableTracing bool
 	// Clock defaults to the system clock.
 	Clock clock.Clock
@@ -165,10 +164,6 @@ type Config struct {
 	// snapshots; 0 snapshots only at Close (a clean shutdown still
 	// restarts warm, a kill does not).
 	CacheSnapshotInterval time.Duration
-	// SnapshotCompress writes cache snapshots gzip-compressed. Restore
-	// reads both layouts, so the flag can change between restarts without
-	// losing the warm start.
-	SnapshotCompress bool
 	// RefreshAhead, when in (0,1), proactively re-fills hot cache entries
 	// once that fraction of their TTL has elapsed: a bounded worker pool
 	// re-executes the provider collect + render through the single-flight
@@ -250,7 +245,7 @@ func NewService(cfg Config) *Service {
 			// Listen, so the first request already hits warm.
 			s.persist = s.resp.c.Persister(
 				filepath.Join(cfg.CacheStateDir, "respcache.snap"), "resp",
-				cfg.CacheSnapshotInterval, cfg.SnapshotCompress)
+				cfg.CacheSnapshotInterval)
 			s.persist.SetTelemetry(cfg.Telemetry)
 			_, _ = s.persist.Restore() // every failure mode is a cold start
 			s.persist.Start()
@@ -268,7 +263,7 @@ func NewService(cfg Config) *Service {
 		Handler:     s.dispatch,
 	}
 	if cfg.Journal != nil {
-		// A journaled leader accepts REPL and ships its history plus a
+		// A journaled leader grants repl and ships its history plus a
 		// live record feed (repl.go).
 		sc.Repl = s.serveRepl
 	}

@@ -71,8 +71,8 @@ type Config struct {
 	Clock clock.Clock
 	// Env provides server-side RSL substitution variables.
 	Env rsl.Env
-	// Tracer, when set, records a span tree per request and accepts the
-	// TRACE capability so clients can propagate their trace context.
+	// Tracer, when set, records a span tree per request and grants the
+	// trace capability so clients can propagate their trace context.
 	Tracer *telemetry.Tracer
 }
 

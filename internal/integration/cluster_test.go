@@ -1,6 +1,6 @@
 // Cluster failover suite: the hot-standby acceptance scenarios. A
 // journaled leader gatekeeper streams its write-ahead journal to a
-// follower over the REPL capability; the follower's local journal must
+// follower over the repl capability; the follower's local journal must
 // boot an equivalent gatekeeper — terminal jobs answer
 // STATUS with their recorded output under their original contacts, and
 // in-flight jobs are resubmitted, so a promotion loses no journaled job.
@@ -42,7 +42,7 @@ func clusterBackends(release <-chan struct{}) gram.Backends {
 
 // startLeader boots a journaled gatekeeper on its own state directory,
 // with the given request timeout (0 for none). The standby's service
-// identity is mapped in the gridmap so the REPL connection survives the
+// identity is mapped in the gridmap so the repl connection survives the
 // gatekeeper's identity-mapping gate.
 func startLeader(t *testing.T, d *deployment, release <-chan struct{}, requestTimeout time.Duration) (*core.Service, string) {
 	t.Helper()

@@ -18,9 +18,13 @@ import (
 
 	"infogram/internal/core"
 	"infogram/internal/faultinject"
+	"infogram/internal/gram"
 	"infogram/internal/journal"
+	"infogram/internal/ldif"
 	"infogram/internal/provider"
+	"infogram/internal/session"
 	"infogram/internal/telemetry"
+	"infogram/internal/wire"
 )
 
 // startTracedInfoGram starts an InfoGram service with a write-ahead
@@ -353,29 +357,33 @@ func TestTraceChaos(t *testing.T) {
 	}
 }
 
-// Interop in both directions: a trace-disabled client against a tracing
-// server speaks byte-for-byte the old protocol (the server then mints
-// server-local traces), and a tracing client against a trace-disabled
-// server takes the ERROR decline and sends unprefixed frames.
+// Interop in both directions: a client that asks for no capability
+// against a tracing server speaks byte-for-byte the old protocol (the
+// server then mints server-local traces), and a tracing client against a
+// trace-disabled server is granted no trace and sends unprefixed frames.
 func TestTraceOldPeerInterop(t *testing.T) {
 	d := newDeployment(t)
 
 	// New server, old client.
 	addr, _ := startTracedInfoGram(t, d)
-	oldClient, err := core.DialWithOptions(addr, d.user, d.trust, core.Options{DisableTrace: true})
+	oldClient, err := session.Dial(context.Background(), addr, session.DialOptions{Credential: d.user, Trust: d.trust})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer oldClient.Close()
-	res, err := oldClient.QueryRaw("&(info=CPULoad)")
+	resp, err := oldClient.Call(context.Background(), wire.Frame{Verb: gram.VerbSubmit, Payload: []byte("&(info=CPULoad)")})
 	if err != nil {
 		t.Fatalf("old client against tracing server: %v", err)
 	}
-	if v, _ := res.Entries[0].Get("CPULoad:load1"); v != "2" {
-		t.Fatalf("old-client reply corrupted: %v", res.Entries)
+	entries, err := ldif.Unmarshal(string(resp.Payload))
+	if err != nil || resp.Verb != core.VerbResultLDIF || len(entries) == 0 {
+		t.Fatalf("old-client reply %s: %v", resp, err)
+	}
+	if v, _ := entries[0].Get("CPULoad:load1"); v != "2" {
+		t.Fatalf("old-client reply corrupted: %v", entries)
 	}
 
-	// Old server (tracing disabled), new client: TRACE is declined and
+	// Old server (tracing disabled), new client: trace is declined and
 	// requests flow unprefixed.
 	d2 := newDeployment(t)
 	svc2 := core.NewService(core.Config{

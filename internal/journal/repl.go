@@ -3,7 +3,7 @@ package journal
 import "encoding/json"
 
 // Wire replication support: a follower gatekeeper tails this journal
-// over the REPL capability (internal/core serves it, internal/cluster
+// over the repl capability (internal/core serves it, internal/cluster
 // consumes it). Replication ships records, never files: Subscribe cuts
 // the folded state of every job into synthesized entries and registers
 // a live tap in the same critical section, so the cut and the record

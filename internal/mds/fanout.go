@@ -19,9 +19,10 @@ import (
 // one detection path for both tiers.
 
 const (
-	// defaultFanoutParallelism bounds concurrent member queries when
-	// GIISConfig.FanoutParallelism is zero.
-	defaultFanoutParallelism = 8
+	// fanoutParallelism bounds concurrent member queries per search.
+	// Unbounded fan-out would let one search against a large federation
+	// spawn a goroutine and a connection per registrant.
+	fanoutParallelism = 8
 	// defaultMemberTimeout bounds one member query (dial + handshake +
 	// call) when GIISConfig.MemberTimeout is zero.
 	defaultMemberTimeout = 5 * time.Second
@@ -67,13 +68,7 @@ func (g *GIIS) scatter(ctx context.Context, members []string, req SearchRequest)
 	if len(members) == 0 {
 		return nil
 	}
-	par := g.cfg.FanoutParallelism
-	if par <= 0 {
-		par = defaultFanoutParallelism
-	}
-	if par > len(members) {
-		par = len(members)
-	}
+	par := min(fanoutParallelism, len(members))
 	results := make([]memberResult, len(members))
 	var next atomic.Int64
 	var wg sync.WaitGroup

@@ -42,11 +42,6 @@ type GIISConfig struct {
 	// CacheMaxBytes is the byte cache's total budget; 0 selects
 	// bytecache.DefaultMaxBytes.
 	CacheMaxBytes int64
-	// FanoutParallelism bounds concurrent member queries per search; 0
-	// selects defaultFanoutParallelism. Unbounded fan-out would let one
-	// search against a large federation spawn a goroutine and a connection
-	// per registrant.
-	FanoutParallelism int
 	// MemberTimeout bounds each member query (dial, handshake, and call);
 	// 0 selects defaultMemberTimeout. A member that exceeds it is reported
 	// in the degraded status entry instead of stalling the whole search.
@@ -56,9 +51,6 @@ type GIISConfig struct {
 	// CacheTTL, so a steady-state hot aggregate query never pays the
 	// member fan-out on a request. Zero disables the pool.
 	RefreshAhead float64
-	// SnapshotCompress writes cache snapshots gzip-compressed; restore
-	// reads both layouts regardless.
-	SnapshotCompress bool
 	// Telemetry, when set together with CacheTTL, receives the byte
 	// cache's counters and per-shard occupancy series.
 	Telemetry *telemetry.Registry

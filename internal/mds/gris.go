@@ -68,9 +68,6 @@ type GRISConfig struct {
 	// their TTL, so a steady-state hot filter never pays a provider
 	// collection on a request. Zero disables the pool.
 	RefreshAhead float64
-	// SnapshotCompress writes cache snapshots gzip-compressed; restore
-	// reads both layouts regardless.
-	SnapshotCompress bool
 	// Telemetry, when set together with CacheTTL, receives the byte
 	// cache's counters and per-shard occupancy series.
 	Telemetry *telemetry.Registry

@@ -34,7 +34,7 @@ func membershipDigest(members []string) uint64 {
 // returns nil when the cache is disabled. Call Restore before serving,
 // Start for the background loop, Close on shutdown.
 func (g *GRIS) NewPersister(path string, interval time.Duration) *bytecache.Persister {
-	return g.resp.Persister(path, "gris", interval, g.cfg.SnapshotCompress)
+	return g.resp.Persister(path, "gris", interval)
 }
 
 // NewPersister wires the GIIS aggregate cache's snapshot lifecycle, or
@@ -43,5 +43,5 @@ func (g *GRIS) NewPersister(path string, interval time.Duration) *bytecache.Pers
 // members BEFORE calling Restore — mds-server registers the -member flags
 // first — or the digest comes up empty and every snapshot is refused.
 func (g *GIIS) NewPersister(path string, interval time.Duration) *bytecache.Persister {
-	return g.resp.Persister(path, "giis", interval, g.cfg.SnapshotCompress)
+	return g.resp.Persister(path, "giis", interval)
 }

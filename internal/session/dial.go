@@ -23,31 +23,30 @@ type DialOptions struct {
 	// write, so a peer that accepts and goes silent cannot hang a later
 	// call. Zero means unbounded.
 	DialTimeout time.Duration
-	// Timeout bounds the handshake and each capability exchange. Zero
+	// Timeout bounds the handshake and the capability exchange. Zero
 	// leaves them to ctx.
 	Timeout time.Duration
-	// Trace, Mux and Repl name the capabilities to offer after the
-	// handshake, one round trip each; a server that declines (an older
-	// one answers ERROR) leaves the connection in the legacy mode. TRACE
-	// goes before MUX because the demultiplexer takes over the read side;
-	// REPL makes the connection a one-way stream, so MUX is not offered
-	// with it.
+	// Trace, Mux and Repl name the capabilities to ask for in the one
+	// HELLO exchange after the handshake; whatever the server declines
+	// (an older one answers ERROR) stays in the legacy mode. Asking for
+	// none sends no HELLO. Repl makes the connection a one-way stream, so
+	// Mux is not asked for with it.
 	Trace, Mux, Repl bool
 }
 
 // Client is the dial side of an established session: one authenticated
-// connection and the capabilities the server accepted on it.
+// connection and the capabilities the server granted on it.
 type Client struct {
 	Conn *wire.Conn
 	// Peer is the authenticated server identity.
 	Peer *gsi.Peer
-	// Mux is non-nil when the server accepted MUX; it owns Conn's read
+	// Mux is non-nil when the server granted mux; it owns Conn's read
 	// side and concurrent Calls share the connection out of order.
 	Mux *wire.MuxConn
-	// Traced reports that the server accepted TRACE: Call prefixes every
+	// Traced reports that the server granted trace: Call prefixes every
 	// request with the caller's trace context.
 	Traced bool
-	// Repl reports that the server accepted REPL: the record stream
+	// Repl reports that the server granted repl: the record stream
 	// follows on Conn.
 	Repl bool
 }
@@ -88,32 +87,26 @@ func (cl *Client) establish(ctx context.Context, o DialOptions) error {
 		return err
 	}
 	cl.Peer = peer
+	var want wire.Caps
 	if o.Trace {
-		sctx, cancel := bound()
-		cl.Traced, err = wire.NegotiateTrace(sctx, cl.Conn)
-		cancel()
-		if err != nil {
-			return err
-		}
+		want |= wire.CapTrace
 	}
 	switch {
 	case o.Repl:
-		sctx, cancel := bound()
-		cl.Repl, err = wire.NegotiateRepl(sctx, cl.Conn)
-		cancel()
-		if err != nil {
-			return err
-		}
+		want |= wire.CapRepl
 	case o.Mux:
-		sctx, cancel := bound()
-		accepted, err := wire.NegotiateMux(sctx, cl.Conn)
-		cancel()
-		if err != nil {
-			return err
-		}
-		if accepted {
-			cl.Mux = wire.NewMuxConn(cl.Conn)
-		}
+		want |= wire.CapMux
+	}
+	sctx, cancel = bound()
+	granted, err := wire.Negotiate(sctx, cl.Conn, want)
+	cancel()
+	if err != nil {
+		return err
+	}
+	cl.Traced = granted&wire.CapTrace != 0
+	cl.Repl = granted&wire.CapRepl != 0
+	if granted&wire.CapMux != 0 {
+		cl.Mux = wire.NewMuxConn(cl.Conn)
 	}
 	return nil
 }

@@ -6,9 +6,9 @@
 // compute, not in how they hold a connection (paper §4, Figures 2 and 4).
 //
 // The accept side runs, per connection: I/O timeout, deadline-bounded GSI
-// handshake, capability negotiation (TRACE, MUX, REPL — one round trip
-// each, ERROR means declined), the once-per-connection identity gate, then
-// the serial read loop or, after MUX, the bounded concurrent one.
+// handshake, capability negotiation (one HELLO exchange for trace, mux and
+// repl; ERROR means declined), the once-per-connection identity gate, then
+// the serial read loop or, after mux, the bounded concurrent one.
 package session
 
 import (
@@ -108,17 +108,18 @@ type Config struct {
 	// carry it, and a handler response carrying it fails the root span.
 	ErrorVerb string
 	// Gate, when set, maps the authenticated identity to a local account.
-	// It runs once per connection, after capability negotiation and
-	// before the first request is handled; a refusal answers that request
-	// with "gatekeeper: <reason>" and closes the connection.
+	// It runs once per connection, before the first request is handled or
+	// repl is granted — a HELLO for trace or mux alone does not run it; a
+	// refusal answers that frame with "gatekeeper: <reason>" and closes
+	// the connection.
 	Gate func(identity string) (local string, err error)
-	// Tracer, when set, accepts TRACE and roots a span tree per request —
+	// Tracer, when set, grants trace and roots a span tree per request —
 	// joined to the caller's trace on a negotiated connection,
 	// server-local otherwise; the connection's first adopts the handshake
-	// as a child span. Nil declines TRACE like a pre-trace peer.
+	// as a child span. Nil declines trace like a pre-trace peer.
 	Tracer *telemetry.Tracer
-	// Repl, when set, accepts REPL: it takes over the gated connection,
-	// which closes when it returns. Nil declines like an older peer.
+	// Repl, when set, grants repl: after HELLO-OK it takes over the gated
+	// connection, which closes when it returns. Nil declines repl.
 	Repl func(c *wire.Conn)
 	// Instruments receives the session's telemetry; the zero value
 	// records nothing.
@@ -196,8 +197,9 @@ func (cn *conn) errorFrame(msg string) wire.Frame {
 
 // serve is the post-handshake loop. It starts strictly serial — read one
 // frame, answer it — the seed-era wire contract, so peers that never
-// heard of a capability work unchanged. Capability offers are answered in
-// whatever order they arrive and never reach the handler.
+// heard of a capability work unchanged. A HELLO on the serial loop is
+// answered here and never reaches the handler; granting mux or repl hands
+// the connection over for good.
 func (cn *conn) serve() {
 	for {
 		f, err := cn.c.Read()
@@ -205,34 +207,39 @@ func (cn *conn) serve() {
 			return
 		}
 		switch f.Verb {
-		case wire.VerbTrace:
-			resp := wire.Frame{Verb: wire.VerbTraceOK}
-			if cn.cfg.Tracer == nil {
-				resp = cn.errorFrame("session: tracing not enabled")
-			}
-			if err := cn.c.Write(resp); err != nil {
-				return
-			}
-			cn.traced = cn.cfg.Tracer != nil
-		case wire.VerbMux:
-			if err := cn.c.Write(wire.Frame{Verb: wire.VerbMuxOK}); err != nil {
-				return
-			}
-			cn.serveMux()
-			return
-		case wire.VerbRepl:
-			if cn.cfg.Repl == nil {
-				if err := cn.c.Write(cn.errorFrame("session: replication not offered")); err != nil {
+		case wire.VerbHello:
+			want := wire.ParseCaps(f.Payload)
+			if want&(wire.CapMux|wire.CapRepl) == wire.CapMux|wire.CapRepl {
+				if err := cn.c.Write(cn.errorFrame("session: mux and repl are exclusive")); err != nil {
 					return
 				}
 				continue
 			}
-			if refusal, ok := cn.gate(); !ok {
-				_ = cn.c.Write(refusal)
+			granted := want
+			if cn.cfg.Tracer == nil {
+				granted &^= wire.CapTrace
+			}
+			if cn.cfg.Repl == nil {
+				granted &^= wire.CapRepl
+			}
+			if granted&wire.CapRepl != 0 {
+				if refusal, ok := cn.gate(); !ok {
+					_ = cn.c.Write(refusal)
+					return
+				}
+			}
+			if err := cn.c.Write(wire.Frame{Verb: wire.VerbHelloOK, Payload: granted.Tokens()}); err != nil {
 				return
 			}
-			cn.cfg.Repl(cn.c)
-			return
+			cn.traced = granted&wire.CapTrace != 0
+			switch {
+			case granted&wire.CapMux != 0:
+				cn.serveMux()
+				return
+			case granted&wire.CapRepl != 0:
+				cn.cfg.Repl(cn.c)
+				return
+			}
 		default:
 			if refusal, ok := cn.gate(); !ok {
 				_ = cn.c.Write(refusal)

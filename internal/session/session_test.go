@@ -60,68 +60,157 @@ func wantVerb(t *testing.T, f wire.Frame, verb string) {
 	}
 }
 
+// hello sends one HELLO asking for caps and returns the answer.
+func hello(t *testing.T, c *wire.Conn, caps string) wire.Frame {
+	t.Helper()
+	return call(t, c, wire.VerbHello, caps)
+}
+
+// wantGranted checks a HELLO answer: HELLO-OK listing granted, or the
+// error verb when granted is "ERROR".
+func wantGranted(t *testing.T, f wire.Frame, granted string) {
+	t.Helper()
+	if granted == "ERROR" {
+		wantVerb(t, f, "ERROR")
+		return
+	}
+	if f.Verb != wire.VerbHelloOK || string(f.Payload) != granted {
+		t.Fatalf("got %s %q, want %s %q", f.Verb, f.Payload, wire.VerbHelloOK, granted)
+	}
+}
+
 func TestCapabilityFramesInAnyOrder(t *testing.T) {
 	tracer := telemetry.NewTracer(telemetry.TracerOptions{})
 	tc := wire.TraceContext{Trace: telemetry.NewTraceID(), Sampled: true}
 	ping := wire.Frame{Verb: "PING", Payload: []byte("hi")}
-
-	t.Run("trace twice", func(t *testing.T) {
-		c, _ := startConn(t, Config{Tracer: tracer})
-		wantVerb(t, call(t, c, wire.VerbTrace, ""), wire.VerbTraceOK)
-		wantVerb(t, call(t, c, wire.VerbTrace, ""), wire.VerbTraceOK)
-		resp, err := c.Call(wire.EncodeTraceCtx(tc, ping))
-		if err != nil || resp.Verb != "ECHO-PING" || string(resp.Payload) != "hi" {
-			t.Fatalf("traced request: %s, %v", resp, err)
-		}
-	})
-	t.Run("trace declined without a tracer", func(t *testing.T) {
-		c, _ := startConn(t, Config{})
-		wantVerb(t, call(t, c, wire.VerbTrace, ""), "ERROR")
-		// Declined: requests stay unprefixed.
+	stream := func(c *wire.Conn) { _ = c.WriteString(wire.VerbReplRec, "{}") }
+	// unknownVerb answers like every real handler does to a verb it does
+	// not know.
+	unknownVerb := func(_ context.Context, _ *Peer, f wire.Frame) wire.Frame {
+		return wire.Frame{Verb: "ERROR", Payload: []byte("unknown verb " + f.Verb)}
+	}
+	serialPing := func(t *testing.T, c *wire.Conn, _ <-chan struct{}) {
 		wantVerb(t, call(t, c, "PING", "hi"), "ECHO-PING")
-	})
-	t.Run("repl without a hook", func(t *testing.T) {
-		c, _ := startConn(t, Config{})
-		wantVerb(t, call(t, c, wire.VerbRepl, ""), "ERROR")
-		wantVerb(t, call(t, c, "PING", ""), "ECHO-PING")
-	})
-	t.Run("repl hook takes over", func(t *testing.T) {
-		c, done := startConn(t, Config{Repl: func(c *wire.Conn) { _ = c.WriteString(wire.VerbReplOK, "{}") }})
-		wantVerb(t, call(t, c, wire.VerbRepl, ""), wire.VerbReplOK)
-		<-done // the session ends when the hook returns
-	})
-	t.Run("trace then mux", func(t *testing.T) {
-		c, _ := startConn(t, Config{Tracer: tracer})
-		wantVerb(t, call(t, c, wire.VerbTrace, ""), wire.VerbTraceOK)
-		wantVerb(t, call(t, c, wire.VerbMux, ""), wire.VerbMuxOK)
-		resp, err := c.Call(wire.EncodeMux(7, wire.EncodeTraceCtx(tc, ping)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, inner, err := wire.DecodeMux(resp)
-		if err != nil || id != 7 || inner.Verb != "ECHO-PING" || string(inner.Payload) != "hi" {
-			t.Fatalf("mux'd traced request: id %d %s, %v", id, inner, err)
-		}
-	})
-	t.Run("mux then trace", func(t *testing.T) {
-		// After MUX-OK every frame is a correlated request: a TRACE offer
-		// is no longer negotiation and reaches the handler like any verb.
-		c, _ := startConn(t, Config{Tracer: tracer})
-		wantVerb(t, call(t, c, wire.VerbMux, ""), wire.VerbMuxOK)
-		resp, err := c.Call(wire.EncodeMux(1, wire.Frame{Verb: wire.VerbTrace}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, inner, _ := wire.DecodeMux(resp); inner.Verb != "ECHO-TRACE" {
-			t.Fatalf("got %s", inner)
-		}
-	})
+	}
+
+	for _, tt := range []struct {
+		name string
+		cfg  Config
+		// hellos are the HELLO payloads sent in turn on the serial loop;
+		// granted the answers: HELLO-OK's payload, or "ERROR".
+		hellos, granted []string
+		// gateRuns is how often the identity gate ran during negotiation.
+		gateRuns int32
+		// then drives the connection afterwards.
+		then func(t *testing.T, c *wire.Conn, done <-chan struct{})
+	}{{
+		name:   "trace twice",
+		cfg:    Config{Tracer: tracer},
+		hellos: []string{"trace", "trace"}, granted: []string{"trace", "trace"},
+		then: func(t *testing.T, c *wire.Conn, _ <-chan struct{}) {
+			resp, err := c.Call(wire.EncodeTraceCtx(tc, ping))
+			if err != nil || resp.Verb != "ECHO-PING" || string(resp.Payload) != "hi" {
+				t.Fatalf("traced request: %s, %v", resp, err)
+			}
+		},
+	}, {
+		// Declined: requests stay unprefixed.
+		name:   "trace declined without a tracer",
+		hellos: []string{"trace"}, granted: []string{""},
+		then: serialPing,
+	}, {
+		name:   "repl without a hook",
+		hellos: []string{"repl"}, granted: []string{""},
+		then: serialPing,
+	}, {
+		name:   "repl hook takes over",
+		cfg:    Config{Tracer: tracer, Repl: stream},
+		hellos: []string{"trace repl"}, granted: []string{"trace repl"},
+		gateRuns: 1,
+		then: func(t *testing.T, c *wire.Conn, done <-chan struct{}) {
+			if f, err := c.Read(); err != nil || f.Verb != wire.VerbReplRec {
+				t.Fatalf("stream frame: %s, %v", f, err)
+			}
+			<-done // the session ends when the hook returns
+		},
+	}, {
+		name:   "trace then mux",
+		cfg:    Config{Tracer: tracer, Repl: stream},
+		hellos: []string{"trace mux"}, granted: []string{"trace mux"},
+		then: func(t *testing.T, c *wire.Conn, _ <-chan struct{}) {
+			resp, err := c.Call(wire.EncodeMux(7, wire.EncodeTraceCtx(tc, ping)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, inner, err := wire.DecodeMux(resp)
+			if err != nil || id != 7 || inner.Verb != "ECHO-PING" || string(inner.Payload) != "hi" {
+				t.Fatalf("mux'd traced request: id %d %s, %v", id, inner, err)
+			}
+		},
+	}, {
+		// After mux is granted every frame is a correlated request: a
+		// HELLO is no longer negotiation and reaches the handler like any
+		// verb.
+		name:   "mux then trace",
+		cfg:    Config{Tracer: tracer},
+		hellos: []string{"mux"}, granted: []string{"mux"},
+		then: func(t *testing.T, c *wire.Conn, _ <-chan struct{}) {
+			resp, err := c.Call(wire.EncodeMux(1, wire.Frame{Verb: wire.VerbHello, Payload: []byte("trace")}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, inner, _ := wire.DecodeMux(resp); inner.Verb != "ECHO-HELLO" || string(inner.Payload) != "trace" {
+				t.Fatalf("got %s", inner)
+			}
+		},
+	}, {
+		name:   "unknown tokens are ignored",
+		cfg:    Config{Tracer: tracer},
+		hellos: []string{"zstd trace window=4"}, granted: []string{"trace"},
+		then: func(t *testing.T, c *wire.Conn, _ <-chan struct{}) {
+			wantVerb(t, call(t, c, "PING", ""), "ERROR") // traced: the prefix is owed
+		},
+	}, {
+		// repl is a one-way stream; mux needs request/response. Refused,
+		// the connection stays serial and may ask again.
+		name:   "mux and repl together are refused",
+		cfg:    Config{Tracer: tracer, Repl: func(*wire.Conn) { t.Error("repl hook ran for a refused HELLO") }},
+		hellos: []string{"mux repl", "trace mux repl", ""}, granted: []string{"ERROR", "ERROR", ""},
+		then: serialPing,
+	}, {
+		// An older client's offers are ordinary unknown verbs now: the
+		// handler declines them and the connection stays serial.
+		name: "legacy offers reach the handler",
+		cfg:  Config{Tracer: tracer, Repl: stream, Handler: unknownVerb},
+		then: func(t *testing.T, c *wire.Conn, _ <-chan struct{}) {
+			for _, verb := range []string{"TRACE", "MUX", "REPL"} {
+				resp := call(t, c, verb, "")
+				if resp.Verb != "ERROR" || string(resp.Payload) != "unknown verb "+verb {
+					t.Fatalf("%s: got %s, want the handler's ERROR", verb, resp)
+				}
+			}
+			wantGranted(t, hello(t, c, "mux"), "mux")
+		},
+	}} {
+		t.Run(tt.name, func(t *testing.T) {
+			var gateRuns atomic.Int32
+			tt.cfg.Gate = func(id string) (string, error) { gateRuns.Add(1); return id, nil }
+			c, done := startConn(t, tt.cfg)
+			for i, caps := range tt.hellos {
+				wantGranted(t, hello(t, c, caps), tt.granted[i])
+			}
+			if n := gateRuns.Load(); n != tt.gateRuns {
+				t.Fatalf("gate ran %d times during negotiation, want %d", n, tt.gateRuns)
+			}
+			tt.then(t, c, done)
+		})
+	}
 }
 
 func TestMuxMalformedCorrelationDropsConnection(t *testing.T) {
 	frameErrs := telemetry.NewRegistry().Counter("frame_errors", "")
 	c, done := startConn(t, Config{Instruments: Instruments{Conn: wire.ConnInstruments{FrameErrors: frameErrs}}})
-	wantVerb(t, call(t, c, wire.VerbMux, ""), wire.VerbMuxOK)
+	wantGranted(t, hello(t, c, "mux"), "mux")
 	if _, err := c.Call(wire.Frame{Verb: "PING", Payload: []byte("no-id")}); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("uncorrelated frame on a mux'd connection: %v, want the connection dropped", err)
 	}
@@ -145,7 +234,7 @@ func TestMuxDispatchNeverExceedsBound(t *testing.T) {
 		running.Add(-1)
 		return echo(ctx, p, f)
 	}})
-	wantVerb(t, call(t, c, wire.VerbMux, ""), wire.VerbMuxOK)
+	wantGranted(t, hello(t, c, "mux"), "mux")
 	for id := uint64(1); id <= bound; id++ {
 		if err := c.Write(wire.EncodeMux(id, wire.Frame{Verb: "PING"})); err != nil {
 			t.Fatal(err)
@@ -189,13 +278,13 @@ func TestZeroLengthPayload(t *testing.T) {
 		// A frame that owes a trace prefix and has none is answered with
 		// an error; the connection stays up.
 		c, _ := startConn(t, Config{Tracer: tracer})
-		wantVerb(t, call(t, c, wire.VerbTrace, ""), wire.VerbTraceOK)
+		wantGranted(t, hello(t, c, "trace"), "trace")
 		wantVerb(t, call(t, c, "PING", ""), "ERROR")
-		wantVerb(t, call(t, c, wire.VerbTrace, ""), wire.VerbTraceOK)
+		wantGranted(t, hello(t, c, "trace"), "trace")
 	})
 	t.Run("mux", func(t *testing.T) {
 		c, done := startConn(t, Config{})
-		wantVerb(t, call(t, c, wire.VerbMux, ""), wire.VerbMuxOK)
+		wantGranted(t, hello(t, c, "mux"), "mux")
 		_ = c.Write(wire.Frame{Verb: "PING"})
 		<-done
 	})
@@ -212,7 +301,7 @@ func TestGateRunsOnceAfterNegotiation(t *testing.T) {
 	t.Run("allowed", func(t *testing.T) {
 		calls.Store(0)
 		c, _ := startConn(t, Config{Gate: allow, Handler: local})
-		wantVerb(t, call(t, c, wire.VerbTrace, ""), "ERROR") // negotiation does not need the gate
+		wantGranted(t, hello(t, c, "trace"), "") // negotiation does not need the gate
 		if calls.Load() != 0 {
 			t.Fatal("gate ran during negotiation")
 		}
@@ -227,7 +316,7 @@ func TestGateRunsOnceAfterNegotiation(t *testing.T) {
 	})
 	t.Run("refused serial", func(t *testing.T) {
 		c, done := startConn(t, Config{Gate: deny, Handler: local})
-		wantVerb(t, call(t, c, wire.VerbTrace, ""), "ERROR")
+		wantGranted(t, hello(t, c, "trace"), "")
 		resp := call(t, c, "PING", "")
 		if resp.Verb != "ERROR" || !strings.HasPrefix(string(resp.Payload), "gatekeeper: ") {
 			t.Fatalf("first request: %s, want the gatekeeper refusal", resp)
@@ -236,7 +325,7 @@ func TestGateRunsOnceAfterNegotiation(t *testing.T) {
 	})
 	t.Run("refused mux", func(t *testing.T) {
 		c, done := startConn(t, Config{Gate: deny, Handler: local})
-		wantVerb(t, call(t, c, wire.VerbMux, ""), wire.VerbMuxOK)
+		wantGranted(t, hello(t, c, "mux"), "mux")
 		resp := call(t, c, "PING", "9 ")
 		id, inner, err := wire.DecodeMux(resp)
 		if err != nil || id != 9 || inner.Verb != "ERROR" || !strings.HasPrefix(string(inner.Payload), "gatekeeper: ") {
@@ -245,8 +334,11 @@ func TestGateRunsOnceAfterNegotiation(t *testing.T) {
 		<-done
 	})
 	t.Run("refused repl", func(t *testing.T) {
-		c, done := startConn(t, Config{Gate: deny, Repl: func(*wire.Conn) { t.Error("REPL hook ran for a refused identity") }})
-		wantVerb(t, call(t, c, wire.VerbRepl, ""), "ERROR")
+		c, done := startConn(t, Config{Gate: deny, Repl: func(*wire.Conn) { t.Error("repl hook ran for a refused identity") }})
+		resp := hello(t, c, "repl")
+		if resp.Verb != "ERROR" || !strings.HasPrefix(string(resp.Payload), "gatekeeper: ") {
+			t.Fatalf("HELLO repl: %s, want the gatekeeper refusal", resp)
+		}
 		<-done
 	})
 }
@@ -255,12 +347,22 @@ func TestGateRunsOnceAfterNegotiation(t *testing.T) {
 // session: it must never panic, must end when the peer disconnects, and
 // must not leave a handler running behind it.
 func FuzzSessionFrames(f *testing.F) {
-	verbs := []string{"PING", "SUBMIT", wire.VerbTrace, wire.VerbMux, wire.VerbRepl, "X"}
-	f.Add([]byte{0, 0})
-	f.Add([]byte{2, 0, 0, 2, '1', ' '})                                          // TRACE, then an unprefixed request
-	f.Add([]byte{3, 0, 0, 2, '1', ' ', 1, 0})                                    // MUX, a correlated request, an uncorrelated one
-	f.Add([]byte{2, 0, 3, 0, 1, 9, '4', ' ', 'a', ' ', '0', ' ', '1', ' ', 'x'}) // TRACE, MUX, traced mux request
-	f.Add([]byte{4, 0, 0, 0})                                                    // REPL takeover
+	verbs := []string{"PING", "SUBMIT", wire.VerbHello, "X"}
+	// seed concatenates (verb index, payload) frames.
+	seed := func(frames ...string) []byte {
+		var out []byte
+		for _, fr := range frames {
+			out = append(out, fr[0], byte(len(fr)-1))
+			out = append(out, fr[1:]...)
+		}
+		return out
+	}
+	f.Add(seed("\x00"))
+	f.Add(seed("\x02trace", "\x001 "))                    // trace, then an unprefixed request
+	f.Add(seed("\x02mux", "\x001 ", "\x01"))              // mux, a correlated request, an uncorrelated one
+	f.Add(seed("\x02trace mux", "\x014 a 0 1 x"))         // trace and mux, a traced mux request
+	f.Add(seed("\x02repl", "\x00"))                       // repl takeover
+	f.Add(seed("\x02mux repl", "\x02zstd trace", "\x00")) // refused, unknown token, untraced request
 	tracer := telemetry.NewTracer(telemetry.TracerOptions{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var running atomic.Int32

@@ -11,27 +11,17 @@ import (
 	"infogram/internal/faultinject"
 )
 
-// Multiplexing rides on top of the frame layout as an opt-in capability
-// negotiated after the GSI handshake. A peer that wants out-of-order
-// request/response correlation sends a MUX frame; a mux-aware server
-// answers MUX-OK and from then on every frame on the connection — both
-// directions — carries a decimal correlation ID prefixed to its payload:
+// Multiplexing rides on top of the frame layout as the "mux" capability
+// of the HELLO exchange (hello.go). Once a mux-aware server has granted
+// it, every frame on the connection — both directions — carries a decimal
+// correlation ID prefixed to its payload:
 //
 //	VERB SP DECIMAL-LENGTH LF DECIMAL-ID SP payload-bytes
 //
 // The verb grammar and frame header are untouched, so mux'd traffic flows
 // through the same transport code path (deadlines, instrumentation,
-// failpoints) as serial traffic, and a peer that never sends MUX keeps
-// today's strictly serial framing — wire compatibility is preserved in
-// both directions: an old client never negotiates, and an old server
-// answers the MUX frame with ERROR, which the new client takes as
-// "declined" and falls back to serial calls.
-const (
-	// VerbMux offers multiplexed mode (client → server, after handshake).
-	VerbMux = "MUX"
-	// VerbMuxOK accepts the offer; every subsequent frame is mux-framed.
-	VerbMuxOK = "MUX-OK"
-)
+// failpoints) as serial traffic, and a peer that never asks for mux, or a
+// server that declines it, keeps strictly serial framing.
 
 // ErrMuxSyntax reports a frame that should carry a correlation ID but
 // does not.
@@ -70,19 +60,6 @@ func DecodeMux(f Frame) (uint64, Frame, error) {
 	return id, Frame{Verb: f.Verb, Payload: f.Payload[sp+1:]}, nil
 }
 
-// NegotiateMux offers mux mode on a freshly authenticated client
-// connection. It returns true when the server accepted (all subsequent
-// traffic must be mux-framed), false when the peer declined — a pre-mux
-// server answers with ERROR, which is a decline, not a failure. Transport
-// errors are returned as errors.
-func NegotiateMux(ctx context.Context, conn *Conn) (bool, error) {
-	resp, err := conn.CallContext(ctx, Frame{Verb: VerbMux})
-	if err != nil {
-		return false, fmt.Errorf("wire: mux negotiation: %w", err)
-	}
-	return resp.Verb == VerbMuxOK, nil
-}
-
 // muxResult is one correlated response (or the call's failure).
 type muxResult struct {
 	f   Frame
@@ -103,8 +80,8 @@ type MuxConn struct {
 	err   error
 }
 
-// NewMuxConn starts demultiplexing conn. The caller must already have
-// negotiated mux mode (NegotiateMux); after this call the MuxConn owns
+// NewMuxConn starts demultiplexing conn. The server must already have
+// granted CapMux (Negotiate); after this call the MuxConn owns
 // the connection's read side. Any per-operation I/O timeout is cleared:
 // the reader must be allowed to block on an idle connection, and each
 // call's context bounds its own wait instead.

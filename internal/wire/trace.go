@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -10,30 +9,18 @@ import (
 )
 
 // Trace propagation rides on the frame layout exactly like multiplexing:
-// an opt-in capability negotiated after the GSI handshake. A client that
-// wants its trace context to cross the wire sends a TRACE frame; a
-// trace-aware server answers TRACE-OK and from then on every request
-// frame (client → server) carries the trace context prefixed to its
-// payload:
+// the "trace" capability of the HELLO exchange (hello.go). Once a
+// trace-aware server has granted it, every request frame (client →
+// server) carries the trace context prefixed to its payload:
 //
 //	VERB SP DECIMAL-LENGTH LF TRACEID SP PARENT-HEX SP SAMPLED SP payload
 //
 // Responses are never prefixed. On a multiplexed connection the trace
 // prefix sits inside the mux inner frame (after the correlation ID), so
 // the two capabilities compose. The verb grammar and frame header are
-// untouched and the prefix only appears after a successful negotiation,
-// so wire compatibility is preserved in both directions: an old client
-// never negotiates, and an old server answers the TRACE frame with
-// ERROR, which the new client takes as "declined" and sends unprefixed
+// untouched and the prefix only appears after the server granted it, so
+// a client that never asks, or a server that declines, keeps unprefixed
 // frames.
-const (
-	// VerbTrace offers trace propagation (client → server, after
-	// handshake and before MUX).
-	VerbTrace = "TRACE"
-	// VerbTraceOK accepts the offer; every subsequent request frame
-	// carries a trace-context prefix.
-	VerbTraceOK = "TRACE-OK"
-)
 
 // ErrTraceSyntax reports a frame that should carry a trace-context
 // prefix but does not.
@@ -49,7 +36,7 @@ type TraceContext struct {
 }
 
 // EncodeTraceCtx prefixes f's payload with the trace context, producing
-// the frame that actually crosses the wire after TRACE negotiation.
+// the frame that actually crosses the wire once trace is granted.
 func EncodeTraceCtx(tc TraceContext, f Frame) Frame {
 	p := make([]byte, 0, len(tc.Trace)+21+len(f.Payload))
 	p = append(p, tc.Trace...)
@@ -96,17 +83,4 @@ func DecodeTraceCtx(f Frame) (TraceContext, Frame, error) {
 	}
 	tc := TraceContext{Trace: trace, Parent: telemetry.SpanID(parent), Sampled: sampled}
 	return tc, Frame{Verb: f.Verb, Payload: f.Payload[idx[2]+1:]}, nil
-}
-
-// NegotiateTrace offers trace propagation on a freshly authenticated
-// client connection. It returns true when the server accepted (every
-// subsequent request frame must carry a trace-context prefix), false
-// when the peer declined — a pre-trace server answers with ERROR, which
-// is a decline, not a failure. Transport errors are returned as errors.
-func NegotiateTrace(ctx context.Context, conn *Conn) (bool, error) {
-	resp, err := conn.CallContext(ctx, Frame{Verb: VerbTrace})
-	if err != nil {
-		return false, fmt.Errorf("wire: trace negotiation: %w", err)
-	}
-	return resp.Verb == VerbTraceOK, nil
 }

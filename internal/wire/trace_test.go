@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"context"
 	"errors"
-	"net"
 	"testing"
 
 	"infogram/internal/telemetry"
@@ -54,75 +52,5 @@ func TestDecodeTraceCtxRejectsMalformed(t *testing.T) {
 		if _, _, err := DecodeTraceCtx(Frame{Verb: "PING", Payload: []byte(payload)}); !errors.Is(err, ErrTraceSyntax) {
 			t.Errorf("payload %q: err = %v, want ErrTraceSyntax", payload, err)
 		}
-	}
-}
-
-// tracePair dials a TCP pair and runs handler on the accepting side.
-func tracePair(t *testing.T, handler func(c *Conn)) *Conn {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		nc, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer nc.Close()
-		handler(NewConn(nc))
-	}()
-	nc, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn := NewConn(nc)
-	t.Cleanup(func() {
-		conn.Close()
-		<-done
-	})
-	return conn
-}
-
-func TestNegotiateTraceAccepted(t *testing.T) {
-	conn := tracePair(t, func(c *Conn) {
-		f, err := c.Read()
-		if err != nil || f.Verb != VerbTrace {
-			return
-		}
-		_ = c.WriteString(VerbTraceOK, "")
-	})
-	ok, err := NegotiateTrace(context.Background(), conn)
-	if err != nil || !ok {
-		t.Fatalf("NegotiateTrace = %t, %v; want accepted", ok, err)
-	}
-}
-
-func TestNegotiateTraceDeclinedByOldServer(t *testing.T) {
-	// A pre-trace server answers the unknown verb with ERROR; the client
-	// must treat that as a decline, not a failure.
-	conn := tracePair(t, func(c *Conn) {
-		_, _ = c.Read()
-		_ = c.WriteString("ERROR", "unknown verb TRACE")
-	})
-	ok, err := NegotiateTrace(context.Background(), conn)
-	if err != nil {
-		t.Fatalf("decline surfaced as error: %v", err)
-	}
-	if ok {
-		t.Fatal("ERROR reply treated as acceptance")
-	}
-}
-
-func TestNegotiateTraceTransportError(t *testing.T) {
-	conn := tracePair(t, func(c *Conn) {
-		_, _ = c.Read()
-		c.Close() // cut the connection instead of answering
-	})
-	if _, err := NegotiateTrace(context.Background(), conn); err == nil {
-		t.Fatal("transport failure not surfaced")
 	}
 }
