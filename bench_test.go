@@ -11,9 +11,10 @@
 package infogram_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,8 +24,8 @@ import (
 	"infogram/internal/core"
 	"infogram/internal/diffract"
 	"infogram/internal/gram"
+	"infogram/internal/journal"
 	"infogram/internal/ldif"
-	"infogram/internal/logging"
 	"infogram/internal/mds"
 	"infogram/internal/provider"
 	"infogram/internal/quality"
@@ -352,36 +353,80 @@ func BenchmarkE10_FormatLDIFvsXML(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E11 — §6/§6.1: log replay and recovery scan cost.
+// E11 — §6/§6.1: restart cost. The journal is the one restart source, so
+// this times journal.Open replaying a state directory into the folded job
+// state recovery resubmits from.
 
-func BenchmarkE11_LogReplay(b *testing.B) {
+func BenchmarkE11_JournalReplay(b *testing.B) {
 	for _, jobs := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			var buf bytes.Buffer
-			logger := logging.NewLogger(&buf)
-			now := time.Now()
+			// One pristine directory, written the way the job manager
+			// journals: a submit per job, and a DONE for every other one.
+			// The first-attempt PENDING/ACTIVE records are recovery-neutral
+			// and never journaled.
+			pristine := b.TempDir()
+			jnl, _, err := journal.Open(journal.Options{Dir: pristine, Fsync: journal.FsyncNever})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			now := time.Now().UnixNano()
+			exit, stdout := 0, "done"
 			for i := 0; i < jobs; i++ {
 				contact := fmt.Sprintf("gram://bench/%d/%d", i, i)
-				_ = logger.Append(logging.Record{Time: now, Kind: logging.KindSubmit,
-					Contact: contact, Spec: "&(executable=noop)(jobtype=func)",
-					Owner: "bench", Identity: "/O=Grid/CN=bench-user"})
-				_ = logger.Append(logging.Record{Time: now, Kind: logging.KindState, Contact: contact, State: "PENDING"})
-				_ = logger.Append(logging.Record{Time: now, Kind: logging.KindState, Contact: contact, State: "ACTIVE"})
+				_ = jnl.Append(ctx, journal.Entry{Kind: journal.KindSubmit, Time: now, Contact: contact,
+					Spec: "&(executable=noop)(jobtype=func)", Owner: "bench", Identity: "/O=Grid/CN=bench-user"})
 				if i%2 == 0 {
-					_ = logger.Append(logging.Record{Time: now, Kind: logging.KindState, Contact: contact, State: "DONE"})
+					_ = jnl.Append(ctx, journal.Entry{Kind: journal.KindState, Time: now, Contact: contact,
+						State: "DONE", ExitCode: &exit, Stdout: &stdout})
 				}
 			}
-			raw := buf.Bytes()
+			if err := jnl.Close(); err != nil {
+				b.Fatal(err)
+			}
+			files, err := os.ReadDir(pristine)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Each Open starts a fresh segment, so every iteration replays
+			// a copy of the pristine directory.
+			work := b.TempDir()
+			reset := func() {
+				olds, _ := os.ReadDir(work)
+				for _, f := range olds {
+					_ = os.Remove(filepath.Join(work, f.Name()))
+				}
+				for _, f := range files {
+					raw, err := os.ReadFile(filepath.Join(pristine, f.Name()))
+					if err == nil {
+						err = os.WriteFile(filepath.Join(work, f.Name()), raw, 0o644)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				recs, err := logging.Replay(bytes.NewReader(raw))
+				b.StopTimer()
+				reset()
+				b.StartTimer()
+				jnl, rec, err := journal.Open(journal.Options{Dir: work, Fsync: journal.FsyncNever})
 				if err != nil {
 					b.Fatal(err)
 				}
-				pending := logging.Recover(recs)
-				if len(pending) != jobs/2 {
-					b.Fatalf("recovered %d", len(pending))
+				b.StopTimer()
+				unfinished := 0
+				for _, js := range rec.Jobs {
+					if !js.State.Terminal() {
+						unfinished++
+					}
 				}
+				if len(rec.Jobs) != jobs || unfinished != jobs/2 {
+					b.Fatalf("replayed %d jobs, %d unfinished", len(rec.Jobs), unfinished)
+				}
+				_ = jnl.Close()
+				b.StartTimer()
 			}
 		})
 	}

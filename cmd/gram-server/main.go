@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -18,6 +17,7 @@ import (
 	"infogram/internal/journal"
 	"infogram/internal/logging"
 	"infogram/internal/scheduler"
+	"infogram/internal/session"
 	"infogram/internal/telemetry"
 )
 
@@ -107,7 +107,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("metrics listen: %v", err)
 		}
-		metricsSrv := &http.Server{Handler: mux}
+		metricsSrv := session.NewHTTPServer(mux)
 		go func() { _ = metricsSrv.Serve(ln) }()
 		defer metricsSrv.Close()
 		fmt.Printf("gram: Prometheus metrics on http://%s/metrics (traces at /debug/traces, profiles at /debug/pprof)\n", ln.Addr())

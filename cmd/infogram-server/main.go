@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -34,6 +33,7 @@ import (
 	"infogram/internal/logging"
 	"infogram/internal/provider"
 	"infogram/internal/scheduler"
+	"infogram/internal/session"
 	"infogram/internal/telemetry"
 	"infogram/internal/wsgw"
 )
@@ -48,7 +48,6 @@ func main() {
 		mdsAddr     = flag.String("mds-addr", "", "also serve the MDS GRIS protocol on this address")
 		wsAddr      = flag.String("ws-addr", "", "also serve the Web-services (SOAP/WSDL) gateway on this address")
 		wsToken     = flag.String("ws-token", "", "shared token required from Web-services clients")
-		restore     = flag.Bool("recover", false, "replay the log file and restart unfinished jobs")
 		stateDir    = flag.String("state-dir", "", "durable job-state directory (write-ahead journal + snapshots); crash recovery replays it on boot (empty = in-memory only)")
 		fsync       = flag.String("fsync", "interval", "journal fsync policy: always, interval, or never")
 		sandbox     = flag.Bool("restricted", false, "run in-process jobs in the restricted sandbox")
@@ -124,17 +123,7 @@ func main() {
 	}
 
 	var logger *logging.Logger
-	var priorRecords []logging.Record
 	if *logPath != "" {
-		if *restore {
-			// A torn final line is tolerated inside Replay; anything that
-			// surfaces here means the log was not read, which must not
-			// look like a clean boot with nothing to recover.
-			priorRecords, err = logging.ReplayFile(*logPath)
-			if err != nil {
-				log.Printf("recover: %s not replayed, no job will be recovered from it: %v", *logPath, err)
-			}
-		}
 		logger, err = logging.OpenFile(*logPath)
 		if err != nil {
 			log.Fatalf("log: %v", err)
@@ -232,24 +221,13 @@ func main() {
 			len(recovered.Jobs), *stateDir, len(contacts))
 	}
 
-	// The journal is the restart source when both exist: a job it already
-	// resumed is skipped here, so -state-dir with -log -recover runs each
-	// unfinished job once.
-	if len(priorRecords) > 0 {
-		contacts, err := svc.Recover(priorRecords)
-		if err != nil {
-			log.Printf("recover: %v", err)
-		}
-		fmt.Printf("infogram: recovered %d unfinished job(s) from %s\n", len(contacts), *logPath)
-	}
-
 	if *metrics != "" {
 		mux := telemetry.NewDebugMux(tel, svc.Tracer())
 		ln, err := net.Listen("tcp", *metrics)
 		if err != nil {
 			log.Fatalf("metrics listen: %v", err)
 		}
-		metricsSrv := &http.Server{Handler: mux}
+		metricsSrv := session.NewHTTPServer(mux)
 		go func() { _ = metricsSrv.Serve(ln) }()
 		defer metricsSrv.Close()
 		fmt.Printf("infogram: Prometheus metrics on http://%s/metrics (traces at /debug/traces, profiles at /debug/pprof)\n", ln.Addr())
@@ -277,7 +255,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("ws listen: %v", err)
 		}
-		httpSrv := &http.Server{Handler: gw}
+		httpSrv := session.NewHTTPServer(gw)
 		go func() { _ = httpSrv.Serve(ln) }()
 		defer httpSrv.Close()
 		fmt.Printf("infogram: Web-services gateway on http://%s (GET ?wsdl for the description)\n", ln.Addr())
@@ -349,7 +327,7 @@ func runProxy(fabric *bootstrap.Fabric, addr, members string, failThresh int, pr
 		if err != nil {
 			log.Fatalf("metrics listen: %v", err)
 		}
-		metricsSrv := &http.Server{Handler: mux}
+		metricsSrv := session.NewHTTPServer(mux)
 		go func() { _ = metricsSrv.Serve(ln) }()
 		defer metricsSrv.Close()
 		fmt.Printf("infogram: Prometheus metrics on http://%s/metrics\n", ln.Addr())

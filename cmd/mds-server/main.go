@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -21,6 +20,7 @@ import (
 	"infogram/internal/config"
 	"infogram/internal/mds"
 	"infogram/internal/provider"
+	"infogram/internal/session"
 	"infogram/internal/telemetry"
 )
 
@@ -149,7 +149,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("metrics listen: %v", err)
 		}
-		metricsSrv := &http.Server{Handler: mux}
+		metricsSrv := session.NewHTTPServer(mux)
 		go func() { _ = metricsSrv.Serve(ln) }()
 		defer metricsSrv.Close()
 		fmt.Printf("mds: Prometheus metrics on http://%s/metrics (traces at /debug/traces, profiles at /debug/pprof)\n", ln.Addr())

@@ -21,6 +21,7 @@ import (
 	"infogram/internal/gsi"
 	"infogram/internal/provider"
 	"infogram/internal/scheduler"
+	"infogram/internal/session"
 	"infogram/internal/wsgw"
 )
 
@@ -68,7 +69,7 @@ func main() {
 	defer gw.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	check(err)
-	httpSrv := &http.Server{Handler: gw}
+	httpSrv := session.NewHTTPServer(gw)
 	go func() { _ = httpSrv.Serve(ln) }()
 	defer httpSrv.Close()
 	base := "http://" + ln.Addr().String()

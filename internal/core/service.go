@@ -291,9 +291,7 @@ func (s *Service) Listen(addr string) (string, error) {
 		MaxBacklog:   s.cfg.SubmitBacklog,
 	})
 	s.mu.Unlock()
-	if s.cfg.Log != nil {
-		_ = s.cfg.Log.Append(logging.Record{Time: s.cfg.Clock.Now(), Kind: logging.KindServiceStart})
-	}
+	_ = s.cfg.Log.Append(logging.Record{Time: s.cfg.Clock.Now(), Kind: logging.KindServiceStart})
 	return bound, nil
 }
 
@@ -358,23 +356,6 @@ func (s *Service) GRIS() *mds.GRIS {
 		CacheTTL:      s.cfg.CacheTTL,
 		CacheMaxBytes: s.cfg.CacheMaxBytes,
 	})
-}
-
-// Recover restarts the service from its audit log (§6: "the log can be
-// used to restart our InfoGRAM service in case it needs to be
-// restarted"): the unfinished jobs are folded into the journal's job-state
-// shape and handed to RecoverJournal, the one replay function, so a job
-// recovered from the log keeps its contact, restart count and checkpoint
-// exactly as one recovered from the journal does.
-func (s *Service) Recover(records []logging.Record) ([]string, error) {
-	rec := &journal.Recovered{}
-	for _, rj := range logging.Recover(records) {
-		rec.Jobs = append(rec.Jobs, journal.JobState{
-			Contact: rj.Contact, Spec: rj.Spec, Owner: rj.Owner, Identity: rj.Identity,
-			State: rj.LastState, Restarts: rj.Restarts, Checkpoint: rj.Checkpoint,
-		})
-	}
-	return s.RecoverJournal(rec)
 }
 
 // RecoverJournal rebuilds the job table from a journal replay: terminal

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -25,7 +24,6 @@ import (
 	"infogram/internal/provider"
 	"infogram/internal/quality"
 	"infogram/internal/scheduler"
-	"infogram/internal/telemetry"
 	"infogram/internal/xrsl"
 )
 
@@ -527,14 +525,29 @@ func TestAuthorizationContracts(t *testing.T) {
 	}
 }
 
-func TestRestartRecovery(t *testing.T) {
-	// E11: kill the service mid-job; a new service replays the log and
-	// resubmits the unfinished work.
-	logBuf := &syncBuffer{}
-	logger := logging.NewLogger(logBuf)
+// openJournal opens the journal in dir, as a restarted -state-dir server
+// does on boot, and returns it with the state it replayed.
+func openJournal(t *testing.T, dir string) (*journal.Journal, *journal.Recovered) {
+	t.Helper()
+	jnl, rec, err := journal.Open(journal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jnl, rec
+}
 
-	reg := provider.NewRegistry(nil)
-	g := newTestGridWithLog(t, reg, logger)
+// withJournal sets the journal a test grid's service runs on; the service
+// closes it on Close, which is how the tests below crash it.
+func withJournal(jnl *journal.Journal) func(*core.Config) {
+	return func(c *core.Config) { c.Journal = jnl }
+}
+
+func TestRestartRecovery(t *testing.T) {
+	// E11: kill the service mid-job; a new service replays the journal and
+	// resubmits the unfinished work.
+	dir := t.TempDir()
+	jnl, _ := openJournal(t, dir)
+	g := newTestGridConfig(t, provider.NewRegistry(nil), nil, withJournal(jnl))
 	cl, err := core.Dial(g.addr, g.user, g.trust)
 	if err != nil {
 		t.Fatal(err)
@@ -550,7 +563,8 @@ func TestRestartRecovery(t *testing.T) {
 			return "", ctx.Err()
 		}
 	})
-	if _, err := cl.Submit("&(executable=block)(jobtype=func)"); err != nil {
+	blocked, err := cl.Submit("&(executable=block)(jobtype=func)")
+	if err != nil {
 		t.Fatal(err)
 	}
 	// And one that completed.
@@ -565,38 +579,28 @@ func TestRestartRecovery(t *testing.T) {
 	}
 	cl.Close()
 	g.svc.Close() // crash
+	defer close(blockC)
 
-	// Service 2 recovers from the same log. Its func backend resolves
-	// "block" instantly so the recovered job completes.
-	reg2 := provider.NewRegistry(nil)
-	g2 := newTestGridWithLog(t, reg2, logging.NewLogger(&bytes.Buffer{}))
+	// Service 2 recovers from the same state directory. Its func backend
+	// resolves "block" instantly so the recovered job completes.
+	jnl2, rec := openJournal(t, dir)
+	g2 := newTestGridConfig(t, provider.NewRegistry(nil), nil, withJournal(jnl2))
 	g2.fn.RegisterFunc("block", func(ctx context.Context, sb *scheduler.Sandbox, args []string, stdin string) (string, error) {
 		return "recovered-run", nil
 	})
-	records, err := logging.Replay(bytes.NewReader(logBuf.Snapshot()))
+	contacts, err := g2.svc.RecoverJournal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	contacts, err := g2.svc.Recover(records)
-	if err != nil {
-		t.Fatal(err)
+	if len(contacts) != 1 || contacts[0] != blocked {
+		t.Fatalf("recovered %v, want only the unfinished job %s", contacts, blocked)
 	}
-	if len(contacts) != 1 {
-		t.Fatalf("recovered %d jobs, want 1 (only the unfinished one)", len(contacts))
-	}
-	cl2, err := core.Dial(g2.addr, g2.user, g2.trust)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl2.Close()
-	st, err := cl2.WaitTerminal(ctx, contacts[0], 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != job.Done || st.Stdout != "recovered-run" {
+	if st := waitTerminal(t, g2, blocked); st.State != job.Done || st.Stdout != "recovered-run" {
 		t.Errorf("recovered job = %+v", st)
 	}
-	close(blockC)
+	if st := waitTerminal(t, g2, doneContact); st.State != job.Done || st.Stdout != "hello " {
+		t.Errorf("finished job after restart = %+v; want its recorded DONE", st)
+	}
 }
 
 func TestCheckpointResume(t *testing.T) {
@@ -604,8 +608,9 @@ func TestCheckpointResume(t *testing.T) {
 	// checkpointing." A job checkpoints its progress; the service
 	// crashes; the recovered job resumes from the last checkpoint rather
 	// than from scratch.
-	logBuf := &syncBuffer{}
-	g := newTestGridWithLog(t, provider.NewRegistry(nil), logging.NewLogger(logBuf))
+	dir := t.TempDir()
+	jnl, _ := openJournal(t, dir)
+	g := newTestGridConfig(t, provider.NewRegistry(nil), nil, withJournal(jnl))
 
 	// Phase 1: the job advances to step 3, checkpointing each step, then
 	// stalls until the service dies.
@@ -637,66 +642,106 @@ func TestCheckpointResume(t *testing.T) {
 	if _, err := cl.Submit("&(executable=phased)(jobtype=func)"); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the checkpoints reach the log.
+	// Wait until the last checkpoint reaches the journal.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		recs, _ := logging.Replay(bytes.NewReader(logBuf.Snapshot()))
-		n := 0
-		for _, r := range recs {
-			if r.Kind == logging.KindCheckpoint {
-				n++
-			}
-		}
-		if n >= 3 {
+		if jobs := jnl.Jobs(); len(jobs) == 1 && jobs[0].Checkpoint == "step=3" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("checkpoints never logged")
+			t.Fatal("checkpoints never journaled")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	cl.Close()
 	g.svc.Close() // crash
-	// The log is read as the crash left it: once the stall is released
-	// the abandoned run finishes and would log itself DONE.
-	records, err := logging.Replay(bytes.NewReader(logBuf.Snapshot()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The journal is closed with the service, so once the stall is
+	// released the abandoned run cannot record itself DONE.
 	close(stall)
 
 	// Phase 2: recovery resumes from step=3.
-	g2 := newTestGridWithLog(t, provider.NewRegistry(nil), nil)
+	jnl2, rec := openJournal(t, dir)
+	g2 := newTestGridConfig(t, provider.NewRegistry(nil), nil, withJournal(jnl2))
 	g2.fn.RegisterFunc("phased", func(ctx context.Context, sb *scheduler.Sandbox, args []string, stdin string) (string, error) {
 		return "resumed-from-checkpoint:" + sb.Restored(), nil
 	})
-	contacts, err := g2.svc.Recover(records)
+	contacts, err := g2.svc.RecoverJournal(rec)
 	if err != nil || len(contacts) != 1 {
 		t.Fatalf("recovered %d (%v)", len(contacts), err)
 	}
-	cl2, err := core.Dial(g2.addr, g2.user, g2.trust)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl2.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	st, err := cl2.WaitTerminal(ctx, contacts[0], 5*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != job.Done || st.Stdout != "resumed-from-checkpoint:step=3" {
+	if st := waitTerminal(t, g2, contacts[0]); st.State != job.Done || st.Stdout != "resumed-from-checkpoint:step=3" {
 		t.Errorf("recovered job = %+v", st)
 	}
 }
 
-// crashLog is the audit log of a service that died while the job was
-// ACTIVE on the attempt numbered restarts.
-func crashLog(contact, spec string, restarts int) []logging.Record {
-	return []logging.Record{
-		{Kind: logging.KindSubmit, Contact: contact, Spec: spec, Owner: "alice", Identity: "/O=Grid/CN=alice"},
-		{Kind: logging.KindState, Contact: contact, State: "ACTIVE", Restarts: restarts},
+// A job that crashed at restart 1 logs its PENDING restarts=1 line once per
+// service run: the restarted service writes it again when it resumes the
+// job. The audit log both runs append to still accounts one restart.
+func TestRecoveredRestartIsAccountedOnce(t *testing.T) {
+	dir := t.TempDir()
+	logBuf := &syncBuffer{}
+	jnl, _ := openJournal(t, dir)
+	g := newTestGridConfig(t, provider.NewRegistry(nil), logging.NewLogger(logBuf), withJournal(jnl))
+	second := make(chan struct{})
+	// The crashed run's attempt stays parked until the test ends: released
+	// earlier, it would log a DONE of its own through the first logger.
+	stall := make(chan struct{})
+	defer close(stall)
+	attempts := 0
+	g.fn.RegisterFunc("flaky", func(ctx context.Context, sb *scheduler.Sandbox, args []string, stdin string) (string, error) {
+		if attempts++; attempts == 1 {
+			return "", errors.New("transient fault")
+		}
+		close(second) // the restart-1 ACTIVE line is logged before the attempt runs
+		select {
+		case <-stall:
+		case <-ctx.Done():
+		}
+		return "", ctx.Err()
+	})
+	cl, err := core.Dial(g.addr, g.user, g.trust)
+	if err != nil {
+		t.Fatal(err)
 	}
+	contact, err := cl.Submit("&(executable=flaky)(jobtype=func)(restart=2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-second:
+	case <-time.After(5 * time.Second):
+		t.Fatal("second attempt never started")
+	}
+	cl.Close()
+	g.svc.Close() // crash at restart 1
+
+	jnl2, rec := openJournal(t, dir)
+	g2 := newTestGridConfig(t, provider.NewRegistry(nil), logging.NewLogger(logBuf), withJournal(jnl2))
+	g2.fn.RegisterFunc("flaky", func(ctx context.Context, sb *scheduler.Sandbox, args []string, stdin string) (string, error) {
+		return "recovered-run", nil
+	})
+	if _, err := g2.svc.RecoverJournal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, g2, contact); st.State != job.Done || st.Restarts != 1 {
+		t.Fatalf("recovered job = %+v; want DONE at restart 1", st)
+	}
+	recs, err := logging.Replay(bytes.NewReader(logBuf.Snapshot()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := logging.Accounting(recs)
+	if len(sums) != 1 || sums[0].JobsSubmit != 1 || sums[0].JobsRestart != 1 || sums[0].JobsDone != 1 {
+		t.Errorf("accounting = %+v; want one submission, one restart, one DONE", sums)
+	}
+}
+
+// crashState is the replayed journal of a service that died while the job
+// was ACTIVE on its first attempt.
+func crashState(contact, spec string) *journal.Recovered {
+	return &journal.Recovered{Jobs: []journal.JobState{{
+		Contact: contact, Spec: spec, Owner: "alice", Identity: "/O=Grid/CN=alice", State: job.Active,
+	}}}
 }
 
 // waitTerminal polls contact on g until it reaches a terminal state.
@@ -716,48 +761,13 @@ func waitTerminal(t *testing.T, g *testGrid, contact string) gram.StatusReply {
 	return st
 }
 
-// A job recovered from the log alone keeps its contact and its place in
-// the restart budget: restart=2 allows three attempts, the crash hit the
-// third, so recovery re-runs that one attempt and no more. With a journal
-// configured, the adopted job is journaled for the next restart.
-func TestRecoverFromLogKeepsContactAndRestartBudget(t *testing.T) {
-	const contact = "gram://old.host:1/7/1234"
-	jnl, _, err := journal.Open(journal.Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jnl.Close()
-	g := newTestGridConfig(t, provider.NewRegistry(nil), nil, func(c *core.Config) { c.Journal = jnl })
-	var runs atomic.Int32
-	g.fn.RegisterFunc("flaky", func(ctx context.Context, sb *scheduler.Sandbox, args []string, stdin string) (string, error) {
-		runs.Add(1)
-		return "", errors.New("still broken")
-	})
-
-	resumed, err := g.svc.Recover(crashLog(contact, "&(executable=flaky)(jobtype=func)(restart=2)", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resumed) != 1 || resumed[0] != contact {
-		t.Fatalf("resumed %v; want the original contact %s", resumed, contact)
-	}
-	st := waitTerminal(t, g, contact)
-	if st.State != job.Failed || st.Restarts != 2 || runs.Load() != 1 {
-		t.Errorf("state %s restarts %d after %d run(s); want FAILED at restart 2 after 1 run", st.State, st.Restarts, runs.Load())
-	}
-	folded := jnl.Jobs()
-	if len(folded) != 1 || folded[0].Contact != contact || folded[0].Restarts != 2 {
-		t.Errorf("journal holds %+v; want the adopted job at restart 2", folded)
-	}
-}
-
-// A logged job whose spec no longer decodes is reported, not dropped.
-func TestRecoverFromLogUndecodableSpecFails(t *testing.T) {
+// A journaled job whose spec no longer decodes is reported, not dropped.
+func TestRecoverJournalUndecodableSpecFails(t *testing.T) {
 	const contact = "gram://old.host:1/8/1234"
 	g := newTestGrid(t, provider.NewRegistry(nil))
-	resumed, err := g.svc.Recover(crashLog(contact, "&(executable=", 0))
+	resumed, err := g.svc.RecoverJournal(crashState(contact, "&(executable="))
 	if err != nil || len(resumed) != 0 {
-		t.Fatalf("Recover = %v, %v; want nothing resumed and no error", resumed, err)
+		t.Fatalf("RecoverJournal = %v, %v; want nothing resumed and no error", resumed, err)
 	}
 	st := waitTerminal(t, g, contact)
 	if st.State != job.Failed || !strings.HasPrefix(st.Error, "recovery:") {
@@ -765,109 +775,10 @@ func TestRecoverFromLogUndecodableSpecFails(t *testing.T) {
 	}
 }
 
-// A log written while the server still logged "span" records restarts the
-// service exactly as the same log without them: the span lines are
-// skipped, the ACTIVE job resumes under its original contact.
-func TestRecoverFromLegacySpanLog(t *testing.T) {
-	raw, err := os.ReadFile("../logging/testdata/legacy-span.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kept []string
-	for _, line := range strings.SplitAfter(string(raw), "\n") {
-		if !strings.Contains(line, `"kind":"span"`) {
-			kept = append(kept, line)
-		}
-	}
-	recoverLog := func(log string) ([]string, gram.StatusReply) {
-		records, err := logging.Replay(strings.NewReader(log))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The logged job ran /bin/sleep on the exec backend; here a func
-		// of that name stands in for it, so recovery runs nothing real.
-		g := newTestGridConfig(t, provider.NewRegistry(nil), nil, func(c *core.Config) {
-			c.Backends = gram.Backends{Exec: c.Backends.Func}
-		})
-		g.fn.RegisterFunc("/bin/sleep", func(ctx context.Context, sb *scheduler.Sandbox, args []string, stdin string) (string, error) {
-			return "slept " + strings.Join(args, " "), nil
-		})
-		resumed, err := g.svc.Recover(records)
-		if err != nil || len(resumed) != 1 {
-			t.Fatalf("Recover = %v, %v; want the one unfinished job", resumed, err)
-		}
-		return resumed, waitTerminal(t, g, resumed[0])
-	}
-	with, withSt := recoverLog(string(raw))
-	without, withoutSt := recoverLog(strings.Join(kept, ""))
-	const contact = "gram://127.0.0.1:21391/2/1792073793665565085"
-	if with[0] != contact || without[0] != contact {
-		t.Errorf("resumed %v with spans, %v without; want %s", with, without, contact)
-	}
-	if withSt.State != job.Done || withSt.Stdout != "slept 30" ||
-		withSt.State != withoutSt.State || withSt.Stdout != withoutSt.Stdout || withSt.Restarts != withoutSt.Restarts {
-		t.Errorf("status %+v with spans, %+v without; want both DONE with \"slept 30\"", withSt, withoutSt)
-	}
-}
-
-// The journal and the log of one crash describe the same jobs: recovering
-// from both runs each unfinished job once, under its one contact.
-func TestRecoverJournalThenLogRunsEachJobOnce(t *testing.T) {
-	contacts := []string{"gram://old.host:1/1/1234", "gram://old.host:1/2/1234"}
-	const spec = "&(executable=hello)(jobtype=func)"
-	dir := t.TempDir()
-	jnl, _, err := journal.Open(journal.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var records []logging.Record
-	for _, c := range contacts {
-		if err := jnl.Append(context.Background(), journal.Entry{
-			Kind: journal.KindSubmit, Contact: c, Spec: spec, Owner: "alice", Identity: "/O=Grid/CN=alice",
-		}); err != nil {
-			t.Fatal(err)
-		}
-		records = append(records, crashLog(c, spec, 0)...)
-	}
-	if err := jnl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	jnl, rec, err := journal.Open(journal.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jnl.Close()
-
-	tel := telemetry.NewRegistry()
-	g := newTestGridConfig(t, provider.NewRegistry(nil), nil, func(c *core.Config) {
-		c.Journal = jnl
-		c.Telemetry = tel
-	})
-	fromJournal, err := g.svc.RecoverJournal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromLog, err := g.svc.Recover(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fromJournal) != 2 || len(fromLog) != 0 {
-		t.Errorf("journal resumed %v, log resumed %v; want both jobs from the journal and none again from the log", fromJournal, fromLog)
-	}
-	for _, c := range contacts {
-		if st := waitTerminal(t, g, c); st.State != job.Done {
-			t.Errorf("%s = %+v; want DONE", c, st)
-		}
-	}
-	if n := tel.Counter("infogram_gram_jobs_spawned_total", "").Value(); n != 2 {
-		t.Errorf("spawned %d job goroutines for 2 unfinished jobs", n)
-	}
-}
-
 func TestRecoverBeforeListenIsAnError(t *testing.T) {
 	svc := core.NewService(core.Config{ResourceName: "unbound", Registry: provider.NewRegistry(nil)})
-	if _, err := svc.Recover(crashLog("gram://old.host:1/9/1234", "&(executable=hello)(jobtype=func)", 0)); err == nil {
-		t.Error("Recover before Listen succeeded; want an error")
+	if _, err := svc.RecoverJournal(crashState("gram://old.host:1/9/1234", "&(executable=hello)(jobtype=func)")); err == nil {
+		t.Error("RecoverJournal before Listen succeeded; want an error")
 	}
 }
 

@@ -72,8 +72,8 @@ func (f NotifierFunc) Notify(c string, ev job.Event) { f(c, ev) }
 type ManagerConfig struct {
 	Table    *job.Table
 	Backends Backends
-	// Log is optional; when set, submissions and transitions are
-	// recorded for restart recovery and accounting.
+	// Log is optional; when set, every job event is also written to it as
+	// an audit-log line for accounting. It is never read back for recovery.
 	Log *logging.Logger
 	// Journal is the optional durable job-state layer: every submission
 	// and state transition is appended to it before the operation is
@@ -181,7 +181,7 @@ func (m *Manager) submit(ctx context.Context, req *xrsl.JobRequest, rec job.Reco
 	// client sees the submission fail — an unjournaled job could silently
 	// vanish in a crash, which is exactly what the journal exists to
 	// prevent.
-	if err := m.cfg.Journal.Append(ctx, journal.Entry{
+	if err := m.record(ctx, journal.Entry{
 		Kind:     journal.KindSubmit,
 		Time:     now.UnixNano(),
 		Contact:  rec.Contact,
@@ -192,15 +192,6 @@ func (m *Manager) submit(ctx context.Context, req *xrsl.JobRequest, rec job.Reco
 		m.cfg.Table.Remove(rec.Contact)
 		return "", fmt.Errorf("gram: submit not durable: %w", err)
 	}
-	m.logRecord(logging.Record{
-		Time:     now,
-		Kind:     logging.KindSubmit,
-		Contact:  rec.Contact,
-		Spec:     rec.Spec,
-		Owner:    rec.Owner,
-		Identity: rec.Identity,
-		Trace:    string(trace),
-	})
 	if err := m.transition(ctx, rec.Contact, req, job.Mutation{State: job.Pending}); err != nil {
 		return "", err
 	}
@@ -249,62 +240,59 @@ func (m *Manager) Cancel(contact string) error {
 	return nil
 }
 
-// transition applies a table transition, journals and logs it, and
-// notifies callbacks. The journal append happens before the callback so an
-// event is never observable outside the process ahead of its durable
-// record; a journal failure on a transition is counted but does not abort
-// the job — the accepted submission is already durable, and recovery
-// re-runs any job whose tail transitions are missing.
-//
-// Recovery-neutral transitions are not journaled: a first-attempt PENDING
-// or ACTIVE record with no restart count, no error, and no output folds
-// into exactly the state recovery infers from the submission record alone
-// (non-terminal, attempt zero → resubmit), so writing it buys nothing and
-// costs two of the four per-job appends on the happy path.
+// transition applies a table transition, records it, and notifies
+// callbacks. The record is written before the callback so an event is
+// never observable outside the process ahead of its durable record.
 func (m *Manager) transition(ctx context.Context, contact string, req *xrsl.JobRequest, mut job.Mutation) error {
 	ev, err := m.cfg.Table.Transition(contact, mut, m.cfg.Clock.Now())
 	if err != nil {
 		return err
 	}
-	rec := logging.Record{
-		Time:     ev.Time,
-		Kind:     logging.KindState,
+	e := journal.Entry{
+		Kind:     journal.KindState,
+		Time:     ev.Time.UnixNano(),
 		Contact:  contact,
 		State:    ev.State.String(),
 		Error:    ev.Error,
 		Restarts: ev.Restarts,
+		Stdout:   mut.Stdout,
+		Stderr:   mut.Stderr,
 	}
 	if ev.State.Terminal() {
-		rec.ExitCode = logging.IntPtr(ev.ExitCode)
+		e.ExitCode = intPtr(ev.ExitCode)
 	}
-	if ev.State.Terminal() || ev.Restarts > 0 || ev.Error != "" || mut.Stdout != nil || mut.Stderr != nil {
-		je := journal.Entry{
-			Kind:     journal.KindState,
-			Time:     ev.Time.UnixNano(),
-			Contact:  contact,
-			State:    ev.State.String(),
-			Error:    ev.Error,
-			Restarts: ev.Restarts,
-			Stdout:   mut.Stdout,
-			Stderr:   mut.Stderr,
-		}
-		if ev.State.Terminal() {
-			je.ExitCode = logging.IntPtr(ev.ExitCode)
-		}
-		_ = m.cfg.Journal.Append(ctx, je)
-	}
-	m.logRecord(rec)
+	_ = m.record(ctx, e) // fails only for a submission
 	if m.cfg.Notify != nil && req != nil && req.CallbackContact != "" {
 		m.cfg.Notify.Notify(req.CallbackContact, ev)
 	}
 	return nil
 }
 
-func (m *Manager) logRecord(r logging.Record) {
-	if m.cfg.Log == nil {
-		return
+// record is the one writer of job events: it journals e unless e is
+// recovery-neutral, then hands it to the audit log. Only a submission's
+// journal failure is returned: the caller rolls that job back, so it never
+// happened and is not logged. Any other event has already happened in the
+// table; a failed append of it is counted by the journal and does not
+// abort the job — the submission is durable, and recovery re-runs a job
+// whose tail transitions are missing.
+func (m *Manager) record(ctx context.Context, e journal.Entry) error {
+	if !recoveryNeutral(e) {
+		if err := m.cfg.Journal.Append(ctx, e); err != nil && e.Kind == journal.KindSubmit {
+			return err
+		}
 	}
-	_ = m.cfg.Log.Append(r) // logging failures must not break job flow
+	_ = m.cfg.Log.AppendEntry(e, string(telemetry.TraceFrom(ctx))) // logging failures must not break job flow
+	return nil
+}
+
+// recoveryNeutral reports whether e is a first-attempt PENDING, ACTIVE or
+// SUSPENDED record with no restart count, no error and no output. It folds
+// into exactly the state recovery infers from the submission record alone
+// (non-terminal, attempt zero → resubmit), so journaling it buys nothing
+// and would cost two of the four per-job appends on the happy path.
+func recoveryNeutral(e journal.Entry) bool {
+	return e.Kind == journal.KindState && e.ExitCode == nil && e.Restarts == 0 &&
+		e.Error == "" && e.Stdout == nil && e.Stderr == nil
 }
 
 // run is the per-job manager: it executes the job with fault-tolerant
@@ -414,16 +402,9 @@ func (m *Manager) attemptRun(ctx context.Context, backend scheduler.Backend, con
 			// request so a later retry (or a restarted service) resumes
 			// from here.
 			req.Checkpoint = data
-			now := m.cfg.Clock.Now()
-			_ = m.cfg.Journal.Append(ctx, journal.Entry{
+			_ = m.record(ctx, journal.Entry{
 				Kind:       journal.KindCheckpoint,
-				Time:       now.UnixNano(),
-				Contact:    contact,
-				Checkpoint: data,
-			})
-			m.logRecord(logging.Record{
-				Time:       now,
-				Kind:       logging.KindCheckpoint,
+				Time:       m.cfg.Clock.Now().UnixNano(),
 				Contact:    contact,
 				Checkpoint: data,
 			})
@@ -674,8 +655,8 @@ func (m *Manager) restoreFailed(js journal.JobState, msg string) error {
 // contact and restarts its manager goroutine. Execution starts at the
 // journaled restart count (clamped to the request's restart budget), so
 // the interrupted attempt is re-run rather than the job gaining a fresh
-// budget. The submission is not re-journaled here: RecoverJournal has
-// already made sure the journal knows the contact (see adopt).
+// budget. The submission is not re-journaled here: the journal it was
+// replayed from already holds it.
 func (m *Manager) Resume(req *xrsl.JobRequest, js journal.JobState) error {
 	now := m.cfg.Clock.Now()
 	rec := job.Record{
@@ -729,39 +710,14 @@ func (m *Manager) Resume(req *xrsl.JobRequest, js journal.JobState) error {
 	return nil
 }
 
-// adopt journals the submission and checkpoint of a recovered job the
-// journal has no record of — one folded from the audit log rather than
-// replayed from the journal itself — so the next restart from the journal
-// alone still knows it. The restart count follows with the job's first
-// journaled transition.
-func (m *Manager) adopt(js journal.JobState) error {
-	if m.cfg.Journal.Has(js.Contact) {
-		return nil
-	}
-	now := m.cfg.Clock.Now().UnixNano()
-	err := m.cfg.Journal.Append(context.Background(), journal.Entry{
-		Kind: journal.KindSubmit, Time: now, Contact: js.Contact,
-		Spec: js.Spec, Owner: js.Owner, Identity: js.Identity,
-	})
-	if err == nil && js.Checkpoint != "" {
-		err = m.cfg.Journal.Append(context.Background(), journal.Entry{
-			Kind: journal.KindCheckpoint, Time: now, Contact: js.Contact, Checkpoint: js.Checkpoint,
-		})
-	}
-	return err
-}
-
 // RecoverJournal is the one restart path: it rebuilds the job table from
-// folded pre-crash job state, whether that was replayed from the journal
-// or folded from the audit log (core.Service.Recover). Terminal jobs are
-// restored verbatim; non-terminal jobs are resubmitted to their backends
-// under their original contacts, resuming from the last recorded
-// checkpoint and honouring the remaining restart budget. Jobs whose spec
-// no longer decodes — or whose backend is absent — come back FAILED with a
-// "recovery:" annotation instead of vanishing. A contact already in the
-// table is skipped, so recovering from the journal and then from the log
-// of the same crash runs each job once. It returns the contacts of the
-// jobs that were resumed.
+// the job state replayed from the journal, the only restart source.
+// Terminal jobs are restored verbatim; non-terminal jobs are resubmitted to
+// their backends under their original contacts, resuming from the last
+// journaled checkpoint and honouring the remaining restart budget. Jobs
+// whose spec no longer decodes — or whose backend is absent — come back
+// FAILED with a "recovery:" annotation instead of vanishing. It returns the
+// contacts of the jobs that were resumed.
 func (m *Manager) RecoverJournal(rec *journal.Recovered, envFor func(owner string) rsl.Env) ([]string, error) {
 	if rec == nil {
 		return nil, nil
@@ -769,9 +725,6 @@ func (m *Manager) RecoverJournal(rec *journal.Recovered, envFor func(owner strin
 	var resumed []string
 	replayed := 0
 	for _, js := range rec.Jobs {
-		if _, err := m.cfg.Table.Get(js.Contact); err == nil {
-			continue
-		}
 		if js.State.Terminal() {
 			if err := m.restoreTerminal(js); err != nil {
 				return resumed, fmt.Errorf("gram: recover %q: %w", js.Contact, err)
@@ -779,9 +732,6 @@ func (m *Manager) RecoverJournal(rec *journal.Recovered, envFor func(owner strin
 			continue
 		}
 		replayed++
-		if err := m.adopt(js); err != nil {
-			return resumed, fmt.Errorf("gram: recover %q: %w", js.Contact, err)
-		}
 		req, err := xrsl.DecodeOne(js.Spec, envFor(js.Owner))
 		if err != nil || req.Kind != xrsl.KindJob {
 			msg := "recovery: spec is not a restartable job"

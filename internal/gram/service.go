@@ -60,7 +60,7 @@ type Config struct {
 	Policy *gsi.Policy
 	// Backends are the local schedulers.
 	Backends Backends
-	// Log is optional restart/accounting logging.
+	// Log is the optional accounting log.
 	Log *logging.Logger
 	// Journal is the optional durable job-state layer (write-ahead
 	// journal + snapshots). When set, every submission and transition is
@@ -126,9 +126,7 @@ func (s *Service) Listen(addr string) (string, error) {
 		Clock:    s.cfg.Clock,
 	})
 	s.mu.Unlock()
-	if s.cfg.Log != nil {
-		_ = s.cfg.Log.Append(logging.Record{Time: s.cfg.Clock.Now(), Kind: logging.KindServiceStart})
-	}
+	_ = s.cfg.Log.Append(logging.Record{Time: s.cfg.Clock.Now(), Kind: logging.KindServiceStart})
 	return bound, nil
 }
 

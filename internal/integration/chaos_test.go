@@ -10,6 +10,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"runtime"
 	"strings"
@@ -27,6 +28,7 @@ import (
 	"infogram/internal/scheduler"
 	"infogram/internal/session"
 	"infogram/internal/telemetry"
+	"infogram/internal/wsgw"
 )
 
 // chaosRetry keeps chaos tests fast: near-instant backoff, a few attempts.
@@ -448,8 +450,9 @@ const slowClientBound = 150 * time.Millisecond
 
 // A client that connects and then says nothing, or feeds bytes too slowly,
 // is cut off by every server — the session layer bounds the handshake for
-// all five — and the connection's goroutine exits: no leak, no unbounded
-// stall.
+// the five grid-protocol servers, and the request header for the metrics
+// endpoint and the Web-services gateway — and the connection's goroutine
+// exits: no leak, no unbounded stall.
 func TestChaosSlowClientCutOff(t *testing.T) {
 	faultinject.Reset()
 	defer faultinject.Reset()
@@ -493,6 +496,15 @@ func TestChaosSlowClientCutOff(t *testing.T) {
 			proxy := cluster.NewProxy(cluster.ProxyConfig{Credential: d.svcCred, Trust: d.trust, Router: router})
 			t.Cleanup(func() { proxy.Close() })
 			return listen(t, proxy.Listen), nil
+		}},
+		{"metrics", func(t *testing.T) (string, *telemetry.Counter) {
+			return serveHTTP(t, telemetry.NewDebugMux(telemetry.NewRegistry(), nil)), nil
+		}},
+		{"wsgw", func(t *testing.T) (string, *telemetry.Counter) {
+			member, _ := startInfoGram(t, d, nil)
+			gw := wsgw.New(wsgw.Config{Backend: member, Credential: d.user, Trust: d.trust})
+			t.Cleanup(gw.Close)
+			return serveHTTP(t, gw), nil
 		}},
 	}
 	for _, srv := range servers {
@@ -557,4 +569,18 @@ func listen(t *testing.T, listen func(string) (string, error)) string {
 		t.Fatal(err)
 	}
 	return addr
+}
+
+// serveHTTP serves h on an ephemeral loopback port the way the server
+// binaries serve their HTTP endpoints.
+func serveHTTP(t *testing.T, h http.Handler) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := session.NewHTTPServer(h)
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { srv.Close() })
+	return ln.Addr().String()
 }

@@ -126,6 +126,48 @@ func TestTornTailTolerated(t *testing.T) {
 	}
 }
 
+// Records of concurrent jobs interleave in the journal; replay folds each
+// contact on its own: its latest state, restart count and checkpoint, never
+// a neighbour's. A cancelled job stays terminal, and a record for a contact
+// never submitted invents no job.
+func TestReplayFoldsInterleavedContacts(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openTestJournal(t, dir, nil)
+	now := time.Now().UnixNano()
+	for _, e := range []Entry{
+		{Kind: KindSubmit, Contact: "c1", Spec: "&(executable=/bin/a)", Owner: "alice"},
+		{Kind: KindSubmit, Contact: "c2", Spec: "&(executable=/bin/b)", Owner: "bob"},
+		{Kind: KindState, Contact: "ghost", State: "ACTIVE"},
+		{Kind: KindState, Contact: "c1", State: "FAILED", ExitCode: intPtr(1), Error: "exit code 1 (will restart)"},
+		{Kind: KindState, Contact: "c1", State: "PENDING", Restarts: 1},
+		{Kind: KindCheckpoint, Contact: "c2", Checkpoint: "c2-step"},
+		{Kind: KindState, Contact: "c1", State: "ACTIVE", Restarts: 1},
+		{Kind: KindCheckpoint, Contact: "c1", Checkpoint: "c1-step"},
+		{Kind: KindState, Contact: "c2", State: "FAILED", ExitCode: intPtr(-1), Error: "cancelled: context canceled"},
+	} {
+		e.Time = now
+		if err := j.Append(context.Background(), e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, rec := openTestJournal(t, dir, nil)
+	if len(rec.Jobs) != 2 {
+		t.Fatalf("replayed %+v; want c1 and c2 only", rec.Jobs)
+	}
+	c1, c2 := rec.Jobs[0], rec.Jobs[1]
+	if c1.Contact != "c1" || c1.State != job.Active || c1.Restarts != 1 ||
+		c1.Checkpoint != "c1-step" || c1.Spec != "&(executable=/bin/a)" {
+		t.Errorf("c1 folded wrong: %+v", c1)
+	}
+	if c2.Contact != "c2" || !c2.State.Terminal() || c2.Checkpoint != "c2-step" || c2.Owner != "bob" {
+		t.Errorf("c2 folded wrong: %+v", c2)
+	}
+}
+
 func TestCorruptMidHistoryFailsRecovery(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openTestJournal(t, dir, func(o *Options) { o.SnapshotEvery = -1 })

@@ -27,6 +27,10 @@ func Accounting(records []Record) []AccountSummary {
 	// Job contacts map to the submitting identity so state records can be
 	// attributed.
 	owner := make(map[string]string)
+	// restarts is each contact's highest restart count so far. A restart
+	// is counted when the count rises, not per PENDING line: a job resumed
+	// by crash recovery logs its current PENDING line again.
+	restarts := make(map[string]int)
 
 	get := func(identity, local string) *AccountSummary {
 		s, ok := byID[identity]
@@ -61,10 +65,10 @@ func Accounting(records []Record) []AccountSummary {
 				s.JobsDone++
 			case job.Failed:
 				s.JobsFailed++
-			case job.Pending:
-				if r.Restarts > 0 {
-					s.JobsRestart++
-				}
+			}
+			if r.Restarts > restarts[r.Contact] {
+				s.JobsRestart += r.Restarts - restarts[r.Contact]
+				restarts[r.Contact] = r.Restarts
 			}
 		case KindInfoQuery:
 			s := get(r.Identity, r.Owner)

@@ -8,7 +8,7 @@ import (
 // FuzzReplay throws arbitrary bytes at the log reader: torn writes,
 // CRC-less corrupt JSON lines, binary garbage, oversized lines. Replay
 // must never panic; when it accepts an input, the parsed records must
-// survive an append/replay round trip, and Recover over them must stay
+// survive an append/replay round trip, and Accounting over them must stay
 // consistent with the submit records it saw.
 func FuzzReplay(f *testing.F) {
 	f.Add([]byte(""))
@@ -52,25 +52,20 @@ func FuzzReplay(f *testing.F) {
 			t.Fatalf("round trip changed record count: %d -> %d", len(recs), len(back))
 		}
 
-		// Recover must not panic, must only return submitted contacts,
-		// and can never return more jobs than were submitted.
-		submitted := make(map[string]bool)
+		// Accounting must not panic and attributes every submit record
+		// to exactly one identity.
+		submits := 0
 		for _, r := range recs {
 			if r.Kind == KindSubmit {
-				submitted[r.Contact] = true
+				submits++
 			}
 		}
-		pending := Recover(recs)
-		if len(pending) > len(submitted) {
-			t.Fatalf("Recover returned %d jobs from %d submissions", len(pending), len(submitted))
+		counted := 0
+		for _, sum := range Accounting(recs) {
+			counted += sum.JobsSubmit
 		}
-		for _, rj := range pending {
-			if !submitted[rj.Contact] {
-				t.Fatalf("Recover invented contact %q", rj.Contact)
-			}
-			if rj.LastState.Terminal() {
-				t.Fatalf("Recover returned terminal job %+v", rj)
-			}
+		if counted != submits {
+			t.Fatalf("Accounting counted %d submissions from %d submit records", counted, submits)
 		}
 	})
 }

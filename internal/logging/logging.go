@@ -1,12 +1,15 @@
 // Package logging implements the InfoGram logging service of Figure 3:
-// an append-only log that records job submissions, state changes, and
-// authenticated information queries. The log serves three paper purposes:
-// restarting the service after a shutdown ("the log can be used to restart
-// our InfoGRAM service in case it needs to be restarted", §6), restarting
-// individual jobs upon failure (§6.1), and simple Grid accounting ("We
-// intend to use this logging service to provide simple Grid accounting",
-// §6; "logging authenticated information queries to guide the use as part
-// of intelligent scheduling services", §7).
+// an append-only log that records job submissions, state changes,
+// checkpoints, and authenticated information queries, for "simple Grid
+// accounting" (§6) and "logging authenticated information queries to guide
+// the use as part of intelligent scheduling services" (§7).
+//
+// The log is an accounting export, never a restart source. The paper
+// restarts the service and its jobs from the log (§6, §6.1); here that is
+// the journal's job (package journal), which is the master copy of job
+// state. The job manager builds one journal.Entry per job event and hands
+// it to AppendEntry, which renders it as the log line, so the two never
+// disagree about what happened.
 //
 // Records are JSON lines so the log is greppable and stream-appendable;
 // "[p]resently, we only record minimal information such as the command
@@ -20,11 +23,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
-	"infogram/internal/job"
+	"infogram/internal/journal"
 )
 
 // Kind classifies a log record.
@@ -40,7 +42,8 @@ const (
 	KindInfoQuery Kind = "info-query"
 	// KindCheckpoint records an application checkpoint blob.
 	KindCheckpoint Kind = "checkpoint"
-	// KindServiceStart marks a service (re)start, delimiting recovery.
+	// KindServiceStart marks a service (re)start, so a reader can tell
+	// which run wrote the lines that follow.
 	KindServiceStart Kind = "service-start"
 )
 
@@ -69,10 +72,9 @@ type Record struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// IntPtr adapts a plain exit code to the Record.ExitCode field.
-func IntPtr(n int) *int { return &n }
-
-// Logger appends records to a writer. It is safe for concurrent use.
+// Logger appends records to a writer. It is safe for concurrent use, and
+// safe on a nil receiver (appends are no-ops), so callers need no "is
+// logging enabled" branches.
 type Logger struct {
 	mu sync.Mutex
 	w  io.Writer
@@ -93,6 +95,9 @@ func OpenFile(path string) (*Logger, error) {
 
 // Append writes one record.
 func (l *Logger) Append(r Record) error {
+	if l == nil {
+		return nil
+	}
 	b, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("logging: encode: %w", err)
@@ -106,14 +111,24 @@ func (l *Logger) Append(r Record) error {
 	return nil
 }
 
-// Sync flushes to stable storage when file-backed.
-func (l *Logger) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
+// AppendEntry writes the line for one job event: the journal entry
+// rendered as the Record the log has always held for it. Only a submit line
+// carries trace, the ID of the request that submitted the job; the job's
+// later lines join it by contact.
+func (l *Logger) AppendEntry(e journal.Entry, trace string) error {
+	if l == nil {
 		return nil
 	}
-	return l.f.Sync()
+	r := Record{Time: time.Unix(0, e.Time), Contact: e.Contact}
+	switch e.Kind {
+	case journal.KindSubmit:
+		r.Kind, r.Spec, r.Owner, r.Identity, r.Trace = KindSubmit, e.Spec, e.Owner, e.Identity, trace
+	case journal.KindState:
+		r.Kind, r.State, r.ExitCode, r.Error, r.Restarts = KindState, e.State, e.ExitCode, e.Error, e.Restarts
+	case journal.KindCheckpoint:
+		r.Kind, r.Checkpoint = KindCheckpoint, e.Checkpoint
+	}
+	return l.Append(r)
 }
 
 // Close closes the underlying file when owned.
@@ -130,8 +145,8 @@ func (l *Logger) Close() error {
 
 // Replay reads every record from r in order. A final line that fails to
 // parse — the signature of a crash mid-append, where the process died
-// before the record (or its newline) hit the disk — is dropped so a
-// restart can proceed from the intact prefix; an unparsable line in the
+// before the record (or its newline) hit the disk — is dropped so
+// accounting can proceed from the intact prefix; an unparsable line in the
 // middle of the log is genuine corruption and still fails the replay.
 func Replay(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
@@ -160,85 +175,4 @@ func Replay(r io.Reader) ([]Record, error) {
 		return nil, fmt.Errorf("logging: replay: %w", err)
 	}
 	return out, nil
-}
-
-// ReplayFile reads a log file.
-func ReplayFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("logging: open: %w", err)
-	}
-	defer f.Close()
-	return Replay(f)
-}
-
-// RecoveredJob is a job reconstructed from the log that had not reached a
-// terminal state when the service stopped; the restarted service
-// resubmits it (paper §6: "the log can be used to restart our InfoGRAM
-// service"; §10: "automatic restart capabilities enabled through
-// checkpointing").
-type RecoveredJob struct {
-	Contact    string
-	Spec       string
-	Owner      string
-	Identity   string
-	LastState  job.State
-	Restarts   int
-	Checkpoint string // latest checkpoint blob, if any
-}
-
-// Recover scans records and returns the jobs needing restart, in first-
-// submission order.
-func Recover(records []Record) []RecoveredJob {
-	type track struct {
-		rj       RecoveredJob
-		order    int
-		terminal bool
-	}
-	jobs := make(map[string]*track)
-	order := 0
-	for _, r := range records {
-		switch r.Kind {
-		case KindSubmit:
-			jobs[r.Contact] = &track{
-				rj: RecoveredJob{
-					Contact:   r.Contact,
-					Spec:      r.Spec,
-					Owner:     r.Owner,
-					Identity:  r.Identity,
-					LastState: job.Pending,
-				},
-				order: order,
-			}
-			order++
-		case KindState:
-			t, ok := jobs[r.Contact]
-			if !ok {
-				continue
-			}
-			st, err := job.ParseState(r.State)
-			if err != nil {
-				continue
-			}
-			t.rj.LastState = st
-			t.rj.Restarts = r.Restarts
-			t.terminal = st.Terminal()
-		case KindCheckpoint:
-			if t, ok := jobs[r.Contact]; ok {
-				t.rj.Checkpoint = r.Checkpoint
-			}
-		}
-	}
-	var pending []*track
-	for _, t := range jobs {
-		if !t.terminal {
-			pending = append(pending, t)
-		}
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i].order < pending[j].order })
-	out := make([]RecoveredJob, len(pending))
-	for i, t := range pending {
-		out[i] = t.rj
-	}
-	return out
 }

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"infogram/internal/job"
 )
 
 var t0 = time.Date(2002, 7, 24, 12, 0, 0, 0, time.UTC)
@@ -60,7 +58,7 @@ func TestReplayBadLine(t *testing.T) {
 
 func TestReplayDropsCorruptTail(t *testing.T) {
 	// A process that dies mid-append leaves a truncated final line; the
-	// restart must proceed from the intact prefix.
+	// replay must proceed from the intact prefix.
 	cases := []string{
 		"{\"kind\":\"submit\",\"contact\":\"c1\"}\n{\"kind\":\"state\",\"con", // cut mid-record, no newline
 		"{\"kind\":\"submit\",\"contact\":\"c1\"}\nnot-json\n",                // garbage tail with newline
@@ -76,10 +74,21 @@ func TestReplayDropsCorruptTail(t *testing.T) {
 	}
 }
 
+// replayFile reads a log file back.
+func replayFile(t *testing.T, path string) ([]Record, error) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	return Replay(f)
+}
+
 func TestRecoverAfterTruncatedLog(t *testing.T) {
-	// End-to-end restart path: append records through the file logger,
-	// truncate the file mid-final-record (the crash signature), and check
-	// ReplayFile + Recover still produce the unfinished job.
+	// A file logger whose process died mid-append: truncate the file
+	// mid-final-record (the crash signature) and check the intact prefix
+	// still replays, so accounting sees the job as submitted, not done.
 	path := filepath.Join(t.TempDir(), "jobs.log")
 	lg, err := OpenFile(path)
 	if err != nil {
@@ -105,16 +114,15 @@ func TestRecoverAfterTruncatedLog(t *testing.T) {
 	if err := os.WriteFile(path, b[:len(b)-15], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReplayFile(path)
+	recs, err := replayFile(t, path)
 	if err != nil {
-		t.Fatalf("ReplayFile after truncation: %v", err)
+		t.Fatalf("replay after truncation: %v", err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("replayed %d records, want 2", len(recs))
+	if len(recs) != 2 || recs[1].State != "ACTIVE" {
+		t.Fatalf("replayed %+v, want the submit and ACTIVE lines", recs)
 	}
-	pending := Recover(recs)
-	if len(pending) != 1 || pending[0].Contact != "gram://h/1/1" {
-		t.Fatalf("Recover = %+v, want the job whose DONE record was lost", pending)
+	if sums := Accounting(recs); len(sums) != 1 || sums[0].JobsSubmit != 1 || sums[0].JobsDone != 0 {
+		t.Fatalf("Accounting = %+v, want the job whose DONE record was lost as submitted only", sums)
 	}
 }
 
@@ -137,9 +145,6 @@ func TestFileLogger(t *testing.T) {
 	if err := l.Append(Record{Time: t0, Kind: KindServiceStart}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +159,14 @@ func TestFileLogger(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReplayFile(path)
+	recs, err := replayFile(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 {
 		t.Errorf("records = %d", len(recs))
 	}
-	// Close is idempotent; Sync after close is a no-op.
+	// Close is idempotent.
 	if err := l2.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
@@ -171,136 +176,31 @@ func TestFileLogger(t *testing.T) {
 func buildCrashLog() []Record {
 	return []Record{
 		{Time: t0, Kind: KindServiceStart},
-		// finished job: not recovered
+		// finished job
 		{Kind: KindSubmit, Contact: "c1", Spec: "&(executable=/bin/a)", Owner: "alice", Identity: "idA"},
 		{Kind: KindState, Contact: "c1", State: "PENDING"},
 		{Kind: KindState, Contact: "c1", State: "ACTIVE"},
 		{Kind: KindState, Contact: "c1", State: "DONE"},
-		// active job at crash: recovered
+		// active job at crash
 		{Kind: KindSubmit, Contact: "c2", Spec: "&(executable=/bin/b)", Owner: "bob", Identity: "idB"},
 		{Kind: KindState, Contact: "c2", State: "PENDING"},
 		{Kind: KindState, Contact: "c2", State: "ACTIVE"},
 		{Kind: KindCheckpoint, Contact: "c2", Checkpoint: "step=42"},
-		// failed job: not recovered (terminal)
+		// failed job
 		{Kind: KindSubmit, Contact: "c3", Spec: "&(executable=/bin/c)", Owner: "alice", Identity: "idA"},
 		{Kind: KindState, Contact: "c3", State: "PENDING"},
 		{Kind: KindState, Contact: "c3", State: "FAILED"},
-		// pending job at crash: recovered, after c2
+		// pending job at crash
 		{Kind: KindSubmit, Contact: "c4", Spec: "&(executable=/bin/d)", Owner: "bob", Identity: "idB"},
 		{Kind: KindState, Contact: "c4", State: "PENDING"},
-	}
-}
-
-func TestRecover(t *testing.T) {
-	pending := Recover(buildCrashLog())
-	if len(pending) != 2 {
-		t.Fatalf("recovered %d jobs, want 2: %+v", len(pending), pending)
-	}
-	if pending[0].Contact != "c2" || pending[1].Contact != "c4" {
-		t.Errorf("recovery order = %s, %s", pending[0].Contact, pending[1].Contact)
-	}
-	if pending[0].LastState != job.Active {
-		t.Errorf("c2 state = %s", pending[0].LastState)
-	}
-	if pending[0].Checkpoint != "step=42" {
-		t.Errorf("c2 checkpoint = %q", pending[0].Checkpoint)
-	}
-	if pending[0].Spec != "&(executable=/bin/b)" || pending[0].Owner != "bob" {
-		t.Errorf("c2 = %+v", pending[0])
-	}
-}
-
-func TestRecoverRestartedJob(t *testing.T) {
-	// A job that failed and restarted (FAILED -> PENDING) then crashed:
-	// still recovered, with the restart count.
-	recs := []Record{
-		{Kind: KindSubmit, Contact: "c1", Spec: "s", Owner: "o", Identity: "i"},
-		{Kind: KindState, Contact: "c1", State: "PENDING"},
-		{Kind: KindState, Contact: "c1", State: "ACTIVE"},
-		{Kind: KindState, Contact: "c1", State: "FAILED"},
-		{Kind: KindState, Contact: "c1", State: "PENDING", Restarts: 1},
-	}
-	pending := Recover(recs)
-	if len(pending) != 1 || pending[0].Restarts != 1 {
-		t.Errorf("pending = %+v", pending)
-	}
-}
-
-func TestRecoverInterleavedContacts(t *testing.T) {
-	// Two jobs whose records interleave line by line — the realistic shape
-	// of a concurrent log — must fold independently: the one that finished
-	// stays finished, the one mid-flight is recovered with ITS spec and
-	// checkpoint, not its neighbour's.
-	recs := []Record{
-		{Kind: KindSubmit, Contact: "c1", Spec: "&(executable=/bin/a)", Owner: "alice", Identity: "idA"},
-		{Kind: KindSubmit, Contact: "c2", Spec: "&(executable=/bin/b)", Owner: "bob", Identity: "idB"},
-		{Kind: KindState, Contact: "c2", State: "PENDING"},
-		{Kind: KindState, Contact: "c1", State: "PENDING"},
-		{Kind: KindState, Contact: "c1", State: "ACTIVE"},
-		{Kind: KindState, Contact: "c2", State: "ACTIVE"},
-		{Kind: KindCheckpoint, Contact: "c1", Checkpoint: "c1-step"},
-		{Kind: KindCheckpoint, Contact: "c2", Checkpoint: "c2-step"},
-		{Kind: KindState, Contact: "c2", State: "DONE"},
-	}
-	pending := Recover(recs)
-	if len(pending) != 1 {
-		t.Fatalf("recovered %d jobs, want only the unfinished one: %+v", len(pending), pending)
-	}
-	got := pending[0]
-	if got.Contact != "c1" || got.Spec != "&(executable=/bin/a)" || got.Owner != "alice" {
-		t.Errorf("recovered job mixed up contacts: %+v", got)
-	}
-	if got.Checkpoint != "c1-step" {
-		t.Errorf("checkpoint = %q, want c1's own", got.Checkpoint)
-	}
-	if got.LastState != job.Active {
-		t.Errorf("state = %s", got.LastState)
-	}
-}
-
-func TestRecoverExcludesCancelledJobs(t *testing.T) {
-	// A cancelled job lands in FAILED with a cancellation error — terminal,
-	// so a restart must NOT resurrect it: the user asked for it to stop.
-	recs := []Record{
-		{Kind: KindSubmit, Contact: "c1", Spec: "s", Owner: "o", Identity: "i"},
-		{Kind: KindState, Contact: "c1", State: "PENDING"},
-		{Kind: KindState, Contact: "c1", State: "ACTIVE"},
-		{Kind: KindState, Contact: "c1", State: "FAILED", Error: "cancelled: context canceled"},
-	}
-	if got := Recover(recs); len(got) != 0 {
-		t.Errorf("cancelled job resurrected: %+v", got)
-	}
-}
-
-func TestRecoverRestartAttemptCounting(t *testing.T) {
-	// restart=N bookkeeping across several failures: the recovered job
-	// carries the LATEST restart count so the resubmitted run resumes the
-	// remaining budget instead of starting a fresh one.
-	recs := []Record{
-		{Kind: KindSubmit, Contact: "c1", Spec: "s", Owner: "o", Identity: "i"},
-		{Kind: KindState, Contact: "c1", State: "PENDING"},
-		{Kind: KindState, Contact: "c1", State: "ACTIVE"},
-		{Kind: KindState, Contact: "c1", State: "FAILED"},
-		{Kind: KindState, Contact: "c1", State: "PENDING", Restarts: 1},
-		{Kind: KindState, Contact: "c1", State: "ACTIVE", Restarts: 1},
-		{Kind: KindState, Contact: "c1", State: "FAILED", Restarts: 1},
-		{Kind: KindState, Contact: "c1", State: "PENDING", Restarts: 2},
-		{Kind: KindState, Contact: "c1", State: "ACTIVE", Restarts: 2},
-	}
-	pending := Recover(recs)
-	if len(pending) != 1 {
-		t.Fatalf("pending = %+v", pending)
-	}
-	if pending[0].Restarts != 2 || pending[0].LastState != job.Active {
-		t.Errorf("recovered job = %+v; want restart count 2 at ACTIVE", pending[0])
 	}
 }
 
 func TestRecoverFromCorruptTailFeedsRecovery(t *testing.T) {
 	// The corrupt-tail path end to end: the torn final record is the very
 	// transition that would have finished the job, so replay's tail
-	// tolerance decides what recovery resubmits. The job must come back,
-	// with the checkpoint that preceded the tear intact.
+	// tolerance decides what accounting sees. The job must read as
+	// unfinished, with the checkpoint that preceded the tear intact.
 	path := filepath.Join(t.TempDir(), "jobs.log")
 	lg, err := OpenFile(path)
 	if err != nil {
@@ -328,31 +228,15 @@ func TestRecoverFromCorruptTailFeedsRecovery(t *testing.T) {
 	if err := os.WriteFile(path, b[:len(b)-20], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReplayFile(path)
+	recs, err := replayFile(t, path)
 	if err != nil {
 		t.Fatalf("replay after torn tail: %v", err)
 	}
-	pending := Recover(recs)
-	if len(pending) != 1 || pending[0].Contact != "c1" {
-		t.Fatalf("pending = %+v; the job whose DONE was torn must be recovered", pending)
+	if len(recs) != 4 || recs[3].Checkpoint != "step=7" {
+		t.Fatalf("replayed %+v; the pre-tear checkpoint must survive as the last record", recs)
 	}
-	if pending[0].Checkpoint != "step=7" {
-		t.Errorf("checkpoint = %q; the pre-tear checkpoint must survive", pending[0].Checkpoint)
-	}
-}
-
-func TestRecoverIgnoresStateForUnknownContact(t *testing.T) {
-	recs := []Record{
-		{Kind: KindState, Contact: "ghost", State: "ACTIVE"},
-	}
-	if got := Recover(recs); len(got) != 0 {
-		t.Errorf("recovered %d", len(got))
-	}
-}
-
-func TestRecoverEmpty(t *testing.T) {
-	if got := Recover(nil); len(got) != 0 {
-		t.Errorf("recovered %d from empty log", len(got))
+	if sums := Accounting(recs); len(sums) != 1 || sums[0].JobsDone != 0 {
+		t.Errorf("Accounting = %+v; the job whose DONE was torn must not count as done", sums)
 	}
 }
 
@@ -396,6 +280,27 @@ func TestAccountingCountsRestarts(t *testing.T) {
 	}
 }
 
+// A job crashed at restart 1 and resumed by recovery logs its PENDING
+// restarts=1 line twice, once per service run; that is still one restart.
+func TestAccountingCountsRestartOnceAcrossRecovery(t *testing.T) {
+	recs := []Record{
+		{Kind: KindSubmit, Contact: "c", Identity: "id", Owner: "o"},
+		{Kind: KindState, Contact: "c", State: "PENDING"},
+		{Kind: KindState, Contact: "c", State: "ACTIVE"},
+		{Kind: KindState, Contact: "c", State: "FAILED", Error: "exit code 1 (will restart)"},
+		{Kind: KindState, Contact: "c", State: "PENDING", Restarts: 1},
+		{Kind: KindState, Contact: "c", State: "ACTIVE", Restarts: 1},
+		{Kind: KindServiceStart},
+		{Kind: KindState, Contact: "c", State: "PENDING", Restarts: 1},
+		{Kind: KindState, Contact: "c", State: "ACTIVE", Restarts: 1},
+		{Kind: KindState, Contact: "c", State: "DONE", Restarts: 1},
+	}
+	sums := Accounting(recs)
+	if len(sums) != 1 || sums[0].JobsRestart != 1 || sums[0].JobsDone != 1 {
+		t.Errorf("sums = %+v; want one restart and one DONE", sums)
+	}
+}
+
 // legacySpanLog was written by a server that also logged a flat "span"
 // record per handshake, request, info collect and job spawn. It holds two
 // info queries, an echo job run to DONE and a sleep job left ACTIVE by the
@@ -420,8 +325,8 @@ func readLegacySpanLog(t testing.TB) (withSpans, withoutSpans []byte) {
 }
 
 // A log from before span records were dropped still replays: the span
-// lines decode as records of an unknown kind that recovery and accounting
-// skip, so both see exactly what they see without them.
+// lines decode as records of an unknown kind that accounting skips, so it
+// sees exactly what it sees without them.
 func TestLegacySpanRecordsReplay(t *testing.T) {
 	raw, stripped := readLegacySpanLog(t)
 	with, err := Replay(bytes.NewReader(raw))
@@ -434,15 +339,6 @@ func TestLegacySpanRecordsReplay(t *testing.T) {
 	}
 	if len(with) != 24 || len(without) != 10 {
 		t.Fatalf("replayed %d records with spans, %d without; want 24 and 10", len(with), len(without))
-	}
-
-	recovered := Recover(with)
-	if !reflect.DeepEqual(recovered, Recover(without)) {
-		t.Errorf("Recover differs: %+v with spans, %+v without", recovered, Recover(without))
-	}
-	if len(recovered) != 1 || recovered[0].LastState != job.Active ||
-		recovered[0].Spec != "&(executable=/bin/sleep)(arguments=30)" {
-		t.Errorf("recovered %+v; want the ACTIVE sleep job alone", recovered)
 	}
 
 	sums := Accounting(with)
@@ -493,7 +389,7 @@ func TestConcurrentAppend(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReplayFile(path)
+	recs, err := replayFile(t, path)
 	if err != nil {
 		t.Fatalf("interleaved writes corrupted the log: %v", err)
 	}

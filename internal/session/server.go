@@ -31,9 +31,9 @@ import (
 const DefaultParallelism = 8
 
 // handshakeTimeout (ns) bounds the GSI handshake on servers without a
-// request timeout, so a client that connects and says nothing cannot park
-// a goroutine forever. Post-handshake idle reads stay unbounded so pooled
-// connections survive.
+// request timeout, and the request header on NewHTTPServer's, so a client
+// that connects and says nothing cannot park a goroutine forever.
+// Post-handshake idle reads stay unbounded so pooled connections survive.
 var handshakeTimeout atomic.Int64
 
 func init() { handshakeTimeout.Store(int64(10 * time.Second)) }
