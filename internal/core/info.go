@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"infogram/internal/ldif"
 	"infogram/internal/provider"
@@ -180,54 +181,129 @@ func (e *infoEngine) schemaEntries() []ldif.Entry {
 
 // applyFilter keeps, in each entry, only attributes whose names match the
 // glob pattern (the filter tag); entries left without any matching
-// attribute are dropped. The structural attributes (objectclass, kw,
-// resource) are always kept on surviving entries.
+// attribute are dropped, and survivors keep their order. The structural
+// attributes (objectclass, kw, resource, and the keyword attribute schema
+// entries carry) are always kept on surviving entries. The entries are the
+// request's own, fresh from ReportEntries or schemaEntries, so each one's
+// attributes are compacted in place and the pattern is compiled once per
+// call: apart from compiling the glob, filtering ASCII names allocates
+// nothing.
 func applyFilter(entries []ldif.Entry, pattern string) []ldif.Entry {
-	structural := map[string]bool{"objectclass": true, "kw": true, "resource": true, "keyword": true}
-	var out []ldif.Entry
+	g := compileGlob(pattern)
+	out := entries[:0]
 	for _, e := range entries {
-		kept := ldif.Entry{DN: e.DN}
+		kept := e.Attrs[:0]
 		matched := false
 		for _, a := range e.Attrs {
-			if structural[strings.ToLower(a.Name)] {
-				kept.Add(a.Name, a.Value)
+			switch {
+			case isStructural(a.Name):
+			case g.match(a.Name):
+				matched = true
+			default:
 				continue
 			}
-			if globMatch(pattern, a.Name) {
-				kept.Add(a.Name, a.Value)
-				matched = true
-			}
+			kept = append(kept, a)
 		}
 		if matched {
-			out = append(out, kept)
+			e.Attrs = kept
+			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// globMatch matches pattern with '*' wildcards against s,
-// case-insensitively.
-func globMatch(pattern, s string) bool {
-	p := strings.ToLower(pattern)
-	v := strings.ToLower(s)
-	if !strings.Contains(p, "*") {
-		return p == v
+// structuralAttrs are the attribute names applyFilter keeps regardless of
+// the pattern, compiled as exact globs so they fold case exactly as the
+// pattern does.
+var structuralAttrs = [...]glob{
+	compileGlob("objectclass"),
+	compileGlob("kw"),
+	compileGlob("resource"),
+	compileGlob("keyword"),
+}
+
+func isStructural(name string) bool {
+	for _, g := range structuralAttrs {
+		if g.match(name) {
+			return true
+		}
 	}
-	parts := strings.Split(p, "*")
-	if !strings.HasPrefix(v, parts[0]) {
+	return false
+}
+
+// glob is a filter pattern with '*' wildcards, compiled for
+// case-insensitive matching: the pattern lower-cased and split at '*'
+// once, so matching a name allocates nothing unless the name is not ASCII.
+// A pattern without a wildcard is the single part that must equal the
+// whole name.
+type glob []string
+
+func compileGlob(pattern string) glob {
+	return strings.Split(strings.ToLower(pattern), "*")
+}
+
+// match reports whether s, lower-cased, matches the pattern: leftmost
+// placement of each middle part, then a suffix test on what is left.
+func (g glob) match(s string) bool {
+	if !isASCII(s) {
+		// Unicode lower-casing can change a name's length; take the
+		// allocating path and compare the lowered bytes.
+		s = strings.ToLower(s)
+	}
+	if len(g) == 1 {
+		return len(s) == len(g[0]) && hasPrefixFold(s, g[0])
+	}
+	if !hasPrefixFold(s, g[0]) {
 		return false
 	}
-	v = v[len(parts[0]):]
-	last := parts[len(parts)-1]
-	for _, mid := range parts[1 : len(parts)-1] {
+	s = s[len(g[0]):]
+	last := g[len(g)-1]
+	for _, mid := range g[1 : len(g)-1] {
 		if mid == "" {
 			continue
 		}
-		idx := strings.Index(v, mid)
+		idx := indexFold(s, mid)
 		if idx < 0 {
 			return false
 		}
-		v = v[idx+len(mid):]
+		s = s[idx+len(mid):]
 	}
-	return strings.HasSuffix(v, last)
+	return len(s) >= len(last) && hasPrefixFold(s[len(s)-len(last):], last)
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// hasPrefixFold reports whether s begins with lower, folding A–Z in s.
+// lower is already lower-cased, so it holds no A–Z.
+func hasPrefixFold(s, lower string) bool {
+	if len(s) < len(lower) {
+		return false
+	}
+	for i := 0; i < len(lower); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// indexFold is strings.Index(strings.ToLower(s), lower) for ASCII-folded s.
+func indexFold(s, lower string) int {
+	for i := 0; i+len(lower) <= len(s); i++ {
+		if hasPrefixFold(s[i:], lower) {
+			return i
+		}
+	}
+	return -1
 }

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"infogram/internal/cache"
-	"infogram/internal/ldif"
 	"infogram/internal/quality"
 	"infogram/internal/telemetry"
 )
@@ -41,26 +40,6 @@ func (as Attributes) Get(name string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// Namespaced returns the attributes with the keyword namespace prefix the
-// paper specifies: "the attribute total in the Memory information provider
-// would be referred to as Memory:total".
-func (as Attributes) Namespaced(keyword string) Attributes {
-	out := make(Attributes, len(as))
-	for i, a := range as {
-		out[i] = Attr{Name: keyword + ":" + a.Name, Value: a.Value}
-	}
-	return out
-}
-
-// LDIF converts the attributes to LDIF attrs.
-func (as Attributes) LDIF() []ldif.Attr {
-	out := make([]ldif.Attr, len(as))
-	for i, a := range as {
-		out[i] = ldif.Attr{Name: a.Name, Value: a.Value}
-	}
-	return out
 }
 
 // Provider is a raw information source for one keyword.

@@ -3,6 +3,7 @@ package provider
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -60,15 +61,19 @@ func TestParseOutputSkipsBadNames(t *testing.T) {
 	}
 }
 
+// TestNamespaced checks the paper's keyword namespacing as ReportEntries
+// applies it: "total" from the Memory provider is "Memory:total", and the
+// report's own attributes, which the provider cache shares, are untouched.
 func TestNamespaced(t *testing.T) {
-	attrs := Attributes{{Name: "total", Value: "1024"}}
-	ns := attrs.Namespaced("Memory")
-	if ns[0].Name != "Memory:total" {
-		t.Errorf("Namespaced = %+v", ns)
+	attrs := Attributes{{Name: "total", Value: "1024"}, {Name: "free", Value: "512"}}
+	entries := ReportEntries("r", []Report{{Keyword: "Memory", Attrs: attrs}})
+	got := entries[0].Attrs[3:]
+	if len(got) != 2 || got[0].Name != "Memory:total" || got[0].Value != "1024" ||
+		got[1].Name != "Memory:free" || got[1].Value != "512" {
+		t.Errorf("namespaced attrs = %+v", got)
 	}
-	// Original untouched.
-	if attrs[0].Name != "total" {
-		t.Error("Namespaced mutated its receiver")
+	if attrs[0].Name != "total" || attrs[1].Name != "free" {
+		t.Errorf("ReportEntries mutated the report's Attrs: %+v", attrs)
 	}
 }
 
@@ -363,6 +368,33 @@ func TestReportEntries(t *testing.T) {
 	}
 	if v, _ := e.Get("Memory:total"); v != "1024" {
 		t.Errorf("Memory:total = %q", v)
+	}
+}
+
+// TestReportEntriesAllocs pins ReportEntries' allocation budget: one slice
+// for the result, then three per entry — its DN, its attribute slice, and
+// the one string its namespaced names are sliced from.
+func TestReportEntriesAllocs(t *testing.T) {
+	reports := make([]Report, 8)
+	for i := range reports {
+		attrs := make(Attributes, 12)
+		for j := range attrs {
+			attrs[j] = Attr{Name: fmt.Sprintf("g%dx%d", j%4, j), Value: "v"}
+		}
+		reports[i] = Report{Keyword: fmt.Sprintf("Kw%d", i), Attrs: attrs}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		entries := ReportEntries("bench.resource", reports)
+		// The spare capacity holds the quality attributes the
+		// information service appends without regrowing.
+		for i := range entries {
+			for range qualityAttrs {
+				entries[i].Add("quality:x", "1")
+			}
+		}
+	})
+	if max := float64(1 + 3*len(reports)); allocs > max {
+		t.Errorf("ReportEntries: %.0f allocs for %d entries, budget %.0f", allocs, len(reports), max)
 	}
 }
 

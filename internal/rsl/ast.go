@@ -3,6 +3,7 @@ package rsl
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Op is a relation operator.
@@ -205,8 +206,33 @@ func toLower(r rune) rune {
 }
 
 // AttrEqual reports whether two attribute names are the same under RSL
-// canonicalization.
-func AttrEqual(a, b string) bool { return canonAttr(a) == canonAttr(b) }
+// canonicalization. It compares in place — skipping '_' and folding A–Z —
+// and hands the remaining suffixes to canonAttr only once a byte outside
+// ASCII appears, so ASCII names compare without allocating while other
+// input (invalid UTF-8 included) keeps canonAttr's exact semantics.
+func AttrEqual(a, b string) bool {
+	i, j := 0, 0
+	for {
+		for i < len(a) && a[i] == '_' {
+			i++
+		}
+		for j < len(b) && b[j] == '_' {
+			j++
+		}
+		if i == len(a) || j == len(b) {
+			return i == len(a) && j == len(b)
+		}
+		ca, cb := a[i], b[j]
+		if ca >= utf8.RuneSelf || cb >= utf8.RuneSelf {
+			return canonAttr(a[i:]) == canonAttr(b[j:])
+		}
+		if toLower(rune(ca)) != toLower(rune(cb)) {
+			return false
+		}
+		i++
+		j++
+	}
+}
 
 // errorf builds a SyntaxError at pos.
 func errorf(pos int, format string, args ...any) error {

@@ -42,6 +42,8 @@ echo "== fuzz smoke ($fuzztime per target) =="
 for target in \
 	FuzzParse:./internal/rsl \
 	FuzzEvalValue:./internal/rsl \
+	FuzzAttrEqual:./internal/rsl \
+	FuzzGlobMatch:./internal/core \
 	FuzzFrameRoundTrip:./internal/wire \
 	FuzzFrameDecode:./internal/wire \
 	FuzzRejectFrameDecode:./internal/wire \
