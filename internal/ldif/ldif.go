@@ -210,7 +210,7 @@ func Marshal(entries []Entry) (string, error) {
 // unfolded; base64 values are decoded.
 func Decode(r io.Reader) ([]Entry, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
 
 	var entries []Entry
 	var cur *Entry
@@ -285,23 +285,16 @@ func Unmarshal(s string) ([]Entry, error) {
 	return Decode(strings.NewReader(s))
 }
 
-// parseLine splits "name: value", "name:: base64", or "name:" lines. The
-// separating colon is the first colon followed by a space, another colon,
-// or end of line: attribute names themselves may contain colons, because
-// InfoGram namespaces attributes as "Keyword:attr" (paper §6.2.1).
+// maxLine bounds one physical line, its newline not counted: Decode's
+// scanner fails with bufio.ErrTooLong on a line this long or longer, and
+// Split does the same.
+const maxLine = 1 << 20
+
+// parseLine splits "name: value", "name:: base64", or "name:" lines.
 func parseLine(line string) (name, value string, err error) {
-	colon := -1
-	for i := 0; i < len(line); i++ {
-		if line[i] != ':' {
-			continue
-		}
-		if i+1 == len(line) || line[i+1] == ' ' || line[i+1] == ':' {
-			colon = i
-			break
-		}
-	}
+	colon := sepColon(line)
 	if colon <= 0 {
-		return "", "", fmt.Errorf("malformed line %q", line)
+		return "", "", malformedLine(line)
 	}
 	name = line[:colon]
 	rest := line[colon+1:]
@@ -309,9 +302,28 @@ func parseLine(line string) (name, value string, err error) {
 		// base64 form
 		b, err := base64.StdEncoding.DecodeString(strings.TrimLeft(rest[1:], " "))
 		if err != nil {
-			return "", "", fmt.Errorf("bad base64 value for %q: %w", name, err)
+			return "", "", badBase64(name, err)
 		}
 		return name, string(b), nil
 	}
 	return name, strings.TrimLeft(rest, " "), nil
+}
+
+// sepColon returns the index of a line's separating colon, -1 if it has
+// none: the first colon followed by a space, another colon, or end of
+// line. Attribute names themselves may contain colons, because InfoGram
+// namespaces attributes as "Keyword:attr" (paper §6.2.1).
+func sepColon(line string) int {
+	for i := 0; i < len(line); i++ {
+		if line[i] == ':' && (i+1 == len(line) || line[i+1] == ' ' || line[i+1] == ':') {
+			return i
+		}
+	}
+	return -1
+}
+
+func malformedLine(line string) error { return fmt.Errorf("malformed line %q", line) }
+
+func badBase64(name string, err error) error {
+	return fmt.Errorf("bad base64 value for %q: %w", name, err)
 }

@@ -11,6 +11,7 @@ import (
 	"infogram/internal/ldif"
 	"infogram/internal/session"
 	"infogram/internal/wire"
+	"infogram/internal/zerocopy"
 )
 
 // Client speaks the MDS directory protocol to a GRIS or GIIS. Note that a
@@ -58,10 +59,28 @@ func (c *Client) Search(req SearchRequest) ([]ldif.Entry, error) {
 // cancellation. Cancellation mid-call leaves the connection's framing in
 // an unknown state; callers should discard the client afterwards.
 func (c *Client) SearchContext(ctx context.Context, req SearchRequest) ([]ldif.Entry, error) {
+	body, err := c.SearchLDIFContext(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	// zerocopy: the body is this call's own frame allocation, and nothing
+	// writes to it.
+	return ldif.Unmarshal(zerocopy.String(body))
+}
+
+// SearchLDIFContext is SearchContext without the decode: it returns the
+// reply's LDIF body as received. The body is a fresh allocation that the
+// caller owns.
+func (c *Client) SearchLDIFContext(ctx context.Context, req SearchRequest) ([]byte, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("mds: encode search: %w", err)
 	}
+	return c.searchLDIF(ctx, payload)
+}
+
+// searchLDIF sends an encoded SearchRequest, which it only reads.
+func (c *Client) searchLDIF(ctx context.Context, payload []byte) ([]byte, error) {
 	resp, err := c.sess.Call(ctx, wire.Frame{Verb: VerbSearch, Payload: payload})
 	if err != nil {
 		return nil, err
@@ -69,7 +88,7 @@ func (c *Client) SearchContext(ctx context.Context, req SearchRequest) ([]ldif.E
 	if resp.Verb != VerbResult {
 		return nil, fmt.Errorf("mds: server error: %s", strings.TrimSpace(string(resp.Payload)))
 	}
-	return ldif.Unmarshal(string(resp.Payload))
+	return resp.Payload, nil
 }
 
 // RegisterWith registers a GRIS address with a GIIS.

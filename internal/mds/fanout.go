@@ -3,6 +3,7 @@ package mds
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -37,11 +38,14 @@ const (
 // reply.
 const degradedObjectClass = "InfoGramStatus"
 
-// memberResult is one member's contribution to a scatter-gather.
+// memberResult is one member's contribution to a scatter-gather: its
+// reply body and the entries located in it, or the error that sidelined
+// the member.
 type memberResult struct {
-	addr    string
-	entries []ldif.Entry
-	err     error
+	addr   string
+	body   []byte
+	blocks []ldif.Block
+	err    error
 }
 
 // degradedSearchEntry builds the status entry appended to a partial
@@ -62,9 +66,9 @@ func degradedSearchEntry(org string, failed []memberResult) ldif.Entry {
 	return entry
 }
 
-// scatter queries every member through a bounded worker pool and returns
-// one result per member, in member order.
-func (g *GIIS) scatter(ctx context.Context, members []string, req SearchRequest) []memberResult {
+// scatter sends the encoded request to every member through a bounded
+// worker pool and returns one result per member, in member order.
+func (g *GIIS) scatter(ctx context.Context, members []string, payload []byte) []memberResult {
 	if len(members) == 0 {
 		return nil
 	}
@@ -81,8 +85,8 @@ func (g *GIIS) scatter(ctx context.Context, members []string, req SearchRequest)
 				if i >= len(members) {
 					return
 				}
-				entries, err := g.queryMember(ctx, members[i], req)
-				results[i] = memberResult{addr: members[i], entries: entries, err: err}
+				body, err := g.queryMember(ctx, members[i], payload)
+				results[i] = splitReply(members[i], body, err)
 			}
 		}()
 	}
@@ -90,9 +94,74 @@ func (g *GIIS) scatter(ctx context.Context, members []string, req SearchRequest)
 	return results
 }
 
+// splitReply locates the entries of one member's reply. A body that does
+// not split is that member's failure, like a reply that never arrived.
+func splitReply(addr string, body []byte, err error) memberResult {
+	r := memberResult{addr: addr, body: body, err: err}
+	if err == nil {
+		r.blocks, r.err = ldif.Split(body, nil)
+	}
+	return r
+}
+
+// splice merges the members' replies byte for byte: every entry block,
+// stably sorted by decoded DN (equal DNs keep member order), separated by
+// blank lines, then the degraded status entry when a member failed. Only
+// that status entry is rendered; member entries are copied as received.
+func splice(org string, results []memberResult) ([]byte, error) {
+	type piece struct {
+		body []byte
+		ldif.Block
+	}
+	n, size := 0, 0
+	var failed []memberResult
+	for _, r := range results {
+		if r.err != nil {
+			failed = append(failed, r)
+			continue
+		}
+		n += len(r.blocks)
+		for _, b := range r.blocks {
+			size += b.End - b.Start + 2 // a newline to end it, a blank line after it
+		}
+	}
+	pieces := make([]piece, 0, n)
+	for _, r := range results {
+		for _, b := range r.blocks {
+			pieces = append(pieces, piece{r.body, b})
+		}
+	}
+	slices.SortStableFunc(pieces, func(a, b piece) int { return strings.Compare(a.DN, b.DN) })
+	out := make([]byte, 0, size)
+	for i, p := range pieces {
+		if i > 0 {
+			out = append(out, '\n')
+		}
+		out = append(out, p.body[p.Start:p.End]...)
+		if out[len(out)-1] != '\n' {
+			out = append(out, '\n')
+		}
+	}
+	if len(failed) > 0 {
+		// The status entry goes last, after the DN sort, mirroring the
+		// gatekeeper's partial-reply convention (core.DegradedObjectClass)
+		// so clients detect degradation from either tier the same way.
+		status, err := ldif.Marshal([]ldif.Entry{degradedSearchEntry(org, failed)})
+		if err != nil {
+			return nil, err
+		}
+		if len(out) > 0 {
+			out = append(out, '\n')
+		}
+		out = append(out, status...)
+	}
+	return out, nil
+}
+
 // queryMember performs one authenticated search against a member under
-// the per-member deadline, drawing on the connection pool.
-func (g *GIIS) queryMember(ctx context.Context, addr string, req SearchRequest) ([]ldif.Entry, error) {
+// the per-member deadline, drawing on the connection pool, and returns
+// the reply body.
+func (g *GIIS) queryMember(ctx context.Context, addr string, payload []byte) ([]byte, error) {
 	timeout := g.cfg.MemberTimeout
 	if timeout <= 0 {
 		timeout = defaultMemberTimeout
@@ -107,7 +176,7 @@ func (g *GIIS) queryMember(ctx context.Context, addr string, req SearchRequest) 
 			return nil, err
 		}
 	}
-	entries, err := cl.SearchContext(ctx, req)
+	body, err := cl.searchLDIF(ctx, payload)
 	if err != nil && pooled && ctx.Err() == nil {
 		// A pooled connection can go stale between searches (member
 		// restart, idle reset). One fresh dial distinguishes a stale
@@ -116,21 +185,21 @@ func (g *GIIS) queryMember(ctx context.Context, addr string, req SearchRequest) 
 		if cl, err = DialContext(ctx, addr, g.cfg.Credential, g.cfg.Trust, g.cfg.Clock); err != nil {
 			return nil, err
 		}
-		entries, err = cl.SearchContext(ctx, req)
+		body, err = cl.searchLDIF(ctx, payload)
 	}
 	if err != nil {
 		cl.Close()
 		return nil, err
 	}
 	g.checkin(addr, cl)
-	return entries, nil
+	return body, nil
 }
 
 // checkout pops an idle pooled client for addr, or (nil, false) when the
 // caller must dial.
 func (g *GIIS) checkout(addr string) (*Client, bool) {
-	g.connMu.Lock()
-	defer g.connMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	pool := g.conns[addr]
 	if len(pool) == 0 {
 		return nil, false
@@ -141,14 +210,18 @@ func (g *GIIS) checkout(addr string) (*Client, bool) {
 }
 
 // checkin returns a healthy client to the pool, closing it instead when
-// the pool is full or the GIIS has shut down.
+// the pool is full, the GIIS has shut down, or addr is no longer a member:
+// Members drops an expired member's pool under the same lock, so no
+// client is pooled for an address that has left.
 func (g *GIIS) checkin(addr string, cl *Client) {
-	g.connMu.Lock()
-	if g.closed || len(g.conns[addr]) >= memberPoolCap {
-		g.connMu.Unlock()
-		cl.Close()
-		return
+	g.mu.Lock()
+	_, member := g.members[addr]
+	keep := member && !g.closed && len(g.conns[addr]) < memberPoolCap
+	if keep {
+		g.conns[addr] = append(g.conns[addr], cl)
 	}
-	g.conns[addr] = append(g.conns[addr], cl)
-	g.connMu.Unlock()
+	g.mu.Unlock()
+	if !keep {
+		cl.Close()
+	}
 }

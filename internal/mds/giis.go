@@ -2,6 +2,7 @@ package mds
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -64,6 +65,7 @@ type GIIS struct {
 	cfg    GIISConfig
 	server *session.Server
 
+	// mu guards members, conns and closed.
 	mu      sync.Mutex
 	members map[string]time.Time // GRIS address -> registration time
 	// memGen counts membership changes: new registrants and expiries, but
@@ -75,8 +77,9 @@ type GIIS struct {
 	resp *bytecache.Managed
 	// conns holds idle authenticated member clients for reuse across
 	// searches, so the fan-out does not pay a dial + GSI handshake per
-	// member per query.
-	connMu sync.Mutex
+	// member per query. Its bound is memberPoolCap clients per live
+	// member: an address's pool is closed and dropped when the member
+	// expires (Members), and checkin pools nothing for a non-member.
 	conns  map[string][]*Client
 	closed bool
 
@@ -138,15 +141,15 @@ func (g *GIIS) Addr() string { return g.server.Addr() }
 // Close shuts the GIIS down and drops the pooled member connections.
 func (g *GIIS) Close() error {
 	g.resp.Close()
-	g.connMu.Lock()
+	g.mu.Lock()
 	g.closed = true
+	var idle []*Client
 	for addr, pool := range g.conns {
-		for _, cl := range pool {
-			cl.Close()
-		}
+		idle = append(idle, pool...)
 		delete(g.conns, addr)
 	}
-	g.connMu.Unlock()
+	g.mu.Unlock()
+	closeAll(idle)
 	return g.server.Close()
 }
 
@@ -162,22 +165,33 @@ func (g *GIIS) Register(addr string) {
 	g.mu.Unlock()
 }
 
-// Members returns the live registrant addresses, sorted.
+// Members returns the live registrant addresses, sorted. Expired
+// registrants are forgotten here, and their idle pooled clients closed.
 func (g *GIIS) Members() []string {
 	now := g.cfg.Clock.Now()
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	out := make([]string, 0, len(g.members))
+	var idle []*Client
 	for addr, at := range g.members {
 		if g.cfg.RegistrationTTL > 0 && now.Sub(at) > g.cfg.RegistrationTTL {
 			delete(g.members, addr)
 			g.memGen.Add(1)
+			idle = append(idle, g.conns[addr]...)
+			delete(g.conns, addr)
 			continue
 		}
 		out = append(out, addr)
 	}
+	g.mu.Unlock()
+	closeAll(idle)
 	sort.Strings(out)
 	return out
+}
+
+func closeAll(clients []*Client) {
+	for _, cl := range clients {
+		cl.Close()
+	}
 }
 
 func (g *GIIS) dispatch(ctx context.Context, peer *session.Peer, f wire.Frame) wire.Frame {
@@ -240,35 +254,29 @@ func (g *GIIS) fillSearch(ctx context.Context, req *SearchRequest) ([]byte, bool
 	if g.resp != nil {
 		key = appendSearchKey(g.resp.AppendGen(nil), 'g', req)
 	}
-	members := g.Members()
-	results := g.scatter(ctx, members, *req)
-	var merged []ldif.Entry
-	var failed []memberResult
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return nil, false, fmt.Errorf("mds: encode search: %w", err)
+	}
+	results := g.scatter(ctx, g.Members(), payload)
+	failed := 0
 	for _, r := range results {
 		if r.err != nil {
-			failed = append(failed, r)
+			failed++
 			g.memberErrors.Inc()
-			continue
 		}
-		merged = append(merged, r.entries...)
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].DN < merged[j].DN })
-	if len(failed) > 0 {
-		// The status entry goes last, after the DN sort, mirroring the
-		// gatekeeper's partial-reply convention (core.DegradedObjectClass)
-		// so clients detect degradation from either tier the same way.
-		merged = append(merged, degradedSearchEntry(g.cfg.OrgName, failed))
-		g.fanDegraded.Inc()
-	}
-
-	out, err := ldif.Marshal(merged)
+	out, err := splice(g.cfg.OrgName, results)
 	if err != nil {
 		return nil, false, err
 	}
+	if failed > 0 {
+		g.fanDegraded.Inc()
+	}
 	stored := false
-	if g.resp != nil && len(failed) == 0 {
-		g.resp.Store(key, zerocopy.Bytes(out), g.cfg.CacheTTL, req.clone)
+	if g.resp != nil && failed == 0 {
+		g.resp.Store(key, out, g.cfg.CacheTTL, req.clone)
 		stored = true
 	}
-	return zerocopy.Bytes(out), stored, nil
+	return out, stored, nil
 }

@@ -2,6 +2,10 @@ package mds_test
 
 import (
 	"context"
+	"encoding/base64"
+	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +13,8 @@ import (
 	"infogram/internal/gsi"
 	"infogram/internal/mds"
 	"infogram/internal/provider"
+	"infogram/internal/session"
+	"infogram/internal/wire"
 )
 
 // fabric is the shared security setup for MDS tests.
@@ -484,5 +490,104 @@ func TestGIISDegradedNotCached(t *testing.T) {
 	// The full merge IS cached: a repeat should hit.
 	if _, err := giis.Search(context.Background(), mds.SearchRequest{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// rawMember is a directory member that answers every SEARCH with body as
+// its RESULT, whatever the body holds, and counts the searches it served.
+func rawMember(t *testing.T, f *fabric, body string) (string, *atomic.Int64) {
+	t.Helper()
+	var searches atomic.Int64
+	srv := session.NewServer(session.Config{
+		Credential: f.svc,
+		Trust:      f.trust,
+		ErrorVerb:  mds.VerbMDSError,
+		Handler: func(context.Context, *session.Peer, wire.Frame) wire.Frame {
+			searches.Add(1)
+			return wire.Frame{Verb: mds.VerbResult, Payload: []byte(body)}
+		},
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return addr, &searches
+}
+
+// TestGIISMalformedMemberDegrades: a member whose RESULT is not LDIF is a
+// member failure. The reply keeps the good member's entries, ends with a
+// status entry naming the bad member, and is not cached: the next search
+// asks the bad member again.
+func TestGIISMalformedMemberDegrades(t *testing.T) {
+	f := newFabric(t)
+	good := startGRIS(t, f, "res1")
+	bad, searches := rawMember(t, f, "dn: kw=Memory, resource=bad, o=grid\nnot an attribute line\n")
+	giis := mds.NewGIIS(mds.GIISConfig{OrgName: "vo", Credential: f.svc, Trust: f.trust, CacheTTL: time.Minute})
+	defer giis.Close()
+	giis.Register(good.Addr())
+	giis.Register(bad)
+
+	for round := 1; round <= 2; round++ {
+		entries, err := giis.Search(context.Background(), mds.SearchRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 3 {
+			t.Fatalf("round %d: %d entries, want res1's 2 plus the status entry", round, len(entries))
+		}
+		for _, e := range entries[:2] {
+			if res, _ := e.Get("resource"); res != "res1" {
+				t.Errorf("round %d: entry %s from %q, want res1", round, e.DN, res)
+			}
+		}
+		status := entries[2]
+		if oc, _ := status.Get("objectclass"); oc != "InfoGramStatus" {
+			t.Fatalf("round %d: last entry %s is not the degraded status", round, status.DN)
+		}
+		if missing := status.All("missing"); len(missing) != 1 || missing[0] != bad {
+			t.Errorf("round %d: missing = %v, want [%s]", round, missing, bad)
+		}
+		if msg, _ := status.Get("error:" + bad); !strings.Contains(msg, "malformed line") {
+			t.Errorf("round %d: error for %s = %q", round, bad, msg)
+		}
+		if n := searches.Load(); n != int64(round) {
+			t.Fatalf("round %d: the bad member served %d searches: a degraded merge was cached", round, n)
+		}
+	}
+}
+
+// TestGIISSortsByDecodedDN: the merge orders entries by their decoded DN,
+// whether a member wrote it plain, folded, or base64, and passes each
+// member's bytes through as written.
+func TestGIISSortsByDecodedDN(t *testing.T) {
+	f := newFabric(t)
+	b64 := "dn:: " + base64.StdEncoding.EncodeToString([]byte("kw=b, o=grid")) + "\nv: b\n"
+	folded := "dn: kw=c,\n  o=grid\nv: c\n"
+	commented := "# from a\ndn: kw=a, o=grid\nv: a\n"
+	giis := mds.NewGIIS(mds.GIISConfig{OrgName: "vo", Credential: f.svc, Trust: f.trust})
+	defer giis.Close()
+	for _, body := range []string{folded, b64, commented} {
+		addr, _ := rawMember(t, f, body)
+		giis.Register(addr)
+	}
+	body, err := giis.SearchLDIF(context.Background(), mds.SearchRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "dn: kw=a, o=grid\nv: a\n\n" + b64 + "\n" + folded; string(body) != want {
+		t.Fatalf("merged body\n%q\nwant\n%q", body, want)
+	}
+	entries, err := giis.Search(context.Background(), mds.SearchRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		v, _ := e.Get("v")
+		got = append(got, e.DN+"="+v)
+	}
+	if want := []string{"kw=a, o=grid=a", "kw=b, o=grid=b", "kw=c, o=grid=c"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("entries = %q, want %q", got, want)
 	}
 }

@@ -51,6 +51,8 @@ for target in \
 	FuzzFollowerStream:./internal/cluster \
 	FuzzParseXRSL:./internal/xrsl \
 	FuzzParseFilter:./internal/mds \
+	FuzzGIISSplice:./internal/mds \
+	FuzzLDIFSplit:./internal/ldif \
 	FuzzReplay:./internal/logging \
 	FuzzSnapshotRestore:./internal/bytecache; do
 	name=${target%%:*}
