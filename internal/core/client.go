@@ -120,10 +120,16 @@ type Client struct {
 	clk     clock.Clock
 	retries *telemetry.Counter
 
-	mu   sync.Mutex
-	sess *session.Client // nil while disconnected
-	peer *gsi.Peer
+	mu     sync.Mutex
+	sess   *session.Client // nil while disconnected
+	peer   *gsi.Peer
+	closed bool // set by Close, after which the client never reconnects
+	// dialing holds one token while a reconnect runs; guarded by mu.
+	dialing chan struct{}
 }
+
+// errClientClosed fails requests made after Close.
+var errClientClosed = errors.New("infogram: client closed")
 
 // Dial connects and authenticates to an InfoGram service.
 func Dial(addr string, cred *gsi.Credential, trust *gsi.TrustStore) (*Client, error) {
@@ -142,9 +148,9 @@ func DialWithOptions(addr string, cred *gsi.Credential, trust *gsi.TrustStore, o
 	return dialContext(context.Background(), addr, cred, trust, opts)
 }
 
-// dialContext is DialWithOptions bounded by ctx: every connect attempt
-// runs under it, and its expiry ends the retries.
-func dialContext(ctx context.Context, addr string, cred *gsi.Credential, trust *gsi.TrustStore, opts Options) (*Client, error) {
+// NewClient returns a client that connects on its first request instead
+// of now. Like every Client it re-dials after a transport failure.
+func NewClient(addr string, cred *gsi.Credential, trust *gsi.TrustStore, opts Options) *Client {
 	if opts.Clock == nil {
 		opts.Clock = clock.System
 	}
@@ -153,6 +159,13 @@ func dialContext(ctx context.Context, addr string, cred *gsi.Credential, trust *
 		c.retries = opts.Telemetry.Counter("infogram_client_retries_total",
 			"transparent client retries after transient connect, handshake, or wire failures")
 	}
+	return c
+}
+
+// dialContext is DialWithOptions bounded by ctx: every connect attempt
+// runs under it, and its expiry ends the retries.
+func dialContext(ctx context.Context, addr string, cred *gsi.Credential, trust *gsi.TrustStore, opts Options) (*Client, error) {
+	c := NewClient(addr, cred, trust, opts)
 	attempts := opts.Retry.attempts()
 	for attempt := 1; ; attempt++ {
 		sess, err := c.connect(ctx)
@@ -200,11 +213,11 @@ func (c *Client) Server() *gsi.Peer {
 	return c.peer
 }
 
-// Close closes the connection.
+// Close closes the connection; requests after it fail.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	sess := c.sess
-	c.sess = nil
+	c.sess, c.closed = nil, true
 	c.mu.Unlock()
 	if sess == nil {
 		return nil
@@ -230,24 +243,46 @@ func (c *Client) dropConn(old *session.Client) {
 	c.mu.Unlock()
 }
 
-// reconnect establishes a session, under ctx, if none is live.
+// reconnect establishes a session, under ctx, if none is live. One
+// reconnect runs at a time, so concurrent callers that find the session
+// gone share one dial instead of racing their own.
 func (c *Client) reconnect(ctx context.Context) error {
-	if c.current() != nil {
+	c.mu.Lock()
+	live, closed := c.sess != nil, c.closed
+	if !live && c.dialing == nil { // made on first need: a client that never re-dials allocates none
+		c.dialing = make(chan struct{}, 1)
+	}
+	dialing := c.dialing
+	c.mu.Unlock()
+	if closed {
+		return errClientClosed
+	}
+	if live {
 		return nil
+	}
+	select {
+	case dialing <- struct{}{}:
+		defer func() { <-dialing }()
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	if c.current() != nil {
+		return nil // another caller's reconnect won
 	}
 	sess, err := c.connect(ctx)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	if c.sess != nil {
-		c.mu.Unlock()
-		// Lost the race to another caller's reconnect.
-		sess.Close()
-		return nil
+	closed = c.closed
+	if !closed {
+		c.sess, c.peer = sess, sess.Peer
 	}
-	c.sess, c.peer = sess, sess.Peer
 	c.mu.Unlock()
+	if closed { // Close ran during the dial
+		sess.Close()
+		return errClientClosed
+	}
 	return nil
 }
 
@@ -593,8 +628,11 @@ func (c *Client) StatusContext(ctx context.Context, contact string) (gram.Status
 }
 
 // Cancel cancels a job by contact.
-func (c *Client) Cancel(contact string) error {
-	resp, err := c.call(context.Background(), wire.Frame{Verb: gram.VerbCancel, Payload: []byte(contact)}, false)
+func (c *Client) Cancel(contact string) error { return c.CancelContext(context.Background(), contact) }
+
+// CancelContext is Cancel carrying the caller's context.
+func (c *Client) CancelContext(ctx context.Context, contact string) error {
+	resp, err := c.call(ctx, wire.Frame{Verb: gram.VerbCancel, Payload: []byte(contact)}, false)
 	if err != nil {
 		return err
 	}

@@ -254,3 +254,39 @@ func TestPoolCheckoutHonoursContextOnSilentMember(t *testing.T) {
 	srv.Close()
 	waitGoroutines(t, baseline)
 }
+
+// TestNewClientSharesOneDialAndCloseIsFinal: a client from NewClient dials
+// nothing until its first request, concurrent first requests share one
+// dial, and a request after Close fails instead of re-dialing.
+func TestNewClientSharesOneDialAndCloseIsFinal(t *testing.T) {
+	g := newTestGrid(t, memoryRegistry())
+	cl := core.NewClient(g.addr, g.user, g.trust, core.Options{})
+	if n := g.svc.AcceptedConns(); n != 0 {
+		t.Fatalf("NewClient dialed: %d connections accepted", n)
+	}
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = cl.PingContext(context.Background())
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("ping %d: %v", i, err)
+		}
+	}
+	if n := g.svc.AcceptedConns(); n != 1 {
+		t.Fatalf("%d concurrent first requests opened %d connections, want 1", len(errs), n)
+	}
+	cl.Close()
+	if err := cl.Ping(); err == nil {
+		t.Fatal("a request after Close succeeded")
+	}
+	if n := g.svc.AcceptedConns(); n != 1 {
+		t.Fatalf("the closed client re-dialed: %d connections accepted", n)
+	}
+}

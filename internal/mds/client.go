@@ -81,24 +81,30 @@ func (c *Client) SearchLDIFContext(ctx context.Context, req SearchRequest) ([]by
 
 // searchLDIF sends an encoded SearchRequest, which it only reads.
 func (c *Client) searchLDIF(ctx context.Context, payload []byte) ([]byte, error) {
-	resp, err := c.sess.Call(ctx, wire.Frame{Verb: VerbSearch, Payload: payload})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Verb != VerbResult {
-		return nil, fmt.Errorf("mds: server error: %s", strings.TrimSpace(string(resp.Payload)))
-	}
-	return resp.Payload, nil
+	return c.call(ctx, wire.Frame{Verb: VerbSearch, Payload: payload}, VerbResult)
+}
+
+// ping checks that the server still answers on this connection.
+func (c *Client) ping(ctx context.Context) error {
+	_, err := c.call(ctx, wire.Frame{Verb: VerbPing}, VerbPong)
+	return err
 }
 
 // RegisterWith registers a GRIS address with a GIIS.
 func (c *Client) RegisterWith(grisAddr string) error {
-	resp, err := c.sess.Call(context.Background(), wire.Frame{Verb: VerbRegister, Payload: []byte(grisAddr)})
+	_, err := c.call(context.Background(), wire.Frame{Verb: VerbRegister, Payload: []byte(grisAddr)}, VerbRegOK)
+	return err
+}
+
+// call sends req and returns the reply's payload; a reply of any verb
+// but want is the server's error.
+func (c *Client) call(ctx context.Context, req wire.Frame, want string) ([]byte, error) {
+	resp, err := c.sess.Call(ctx, req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if resp.Verb != VerbRegOK {
-		return fmt.Errorf("mds: registration failed: %s", strings.TrimSpace(string(resp.Payload)))
+	if resp.Verb != want {
+		return nil, fmt.Errorf("mds: server error: %s", strings.TrimSpace(string(resp.Payload)))
 	}
-	return nil
+	return resp.Payload, nil
 }

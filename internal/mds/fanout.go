@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"infogram/internal/ldif"
+	"infogram/internal/session"
 )
 
 // GIIS scatter-gather: a bounded worker pool queries the federation's
@@ -24,12 +25,9 @@ const (
 	// Unbounded fan-out would let one search against a large federation
 	// spawn a goroutine and a connection per registrant.
 	fanoutParallelism = 8
-	// defaultMemberTimeout bounds one member query (dial + handshake +
-	// call) when GIISConfig.MemberTimeout is zero.
+	// defaultMemberTimeout bounds one member query (slot wait + dial +
+	// handshake + call) when GIISConfig.MemberTimeout is zero.
 	defaultMemberTimeout = 5 * time.Second
-	// memberPoolCap caps idle pooled connections per member; checkins
-	// beyond it close the connection instead.
-	memberPoolCap = 4
 )
 
 // degradedObjectClass duplicates core.DegradedObjectClass (mds cannot
@@ -159,69 +157,41 @@ func splice(org string, results []memberResult) ([]byte, error) {
 }
 
 // queryMember performs one authenticated search against a member under
-// the per-member deadline, drawing on the connection pool, and returns
-// the reply body.
+// the per-member deadline, on a connection leased from the member's pool,
+// and returns the reply body. A failed lease is discarded, not returned.
 func (g *GIIS) queryMember(ctx context.Context, addr string, payload []byte) ([]byte, error) {
+	g.mu.Lock()
+	pool := g.pools[addr]
+	g.mu.Unlock()
+	if pool == nil {
+		return nil, session.ErrPoolClosed // the member expired, or the GIIS closed
+	}
 	timeout := g.cfg.MemberTimeout
 	if timeout <= 0 {
 		timeout = defaultMemberTimeout
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	cl, pooled := g.checkout(addr)
-	if cl == nil {
-		var err error
-		cl, err = DialContext(ctx, addr, g.cfg.Credential, g.cfg.Trust, g.cfg.Clock)
-		if err != nil {
-			return nil, err
-		}
+	cl, err := pool.Checkout(ctx)
+	if err != nil {
+		return nil, err
 	}
 	body, err := cl.searchLDIF(ctx, payload)
-	if err != nil && pooled && ctx.Err() == nil {
-		// A pooled connection can go stale between searches (member
-		// restart, idle reset). One fresh dial distinguishes a stale
-		// connection from a dead member.
-		cl.Close()
-		if cl, err = DialContext(ctx, addr, g.cfg.Credential, g.cfg.Trust, g.cfg.Clock); err != nil {
+	if err != nil && ctx.Err() == nil {
+		// A lease younger than the pool's health check is not pinged, so
+		// a member restart under traffic shows up here. Drop its idle
+		// siblings too and try once on a fresh dial.
+		pool.Discard(cl)
+		pool.CloseIdle()
+		if cl, err = pool.Checkout(ctx); err != nil {
 			return nil, err
 		}
 		body, err = cl.searchLDIF(ctx, payload)
 	}
 	if err != nil {
-		cl.Close()
+		pool.Discard(cl)
 		return nil, err
 	}
-	g.checkin(addr, cl)
+	pool.Checkin(cl)
 	return body, nil
-}
-
-// checkout pops an idle pooled client for addr, or (nil, false) when the
-// caller must dial.
-func (g *GIIS) checkout(addr string) (*Client, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	pool := g.conns[addr]
-	if len(pool) == 0 {
-		return nil, false
-	}
-	cl := pool[len(pool)-1]
-	g.conns[addr] = pool[:len(pool)-1]
-	return cl, true
-}
-
-// checkin returns a healthy client to the pool, closing it instead when
-// the pool is full, the GIIS has shut down, or addr is no longer a member:
-// Members drops an expired member's pool under the same lock, so no
-// client is pooled for an address that has left.
-func (g *GIIS) checkin(addr string, cl *Client) {
-	g.mu.Lock()
-	_, member := g.members[addr]
-	keep := member && !g.closed && len(g.conns[addr]) < memberPoolCap
-	if keep {
-		g.conns[addr] = append(g.conns[addr], cl)
-	}
-	g.mu.Unlock()
-	if !keep {
-		cl.Close()
-	}
 }

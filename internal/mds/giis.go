@@ -43,7 +43,8 @@ type GIISConfig struct {
 	// CacheMaxBytes is the byte cache's total budget; 0 selects
 	// bytecache.DefaultMaxBytes.
 	CacheMaxBytes int64
-	// MemberTimeout bounds each member query (dial, handshake, and call);
+	// MemberTimeout bounds each member query (the wait for a pooled
+	// connection, dial, handshake, and call);
 	// 0 selects defaultMemberTimeout. A member that exceeds it is reported
 	// in the degraded status entry instead of stalling the whole search.
 	MemberTimeout time.Duration
@@ -65,7 +66,7 @@ type GIIS struct {
 	cfg    GIISConfig
 	server *session.Server
 
-	// mu guards members, conns and closed.
+	// mu guards members and pools.
 	mu      sync.Mutex
 	members map[string]time.Time // GRIS address -> registration time
 	// memGen counts membership changes: new registrants and expiries, but
@@ -75,13 +76,10 @@ type GIIS struct {
 	// resp caches rendered fan-out bodies and, with RefreshAhead set, keeps
 	// hot ones from expiring under load; nil when CacheTTL is zero.
 	resp *bytecache.Managed
-	// conns holds idle authenticated member clients for reuse across
-	// searches, so the fan-out does not pay a dial + GSI handshake per
-	// member per query. Its bound is memberPoolCap clients per live
-	// member: an address's pool is closed and dropped when the member
-	// expires (Members), and checkin pools nothing for a non-member.
-	conns  map[string][]*Client
-	closed bool
+	// pools holds one connection pool per live member, so the fan-out
+	// pays no dial + GSI handshake per query. A pool is closed when its
+	// member expires (Members) or by Close, which sets pools to nil.
+	pools map[string]*session.Pool[*Client]
 
 	fanDegraded  *telemetry.Counter
 	memberErrors *telemetry.Counter
@@ -95,7 +93,7 @@ func NewGIIS(cfg GIISConfig) *GIIS {
 	if cfg.Policy == nil {
 		cfg.Policy = gsi.AllowAll()
 	}
-	g := &GIIS{cfg: cfg, members: make(map[string]time.Time), conns: make(map[string][]*Client)}
+	g := &GIIS{cfg: cfg, members: make(map[string]time.Time), pools: make(map[string]*session.Pool[*Client])}
 	if cfg.Telemetry != nil {
 		g.fanDegraded = cfg.Telemetry.Counter("mds_giis_searches_degraded_total",
 			"GIIS searches answered partially because a member failed or timed out")
@@ -138,18 +136,16 @@ func (g *GIIS) Listen(addr string) (string, error) { return g.server.Listen(addr
 // Addr returns the bound address.
 func (g *GIIS) Addr() string { return g.server.Addr() }
 
-// Close shuts the GIIS down and drops the pooled member connections.
+// Close shuts the GIIS down and closes the member pools.
 func (g *GIIS) Close() error {
 	g.resp.Close()
 	g.mu.Lock()
-	g.closed = true
-	var idle []*Client
-	for addr, pool := range g.conns {
-		idle = append(idle, pool...)
-		delete(g.conns, addr)
-	}
+	pools := g.pools
+	g.pools = nil
 	g.mu.Unlock()
-	closeAll(idle)
+	for _, pool := range pools {
+		pool.Close()
+	}
 	return g.server.Close()
 }
 
@@ -160,38 +156,45 @@ func (g *GIIS) Register(addr string) {
 	g.mu.Lock()
 	if _, known := g.members[addr]; !known {
 		g.memGen.Add(1)
+		// A new member's pool has the defaults: four leases, pinged
+		// before reuse after a second idle, reaped after a minute.
+		if g.pools != nil {
+			dial := func(ctx context.Context) (*Client, error) {
+				return DialContext(ctx, addr, g.cfg.Credential, g.cfg.Trust, g.cfg.Clock)
+			}
+			ping := func(ctx context.Context, cl *Client) error { return cl.ping(ctx) }
+			g.pools[addr] = session.NewPool(dial, ping, session.PoolOptions{Clock: g.cfg.Clock})
+		}
 	}
 	g.members[addr] = g.cfg.Clock.Now()
 	g.mu.Unlock()
 }
 
 // Members returns the live registrant addresses, sorted. Expired
-// registrants are forgotten here, and their idle pooled clients closed.
+// registrants are forgotten here, and their pools closed.
 func (g *GIIS) Members() []string {
 	now := g.cfg.Clock.Now()
 	g.mu.Lock()
 	out := make([]string, 0, len(g.members))
-	var idle []*Client
+	var gone []*session.Pool[*Client]
 	for addr, at := range g.members {
 		if g.cfg.RegistrationTTL > 0 && now.Sub(at) > g.cfg.RegistrationTTL {
 			delete(g.members, addr)
 			g.memGen.Add(1)
-			idle = append(idle, g.conns[addr]...)
-			delete(g.conns, addr)
+			if pool, ok := g.pools[addr]; ok {
+				gone = append(gone, pool)
+				delete(g.pools, addr)
+			}
 			continue
 		}
 		out = append(out, addr)
 	}
 	g.mu.Unlock()
-	closeAll(idle)
+	for _, pool := range gone {
+		pool.Close()
+	}
 	sort.Strings(out)
 	return out
-}
-
-func closeAll(clients []*Client) {
-	for _, cl := range clients {
-		cl.Close()
-	}
 }
 
 func (g *GIIS) dispatch(ctx context.Context, peer *session.Peer, f wire.Frame) wire.Frame {
@@ -205,6 +208,8 @@ func (g *GIIS) dispatch(ctx context.Context, peer *session.Peer, f wire.Frame) w
 		return wire.Frame{Verb: VerbRegOK, Payload: []byte(addr)}
 	case VerbSearch:
 		return searchFrame(ctx, g, g.cfg.Policy, g.cfg.Clock.Now(), peer, f.Payload)
+	case VerbPing:
+		return wire.Frame{Verb: VerbPong}
 	default:
 		return errorFrame(fmt.Sprintf("mds: unknown verb %s", f.Verb))
 	}

@@ -28,6 +28,8 @@ const (
 	VerbRegister = "REGISTER"   // payload: GRIS address (GIIS only)
 	VerbRegOK    = "REGISTERED" // payload: echo of address
 	VerbMDSError = "MDS-ERROR"  // payload: message
+	VerbPing     = "PING"       // liveness probe of a pooled connection
+	VerbPong     = "PONG"
 )
 
 // SearchRequest is the JSON payload of SEARCH.
@@ -171,10 +173,14 @@ func searchFrame(ctx context.Context, s searcher, policy *gsi.Policy, now time.T
 }
 
 func (g *GRIS) dispatch(ctx context.Context, peer *session.Peer, f wire.Frame) wire.Frame {
-	if f.Verb != VerbSearch {
+	switch f.Verb {
+	case VerbSearch:
+		return searchFrame(ctx, g, g.cfg.Policy, g.cfg.Clock.Now(), peer, f.Payload)
+	case VerbPing:
+		return wire.Frame{Verb: VerbPong}
+	default:
 		return errorFrame(fmt.Sprintf("mds: unknown verb %s", f.Verb))
 	}
-	return searchFrame(ctx, g, g.cfg.Policy, g.cfg.Clock.Now(), peer, f.Payload)
 }
 
 // Search evaluates a request locally and returns the matching entries.

@@ -1,7 +1,6 @@
 package mds
 
 import (
-	"context"
 	"encoding/base64"
 	"fmt"
 	"reflect"
@@ -9,12 +8,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
-	"infogram/internal/clock"
-	"infogram/internal/gsi"
 	"infogram/internal/ldif"
-	"infogram/internal/provider"
 )
 
 // refMerge is the GIIS merge the splice replaced, kept verbatim as the
@@ -182,86 +177,5 @@ func TestSpliceAllocs(t *testing.T) {
 	if few != many || many > 2*float64(len(members))+2 {
 		t.Errorf("merge of four members: %.1f allocs at 2 attributes per entry, %.1f at 40; want the same count, at most %d",
 			few, many, 2*len(members)+2)
-	}
-}
-
-// TestGIISExpiryClosesPooledConns: when a registrant expires, Members
-// closes and forgets its idle pooled clients, so g.conns shrinks with the
-// membership instead of holding dead members' connections until Close;
-// a late checkin for the departed address is closed, not pooled.
-func TestGIISExpiryClosesPooledConns(t *testing.T) {
-	clk := clock.NewFake(time.Now())
-	ca, err := gsi.NewCA("/O=Grid/CN=CA", time.Hour, clk.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := ca.IssueIdentity("/O=Grid/CN=mds", time.Hour, clk.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	trust := gsi.NewTrustStore(ca.Certificate())
-	var addrs []string
-	for _, res := range []string{"res1", "res2"} {
-		reg := provider.NewRegistry(nil)
-		reg.Register(&provider.StaticProvider{
-			KeywordName: "CPU",
-			Values:      provider.Attributes{{Name: "count", Value: "8"}},
-		}, provider.RegisterOptions{TTL: time.Minute})
-		gris := NewGRIS(GRISConfig{ResourceName: res, Registry: reg, Credential: svc, Trust: trust, Clock: clk})
-		addr, err := gris.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { gris.Close() })
-		addrs = append(addrs, addr)
-	}
-	g := NewGIIS(GIISConfig{OrgName: "vo", Credential: svc, Trust: trust, RegistrationTTL: 30 * time.Second, Clock: clk})
-	defer g.Close()
-	for _, addr := range addrs {
-		g.Register(addr)
-	}
-	if _, err := g.SearchLDIF(context.Background(), SearchRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	g.mu.Lock()
-	pooled := len(g.conns)
-	var expiring *Client
-	if pool := g.conns[addrs[0]]; len(pool) == 1 {
-		expiring = pool[0]
-	}
-	g.mu.Unlock()
-	if pooled != 2 || expiring == nil {
-		t.Fatalf("after one search: %d pooled members, want 2 with one client each", pooled)
-	}
-
-	clk.Advance(time.Minute)
-	g.Register(addrs[1]) // res2 re-registers; res1 lets its registration lapse
-	if got := g.Members(); !reflect.DeepEqual(got, addrs[1:]) {
-		t.Fatalf("members after expiry = %v, want %v", got, addrs[1:])
-	}
-	g.mu.Lock()
-	pooled = len(g.conns)
-	_, kept := g.conns[addrs[0]]
-	g.mu.Unlock()
-	if pooled != 1 || kept {
-		t.Fatalf("after res1 expired: %d pooled members (res1 kept: %v), want 1", pooled, kept)
-	}
-	if _, err := expiring.SearchLDIFContext(context.Background(), SearchRequest{}); err == nil {
-		t.Fatal("the expired member's pooled client is still open")
-	}
-
-	late, err := DialClock(addrs[0], svc, trust, clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.checkin(addrs[0], late)
-	g.mu.Lock()
-	_, kept = g.conns[addrs[0]]
-	g.mu.Unlock()
-	if kept {
-		t.Fatal("checkin pooled a client for an expired member")
-	}
-	if _, err := late.SearchLDIFContext(context.Background(), SearchRequest{}); err == nil {
-		t.Fatal("a refused checkin left the client open")
 	}
 }

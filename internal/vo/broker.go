@@ -54,19 +54,17 @@ func (b *Broker) Close() {
 	}
 }
 
-// client returns a cached authenticated client for addr.
-func (b *Broker) client(addr string) (*core.Client, error) {
+// client returns the cached client for addr, which connects on its first
+// request and re-dials after a failure.
+func (b *Broker) client(addr string) *core.Client {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if cl, ok := b.clients[addr]; ok {
-		return cl, nil
+	cl, ok := b.clients[addr]
+	if !ok {
+		cl = core.NewClient(addr, b.cred, b.trust, core.Options{})
+		b.clients[addr] = cl
 	}
-	cl, err := core.Dial(addr, b.cred, b.trust)
-	if err != nil {
-		return nil, err
-	}
-	b.clients[addr] = cl
-	return cl, nil
+	return cl
 }
 
 // Load is one member's load observation.
@@ -87,11 +85,7 @@ func (b *Broker) Loads(mode cache.Mode, threshold quality.Score) ([]Load, error)
 	}
 	var out []Load
 	for _, addr := range b.addrs {
-		cl, err := b.client(addr)
-		if err != nil {
-			continue
-		}
-		res, err := cl.Query(req)
+		res, err := b.client(addr).Query(req)
 		if err != nil || len(res.Entries) == 0 {
 			continue
 		}
@@ -156,10 +150,7 @@ func (b *Broker) Run(ctx context.Context, req xrsl.JobRequest, mode cache.Mode, 
 
 // RunOn submits a job to a specific member and waits for completion.
 func (b *Broker) RunOn(ctx context.Context, addr string, req xrsl.JobRequest) (Placement, error) {
-	cl, err := b.client(addr)
-	if err != nil {
-		return Placement{}, err
-	}
+	cl := b.client(addr)
 	contact, err := cl.SubmitJob(req)
 	if err != nil {
 		return Placement{}, err
@@ -178,11 +169,7 @@ func (b *Broker) Submit(req xrsl.JobRequest, mode cache.Mode, threshold quality.
 	if err != nil {
 		return Placement{}, err
 	}
-	cl, err := b.client(target.Addr)
-	if err != nil {
-		return Placement{}, err
-	}
-	contact, err := cl.SubmitJob(req)
+	contact, err := b.client(target.Addr).SubmitJob(req)
 	if err != nil {
 		return Placement{}, err
 	}
@@ -191,11 +178,7 @@ func (b *Broker) Submit(req xrsl.JobRequest, mode cache.Mode, threshold quality.
 
 // Wait polls a previously submitted placement to a terminal state.
 func (b *Broker) Wait(ctx context.Context, p Placement) (gram.StatusReply, error) {
-	cl, err := b.client(p.Addr)
-	if err != nil {
-		return gram.StatusReply{}, err
-	}
-	return cl.WaitTerminal(ctx, p.Contact, 5*time.Millisecond)
+	return b.client(p.Addr).WaitTerminal(ctx, p.Contact, 5*time.Millisecond)
 }
 
 // RunBatch brokers a batch of jobs with the given submission parallelism,

@@ -17,13 +17,12 @@
 package wsgw
 
 import (
+	"context"
 	"encoding/xml"
 	"io"
 	"net/http"
-	"sync"
 
 	"infogram/internal/core"
-	"infogram/internal/gram"
 	"infogram/internal/gsi"
 	"infogram/internal/xrsl"
 )
@@ -43,44 +42,21 @@ type Config struct {
 // Gateway is an http.Handler bridging SOAP-style requests to InfoGram.
 type Gateway struct {
 	cfg Config
-
-	mu sync.Mutex
-	cl *core.Client
+	cl  *core.Client
 }
 
-// New builds a gateway. The backend connection is established lazily and
-// re-established after errors.
-func New(cfg Config) *Gateway { return &Gateway{cfg: cfg} }
-
-// client returns a live backend client, dialing if necessary.
-func (g *Gateway) client() (*core.Client, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.cl != nil {
-		return g.cl, nil
-	}
-	cl, err := core.Dial(g.cfg.Backend, g.cfg.Credential, g.cfg.Trust)
-	if err != nil {
-		return nil, err
-	}
-	g.cl = cl
-	return cl, nil
+// New builds a gateway. Its one backend client connects on the first
+// request, multiplexes concurrent web requests over one GSI connection
+// and re-dials after a transport failure. Reads (an information Submit,
+// Status) are retried once; a job Submit or Cancel is never re-sent, so a
+// lost reply is a Fault instead of a job run twice.
+func New(cfg Config) *Gateway {
+	return &Gateway{cfg: cfg, cl: core.NewClient(cfg.Backend, cfg.Credential, cfg.Trust,
+		core.Options{Retry: core.RetryPolicy{MaxAttempts: 2}})}
 }
 
-// dropClient discards a broken backend connection.
-func (g *Gateway) dropClient() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.cl != nil {
-		g.cl.Close()
-		g.cl = nil
-	}
-}
-
-// Close releases the backend connection.
-func (g *Gateway) Close() {
-	g.dropClient()
-}
+// Close releases the backend connection; requests after it fault.
+func (g *Gateway) Close() { g.cl.Close() }
 
 // Envelope shapes.
 
@@ -177,39 +153,23 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		g.fault(w, http.StatusBadRequest, "Client", "malformed envelope: "+err.Error())
 		return
 	}
+	ctx := r.Context()
 	switch {
 	case env.Body.Submit != nil:
-		g.handleSubmit(w, env.Body.Submit.Specification)
+		g.handleSubmit(ctx, w, env.Body.Submit.Specification)
 	case env.Body.Status != nil:
-		g.handleStatus(w, env.Body.Status.Contact)
+		g.handleStatus(ctx, w, env.Body.Status.Contact)
 	case env.Body.Cancel != nil:
-		g.handleCancel(w, env.Body.Cancel.Contact)
+		g.handleCancel(ctx, w, env.Body.Cancel.Contact)
 	default:
 		g.fault(w, http.StatusBadRequest, "Client", "envelope carries no known operation")
 	}
 }
 
-// call runs fn against the backend, reconnecting once on failure.
-func (g *Gateway) call(fn func(cl *core.Client) error) error {
-	cl, err := g.client()
-	if err != nil {
-		return err
-	}
-	if err := fn(cl); err != nil {
-		g.dropClient()
-		cl, err2 := g.client()
-		if err2 != nil {
-			return err
-		}
-		return fn(cl)
-	}
-	return nil
-}
-
-func (g *Gateway) handleSubmit(w http.ResponseWriter, spec string) {
-	// Classify the specification before touching the backend so a job is
-	// never submitted twice. The gateway supports single requests; grid
-	// clients use the native protocol for multi-requests.
+func (g *Gateway) handleSubmit(ctx context.Context, w http.ResponseWriter, spec string) {
+	// Classify the specification before touching the backend: only an
+	// information request may be retried. The gateway supports single
+	// requests; grid clients use the native protocol for multi-requests.
 	reqs, err := xrsl.Decode(spec, nil)
 	if err != nil {
 		g.fault(w, http.StatusBadRequest, "Client", err.Error())
@@ -220,25 +180,13 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, spec string) {
 		return
 	}
 	var resp SubmitResponse
-	switch reqs[0].Kind {
-	case xrsl.KindInfo:
-		err = g.call(func(cl *core.Client) error {
-			res, e := cl.QueryRaw(spec)
-			if e != nil {
-				return e
-			}
-			resp = SubmitResponse{Kind: "info", Format: string(res.Format), Result: res.Raw}
-			return nil
-		})
-	default:
-		err = g.call(func(cl *core.Client) error {
-			contact, e := cl.Submit(spec)
-			if e != nil {
-				return e
-			}
-			resp = SubmitResponse{Kind: "job", Contact: contact}
-			return nil
-		})
+	if reqs[0].Kind == xrsl.KindInfo {
+		var res core.InfoResult
+		res, err = g.cl.QueryRawContext(ctx, spec)
+		resp = SubmitResponse{Kind: "info", Format: string(res.Format), Result: res.Raw}
+	} else {
+		resp.Kind = "job"
+		resp.Contact, err = g.cl.SubmitContext(ctx, spec)
 	}
 	if err != nil {
 		g.fault(w, http.StatusBadGateway, "Server", err.Error())
@@ -247,13 +195,8 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, spec string) {
 	g.reply(w, responseBody{Submit: &resp})
 }
 
-func (g *Gateway) handleStatus(w http.ResponseWriter, contact string) {
-	var st gram.StatusReply
-	err := g.call(func(cl *core.Client) error {
-		var e error
-		st, e = cl.Status(contact)
-		return e
-	})
+func (g *Gateway) handleStatus(ctx context.Context, w http.ResponseWriter, contact string) {
+	st, err := g.cl.StatusContext(ctx, contact)
 	if err != nil {
 		g.fault(w, http.StatusBadGateway, "Server", err.Error())
 		return
@@ -267,9 +210,8 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, contact string) {
 	}})
 }
 
-func (g *Gateway) handleCancel(w http.ResponseWriter, contact string) {
-	err := g.call(func(cl *core.Client) error { return cl.Cancel(contact) })
-	if err != nil {
+func (g *Gateway) handleCancel(ctx context.Context, w http.ResponseWriter, contact string) {
+	if err := g.cl.CancelContext(ctx, contact); err != nil {
 		g.fault(w, http.StatusBadGateway, "Server", err.Error())
 		return
 	}

@@ -35,6 +35,15 @@ echo "== benchmark module (vet, test -race) =="
 echo "== trace chaos (-race) =="
 go test -race -count=1 -run '^TestTraceChaos$|^TestTraceConcurrentPoolCalls$' ./internal/integration/
 
+# The pool and reconnect scenarios re-run uncached under -race: they
+# rebind a restarted server's port, race Close against in-flight leases
+# and race concurrent first requests for one dial, which a cached result
+# would hide.
+echo "== pool restarts, reconnects and no re-send (-race) =="
+go test -race -count=1 \
+	-run '^(TestPoolSurvivesServerRestart|TestGIISMemberRestart|TestGatewayNeverResubmits|TestGatewayNeverRecancels|TestGatewaySharesOneConnection)$' \
+	./internal/core/ ./internal/mds/ ./internal/wsgw/
+
 # CHECK_FUZZTIME extends the per-target fuzz budget (e.g. the nightly CI
 # run passes 60s); the default keeps interactive runs quick.
 fuzztime=${CHECK_FUZZTIME:-10s}
