@@ -81,6 +81,9 @@ func newHarness(t *testing.T, policy *gsi.Policy) *harness {
 		}
 	})
 
+	queue := scheduler.NewQueue(scheduler.QueueConfig{Name: "pbs", Slots: 1, Executor: fn})
+	t.Cleanup(queue.Close)
+
 	logBuf := &syncBuffer{}
 	svc := gram.NewService(gram.Config{
 		Credential: svcCred,
@@ -88,8 +91,9 @@ func newHarness(t *testing.T, policy *gsi.Policy) *harness {
 		Gridmap:    gm,
 		Policy:     policy,
 		Backends: gram.Backends{
-			Exec: &scheduler.Fork{},
-			Func: fn,
+			Exec:  &scheduler.Fork{},
+			Func:  fn,
+			Queue: queue,
 		},
 		Log: logging.NewLogger(logBuf),
 	})
@@ -330,6 +334,31 @@ func TestTimeoutActions(t *testing.T) {
 			t.Error("exception action did not report promptly")
 		}
 	})
+}
+
+// (action=cancel) on a batch job still queued behind a busy slot fails it
+// at its timeout, not when the slot frees.
+func TestTimeoutCancelsQueuedJob(t *testing.T) {
+	h := newHarness(t, nil)
+	cl := dialAlice(t, h)
+	busy, err := cl.Submit("&(executable=slow)(jobtype=queue)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Cancel(busy)
+	time.Sleep(30 * time.Millisecond) // let it take the queue's one slot
+	contact, err := cl.Submit("&(executable=work)(jobtype=queue)(timeout=100)(action=cancel)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	st := waitDone(t, cl, contact)
+	if st.State != job.Failed || !strings.Contains(st.Error, "timeout") {
+		t.Errorf("st = %+v", st)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("queued job cancelled after %s; want soon after its 100ms timeout", d)
+	}
 }
 
 func TestCancelJob(t *testing.T) {

@@ -48,6 +48,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -166,7 +167,7 @@ type Recovered struct {
 	// Segments counts the segment files replayed.
 	Segments int
 	// TornTail reports that the newest segment ended in a torn frame,
-	// which recovery dropped.
+	// which recovery dropped and truncated away.
 	TornTail bool
 }
 
@@ -812,15 +813,15 @@ func listSegments(dir string) []int {
 	}
 	var out []int
 	for _, de := range entries {
-		name := de.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
+		// The index is zero-padded to eight digits but may outgrow them.
+		num, hasPrefix := strings.CutPrefix(de.Name(), segPrefix)
+		num, hasSuffix := strings.CutSuffix(num, segSuffix)
+		if !hasPrefix || !hasSuffix {
 			continue
 		}
-		var idx int
-		if _, err := fmt.Sscanf(name, segPrefix+"%08d"+segSuffix, &idx); err != nil {
-			continue
+		if idx, err := strconv.Atoi(num); err == nil {
+			out = append(out, idx)
 		}
-		out = append(out, idx)
 	}
 	sort.Ints(out)
 	return out
@@ -886,7 +887,8 @@ func (j *Journal) replay() (*Recovered, int, error) {
 }
 
 // replaySegment folds one segment file into j.state. A bad frame is
-// tolerated (and reported) only at the tail of the last segment.
+// tolerated (and reported) only at the tail of the last segment, which is
+// then cut back to its intact prefix.
 func (j *Journal) replaySegment(path string, last bool) (torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -896,29 +898,45 @@ func (j *Journal) replaySegment(path string, last bool) (torn bool, err error) {
 
 	fr := NewFrameReader(f, maxRecordBytes)
 	for {
+		offset := fr.Offset()
 		payload, err := fr.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return false, nil // clean end
+		if errors.Is(err, io.EOF) {
+			return false, nil // clean end
+		}
+		if err == nil {
+			var e Entry
+			if json.Unmarshal(payload, &e) == nil {
+				j.applyLocked(e)
+				continue
 			}
-			// Torn tail and mid-file corruption get the same treatment the
-			// journal has always applied: forgivable only at the tail of the
-			// newest segment.
-			return j.tolerateTear(path, fr.Offset(), last, err.Error())
+			err = fmt.Errorf("journal: unparsable record at offset %d", offset)
 		}
-		var e Entry
-		if err := json.Unmarshal(payload, &e); err != nil {
-			return j.tolerateTear(path, fr.Offset(), last, "unparsable record")
+		// Torn tail and mid-file corruption get the same treatment:
+		// forgivable only at the tail of the newest segment.
+		if !last {
+			return false, fmt.Errorf("%w in %s: mid-history corruption", err, path)
 		}
-		j.applyLocked(e)
+		return true, truncateTail(path, offset)
 	}
 }
 
-// tolerateTear decides whether a bad frame is a forgivable torn tail (last
-// segment) or fatal corruption (anywhere else).
-func (j *Journal) tolerateTear(path string, offset int64, last bool, what string) (bool, error) {
-	if last {
-		return true, nil
+// truncateTail cuts a forgiven torn tail off segment path at offset and
+// syncs the cut. Left in place, the tear would sit mid-history once this
+// epoch's fresh segment follows it, and the next recovery would refuse it.
+func truncateTail(path string, offset int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return fmt.Errorf("journal: truncate torn tail: %w", err)
 	}
-	return false, fmt.Errorf("journal: %s at %s offset %d: mid-history corruption", what, path, offset)
+	err = f.Truncate(offset)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("journal: truncate torn tail: %w", err)
+	}
+	return nil
 }

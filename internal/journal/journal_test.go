@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -94,16 +95,13 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTornTailTolerated(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := openTestJournal(t, dir, nil)
-	submitAndFinish(t, j, "c1", job.Done)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+// tornFrame is a crash mid-append: a frame header promising more bytes
+// than follow.
+var tornFrame = []byte{0x40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 'x', 'y'}
 
-	// Simulate a crash mid-append: a frame header promising more bytes
-	// than follow, at the tail of the newest segment.
+// tearNewestSegment appends tornFrame to the newest segment in dir.
+func tearNewestSegment(t *testing.T, dir string) {
+	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "journal-*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments: %v %v", segs, err)
@@ -112,10 +110,21 @@ func TestTornTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0x40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 'x', 'y'}); err != nil {
+	if _, err := f.Write(tornFrame); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
+}
+
+func TestTornTailTolerated(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openTestJournal(t, dir, nil)
+	submitAndFinish(t, j, "c1", job.Done)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	tearNewestSegment(t, dir)
 
 	_, rec := openTestJournal(t, dir, nil)
 	if !rec.TornTail {
@@ -123,6 +132,37 @@ func TestTornTailTolerated(t *testing.T) {
 	}
 	if len(rec.Jobs) != 1 || rec.Jobs[0].State != job.Done {
 		t.Fatalf("intact prefix lost: %+v", rec.Jobs)
+	}
+}
+
+// A forgiven torn tail is cut off, not left in place: once this epoch's
+// fresh segment follows it, a tear kept there would read as mid-history
+// corruption and refuse the next restart.
+func TestTornTailSurvivesSecondRestart(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openTestJournal(t, dir, nil)
+	submitAndFinish(t, j, "c1", job.Done)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tearNewestSegment(t, dir)
+
+	j1, rec1 := openTestJournal(t, dir, nil)
+	if !rec1.TornTail {
+		t.Fatal("torn tail not reported")
+	}
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec2, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	if err != nil {
+		t.Fatalf("second restart after a forgiven tear: %v", err)
+	}
+	if rec2.TornTail {
+		t.Error("tear reported again on the second restart")
+	}
+	if !reflect.DeepEqual(rec1.Jobs, rec2.Jobs) || len(rec2.Jobs) != 1 {
+		t.Fatalf("recovered jobs differ:\nfirst  %+v\nsecond %+v", rec1.Jobs, rec2.Jobs)
 	}
 }
 
@@ -175,8 +215,11 @@ func TestCorruptMidHistoryFailsRecovery(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a payload byte in the middle of the (non-last) first segment,
-	// then add a later segment so the corruption is mid-history.
+	// Add a later segment, then flip a payload byte in the middle of the
+	// (now non-last) first segment, so the corruption is mid-history.
+	j2, _ := openTestJournal(t, dir, func(o *Options) { o.SnapshotEvery = -1 })
+	submitAndFinish(t, j2, "c2", job.Done)
+	j2.Close()
 	segs, _ := filepath.Glob(filepath.Join(dir, "journal-*.seg"))
 	b, err := os.ReadFile(segs[0])
 	if err != nil {
@@ -186,13 +229,14 @@ func TestCorruptMidHistoryFailsRecovery(t *testing.T) {
 	if err := os.WriteFile(segs[0], b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j2, _ := openTestJournal(t, dir, func(o *Options) { o.SnapshotEvery = -1 })
-	submitAndFinish(t, j2, "c2", job.Done)
-	j2.Close()
 
 	_, _, err = Open(Options{Dir: dir, Fsync: FsyncNever})
 	if err == nil || !strings.Contains(err.Error(), "corruption") {
 		t.Fatalf("mid-history corruption not fatal: %v", err)
+	}
+	// One "journal:" prefix and one offset: the frame error names both.
+	if msg := err.Error(); strings.Count(msg, "journal:") != 1 || strings.Count(msg, "offset") != 1 {
+		t.Fatalf("error text = %q", msg)
 	}
 }
 

@@ -9,9 +9,6 @@ import (
 // PBS execution queue.
 type FIFO struct{}
 
-// Name implements Policy.
-func (FIFO) Name() string { return "fifo" }
-
 // Next implements Policy.
 func (FIFO) Next(pending []*QueuedTask) int {
 	if len(pending) == 0 {
@@ -20,18 +17,12 @@ func (FIFO) Next(pending []*QueuedTask) int {
 	return 0
 }
 
-// Started implements Policy.
-func (FIFO) Started(*QueuedTask) {}
-
 // Finished implements Policy.
 func (FIFO) Finished(*QueuedTask, time.Duration) {}
 
 // PriorityPolicy dispatches the highest-priority pending task, arrival
 // order breaking ties — LSF-style static priority scheduling.
 type PriorityPolicy struct{}
-
-// Name implements Policy.
-func (PriorityPolicy) Name() string { return "priority" }
 
 // Next implements Policy.
 func (PriorityPolicy) Next(pending []*QueuedTask) int {
@@ -43,9 +34,6 @@ func (PriorityPolicy) Next(pending []*QueuedTask) int {
 	}
 	return best
 }
-
-// Started implements Policy.
-func (PriorityPolicy) Started(*QueuedTask) {}
 
 // Finished implements Policy.
 func (PriorityPolicy) Finished(*QueuedTask, time.Duration) {}
@@ -63,9 +51,6 @@ type Fairshare struct {
 	mu    sync.Mutex
 	usage map[string]float64 // owner -> decayed runtime seconds
 }
-
-// Name implements Policy.
-func (f *Fairshare) Name() string { return "fairshare" }
 
 func (f *Fairshare) decay() float64 {
 	if f.Decay == 0 {
@@ -105,9 +90,6 @@ func (f *Fairshare) Next(pending []*QueuedTask) int {
 	return best
 }
 
-// Started implements Policy.
-func (f *Fairshare) Started(*QueuedTask) {}
-
 // Finished implements Policy by charging the owner's share.
 func (f *Fairshare) Finished(t *QueuedTask, runtime time.Duration) {
 	f.mu.Lock()
@@ -135,6 +117,21 @@ func NewPBS(slots int, queues map[string]QueueLimits, exec Backend) *Queue {
 		Queues:   queues,
 		Executor: exec,
 	})
+}
+
+// NewCondor builds a Condor-style matchmaking backend over the given machine
+// advertisements: a task runs on the first machine with a free slot whose
+// attributes satisfy all of its Requirements, in arrival order. exec runs
+// matched tasks (defaults to Fork).
+func NewCondor(machines []Machine, exec Backend) *Queue {
+	ms := make([]*machine, len(machines))
+	for i, m := range machines {
+		if m.Slots <= 0 {
+			m.Slots = 1
+		}
+		ms[i] = &machine{Machine: m, advertised: true}
+	}
+	return newQueue(QueueConfig{Name: "condor", Executor: exec}, ms)
 }
 
 // NewLSF builds an LSF-style backend: fairshare dispatch with priority

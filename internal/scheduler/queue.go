@@ -3,6 +3,7 @@ package scheduler
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -11,19 +12,15 @@ import (
 	"infogram/internal/telemetry"
 )
 
-// Policy orders a batch queue's pending tasks. Implementations pick which
-// pending task runs next when a slot frees up.
+// Policy orders a batch queue's runnable tasks. Implementations pick which
+// task starts next when a slot frees up.
 type Policy interface {
-	// Name identifies the policy.
-	Name() string
 	// Next returns the index of the task to dispatch next, or -1 to leave
-	// everything queued. pending is in submission order.
-	Next(pending []*QueuedTask) int
-	// Started informs the policy that pending[idx] began executing, so
-	// stateful policies (fairshare) can account usage.
-	Started(t *QueuedTask)
+	// everything queued. runnable holds the pending tasks some machine
+	// has a free slot for, in submission order.
+	Next(runnable []*QueuedTask) int
 	// Finished informs the policy that a task completed after the given
-	// runtime.
+	// runtime, so stateful policies (fairshare) can account usage.
 	Finished(t *QueuedTask, runtime time.Duration)
 }
 
@@ -32,14 +29,42 @@ type QueuedTask struct {
 	Task     Task
 	Enqueued time.Time
 
-	h         *resultHandle
-	ctx       context.Context
-	cancelled chan struct{}
-	once      sync.Once
+	h    *resultHandle
+	ctx  context.Context
+	stop func() bool // unregisters the context watch
+
+	// Guarded by the queue's mu.
+	inner     Handle // the executor's handle once the task has started
+	cancelled bool   // Cancel arrived after dispatch
 }
 
-func (q *QueuedTask) cancel() {
-	q.once.Do(func() { close(q.cancelled) })
+// Machine is a Condor-style resource advertisement: a named machine with
+// attributes (the ClassAd analog) and a slot count.
+type Machine struct {
+	Name  string
+	Attrs map[string]string
+	Slots int
+}
+
+// machine is one machine's slot accounting inside a Queue. An unadvertised
+// machine (the single machine of a PBS or LSF queue) runs any task; an
+// advertised one only tasks whose Requirements its Attrs match exactly.
+type machine struct {
+	Machine
+	advertised bool
+	busy       int // guarded by the queue's mu
+}
+
+func (m *machine) accepts(t *Task) bool {
+	if !m.advertised {
+		return true
+	}
+	for k, want := range t.Requirements {
+		if m.Attrs[k] != want {
+			return false
+		}
+	}
+	return true
 }
 
 // SaturatedError reports a submission refused because the scheduler's
@@ -96,18 +121,20 @@ type QueueConfig struct {
 	DispatchLatency *telemetry.Histogram
 }
 
-// Queue is a slot-limited batch scheduler: the discrete simulation of a
-// PBS- or LSF-class local resource manager behind the GRAM backend
-// interface (paper §2). Tasks wait in a pending list; a dispatcher fills
-// free slots according to the policy; queue-wait times are recorded for
-// the E15 experiment.
+// Queue is the batch-queue engine behind the GRAM backend interface
+// (paper §2): PBS, LSF and Condor are configurations of it. Tasks wait in
+// a pending list over a set of machines; a dispatcher offers the policy
+// the tasks some machine has a free slot for and starts its pick on the
+// first such machine. PBS and LSF queues have one unadvertised machine
+// that runs any task; a Condor queue matchmakes over advertised machines.
+// Queue-wait times are recorded for the E15 experiment.
 type Queue struct {
-	cfg QueueConfig
+	cfg      QueueConfig // cfg.Slots is the total over machines
+	machines []*machine
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending []*QueuedTask
-	running int
 	closed  bool
 }
 
@@ -115,6 +142,15 @@ type Queue struct {
 func NewQueue(cfg QueueConfig) *Queue {
 	if cfg.Slots <= 0 {
 		cfg.Slots = 1
+	}
+	return newQueue(cfg, []*machine{{Machine: Machine{Slots: cfg.Slots}}})
+}
+
+// newQueue starts a queue over machines; cfg.Slots becomes their total.
+func newQueue(cfg QueueConfig, machines []*machine) *Queue {
+	cfg.Slots = 0
+	for _, m := range machines {
+		cfg.Slots += m.Slots
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = FIFO{}
@@ -128,7 +164,7 @@ func NewQueue(cfg QueueConfig) *Queue {
 	if cfg.DispatchLatency == nil {
 		cfg.DispatchLatency = &telemetry.Histogram{}
 	}
-	q := &Queue{cfg: cfg}
+	q := &Queue{cfg: cfg, machines: machines}
 	q.cond = sync.NewCond(&q.mu)
 	go q.dispatch()
 	return q
@@ -136,9 +172,6 @@ func NewQueue(cfg QueueConfig) *Queue {
 
 // Name implements Backend.
 func (q *Queue) Name() string { return q.cfg.Name }
-
-// PolicyName returns the configured policy's name.
-func (q *Queue) PolicyName() string { return q.cfg.Policy.Name() }
 
 // WaitStats returns queue-wait statistics across completed dispatches.
 func (q *Queue) WaitStats() telemetry.HistogramSnapshot {
@@ -152,28 +185,24 @@ func (q *Queue) Depth() int {
 	return len(q.pending)
 }
 
-// syncDepthLocked mirrors the pending count into the telemetry gauge.
-// Caller holds q.mu.
-func (q *Queue) syncDepthLocked() {
-	q.cfg.DepthGauge.Set(int64(len(q.pending)))
-}
-
 // Close stops the dispatcher; queued tasks fail, running tasks continue.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	q.closed = true
 	pending := q.pending
 	q.pending = nil
-	q.syncDepthLocked()
+	q.cfg.DepthGauge.Set(0)
 	q.mu.Unlock()
-	q.cond.Broadcast()
+	q.cond.Signal()
 	for _, t := range pending {
+		t.stop()
 		t.h.finish(Result{}, fmt.Errorf("scheduler: %s: queue closed", q.cfg.Name))
 	}
 }
 
 // Submit implements Backend: the task is validated against queue limits
-// and parked until the policy dispatches it.
+// and parked until the policy dispatches it. A task whose requirements no
+// machine satisfies is rejected now rather than queued forever.
 func (q *Queue) Submit(ctx context.Context, t Task) (Handle, error) {
 	if len(q.cfg.Queues) > 0 {
 		name := t.Queue
@@ -189,14 +218,12 @@ func (q *Queue) Submit(ctx context.Context, t Task) (Handle, error) {
 				q.cfg.Name, name, lim.MaxWallTime, t.EstRuntime)
 		}
 	}
-
-	qt := &QueuedTask{
-		Task:      t,
-		Enqueued:  time.Now(),
-		ctx:       ctx,
-		cancelled: make(chan struct{}),
+	if !slices.ContainsFunc(q.machines, func(m *machine) bool { return m.accepts(&t) }) {
+		return nil, fmt.Errorf("scheduler: %s: no machine satisfies requirements %v", q.cfg.Name, t.Requirements)
 	}
-	qt.h = newResultHandle(qt.cancel)
+
+	qt := &QueuedTask{Task: t, Enqueued: time.Now(), ctx: ctx}
+	qt.h = newResultHandle(func() { q.cancel(qt) })
 
 	q.mu.Lock()
 	if q.closed {
@@ -213,7 +240,8 @@ func (q *Queue) Submit(ctx context.Context, t Task) (Handle, error) {
 		}
 	}
 	q.pending = append(q.pending, qt)
-	q.syncDepthLocked()
+	q.cfg.DepthGauge.Set(int64(len(q.pending)))
+	qt.stop = context.AfterFunc(ctx, func() { q.cancel(qt) })
 	q.mu.Unlock()
 	q.cond.Signal()
 	return qt.h, nil
@@ -235,68 +263,94 @@ func (q *Queue) drainEstimate(depth int) time.Duration {
 	return est
 }
 
-// dispatch is the scheduler loop: one goroutine owns slot accounting.
-func (q *Queue) dispatch() {
-	for {
-		q.mu.Lock()
-		for !q.closed && (len(q.pending) == 0 || q.running >= q.cfg.Slots) {
-			q.cond.Wait()
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return
-		}
-		// Drop cancelled tasks before consulting the policy.
-		alive := q.pending[:0]
-		var dropped []*QueuedTask
-		for _, t := range q.pending {
-			select {
-			case <-t.cancelled:
-				dropped = append(dropped, t)
-			default:
-				select {
-				case <-t.ctx.Done():
-					dropped = append(dropped, t)
-				default:
-					alive = append(alive, t)
-				}
-			}
-		}
-		q.pending = alive
-		q.syncDepthLocked()
-		if len(q.pending) == 0 {
-			q.mu.Unlock()
-			for _, t := range dropped {
-				t.h.finish(Result{}, fmt.Errorf("scheduler: %s: cancelled while queued", q.cfg.Name))
-			}
-			continue
-		}
-		idx := q.cfg.Policy.Next(q.pending)
-		if idx < 0 || idx >= len(q.pending) {
-			q.mu.Unlock()
-			for _, t := range dropped {
-				t.h.finish(Result{}, fmt.Errorf("scheduler: %s: cancelled while queued", q.cfg.Name))
-			}
-			continue
-		}
-		qt := q.pending[idx]
-		q.pending = append(q.pending[:idx], q.pending[idx+1:]...)
-		q.syncDepthLocked()
-		q.running++
-		q.cfg.Policy.Started(qt)
+// cancel is the one cancellation event, raised by Handle.Cancel or by the
+// submitter's context ending: a queued task leaves the pending list and
+// fails at once; a running one has its executor handle cancelled.
+func (q *Queue) cancel(qt *QueuedTask) {
+	q.mu.Lock()
+	if q.removeLocked(qt) {
 		q.mu.Unlock()
-
-		for _, t := range dropped {
-			t.h.finish(Result{}, fmt.Errorf("scheduler: %s: cancelled while queued", q.cfg.Name))
-		}
-		go q.run(qt)
+		qt.stop()
+		qt.h.finish(Result{}, fmt.Errorf("scheduler: %s: cancelled while queued", q.cfg.Name))
+		return
+	}
+	qt.cancelled = true
+	inner := qt.inner
+	q.mu.Unlock()
+	if inner != nil {
+		inner.Cancel()
 	}
 }
 
-// run executes one dispatched task on the inner executor. A traced task
-// records a "scheduler.dispatch" span covering the executor run, with
-// the queue wait recorded as an attribute.
-func (q *Queue) run(qt *QueuedTask) {
+// removeLocked takes qt off the pending list, reporting whether it was
+// there. Caller holds q.mu.
+func (q *Queue) removeLocked(qt *QueuedTask) bool {
+	i := slices.Index(q.pending, qt)
+	if i < 0 {
+		return false
+	}
+	q.pending = slices.Delete(q.pending, i, i+1)
+	q.cfg.DepthGauge.Set(int64(len(q.pending)))
+	return true
+}
+
+// dispatch is the scheduler loop: one goroutine owns slot accounting.
+func (q *Queue) dispatch() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for !q.closed {
+		qt, m := q.nextLocked()
+		if qt == nil {
+			q.cond.Wait()
+			continue
+		}
+		q.removeLocked(qt)
+		qt.stop()
+		m.busy++
+		go q.run(qt, m)
+	}
+}
+
+// nextLocked builds the runnable set — the pending tasks some machine has
+// a free slot for — and returns the policy's pick with the first machine
+// that can run it, or nil when nothing can start. Under FIFO this is
+// first-fit in arrival order: a task no free machine matches never holds
+// up a later one. Caller holds q.mu.
+func (q *Queue) nextLocked() (*QueuedTask, *machine) {
+	if !slices.ContainsFunc(q.machines, func(m *machine) bool { return m.busy < m.Slots }) {
+		return nil, nil
+	}
+	var runnable []*QueuedTask
+	for _, t := range q.pending {
+		if q.freeMachineLocked(t) != nil {
+			runnable = append(runnable, t)
+		}
+	}
+	if len(runnable) == 0 {
+		return nil, nil
+	}
+	idx := q.cfg.Policy.Next(runnable)
+	if idx < 0 || idx >= len(runnable) {
+		return nil, nil
+	}
+	return runnable[idx], q.freeMachineLocked(runnable[idx])
+}
+
+// freeMachineLocked returns the first machine with a free slot that
+// accepts qt, or nil. Caller holds q.mu.
+func (q *Queue) freeMachineLocked(qt *QueuedTask) *machine {
+	for _, m := range q.machines {
+		if m.busy < m.Slots && m.accepts(&qt.Task) {
+			return m
+		}
+	}
+	return nil
+}
+
+// run executes one dispatched task on the inner executor and releases its
+// machine slot. A traced task records a "scheduler.dispatch" span covering
+// the executor run, with the queue wait recorded as an attribute.
+func (q *Queue) run(qt *QueuedTask, m *machine) {
 	wait := time.Since(qt.Enqueued)
 	q.cfg.DispatchLatency.Observe(wait)
 	start := time.Now()
@@ -306,25 +360,12 @@ func (q *Queue) run(qt *QueuedTask) {
 	sp.SetAttr("wait_us", strconv.FormatInt(wait.Microseconds(), 10))
 
 	var res Result
-	var inner Handle
-	_, err := faultinject.Eval(ctx, faultinject.SchedulerDispatch)
+	inner, err := q.start(ctx, qt)
 	if err == nil {
-		inner, err = q.cfg.Executor.Submit(ctx, qt.Task)
-	}
-	if err == nil {
-		// Honour cancellation while running.
-		done := make(chan struct{})
-		go func() {
-			select {
-			case <-qt.cancelled:
-				inner.Cancel()
-			case <-done:
-			}
-		}()
 		res, err = inner.Wait(ctx)
-		close(done)
 	}
 	res.QueueWait = wait
+	res.Machine = m.Name
 	runtime := time.Since(start)
 	if err != nil {
 		sp.Fail(err.Error())
@@ -332,7 +373,7 @@ func (q *Queue) run(qt *QueuedTask) {
 	sp.End()
 
 	q.mu.Lock()
-	q.running--
+	m.busy--
 	q.cfg.Policy.Finished(qt, runtime)
 	q.mu.Unlock()
 	q.cond.Signal()
@@ -342,4 +383,25 @@ func (q *Queue) run(qt *QueuedTask) {
 		return
 	}
 	qt.h.finish(res, nil)
+}
+
+// start hands a dispatched task to the executor and publishes the
+// executor's handle, so a later Cancel reaches it; a Cancel that arrived
+// since dispatch applies now.
+func (q *Queue) start(ctx context.Context, qt *QueuedTask) (Handle, error) {
+	if _, err := faultinject.Eval(ctx, faultinject.SchedulerDispatch); err != nil {
+		return nil, err
+	}
+	inner, err := q.cfg.Executor.Submit(ctx, qt.Task)
+	if err != nil {
+		return nil, err
+	}
+	q.mu.Lock()
+	qt.inner = inner
+	cancelled := qt.cancelled
+	q.mu.Unlock()
+	if cancelled {
+		inner.Cancel()
+	}
+	return inner, nil
 }

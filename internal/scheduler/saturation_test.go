@@ -78,3 +78,62 @@ func TestQueueUnboundedByDefault(t *testing.T) {
 		}
 	}
 }
+
+// A queued task cancelled behind a busy slot finishes at once, whether the
+// cancel comes from its handle or from the submitter's context, on a
+// plain queue and on a matchmaking one alike.
+func TestCancelQueuedTaskTakesEffectAtOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(exec Backend) *Queue
+	}{
+		{"queue", func(exec Backend) *Queue { return NewQueue(QueueConfig{Slots: 1, Executor: exec}) }},
+		{"condor", func(exec Backend) *Queue {
+			return NewCondor([]Machine{{Name: "m1", Attrs: map[string]string{"os": "linux"}, Slots: 1}}, exec)
+		}},
+	} {
+		for _, via := range []string{"handle", "context"} {
+			t.Run(tc.name+"/"+via, func(t *testing.T) {
+				release := make(chan struct{})
+				defer close(release)
+				q := tc.mk(blockingExec(release))
+				defer q.Close()
+
+				if _, err := q.Submit(context.Background(), Task{Executable: "block"}); err != nil {
+					t.Fatal(err)
+				}
+				for deadline := time.Now().Add(2 * time.Second); q.Depth() != 0; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("first task never took the slot")
+					}
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				h, err := q.Submit(ctx, Task{Executable: "block"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Let the dispatcher see the second task and go back to
+				// sleep on the busy slot before the cancel arrives.
+				time.Sleep(20 * time.Millisecond)
+				if via == "handle" {
+					h.Cancel()
+				} else {
+					cancel()
+				}
+				waitCtx, stop := context.WithTimeout(context.Background(), 100*time.Millisecond)
+				defer stop()
+				_, err = h.Wait(waitCtx)
+				if err == nil || errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("Wait after cancel = %v, want the task cancelled within 100ms", err)
+				}
+				if want := "scheduler: " + q.Name() + ": cancelled while queued"; err.Error() != want {
+					t.Fatalf("err = %q, want %q", err, want)
+				}
+				if d := q.Depth(); d != 0 {
+					t.Fatalf("depth after cancel = %d", d)
+				}
+			})
+		}
+	}
+}

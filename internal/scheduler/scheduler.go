@@ -37,7 +37,8 @@ type Task struct {
 	// Queue names the target batch queue, where applicable.
 	Queue string
 	// Requirements are matchmaking constraints for Condor-style backends:
-	// every key must match the machine advertisement exactly.
+	// every key must match the machine advertisement exactly. Queues
+	// without advertised machines (PBS, LSF) ignore them.
 	Requirements map[string]string
 	// EstRuntime is the declared runtime hint used by queue policies that
 	// enforce per-queue walltime limits.

@@ -62,6 +62,7 @@ for target in \
 	FuzzParseFilter:./internal/mds \
 	FuzzGIISSplice:./internal/mds \
 	FuzzLDIFSplit:./internal/ldif \
+	FuzzJournalOpen:./internal/journal \
 	FuzzReplay:./internal/logging \
 	FuzzSnapshotRestore:./internal/bytecache; do
 	name=${target%%:*}
