@@ -68,6 +68,9 @@ func (c *Certificate) sign(issuerKey ed25519.PrivateKey) error {
 
 // checkSignature verifies the certificate against the issuer public key.
 func (c *Certificate) checkSignature(issuerPub ed25519.PublicKey) error {
+	if len(issuerPub) != ed25519.PublicKeySize {
+		return fmt.Errorf("gsi: issuer of certificate %q has a malformed public key", c.Subject)
+	}
 	b, err := c.tbs()
 	if err != nil {
 		return err

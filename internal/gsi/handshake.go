@@ -35,13 +35,16 @@ const (
 
 const nonceLen = 32
 
-type authMsg struct {
-	Chain Chain  `json:"chain"`
+// The messages that carry a chain are sent with C = Chain and received
+// with C = json.RawMessage, so that the receiver can key its
+// verified-chain cache on the exact bytes (TrustStore.verifyEncoded).
+type authMsg[C Chain | json.RawMessage] struct {
+	Chain C      `json:"chain"`
 	Nonce []byte `json:"nonce"`
 }
 
-type authOKMsg struct {
-	Chain Chain  `json:"chain"`
+type authOKMsg[C Chain | json.RawMessage] struct {
+	Chain C      `json:"chain"`
 	Nonce []byte `json:"nonce"`
 	Sig   []byte `json:"sig"` // over the client nonce
 }
@@ -83,7 +86,7 @@ func ClientHandshakeContext(ctx context.Context, conn *wire.Conn, cred *Credenti
 	if err != nil {
 		return nil, err
 	}
-	req, err := json.Marshal(authMsg{Chain: cred.Chain, Nonce: nonce})
+	req, err := json.Marshal(authMsg[Chain]{Chain: cred.Chain, Nonce: nonce})
 	if err != nil {
 		return nil, fmt.Errorf("gsi: encode auth: %w", err)
 	}
@@ -98,17 +101,15 @@ func ClientHandshakeContext(ctx context.Context, conn *wire.Conn, cred *Credenti
 	default:
 		return nil, fmt.Errorf("gsi: unexpected handshake frame %s", resp.Verb)
 	}
-	var ok authOKMsg
+	var ok authOKMsg[json.RawMessage]
 	if err := json.Unmarshal(resp.Payload, &ok); err != nil {
 		return nil, fmt.Errorf("gsi: decode auth-ok: %w", err)
 	}
-	if err := trust.VerifyChain(ok.Chain, now); err != nil {
+	serverChain, err := trust.verifyEncoded(ok.Chain, now)
+	if err != nil {
 		return nil, fmt.Errorf("gsi: server chain: %w", err)
 	}
-	leaf, err := ok.Chain.Leaf()
-	if err != nil {
-		return nil, err
-	}
+	leaf := serverChain[0] // a verified chain is never empty
 	if !ed25519.Verify(leaf.PublicKey, nonce, ok.Sig) {
 		return nil, fmt.Errorf("gsi: server failed proof of possession")
 	}
@@ -145,40 +146,43 @@ func ServerHandshakeContext(ctx context.Context, conn *wire.Conn, cred *Credenti
 // serverHandshakeFrame completes the server side of the handshake once
 // the initial frame has been read from conn.
 func serverHandshakeFrame(ctx context.Context, conn *wire.Conn, first wire.Frame, cred *Credential, trust *TrustStore, now time.Time) (*Peer, error) {
+	// sendErr tells the peer why, bounded by ctx: a peer that sent a bad
+	// AUTH and stopped reading must not hold this goroutine.
+	sendErr := func(msg string) {
+		_ = conn.WriteContext(ctx, wire.Frame{Verb: verbAuthErr, Payload: []byte(msg)})
+	}
 	fail := func(format string, args ...any) (*Peer, error) {
 		msg := fmt.Sprintf(format, args...)
-		_ = conn.WriteString(verbAuthErr, msg)
+		sendErr(msg)
 		return nil, fmt.Errorf("gsi: %s", msg)
 	}
 	// failErr keeps cause in the returned error chain (errors.Is still
 	// works, e.g. for ErrExpired) while sending the same flat message to
 	// the peer.
 	failErr := func(cause error, context string) (*Peer, error) {
-		_ = conn.WriteString(verbAuthErr, fmt.Sprintf("%s: %v", context, cause))
+		sendErr(fmt.Sprintf("%s: %v", context, cause))
 		return nil, fmt.Errorf("gsi: %s: %w", context, cause)
 	}
 	if first.Verb != verbAuth {
 		return fail("expected AUTH, got %s", first.Verb)
 	}
-	var req authMsg
+	var req authMsg[json.RawMessage]
 	if err := json.Unmarshal(first.Payload, &req); err != nil {
 		return fail("malformed AUTH payload: %v", err)
 	}
 	if len(req.Nonce) != nonceLen {
 		return fail("bad nonce length %d", len(req.Nonce))
 	}
-	if err := trust.VerifyChain(req.Chain, now); err != nil {
+	clientChain, err := trust.verifyEncoded(req.Chain, now)
+	if err != nil {
 		return failErr(err, "client chain rejected")
 	}
-	leaf, err := req.Chain.Leaf()
-	if err != nil {
-		return fail("empty chain")
-	}
+	leaf := clientChain[0] // a verified chain is never empty
 	nonce, err := newNonce()
 	if err != nil {
 		return nil, err
 	}
-	okPayload, err := json.Marshal(authOKMsg{
+	okPayload, err := json.Marshal(authOKMsg[Chain]{
 		Chain: cred.Chain,
 		Nonce: nonce,
 		Sig:   ed25519.Sign(cred.Key, req.Nonce),

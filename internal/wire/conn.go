@@ -19,15 +19,21 @@ import (
 // serialized by their own mutex so a connection can be shared between a
 // request writer and a callback reader (the GRAM client does this for
 // status callbacks).
+//
+// The frame buffers are on loan from package pools for as long as the
+// connection is open: Close returns them, and nils the fields under the
+// mutex that guards each, so a Read or Write after Close fails with
+// net.ErrClosed instead of touching a buffer another connection now owns.
 type Conn struct {
-	nc net.Conn
+	nc     net.Conn
+	closed atomic.Bool
 
 	rmu sync.Mutex
-	r   *bufio.Reader
+	r   *bufio.Reader // nil once closed
 
 	wmu  sync.Mutex
-	w    *bufio.Writer
-	whdr [64]byte // frame-header scratch, guarded by wmu
+	w    *bufio.Writer // nil once closed
+	whdr [64]byte      // frame-header scratch, guarded by wmu
 
 	callMu sync.Mutex
 
@@ -67,13 +73,27 @@ func (c *Conn) instruments() ConnInstruments {
 	return ConnInstruments{}
 }
 
+// bufSize is the size of each frame buffer. Payloads larger than it
+// stream through the buffer; ReadFrame copies every payload out of it.
+const bufSize = 16 << 10
+
+// The frame buffers every open Conn borrows: a connect-per-request client
+// would otherwise allocate 32 KiB per connection on each end.
+var (
+	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, bufSize) }}
+	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, bufSize) }}
+)
+
+// errClosed is what a Read or Write on a closed Conn returns.
+var errClosed = fmt.Errorf("wire: %w", net.ErrClosed)
+
 // NewConn wraps nc for frame I/O.
 func NewConn(nc net.Conn) *Conn {
-	return &Conn{
-		nc: nc,
-		r:  bufio.NewReaderSize(nc, 16<<10),
-		w:  bufio.NewWriterSize(nc, 16<<10),
-	}
+	r := readerPool.Get().(*bufio.Reader)
+	r.Reset(nc)
+	w := writerPool.Get().(*bufio.Writer)
+	w.Reset(nc)
+	return &Conn{nc: nc, r: r, w: w}
 }
 
 // Dial connects to addr over TCP and wraps the connection.
@@ -197,6 +217,9 @@ func (c *Conn) Read() (Frame, error) {
 func (c *Conn) ReadContext(ctx context.Context) (Frame, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
+	if c.r == nil {
+		return Frame{}, errClosed
+	}
 	for {
 		fin := c.armDeadline(ctx, false)
 		f, err := ReadFrame(c.r)
@@ -241,6 +264,9 @@ func (c *Conn) Write(f Frame) error {
 func (c *Conn) WriteContext(ctx context.Context, f Frame) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if c.w == nil {
+		return errClosed
+	}
 	v, ferr := faultinject.Eval(ctx, faultinject.WireWrite)
 	if ferr != nil {
 		return ferr
@@ -311,5 +337,23 @@ func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 // LocalAddr returns the local network address.
 func (c *Conn) LocalAddr() net.Addr { return c.nc.LocalAddr() }
 
-// Close closes the underlying connection.
-func (c *Conn) Close() error { return c.nc.Close() }
+// Close closes the underlying connection and returns the frame buffers to
+// their pools. Closing nc first unblocks any read or write in flight, so
+// the mutexes it then takes are soon free. A second Close is a no-op.
+func (c *Conn) Close() error {
+	if !c.closed.CompareAndSwap(false, true) {
+		return nil
+	}
+	err := c.nc.Close()
+	c.rmu.Lock()
+	c.r.Reset(nil)
+	readerPool.Put(c.r)
+	c.r = nil
+	c.rmu.Unlock()
+	c.wmu.Lock()
+	c.w.Reset(nil)
+	writerPool.Put(c.w)
+	c.w = nil
+	c.wmu.Unlock()
+	return err
+}

@@ -166,7 +166,7 @@ func ReadFrame(r *bufio.Reader) (Frame, error) {
 			break
 		}
 	}
-	if sp <= 0 || sp == len(line)-0 {
+	if sp <= 0 || sp == len(line)-1 { // no verb, or no length
 		return Frame{}, fmt.Errorf("%w: %q", ErrFrameSyntax, line)
 	}
 	verb, lenStr := line[:sp], line[sp+1:]

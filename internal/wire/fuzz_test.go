@@ -55,6 +55,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte("VERB -3\nxyz"))
 	f.Add([]byte(" 3\nabc"))
 	f.Add([]byte(""))
+	f.Add([]byte("VERB \n")) // empty length
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		for i := 0; i < 16; i++ {

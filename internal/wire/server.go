@@ -116,14 +116,15 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
+			c := NewConn(nc)
 			defer func() {
-				nc.Close()
+				c.Close() // closes nc and hands the frame buffers back
 				s.mu.Lock()
 				delete(s.conns, nc)
 				s.mu.Unlock()
 				s.instr.Active.Dec()
 			}()
-			s.handler.ServeConn(NewConn(nc))
+			s.handler.ServeConn(c)
 		}()
 	}
 }

@@ -119,6 +119,18 @@ func TestReadFrameRejectsMalformedHeaders(t *testing.T) {
 	}
 }
 
+// A header whose length field is empty is a syntax error of its own, not
+// a length that happens not to parse.
+func TestReadFrameRejectsEmptyLength(t *testing.T) {
+	_, err := ReadFrame(bufio.NewReader(strings.NewReader("VERB \n")))
+	if !errors.Is(err, ErrFrameSyntax) {
+		t.Fatalf("err = %v, want ErrFrameSyntax", err)
+	}
+	if strings.Contains(err.Error(), "bad length") {
+		t.Errorf("empty length reached the length parser: %v", err)
+	}
+}
+
 func TestReadFrameTruncatedPayload(t *testing.T) {
 	if _, err := ReadFrame(bufio.NewReader(strings.NewReader("VERB 10\nshort"))); err == nil {
 		t.Error("expected error for truncated payload")

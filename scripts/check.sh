@@ -64,7 +64,8 @@ for target in \
 	FuzzLDIFSplit:./internal/ldif \
 	FuzzJournalOpen:./internal/journal \
 	FuzzReplay:./internal/logging \
-	FuzzSnapshotRestore:./internal/bytecache; do
+	FuzzSnapshotRestore:./internal/bytecache \
+	FuzzVerifyEncoded:./internal/gsi; do
 	name=${target%%:*}
 	pkg=${target#*:}
 	echo "-- $name ($pkg)"
