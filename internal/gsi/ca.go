@@ -3,8 +3,6 @@ package gsi
 import (
 	"crypto/ed25519"
 	"crypto/rand"
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -71,41 +69,26 @@ func (ca *CA) IssueIdentity(subject string, lifetime time.Duration, now time.Tim
 	return &Credential{Chain: Chain{cert}, Key: priv}, nil
 }
 
-// TrustStore holds the CA certificates a verifier trusts, and remembers
-// which encoded chains it has already verified against them (see
-// verifyEncoded).
+// TrustStore holds the CA certificates a verifier trusts.
 type TrustStore struct {
-	mu       sync.RWMutex
-	roots    map[string]*Certificate // by subject
-	gen      uint64                  // bumped by AddRoot
-	verified map[[sha256.Size]byte]Chain
+	mu    sync.RWMutex
+	roots map[string]*Certificate // by subject
 }
-
-// maxVerified bounds the verified-chain cache. A full cache is dropped
-// whole: a peer population that cycles through more distinct chains than
-// this pays a full verification per handshake, as it would uncached.
-const maxVerified = 1024
 
 // NewTrustStore returns a store trusting the given roots.
 func NewTrustStore(roots ...*Certificate) *TrustStore {
-	ts := &TrustStore{
-		roots:    make(map[string]*Certificate),
-		verified: make(map[[sha256.Size]byte]Chain),
-	}
+	ts := &TrustStore{roots: make(map[string]*Certificate)}
 	for _, r := range roots {
 		ts.AddRoot(r)
 	}
 	return ts
 }
 
-// AddRoot adds a trusted CA certificate. Every cached verification is
-// forgotten, since it may rest on the root this call replaces.
+// AddRoot adds a trusted CA certificate.
 func (ts *TrustStore) AddRoot(root *Certificate) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.roots[root.Subject] = root
-	ts.gen++
-	clear(ts.verified)
 }
 
 // root returns the trusted root with the given subject.
@@ -114,53 +97,6 @@ func (ts *TrustStore) root(subject string) (*Certificate, bool) {
 	defer ts.mu.RUnlock()
 	r, ok := ts.roots[subject]
 	return r, ok
-}
-
-// verifyEncoded decodes and verifies a peer's JSON-encoded chain at now.
-// Its result is always the one json.Unmarshal + VerifyChain would give.
-//
-// Every check VerifyChain makes except the validity windows is a pure
-// function of the chain's bytes and the root set, so a chain is verified
-// in full once per distinct byte string (keyed by its SHA-256) and root
-// set: a repeat re-runs only the time checks, on each certificate and then
-// the root, the order VerifyChain fails them in. The returned Chain may be
-// shared with other callers and must not be modified.
-func (ts *TrustStore) verifyEncoded(raw []byte, now time.Time) (Chain, error) {
-	key := sha256.Sum256(raw)
-	ts.mu.RLock()
-	ch, hit := ts.verified[key]
-	var root *Certificate
-	if hit {
-		root = ts.roots[ch[len(ch)-1].Issuer]
-	}
-	gen := ts.gen
-	ts.mu.RUnlock()
-	if hit {
-		for _, cert := range ch {
-			if err := cert.validAt(now); err != nil {
-				return nil, err
-			}
-		}
-		if err := root.validAt(now); err != nil {
-			return nil, err
-		}
-		return ch, nil
-	}
-	if err := json.Unmarshal(raw, &ch); err != nil {
-		return nil, fmt.Errorf("gsi: decode chain: %w", err)
-	}
-	if err := ts.VerifyChain(ch, now); err != nil {
-		return nil, err
-	}
-	ts.mu.Lock()
-	if ts.gen == gen { // no AddRoot since the roots VerifyChain used
-		if len(ts.verified) >= maxVerified {
-			clear(ts.verified)
-		}
-		ts.verified[key] = ch
-	}
-	ts.mu.Unlock()
-	return ch, nil
 }
 
 // VerifyChain validates a leaf-first chain at time now: every link must be

@@ -35,16 +35,13 @@ const (
 
 const nonceLen = 32
 
-// The messages that carry a chain are sent with C = Chain and received
-// with C = json.RawMessage, so that the receiver can key its
-// verified-chain cache on the exact bytes (TrustStore.verifyEncoded).
-type authMsg[C Chain | json.RawMessage] struct {
-	Chain C      `json:"chain"`
+type authMsg struct {
+	Chain Chain  `json:"chain"`
 	Nonce []byte `json:"nonce"`
 }
 
-type authOKMsg[C Chain | json.RawMessage] struct {
-	Chain C      `json:"chain"`
+type authOKMsg struct {
+	Chain Chain  `json:"chain"`
 	Nonce []byte `json:"nonce"`
 	Sig   []byte `json:"sig"` // over the client nonce
 }
@@ -86,7 +83,7 @@ func ClientHandshakeContext(ctx context.Context, conn *wire.Conn, cred *Credenti
 	if err != nil {
 		return nil, err
 	}
-	req, err := json.Marshal(authMsg[Chain]{Chain: cred.Chain, Nonce: nonce})
+	req, err := json.Marshal(authMsg{Chain: cred.Chain, Nonce: nonce})
 	if err != nil {
 		return nil, fmt.Errorf("gsi: encode auth: %w", err)
 	}
@@ -101,15 +98,17 @@ func ClientHandshakeContext(ctx context.Context, conn *wire.Conn, cred *Credenti
 	default:
 		return nil, fmt.Errorf("gsi: unexpected handshake frame %s", resp.Verb)
 	}
-	var ok authOKMsg[json.RawMessage]
+	var ok authOKMsg
 	if err := json.Unmarshal(resp.Payload, &ok); err != nil {
 		return nil, fmt.Errorf("gsi: decode auth-ok: %w", err)
 	}
-	serverChain, err := trust.verifyEncoded(ok.Chain, now)
-	if err != nil {
+	if err := trust.VerifyChain(ok.Chain, now); err != nil {
 		return nil, fmt.Errorf("gsi: server chain: %w", err)
 	}
-	leaf := serverChain[0] // a verified chain is never empty
+	leaf, err := ok.Chain.Leaf()
+	if err != nil {
+		return nil, err
+	}
 	if !ed25519.Verify(leaf.PublicKey, nonce, ok.Sig) {
 		return nil, fmt.Errorf("gsi: server failed proof of possession")
 	}
@@ -166,23 +165,25 @@ func serverHandshakeFrame(ctx context.Context, conn *wire.Conn, first wire.Frame
 	if first.Verb != verbAuth {
 		return fail("expected AUTH, got %s", first.Verb)
 	}
-	var req authMsg[json.RawMessage]
+	var req authMsg
 	if err := json.Unmarshal(first.Payload, &req); err != nil {
 		return fail("malformed AUTH payload: %v", err)
 	}
 	if len(req.Nonce) != nonceLen {
 		return fail("bad nonce length %d", len(req.Nonce))
 	}
-	clientChain, err := trust.verifyEncoded(req.Chain, now)
-	if err != nil {
+	if err := trust.VerifyChain(req.Chain, now); err != nil {
 		return failErr(err, "client chain rejected")
 	}
-	leaf := clientChain[0] // a verified chain is never empty
+	leaf, err := req.Chain.Leaf()
+	if err != nil {
+		return fail("empty chain")
+	}
 	nonce, err := newNonce()
 	if err != nil {
 		return nil, err
 	}
-	okPayload, err := json.Marshal(authOKMsg[Chain]{
+	okPayload, err := json.Marshal(authOKMsg{
 		Chain: cred.Chain,
 		Nonce: nonce,
 		Sig:   ed25519.Sign(cred.Key, req.Nonce),

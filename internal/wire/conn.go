@@ -215,30 +215,16 @@ func (c *Conn) Read() (Frame, error) {
 // cancellation bound the read in addition to the connection's I/O
 // timeout.
 func (c *Conn) ReadContext(ctx context.Context) (Frame, error) {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	if c.r == nil {
-		return Frame{}, errClosed
-	}
 	for {
-		fin := c.armDeadline(ctx, false)
-		f, err := ReadFrame(c.r)
-		raw := err
-		err = fin(err)
-		instr := c.instruments()
-		switch {
-		case err == nil:
-			instr.BytesRead.Add(int64(f.WireSize()))
-		case IsFrameError(raw) || errors.Is(raw, os.ErrDeadlineExceeded):
-			instr.FrameErrors.Inc()
-		}
+		f, err := c.readFrame(ctx)
 		if err != nil {
 			return Frame{}, err
 		}
 		// The failpoint fires once a frame has arrived, not when the read
 		// starts: a reader already parked on an idle connection would
 		// otherwise have evaluated it long before the test armed it, and
-		// the fault would land an exchange late.
+		// the fault would land an exchange late. It runs outside rmu, so
+		// an injected delay or hang holds no lock Close waits for.
 		v, ferr := faultinject.Eval(ctx, faultinject.WireRead)
 		if ferr != nil {
 			return Frame{}, ferr
@@ -253,6 +239,27 @@ func (c *Conn) ReadContext(ctx context.Context) (Frame, error) {
 	}
 }
 
+// readFrame reads one frame under rmu.
+func (c *Conn) readFrame(ctx context.Context) (Frame, error) {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if c.r == nil {
+		return Frame{}, errClosed
+	}
+	fin := c.armDeadline(ctx, false)
+	f, err := ReadFrame(c.r)
+	raw := err
+	err = fin(err)
+	instr := c.instruments()
+	switch {
+	case err == nil:
+		instr.BytesRead.Add(int64(f.WireSize()))
+	case IsFrameError(raw) || errors.Is(raw, os.ErrDeadlineExceeded):
+		instr.FrameErrors.Inc()
+	}
+	return f, err
+}
+
 // Write writes f and flushes it to the network.
 func (c *Conn) Write(f Frame) error {
 	return c.WriteContext(context.Background(), f)
@@ -262,14 +269,16 @@ func (c *Conn) Write(f Frame) error {
 // cancellation bound the write in addition to the connection's I/O
 // timeout.
 func (c *Conn) WriteContext(ctx context.Context, f Frame) error {
+	// The failpoint runs before wmu is taken, so an injected delay or
+	// hang holds no lock Close waits for.
+	v, ferr := faultinject.Eval(ctx, faultinject.WireWrite)
+	if ferr != nil {
+		return ferr
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.w == nil {
 		return errClosed
-	}
-	v, ferr := faultinject.Eval(ctx, faultinject.WireWrite)
-	if ferr != nil {
-		return ferr
 	}
 	if v.Drop {
 		return nil // injected drop: report success without sending
@@ -338,8 +347,9 @@ func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 func (c *Conn) LocalAddr() net.Addr { return c.nc.LocalAddr() }
 
 // Close closes the underlying connection and returns the frame buffers to
-// their pools. Closing nc first unblocks any read or write in flight, so
-// the mutexes it then takes are soon free. A second Close is a no-op.
+// their pools. It waits for a frame read or write already in progress to
+// finish; closing nc first makes one blocked on the socket return at once.
+// A second Close is a no-op.
 func (c *Conn) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil

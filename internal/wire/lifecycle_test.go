@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"infogram/internal/faultinject"
 )
 
 func TestCloseTwiceIsNoOp(t *testing.T) {
@@ -73,6 +75,51 @@ func TestCloseUnblocksReadAndWrite(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("blocked operation did not return after Close")
 		}
+	}
+}
+
+// An injected delay on a frame read or write runs outside the frame
+// mutexes, so Close does not wait for it; the delayed operation then fails
+// as on any closed connection.
+func TestCloseNotHeldByFailpointDelay(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	for _, p := range []faultinject.Point{faultinject.WireRead, faultinject.WireWrite} {
+		t.Run(string(p), func(t *testing.T) {
+			a, b := net.Pipe()
+			defer b.Close()
+			c := NewConn(a)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			hits := faultinject.Triggered(p) // cumulative across tests
+			faultinject.Arm(p, faultinject.Action{Delay: time.Hour, Count: 1})
+			defer faultinject.Disarm(p)
+			done := make(chan error, 1)
+			if p == faultinject.WireRead {
+				// The read failpoint fires once a frame has arrived.
+				go func() { _ = NewConn(b).Write(Frame{Verb: "PING"}) }()
+				go func() {
+					_, err := c.ReadContext(ctx)
+					done <- err
+				}()
+			} else {
+				go func() { done <- c.WriteContext(ctx, Frame{Verb: "PING"}) }()
+			}
+			for faultinject.Triggered(p) == hits {
+				time.Sleep(time.Millisecond)
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- c.Close() }()
+			select {
+			case <-closed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close waited for an injected delay")
+			}
+			cancel()
+			if err := <-done; err == nil {
+				t.Error("delayed operation succeeded on a closed connection")
+			}
+		})
 	}
 }
 

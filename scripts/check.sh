@@ -65,7 +65,7 @@ for target in \
 	FuzzJournalOpen:./internal/journal \
 	FuzzReplay:./internal/logging \
 	FuzzSnapshotRestore:./internal/bytecache \
-	FuzzVerifyEncoded:./internal/gsi; do
+	FuzzVerifyChain:./internal/gsi; do
 	name=${target%%:*}
 	pkg=${target#*:}
 	echo "-- $name ($pkg)"
