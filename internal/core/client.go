@@ -17,6 +17,7 @@ import (
 	"infogram/internal/faultinject"
 	"infogram/internal/gram"
 	"infogram/internal/gsi"
+	"infogram/internal/job"
 	"infogram/internal/ldif"
 	"infogram/internal/session"
 	"infogram/internal/telemetry"
@@ -372,8 +373,10 @@ func isTransient(err error) bool {
 	return errors.As(err, &ne)
 }
 
+// serverError converts an ERROR frame to an error; an expired contact
+// keeps errors.Is(err, job.ErrExpired).
 func serverError(f wire.Frame) error {
-	return fmt.Errorf("infogram: server error: %s", strings.TrimSpace(string(f.Payload)))
+	return job.RemoteError("infogram: server error: ", strings.TrimSpace(string(f.Payload)))
 }
 
 // Ping checks service liveness.

@@ -2,6 +2,10 @@ package gram
 
 import (
 	"errors"
+	"fmt"
+	"io"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -138,4 +142,68 @@ func TestCallbackDialerCloseDuringDial(t *testing.T) {
 		t.Fatalf("dialer state after Close: contacts=%d closed=%v", len(d.contacts), d.closed)
 	}
 	d.mu.Unlock()
+}
+
+// The dialer holds at most maxCallbackContacts connections: a new contact
+// past the bound closes the least recently used one, and an event for an
+// evicted contact dials it afresh.
+func TestCallbackDialerEvictsLeastRecentlyUsed(t *testing.T) {
+	type far struct {
+		dials  int
+		closed chan struct{}
+	}
+	var mu sync.Mutex
+	fars := make(map[string]*far)
+	d := NewCallbackDialer()
+	defer d.Close()
+	d.dial = func(addr string, timeout time.Duration) (*wire.Conn, error) {
+		near, farEnd := net.Pipe()
+		mu.Lock()
+		f, ok := fars[addr]
+		if !ok {
+			f = &far{}
+			fars[addr] = f
+		}
+		f.dials++
+		closed := make(chan struct{})
+		f.closed = closed
+		mu.Unlock()
+		go func() {
+			// Drain until the dialer closes its end.
+			_, _ = io.Copy(io.Discard, farEnd)
+			close(closed)
+		}()
+		return wire.NewConn(near), nil
+	}
+	addr := func(i int) string { return fmt.Sprintf("listener-%d:1", i) }
+	for i := 0; i < maxCallbackContacts; i++ {
+		d.Notify(addr(i), job.Event{Contact: "job", State: job.Active})
+	}
+	d.Notify(addr(0), job.Event{Contact: "job", State: job.Active}) // 1 is now least recent
+	d.Notify(addr(maxCallbackContacts), job.Event{Contact: "job", State: job.Active})
+
+	d.mu.Lock()
+	held := len(d.contacts)
+	_, has0 := d.contacts[addr(0)]
+	_, has1 := d.contacts[addr(1)]
+	d.mu.Unlock()
+	if held != maxCallbackContacts || !has0 || has1 {
+		t.Fatalf("dialer holds %d contacts (listener-0 %v, listener-1 %v); want %d without listener-1",
+			held, has0, has1, maxCallbackContacts)
+	}
+	mu.Lock()
+	evicted := fars[addr(1)].closed
+	mu.Unlock()
+	select {
+	case <-evicted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the evicted contact's connection was never closed")
+	}
+
+	d.Notify(addr(1), job.Event{Contact: "job", State: job.Done})
+	mu.Lock()
+	defer mu.Unlock()
+	if fars[addr(1)].dials != 2 || fars[addr(0)].dials != 1 {
+		t.Fatalf("dials: listener-1 %d, listener-0 %d; want 2 and 1", fars[addr(1)].dials, fars[addr(0)].dials)
+	}
 }

@@ -78,7 +78,7 @@ func (c *Client) Close() error { return c.sess.Close() }
 
 // errorReply converts an ERROR frame to an error.
 func errorReply(f wire.Frame) error {
-	return fmt.Errorf("gram: server error: %s", strings.TrimSpace(string(f.Payload)))
+	return job.RemoteError("gram: server error: ", strings.TrimSpace(string(f.Payload)))
 }
 
 // Ping checks service liveness.

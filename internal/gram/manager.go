@@ -249,14 +249,15 @@ func (m *Manager) transition(ctx context.Context, contact string, req *xrsl.JobR
 		return err
 	}
 	e := journal.Entry{
-		Kind:     journal.KindState,
-		Time:     ev.Time.UnixNano(),
-		Contact:  contact,
-		State:    ev.State.String(),
-		Error:    ev.Error,
-		Restarts: ev.Restarts,
-		Stdout:   mut.Stdout,
-		Stderr:   mut.Stderr,
+		Kind:        journal.KindState,
+		Time:        ev.Time.UnixNano(),
+		Contact:     contact,
+		State:       ev.State.String(),
+		Error:       ev.Error,
+		Restarts:    ev.Restarts,
+		WillRestart: mut.WillRestart,
+		Stdout:      mut.Stdout,
+		Stderr:      mut.Stderr,
 	}
 	if ev.State.Terminal() {
 		e.ExitCode = intPtr(ev.ExitCode)
@@ -308,7 +309,7 @@ func (m *Manager) run(ctx context.Context, contact string, req *xrsl.JobRequest)
 func (m *Manager) runFrom(ctx context.Context, contact string, req *xrsl.JobRequest, start int) {
 	backend, err := m.cfg.Backends.Select(req.JobType)
 	if err != nil {
-		m.fail(ctx, contact, req, scheduler.Result{}, -1, err.Error(), start)
+		m.fail(ctx, contact, req, scheduler.Result{}, -1, err.Error(), start, false)
 		return
 	}
 
@@ -335,7 +336,7 @@ func (m *Manager) runFrom(ctx context.Context, contact string, req *xrsl.JobRequ
 		}
 		if ctx.Err() != nil {
 			// Cancelled: no restart, report the cancellation.
-			m.fail(ctx, contact, req, res, -1, "cancelled: "+ctx.Err().Error(), attempt)
+			m.fail(ctx, contact, req, res, -1, "cancelled: "+ctx.Err().Error(), attempt, false)
 			return
 		}
 		switch {
@@ -351,16 +352,16 @@ func (m *Manager) runFrom(ctx context.Context, contact string, req *xrsl.JobRequ
 		case runErr == nil:
 			if attempt == attempts-1 {
 				m.fail(ctx, contact, req, res, res.ExitCode,
-					fmt.Sprintf("exit code %d", res.ExitCode), attempt)
+					fmt.Sprintf("exit code %d", res.ExitCode), attempt, false)
 				return
 			}
-			m.fail(ctx, contact, req, res, res.ExitCode, fmt.Sprintf("exit code %d (will restart)", res.ExitCode), attempt)
+			m.fail(ctx, contact, req, res, res.ExitCode, fmt.Sprintf("exit code %d (will restart)", res.ExitCode), attempt, true)
 		default:
 			if attempt == attempts-1 {
-				m.fail(ctx, contact, req, res, -1, runErr.Error(), attempt)
+				m.fail(ctx, contact, req, res, -1, runErr.Error(), attempt, false)
 				return
 			}
-			m.fail(ctx, contact, req, res, -1, runErr.Error()+" (will restart)", attempt)
+			m.fail(ctx, contact, req, res, -1, runErr.Error()+" (will restart)", attempt, true)
 		}
 	}
 }
@@ -589,16 +590,18 @@ func waitAll(ctx context.Context, handles []scheduler.Handle) (scheduler.Result,
 }
 
 // fail transitions a job to FAILED, preserving whatever output the failed
-// attempt produced.
-func (m *Manager) fail(ctx context.Context, contact string, req *xrsl.JobRequest, res scheduler.Result, exitCode int, msg string, attempt int) {
+// attempt produced. willRestart marks a FAILED the next attempt follows,
+// which keeps the job from being forgotten in between.
+func (m *Manager) fail(ctx context.Context, contact string, req *xrsl.JobRequest, res scheduler.Result, exitCode int, msg string, attempt int, willRestart bool) {
 	stdout, stderr := res.Stdout, res.Stderr
 	_ = m.transition(ctx, contact, req, job.Mutation{
-		State:    job.Failed,
-		ExitCode: exitCode,
-		Error:    msg,
-		Stdout:   &stdout,
-		Stderr:   &stderr,
-		Restarts: intPtr(attempt),
+		State:       job.Failed,
+		ExitCode:    exitCode,
+		Error:       msg,
+		Stdout:      &stdout,
+		Stderr:      &stderr,
+		Restarts:    intPtr(attempt),
+		WillRestart: willRestart,
 	})
 }
 
@@ -651,12 +654,13 @@ func (m *Manager) restoreFailed(js journal.JobState, msg string) error {
 	})
 }
 
-// Resume re-registers a journaled, non-terminal job under its original
+// Resume re-registers a journaled, unfinished job under its original
 // contact and restarts its manager goroutine. Execution starts at the
 // journaled restart count (clamped to the request's restart budget), so
 // the interrupted attempt is re-run rather than the job gaining a fresh
-// budget. The submission is not re-journaled here: the journal it was
-// replayed from already holds it.
+// budget; a job journaled as a FAILED that will restart starts at the
+// attempt after it. The submission is not re-journaled here: the journal
+// it was replayed from already holds it.
 func (m *Manager) Resume(req *xrsl.JobRequest, js journal.JobState) error {
 	now := m.cfg.Clock.Now()
 	rec := job.Record{
@@ -675,6 +679,9 @@ func (m *Manager) Resume(req *xrsl.JobRequest, js journal.JobState) error {
 		return err
 	}
 	start := js.Restarts
+	if js.WillRestart {
+		start++
+	}
 	if start > req.Restart {
 		start = req.Restart
 	}
@@ -685,7 +692,7 @@ func (m *Manager) Resume(req *xrsl.JobRequest, js journal.JobState) error {
 		// The backend the job ran on does not exist in this process: it
 		// cannot be re-attached, only reported.
 		m.fail(context.Background(), js.Contact, req, scheduler.Result{}, -1,
-			"recovery: "+err.Error(), start)
+			"recovery: "+err.Error(), start, false)
 		return nil
 	}
 	if err := m.transition(context.Background(), js.Contact, req, job.Mutation{
@@ -712,7 +719,7 @@ func (m *Manager) Resume(req *xrsl.JobRequest, js journal.JobState) error {
 
 // RecoverJournal is the one restart path: it rebuilds the job table from
 // the job state replayed from the journal, the only restart source.
-// Terminal jobs are restored verbatim; non-terminal jobs are resubmitted to
+// Finished jobs are restored verbatim; unfinished jobs are resubmitted to
 // their backends under their original contacts, resuming from the last
 // journaled checkpoint and honouring the remaining restart budget. Jobs
 // whose spec no longer decodes — or whose backend is absent — come back
@@ -723,12 +730,17 @@ func (m *Manager) RecoverJournal(rec *journal.Recovered, envFor func(owner strin
 		return nil, nil
 	}
 	var resumed []string
+	// Finished jobs go in first, in retirement order, so the table
+	// forgets the same ones the journal does.
+	for _, i := range rec.Retired {
+		js := rec.Jobs[i]
+		if err := m.restoreTerminal(js); err != nil {
+			return resumed, fmt.Errorf("gram: recover %q: %w", js.Contact, err)
+		}
+	}
 	replayed := 0
 	for _, js := range rec.Jobs {
-		if js.State.Terminal() {
-			if err := m.restoreTerminal(js); err != nil {
-				return resumed, fmt.Errorf("gram: recover %q: %w", js.Contact, err)
-			}
+		if js.Finished() {
 			continue
 		}
 		replayed++

@@ -5,8 +5,11 @@
 package job
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -115,13 +118,71 @@ type Record struct {
 	Updated   time.Time
 }
 
+// KeepTerminal is how many finished jobs a job table, and the journal
+// fold, keep answering for. Older ones are forgotten in retirement order,
+// as a GRAM job manager is gone once its job is (paper Figure 1); the audit
+// log is the permanent record. A job counts as finished at DONE, or at a
+// FAILED that will not restart. Eviction is amortised: the finished set
+// grows to 2·KeepTerminal and is then cut back to the newest KeepTerminal.
+const KeepTerminal = 4096
+
+// Retirements queues the contacts of finished jobs in retirement order and
+// applies the KeepTerminal window to them. The zero value is empty.
+type Retirements struct {
+	queue []string
+}
+
+// Add queues contact. Once 2·KeepTerminal are queued it cuts the queue
+// back to the newest KeepTerminal, calls forget for each contact dropped,
+// oldest first, and reports true.
+func (r *Retirements) Add(contact string, forget func(contact string)) bool {
+	r.queue = append(r.queue, contact)
+	if len(r.queue) < 2*KeepTerminal {
+		return false
+	}
+	cut := len(r.queue) - KeepTerminal
+	for _, c := range r.queue[:cut] {
+		forget(c)
+	}
+	n := copy(r.queue, r.queue[cut:])
+	clear(r.queue[n:])
+	r.queue = r.queue[:n]
+	return true
+}
+
+// Remove takes contact out of the queue: its job is no longer finished.
+func (r *Retirements) Remove(contact string) {
+	if i := slices.Index(r.queue, contact); i >= 0 {
+		r.queue = slices.Delete(r.queue, i, i+1)
+	}
+}
+
+// Contacts returns the queue, oldest first. It is valid until the next
+// Add or Remove and must not be modified.
+func (r *Retirements) Contacts() []string { return r.queue }
+
+// ErrExpired marks a contact this table issued whose job it has since
+// forgotten (see KeepTerminal).
+var ErrExpired = errors.New("expired")
+
+// RemoteError rebuilds an error message received from a server as an
+// error reading prefix+msg. An expired-contact message wraps ErrExpired,
+// so errors.Is holds on both sides of a connection.
+func RemoteError(prefix, msg string) error {
+	if rest, ok := strings.CutSuffix(msg, " "+ErrExpired.Error()); ok && strings.HasPrefix(rest, "job: contact ") {
+		return fmt.Errorf("%s%s %w", prefix, rest, ErrExpired)
+	}
+	return errors.New(prefix + msg)
+}
+
 // Table is a concurrency-safe job table with per-job event fan-out. It
 // backs the middle tier's view of jobs in both GRAM and InfoGram.
 type Table struct {
-	mu   sync.RWMutex
-	jobs map[string]*entry
-	seq  atomic.Uint64
-	host string
+	mu       sync.RWMutex
+	jobs     map[string]*entry
+	finished Retirements
+	seq      atomic.Uint64
+	prefix   string // "gram://host/", the head of every contact issued here
 }
 
 type entry struct {
@@ -132,25 +193,71 @@ type entry struct {
 // NewTable creates a table issuing contacts under the given host:port
 // string, mirroring how GRAM job contacts embed the job manager address.
 func NewTable(host string) *Table {
-	return &Table{jobs: make(map[string]*entry), host: host}
+	return &Table{jobs: make(map[string]*entry), prefix: "gram://" + host + "/"}
 }
 
 // NewContact allocates a fresh job contact handle. The layout follows the
 // GRAM convention of address + job id + timestamp.
 func (t *Table) NewContact(now time.Time) string {
 	id := t.seq.Add(1)
-	return fmt.Sprintf("gram://%s/%d/%d", t.host, id, now.UnixNano())
+	return fmt.Sprintf("%s%d/%d", t.prefix, id, now.UnixNano())
 }
 
-// Create inserts a new job record in the given initial state.
+// issuedSeq returns the job id of a contact in this table's layout and
+// under its host; ok is false for any other contact.
+func (t *Table) issuedSeq(contact string) (seq uint64, ok bool) {
+	rest, ok := strings.CutPrefix(contact, t.prefix)
+	if !ok {
+		return 0, false
+	}
+	id, _, ok := strings.Cut(rest, "/")
+	if !ok {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(id, 10, 64)
+	return seq, err == nil
+}
+
+// missing is the error for a contact the table does not hold: expired if
+// the table issued it, unknown otherwise.
+func (t *Table) missing(contact string) error {
+	if seq, ok := t.issuedSeq(contact); ok && seq <= t.seq.Load() {
+		return fmt.Errorf("job: contact %q %w", contact, ErrExpired)
+	}
+	return fmt.Errorf("job: unknown contact %q", contact)
+}
+
+// Create inserts a new job record in the given initial state. A record
+// created in a terminal state counts as finished. Creating a contact this
+// table's host issued moves the job-id sequence above it, so contacts a
+// restarted table recovers are never issued again.
 func (t *Table) Create(rec Record) error {
+	if seq, ok := t.issuedSeq(rec.Contact); ok {
+		for cur := t.seq.Load(); seq > cur && !t.seq.CompareAndSwap(cur, seq); cur = t.seq.Load() {
+		}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, dup := t.jobs[rec.Contact]; dup {
 		return fmt.Errorf("job: duplicate contact %q", rec.Contact)
 	}
 	t.jobs[rec.Contact] = &entry{rec: rec}
+	if rec.State.Terminal() {
+		t.finishLocked(rec.Contact)
+	}
 	return nil
+}
+
+// finishLocked records contact as finished, forgetting the oldest
+// finished jobs past the window. Caller holds mu.
+func (t *Table) finishLocked(contact string) {
+	t.finished.Add(contact, func(c string) {
+		// Only a job still finished goes: a contact is queued again if
+		// its job was revived and finished anew.
+		if e, ok := t.jobs[c]; ok && e.rec.State.Terminal() {
+			delete(t.jobs, c)
+		}
+	})
 }
 
 // Remove deletes a job record outright. It exists for submission
@@ -168,7 +275,7 @@ func (t *Table) Get(contact string) (Record, error) {
 	defer t.mu.RUnlock()
 	e, ok := t.jobs[contact]
 	if !ok {
-		return Record{}, fmt.Errorf("job: unknown contact %q", contact)
+		return Record{}, t.missing(contact)
 	}
 	return e.rec, nil
 }
@@ -200,6 +307,9 @@ type Mutation struct {
 	Stdout   *string // nil leaves unchanged
 	Stderr   *string
 	Restarts *int
+	// WillRestart marks a FAILED that a restart will follow: the job is
+	// not finished, so it cannot be forgotten before its next PENDING.
+	WillRestart bool
 }
 
 // Transition applies a validated state change and notifies subscribers.
@@ -208,7 +318,7 @@ func (t *Table) Transition(contact string, m Mutation, now time.Time) (Event, er
 	e, ok := t.jobs[contact]
 	if !ok {
 		t.mu.Unlock()
-		return Event{}, fmt.Errorf("job: unknown contact %q", contact)
+		return Event{}, t.missing(contact)
 	}
 	if !validTransition(e.rec.State, m.State) {
 		from := e.rec.State
@@ -238,6 +348,9 @@ func (t *Table) Transition(contact string, m Mutation, now time.Time) (Event, er
 	}
 	subs := make([]chan Event, len(e.subs))
 	copy(subs, e.subs)
+	if m.State.Terminal() && !m.WillRestart {
+		t.finishLocked(contact)
+	}
 	t.mu.Unlock()
 
 	for _, ch := range subs {
@@ -258,7 +371,7 @@ func (t *Table) Subscribe(contact string) (<-chan Event, func(), error) {
 	defer t.mu.Unlock()
 	e, ok := t.jobs[contact]
 	if !ok {
-		return nil, nil, fmt.Errorf("job: unknown contact %q", contact)
+		return nil, nil, t.missing(contact)
 	}
 	ch := make(chan Event, 16)
 	e.subs = append(e.subs, ch)

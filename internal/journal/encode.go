@@ -47,6 +47,9 @@ func appendEntry(dst []byte, e Entry) []byte {
 		dst = append(dst, `,"restarts":`...)
 		dst = strconv.AppendInt(dst, int64(e.Restarts), 10)
 	}
+	if e.WillRestart {
+		dst = append(dst, `,"willRestart":true`...)
+	}
 	if e.Stdout != nil {
 		dst = append(dst, `,"stdout":`...)
 		dst = appendJSONString(dst, *e.Stdout)
@@ -103,6 +106,9 @@ func appendJobState(dst []byte, js *JobState) []byte {
 	if js.Restarts != 0 {
 		dst = append(dst, `,"restarts":`...)
 		dst = strconv.AppendInt(dst, int64(js.Restarts), 10)
+	}
+	if js.WillRestart {
+		dst = append(dst, `,"willRestart":true`...)
 	}
 	if js.Checkpoint != "" {
 		dst = append(dst, `,"checkpoint":`...)

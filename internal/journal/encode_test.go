@@ -28,7 +28,7 @@ func TestAppendEntryMatchesEncodingJSON(t *testing.T) {
 		{Kind: KindState, Time: 1, Contact: "c1", State: "DONE",
 			ExitCode: &exit, Restarts: 3, Stdout: &out, Stderr: &empty},
 		{Kind: KindState, Contact: "c2", State: "FAILED", ExitCode: &negExit,
-			Error: "exit code 1 (will restart)"},
+			Error: "exit code 1 (will restart)", WillRestart: true},
 		{Kind: KindCheckpoint, Contact: "c3", Checkpoint: "step=9"},
 		{Kind: KindSubmit, Contact: utf, Spec: bad, Error: "<&>"},
 	}
@@ -66,7 +66,7 @@ func TestAppendJobStateMatchesEncodingJSON(t *testing.T) {
 			Stdout: "line one\nline \"two\"\t\\end", Checkpoint: "step=9",
 			Submitted: submitted, Updated: submitted.In(time.FixedZone("CET", 3600))},
 		{Contact: "c2", State: job.Failed, ExitCode: -1,
-			Error: "exit code 1 (will restart)", Stderr: "boom"},
+			Error: "exit code 1 (will restart)", Stderr: "boom", WillRestart: true},
 		{Contact: "héllo — ∆ grid", Spec: "torn\xffbyte", Error: "<&>",
 			State: job.Done, Submitted: submitted.Local()},
 	}

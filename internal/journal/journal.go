@@ -28,6 +28,12 @@
 // of every job to snapshot.json (atomically, via rename), syncs the
 // directory, and deletes the segments the snapshot now covers.
 //
+// The fold keeps a fixed window of finished jobs (job.KeepTerminal),
+// forgetting the oldest in retirement order, so memory, snapshots and
+// the segment tail are bounded by live jobs plus that window. The same
+// rule runs wherever records are folded — on the leader, on a follower
+// and at recovery — so all three hold the same set.
+//
 // The fsync policy trades durability against append latency: "always"
 // writes and syncs before every append returns (no acknowledged record can
 // be lost to power failure); "interval" group-commits — appends land in a
@@ -131,6 +137,9 @@ type Entry struct {
 	ExitCode *int   `json:"exit,omitempty"`
 	Error    string `json:"err,omitempty"`
 	Restarts int    `json:"restarts,omitempty"`
+	// WillRestart marks a FAILED that a restart will follow. Without it a
+	// terminal state is final, as in every journal written before it.
+	WillRestart bool `json:"willRestart,omitempty"`
 	// Stdout/Stderr are pointers so "unchanged" and "set to empty" encode
 	// differently, mirroring job.Mutation.
 	Stdout *string `json:"stdout,omitempty"`
@@ -143,27 +152,37 @@ type Entry struct {
 // across its journal records. It is what snapshots persist and what
 // recovery hands back to the service.
 type JobState struct {
-	Contact    string    `json:"contact"`
-	Spec       string    `json:"spec,omitempty"`
-	Owner      string    `json:"owner,omitempty"`
-	Identity   string    `json:"identity,omitempty"`
-	State      job.State `json:"state"`
-	ExitCode   int       `json:"exitCode,omitempty"`
-	Error      string    `json:"error,omitempty"`
-	Stdout     string    `json:"stdout,omitempty"`
-	Stderr     string    `json:"stderr,omitempty"`
-	Restarts   int       `json:"restarts,omitempty"`
-	Checkpoint string    `json:"checkpoint,omitempty"`
-	Submitted  time.Time `json:"submitted"`
-	Updated    time.Time `json:"updated"`
+	Contact  string    `json:"contact"`
+	Spec     string    `json:"spec,omitempty"`
+	Owner    string    `json:"owner,omitempty"`
+	Identity string    `json:"identity,omitempty"`
+	State    job.State `json:"state"`
+	ExitCode int       `json:"exitCode,omitempty"`
+	Error    string    `json:"error,omitempty"`
+	Stdout   string    `json:"stdout,omitempty"`
+	Stderr   string    `json:"stderr,omitempty"`
+	Restarts int       `json:"restarts,omitempty"`
+	// WillRestart is the latest state record's (see Entry).
+	WillRestart bool      `json:"willRestart,omitempty"`
+	Checkpoint  string    `json:"checkpoint,omitempty"`
+	Submitted   time.Time `json:"submitted"`
+	Updated     time.Time `json:"updated"`
 }
+
+// Finished reports whether the job is DONE, or FAILED with no restart to
+// follow: only a finished job may be forgotten.
+func (js *JobState) Finished() bool { return js.State.Terminal() && !js.WillRestart }
 
 // Recovered is the state rebuilt by Open from snapshot plus segments.
 type Recovered struct {
-	// Jobs holds every journaled job in first-submission order, terminal
-	// and non-terminal alike (terminal ones restore STATUS answers; the
+	// Jobs holds every retained job in first-submission order, finished
+	// and unfinished alike (finished ones restore STATUS answers; the
 	// rest are resubmitted).
 	Jobs []JobState
+	// Retired indexes every finished job in Jobs, in retirement order:
+	// the order a job table must file them in to forget the same ones
+	// the journal will.
+	Retired []int
 	// Segments counts the segment files replayed.
 	Segments int
 	// TornTail reports that the newest segment ended in a torn frame,
@@ -204,9 +223,10 @@ const bufSize = 64 << 10
 // snapshotBacklogFactor is how many appends a snapshot must be "earned" by
 // per folded job before one runs: rewriting the whole state is only worth
 // it once the journal tail is a multiple of the state it would replace
-// (the rewrite-when-doubled rule append-only-file stores use). A history
-// of submit+terminal pairs never reaches the multiple, and correctly so —
-// its snapshot would be as long as the tail it replaces.
+// (the rewrite-when-doubled rule append-only-file stores use). The fold
+// holds at most live + 2·job.KeepTerminal jobs, so a history of
+// submit+terminal pairs reaches the multiple every ≈ 2·(live + window)
+// appends, and the snapshot and the segment tail stay bounded.
 const snapshotBacklogFactor = 2
 
 // maxRecordBytes rejects absurd frame lengths during replay (a corrupt
@@ -243,14 +263,17 @@ type Journal struct {
 	sinceSnap int64
 	dirty     bool // unsynced writes (interval policy)
 	closed    bool
-	// state holds live (non-terminal) jobs; terminal jobs move to retired
-	// as pre-marshaled JobState JSON. A long-lived gatekeeper folds every
-	// job it ever ran, and keeping the terminal majority as pointer-free
-	// blobs instead of 10-pointer structs keeps the GC's scan work (and
-	// snapshot marshaling) proportional to live jobs, not history.
-	state   map[string]*JobState
-	retired map[string][]byte
-	order   []string // contacts in first-submission order
+	// state holds unfinished jobs (a FAILED that will restart included);
+	// finished jobs move to retired as pre-marshaled JobState JSON, which
+	// keeps the GC's scan work (and snapshot marshaling) proportional to
+	// live jobs rather than to the window of finished ones. finished lists
+	// the retired contacts in retirement order, oldest first: at
+	// 2·job.KeepTerminal the oldest are forgotten down to KeepTerminal,
+	// and order drops them in the same pass.
+	state    map[string]*JobState
+	retired  map[string][]byte
+	finished job.Retirements
+	order    []string // retained contacts in first-submission order
 
 	// taps are live replication subscribers (see repl.go).
 	taps []*Tap
@@ -497,6 +520,18 @@ func (j *Journal) Jobs() []JobState {
 	return out
 }
 
+// Footprint reports what the fold holds: unfinished jobs, finished jobs,
+// and the length of the first-submission index. However long the journal
+// runs, the last two stay within unfinished + 2·job.KeepTerminal.
+func (j *Journal) Footprint() (live, finished, order int) {
+	if j == nil {
+		return 0, 0, 0
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return len(j.state), len(j.retired), len(j.order)
+}
+
 // fsyncLoop is the FsyncInterval background syncer. It flushes the
 // group-commit buffer under the lock but syncs outside it: an fsync can
 // take milliseconds, and holding the append mutex across it would stall
@@ -589,18 +624,21 @@ func (j *Journal) applyLocked(e Entry) {
 	js, ok := j.state[e.Contact]
 	if !ok {
 		if blob, wasRetired := j.retired[e.Contact]; wasRetired {
-			// A record for a terminal job: a restart (FAILED -> PENDING) or
-			// a replayed history. Revive the blob so the fold continues.
+			// A record for a finished job: a restart after a FAILED
+			// journaled before WillRestart existed, or a replayed history.
+			// Revive the blob so the fold continues.
 			js = &JobState{}
 			if err := json.Unmarshal(blob, js); err != nil {
 				return
 			}
 			delete(j.retired, e.Contact)
+			j.finished.Remove(e.Contact)
 			j.state[e.Contact] = js
 		} else if e.Kind != KindSubmit {
 			// A state or checkpoint record for a contact the journal never
-			// saw submitted: tampered history; ignore rather than invent a
-			// job with no spec.
+			// saw submitted, or has forgotten: tampered history, or a late
+			// record for an expired job; ignore rather than invent a job
+			// with no spec.
 			return
 		} else {
 			js = &JobState{Contact: e.Contact, Submitted: time.Unix(0, e.Time)}
@@ -623,6 +661,7 @@ func (j *Journal) applyLocked(e Entry) {
 		}
 		js.Error = e.Error
 		js.Restarts = e.Restarts
+		js.WillRestart = e.WillRestart
 		if e.Stdout != nil {
 			js.Stdout = *e.Stdout
 		}
@@ -634,10 +673,29 @@ func (j *Journal) applyLocked(e Entry) {
 		js.Checkpoint = e.Checkpoint
 		js.Updated = time.Unix(0, e.Time)
 	}
-	if js.State.Terminal() {
-		j.retired[e.Contact] = appendJobState(nil, js)
+	if js.Finished() {
 		delete(j.state, e.Contact)
+		j.retireLocked(e.Contact, appendJobState(nil, js))
 	}
+}
+
+// retireLocked files a finished job's blob, forgetting the oldest
+// finished jobs past the window; a cut also compacts order to the jobs
+// still held. Caller holds mu.
+func (j *Journal) retireLocked(contact string, blob []byte) {
+	j.retired[contact] = blob
+	if !j.finished.Add(contact, func(c string) { delete(j.retired, c) }) {
+		return
+	}
+	order := make([]string, 0, len(j.state)+len(j.retired))
+	for _, c := range j.order {
+		if _, ok := j.state[c]; ok {
+			order = append(order, c)
+		} else if _, ok := j.retired[c]; ok {
+			order = append(order, c)
+		}
+	}
+	j.order = order
 }
 
 // jobStateLocked returns the folded state of one contact, live or retired.
@@ -705,6 +763,10 @@ type snapshot struct {
 	// recovery replays only segments >= NextSeg.
 	NextSeg int        `json:"nextSeg"`
 	Jobs    []JobState `json:"jobs"`
+	// Retired indexes the finished jobs in Jobs in retirement order, so
+	// recovery forgets the same ones the running fold would have. A
+	// snapshot written before it existed retires them in Jobs order.
+	Retired []int `json:"retired,omitempty"`
 }
 
 // snapshotLocked rotates, persists the folded state, and deletes the
@@ -719,14 +781,18 @@ func (j *Journal) snapshotLocked(ctx context.Context) error {
 	rawSnap := struct {
 		NextSeg int               `json:"nextSeg"`
 		Jobs    []json.RawMessage `json:"jobs"`
+		Retired []int             `json:"retired,omitempty"`
 	}{NextSeg: j.segIndex, Jobs: make([]json.RawMessage, 0, len(j.order))}
+	pos := make(map[string]int, len(j.retired))
 	for _, c := range j.order {
 		if js, ok := j.state[c]; ok {
 			rawSnap.Jobs = append(rawSnap.Jobs, appendJobState(nil, js))
 		} else if blob, ok := j.retired[c]; ok {
+			pos[c] = len(rawSnap.Jobs)
 			rawSnap.Jobs = append(rawSnap.Jobs, blob)
 		}
 	}
+	rawSnap.Retired = j.retiredIndexesLocked(pos)
 	b, err := json.Marshal(rawSnap)
 	if err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
@@ -770,6 +836,19 @@ func (j *Journal) snapshotLocked(ctx context.Context) error {
 	j.snapshotJobs.Set(int64(len(rawSnap.Jobs)))
 	j.updateSegmentGauge()
 	return nil
+}
+
+// retiredIndexesLocked maps the retirement order onto a list of jobs,
+// given each retired contact's position in it. Caller holds mu.
+func (j *Journal) retiredIndexesLocked(pos map[string]int) []int {
+	finished := j.finished.Contacts()
+	out := make([]int, 0, len(finished))
+	for _, c := range finished {
+		if i, ok := pos[c]; ok {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // SyncDir fsyncs directory dir, making a rename into it durable. A file
@@ -844,15 +923,8 @@ func (j *Journal) replay() (*Recovered, int, error) {
 		if err := json.Unmarshal(b, &snap); err != nil {
 			return nil, 0, fmt.Errorf("journal: corrupt snapshot %s: %w", snapPath, err)
 		}
-		for i := range snap.Jobs {
-			js := snap.Jobs[i]
-			if js.State.Terminal() {
-				j.retired[js.Contact] = appendJobState(nil, &js)
-				j.order = append(j.order, js.Contact)
-				continue
-			}
-			j.state[js.Contact] = &js
-			j.order = append(j.order, js.Contact)
+		if err := j.loadSnapshot(&snap); err != nil {
+			return nil, 0, fmt.Errorf("journal: corrupt snapshot %s: %w", snapPath, err)
 		}
 		nextSeg = snap.NextSeg
 	} else if !errors.Is(err, os.ErrNotExist) {
@@ -878,12 +950,52 @@ func (j *Journal) replay() (*Recovered, int, error) {
 	}
 
 	rec.Jobs = make([]JobState, 0, len(j.order))
+	pos := make(map[string]int, len(j.retired))
 	for _, c := range j.order {
 		if js, ok := j.jobStateLocked(c); ok {
+			if js.Finished() {
+				pos[c] = len(rec.Jobs)
+			}
 			rec.Jobs = append(rec.Jobs, js)
 		}
 	}
+	rec.Retired = j.retiredIndexesLocked(pos)
 	return rec, epoch, nil
+}
+
+// loadSnapshot folds a snapshot's jobs in: unfinished ones into state,
+// finished ones retired in the snapshot's retirement order.
+func (j *Journal) loadSnapshot(snap *snapshot) error {
+	retire := snap.Retired
+	if retire == nil {
+		for i := range snap.Jobs {
+			if snap.Jobs[i].Finished() {
+				retire = append(retire, i)
+			}
+		}
+	}
+	seen := make([]bool, len(snap.Jobs))
+	for _, i := range retire {
+		if i < 0 || i >= len(snap.Jobs) || seen[i] || !snap.Jobs[i].Finished() {
+			return fmt.Errorf("retired index %d names no distinct finished job", i)
+		}
+		seen[i] = true
+	}
+	for i := range snap.Jobs {
+		js := &snap.Jobs[i]
+		j.order = append(j.order, js.Contact)
+		if !seen[i] {
+			if js.Finished() {
+				return fmt.Errorf("finished job %q missing from the retirement order", js.Contact)
+			}
+			cp := *js
+			j.state[js.Contact] = &cp
+		}
+	}
+	for _, i := range retire {
+		j.retireLocked(snap.Jobs[i].Contact, appendJobState(nil, &snap.Jobs[i]))
+	}
+	return nil
 }
 
 // replaySegment folds one segment file into j.state. A bad frame is
