@@ -657,7 +657,11 @@ func (c *Client) Signal(contact, signal string) error {
 	return nil
 }
 
-// WaitTerminal polls until the job reaches a terminal state.
+// WaitTerminal polls until the job reaches a terminal state. A server
+// answers for a finished job only until job.KeepTerminal to
+// 2·job.KeepTerminal later jobs have finished; after that it returns an
+// error satisfying errors.Is(err, job.ErrExpired), and the server's audit
+// log is the record of the job's outcome.
 func (c *Client) WaitTerminal(ctx context.Context, contact string, poll time.Duration) (gram.StatusReply, error) {
 	if poll <= 0 {
 		poll = 10 * time.Millisecond

@@ -32,10 +32,12 @@ func TestExpiredContactOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Retire a full window of newer jobs straight into the table.
+	// Retire a full window of jobs that finished later straight into
+	// the table.
 	table := g.svc.Table()
 	for i := 0; i < 2*job.KeepTerminal; i++ {
-		if err := table.Create(job.Record{Contact: table.NewContact(time.Now()), State: job.Done}); err != nil {
+		at := time.Now()
+		if err := table.Create(job.Record{Contact: table.NewContact(at), State: job.Done, Submitted: at, Updated: at}); err != nil {
 			t.Fatal(err)
 		}
 	}

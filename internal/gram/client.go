@@ -147,6 +147,10 @@ func (c *Client) Signal(contact, signal string) error {
 
 // WaitTerminal polls until the job reaches DONE or FAILED, with the given
 // poll interval (the paper's polling alternative to event notification).
+// A finished job's result expires once job.KeepTerminal to
+// 2·job.KeepTerminal later jobs have finished on the server: WaitTerminal
+// then returns an error satisfying errors.Is(err, job.ErrExpired), and the
+// server's audit log is the record of the job's outcome.
 func (c *Client) WaitTerminal(ctx context.Context, contact string, poll time.Duration) (StatusReply, error) {
 	if poll <= 0 {
 		poll = 10 * time.Millisecond

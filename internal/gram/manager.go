@@ -730,17 +730,12 @@ func (m *Manager) RecoverJournal(rec *journal.Recovered, envFor func(owner strin
 		return nil, nil
 	}
 	var resumed []string
-	// Finished jobs go in first, in retirement order, so the table
-	// forgets the same ones the journal does.
-	for _, i := range rec.Retired {
-		js := rec.Jobs[i]
-		if err := m.restoreTerminal(js); err != nil {
-			return resumed, fmt.Errorf("gram: recover %q: %w", js.Contact, err)
-		}
-	}
 	replayed := 0
 	for _, js := range rec.Jobs {
 		if js.Finished() {
+			if err := m.restoreTerminal(js); err != nil {
+				return resumed, fmt.Errorf("gram: recover %q: %w", js.Contact, err)
+			}
 			continue
 		}
 		replayed++

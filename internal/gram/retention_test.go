@@ -219,8 +219,75 @@ func TestRetentionBoundsJobHistory(t *testing.T) {
 		t.Fatalf("recovery holds %d jobs; the running journal held %d", len(got), len(leaderSet))
 	}
 	rec2 := reopen()
-	if !reflect.DeepEqual(rec1.Jobs, rec2.Jobs) || !reflect.DeepEqual(rec1.Retired, rec2.Retired) {
+	if !reflect.DeepEqual(rec1.Jobs, rec2.Jobs) {
 		t.Fatal("second recovery differs from the first")
+	}
+}
+
+// TestTableAndJournalAgreeWhenFinishesCross: the manager files a
+// finished job in the table and then in the journal, under two locks, so
+// two jobs finishing together can reach the two in opposite orders. Here
+// every pair does, with a cut of the window falling inside pairs. Both
+// order the window by the time of each job's last change, which they
+// record alike, so they forget the same jobs.
+func TestTableAndJournalAgreeWhenFinishesCross(t *testing.T) {
+	const n = job.KeepTerminal
+	table := job.NewTable("site:1")
+	jnl, _, err := journal.Open(journal.Options{Dir: t.TempDir(), Fsync: journal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	ctx := context.Background()
+	base := time.Now()
+	clock := 0
+	start := func() (string, time.Time) {
+		t.Helper()
+		clock++
+		at := base.Add(time.Duration(clock) * time.Millisecond)
+		c := table.NewContact(at)
+		if err := table.Create(job.Record{Contact: c, State: job.Active, Submitted: at, Updated: at}); err != nil {
+			t.Fatal(err)
+		}
+		if err := jnl.Append(ctx, journal.Entry{Kind: journal.KindSubmit, Time: at.UnixNano(), Contact: c, Spec: noopSpec}); err != nil {
+			t.Fatal(err)
+		}
+		clock++
+		return c, base.Add(time.Duration(clock) * time.Millisecond)
+	}
+	toTable := func(c string, at time.Time) {
+		t.Helper()
+		if _, err := table.Transition(c, job.Mutation{State: job.Done}, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	toJournal := func(c string, at time.Time) {
+		t.Helper()
+		exit := 0
+		if err := jnl.Append(ctx, journal.Entry{Kind: journal.KindState, Time: at.UnixNano(), Contact: c, State: "DONE", ExitCode: &exit}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One lone finish first, so the cuts at 2·N, 3·N and 4·N finishes
+	// fall between the two halves of a pair.
+	c, at := start()
+	toTable(c, at)
+	toJournal(c, at)
+	for i := 0; i < 2*n; i++ {
+		a, atA := start()
+		b, atB := start()
+		toTable(a, atA)
+		toTable(b, atB)
+		toJournal(b, atB)
+		toJournal(a, atA)
+	}
+	var tableSet []string
+	for _, rec := range table.List() {
+		tableSet = append(tableSet, rec.Contact)
+	}
+	journalSet := contactSet(jnl.Jobs())
+	if len(tableSet) > 2*n || !reflect.DeepEqual(tableSet, journalSet) {
+		t.Fatalf("table holds %d jobs and the journal %d, not the same set", len(tableSet), len(journalSet))
 	}
 }
 

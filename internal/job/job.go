@@ -5,6 +5,7 @@
 package job
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -119,47 +120,35 @@ type Record struct {
 }
 
 // KeepTerminal is how many finished jobs a job table, and the journal
-// fold, keep answering for. Older ones are forgotten in retirement order,
-// as a GRAM job manager is gone once its job is (paper Figure 1); the audit
-// log is the permanent record. A job counts as finished at DONE, or at a
+// fold, keep answering for. Older ones are forgotten oldest first, as a
+// GRAM job manager is gone once its job is (paper Figure 1); the audit log
+// is the permanent record. A job counts as finished at DONE, or at a
 // FAILED that will not restart. Eviction is amortised: the finished set
-// grows to 2·KeepTerminal and is then cut back to the newest KeepTerminal.
+// grows to 2·KeepTerminal and is then cut back to the newest KeepTerminal
+// (see Expire).
 const KeepTerminal = 4096
 
-// Retirements queues the contacts of finished jobs in retirement order and
-// applies the KeepTerminal window to them. The zero value is empty.
-type Retirements struct {
-	queue []string
+// Retiree is a finished job as the retention window sees it: the time of
+// its last state change, in Unix nanoseconds, and its contact. A job
+// table and the journal record the same time for the same change, so
+// both order their finished jobs alike.
+type Retiree struct {
+	Updated int64
+	Contact string
 }
 
-// Add queues contact. Once 2·KeepTerminal are queued it cuts the queue
-// back to the newest KeepTerminal, calls forget for each contact dropped,
-// oldest first, and reports true.
-func (r *Retirements) Add(contact string, forget func(contact string)) bool {
-	r.queue = append(r.queue, contact)
-	if len(r.queue) < 2*KeepTerminal {
-		return false
+// Expire returns the finished jobs the window forgets from held: all but
+// the newest KeepTerminal, ordered by Updated and then by contact. It
+// reorders held.
+func Expire(held []Retiree) []Retiree {
+	if len(held) <= KeepTerminal {
+		return nil
 	}
-	cut := len(r.queue) - KeepTerminal
-	for _, c := range r.queue[:cut] {
-		forget(c)
-	}
-	n := copy(r.queue, r.queue[cut:])
-	clear(r.queue[n:])
-	r.queue = r.queue[:n]
-	return true
+	slices.SortFunc(held, func(a, b Retiree) int {
+		return cmp.Or(cmp.Compare(a.Updated, b.Updated), strings.Compare(a.Contact, b.Contact))
+	})
+	return held[:len(held)-KeepTerminal]
 }
-
-// Remove takes contact out of the queue: its job is no longer finished.
-func (r *Retirements) Remove(contact string) {
-	if i := slices.Index(r.queue, contact); i >= 0 {
-		r.queue = slices.Delete(r.queue, i, i+1)
-	}
-}
-
-// Contacts returns the queue, oldest first. It is valid until the next
-// Add or Remove and must not be modified.
-func (r *Retirements) Contacts() []string { return r.queue }
 
 // ErrExpired marks a contact this table issued whose job it has since
 // forgotten (see KeepTerminal).
@@ -180,14 +169,15 @@ func RemoteError(prefix, msg string) error {
 type Table struct {
 	mu       sync.RWMutex
 	jobs     map[string]*entry
-	finished Retirements
+	finished int // entries with finished set
 	seq      atomic.Uint64
 	prefix   string // "gram://host/", the head of every contact issued here
 }
 
 type entry struct {
-	rec  Record
-	subs []chan Event
+	rec      Record
+	subs     []chan Event
+	finished bool // DONE, or FAILED with no restart to follow
 }
 
 // NewTable creates a table issuing contacts under the given host:port
@@ -241,23 +231,37 @@ func (t *Table) Create(rec Record) error {
 	if _, dup := t.jobs[rec.Contact]; dup {
 		return fmt.Errorf("job: duplicate contact %q", rec.Contact)
 	}
-	t.jobs[rec.Contact] = &entry{rec: rec}
-	if rec.State.Terminal() {
-		t.finishLocked(rec.Contact)
-	}
+	e := &entry{rec: rec}
+	t.jobs[rec.Contact] = e
+	t.setFinishedLocked(e, rec.State.Terminal())
 	return nil
 }
 
-// finishLocked records contact as finished, forgetting the oldest
-// finished jobs past the window. Caller holds mu.
-func (t *Table) finishLocked(contact string) {
-	t.finished.Add(contact, func(c string) {
-		// Only a job still finished goes: a contact is queued again if
-		// its job was revived and finished anew.
-		if e, ok := t.jobs[c]; ok && e.rec.State.Terminal() {
-			delete(t.jobs, c)
+// setFinishedLocked marks e finished or not. Once 2·KeepTerminal jobs
+// are finished it forgets all but the newest KeepTerminal of them (see
+// Expire). Caller holds mu.
+func (t *Table) setFinishedLocked(e *entry, finished bool) {
+	if e.finished == finished {
+		return
+	}
+	e.finished = finished
+	if !finished {
+		t.finished--
+		return
+	}
+	if t.finished++; t.finished < 2*KeepTerminal {
+		return
+	}
+	held := make([]Retiree, 0, t.finished)
+	for c, e := range t.jobs {
+		if e.finished {
+			held = append(held, Retiree{Updated: e.rec.Updated.UnixNano(), Contact: c})
 		}
-	})
+	}
+	for _, r := range Expire(held) {
+		delete(t.jobs, r.Contact)
+		t.finished--
+	}
 }
 
 // Remove deletes a job record outright. It exists for submission
@@ -266,7 +270,10 @@ func (t *Table) finishLocked(contact string) {
 func (t *Table) Remove(contact string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.jobs, contact)
+	if e, ok := t.jobs[contact]; ok {
+		t.setFinishedLocked(e, false)
+		delete(t.jobs, contact)
+	}
 }
 
 // Get returns a snapshot of the job record.
@@ -348,9 +355,7 @@ func (t *Table) Transition(contact string, m Mutation, now time.Time) (Event, er
 	}
 	subs := make([]chan Event, len(e.subs))
 	copy(subs, e.subs)
-	if m.State.Terminal() && !m.WillRestart {
-		t.finishLocked(contact)
-	}
+	t.setFinishedLocked(e, m.State.Terminal() && !m.WillRestart)
 	t.mu.Unlock()
 
 	for _, ch := range subs {

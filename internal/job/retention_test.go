@@ -5,14 +5,15 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
-// finishJob creates a job and takes it to DONE.
-func finishJob(t *testing.T, tbl *Table) string {
+// finishJob creates a job and takes it to DONE at now+i seconds.
+func finishJob(t *testing.T, tbl *Table, i int) string {
 	t.Helper()
 	c := newJob(t, tbl)
 	for _, st := range []State{Pending, Done} {
-		if _, err := tbl.Transition(c, Mutation{State: st}, now); err != nil {
+		if _, err := tbl.Transition(c, Mutation{State: st}, now.Add(time.Duration(i)*time.Second)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -31,12 +32,12 @@ func TestTableKeepsFinishedWindow(t *testing.T) {
 	}
 	var done []string
 	for i := 0; i < 2*KeepTerminal-1; i++ {
-		done = append(done, finishJob(t, tbl))
+		done = append(done, finishJob(t, tbl, i))
 	}
 	if got := tbl.Len(); got != 2*KeepTerminal+1 {
 		t.Fatalf("Len = %d before the cut; want %d", got, 2*KeepTerminal+1)
 	}
-	done = append(done, finishJob(t, tbl))
+	done = append(done, finishJob(t, tbl, len(done)))
 	if got := tbl.Len(); got != KeepTerminal+2 {
 		t.Fatalf("Len = %d after the cut; want %d", got, KeepTerminal+2)
 	}
@@ -58,6 +59,27 @@ func TestTableKeepsFinishedWindow(t *testing.T) {
 	}
 	if _, err := tbl.Transition(restarting, Mutation{State: Pending}, now); err != nil {
 		t.Errorf("restart after the cut: %v", err)
+	}
+}
+
+// Expire keeps the newest KeepTerminal by finishing time, breaking ties
+// by contact, whatever order it is given them in.
+func TestExpireKeepsNewest(t *testing.T) {
+	if got := Expire(make([]Retiree, KeepTerminal)); got != nil {
+		t.Fatalf("Expire(a full window) = %d jobs; want none", len(got))
+	}
+	var held []Retiree
+	for i := 2*KeepTerminal - 1; i >= 0; i-- {
+		held = append(held, Retiree{Updated: int64(i / 2), Contact: fmt.Sprintf("c%05d", i)})
+	}
+	gone := Expire(held)
+	if len(gone) != KeepTerminal {
+		t.Fatalf("Expire forgot %d of %d; want %d", len(gone), 2*KeepTerminal, KeepTerminal)
+	}
+	for i, r := range gone {
+		if want := fmt.Sprintf("c%05d", i); r.Contact != want {
+			t.Fatalf("forgotten #%d = %s; want %s", i, r.Contact, want)
+		}
 	}
 }
 

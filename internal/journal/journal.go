@@ -29,10 +29,11 @@
 // directory, and deletes the segments the snapshot now covers.
 //
 // The fold keeps a fixed window of finished jobs (job.KeepTerminal),
-// forgetting the oldest in retirement order, so memory, snapshots and
-// the segment tail are bounded by live jobs plus that window. The same
-// rule runs wherever records are folded — on the leader, on a follower
-// and at recovery — so all three hold the same set.
+// forgetting the ones that finished first, so memory, snapshots and the
+// segment tail are bounded by live jobs plus that window. The same rule
+// runs wherever records are folded — on the leader, on a follower and at
+// recovery — and it orders jobs by the time recorded with their last
+// state change, so all three hold the same set.
 //
 // The fsync policy trades durability against append latency: "always"
 // writes and syncs before every append returns (no acknowledged record can
@@ -179,10 +180,6 @@ type Recovered struct {
 	// and unfinished alike (finished ones restore STATUS answers; the
 	// rest are resubmitted).
 	Jobs []JobState
-	// Retired indexes every finished job in Jobs, in retirement order:
-	// the order a job table must file them in to forget the same ones
-	// the journal will.
-	Retired []int
 	// Segments counts the segment files replayed.
 	Segments int
 	// TornTail reports that the newest segment ended in a torn frame,
@@ -266,14 +263,12 @@ type Journal struct {
 	// state holds unfinished jobs (a FAILED that will restart included);
 	// finished jobs move to retired as pre-marshaled JobState JSON, which
 	// keeps the GC's scan work (and snapshot marshaling) proportional to
-	// live jobs rather than to the window of finished ones. finished lists
-	// the retired contacts in retirement order, oldest first: at
-	// 2·job.KeepTerminal the oldest are forgotten down to KeepTerminal,
-	// and order drops them in the same pass.
-	state    map[string]*JobState
-	retired  map[string][]byte
-	finished job.Retirements
-	order    []string // retained contacts in first-submission order
+	// live jobs rather than to the window of finished ones. At
+	// 2·job.KeepTerminal retired jobs all but the newest KeepTerminal are
+	// forgotten (job.Expire), and order drops them in the same pass.
+	state   map[string]*JobState
+	retired map[string]retiredJob
+	order   []string // retained contacts in first-submission order
 
 	// taps are live replication subscribers (see repl.go).
 	taps []*Tap
@@ -317,7 +312,7 @@ func Open(opts Options) (*Journal, *Recovered, error) {
 	j := &Journal{
 		opts:    opts,
 		state:   make(map[string]*JobState),
-		retired: make(map[string][]byte),
+		retired: make(map[string]retiredJob),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -623,16 +618,15 @@ func (j *Journal) syncRunLocked(ctx context.Context) error {
 func (j *Journal) applyLocked(e Entry) {
 	js, ok := j.state[e.Contact]
 	if !ok {
-		if blob, wasRetired := j.retired[e.Contact]; wasRetired {
+		if r, wasRetired := j.retired[e.Contact]; wasRetired {
 			// A record for a finished job: a restart after a FAILED
 			// journaled before WillRestart existed, or a replayed history.
 			// Revive the blob so the fold continues.
 			js = &JobState{}
-			if err := json.Unmarshal(blob, js); err != nil {
+			if err := json.Unmarshal(r.blob, js); err != nil {
 				return
 			}
 			delete(j.retired, e.Contact)
-			j.finished.Remove(e.Contact)
 			j.state[e.Contact] = js
 		} else if e.Kind != KindSubmit {
 			// A state or checkpoint record for a contact the journal never
@@ -675,17 +669,33 @@ func (j *Journal) applyLocked(e Entry) {
 	}
 	if js.Finished() {
 		delete(j.state, e.Contact)
-		j.retireLocked(e.Contact, appendJobState(nil, js))
+		j.retired[e.Contact] = retire(js)
+		if len(j.retired) >= 2*job.KeepTerminal {
+			j.expireLocked()
+		}
 	}
 }
 
-// retireLocked files a finished job's blob, forgetting the oldest
-// finished jobs past the window; a cut also compacts order to the jobs
-// still held. Caller holds mu.
-func (j *Journal) retireLocked(contact string, blob []byte) {
-	j.retired[contact] = blob
-	if !j.finished.Add(contact, func(c string) { delete(j.retired, c) }) {
-		return
+// retiredJob is a finished job as the fold keeps it: the time of its
+// last state change, which orders the window, and its JobState JSON.
+type retiredJob struct {
+	updated int64
+	blob    []byte
+}
+
+func retire(js *JobState) retiredJob {
+	return retiredJob{updated: js.Updated.UnixNano(), blob: appendJobState(nil, js)}
+}
+
+// expireLocked forgets all but the newest job.KeepTerminal retired jobs
+// and compacts order to the jobs still held. Caller holds mu.
+func (j *Journal) expireLocked() {
+	held := make([]job.Retiree, 0, len(j.retired))
+	for c, r := range j.retired {
+		held = append(held, job.Retiree{Updated: r.updated, Contact: c})
+	}
+	for _, r := range job.Expire(held) {
+		delete(j.retired, r.Contact)
 	}
 	order := make([]string, 0, len(j.state)+len(j.retired))
 	for _, c := range j.order {
@@ -704,9 +714,9 @@ func (j *Journal) jobStateLocked(contact string) (JobState, bool) {
 	if js, ok := j.state[contact]; ok {
 		return *js, true
 	}
-	if blob, ok := j.retired[contact]; ok {
+	if r, ok := j.retired[contact]; ok {
 		var js JobState
-		if err := json.Unmarshal(blob, &js); err == nil {
+		if err := json.Unmarshal(r.blob, &js); err == nil {
 			return js, true
 		}
 	}
@@ -763,10 +773,6 @@ type snapshot struct {
 	// recovery replays only segments >= NextSeg.
 	NextSeg int        `json:"nextSeg"`
 	Jobs    []JobState `json:"jobs"`
-	// Retired indexes the finished jobs in Jobs in retirement order, so
-	// recovery forgets the same ones the running fold would have. A
-	// snapshot written before it existed retires them in Jobs order.
-	Retired []int `json:"retired,omitempty"`
 }
 
 // snapshotLocked rotates, persists the folded state, and deletes the
@@ -781,18 +787,14 @@ func (j *Journal) snapshotLocked(ctx context.Context) error {
 	rawSnap := struct {
 		NextSeg int               `json:"nextSeg"`
 		Jobs    []json.RawMessage `json:"jobs"`
-		Retired []int             `json:"retired,omitempty"`
 	}{NextSeg: j.segIndex, Jobs: make([]json.RawMessage, 0, len(j.order))}
-	pos := make(map[string]int, len(j.retired))
 	for _, c := range j.order {
 		if js, ok := j.state[c]; ok {
 			rawSnap.Jobs = append(rawSnap.Jobs, appendJobState(nil, js))
-		} else if blob, ok := j.retired[c]; ok {
-			pos[c] = len(rawSnap.Jobs)
-			rawSnap.Jobs = append(rawSnap.Jobs, blob)
+		} else if r, ok := j.retired[c]; ok {
+			rawSnap.Jobs = append(rawSnap.Jobs, r.blob)
 		}
 	}
-	rawSnap.Retired = j.retiredIndexesLocked(pos)
 	b, err := json.Marshal(rawSnap)
 	if err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
@@ -836,19 +838,6 @@ func (j *Journal) snapshotLocked(ctx context.Context) error {
 	j.snapshotJobs.Set(int64(len(rawSnap.Jobs)))
 	j.updateSegmentGauge()
 	return nil
-}
-
-// retiredIndexesLocked maps the retirement order onto a list of jobs,
-// given each retired contact's position in it. Caller holds mu.
-func (j *Journal) retiredIndexesLocked(pos map[string]int) []int {
-	finished := j.finished.Contacts()
-	out := make([]int, 0, len(finished))
-	for _, c := range finished {
-		if i, ok := pos[c]; ok {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // SyncDir fsyncs directory dir, making a rename into it durable. A file
@@ -923,8 +912,19 @@ func (j *Journal) replay() (*Recovered, int, error) {
 		if err := json.Unmarshal(b, &snap); err != nil {
 			return nil, 0, fmt.Errorf("journal: corrupt snapshot %s: %w", snapPath, err)
 		}
-		if err := j.loadSnapshot(&snap); err != nil {
-			return nil, 0, fmt.Errorf("journal: corrupt snapshot %s: %w", snapPath, err)
+		for i := range snap.Jobs {
+			js := snap.Jobs[i]
+			j.order = append(j.order, js.Contact)
+			if js.Finished() {
+				j.retired[js.Contact] = retire(&js)
+			} else {
+				j.state[js.Contact] = &js
+			}
+		}
+		// A snapshot holds fewer than 2·job.KeepTerminal finished jobs,
+		// unless it was written before the window existed.
+		if len(j.retired) >= 2*job.KeepTerminal {
+			j.expireLocked()
 		}
 		nextSeg = snap.NextSeg
 	} else if !errors.Is(err, os.ErrNotExist) {
@@ -950,52 +950,12 @@ func (j *Journal) replay() (*Recovered, int, error) {
 	}
 
 	rec.Jobs = make([]JobState, 0, len(j.order))
-	pos := make(map[string]int, len(j.retired))
 	for _, c := range j.order {
 		if js, ok := j.jobStateLocked(c); ok {
-			if js.Finished() {
-				pos[c] = len(rec.Jobs)
-			}
 			rec.Jobs = append(rec.Jobs, js)
 		}
 	}
-	rec.Retired = j.retiredIndexesLocked(pos)
 	return rec, epoch, nil
-}
-
-// loadSnapshot folds a snapshot's jobs in: unfinished ones into state,
-// finished ones retired in the snapshot's retirement order.
-func (j *Journal) loadSnapshot(snap *snapshot) error {
-	retire := snap.Retired
-	if retire == nil {
-		for i := range snap.Jobs {
-			if snap.Jobs[i].Finished() {
-				retire = append(retire, i)
-			}
-		}
-	}
-	seen := make([]bool, len(snap.Jobs))
-	for _, i := range retire {
-		if i < 0 || i >= len(snap.Jobs) || seen[i] || !snap.Jobs[i].Finished() {
-			return fmt.Errorf("retired index %d names no distinct finished job", i)
-		}
-		seen[i] = true
-	}
-	for i := range snap.Jobs {
-		js := &snap.Jobs[i]
-		j.order = append(j.order, js.Contact)
-		if !seen[i] {
-			if js.Finished() {
-				return fmt.Errorf("finished job %q missing from the retirement order", js.Contact)
-			}
-			cp := *js
-			j.state[js.Contact] = &cp
-		}
-	}
-	for _, i := range retire {
-		j.retireLocked(snap.Jobs[i].Contact, appendJobState(nil, &snap.Jobs[i]))
-	}
-	return nil
 }
 
 // replaySegment folds one segment file into j.state. A bad frame is

@@ -1,9 +1,6 @@
 package journal
 
-import (
-	"encoding/json"
-	"slices"
-)
+import "encoding/json"
 
 // Wire replication support: a follower gatekeeper tails this journal
 // over the repl capability (internal/core serves it, internal/cluster
@@ -31,13 +28,10 @@ type Tap struct {
 func (t *Tap) Records() <-chan []byte { return t.ch }
 
 // Subscribe registers a live tap with the given channel buffer (minimum
-// 16) and returns the cut. For every job, in first-submission order, the
-// cut holds a Submit at Submitted and a Checkpoint if one is set; then one
-// State record per job at Updated carrying the rest of the folded state,
-// finished jobs first in retirement order, then the unfinished ones in
-// first-submission order. Appended to an empty journal, the cut folds back
-// into identical JobStates and the same retirement order, so the
-// receiver forgets the same jobs this journal will. The caller must
+// 16) and returns the cut: for every job, in first-submission order, a
+// Submit at Submitted, a Checkpoint if one is set, then one State record
+// at Updated carrying the rest of the folded state. Appended to an empty
+// journal, the cut folds back into identical JobStates. The caller must
 // Unsubscribe when done. Nil-safe: a nil journal returns nils.
 func (j *Journal) Subscribe(buffer int) (*Tap, []Entry, error) {
 	if j == nil {
@@ -62,17 +56,14 @@ func (j *Journal) Subscribe(buffer int) (*Tap, []Entry, error) {
 		if js, ok := j.state[c]; ok {
 			cp := *js
 			refs = append(refs, ref{live: &cp})
-		} else if blob, ok := j.retired[c]; ok {
-			refs = append(refs, ref{blob: blob})
+		} else if r, ok := j.retired[c]; ok {
+			refs = append(refs, ref{blob: r.blob})
 		}
 	}
-	finished := slices.Clone(j.finished.Contacts())
 	t := &Tap{ch: make(chan []byte, buffer)}
 	j.taps = append(j.taps, t)
 	j.mu.Unlock()
 
-	jobs := make([]*JobState, 0, len(refs))
-	byContact := make(map[string]*JobState, len(finished))
 	cut := make([]Entry, 0, 2*len(refs))
 	for _, r := range refs {
 		js := r.live
@@ -81,42 +72,25 @@ func (j *Journal) Subscribe(buffer int) (*Tap, []Entry, error) {
 			if err := json.Unmarshal(r.blob, js); err != nil {
 				continue // as jobStateLocked: an unreadable blob is no job
 			}
-			byContact[js.Contact] = js
 		}
-		jobs = append(jobs, js)
-		cut = appendSubmitEntries(cut, js)
-	}
-	for _, c := range finished {
-		if js, ok := byContact[c]; ok {
-			cut = append(cut, stateRecord(js))
-		}
-	}
-	for _, js := range jobs {
-		if !js.Finished() {
-			cut = append(cut, stateRecord(js))
-		}
+		cut = appendJobEntries(cut, js)
 	}
 	return t, cut, nil
 }
 
-// appendSubmitEntries appends the records that open js on an empty
-// journal: its Submit and, if set, its Checkpoint. The pointers alias js,
-// which the caller owns.
-func appendSubmitEntries(dst []Entry, js *JobState) []Entry {
+// appendJobEntries appends the records that fold into js on an empty
+// journal (see applyLocked). The pointers alias js, which the caller
+// owns.
+func appendJobEntries(dst []Entry, js *JobState) []Entry {
+	updated := js.Updated.UnixNano()
 	dst = append(dst, Entry{Kind: KindSubmit, Time: js.Submitted.UnixNano(), Contact: js.Contact,
 		Spec: js.Spec, Owner: js.Owner, Identity: js.Identity})
 	if js.Checkpoint != "" {
-		dst = append(dst, Entry{Kind: KindCheckpoint, Time: js.Updated.UnixNano(), Contact: js.Contact, Checkpoint: js.Checkpoint})
+		dst = append(dst, Entry{Kind: KindCheckpoint, Time: updated, Contact: js.Contact, Checkpoint: js.Checkpoint})
 	}
-	return dst
-}
-
-// stateRecord is the State record that completes js after its
-// appendSubmitEntries (see applyLocked).
-func stateRecord(js *JobState) Entry {
-	return Entry{Kind: KindState, Time: js.Updated.UnixNano(), Contact: js.Contact,
+	return append(dst, Entry{Kind: KindState, Time: updated, Contact: js.Contact,
 		State: js.State.String(), ExitCode: &js.ExitCode, Error: js.Error, Restarts: js.Restarts,
-		WillRestart: js.WillRestart, Stdout: &js.Stdout, Stderr: &js.Stderr}
+		WillRestart: js.WillRestart, Stdout: &js.Stdout, Stderr: &js.Stderr})
 }
 
 // Unsubscribe removes a tap; its channel closes. Safe to call twice.

@@ -6,20 +6,21 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
+	"time"
 
 	"infogram/internal/job"
 )
 
-// finish journals a submit and a DONE for contact.
-func finish(t *testing.T, j *Journal, contact string) {
+// finish journals a submit for contact and its DONE at time done.
+func finish(t *testing.T, j *Journal, contact string, done int64) {
 	t.Helper()
 	ctx := context.Background()
-	if err := j.Append(ctx, Entry{Kind: KindSubmit, Time: 1, Contact: contact, Spec: "&(executable=noop)"}); err != nil {
+	if err := j.Append(ctx, Entry{Kind: KindSubmit, Time: done - 1, Contact: contact, Spec: "&(executable=noop)"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(ctx, Entry{Kind: KindState, Time: 2, Contact: contact, State: "DONE", ExitCode: intPtr(0)}); err != nil {
+	if err := j.Append(ctx, Entry{Kind: KindState, Time: done, Contact: contact, State: "DONE", ExitCode: intPtr(0)}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -33,9 +34,17 @@ func holds(jobs []JobState, contact string) bool {
 	return false
 }
 
+func contacts(jobs []JobState) []string {
+	out := make([]string, 0, len(jobs))
+	for _, js := range jobs {
+		out = append(out, js.Contact)
+	}
+	return out
+}
+
 // longJobHistory journals a job "long" submitted first but finished only
-// after KeepTerminal others: the newest in retirement order, the oldest in
-// submission order.
+// after KeepTerminal others: the newest to finish, the oldest submitted.
+// Job i of the others finishes at time 10·(i+1); "long" after them all.
 func longJobHistory(t *testing.T, j *Journal) {
 	t.Helper()
 	ctx := context.Background()
@@ -43,17 +52,27 @@ func longJobHistory(t *testing.T, j *Journal) {
 		t.Fatal(err)
 	}
 	for i := 0; i < job.KeepTerminal; i++ {
-		finish(t, j, fmt.Sprintf("x%d", i))
+		finish(t, j, fmt.Sprintf("x%d", i), int64(10*(i+1)))
 	}
-	if err := j.Append(ctx, Entry{Kind: KindState, Time: 3, Contact: "long", State: "DONE", ExitCode: intPtr(0)}); err != nil {
+	if err := j.Append(ctx, Entry{Kind: KindState, Time: 10 * (job.KeepTerminal + 1), Contact: "long", State: "DONE", ExitCode: intPtr(0)}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// The fold forgets finished jobs in retirement order, and a snapshot
-// carries that order across a restart: after the window's next cut the
-// restarted journal holds exactly what an uninterrupted one does.
-func TestFoldForgetsInRetirementOrderAcrossSnapshot(t *testing.T) {
+// moreFinished journals n jobs y0…y(n-1), each finishing after every job
+// of longJobHistory.
+func moreFinished(t *testing.T, j *Journal, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		finish(t, j, fmt.Sprintf("y%d", i), int64(10*(job.KeepTerminal+2+i)))
+	}
+}
+
+// The fold forgets the jobs that finished first, not those submitted
+// first, and a restart through a snapshot changes nothing: after the
+// window's next cut the restarted journal holds exactly what an
+// uninterrupted one does.
+func TestFoldForgetsOldestFinishedAcrossSnapshot(t *testing.T) {
 	const n = job.KeepTerminal
 	steady, _ := openTestJournal(t, t.TempDir(), func(o *Options) { o.SnapshotEvery = -1 })
 	dir := t.TempDir()
@@ -65,26 +84,23 @@ func TestFoldForgetsInRetirementOrderAcrossSnapshot(t *testing.T) {
 	}
 	restarted.Close()
 	restarted, rec := openTestJournal(t, dir, nil)
-	if len(rec.Retired) != n+1 || rec.Jobs[rec.Retired[n]].Contact != "long" {
-		t.Fatalf("recovered retirement order does not end with the long job: %d entries", len(rec.Retired))
+	if len(rec.Jobs) != n+1 || rec.Jobs[0].Contact != "long" {
+		t.Fatalf("recovered %d jobs; want %d, the long job first", len(rec.Jobs), n+1)
 	}
-	for i := 0; i < n-1; i++ {
-		finish(t, steady, fmt.Sprintf("y%d", i))
-		finish(t, restarted, fmt.Sprintf("y%d", i))
-	}
+	moreFinished(t, steady, n-1)
+	moreFinished(t, restarted, n-1)
 	if live, finished, order := steady.Footprint(); live != 0 || finished != n || order != n {
 		t.Fatalf("after the cut the fold holds live=%d finished=%d order=%d; want 0, %d, %d", live, finished, order, n, n)
 	}
 	want := steady.Jobs()
 	if !holds(want, "long") || holds(want, "x0") {
-		t.Fatal("the cut forgot by submission order, not retirement order")
+		t.Fatal("the cut did not forget exactly the jobs that finished first")
 	}
 	sameJobs(t, restarted.Jobs(), want)
 }
 
-// A follower fed the Subscribe cut retires the leader's finished jobs in
-// the leader's order, so the two forget the same jobs afterwards.
-func TestSubscribeCutCarriesRetirementOrder(t *testing.T) {
+// A follower fed the Subscribe cut forgets the same jobs as its leader.
+func TestSubscribeCutKeepsFollowerInStep(t *testing.T) {
 	leader, _ := openTestJournal(t, t.TempDir(), nil)
 	longJobHistory(t, leader)
 	tap, cut, err := leader.Subscribe(1 << 14)
@@ -100,7 +116,7 @@ func TestSubscribeCutCarriesRetirementOrder(t *testing.T) {
 		}
 	}
 	for i := 0; i < job.KeepTerminal-1; i++ {
-		finish(t, leader, fmt.Sprintf("y%d", i))
+		finish(t, leader, fmt.Sprintf("y%d", i), int64(10*(job.KeepTerminal+2+i)))
 		for k := 0; k < 2; k++ {
 			var e Entry
 			if err := json.Unmarshal(<-tap.Records(), &e); err != nil {
@@ -110,6 +126,9 @@ func TestSubscribeCutCarriesRetirementOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+	if _, finished, _ := leader.Footprint(); finished != job.KeepTerminal {
+		t.Fatalf("leader holds %d finished jobs; the window's cut did not run", finished)
 	}
 	sameJobs(t, follower.Jobs(), leader.Jobs())
 }
@@ -129,9 +148,9 @@ func TestWillRestartFailureIsNeverForgotten(t *testing.T) {
 	must(j.Append(ctx, Entry{Kind: KindState, Time: 2, Contact: "r", State: "FAILED", ExitCode: intPtr(1),
 		Error: "exit code 1 (will restart)", WillRestart: true}))
 	for i := 0; i < 2*job.KeepTerminal+1; i++ {
-		finish(t, j, fmt.Sprintf("x%d", i))
+		finish(t, j, fmt.Sprintf("x%d", i), int64(10*(i+1)))
 	}
-	must(j.Append(ctx, Entry{Kind: KindState, Time: 3, Contact: "r", State: "PENDING", Restarts: 1}))
+	must(j.Append(ctx, Entry{Kind: KindState, Time: 10 * (2*job.KeepTerminal + 2), Contact: "r", State: "PENDING", Restarts: 1}))
 	js, ok := j.jobStateLocked("r")
 	if !ok || js.State != job.Pending || js.Restarts != 1 {
 		t.Fatalf("restarting job folded to %+v (held: %v)", js, ok)
@@ -139,74 +158,85 @@ func TestWillRestartFailureIsNeverForgotten(t *testing.T) {
 }
 
 // A FAILED journaled before WillRestart existed reads as finished; the
-// PENDING that follows revives it, and it is filed once when it finishes
-// again, so the snapshot's retirement order stays valid.
+// PENDING that follows revives it, and it is held once when it finishes
+// again, across a snapshot.
 func TestRevivedJobRetiresOnce(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openTestJournal(t, dir, nil)
 	ctx := context.Background()
 	for _, e := range []Entry{
-		{Kind: KindSubmit, Contact: "c", Spec: "&(executable=flaky)(restart=1)"},
-		{Kind: KindState, Contact: "c", State: "FAILED", ExitCode: intPtr(1), Error: "exit code 1 (will restart)"},
-		{Kind: KindState, Contact: "c", State: "PENDING", Restarts: 1},
-		{Kind: KindState, Contact: "c", State: "DONE", ExitCode: intPtr(0), Restarts: 1},
+		{Kind: KindSubmit, Time: 1, Contact: "c", Spec: "&(executable=flaky)(restart=1)"},
+		{Kind: KindState, Time: 2, Contact: "c", State: "FAILED", ExitCode: intPtr(1), Error: "exit code 1 (will restart)"},
+		{Kind: KindState, Time: 3, Contact: "c", State: "PENDING", Restarts: 1},
+		{Kind: KindState, Time: 4, Contact: "c", State: "DONE", ExitCode: intPtr(0), Restarts: 1},
 	} {
 		if err := j.Append(ctx, e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, finished, _ := j.Footprint(); finished != 1 {
-		t.Fatalf("%d finished jobs; want 1", finished)
+	if live, finished, order := j.Footprint(); live != 0 || finished != 1 || order != 1 {
+		t.Fatalf("fold holds live=%d finished=%d order=%d; want 0, 1, 1", live, finished, order)
 	}
 	if err := j.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
 	_, rec := openTestJournal(t, dir, nil)
-	if len(rec.Jobs) != 1 || rec.Jobs[0].Restarts != 1 || len(rec.Retired) != 1 {
-		t.Fatalf("recovered %+v, retired %v", rec.Jobs, rec.Retired)
+	if len(rec.Jobs) != 1 || rec.Jobs[0].State != job.Done || rec.Jobs[0].Restarts != 1 {
+		t.Fatalf("recovered %+v", rec.Jobs)
 	}
 }
 
-// A snapshot written before the retirement order was kept recovers, its
-// finished jobs retired in file order; one whose order names a job that
-// is not finished, or leaves one out, is corrupt.
-func TestSnapshotRetirementOrderValidated(t *testing.T) {
-	const jobs = `"jobs":[{"contact":"a","state":4,"submitted":"2026-01-01T00:00:00Z","updated":"2026-01-01T00:00:00Z"},` +
-		`{"contact":"b","state":2,"submitted":"2026-01-01T00:00:00Z","updated":"2026-01-01T00:00:00Z"},` +
-		`{"contact":"c","state":5,"submitted":"2026-01-01T00:00:00Z","updated":"2026-01-01T00:00:00Z"}]`
-	for _, tc := range []struct {
-		snap    string
-		retired []int
-		err     string
-	}{
-		{snap: `{"nextSeg":0,` + jobs + `}`, retired: []int{0, 2}},
-		{snap: `{"nextSeg":0,` + jobs + `,"retired":[2,0]}`, retired: []int{2, 0}},
-		{snap: `{"nextSeg":0,` + jobs + `,"retired":[2,1]}`, err: "names no distinct finished job"},
-		{snap: `{"nextSeg":0,` + jobs + `,"retired":[2,2]}`, err: "names no distinct finished job"},
-		{snap: `{"nextSeg":0,` + jobs + `,"retired":[7]}`, err: "names no distinct finished job"},
-		{snap: `{"nextSeg":0,` + jobs + `,"retired":[2]}`, err: "missing from the retirement order"},
-	} {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, snapshotName), []byte(tc.snap), 0o644); err != nil {
-			t.Fatal(err)
+// A snapshot written before the window existed lists every finished job
+// ever run, in submission order. Recovery keeps the newest KeepTerminal
+// of them by finishing time, whatever their place in the file, and so
+// does the next snapshot.
+func TestOldSnapshotKeepsNewestFinished(t *testing.T) {
+	const n = job.KeepTerminal
+	const total = 2*n + 100
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	// Job i finishes at slot (i·7919) mod total, a permutation: the
+	// newest to finish are scattered through the file.
+	finishedAt := func(i int) time.Time { return base.Add(time.Duration((i*7919)%total) * time.Second) }
+	snap := snapshot{Jobs: []JobState{{Contact: "live", State: job.Active, Submitted: base, Updated: base}}}
+	var want []string
+	for i := 0; i < total; i++ {
+		c := fmt.Sprintf("old%d", i)
+		snap.Jobs = append(snap.Jobs, JobState{Contact: c, State: job.Done, Submitted: base, Updated: finishedAt(i)})
+		if (i*7919)%total >= total-n {
+			want = append(want, c)
 		}
-		j, rec, err := Open(Options{Dir: dir, Fsync: FsyncNever})
-		if tc.err != "" {
-			if err == nil || !strings.Contains(err.Error(), tc.err) {
-				t.Errorf("%s: Open = %v; want %q", tc.snap, err, tc.err)
-			}
-			if err == nil {
-				j.Close()
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", tc.snap, err)
-		}
-		j.Close()
-		if fmt.Sprint(rec.Retired) != fmt.Sprint(tc.retired) {
-			t.Errorf("%s: retired %v; want %v", tc.snap, rec.Retired, tc.retired)
-		}
+	}
+	want = append([]string{"live"}, want...)
+	b, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j, rec := openTestJournal(t, dir, nil)
+	if got := contacts(rec.Jobs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %d jobs; want the live one and the newest %d finished, in file order", len(got), n)
+	}
+	if live, finished, order := j.Footprint(); live != 1 || finished != n || order != n+1 {
+		t.Fatalf("fold holds live=%d finished=%d order=%d; want 1, %d, %d", live, finished, order, n, n+1)
+	}
+	if err := j.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	b, err = os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var next snapshot
+	if err := json.Unmarshal(b, &next); err != nil {
+		t.Fatal(err)
+	}
+	if got := contacts(next.Jobs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("next snapshot holds %d jobs; want the %d recovered", len(got), len(want))
 	}
 }

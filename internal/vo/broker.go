@@ -163,7 +163,10 @@ func (b *Broker) RunOn(ctx context.Context, addr string, req xrsl.JobRequest) (P
 }
 
 // Submit brokers a job without waiting; the caller polls via the returned
-// placement's contact on the member's client.
+// placement's contact on the member's client, or with Wait. A member
+// keeps a finished job's result only until job.KeepTerminal to
+// 2·job.KeepTerminal later jobs have finished there, so a caller that
+// submits more than that before waiting can find early results expired.
 func (b *Broker) Submit(req xrsl.JobRequest, mode cache.Mode, threshold quality.Score) (Placement, error) {
 	target, err := b.LeastLoaded(mode, threshold)
 	if err != nil {
@@ -176,7 +179,10 @@ func (b *Broker) Submit(req xrsl.JobRequest, mode cache.Mode, threshold quality.
 	return Placement{Addr: target.Addr, Contact: contact}, nil
 }
 
-// Wait polls a previously submitted placement to a terminal state.
+// Wait polls a previously submitted placement to a terminal state. If the
+// member has since forgotten the finished job, it returns an error
+// satisfying errors.Is(err, job.ErrExpired); the member's audit log then
+// holds the outcome.
 func (b *Broker) Wait(ctx context.Context, p Placement) (gram.StatusReply, error) {
 	return b.client(p.Addr).WaitTerminal(ctx, p.Contact, 5*time.Millisecond)
 }

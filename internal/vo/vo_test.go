@@ -2,6 +2,7 @@ package vo_test
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -181,6 +182,43 @@ func TestBrokerRunJob(t *testing.T) {
 	}
 	if a.X != 1 || a.Y != 2 {
 		t.Errorf("analysis = %+v", a)
+	}
+}
+
+// A member answers for a finished job only until job.KeepTerminal to
+// 2·job.KeepTerminal later jobs have finished there: Wait on a placement
+// it has forgotten reports job.ErrExpired, not a generic error.
+func TestBrokerWaitOnExpiredPlacement(t *testing.T) {
+	g := newGrid(t, 1)
+	broker := vo.NewBroker(g.Addrs(), g.AnyCredential(), g.Trust)
+	defer broker.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	p, err := broker.Submit(xrsl.JobRequest{
+		Executable: vo.AnalysisJobName,
+		Arguments:  diffract.EncodeArgs(1, 2, 8, 8, 77),
+		JobType:    "func",
+	}, cache.Immediate, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := broker.Wait(ctx, p); err != nil || st.State != job.Done {
+		t.Fatalf("first Wait = %+v, %v", st, err)
+	}
+	// 2·KeepTerminal later jobs finish on the member; they are filed
+	// straight into its job table rather than run.
+	tbl := g.Members[0].Service.Table()
+	later := time.Now().Add(time.Second)
+	for i := 0; i < 2*job.KeepTerminal; i++ {
+		at := later.Add(time.Duration(i) * time.Microsecond)
+		if err := tbl.Create(job.Record{Contact: tbl.NewContact(at), State: job.Done, Submitted: at, Updated: at}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = broker.Wait(ctx, p)
+	if !errors.Is(err, job.ErrExpired) || !strings.Contains(err.Error(), p.Contact) {
+		t.Fatalf("Wait on a forgotten placement = %v; want job.ErrExpired naming %s", err, p.Contact)
 	}
 }
 
