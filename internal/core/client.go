@@ -461,29 +461,28 @@ func entriesDegraded(entries []ldif.Entry) bool {
 
 func decodeInfoFrame(resp wire.Frame) (InfoResult, error) {
 	var format xrsl.Format
-	var entries []ldif.Entry
-	var err error
+	var unmarshal func(string) ([]ldif.Entry, error)
 	switch resp.Verb {
 	case VerbResultLDIF:
-		format = xrsl.FormatLDIF
-		entries, err = ldif.Unmarshal(string(resp.Payload))
+		format, unmarshal = xrsl.FormatLDIF, ldif.Unmarshal
 	case VerbResultXML:
-		format = xrsl.FormatXML
-		entries, err = xmlenc.Unmarshal(string(resp.Payload))
+		format, unmarshal = xrsl.FormatXML, xmlenc.Unmarshal
 	case VerbResultDSML:
-		format = xrsl.FormatDSML
-		entries, err = xmlenc.UnmarshalDSML(string(resp.Payload))
+		format, unmarshal = xrsl.FormatDSML, xmlenc.UnmarshalDSML
 	case gram.VerbSubmitted:
 		return InfoResult{}, fmt.Errorf("infogram: specification was a job submission; use Submit")
 	default:
 		return InfoResult{}, serverError(resp)
 	}
+	// One copy of the payload serves both the decode and Raw.
+	raw := string(resp.Payload)
+	entries, err := unmarshal(raw)
 	if err != nil {
 		return InfoResult{}, err
 	}
 	return InfoResult{
 		Format:   format,
-		Raw:      string(resp.Payload),
+		Raw:      raw,
 		Entries:  entries,
 		Degraded: entriesDegraded(entries),
 	}, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"time"
 
 	"infogram/internal/bytecache"
@@ -134,11 +135,22 @@ func (rc *respCache) store(req *xrsl.InfoRequest, body string, empty bool) {
 		rc.put(req, respOK, body, min(ttl, rc.c.NegTTL()), nil)
 		return
 	}
-	rc.put(req, respOK, body, ttl, func() any {
-		clone := *req
-		clone.Keywords = append([]string(nil), req.Keywords...)
-		return &clone
-	})
+	rc.put(req, respOK, body, ttl, func() any { return detach(req) })
+}
+
+// detach copies req for the refresh-ahead table. Its keywords and filter
+// may be substrings of the request frame's payload (xrsl.Decode's single
+// pass), so they are copied too: a tracked request lives as long as its
+// entry keeps being refreshed and must not pin a payload of up to
+// wire.MaxPayload.
+func detach(req *xrsl.InfoRequest) *xrsl.InfoRequest {
+	clone := *req
+	clone.Keywords = nil
+	for _, kw := range req.Keywords {
+		clone.Keywords = append(clone.Keywords, strings.Clone(kw))
+	}
+	clone.Filter = strings.Clone(req.Filter)
+	return &clone
 }
 
 // refill is the refresh-ahead callback: re-execute one tracked request's

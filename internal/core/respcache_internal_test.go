@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,6 +19,7 @@ import (
 	"infogram/internal/gsi"
 	"infogram/internal/provider"
 	"infogram/internal/xrsl"
+	"infogram/internal/zerocopy"
 )
 
 func respTestRegistry(clk clock.Clock) *provider.Registry {
@@ -443,5 +446,33 @@ func TestNoTrackingWithoutRefreshAhead(t *testing.T) {
 	req := &xrsl.InfoRequest{Keywords: []string{"memory"}, Filter: "Memory:free"}
 	if allocs := testing.AllocsPerRun(200, func() { s.resp.store(req, "body", false) }); allocs != 0 {
 		t.Fatalf("store allocates %.0f objects per call with refresh-ahead off; want 0", allocs)
+	}
+}
+
+// TestDetachOwnsItsStrings: the refresh-ahead copy of a request decoded
+// by the single pass survives its frame payload being overwritten.
+func TestDetachOwnsItsStrings(t *testing.T) {
+	for _, src := range []string{`&(info=Memory)(info=CPU)(filter="Memory:*")`, `&(info=all)`} {
+		payload := []byte(src)
+		req, err := xrsl.DecodeOne(zerocopy.String(payload), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := *req.Info
+		want.Keywords = nil
+		for _, kw := range req.Info.Keywords {
+			want.Keywords = append(want.Keywords, strings.Clone(kw))
+		}
+		want.Filter = strings.Clone(req.Info.Filter)
+		got := detach(req.Info)
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("detach(%q) = %+v; want %+v", src, *got, want)
+		}
+		for i := range payload {
+			payload[i] = 'X'
+		}
+		if !reflect.DeepEqual(*got, want) {
+			t.Errorf("detach(%q) changed with its payload: %+v", src, *got)
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -445,7 +446,12 @@ type PartResult struct {
 
 // handleSubmit dispatches one SUBMIT frame: job, info, or multi-request.
 func (s *Service) handleSubmit(ctx context.Context, src string, peer *gsi.Peer, local string) wire.Frame {
-	reqs, err := xrsl.Decode(src, s.env(local))
+	// Only a $(NAME) reference reads the substitution environment.
+	var env rsl.Env
+	if strings.IndexByte(src, '$') >= 0 {
+		env = s.env(local)
+	}
+	reqs, err := xrsl.Decode(src, env)
 	if err != nil {
 		return errorFrame(err.Error())
 	}

@@ -208,3 +208,49 @@ func TestEndToEndInfoAndJob(t *testing.T) {
 
 	_ = xrsl.FormatLDIF // keep the import while the test grows
 }
+
+// TestSubstitutionVariables: $(HOME) and $(LOGNAME) resolve to the mapped
+// local account in a job and in an info query alike.
+func TestSubstitutionVariables(t *testing.T) {
+	reg := provider.NewRegistry(nil)
+	reg.Register(&provider.StaticProvider{
+		KeywordName: "alice",
+		Values:      provider.Attributes{{Name: "shell", Value: "/bin/sh"}},
+	}, provider.RegisterOptions{TTL: time.Hour})
+	g := newTestGrid(t, reg)
+	cl, err := core.Dial(g.addr, g.user, g.trust)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	contact, err := cl.Submit("&(executable=hello)(arguments=$(HOME) $(LOGNAME))(jobtype=func)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	st, err := cl.WaitTerminal(ctx, contact, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != job.Done || st.Stdout != "hello /home/alice alice" {
+		t.Errorf("job = %s %q, want DONE %q", st.State, st.Stdout, "hello /home/alice alice")
+	}
+
+	res, err := cl.QueryRaw("&(info=$(LOGNAME))(filter=$(LOGNAME)#:shell)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Entries) != 1 {
+		t.Fatalf("entries = %+v, want alice's", res.Entries)
+	}
+	if v, _ := res.Entries[0].Get("alice:shell"); v != "/bin/sh" {
+		t.Errorf("alice:shell = %q, want /bin/sh", v)
+	}
+	// No provider is called /home/alice: the error names the substituted
+	// keyword.
+	if _, err := cl.QueryRaw("&(info=$(HOME))"); err == nil || !strings.Contains(err.Error(), `"/home/alice"`) {
+		t.Errorf("(info=$(HOME)) error = %v, want it to name /home/alice", err)
+	}
+}

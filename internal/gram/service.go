@@ -192,7 +192,12 @@ func (s *Service) handleSubmit(ctx context.Context, src string, peer *session.Pe
 	if err := s.cfg.Policy.Authorize(peer.Identity, gsi.OpJobSubmit, s.cfg.Clock.Now()); err != nil {
 		return errorFrame(err.Error())
 	}
-	req, err := xrsl.DecodeOne(src, s.env(peer.Local))
+	// Only a $(NAME) reference reads the substitution environment.
+	var env rsl.Env
+	if strings.IndexByte(src, '$') >= 0 {
+		env = s.env(peer.Local)
+	}
+	req, err := xrsl.DecodeOne(src, env)
 	if err != nil {
 		return errorFrame(err.Error())
 	}

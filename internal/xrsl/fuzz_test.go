@@ -1,8 +1,12 @@
 package xrsl
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
+	"infogram/internal/cache"
 	"infogram/internal/rsl"
 )
 
@@ -77,4 +81,84 @@ func FuzzParseXRSL(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzDecodeSinglePass holds Decode's single pass to the parser path it
+// short-cuts: for every input, Decode and decodeParsed must agree on
+// error-or-not, on the error text, and on the decoded requests.
+func FuzzDecodeSinglePass(f *testing.F) {
+	// Every shape InfoRequest.Encode produces.
+	for _, r := range []InfoRequest{
+		{},
+		{All: true},
+		{Schema: true},
+		{Keywords: []string{"Memory"}},
+		{Keywords: []string{"Memory", "CPU"}, Response: cache.Immediate, Quality: 75, Performance: true, Format: FormatXML, Filter: "Memory:*"},
+		{Keywords: []string{"K03"}, Filter: "*:g2x*"},
+		{All: true, Response: cache.Immediate, Format: FormatDSML},
+		{Keywords: []string{"two words", ""}, Filter: `say "hi"`},
+		{Keywords: []string{"a(b)", "$(X)"}, Filter: "a#b"},
+		{Keywords: []string{"ümlaut"}, Quality: 12.5},
+	} {
+		f.Add(r.Encode())
+	}
+	for _, s := range []string{
+		// Case and underscores in tags; several values in one relation.
+		"(info=a b)", "(In_Fo=x)", "(INFO=ALL)", "(info=Schema)(FORMAT=XML)",
+		// Duplicate tags: the first value of each wins.
+		"(info=a)(info=b)(format=xml)(format=dsml)(filter=x)(filter=y)",
+		"(info=a)(response=cached)(response=immediate)(quality=10)(quality=20)",
+		// Quote escapes, empty strings, variables and substitution.
+		`(info=a)(filter="a""b")`, `(info="")`, `(info=a)(filter="")`, `(info=a)(filter="""")`,
+		`(info=a)(filter="unterminated)`, `(info='single')`,
+		"(info=$(X))", "(info=a)(filter=$(HOME)*)", "(info=$(LOGNAME))",
+		"(rsl_substitution=(X x))(info=$(X))", "(rsl_substitution=(X x))(info=a)",
+		"(info=a#b)", "(info=a)(filter=\"$(X)\")",
+		// Whitespace around every token.
+		" & ( info = a ) ( filter = \"x*\" ) ", "\t&\n(\rinfo\t=\nall\r)\n",
+		"&(info=a)  ", "( info=a)(format =xml )",
+		// A bare relation list with no '&'.
+		"(info=a)(info=b)(filter=*)",
+		// query_cold's shape: eight info relations and a filter.
+		"&(info=K00)(info=K01)(info=K02)(info=K03)(info=K04)(info=K05)(info=K06)(info=K07)(filter=\"*:g1x*\")",
+		"&(info=a)(info=b)(info=c)(info=d)(info=e)(info=f)(info=g)(info=h)(info=i)(info=j)(info=k)(info=l)(info=m)(info=n)(info=o)(info=p)(info=q)(info=r)",
+		// executable mixed with info, other attributes and operators.
+		"(executable=/bin/date)(info=all)", "(info=all)(executable=/bin/date)",
+		"(info=all)(foo=bar)", "(info!=a)", "(info=a)(quality<5)", "(info<=a)",
+		"(format=xml)", "(filter=x)(response=cached)",
+		// Validation failures both paths must word the same.
+		"(info=a)(quality=999)", "(info=a)(quality=x%)", "(info=a)(performance=maybe)",
+		"(info=a)(format=json)", "(info=a)(response=bogus)", "(info=a)(Response=Immediate)",
+		// Malformed input and other boolean operators.
+		"", "&", "()", "(info=)", "(info)", "(=a)", "(info=a", "(info=a))", "(info=a)x",
+		"&&(info=a)", "&(&(info=a))", "|(info=a)(info=b)", "+(info=a)(info=b)", "+(&(info=a))(&(info=b))",
+		"(info==a)", "(info=(a))", "(info=a)(info=b", "(\"info\"=a)",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		env := rsl.NewEnv("HOME", "/home/u", "LOGNAME", "u", "X", "x")
+		got, gotErr := Decode(src, env)
+		want, wantErr := decodeParsed(src, env)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("errors differ for %q:\nDecode:       %v\ndecodeParsed: %v", src, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("requests differ for %q:\nDecode:       %s\ndecodeParsed: %s", src, dumpRequests(got), dumpRequests(want))
+		}
+		for _, target := range []string{"all", "schema"} {
+			if lowerEquals(src, target) != (strings.ToLower(src) == target) {
+				t.Fatalf("lowerEquals(%q, %q) disagrees with strings.ToLower", src, target)
+			}
+		}
+	})
+}
+
+// dumpRequests renders decoded requests for a failure message.
+func dumpRequests(reqs []*Request) string {
+	var sb strings.Builder
+	for _, r := range reqs {
+		fmt.Fprintf(&sb, "{Kind:%v Source:%q Info:%+v Job:%+v} ", r.Kind, r.Source, r.Info, r.Job)
+	}
+	return sb.String()
 }

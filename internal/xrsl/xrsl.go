@@ -143,13 +143,28 @@ type Request struct {
 	Kind Kind
 	Info *InfoRequest
 	Job  *JobRequest
-	// Source is the originating specification, for logging/accounting.
+	// Source is a job's specification in canonical RSL, kept in its job
+	// record for accounting and restart recovery. Info requests leave it
+	// empty: nothing reads it for them.
 	Source string
 }
 
 // Decode parses and classifies a full xRSL string, expanding
-// multi-requests into their components.
+// multi-requests into their components. The canonical info shape is
+// decoded in a single pass over src (decodeSinglePass); any other input is
+// parsed into an RSL tree (decodeParsed). Both paths return the same
+// requests and the same errors; on the single pass the keywords and the
+// filter are substrings of src.
 func Decode(src string, env rsl.Env) ([]*Request, error) {
+	if reqs, ok, err := decodeSinglePass(src); ok {
+		return reqs, err
+	}
+	return decodeParsed(src, env)
+}
+
+// decodeParsed is Decode by way of the RSL parser: parse, split
+// multi-requests, evaluate each part under env and classify it.
+func decodeParsed(src string, env rsl.Env) ([]*Request, error) {
 	node, err := rsl.Parse(src)
 	if err != nil {
 		return nil, err
@@ -200,34 +215,37 @@ func DecodeSpec(spec *rsl.Spec) (*Request, error) {
 		}
 		return &Request{Kind: KindJob, Job: job, Source: spec.Unparse()}, nil
 	case hasInfo:
-		info, err := decodeInfo(spec, infos)
+		info, err := decodeInfo(&infoTags{spec: spec, infos: infos})
 		if err != nil {
 			return nil, err
 		}
-		return &Request{Kind: KindInfo, Info: info, Source: spec.Unparse()}, nil
+		return &Request{Kind: KindInfo, Info: info}, nil
 	default:
 		return nil, fmt.Errorf("xrsl: request has neither executable nor info tags")
 	}
 }
 
-func decodeInfo(spec *rsl.Spec, infos []string) (*InfoRequest, error) {
+// decodeInfo validates an info request's tags, read through t. It owns
+// t.infos: the keywords are filtered into it in place.
+func decodeInfo(t *infoTags) (*InfoRequest, error) {
 	req := &InfoRequest{Format: FormatLDIF}
-	for _, kw := range infos {
-		switch strings.ToLower(kw) {
-		case "all":
+	keywords := t.infos[:0]
+	for _, kw := range t.infos {
+		switch {
+		case lowerEquals(kw, "all"):
 			req.All = true
-		case "schema":
+		case lowerEquals(kw, "schema"):
 			req.Schema = true
 		default:
-			req.Keywords = append(req.Keywords, kw)
+			keywords = append(keywords, kw)
 		}
 	}
-	if req.All && len(req.Keywords) > 0 {
-		// (info=all) subsumes explicit keywords.
-		req.Keywords = nil
+	// (info=all) subsumes explicit keywords.
+	if !req.All && len(keywords) > 0 {
+		req.Keywords = keywords
 	}
 
-	respStr, err := spec.String("response", "")
+	respStr, _, err := t.first(tagResponse)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +255,7 @@ func decodeInfo(spec *rsl.Spec, infos []string) (*InfoRequest, error) {
 	}
 	req.Response = mode
 
-	if q, ok, err := spec.First("quality"); err != nil {
+	if q, ok, err := t.first(tagQuality); err != nil {
 		return nil, err
 	} else if ok {
 		f, err := strconv.ParseFloat(strings.TrimSuffix(q, "%"), 64)
@@ -250,7 +268,7 @@ func decodeInfo(spec *rsl.Spec, infos []string) (*InfoRequest, error) {
 		req.Quality = quality.Score(f)
 	}
 
-	if p, ok, err := spec.First("performance"); err != nil {
+	if p, ok, err := t.first(tagPerformance); err != nil {
 		return nil, err
 	} else if ok {
 		b, err := parseBool(p)
@@ -260,7 +278,7 @@ func decodeInfo(spec *rsl.Spec, infos []string) (*InfoRequest, error) {
 		req.Performance = b
 	}
 
-	fstr, err := spec.String("format", "")
+	fstr, _, err := t.first(tagFormat)
 	if err != nil {
 		return nil, err
 	}
@@ -270,11 +288,31 @@ func decodeInfo(spec *rsl.Spec, infos []string) (*InfoRequest, error) {
 	}
 	req.Format = format
 
-	req.Filter, err = spec.String("filter", "")
+	req.Filter, _, err = t.first(tagFilter)
 	if err != nil {
 		return nil, err
 	}
 	return req, nil
+}
+
+// lowerEquals reports whether strings.ToLower(s) == lower, without
+// allocating, for a lower-case ASCII target holding neither 'i' nor 'k'.
+// The only runes outside ASCII that lower into it are U+0130 (to 'i') and
+// U+212A (to 'k'), so for such a target a match is ASCII byte for byte.
+func lowerEquals(s, lower string) bool {
+	if len(s) != len(lower) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func decodeJob(spec *rsl.Spec) (*JobRequest, error) {

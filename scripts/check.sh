@@ -59,6 +59,7 @@ for target in \
 	FuzzSessionFrames:./internal/session \
 	FuzzFollowerStream:./internal/cluster \
 	FuzzParseXRSL:./internal/xrsl \
+	FuzzDecodeSinglePass:./internal/xrsl \
 	FuzzParseFilter:./internal/mds \
 	FuzzGIISSplice:./internal/mds \
 	FuzzLDIFSplit:./internal/ldif \
