@@ -354,8 +354,8 @@ func BenchmarkE10_FormatLDIFvsXML(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // E11 — §6/§6.1: restart cost. The journal is the one restart source, so
-// this times journal.Open replaying a state directory into the folded job
-// state recovery resubmits from.
+// this times journal.Open replaying a state directory into the job table
+// recovery resubmits from.
 
 func BenchmarkE11_JournalReplay(b *testing.B) {
 	for _, jobs := range []int{100, 1000} {
@@ -416,14 +416,8 @@ func BenchmarkE11_JournalReplay(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				unfinished := 0
-				for _, js := range rec.Jobs {
-					if !js.State.Terminal() {
-						unfinished++
-					}
-				}
-				if len(rec.Jobs) != jobs || unfinished != jobs/2 {
-					b.Fatalf("replayed %d jobs, %d unfinished", len(rec.Jobs), unfinished)
+				if n := jnl.Table().Len(); n != jobs || len(rec.Unfinished) != jobs/2 {
+					b.Fatalf("replayed %d jobs, %d unfinished", n, len(rec.Unfinished))
 				}
 				_ = jnl.Close()
 				b.StartTimer()

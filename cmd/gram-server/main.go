@@ -56,6 +56,7 @@ func main() {
 	var (
 		jnl       *journal.Journal
 		recovered *journal.Recovered
+		replayed  int // jobs the journal replayed into its table
 	)
 	if *stateDir != "" {
 		policy, err := journal.ParsePolicy(*fsync)
@@ -70,6 +71,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("journal: %v", err)
 		}
+		replayed = jnl.Table().Len()
 	}
 
 	svc := gram.NewService(gram.Config{
@@ -92,13 +94,13 @@ func main() {
 	defer svc.Close()
 	fmt.Printf("gram: serving GRAMP on %s (jobs only; pair with mds-server for information)\n", bound)
 
-	if recovered != nil && len(recovered.Jobs) > 0 {
+	if replayed > 0 {
 		contacts, err := svc.RecoverJournal(recovered)
 		if err != nil {
 			log.Printf("recover: %v", err)
 		}
 		fmt.Printf("gram: journal replayed %d job(s) from %s (%d resumed)\n",
-			len(recovered.Jobs), *stateDir, len(contacts))
+			replayed, *stateDir, len(contacts))
 	}
 
 	if *metrics != "" {

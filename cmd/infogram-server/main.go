@@ -148,6 +148,7 @@ func main() {
 	var (
 		jnl       *journal.Journal
 		recovered *journal.Recovered
+		replayed  int // jobs the journal replayed into its table
 	)
 	if *stateDir != "" {
 		policy, err := journal.ParsePolicy(*fsync)
@@ -162,6 +163,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("journal: %v", err)
 		}
+		replayed = jnl.Table().Len()
 		if recovered.TornTail {
 			log.Printf("journal: torn record at the tail of the newest segment was discarded")
 		}
@@ -212,13 +214,13 @@ func main() {
 	fmt.Printf("infogram: resource %q serving on %s (%d providers, sandbox %s)\n",
 		name, bound, registry.Len(), mode)
 
-	if recovered != nil && len(recovered.Jobs) > 0 {
+	if replayed > 0 {
 		contacts, err := svc.RecoverJournal(recovered)
 		if err != nil {
 			log.Printf("recover: %v", err)
 		}
 		fmt.Printf("infogram: journal replayed %d job(s) from %s (%d resumed)\n",
-			len(recovered.Jobs), *stateDir, len(contacts))
+			replayed, *stateDir, len(contacts))
 	}
 
 	if *metrics != "" {

@@ -116,16 +116,18 @@ func TestFollowerInterruptedResyncKeepsJournal(t *testing.T) {
 	}
 	fl.Stop()
 
-	_, recd, err := journal.Open(journal.Options{Dir: cfg.Dir})
+	jnl, _, err := journal.Open(journal.Options{Dir: cfg.Dir})
 	if err != nil {
 		t.Fatalf("open follower journal: %v", err)
 	}
-	if len(recd.Jobs) != 2 {
-		t.Fatalf("recovered %+v; want A and B from the last complete sync", recd.Jobs)
+	defer jnl.Close()
+	jobs := jnl.Table().List()
+	if len(jobs) != 2 {
+		t.Fatalf("recovered %+v; want A and B from the last complete sync", jobs)
 	}
-	a, b := recd.Jobs[0], recd.Jobs[1]
+	a, b := jobs[0], jobs[1]
 	if a.Contact != "A" || a.State != job.Done || a.Stdout != "a-out" || b.Contact != "B" || b.State != job.Active {
-		t.Fatalf("recovered %+v; want A DONE(a-out), B ACTIVE", recd.Jobs)
+		t.Fatalf("recovered %+v; want A DONE(a-out), B ACTIVE", jobs)
 	}
 }
 
@@ -158,6 +160,36 @@ func TestFollowerSilentLeaderTripsLeaderLost(t *testing.T) {
 		}
 	case <-time.After(leaderSilence + 10*time.Second):
 		t.Fatal("a silent leader was never declared lost")
+	}
+}
+
+// A leader's journal can hold a state record made before its job finished
+// but journaled after. A follower fed it, in the cut or live, keeps the
+// job finished, as the leader's own recovery does: promoted, it would not
+// run the job again.
+func TestFollowerKeepsStaleRecordFromReviving(t *testing.T) {
+	fl := NewFollower(FollowerConfig{Dir: t.TempDir()})
+	done := rec(t, journal.Entry{Kind: journal.KindState, Time: 3, Contact: "A", State: job.Done.String(), ExitCode: new(int), Restarts: 1})
+	stale := rec(t, journal.Entry{Kind: journal.KindState, Time: 2, Contact: "A", State: job.Suspended.String(), Restarts: 1})
+	var st stream
+	for _, fr := range []wire.Frame{submitRec(t, "A"), done, stale, {Verb: wire.VerbReplLive}, stale} {
+		if err := fl.step(&st, fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := fl.jnl.Table().Get("A"); err != nil || got.State != job.Done {
+		t.Fatalf("follower holds %+v (%v); want DONE", got, err)
+	}
+	if err := fl.jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jnl, recd, err := journal.Open(journal.Options{Dir: fl.cfg.Dir, Fsync: journal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	if got, _ := jnl.Table().Get("A"); got.State != job.Done || len(recd.Unfinished) != 0 {
+		t.Fatalf("promotion would find %+v, unfinished %v; want DONE and nothing to resume", got, recd.Unfinished)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // Leader-side journal replication: serveRepl serves a follower granted
-// repl by streaming the journal's cut — the folded state of every job,
-// as synthesized records — and then relaying every subsequent append
-// live, with a heartbeat while the journal is idle. The follower half
+// repl by streaming the journal's cut — every job of the table the
+// service serves, as synthesized records — and then relaying every
+// subsequent append live, with a heartbeat while the journal is idle. The follower half
 // lives in internal/cluster (core cannot import cluster); the protocol
 // is documented in internal/wire/repl.go.
 

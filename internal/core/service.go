@@ -77,8 +77,9 @@ type Config struct {
 	Log *logging.Logger
 	// Journal is the optional durable job-state layer (write-ahead
 	// journal + snapshots). When set, every submission and transition is
-	// journaled before it is acknowledged, and RecoverJournal can rebuild
-	// the job table after a crash. Nil keeps the in-memory behaviour.
+	// journaled before it is acknowledged, the service serves the job
+	// table the journal replayed into, and RecoverJournal resumes its
+	// unfinished jobs after a crash. Nil keeps the in-memory behaviour.
 	Journal *journal.Journal
 	// Telemetry receives the service's metrics; a private registry is
 	// created when nil, so instrumentation is always live. Callers that
@@ -279,7 +280,7 @@ func (s *Service) Listen(addr string) (string, error) {
 		return "", err
 	}
 	s.mu.Lock()
-	s.table = job.NewTable(bound)
+	s.table = gram.ServedTable(s.cfg.Journal, bound)
 	s.manager = gram.NewManager(gram.ManagerConfig{
 		Table:        s.table,
 		Backends:     s.cfg.Backends,
@@ -359,13 +360,14 @@ func (s *Service) GRIS() *mds.GRIS {
 	})
 }
 
-// RecoverJournal rebuilds the job table from a journal replay: terminal
-// jobs become queryable again under their original contacts with their
-// recorded output, and non-terminal jobs are resubmitted to their
-// backends, resuming from the last journaled checkpoint with their
-// remaining restart budget (jobs that cannot be re-attached come back
-// FAILED with a "recovery:" annotation). Call it after Listen and before
-// serving traffic; it returns the contacts of the resumed jobs.
+// RecoverJournal resumes the unfinished jobs a journal replay found (see
+// gram.Manager.RecoverJournal). The table already answers for every
+// replayed job under its original contact, finished ones with their
+// recorded output; unfinished ones are resubmitted to their backends from
+// the last journaled checkpoint with their remaining restart budget, and
+// those that cannot be re-attached are failed with a "recovery:"
+// annotation. Call it after Listen and before serving traffic; it returns
+// the contacts of the resumed jobs.
 func (s *Service) RecoverJournal(rec *journal.Recovered) ([]string, error) {
 	s.mu.Lock()
 	m := s.manager

@@ -645,7 +645,7 @@ func TestCheckpointResume(t *testing.T) {
 	// Wait until the last checkpoint reaches the journal.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if jobs := jnl.Jobs(); len(jobs) == 1 && jobs[0].Checkpoint == "step=3" {
+		if jobs := jnl.Table().List(); len(jobs) == 1 && jobs[0].Checkpoint == "step=3" {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -736,12 +736,26 @@ func TestRecoveredRestartIsAccountedOnce(t *testing.T) {
 	}
 }
 
-// crashState is the replayed journal of a service that died while the job
-// was ACTIVE on its first attempt.
-func crashState(contact, spec string) *journal.Recovered {
-	return &journal.Recovered{Jobs: []journal.JobState{{
-		Contact: contact, Spec: spec, Owner: "alice", Identity: "/O=Grid/CN=alice", State: job.Active,
-	}}}
+// crashState journals, in a fresh state directory, a service that died
+// while the job was ACTIVE on its first attempt, and reopens it as the
+// restarted service would.
+func crashState(t *testing.T, contact, spec string) (*journal.Journal, *journal.Recovered) {
+	t.Helper()
+	dir := t.TempDir()
+	jnl, _ := openJournal(t, dir)
+	now := time.Now().UnixNano()
+	for _, e := range []journal.Entry{
+		{Kind: journal.KindSubmit, Time: now, Contact: contact, Spec: spec, Owner: "alice", Identity: "/O=Grid/CN=alice"},
+		{Kind: journal.KindState, Time: now, Contact: contact, State: job.Active.String(), Restarts: 1},
+	} {
+		if err := jnl.Append(context.Background(), e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return openJournal(t, dir)
 }
 
 // waitTerminal polls contact on g until it reaches a terminal state.
@@ -764,8 +778,9 @@ func waitTerminal(t *testing.T, g *testGrid, contact string) gram.StatusReply {
 // A journaled job whose spec no longer decodes is reported, not dropped.
 func TestRecoverJournalUndecodableSpecFails(t *testing.T) {
 	const contact = "gram://old.host:1/8/1234"
-	g := newTestGrid(t, provider.NewRegistry(nil))
-	resumed, err := g.svc.RecoverJournal(crashState(contact, "&(executable="))
+	jnl, rec := crashState(t, contact, "&(executable=")
+	g := newTestGridConfig(t, provider.NewRegistry(nil), nil, withJournal(jnl))
+	resumed, err := g.svc.RecoverJournal(rec)
 	if err != nil || len(resumed) != 0 {
 		t.Fatalf("RecoverJournal = %v, %v; want nothing resumed and no error", resumed, err)
 	}
@@ -776,8 +791,10 @@ func TestRecoverJournalUndecodableSpecFails(t *testing.T) {
 }
 
 func TestRecoverBeforeListenIsAnError(t *testing.T) {
-	svc := core.NewService(core.Config{ResourceName: "unbound", Registry: provider.NewRegistry(nil)})
-	if _, err := svc.RecoverJournal(crashState("gram://old.host:1/9/1234", "&(executable=hello)(jobtype=func)")); err == nil {
+	jnl, rec := crashState(t, "gram://old.host:1/9/1234", "&(executable=hello)(jobtype=func)")
+	defer jnl.Close()
+	svc := core.NewService(core.Config{ResourceName: "unbound", Registry: provider.NewRegistry(nil), Journal: jnl})
+	if _, err := svc.RecoverJournal(rec); err == nil {
 		t.Error("RecoverJournal before Listen succeeded; want an error")
 	}
 }

@@ -11,8 +11,10 @@ package gram
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"infogram/internal/clock"
@@ -70,15 +72,18 @@ func (f NotifierFunc) Notify(c string, ev job.Event) { f(c, ev) }
 
 // ManagerConfig wires a job manager's dependencies.
 type ManagerConfig struct {
+	// Table is the job table. With a Journal it is ignored: the manager
+	// serves the journal's table (see ServedTable).
 	Table    *job.Table
 	Backends Backends
 	// Log is optional; when set, every job event is also written to it as
 	// an audit-log line for accounting. It is never read back for recovery.
 	Log *logging.Logger
 	// Journal is the optional durable job-state layer: every submission
-	// and state transition is appended to it before the operation is
-	// acknowledged, and a failed submission append refuses the submit. A
-	// nil journal preserves the in-memory-only behaviour.
+	// and state transition is appended to it, and reaches the table
+	// through it, before the operation is acknowledged; a failed
+	// submission append refuses the submit. A nil journal preserves the
+	// in-memory-only behaviour.
 	Journal *journal.Journal
 	// Notify is optional; when set, events for jobs carrying a callback
 	// contact are pushed to it.
@@ -108,12 +113,17 @@ type Manager struct {
 	// running tracks the live backend handles of each job's current
 	// attempt so Signal can reach them.
 	running map[string][]scheduler.Handle
+	// recovered is set by RecoverJournal, which may run once.
+	recovered atomic.Bool
 }
 
 // NewManager builds a Manager.
 func NewManager(cfg ManagerConfig) *Manager {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System
+	}
+	if cfg.Journal != nil {
+		cfg.Table = cfg.Journal.Table()
 	}
 	return &Manager{
 		cfg:     cfg,
@@ -124,6 +134,18 @@ func NewManager(cfg ManagerConfig) *Manager {
 
 // Table returns the job table.
 func (m *Manager) Table() *job.Table { return m.cfg.Table }
+
+// ServedTable returns the job table a service bound to host serves: the
+// journal's, which already holds every job the journal replayed, or a
+// fresh one when there is no journal.
+func ServedTable(jnl *journal.Journal, host string) *job.Table {
+	t := jnl.Table()
+	if t == nil {
+		return job.NewTable(host)
+	}
+	t.Bind(host)
+	return t
+}
 
 // Submit registers a job and starts its manager goroutine, returning the
 // job contact. rec.Contact may be empty, in which case a fresh contact is
@@ -169,27 +191,23 @@ func (m *Manager) submit(ctx context.Context, req *xrsl.JobRequest, rec job.Reco
 	trace := telemetry.TraceFrom(ctx)
 	if rec.Contact == "" {
 		rec.Contact = m.cfg.Table.NewContact(now)
+	} else if _, err := m.cfg.Table.Get(rec.Contact); err == nil {
+		return "", fmt.Errorf("job: duplicate contact %q", rec.Contact)
 	}
-	rec.State = job.Unsubmitted
-	rec.Submitted = now
-	rec.Updated = now
-	if err := m.cfg.Table.Create(rec); err != nil {
-		return "", err
-	}
-	// The submission is journaled before anything acknowledges it: if the
-	// durability layer refuses the record, the job is rolled back and the
-	// client sees the submission fail — an unjournaled job could silently
-	// vanish in a crash, which is exactly what the journal exists to
-	// prevent.
-	if err := m.record(ctx, journal.Entry{
-		Kind:     journal.KindSubmit,
+	// The submission is journaled before anything acknowledges it, and the
+	// job enters the table only once its record is written: if the
+	// durability layer refuses the record, the client sees the submission
+	// fail and no table, snapshot or replication cut ever held the job —
+	// an unjournaled job could silently vanish in a crash, which is
+	// exactly what the journal exists to prevent.
+	if err := m.record(ctx, job.Entry{
+		Kind:     job.KindSubmit,
 		Time:     now.UnixNano(),
 		Contact:  rec.Contact,
 		Spec:     rec.Spec,
 		Owner:    rec.Owner,
 		Identity: rec.Identity,
 	}); err != nil {
-		m.cfg.Table.Remove(rec.Contact)
 		return "", fmt.Errorf("gram: submit not durable: %w", err)
 	}
 	if err := m.transition(ctx, rec.Contact, req, job.Mutation{State: job.Pending}); err != nil {
@@ -240,60 +258,45 @@ func (m *Manager) Cancel(contact string) error {
 	return nil
 }
 
-// transition applies a table transition, records it, and notifies
-// callbacks. The record is written before the callback so an event is
-// never observable outside the process ahead of its durable record.
+// transition applies a table transition, through the journal when there
+// is one, logs it, and notifies callbacks. The record is written before
+// the callback so an event is never observable outside the process ahead
+// of its durable record.
 func (m *Manager) transition(ctx context.Context, contact string, req *xrsl.JobRequest, mut job.Mutation) error {
-	ev, err := m.cfg.Table.Transition(contact, mut, m.cfg.Clock.Now())
+	var ev job.Event
+	var err error
+	if m.cfg.Journal != nil {
+		ev, err = m.cfg.Journal.Transition(ctx, contact, mut, m.cfg.Clock.Now())
+	} else {
+		ev, err = m.cfg.Table.Transition(contact, mut, m.cfg.Clock.Now())
+	}
 	if err != nil {
 		return err
 	}
-	e := journal.Entry{
-		Kind:        journal.KindState,
-		Time:        ev.Time.UnixNano(),
-		Contact:     contact,
-		State:       ev.State.String(),
-		Error:       ev.Error,
-		Restarts:    ev.Restarts,
-		WillRestart: mut.WillRestart,
-		Stdout:      mut.Stdout,
-		Stderr:      mut.Stderr,
+	if m.cfg.Log != nil {
+		_ = m.cfg.Log.AppendEntry(job.StateEntry(ev, mut), string(telemetry.TraceFrom(ctx)))
 	}
-	if ev.State.Terminal() {
-		e.ExitCode = intPtr(ev.ExitCode)
-	}
-	_ = m.record(ctx, e) // fails only for a submission
 	if m.cfg.Notify != nil && req != nil && req.CallbackContact != "" {
 		m.cfg.Notify.Notify(req.CallbackContact, ev)
 	}
 	return nil
 }
 
-// record is the one writer of job events: it journals e unless e is
-// recovery-neutral, then hands it to the audit log. Only a submission's
-// journal failure is returned: the caller rolls that job back, so it never
-// happened and is not logged. Any other event has already happened in the
-// table; a failed append of it is counted by the journal and does not
-// abort the job — the submission is durable, and recovery re-runs a job
-// whose tail transitions are missing.
-func (m *Manager) record(ctx context.Context, e journal.Entry) error {
-	if !recoveryNeutral(e) {
-		if err := m.cfg.Journal.Append(ctx, e); err != nil && e.Kind == journal.KindSubmit {
-			return err
-		}
+// record files a submission or a checkpoint: it folds e into the table,
+// through the journal when there is one, and hands it to the audit log.
+// A journal failure is returned; a submission that fails is not logged,
+// as it never happened.
+func (m *Manager) record(ctx context.Context, e job.Entry) error {
+	var err error
+	if m.cfg.Journal != nil {
+		err = m.cfg.Journal.Append(ctx, e)
+	} else {
+		m.cfg.Table.Apply(e)
 	}
-	_ = m.cfg.Log.AppendEntry(e, string(telemetry.TraceFrom(ctx))) // logging failures must not break job flow
-	return nil
-}
-
-// recoveryNeutral reports whether e is a first-attempt PENDING, ACTIVE or
-// SUSPENDED record with no restart count, no error and no output. It folds
-// into exactly the state recovery infers from the submission record alone
-// (non-terminal, attempt zero → resubmit), so journaling it buys nothing
-// and would cost two of the four per-job appends on the happy path.
-func recoveryNeutral(e journal.Entry) bool {
-	return e.Kind == journal.KindState && e.ExitCode == nil && e.Restarts == 0 &&
-		e.Error == "" && e.Stdout == nil && e.Stderr == nil
+	if err == nil || e.Kind != job.KindSubmit {
+		_ = m.cfg.Log.AppendEntry(e, string(telemetry.TraceFrom(ctx))) // logging failures must not break job flow
+	}
+	return err
 }
 
 // run is the per-job manager: it executes the job with fault-tolerant
@@ -403,8 +406,8 @@ func (m *Manager) attemptRun(ctx context.Context, backend scheduler.Backend, con
 			// request so a later retry (or a restarted service) resumes
 			// from here.
 			req.Checkpoint = data
-			_ = m.record(ctx, journal.Entry{
-				Kind:       journal.KindCheckpoint,
+			_ = m.record(ctx, job.Entry{
+				Kind:       job.KindCheckpoint,
 				Time:       m.cfg.Clock.Now().UnixNano(),
 				Contact:    contact,
 				Checkpoint: data,
@@ -607,79 +610,16 @@ func (m *Manager) fail(ctx context.Context, contact string, req *xrsl.JobRequest
 
 func intPtr(n int) *int { return &n }
 
-// restoreTerminal re-inserts a terminal job exactly as journaled, so
-// STATUS keeps answering for pre-crash contacts with the recorded output.
-func (m *Manager) restoreTerminal(js journal.JobState) error {
-	return m.cfg.Table.Create(job.Record{
-		Contact:   js.Contact,
-		Spec:      js.Spec,
-		Owner:     js.Owner,
-		Identity:  js.Identity,
-		State:     js.State,
-		ExitCode:  js.ExitCode,
-		Error:     js.Error,
-		Stdout:    js.Stdout,
-		Stderr:    js.Stderr,
-		Restarts:  js.Restarts,
-		Submitted: js.Submitted,
-		Updated:   js.Updated,
-	})
-}
-
-// restoreFailed registers a journaled job that cannot be resumed and
-// immediately fails it with a recovery annotation, so the outcome is
-// visible to STATUS rather than silently dropped.
-func (m *Manager) restoreFailed(js journal.JobState, msg string) error {
-	now := m.cfg.Clock.Now()
-	rec := job.Record{
-		Contact:   js.Contact,
-		Spec:      js.Spec,
-		Owner:     js.Owner,
-		Identity:  js.Identity,
-		State:     job.Unsubmitted,
-		Submitted: js.Submitted,
-		Updated:   now,
-	}
-	if rec.Submitted.IsZero() {
-		rec.Submitted = now
-	}
-	if err := m.cfg.Table.Create(rec); err != nil {
-		return err
-	}
-	return m.transition(context.Background(), js.Contact, nil, job.Mutation{
-		State:    job.Failed,
-		ExitCode: -1,
-		Error:    msg,
-		Restarts: intPtr(js.Restarts),
-	})
-}
-
-// Resume re-registers a journaled, unfinished job under its original
-// contact and restarts its manager goroutine. Execution starts at the
-// journaled restart count (clamped to the request's restart budget), so
-// the interrupted attempt is re-run rather than the job gaining a fresh
-// budget; a job journaled as a FAILED that will restart starts at the
-// attempt after it. The submission is not re-journaled here: the journal
-// it was replayed from already holds it.
-func (m *Manager) Resume(req *xrsl.JobRequest, js journal.JobState) error {
-	now := m.cfg.Clock.Now()
-	rec := job.Record{
-		Contact:   js.Contact,
-		Spec:      js.Spec,
-		Owner:     js.Owner,
-		Identity:  js.Identity,
-		State:     job.Unsubmitted,
-		Submitted: js.Submitted,
-		Updated:   now,
-	}
-	if rec.Submitted.IsZero() {
-		rec.Submitted = now
-	}
-	if err := m.cfg.Table.Create(rec); err != nil {
-		return err
-	}
-	start := js.Restarts
-	if js.WillRestart {
+// Resume restarts the manager goroutine of an unfinished job the table
+// holds from a journal replay, under its original contact. Execution
+// starts at the journaled restart count (clamped to the request's restart
+// budget), so the interrupted attempt is re-run rather than the job
+// gaining a fresh budget; a job journaled as a FAILED that will restart
+// starts at the attempt after it. The submission is not re-journaled
+// here: the journal it was replayed from already holds it.
+func (m *Manager) Resume(req *xrsl.JobRequest, rec job.Record) error {
+	start := rec.Restarts
+	if rec.WillRestart {
 		start++
 	}
 	if start > req.Restart {
@@ -691,72 +631,69 @@ func (m *Manager) Resume(req *xrsl.JobRequest, js journal.JobState) error {
 	if _, err := m.cfg.Backends.Select(req.JobType); err != nil {
 		// The backend the job ran on does not exist in this process: it
 		// cannot be re-attached, only reported.
-		m.fail(context.Background(), js.Contact, req, scheduler.Result{}, -1,
+		m.fail(context.Background(), rec.Contact, req, scheduler.Result{}, -1,
 			"recovery: "+err.Error(), start, false)
 		return nil
 	}
-	if err := m.transition(context.Background(), js.Contact, req, job.Mutation{
-		State: job.Pending, Restarts: intPtr(start),
+	if err := m.transition(context.Background(), rec.Contact, req, job.Mutation{
+		State: job.Pending, Restarts: intPtr(start), Resumed: true,
 	}); err != nil {
 		return err
 	}
 	jobCtx, cancel := context.WithCancel(context.Background())
 	m.mu.Lock()
-	m.cancels[js.Contact] = cancel
+	m.cancels[rec.Contact] = cancel
 	m.mu.Unlock()
 	go func() {
 		defer func() {
 			cancel()
 			m.mu.Lock()
-			delete(m.cancels, js.Contact)
+			delete(m.cancels, rec.Contact)
 			m.mu.Unlock()
 		}()
-		m.runFrom(jobCtx, js.Contact, req, start)
+		m.runFrom(jobCtx, rec.Contact, req, start)
 	}()
 	m.cfg.JobsSpawned.Inc()
 	return nil
 }
 
-// RecoverJournal is the one restart path: it rebuilds the job table from
-// the job state replayed from the journal, the only restart source.
-// Finished jobs are restored verbatim; unfinished jobs are resubmitted to
-// their backends under their original contacts, resuming from the last
-// journaled checkpoint and honouring the remaining restart budget. Jobs
-// whose spec no longer decodes — or whose backend is absent — come back
-// FAILED with a "recovery:" annotation instead of vanishing. It returns the
-// contacts of the jobs that were resumed.
+// RecoverJournal is the one restart path. The journal has already
+// replayed every job into the table, finished ones with their recorded
+// output; RecoverJournal resumes the unfinished ones rec lists, under
+// their original contacts, from their last journaled checkpoint and with
+// their remaining restart budget. Jobs whose spec no longer decodes — or
+// whose backend is absent — are failed with a "recovery:" annotation
+// instead of vanishing. It returns the contacts of the jobs resumed, and
+// may run once.
 func (m *Manager) RecoverJournal(rec *journal.Recovered, envFor func(owner string) rsl.Env) ([]string, error) {
 	if rec == nil {
 		return nil, nil
 	}
+	if !m.recovered.CompareAndSwap(false, true) {
+		return nil, errors.New("gram: journal already recovered")
+	}
 	var resumed []string
-	replayed := 0
-	for _, js := range rec.Jobs {
-		if js.Finished() {
-			if err := m.restoreTerminal(js); err != nil {
-				return resumed, fmt.Errorf("gram: recover %q: %w", js.Contact, err)
-			}
-			continue
+	for _, contact := range rec.Unfinished {
+		js, err := m.cfg.Table.Get(contact)
+		if err != nil {
+			return resumed, fmt.Errorf("gram: recover %q: %w", contact, err)
 		}
-		replayed++
 		req, err := xrsl.DecodeOne(js.Spec, envFor(js.Owner))
 		if err != nil || req.Kind != xrsl.KindJob {
 			msg := "recovery: spec is not a restartable job"
 			if err != nil {
 				msg = "recovery: " + err.Error()
 			}
-			if rerr := m.restoreFailed(js, msg); rerr != nil {
-				return resumed, fmt.Errorf("gram: recover %q: %w", js.Contact, rerr)
-			}
+			m.fail(context.Background(), contact, nil, scheduler.Result{}, -1, msg, js.Restarts, false)
 			continue
 		}
 		// Resume from the last checkpoint the crashed run journaled (§10).
 		req.Job.Checkpoint = js.Checkpoint
 		if err := m.Resume(req.Job, js); err != nil {
-			return resumed, fmt.Errorf("gram: recover %q: %w", js.Contact, err)
+			return resumed, fmt.Errorf("gram: recover %q: %w", contact, err)
 		}
-		resumed = append(resumed, js.Contact)
+		resumed = append(resumed, contact)
 	}
-	m.cfg.Journal.NoteRecovered(replayed)
+	m.cfg.Journal.NoteRecovered(len(rec.Unfinished))
 	return resumed, nil
 }

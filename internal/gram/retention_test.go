@@ -49,13 +49,12 @@ func newRetentionRig(t *testing.T, dir string, fn *scheduler.Func, notify func(j
 	t.Cleanup(func() { jnl.Close() })
 	r := &retentionRig{
 		t:        t,
-		table:    job.NewTable("site:1"),
+		table:    gram.ServedTable(jnl, "site:1"),
 		jnl:      jnl,
 		noop:     decodeJob(t, noopSpec),
 		finished: make(chan string, 16),
 	}
 	r.m = gram.NewManager(gram.ManagerConfig{
-		Table:    r.table,
 		Backends: gram.Backends{Func: fn},
 		Journal:  jnl,
 		Notify: gram.NotifierFunc(func(_ string, ev job.Event) {
@@ -121,7 +120,7 @@ func (r *retentionRig) runNoops(n int) []string {
 	return out
 }
 
-func contactSet(jobs []journal.JobState) []string {
+func contactSet(jobs []job.Record) []string {
 	out := make([]string, 0, len(jobs))
 	for _, js := range jobs {
 		out = append(out, js.Contact)
@@ -131,23 +130,25 @@ func contactSet(jobs []journal.JobState) []string {
 }
 
 // TestRetentionBoundsJobHistory runs 3·KeepTerminal jobs through a
-// journaled manager. Whatever ran before, the table, the journal fold and
-// the snapshot hold only the newest KeepTerminal finished jobs (3·N
-// retirements end on a cut of the window), those still answer STATUS, an
-// older contact answers "expired", and two recoveries in a row restore
-// exactly the set the running journal held.
+// journaled manager. Whatever ran before, the table and the snapshot hold
+// only the newest KeepTerminal finished jobs (3·N retirements end on a
+// cut of the window), those still answer STATUS, an older contact answers
+// "expired", and two recoveries in a row restore exactly the set the
+// running service held.
 func TestRetentionBoundsJobHistory(t *testing.T) {
 	const n = job.KeepTerminal
 	dir := t.TempDir()
 	r := newRetentionRig(t, dir, scheduler.NewFunc(scheduler.TrustedMode, scheduler.Budgets{}), nil)
 	contacts := r.runNoops(3 * n)
 
-	live, finished, order := r.jnl.Footprint()
+	live := 0
+	for _, rec := range r.table.List() {
+		if !rec.Finished() {
+			live++
+		}
+	}
 	if got := r.table.Len(); got > n+live {
 		t.Errorf("table holds %d jobs after %d; want <= %d", got, 3*n, n+live)
-	}
-	if finished > n || order > n+live {
-		t.Errorf("journal fold holds %d finished jobs, order index %d; want <= %d and <= %d", finished, order, n, n+live)
 	}
 	if err := r.jnl.Snapshot(); err != nil {
 		t.Fatal(err)
@@ -179,32 +180,22 @@ func TestRetentionBoundsJobHistory(t *testing.T) {
 		t.Errorf("STATUS oldest = %s %q; want ERROR %q", resp.Verb, resp.Payload, want)
 	}
 
-	var tableSet []string
-	for _, rec := range r.table.List() {
-		tableSet = append(tableSet, rec.Contact)
-	}
-	leaderSet := contactSet(r.jnl.Jobs())
-	if !reflect.DeepEqual(tableSet, leaderSet) {
-		t.Errorf("table and journal hold different jobs: %d vs %d", len(tableSet), len(leaderSet))
-	}
+	leader := r.table.List()
 	if err := r.jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	reopen := func() *journal.Recovered {
+	reopen := func() []job.Record {
 		t.Helper()
 		jnl, rec, err := journal.Open(journal.Options{Dir: dir, Fsync: journal.FsyncNever})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer jnl.Close()
-		table := job.NewTable("site:1")
-		m := gram.NewManager(gram.ManagerConfig{Table: table, Journal: jnl})
+		table := gram.ServedTable(jnl, "site:1")
+		m := gram.NewManager(gram.ManagerConfig{Journal: jnl})
 		if _, err := m.RecoverJournal(rec, func(string) rsl.Env { return nil }); err != nil {
 			t.Fatal(err)
-		}
-		if table.Len() != len(rec.Jobs) {
-			t.Errorf("recovered table holds %d jobs; journal replayed %d", table.Len(), len(rec.Jobs))
 		}
 		if _, err := table.Get(oldest); !errors.Is(err, job.ErrExpired) {
 			t.Errorf("recovered Get(oldest) = %v; want ErrExpired", err)
@@ -212,32 +203,33 @@ func TestRetentionBoundsJobHistory(t *testing.T) {
 		if c, want := table.NewContact(time.Now()), fmt.Sprintf("gram://site:1/%d/", 3*n+1); !strings.HasPrefix(c, want) {
 			t.Errorf("recovered table issues %s; want the job id after the last recovered one, %s…", c, want)
 		}
-		return rec
+		return table.List()
 	}
 	rec1 := reopen()
-	if got := contactSet(rec1.Jobs); !reflect.DeepEqual(got, leaderSet) {
-		t.Fatalf("recovery holds %d jobs; the running journal held %d", len(got), len(leaderSet))
+	if got, want := contactSet(rec1), contactSet(leader); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovery holds %d jobs; the running service held %d", len(got), len(want))
 	}
 	rec2 := reopen()
-	if !reflect.DeepEqual(rec1.Jobs, rec2.Jobs) {
+	if !reflect.DeepEqual(rec1, rec2) {
 		t.Fatal("second recovery differs from the first")
 	}
 }
 
-// TestTableAndJournalAgreeWhenFinishesCross: the manager files a
-// finished job in the table and then in the journal, under two locks, so
-// two jobs finishing together can reach the two in opposite orders. Here
-// every pair does, with a cut of the window falling inside pairs. Both
-// order the window by the time of each job's last change, which they
-// record alike, so they forget the same jobs.
+// TestTableAndJournalAgreeWhenFinishesCross: two jobs finishing together
+// can reach the journal in the opposite order to their finishing times.
+// Here every pair does, with a cut of the window falling inside pairs.
+// The table the service serves is the one the journal folds into, and a
+// recovery folds the same records by the same finish-time key, so the
+// running table and the recovered one forget the same jobs.
 func TestTableAndJournalAgreeWhenFinishesCross(t *testing.T) {
 	const n = job.KeepTerminal
-	table := job.NewTable("site:1")
-	jnl, _, err := journal.Open(journal.Options{Dir: t.TempDir(), Fsync: journal.FsyncNever})
+	dir := t.TempDir()
+	jnl, _, err := journal.Open(journal.Options{Dir: dir, Fsync: journal.FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jnl.Close()
+	table := gram.ServedTable(jnl, "site:1")
 	ctx := context.Background()
 	base := time.Now()
 	clock := 0
@@ -246,46 +238,41 @@ func TestTableAndJournalAgreeWhenFinishesCross(t *testing.T) {
 		clock++
 		at := base.Add(time.Duration(clock) * time.Millisecond)
 		c := table.NewContact(at)
-		if err := table.Create(job.Record{Contact: c, State: job.Active, Submitted: at, Updated: at}); err != nil {
+		if err := jnl.Append(ctx, journal.Entry{Kind: journal.KindSubmit, Time: at.UnixNano(), Contact: c, Spec: noopSpec}); err != nil {
 			t.Fatal(err)
 		}
-		if err := jnl.Append(ctx, journal.Entry{Kind: journal.KindSubmit, Time: at.UnixNano(), Contact: c, Spec: noopSpec}); err != nil {
+		if _, err := jnl.Transition(ctx, c, job.Mutation{State: job.Pending}, at); err != nil {
 			t.Fatal(err)
 		}
 		clock++
 		return c, base.Add(time.Duration(clock) * time.Millisecond)
 	}
-	toTable := func(c string, at time.Time) {
+	finish := func(c string, at time.Time) {
 		t.Helper()
-		if _, err := table.Transition(c, job.Mutation{State: job.Done}, at); err != nil {
-			t.Fatal(err)
-		}
-	}
-	toJournal := func(c string, at time.Time) {
-		t.Helper()
-		exit := 0
-		if err := jnl.Append(ctx, journal.Entry{Kind: journal.KindState, Time: at.UnixNano(), Contact: c, State: "DONE", ExitCode: &exit}); err != nil {
+		if _, err := jnl.Transition(ctx, c, job.Mutation{State: job.Done}, at); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// One lone finish first, so the cuts at 2·N, 3·N and 4·N finishes
 	// fall between the two halves of a pair.
 	c, at := start()
-	toTable(c, at)
-	toJournal(c, at)
+	finish(c, at)
 	for i := 0; i < 2*n; i++ {
 		a, atA := start()
 		b, atB := start()
-		toTable(a, atA)
-		toTable(b, atB)
-		toJournal(b, atB)
-		toJournal(a, atA)
+		finish(b, atB)
+		finish(a, atA)
 	}
-	var tableSet []string
-	for _, rec := range table.List() {
-		tableSet = append(tableSet, rec.Contact)
+	tableSet := contactSet(table.List())
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
 	}
-	journalSet := contactSet(jnl.Jobs())
+	reopened, _, err := journal.Open(journal.Options{Dir: dir, Fsync: journal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	journalSet := contactSet(reopened.Table().List())
 	if len(tableSet) > 2*n || !reflect.DeepEqual(tableSet, journalSet) {
 		t.Fatalf("table holds %d jobs and the journal %d, not the same set", len(tableSet), len(journalSet))
 	}
@@ -368,7 +355,7 @@ func TestRestartOutlivesTheWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check := func(where string, jobs []journal.JobState) {
+	check := func(where string, jobs []job.Record) {
 		t.Helper()
 		for _, js := range jobs {
 			if js.Contact == flaky {
@@ -380,18 +367,19 @@ func TestRestartOutlivesTheWindow(t *testing.T) {
 		}
 		t.Errorf("%s forgot the job", where)
 	}
-	leader := r.jnl.Jobs()
-	check("journal", leader)
-	check("follower", follower.Jobs())
-	if !reflect.DeepEqual(contactSet(follower.Jobs()), contactSet(leader)) {
+	leader := r.table.List()
+	check("table", leader)
+	check("follower", follower.Table().List())
+	if !reflect.DeepEqual(contactSet(follower.Table().List()), contactSet(leader)) {
 		t.Error("follower holds a different job set from the leader")
 	}
 	if err := r.jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recovered, err := journal.Open(journal.Options{Dir: dir, Fsync: journal.FsyncNever})
+	recovered, _, err := journal.Open(journal.Options{Dir: dir, Fsync: journal.FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("recovery", recovered.Jobs)
+	defer recovered.Close()
+	check("recovery", recovered.Table().List())
 }

@@ -64,8 +64,9 @@ type Config struct {
 	Log *logging.Logger
 	// Journal is the optional durable job-state layer (write-ahead
 	// journal + snapshots). When set, every submission and transition is
-	// journaled before it is acknowledged, and RecoverJournal can rebuild
-	// the job table after a crash. Nil keeps the in-memory behaviour.
+	// journaled before it is acknowledged, the service serves the job
+	// table the journal replayed into, and RecoverJournal resumes its
+	// unfinished jobs after a crash. Nil keeps the in-memory behaviour.
 	Journal *journal.Journal
 	// Clock defaults to the system clock.
 	Clock clock.Clock
@@ -116,7 +117,7 @@ func (s *Service) Listen(addr string) (string, error) {
 		return "", err
 	}
 	s.mu.Lock()
-	s.table = job.NewTable(bound)
+	s.table = ServedTable(s.cfg.Journal, bound)
 	s.manager = NewManager(ManagerConfig{
 		Table:    s.table,
 		Backends: s.cfg.Backends,
@@ -160,7 +161,7 @@ func (s *Service) Close() error {
 	return err
 }
 
-// RecoverJournal rebuilds the job table from a journal replay (see
+// RecoverJournal resumes the unfinished jobs a journal replay found (see
 // Manager.RecoverJournal). Call it after Listen and before serving
 // traffic. It returns the contacts of the resumed (non-terminal) jobs.
 func (s *Service) RecoverJournal(rec *journal.Recovered) ([]string, error) {

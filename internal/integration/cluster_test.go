@@ -47,12 +47,12 @@ func clusterBackends(release <-chan struct{}) gram.Backends {
 func startLeader(t *testing.T, d *deployment, release <-chan struct{}, requestTimeout time.Duration) (*core.Service, string) {
 	t.Helper()
 	d.gridmap.Add("/O=Grid/CN=site-service", "standby")
-	jnl, rec, err := journal.Open(journal.Options{Dir: t.TempDir(), SegmentBytes: 2048})
+	jnl, _, err := journal.Open(journal.Options{Dir: t.TempDir(), SegmentBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Jobs) != 0 {
-		t.Fatalf("fresh leader journal recovered %d jobs", len(rec.Jobs))
+	if n := jnl.Table().Len(); n != 0 {
+		t.Fatalf("fresh leader journal recovered %d jobs", n)
 	}
 	svc := core.NewService(core.Config{
 		ResourceName: "leader-site",
@@ -107,14 +107,15 @@ func waitReplicated(t *testing.T, fl *cluster.Follower) {
 }
 
 // promote boots a gatekeeper from the follower's journal directory —
-// the ordinary crash-restart path — and returns it with the recovered
-// journal state.
-func promote(t *testing.T, d *deployment, dir string, release <-chan struct{}) (*core.Service, *journal.Recovered, []string) {
+// the ordinary crash-restart path — and returns it with the number of
+// jobs the journal replayed and the contacts it resumed.
+func promote(t *testing.T, d *deployment, dir string, release <-chan struct{}) (*core.Service, int, []string) {
 	t.Helper()
 	jnl, rec, err := journal.Open(journal.Options{Dir: dir, Telemetry: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatalf("open mirrored journal: %v", err)
 	}
+	replayed := jnl.Table().Len()
 	svc := core.NewService(core.Config{
 		ResourceName: "leader-site", // the standby answers for the same resource
 		Credential:   d.svcCred, Trust: d.trust, Gridmap: d.gridmap,
@@ -129,7 +130,7 @@ func promote(t *testing.T, d *deployment, dir string, release <-chan struct{}) (
 	if err != nil {
 		t.Fatalf("RecoverJournal on mirrored state: %v", err)
 	}
-	return svc, rec, resumed
+	return svc, replayed, resumed
 }
 
 // TestFollowerReplayEquivalence: a follower that took both the leader's
@@ -215,9 +216,9 @@ func TestFollowerReplayEquivalence(t *testing.T) {
 	// Boot from the follower's journal and compare against the leader's.
 	releaseB := make(chan struct{})
 	close(releaseB)
-	svcB, rec, resumed := promote(t, d, followDir, releaseB)
+	svcB, replayed, resumed := promote(t, d, followDir, releaseB)
 	defer svcB.Close()
-	if got, want := len(rec.Jobs), len(doneContacts)+len(blockContacts); got != want {
+	if got, want := replayed, len(doneContacts)+len(blockContacts); got != want {
 		t.Fatalf("mirror replayed %d jobs; leader journaled %d", got, want)
 	}
 	if len(resumed) != len(blockContacts) {
@@ -361,9 +362,9 @@ func TestKillLeaderPromoteChaos(t *testing.T) {
 
 	releaseB := make(chan struct{})
 	close(releaseB)
-	svcB, rec, resumed := promote(t, d, followDir, releaseB)
+	svcB, replayed, resumed := promote(t, d, followDir, releaseB)
 	defer svcB.Close()
-	if got, want := len(rec.Jobs), doneN+blockN; got != want {
+	if got, want := replayed, doneN+blockN; got != want {
 		t.Fatalf("promotion lost journaled jobs: replayed %d, leader journaled %d", got, want)
 	}
 	if len(resumed) != blockN {

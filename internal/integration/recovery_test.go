@@ -69,7 +69,7 @@ func TestJournalKillAndRestartRecovery(t *testing.T) {
 	defer listener.Close()
 
 	// --- Generation A: accept the batch, then die mid-flight. ---
-	jnlA, recA, err := journal.Open(journal.Options{
+	jnlA, _, err := journal.Open(journal.Options{
 		Dir: stateDir,
 		// Tiny rotation/snapshot thresholds so the live service exercises
 		// rotation, snapshotting, and compaction before the crash.
@@ -79,8 +79,8 @@ func TestJournalKillAndRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recA.Jobs) != 0 {
-		t.Fatalf("fresh state dir recovered %d jobs", len(recA.Jobs))
+	if n := jnlA.Table().Len(); n != 0 {
+		t.Fatalf("fresh state dir recovered %d jobs", n)
 	}
 	releaseA := make(chan struct{})
 	defer close(releaseA) // unblock generation A's orphaned goroutines
@@ -186,7 +186,7 @@ func TestJournalKillAndRestartRecovery(t *testing.T) {
 	if !recB.TornTail {
 		t.Error("torn tail record was not detected")
 	}
-	if got := len(recB.Jobs); got != 6 {
+	if got := jnlB.Table().Len(); got != 6 {
 		t.Fatalf("replayed %d jobs; want 6", got)
 	}
 	releaseB := make(chan struct{})
@@ -345,8 +345,8 @@ func TestJournalRecoveryHonorsRestartBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recB.Jobs) != 1 || recB.Jobs[0].Restarts != 1 {
-		t.Fatalf("replayed %+v; want the one job at restart count 1", recB.Jobs)
+	if jobs := jnlB.Table().List(); len(jobs) != 1 || jobs[0].Restarts != 1 {
+		t.Fatalf("replayed %+v; want the one job at restart count 1", jobs)
 	}
 	fnB := scheduler.NewFunc(scheduler.TrustedMode, scheduler.Budgets{})
 	ran := make(chan struct{}, 16)

@@ -1,7 +1,10 @@
 // Package job defines the job model shared by the GRAM baseline and the
 // InfoGram service: the GRAM 1.1 state machine, job contact handles (the
-// "GlobusID" of paper §2), status events, and an in-memory job table with
-// event subscription used for both polling and callback notification.
+// "GlobusID" of paper §2), status events, the journal record a job event
+// is filed as, and an in-memory job table with event subscription used
+// for both polling and callback notification. The table is the only
+// in-memory copy of job state: a journal replays into it, folds every
+// record into it (Table.Apply) and snapshots from it.
 package job
 
 import (
@@ -103,35 +106,111 @@ type Event struct {
 	Time     time.Time `json:"time"`
 }
 
-// Record is the job table's view of one job.
+// Record is the job table's view of one job. A journal snapshot stores
+// it as JSON, under these tags.
 type Record struct {
-	Contact   string
-	Spec      string // originating xRSL, for accounting and restart
-	Owner     string // local account from the gridmap
-	Identity  string // authenticated Grid identity
-	State     State
-	ExitCode  int
-	Error     string
-	Stdout    string
-	Stderr    string
-	Restarts  int
-	Submitted time.Time
-	Updated   time.Time
+	Contact  string `json:"contact"`
+	Spec     string `json:"spec,omitempty"`     // originating xRSL, for accounting and restart
+	Owner    string `json:"owner,omitempty"`    // local account from the gridmap
+	Identity string `json:"identity,omitempty"` // authenticated Grid identity
+	State    State  `json:"state"`
+	ExitCode int    `json:"exitCode,omitempty"`
+	Error    string `json:"error,omitempty"`
+	Stdout   string `json:"stdout,omitempty"`
+	Stderr   string `json:"stderr,omitempty"`
+	Restarts int    `json:"restarts,omitempty"`
+	// WillRestart marks a FAILED that a restart will follow.
+	WillRestart bool `json:"willRestart,omitempty"`
+	// Checkpoint is the last application checkpoint the job recorded.
+	Checkpoint string    `json:"checkpoint,omitempty"`
+	Submitted  time.Time `json:"submitted"`
+	Updated    time.Time `json:"updated"`
 }
 
-// KeepTerminal is how many finished jobs a job table, and the journal
-// fold, keep answering for. Older ones are forgotten oldest first, as a
-// GRAM job manager is gone once its job is (paper Figure 1); the audit log
-// is the permanent record. A job counts as finished at DONE, or at a
-// FAILED that will not restart. Eviction is amortised: the finished set
-// grows to 2·KeepTerminal and is then cut back to the newest KeepTerminal
-// (see Expire).
+// Finished reports whether the job is DONE, or FAILED with no restart to
+// follow: only a finished job may be forgotten, and only an unfinished
+// one is resumed after a restart.
+func (r *Record) Finished() bool {
+	return r.State == Done || r.State == Failed && !r.WillRestart
+}
+
+// Kind classifies a journal record.
+type Kind uint8
+
+// Journal record kinds.
+const (
+	// KindSubmit records a job submission: contact, spec, identity.
+	KindSubmit Kind = 1
+	// KindState records a job state transition.
+	KindState Kind = 2
+	// KindCheckpoint records an application checkpoint blob.
+	KindCheckpoint Kind = 3
+)
+
+// Entry is one journal record: the unit the journal writes, ships to a
+// follower and replays, and that Table.Apply folds. Submit entries carry
+// the identity fields; state entries carry the transition; checkpoint
+// entries carry the blob. Time is Unix nanoseconds: an integer keeps the
+// per-append encode and the recovery-path decode off the time-layout
+// formatter, which dominated the append profile.
+type Entry struct {
+	Kind    Kind   `json:"k"`
+	Time    int64  `json:"t"`
+	Contact string `json:"c"`
+
+	Spec     string `json:"spec,omitempty"`
+	Owner    string `json:"owner,omitempty"`
+	Identity string `json:"ident,omitempty"`
+
+	State string `json:"state,omitempty"`
+	// ExitCode is set only on terminal states, keeping exit 0
+	// distinguishable from "not exited".
+	ExitCode *int   `json:"exit,omitempty"`
+	Error    string `json:"err,omitempty"`
+	Restarts int    `json:"restarts,omitempty"`
+	// WillRestart marks a FAILED that a restart will follow. Without it a
+	// terminal state is final, as in every journal written before it.
+	WillRestart bool `json:"willRestart,omitempty"`
+	// Stdout/Stderr are pointers so "unchanged" and "set to empty" encode
+	// differently, mirroring Mutation.
+	Stdout *string `json:"stdout,omitempty"`
+	Stderr *string `json:"stderr,omitempty"`
+
+	Checkpoint string `json:"ckpt,omitempty"`
+}
+
+// StateEntry is the journal record of a transition: the event Transition
+// returned for m.
+func StateEntry(ev Event, m Mutation) Entry {
+	e := Entry{
+		Kind:        KindState,
+		Time:        ev.Time.UnixNano(),
+		Contact:     ev.Contact,
+		State:       ev.State.String(),
+		Error:       ev.Error,
+		Restarts:    ev.Restarts,
+		WillRestart: m.WillRestart,
+		Stdout:      m.Stdout,
+		Stderr:      m.Stderr,
+	}
+	if ev.State.Terminal() {
+		exit := ev.ExitCode
+		e.ExitCode = &exit
+	}
+	return e
+}
+
+// KeepTerminal is how many finished jobs a job table keeps answering for.
+// Older ones are forgotten oldest first, as a GRAM job manager is gone
+// once its job is (paper Figure 1); the audit log is the permanent record.
+// Eviction is amortised: the finished set grows to 2·KeepTerminal and is
+// then cut back to the newest KeepTerminal (see Expire).
 const KeepTerminal = 4096
 
 // Retiree is a finished job as the retention window sees it: the time of
-// its last state change, in Unix nanoseconds, and its contact. A job
-// table and the journal record the same time for the same change, so
-// both order their finished jobs alike.
+// its last state change, in Unix nanoseconds, and its contact. The time
+// comes from the job's journal record, so a leader, its follower and a
+// recovery order their finished jobs alike.
 type Retiree struct {
 	Updated int64
 	Contact string
@@ -165,7 +244,9 @@ func RemoteError(prefix, msg string) error {
 }
 
 // Table is a concurrency-safe job table with per-job event fan-out. It
-// backs the middle tier's view of jobs in both GRAM and InfoGram.
+// backs the middle tier's view of jobs in both GRAM and InfoGram, and it
+// is the only in-memory copy of them: a journal replays into it and
+// snapshots from it.
 type Table struct {
 	mu       sync.RWMutex
 	jobs     map[string]*entry
@@ -177,14 +258,30 @@ type Table struct {
 type entry struct {
 	rec      Record
 	subs     []chan Event
-	finished bool // DONE, or FAILED with no restart to follow
+	finished bool // rec.Finished(), as last counted
 }
 
 // NewTable creates a table issuing contacts under the given host:port
 // string, mirroring how GRAM job contacts embed the job manager address.
+// An empty host makes a table with none yet (see Bind).
 func NewTable(host string) *Table {
 	return &Table{jobs: make(map[string]*entry), prefix: "gram://" + host + "/"}
 }
+
+// Bind sets the host a table made with none (a journal's, filled by
+// replay) issues contacts under. Until then every host's contacts count
+// as the table's own, so job ids resume above all of them: contacts held
+// before a restart, forgotten ones included, are never issued again.
+// Bind must precede NewContact.
+func (t *Table) Bind(host string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.prefix = "gram://" + host + "/"
+}
+
+// LastID is the last job id the table has issued or counted as its own
+// (see Bind). A journal snapshot records it for Restore.
+func (t *Table) LastID() uint64 { return t.seq.Load() }
 
 // NewContact allocates a fresh job contact handle. The layout follows the
 // GRAM convention of address + job id + timestamp.
@@ -193,10 +290,30 @@ func (t *Table) NewContact(now time.Time) string {
 	return fmt.Sprintf("%s%d/%d", t.prefix, id, now.UnixNano())
 }
 
+// noteLocked moves the job-id sequence above the id of a contact the
+// table now holds, if the table issued it. Caller holds mu.
+func (t *Table) noteLocked(contact string) {
+	if seq, ok := t.issuedSeq(contact); ok {
+		t.raiseSeq(seq)
+	}
+}
+
+// raiseSeq moves the job-id sequence up to id.
+func (t *Table) raiseSeq(id uint64) {
+	for cur := t.seq.Load(); id > cur && !t.seq.CompareAndSwap(cur, id); cur = t.seq.Load() {
+	}
+}
+
 // issuedSeq returns the job id of a contact in this table's layout and
-// under its host; ok is false for any other contact.
+// under its host, any host while the table has none; ok is false for any
+// other contact.
 func (t *Table) issuedSeq(contact string) (seq uint64, ok bool) {
 	rest, ok := strings.CutPrefix(contact, t.prefix)
+	if t.prefix == "gram:///" { // NewTable(""): no host yet
+		if rest, ok = strings.CutPrefix(contact, "gram://"); ok {
+			_, rest, ok = strings.Cut(rest, "/")
+		}
+	}
 	if !ok {
 		return 0, false
 	}
@@ -217,30 +334,94 @@ func (t *Table) missing(contact string) error {
 	return fmt.Errorf("job: unknown contact %q", contact)
 }
 
-// Create inserts a new job record in the given initial state. A record
-// created in a terminal state counts as finished. Creating a contact this
-// table's host issued moves the job-id sequence above it, so contacts a
-// restarted table recovers are never issued again.
-func (t *Table) Create(rec Record) error {
-	if seq, ok := t.issuedSeq(rec.Contact); ok {
-		for cur := t.seq.Load(); seq > cur && !t.seq.CompareAndSwap(cur, seq); cur = t.seq.Load() {
-		}
-	}
+// Restore loads the jobs of a journal snapshot, replacing any held under
+// the same contacts, and raises LastID to lastID. The window is applied
+// once all are in: a snapshot written before it existed may hold any
+// number of finished jobs, and the newest KeepTerminal of them stay.
+func (t *Table) Restore(recs []Record, lastID uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, dup := t.jobs[rec.Contact]; dup {
-		return fmt.Errorf("job: duplicate contact %q", rec.Contact)
+	for _, rec := range recs {
+		if old, ok := t.jobs[rec.Contact]; ok && old.finished {
+			t.finished--
+		}
+		e := &entry{rec: rec, finished: rec.Finished()}
+		t.jobs[rec.Contact] = e
+		t.noteLocked(rec.Contact)
+		if e.finished {
+			t.finished++
+		}
 	}
-	e := &entry{rec: rec}
-	t.jobs[rec.Contact] = e
-	t.setFinishedLocked(e, rec.State.Terminal())
-	return nil
+	t.raiseSeq(lastID)
+	if t.finished >= 2*KeepTerminal {
+		t.expireLocked()
+	}
 }
 
-// setFinishedLocked marks e finished or not. Once 2·KeepTerminal jobs
-// are finished it forgets all but the newest KeepTerminal of them (see
-// Expire). Caller holds mu.
-func (t *Table) setFinishedLocked(e *entry, finished bool) {
+// Apply folds one journal record into the table. It is the one fold: a
+// journal runs it for every record it appends, replays or receives from
+// a leader. A submission creates its job, a state record moves it, a
+// checkpoint record stores the blob, and each stamps the job's Updated
+// with its own time. A record for a contact the table does not hold is
+// ignored unless it is a submission: its job was forgotten, or its
+// history is damaged.
+//
+// Records fold as journaled, without the state machine's check: the
+// journal leaves out a first attempt's PENDING and ACTIVE, so an
+// UNSUBMITTED job may read DONE next. The exception is a terminal job. A
+// state record moves it only where validTransition allows, so DONE stays
+// DONE and FAILED takes only a restart's PENDING: a record made before
+// its job finished but journaled after cannot revive it. Apply notifies
+// no subscriber.
+func (t *Table) Apply(e Entry) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ent, ok := t.jobs[e.Contact]
+	if !ok {
+		if e.Kind != KindSubmit {
+			return
+		}
+		ent = &entry{rec: Record{Contact: e.Contact, Submitted: time.Unix(0, e.Time)}}
+		t.jobs[e.Contact] = ent
+		t.noteLocked(e.Contact)
+	}
+	rec := &ent.rec
+	switch e.Kind {
+	case KindSubmit:
+		rec.Spec, rec.Owner, rec.Identity = e.Spec, e.Owner, e.Identity
+	case KindState:
+		if st, err := ParseState(e.State); err == nil {
+			if rec.State.Terminal() && !validTransition(rec.State, st) {
+				return
+			}
+			rec.State = st
+		}
+		if e.ExitCode != nil {
+			rec.ExitCode = *e.ExitCode
+		}
+		rec.Error = e.Error
+		rec.Restarts = e.Restarts
+		rec.WillRestart = e.WillRestart
+		if e.Stdout != nil {
+			rec.Stdout = *e.Stdout
+		}
+		if e.Stderr != nil {
+			rec.Stderr = *e.Stderr
+		}
+	case KindCheckpoint:
+		rec.Checkpoint = e.Checkpoint
+	default:
+		return
+	}
+	rec.Updated = time.Unix(0, e.Time)
+	t.countLocked(ent)
+}
+
+// countLocked brings e's place in the window up to date with its record.
+// Once 2·KeepTerminal jobs are finished it forgets all but the newest
+// KeepTerminal of them. Caller holds mu.
+func (t *Table) countLocked(e *entry) {
+	finished := e.rec.Finished()
 	if e.finished == finished {
 		return
 	}
@@ -249,9 +430,14 @@ func (t *Table) setFinishedLocked(e *entry, finished bool) {
 		t.finished--
 		return
 	}
-	if t.finished++; t.finished < 2*KeepTerminal {
-		return
+	if t.finished++; t.finished >= 2*KeepTerminal {
+		t.expireLocked()
 	}
+}
+
+// expireLocked forgets all but the newest KeepTerminal finished jobs (see
+// Expire). Caller holds mu.
+func (t *Table) expireLocked() {
 	held := make([]Retiree, 0, t.finished)
 	for c, e := range t.jobs {
 		if e.finished {
@@ -261,18 +447,6 @@ func (t *Table) setFinishedLocked(e *entry, finished bool) {
 	for _, r := range Expire(held) {
 		delete(t.jobs, r.Contact)
 		t.finished--
-	}
-}
-
-// Remove deletes a job record outright. It exists for submission
-// rollback: when the durability layer refuses the submit record, the job
-// must not remain visible in the table it was never journaled into.
-func (t *Table) Remove(contact string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, ok := t.jobs[contact]; ok {
-		t.setFinishedLocked(e, false)
-		delete(t.jobs, contact)
 	}
 }
 
@@ -299,6 +473,16 @@ func (t *Table) List() []Record {
 	return out
 }
 
+// Range calls fn with every job, in no set order, under the table's read
+// lock: fn must not call into the table.
+func (t *Table) Range(fn func(rec *Record)) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, e := range t.jobs {
+		fn(&e.rec)
+	}
+}
+
 // Len returns the number of jobs in the table.
 func (t *Table) Len() int {
 	t.mu.RLock()
@@ -309,7 +493,7 @@ func (t *Table) Len() int {
 // Mutation describes a state update applied by Transition.
 type Mutation struct {
 	State    State
-	ExitCode int
+	ExitCode int // kept only by a terminal state
 	Error    string
 	Stdout   *string // nil leaves unchanged
 	Stderr   *string
@@ -317,9 +501,14 @@ type Mutation struct {
 	// WillRestart marks a FAILED that a restart will follow: the job is
 	// not finished, so it cannot be forgotten before its next PENDING.
 	WillRestart bool
+	// Resumed marks the PENDING with which recovery re-queues an
+	// unfinished job: the attempt it was in ended with the process that
+	// ran it, so the job may leave any state short of finished.
+	Resumed bool
 }
 
 // Transition applies a validated state change and notifies subscribers.
+// It leaves the record as Apply leaves it for StateEntry(event, m).
 func (t *Table) Transition(contact string, m Mutation, now time.Time) (Event, error) {
 	t.mu.Lock()
 	e, ok := t.jobs[contact]
@@ -327,14 +516,16 @@ func (t *Table) Transition(contact string, m Mutation, now time.Time) (Event, er
 		t.mu.Unlock()
 		return Event{}, t.missing(contact)
 	}
-	if !validTransition(e.rec.State, m.State) {
-		from := e.rec.State
+	if from := e.rec.State; !validTransition(from, m.State) && !(m.Resumed && m.State == Pending && !e.finished) {
 		t.mu.Unlock()
 		return Event{}, fmt.Errorf("job: invalid transition %s -> %s for %q", from, m.State, contact)
 	}
 	e.rec.State = m.State
-	e.rec.ExitCode = m.ExitCode
+	if m.State.Terminal() {
+		e.rec.ExitCode = m.ExitCode
+	}
 	e.rec.Error = m.Error
+	e.rec.WillRestart = m.WillRestart
 	e.rec.Updated = now
 	if m.Stdout != nil {
 		e.rec.Stdout = *m.Stdout
@@ -355,7 +546,7 @@ func (t *Table) Transition(contact string, m Mutation, now time.Time) (Event, er
 	}
 	subs := make([]chan Event, len(e.subs))
 	copy(subs, e.subs)
-	t.setFinishedLocked(e, m.State.Terminal() && !m.WillRestart)
+	t.countLocked(e)
 	t.mu.Unlock()
 
 	for _, ch := range subs {

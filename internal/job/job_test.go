@@ -48,9 +48,7 @@ func TestTerminal(t *testing.T) {
 func newJob(t *testing.T, tbl *Table) string {
 	t.Helper()
 	contact := tbl.NewContact(now)
-	if err := tbl.Create(Record{Contact: contact, State: Unsubmitted, Submitted: now}); err != nil {
-		t.Fatal(err)
-	}
+	tbl.Apply(Entry{Kind: KindSubmit, Time: now.UnixNano(), Contact: contact})
 	return contact
 }
 
@@ -174,14 +172,6 @@ func TestUnknownContact(t *testing.T) {
 	}
 }
 
-func TestDuplicateCreate(t *testing.T) {
-	tbl := NewTable("h:1")
-	contact := newJob(t, tbl)
-	if err := tbl.Create(Record{Contact: contact}); err == nil {
-		t.Error("duplicate Create succeeded")
-	}
-}
-
 func TestContactsUnique(t *testing.T) {
 	tbl := NewTable("h:1")
 	prop := func(n uint8) bool {
@@ -291,10 +281,7 @@ func TestConcurrentTransitions(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
 				contact := tbl.NewContact(now)
-				if err := tbl.Create(Record{Contact: contact}); err != nil {
-					t.Error(err)
-					return
-				}
+				tbl.Apply(Entry{Kind: KindSubmit, Contact: contact})
 				for _, st := range []State{Pending, Active, Done} {
 					if _, err := tbl.Transition(contact, Mutation{State: st}, now); err != nil {
 						t.Error(err)

@@ -111,11 +111,11 @@ func TestExpiredOnlyForIssuedContacts(t *testing.T) {
 // resume above every one of them.
 func TestSequenceResumesAboveRecoveredContacts(t *testing.T) {
 	tbl := NewTable("h:1")
-	for _, c := range []string{"gram://h:1/41/7", "gram://h:1/9/8", "gram://other:1/500/9"} {
-		if err := tbl.Create(Record{Contact: c, State: Done}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tbl.Restore([]Record{
+		{Contact: "gram://h:1/41/7", State: Done},
+		{Contact: "gram://h:1/9/8", State: Done},
+		{Contact: "gram://other:1/500/9", State: Done},
+	}, 0)
 	if c := tbl.NewContact(now); !strings.HasPrefix(c, "gram://h:1/42/") {
 		t.Errorf("NewContact after recovery = %s; want job id 42", c)
 	}

@@ -66,9 +66,8 @@ func appendEntry(dst []byte, e Entry) []byte {
 }
 
 // appendJobState appends js as the JSON object encoding/json would
-// produce for a JobState. It runs once per job at terminal-state
-// retirement and per live job at snapshot time; on small hosts the
-// reflection marshal was a measurable slice of the per-job budget.
+// produce for a JobState. It runs per job at snapshot time; on small hosts
+// the reflection marshal was a measurable slice of the per-job budget.
 // TestAppendJobStateMatchesEncodingJSON holds the encoders equivalent.
 func appendJobState(dst []byte, js *JobState) []byte {
 	dst = append(dst, `{"contact":`...)

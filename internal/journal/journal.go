@@ -3,17 +3,17 @@
 // the paper's phase-2 goal names ("improve the reliability of the job
 // execution", §7). Every job submission and state transition is appended
 // to the journal before the service acknowledges it, so a gatekeeper crash
-// loses no accepted job: on restart the service replays the latest
-// snapshot plus the journal tail, rebuilds its job table (terminal jobs
-// keep their recorded output), and resubmits every non-terminal job
-// through the scheduler, honoring the xRSL restart=N attempt budget
-// (§6.1).
+// loses no accepted job: on restart the journal replays the latest
+// snapshot plus the journal tail into the job table the service will
+// serve (terminal jobs keep their recorded output), and the service
+// resubmits every unfinished job through the scheduler, honoring the xRSL
+// restart=N attempt budget (§6.1).
 //
 // On-disk layout under the state directory:
 //
 //	journal-00000000.seg   length+CRC32C framed records, JSON payloads
 //	journal-00000001.seg   ...
-//	snapshot.json          folded job state + the first uncovered segment
+//	snapshot.json          every job held + the first uncovered segment
 //
 // Records are framed as a little-endian uint32 payload length, a uint32
 // CRC32C (Castagnoli) of the payload, then the payload. A torn frame at
@@ -23,17 +23,18 @@
 // continue into a replayed segment: each process epoch opens a fresh one,
 // so a torn tail can never be followed by valid data.
 //
-// Snapshots bound recovery time by live state rather than append history:
-// every SnapshotEvery appends the journal rotates, writes the folded state
-// of every job to snapshot.json (atomically, via rename), syncs the
-// directory, and deletes the segments the snapshot now covers.
-//
-// The fold keeps a fixed window of finished jobs (job.KeepTerminal),
-// forgetting the ones that finished first, so memory, snapshots and the
-// segment tail are bounded by live jobs plus that window. The same rule
-// runs wherever records are folded — on the leader, on a follower and at
-// recovery — and it orders jobs by the time recorded with their last
-// state change, so all three hold the same set.
+// The journal keeps no job state of its own. Open replays the snapshot
+// and the segments into a job.Table, and every record appended afterwards
+// is folded into that same table (job.Table.Apply): on a leader it is the
+// table the service serves, on a follower the one it will serve once
+// promoted. Snapshots bound recovery time by live state rather than append
+// history: every SnapshotEvery appends the journal rotates, writes every
+// job the table holds to snapshot.json (atomically, via rename), syncs the
+// directory, and deletes the segments the snapshot now covers. The table
+// keeps a fixed window of finished jobs (job.KeepTerminal), so memory,
+// snapshots and the segment tail are bounded by live jobs plus that
+// window, and a leader, its follower and a recovery, folding the same
+// records, forget the same jobs.
 //
 // The fsync policy trades durability against append latency: "always"
 // writes and syncs before every append returns (no acknowledged record can
@@ -105,81 +106,27 @@ func ParsePolicy(s string) (Policy, error) {
 	return FsyncInterval, fmt.Errorf("journal: unknown fsync policy %q (want always, interval, or never)", s)
 }
 
-// Kind classifies a journal entry.
-type Kind uint8
+// Kind classifies a journal entry (see job.Kind).
+type Kind = job.Kind
 
 // Journal entry kinds.
 const (
-	// KindSubmit records a job submission: contact, spec, identity.
-	KindSubmit Kind = 1
-	// KindState records a job state transition.
-	KindState Kind = 2
-	// KindCheckpoint records an application checkpoint blob.
-	KindCheckpoint Kind = 3
+	KindSubmit     = job.KindSubmit
+	KindState      = job.KindState
+	KindCheckpoint = job.KindCheckpoint
 )
 
-// Entry is one journal record. Submit entries carry the identity fields;
-// state entries carry the transition; checkpoint entries carry the blob.
-// Time is Unix nanoseconds: an integer keeps the per-append encode and the
-// recovery-path decode off the time-layout formatter, which dominated the
-// append profile.
-type Entry struct {
-	Kind    Kind   `json:"k"`
-	Time    int64  `json:"t"`
-	Contact string `json:"c"`
+// Entry is one journal record (see job.Entry).
+type Entry = job.Entry
 
-	Spec     string `json:"spec,omitempty"`
-	Owner    string `json:"owner,omitempty"`
-	Identity string `json:"ident,omitempty"`
+// JobState is a job as snapshot.json stores it (see job.Record).
+type JobState = job.Record
 
-	State string `json:"state,omitempty"`
-	// ExitCode is set only on terminal states, keeping exit 0
-	// distinguishable from "not exited".
-	ExitCode *int   `json:"exit,omitempty"`
-	Error    string `json:"err,omitempty"`
-	Restarts int    `json:"restarts,omitempty"`
-	// WillRestart marks a FAILED that a restart will follow. Without it a
-	// terminal state is final, as in every journal written before it.
-	WillRestart bool `json:"willRestart,omitempty"`
-	// Stdout/Stderr are pointers so "unchanged" and "set to empty" encode
-	// differently, mirroring job.Mutation.
-	Stdout *string `json:"stdout,omitempty"`
-	Stderr *string `json:"stderr,omitempty"`
-
-	Checkpoint string `json:"ckpt,omitempty"`
-}
-
-// JobState is the folded view of one job: the latest value of every field
-// across its journal records. It is what snapshots persist and what
-// recovery hands back to the service.
-type JobState struct {
-	Contact  string    `json:"contact"`
-	Spec     string    `json:"spec,omitempty"`
-	Owner    string    `json:"owner,omitempty"`
-	Identity string    `json:"identity,omitempty"`
-	State    job.State `json:"state"`
-	ExitCode int       `json:"exitCode,omitempty"`
-	Error    string    `json:"error,omitempty"`
-	Stdout   string    `json:"stdout,omitempty"`
-	Stderr   string    `json:"stderr,omitempty"`
-	Restarts int       `json:"restarts,omitempty"`
-	// WillRestart is the latest state record's (see Entry).
-	WillRestart bool      `json:"willRestart,omitempty"`
-	Checkpoint  string    `json:"checkpoint,omitempty"`
-	Submitted   time.Time `json:"submitted"`
-	Updated     time.Time `json:"updated"`
-}
-
-// Finished reports whether the job is DONE, or FAILED with no restart to
-// follow: only a finished job may be forgotten.
-func (js *JobState) Finished() bool { return js.State.Terminal() && !js.WillRestart }
-
-// Recovered is the state rebuilt by Open from snapshot plus segments.
+// Recovered describes what Open replayed into the journal's table.
 type Recovered struct {
-	// Jobs holds every retained job in first-submission order, finished
-	// and unfinished alike (finished ones restore STATUS answers; the
-	// rest are resubmitted).
-	Jobs []JobState
+	// Unfinished lists, by contact, the replayed jobs that are neither
+	// DONE nor FAILED for good: the ones recovery resumes.
+	Unfinished []string
 	// Segments counts the segment files replayed.
 	Segments int
 	// TornTail reports that the newest segment ended in a torn frame,
@@ -218,10 +165,10 @@ const (
 const bufSize = 64 << 10
 
 // snapshotBacklogFactor is how many appends a snapshot must be "earned" by
-// per folded job before one runs: rewriting the whole state is only worth
-// it once the journal tail is a multiple of the state it would replace
-// (the rewrite-when-doubled rule append-only-file stores use). The fold
-// holds at most live + 2·job.KeepTerminal jobs, so a history of
+// per job in the table before one runs: rewriting the whole state is only
+// worth it once the journal tail is a multiple of the state it would
+// replace (the rewrite-when-doubled rule append-only-file stores use). The
+// table holds at most live + 2·job.KeepTerminal jobs, so a history of
 // submit+terminal pairs reaches the multiple every ≈ 2·(live + window)
 // appends, and the snapshot and the segment tail stay bounded.
 const snapshotBacklogFactor = 2
@@ -243,8 +190,9 @@ const (
 )
 
 // Journal is an open write-ahead journal. All methods are safe for
-// concurrent use and safe on a nil receiver (no-ops), so callers need no
-// "is durability enabled" branches.
+// concurrent use, and all but Transition, which needs the journal's
+// table, are safe on a nil receiver (no-ops), so callers need few "is
+// durability enabled" branches.
 type Journal struct {
 	opts Options
 
@@ -260,15 +208,10 @@ type Journal struct {
 	sinceSnap int64
 	dirty     bool // unsynced writes (interval policy)
 	closed    bool
-	// state holds unfinished jobs (a FAILED that will restart included);
-	// finished jobs move to retired as pre-marshaled JobState JSON, which
-	// keeps the GC's scan work (and snapshot marshaling) proportional to
-	// live jobs rather than to the window of finished ones. At
-	// 2·job.KeepTerminal retired jobs all but the newest KeepTerminal are
-	// forgotten (job.Expire), and order drops them in the same pass.
-	state   map[string]*JobState
-	retired map[string]retiredJob
-	order   []string // retained contacts in first-submission order
+	// table holds every job the journal's records fold into. It is
+	// changed only under mu, so a snapshot or a Subscribe cut taken under
+	// mu matches the records written so far.
+	table *job.Table
 
 	// taps are live replication subscribers (see repl.go).
 	taps []*Tap
@@ -286,9 +229,9 @@ type Journal struct {
 }
 
 // Open creates or reopens a journal in opts.Dir, replays whatever state is
-// on disk, and starts a fresh segment for this process epoch. The returned
-// Recovered holds the folded pre-crash state; the journal's future
-// snapshots keep covering it.
+// on disk into a fresh job table (see Table), and starts a fresh segment
+// for this process epoch. The returned Recovered names the unfinished jobs
+// the replay found.
 func Open(opts Options) (*Journal, *Recovered, error) {
 	if opts.Dir == "" {
 		return nil, nil, errors.New("journal: no state directory")
@@ -310,11 +253,10 @@ func Open(opts Options) (*Journal, *Recovered, error) {
 	}
 
 	j := &Journal{
-		opts:    opts,
-		state:   make(map[string]*JobState),
-		retired: make(map[string]retiredJob),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		opts:  opts,
+		table: job.NewTable(""),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	j.bindTelemetry(opts.Telemetry)
 
@@ -366,14 +308,25 @@ func (j *Journal) Dir() string {
 	return j.opts.Dir
 }
 
-// Append journals one entry. Under FsyncAlways the record is on stable
-// storage before Append returns; under FsyncNever it is handed to the OS;
-// under FsyncInterval it is group-committed — buffered in-process and
-// flushed+synced by the interval timer, so a crash loses at most one
-// interval of appends. An error means the record is NOT durable and the
-// caller must not acknowledge the operation it records. Nil-safe: a nil
-// journal accepts everything. A traced append records a "journal.append"
-// span (with the fsync, if any, as a child).
+// Table returns the job table the journal replayed into and folds every
+// record into; nil for a nil journal. A service adopts it, binding it to
+// its address (job.Table.Bind), rather than making a table of its own.
+func (j *Journal) Table() *job.Table {
+	if j == nil {
+		return nil
+	}
+	return j.table
+}
+
+// Append journals one entry and then folds it into the table. Under
+// FsyncAlways the record is on stable storage before Append returns; under
+// FsyncNever it is handed to the OS; under FsyncInterval it is
+// group-committed — buffered in-process and flushed+synced by the interval
+// timer, so a crash loses at most one interval of appends. An error means
+// the record is NOT durable, is not in the table, and the caller must not
+// acknowledge the operation it records. Nil-safe: a nil journal accepts
+// everything. A traced append records a "journal.append" span (with the
+// fsync, if any, as a child).
 func (j *Journal) Append(ctx context.Context, e Entry) error {
 	if j == nil {
 		return nil
@@ -394,9 +347,60 @@ func (j *Journal) append(ctx context.Context, e Entry) error {
 		j.appendErrors.Inc()
 		return fmt.Errorf("journal: append: %w", err)
 	}
-
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.commitLocked(ctx, e, true)
+}
+
+// Transition applies a validated state change to the table (see
+// job.Table.Transition) and journals its record, both under the journal
+// lock, so the table and the journal see transitions in one order. A
+// record that only repeats what recovery infers from the submission is
+// not journaled (see recoveryNeutral). The returned error is the table's:
+// a record that fails to append is counted and the transition stands —
+// the submission is durable, and recovery re-runs a job whose tail
+// transitions are missing. Like Append, it records a "journal.append" span.
+func (j *Journal) Transition(ctx context.Context, contact string, m job.Mutation, now time.Time) (job.Event, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	ev, err := j.table.Transition(contact, m, now)
+	if err != nil {
+		return ev, err
+	}
+	e := job.StateEntry(ev, m)
+	if recoveryNeutral(e) {
+		return ev, nil
+	}
+	ctx, sp := telemetry.StartSpan(ctx, "journal.append")
+	if _, err = faultinject.Eval(ctx, faultinject.JournalAppend); err != nil {
+		j.appendErrors.Inc()
+	} else {
+		err = j.commitLocked(ctx, e, false)
+	}
+	if sp != nil {
+		if err != nil {
+			sp.Fail(err.Error())
+		}
+		sp.End()
+	}
+	return ev, nil
+}
+
+// recoveryNeutral reports whether e is a first-attempt PENDING, ACTIVE or
+// SUSPENDED record with no restart count, no error and no output. It folds
+// into exactly the state recovery infers from the submission record alone
+// (unfinished, attempt zero → resubmit), so journaling it buys nothing and
+// would cost two of the four per-job appends on the happy path.
+func recoveryNeutral(e Entry) bool {
+	return e.Kind == KindState && e.ExitCode == nil && e.Restarts == 0 &&
+		e.Error == "" && e.Stdout == nil && e.Stderr == nil
+}
+
+// commitLocked writes e to the current segment, folds it into the table
+// when fold is set (Transition has already applied it), and hands it to
+// the taps. Under FsyncAlways it syncs first: a record whose sync fails is
+// neither folded nor shipped. Caller holds mu.
+func (j *Journal) commitLocked(ctx context.Context, e Entry, fold bool) error {
 	if j.closed {
 		j.appendErrors.Inc()
 		return ErrClosed
@@ -417,9 +421,6 @@ func (j *Journal) append(ctx context.Context, e Entry) error {
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	j.segBytes += int64(len(frame))
-	j.applyLocked(e)
-	j.notifyTapsLocked(frame[frameHeader:])
-	j.appends.Inc()
 	j.dirty = true
 	if j.opts.Fsync == FsyncAlways {
 		if err := j.syncLocked(ctx); err != nil {
@@ -427,8 +428,13 @@ func (j *Journal) append(ctx context.Context, e Entry) error {
 			return err
 		}
 	}
+	if fold {
+		j.table.Apply(e)
+	}
+	j.notifyTapsLocked(frame[frameHeader:])
+	j.appends.Inc()
 	j.sinceSnap++
-	// A snapshot costs O(folded jobs), so it must be earned by a multiple
+	// A snapshot costs O(jobs held), so it must be earned by a multiple
 	// of that many appends (as well as the configured floor) — otherwise a
 	// long-lived service whose history keeps growing would re-marshal the
 	// whole past every fixed interval, turning appends quadratic. Requiring
@@ -436,7 +442,7 @@ func (j *Journal) append(ctx context.Context, e Entry) error {
 	// per append, the same trigger rule as append-only-file rewrites in
 	// production stores.
 	if j.opts.SnapshotEvery > 0 && j.sinceSnap >= j.opts.SnapshotEvery &&
-		j.sinceSnap >= snapshotBacklogFactor*int64(len(j.state)+len(j.retired)) {
+		j.sinceSnap >= snapshotBacklogFactor*int64(j.table.Len()) {
 		// Compaction failures must not fail the append: the record is
 		// already durable in the current segment.
 		_ = j.snapshotLocked(ctx)
@@ -496,35 +502,6 @@ func (j *Journal) Close() error {
 		return syncErr
 	}
 	return closeErr
-}
-
-// Jobs returns the current folded state of every journaled job in
-// first-submission order (primarily for tests and tooling).
-func (j *Journal) Jobs() []JobState {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]JobState, 0, len(j.order))
-	for _, c := range j.order {
-		if js, ok := j.jobStateLocked(c); ok {
-			out = append(out, js)
-		}
-	}
-	return out
-}
-
-// Footprint reports what the fold holds: unfinished jobs, finished jobs,
-// and the length of the first-submission index. However long the journal
-// runs, the last two stay within unfinished + 2·job.KeepTerminal.
-func (j *Journal) Footprint() (live, finished, order int) {
-	if j == nil {
-		return 0, 0, 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.state), len(j.retired), len(j.order)
 }
 
 // fsyncLoop is the FsyncInterval background syncer. It flushes the
@@ -614,115 +591,6 @@ func (j *Journal) syncRunLocked(ctx context.Context) error {
 	return nil
 }
 
-// applyLocked folds one entry into the in-memory state. Caller holds mu.
-func (j *Journal) applyLocked(e Entry) {
-	js, ok := j.state[e.Contact]
-	if !ok {
-		if r, wasRetired := j.retired[e.Contact]; wasRetired {
-			// A record for a finished job: a restart after a FAILED
-			// journaled before WillRestart existed, or a replayed history.
-			// Revive the blob so the fold continues.
-			js = &JobState{}
-			if err := json.Unmarshal(r.blob, js); err != nil {
-				return
-			}
-			delete(j.retired, e.Contact)
-			j.state[e.Contact] = js
-		} else if e.Kind != KindSubmit {
-			// A state or checkpoint record for a contact the journal never
-			// saw submitted, or has forgotten: tampered history, or a late
-			// record for an expired job; ignore rather than invent a job
-			// with no spec.
-			return
-		} else {
-			js = &JobState{Contact: e.Contact, Submitted: time.Unix(0, e.Time)}
-			j.state[e.Contact] = js
-			j.order = append(j.order, e.Contact)
-		}
-	}
-	switch e.Kind {
-	case KindSubmit:
-		js.Spec = e.Spec
-		js.Owner = e.Owner
-		js.Identity = e.Identity
-		js.Updated = time.Unix(0, e.Time)
-	case KindState:
-		if st, err := job.ParseState(e.State); err == nil {
-			js.State = st
-		}
-		if e.ExitCode != nil {
-			js.ExitCode = *e.ExitCode
-		}
-		js.Error = e.Error
-		js.Restarts = e.Restarts
-		js.WillRestart = e.WillRestart
-		if e.Stdout != nil {
-			js.Stdout = *e.Stdout
-		}
-		if e.Stderr != nil {
-			js.Stderr = *e.Stderr
-		}
-		js.Updated = time.Unix(0, e.Time)
-	case KindCheckpoint:
-		js.Checkpoint = e.Checkpoint
-		js.Updated = time.Unix(0, e.Time)
-	}
-	if js.Finished() {
-		delete(j.state, e.Contact)
-		j.retired[e.Contact] = retire(js)
-		if len(j.retired) >= 2*job.KeepTerminal {
-			j.expireLocked()
-		}
-	}
-}
-
-// retiredJob is a finished job as the fold keeps it: the time of its
-// last state change, which orders the window, and its JobState JSON.
-type retiredJob struct {
-	updated int64
-	blob    []byte
-}
-
-func retire(js *JobState) retiredJob {
-	return retiredJob{updated: js.Updated.UnixNano(), blob: appendJobState(nil, js)}
-}
-
-// expireLocked forgets all but the newest job.KeepTerminal retired jobs
-// and compacts order to the jobs still held. Caller holds mu.
-func (j *Journal) expireLocked() {
-	held := make([]job.Retiree, 0, len(j.retired))
-	for c, r := range j.retired {
-		held = append(held, job.Retiree{Updated: r.updated, Contact: c})
-	}
-	for _, r := range job.Expire(held) {
-		delete(j.retired, r.Contact)
-	}
-	order := make([]string, 0, len(j.state)+len(j.retired))
-	for _, c := range j.order {
-		if _, ok := j.state[c]; ok {
-			order = append(order, c)
-		} else if _, ok := j.retired[c]; ok {
-			order = append(order, c)
-		}
-	}
-	j.order = order
-}
-
-// jobStateLocked returns the folded state of one contact, live or retired.
-// Caller holds mu.
-func (j *Journal) jobStateLocked(contact string) (JobState, bool) {
-	if js, ok := j.state[contact]; ok {
-		return *js, true
-	}
-	if r, ok := j.retired[contact]; ok {
-		var js JobState
-		if err := json.Unmarshal(r.blob, &js); err == nil {
-			return js, true
-		}
-	}
-	return JobState{}, false
-}
-
 // segPath names segment i of the journal in dir.
 func segPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%08d%s", segPrefix, i, segSuffix))
@@ -771,48 +639,34 @@ func (j *Journal) rotateLocked() error {
 type snapshot struct {
 	// NextSeg is the first segment index NOT covered by this snapshot;
 	// recovery replays only segments >= NextSeg.
-	NextSeg int        `json:"nextSeg"`
-	Jobs    []JobState `json:"jobs"`
+	NextSeg int `json:"nextSeg"`
+	// LastID is the table's job.Table.LastID, so a restarted service
+	// issues no job id it has issued before, and knows a job it forgot
+	// as its own. Snapshots written before it existed lack it.
+	LastID uint64     `json:"lastID,omitempty"`
+	Jobs   []JobState `json:"jobs"`
 }
 
-// snapshotLocked rotates, persists the folded state, and deletes the
-// segments the snapshot now covers. Caller holds mu.
+// snapshotLocked rotates, persists every job the table holds, and deletes
+// the segments the snapshot now covers. Caller holds mu.
 func (j *Journal) snapshotLocked(ctx context.Context) error {
 	if err := j.rotateLocked(); err != nil {
 		return err
 	}
-	// Retired jobs are already marshaled; splicing their blobs in as raw
-	// JSON keeps the snapshot cost proportional to live jobs. The on-disk
-	// format is identical to marshaling a []JobState.
-	rawSnap := struct {
-		NextSeg int               `json:"nextSeg"`
-		Jobs    []json.RawMessage `json:"jobs"`
-	}{NextSeg: j.segIndex, Jobs: make([]json.RawMessage, 0, len(j.order))}
-	for _, c := range j.order {
-		if js, ok := j.state[c]; ok {
-			rawSnap.Jobs = append(rawSnap.Jobs, appendJobState(nil, js))
-		} else if r, ok := j.retired[c]; ok {
-			rawSnap.Jobs = append(rawSnap.Jobs, r.blob)
-		}
-	}
-	b, err := json.Marshal(rawSnap)
-	if err != nil {
-		return fmt.Errorf("journal: snapshot: %w", err)
-	}
+	nextSeg := j.segIndex
 	tmp := filepath.Join(j.opts.Dir, snapshotName+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: snapshot: %w", err)
+	jobs, err := j.writeSnapshot(f, nextSeg)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: snapshot: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
 	// The rename is the commit point, and it is durable only once the
@@ -829,15 +683,39 @@ func (j *Journal) snapshotLocked(ctx context.Context) error {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
 	for _, idx := range listSegments(j.opts.Dir) {
-		if idx < rawSnap.NextSeg {
+		if idx < nextSeg {
 			_ = os.Remove(segPath(j.opts.Dir, idx))
 		}
 	}
 	j.sinceSnap = 0
 	j.snapshots.Inc()
-	j.snapshotJobs.Set(int64(len(rawSnap.Jobs)))
+	j.snapshotJobs.Set(int64(jobs))
 	j.updateSegmentGauge()
 	return nil
+}
+
+// writeSnapshot streams the snapshot to w, job by job, in the format
+// json.Marshal of a snapshot would write, and returns how many jobs it
+// wrote. Memory stays one job's encoding plus the write buffer, however
+// many jobs the table holds. Caller holds mu.
+func (j *Journal) writeSnapshot(w io.Writer, nextSeg int) (jobs int, err error) {
+	bw := bufio.NewWriterSize(w, 32<<10)
+	b := strconv.AppendInt(append(j.encBuf[:0], `{"nextSeg":`...), int64(nextSeg), 10)
+	if last := j.table.LastID(); last > 0 {
+		b = strconv.AppendUint(append(b, `,"lastID":`...), last, 10)
+	}
+	_, _ = bw.Write(append(b, `,"jobs":[`...))
+	j.table.Range(func(rec *job.Record) {
+		b = b[:0]
+		if jobs++; jobs > 1 {
+			b = append(b, ',')
+		}
+		b = appendJobState(b, rec)
+		_, _ = bw.Write(b) // a write error sticks; Flush reports it
+	})
+	j.encBuf = b
+	_, _ = bw.WriteString("]}")
+	return jobs, bw.Flush()
 }
 
 // SyncDir fsyncs directory dir, making a rename into it durable. A file
@@ -899,8 +777,8 @@ func (j *Journal) updateSegmentGauge() {
 	j.segments.Set(int64(len(listSegments(j.opts.Dir))))
 }
 
-// replay loads the snapshot and replays uncovered segments into j.state,
-// returning the recovered view and the index this epoch's fresh segment
+// replay loads the snapshot and replays uncovered segments into the
+// table, returning what it found and the index this epoch's fresh segment
 // should use.
 func (j *Journal) replay() (*Recovered, int, error) {
 	rec := &Recovered{}
@@ -912,20 +790,7 @@ func (j *Journal) replay() (*Recovered, int, error) {
 		if err := json.Unmarshal(b, &snap); err != nil {
 			return nil, 0, fmt.Errorf("journal: corrupt snapshot %s: %w", snapPath, err)
 		}
-		for i := range snap.Jobs {
-			js := snap.Jobs[i]
-			j.order = append(j.order, js.Contact)
-			if js.Finished() {
-				j.retired[js.Contact] = retire(&js)
-			} else {
-				j.state[js.Contact] = &js
-			}
-		}
-		// A snapshot holds fewer than 2·job.KeepTerminal finished jobs,
-		// unless it was written before the window existed.
-		if len(j.retired) >= 2*job.KeepTerminal {
-			j.expireLocked()
-		}
+		j.table.Restore(snap.Jobs, snap.LastID)
 		nextSeg = snap.NextSeg
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, 0, fmt.Errorf("journal: read snapshot: %w", err)
@@ -949,16 +814,16 @@ func (j *Journal) replay() (*Recovered, int, error) {
 		rec.TornTail = rec.TornTail || torn
 	}
 
-	rec.Jobs = make([]JobState, 0, len(j.order))
-	for _, c := range j.order {
-		if js, ok := j.jobStateLocked(c); ok {
-			rec.Jobs = append(rec.Jobs, js)
+	j.table.Range(func(r *job.Record) {
+		if !r.Finished() {
+			rec.Unfinished = append(rec.Unfinished, r.Contact)
 		}
-	}
+	})
+	sort.Strings(rec.Unfinished)
 	return rec, epoch, nil
 }
 
-// replaySegment folds one segment file into j.state. A bad frame is
+// replaySegment folds one segment file into the table. A bad frame is
 // tolerated (and reported) only at the tail of the last segment, which is
 // then cut back to its intact prefix.
 func (j *Journal) replaySegment(path string, last bool) (torn bool, err error) {
@@ -978,7 +843,7 @@ func (j *Journal) replaySegment(path string, last bool) (torn bool, err error) {
 		if err == nil {
 			var e Entry
 			if json.Unmarshal(payload, &e) == nil {
-				j.applyLocked(e)
+				j.table.Apply(e)
 				continue
 			}
 			err = fmt.Errorf("journal: unparsable record at offset %d", offset)

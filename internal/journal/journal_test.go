@@ -56,9 +56,9 @@ func submitAndFinish(t *testing.T, j *Journal, contact string, terminal job.Stat
 
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, rec := openTestJournal(t, dir, nil)
-	if len(rec.Jobs) != 0 {
-		t.Fatalf("fresh journal recovered %d jobs", len(rec.Jobs))
+	j, _ := openTestJournal(t, dir, nil)
+	if n := j.Table().Len(); n != 0 {
+		t.Fatalf("fresh journal recovered %d jobs", n)
 	}
 	submitAndFinish(t, j, "c1", job.Done)
 	ctx := context.Background()
@@ -76,13 +76,17 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, rec2 := openTestJournal(t, dir, nil)
-	if len(rec2.Jobs) != 2 {
-		t.Fatalf("recovered %d jobs; want 2", len(rec2.Jobs))
+	j2, rec2 := openTestJournal(t, dir, nil)
+	jobs := j2.Table().List()
+	if len(jobs) != 2 {
+		t.Fatalf("recovered %d jobs; want 2", len(jobs))
 	}
-	c1, c2 := rec2.Jobs[0], rec2.Jobs[1]
+	c1, c2 := jobs[0], jobs[1]
 	if c1.Contact != "c1" || c2.Contact != "c2" {
-		t.Fatalf("submission order lost: %q, %q", c1.Contact, c2.Contact)
+		t.Fatalf("jobs recovered as %q, %q", c1.Contact, c2.Contact)
+	}
+	if !reflect.DeepEqual(rec2.Unfinished, []string{"c2"}) {
+		t.Fatalf("unfinished = %v; want c2", rec2.Unfinished)
 	}
 	if c1.State != job.Done || c1.Stdout != "out-c1" || c1.Owner != "alice" {
 		t.Fatalf("c1 folded wrong: %+v", c1)
@@ -126,12 +130,12 @@ func TestTornTailTolerated(t *testing.T) {
 
 	tearNewestSegment(t, dir)
 
-	_, rec := openTestJournal(t, dir, nil)
+	j2, rec := openTestJournal(t, dir, nil)
 	if !rec.TornTail {
 		t.Fatal("torn tail not reported")
 	}
-	if len(rec.Jobs) != 1 || rec.Jobs[0].State != job.Done {
-		t.Fatalf("intact prefix lost: %+v", rec.Jobs)
+	if jobs := j2.Table().List(); len(jobs) != 1 || jobs[0].State != job.Done {
+		t.Fatalf("intact prefix lost: %+v", jobs)
 	}
 }
 
@@ -151,18 +155,20 @@ func TestTornTailSurvivesSecondRestart(t *testing.T) {
 	if !rec1.TornTail {
 		t.Fatal("torn tail not reported")
 	}
+	first := j1.Table().List()
 	if err := j1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec2, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+	j2, rec2, err := Open(Options{Dir: dir, Fsync: FsyncNever})
 	if err != nil {
 		t.Fatalf("second restart after a forgiven tear: %v", err)
 	}
+	defer j2.Close()
 	if rec2.TornTail {
 		t.Error("tear reported again on the second restart")
 	}
-	if !reflect.DeepEqual(rec1.Jobs, rec2.Jobs) || len(rec2.Jobs) != 1 {
-		t.Fatalf("recovered jobs differ:\nfirst  %+v\nsecond %+v", rec1.Jobs, rec2.Jobs)
+	if second := j2.Table().List(); !reflect.DeepEqual(first, second) || len(second) != 1 {
+		t.Fatalf("recovered jobs differ:\nfirst  %+v\nsecond %+v", first, second)
 	}
 }
 
@@ -194,11 +200,12 @@ func TestReplayFoldsInterleavedContacts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, rec := openTestJournal(t, dir, nil)
-	if len(rec.Jobs) != 2 {
-		t.Fatalf("replayed %+v; want c1 and c2 only", rec.Jobs)
+	j2, _ := openTestJournal(t, dir, nil)
+	jobs := j2.Table().List()
+	if len(jobs) != 2 {
+		t.Fatalf("replayed %+v; want c1 and c2 only", jobs)
 	}
-	c1, c2 := rec.Jobs[0], rec.Jobs[1]
+	c1, c2 := jobs[0], jobs[1]
 	if c1.Contact != "c1" || c1.State != job.Active || c1.Restarts != 1 ||
 		c1.Checkpoint != "c1-step" || c1.Spec != "&(executable=/bin/a)" {
 		t.Errorf("c1 folded wrong: %+v", c1)
@@ -267,11 +274,12 @@ func TestSegmentRotationAndSnapshotCompaction(t *testing.T) {
 	j.Close()
 
 	// Recovery from snapshot + tail sees all jobs exactly once.
-	_, rec := openTestJournal(t, dir, nil)
-	if len(rec.Jobs) != 25 {
-		t.Fatalf("recovered %d jobs; want 25", len(rec.Jobs))
+	j2, _ := openTestJournal(t, dir, nil)
+	jobs := j2.Table().List()
+	if len(jobs) != 25 {
+		t.Fatalf("recovered %d jobs; want 25", len(jobs))
 	}
-	for _, js := range rec.Jobs {
+	for _, js := range jobs {
 		if js.State != job.Done {
 			t.Fatalf("job %q recovered as %s", js.Contact, js.State)
 		}
@@ -323,7 +331,7 @@ func TestAppendFailpointRefusesRecord(t *testing.T) {
 		t.Fatalf("armed append failpoint not surfaced: %v", err)
 	}
 	// The refused record must not exist anywhere.
-	if got := j.Jobs(); len(got) != 0 {
+	if got := j.Table().List(); len(got) != 0 {
 		t.Fatalf("refused record folded into state: %+v", got)
 	}
 	if err := j.Append(context.Background(), Entry{Kind: KindSubmit, Contact: "c1", Time: time.Now().UnixNano()}); err != nil {
@@ -370,12 +378,12 @@ func TestSnapshotDirSyncFailureKeepsSegments(t *testing.T) {
 			t.Fatalf("covered segment %d deleted before the directory sync (now %v): %v", idx, after, err)
 		}
 	}
-	want := j.Jobs()
+	want := j.Table().List()
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec := openTestJournal(t, dir, nil)
-	sameJobs(t, rec.Jobs, want)
+	j2, _ := openTestJournal(t, dir, nil)
+	sameJobs(t, j2.Table().List(), want)
 }
 
 func TestClosedJournalRefusesAppends(t *testing.T) {
@@ -403,7 +411,7 @@ func TestNilJournalIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.NoteRecovered(3)
-	if j.Jobs() != nil || j.Dir() != "" {
+	if j.Table() != nil || j.Dir() != "" {
 		t.Fatal("nil journal leaked state")
 	}
 }
@@ -444,11 +452,12 @@ func TestSnapshotSurvivesUndeletedSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, rec := openTestJournal(t, dir, nil)
-	if len(rec.Jobs) != 1 {
-		t.Fatalf("recovered %d jobs; want 1 (covered segment replayed?)", len(rec.Jobs))
+	j2, _ := openTestJournal(t, dir, nil)
+	jobs := j2.Table().List()
+	if len(jobs) != 1 {
+		t.Fatalf("recovered %d jobs; want 1 (covered segment replayed?)", len(jobs))
 	}
-	if rec.Jobs[0].State != job.Done {
-		t.Fatalf("job state %s after skipping covered segment", rec.Jobs[0].State)
+	if jobs[0].State != job.Done {
+		t.Fatalf("job state %s after skipping covered segment", jobs[0].State)
 	}
 }

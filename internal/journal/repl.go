@@ -1,16 +1,17 @@
 package journal
 
-import "encoding/json"
+import "infogram/internal/job"
 
 // Wire replication support: a follower gatekeeper tails this journal
 // over the repl capability (internal/core serves it, internal/cluster
 // consumes it). Replication ships records, never files: Subscribe cuts
-// the folded state of every job into synthesized entries and registers
-// a live tap in the same critical section, so the cut and the record
-// stream compose without a gap or a duplicate — every append is either
-// folded into the cut or delivered on the tap, never both, never
-// neither. The follower Appends both to an ordinary journal of its own,
-// so the on-disk layout stays this package's business alone.
+// every job of the journal's table into synthesized entries and registers
+// a live tap in the same critical section. The table changes only under
+// that lock, so the cut and the record stream compose without a gap or a
+// duplicate — every append is either in the cut or delivered on the tap,
+// never both, never neither. The follower Appends both to an ordinary
+// journal of its own, whose table is the one it serves once promoted, so
+// the on-disk layout stays this package's business alone.
 
 // Tap is a live subscription to appended records. Records() yields each
 // post-cut record's JSON payload (unframed); the channel closes when the
@@ -28,11 +29,11 @@ type Tap struct {
 func (t *Tap) Records() <-chan []byte { return t.ch }
 
 // Subscribe registers a live tap with the given channel buffer (minimum
-// 16) and returns the cut: for every job, in first-submission order, a
-// Submit at Submitted, a Checkpoint if one is set, then one State record
-// at Updated carrying the rest of the folded state. Appended to an empty
-// journal, the cut folds back into identical JobStates. The caller must
-// Unsubscribe when done. Nil-safe: a nil journal returns nils.
+// 16) and returns the cut: for every job in the table, ordered by contact,
+// a Submit at Submitted, a Checkpoint if one is set, then one State record
+// at Updated carrying the rest of the job. Appended to an empty journal,
+// the cut folds back into identical records. The caller must Unsubscribe
+// when done. Nil-safe: a nil journal returns nils.
 func (j *Journal) Subscribe(buffer int) (*Tap, []Entry, error) {
 	if j == nil {
 		return nil, nil, nil
@@ -40,57 +41,38 @@ func (j *Journal) Subscribe(buffer int) (*Tap, []Entry, error) {
 	if buffer < 16 {
 		buffer = 16
 	}
-	// Under the lock only references are taken: live states are copied,
-	// retired jobs are immutable blobs. Decoding waits for the unlock.
-	type ref struct {
-		live *JobState
-		blob []byte
-	}
+	// Under the lock the jobs are only copied; the records are built from
+	// the copy after the unlock.
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
 		return nil, nil, ErrClosed
 	}
-	refs := make([]ref, 0, len(j.order))
-	for _, c := range j.order {
-		if js, ok := j.state[c]; ok {
-			cp := *js
-			refs = append(refs, ref{live: &cp})
-		} else if r, ok := j.retired[c]; ok {
-			refs = append(refs, ref{blob: r.blob})
-		}
-	}
+	jobs := j.table.List()
 	t := &Tap{ch: make(chan []byte, buffer)}
 	j.taps = append(j.taps, t)
 	j.mu.Unlock()
 
-	cut := make([]Entry, 0, 2*len(refs))
-	for _, r := range refs {
-		js := r.live
-		if js == nil {
-			js = new(JobState)
-			if err := json.Unmarshal(r.blob, js); err != nil {
-				continue // as jobStateLocked: an unreadable blob is no job
-			}
-		}
-		cut = appendJobEntries(cut, js)
+	cut := make([]Entry, 0, 2*len(jobs))
+	for i := range jobs {
+		cut = appendJobEntries(cut, &jobs[i])
 	}
 	return t, cut, nil
 }
 
-// appendJobEntries appends the records that fold into js on an empty
-// journal (see applyLocked). The pointers alias js, which the caller
+// appendJobEntries appends the records that fold into rec on an empty
+// table (see job.Table.Apply). The pointers alias rec, which the caller
 // owns.
-func appendJobEntries(dst []Entry, js *JobState) []Entry {
-	updated := js.Updated.UnixNano()
-	dst = append(dst, Entry{Kind: KindSubmit, Time: js.Submitted.UnixNano(), Contact: js.Contact,
-		Spec: js.Spec, Owner: js.Owner, Identity: js.Identity})
-	if js.Checkpoint != "" {
-		dst = append(dst, Entry{Kind: KindCheckpoint, Time: updated, Contact: js.Contact, Checkpoint: js.Checkpoint})
+func appendJobEntries(dst []Entry, rec *job.Record) []Entry {
+	updated := rec.Updated.UnixNano()
+	dst = append(dst, Entry{Kind: KindSubmit, Time: rec.Submitted.UnixNano(), Contact: rec.Contact,
+		Spec: rec.Spec, Owner: rec.Owner, Identity: rec.Identity})
+	if rec.Checkpoint != "" {
+		dst = append(dst, Entry{Kind: KindCheckpoint, Time: updated, Contact: rec.Contact, Checkpoint: rec.Checkpoint})
 	}
-	return append(dst, Entry{Kind: KindState, Time: updated, Contact: js.Contact,
-		State: js.State.String(), ExitCode: &js.ExitCode, Error: js.Error, Restarts: js.Restarts,
-		WillRestart: js.WillRestart, Stdout: &js.Stdout, Stderr: &js.Stderr})
+	return append(dst, Entry{Kind: KindState, Time: updated, Contact: rec.Contact,
+		State: rec.State.String(), ExitCode: &rec.ExitCode, Error: rec.Error, Restarts: rec.Restarts,
+		WillRestart: rec.WillRestart, Stdout: &rec.Stdout, Stderr: &rec.Stderr})
 }
 
 // Unsubscribe removes a tap; its channel closes. Safe to call twice.

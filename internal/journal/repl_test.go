@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"infogram/internal/job"
 )
 
 func subEntry(contact, spec string) Entry {
@@ -119,8 +121,8 @@ func TestSubscribeCutRoundTrip(t *testing.T) {
 			if err := follower.Close(); err != nil {
 				t.Fatal(err)
 			}
-			_, rec := openTestJournal(t, dir, nil)
-			sameJobs(t, rec.Jobs, leader.Jobs())
+			reopened, _ := openTestJournal(t, dir, nil)
+			sameJobs(t, reopened.Table().List(), leader.Table().List())
 		})
 	}
 }
@@ -202,7 +204,7 @@ func (h *history) run(steps int) {
 }
 
 // sameJobs compares job tables field for field, times by UnixNano.
-func sameJobs(t *testing.T, got, want []JobState) {
+func sameJobs(t *testing.T, got, want []job.Record) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%d jobs, want %d", len(got), len(want))

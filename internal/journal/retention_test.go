@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -25,7 +26,7 @@ func finish(t *testing.T, j *Journal, contact string, done int64) {
 	}
 }
 
-func holds(jobs []JobState, contact string) bool {
+func holds(jobs []job.Record, contact string) bool {
 	for _, js := range jobs {
 		if js.Contact == contact {
 			return true
@@ -34,12 +35,24 @@ func holds(jobs []JobState, contact string) bool {
 	return false
 }
 
-func contacts(jobs []JobState) []string {
+func contacts(jobs []job.Record) []string {
 	out := make([]string, 0, len(jobs))
 	for _, js := range jobs {
 		out = append(out, js.Contact)
 	}
 	return out
+}
+
+// footprint counts the unfinished and the finished jobs j's table holds.
+func footprint(j *Journal) (live, finished int) {
+	for _, rec := range j.Table().List() {
+		if rec.Finished() {
+			finished++
+		} else {
+			live++
+		}
+	}
+	return live, finished
 }
 
 // longJobHistory journals a job "long" submitted first but finished only
@@ -83,20 +96,20 @@ func TestFoldForgetsOldestFinishedAcrossSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	restarted.Close()
-	restarted, rec := openTestJournal(t, dir, nil)
-	if len(rec.Jobs) != n+1 || rec.Jobs[0].Contact != "long" {
-		t.Fatalf("recovered %d jobs; want %d, the long job first", len(rec.Jobs), n+1)
+	restarted, _ = openTestJournal(t, dir, nil)
+	if got := restarted.Table().List(); len(got) != n+1 || !holds(got, "long") {
+		t.Fatalf("recovered %d jobs; want %d, the long job among them", len(got), n+1)
 	}
 	moreFinished(t, steady, n-1)
 	moreFinished(t, restarted, n-1)
-	if live, finished, order := steady.Footprint(); live != 0 || finished != n || order != n {
-		t.Fatalf("after the cut the fold holds live=%d finished=%d order=%d; want 0, %d, %d", live, finished, order, n, n)
+	if live, finished := footprint(steady); live != 0 || finished != n {
+		t.Fatalf("after the cut the table holds live=%d finished=%d; want 0, %d", live, finished, n)
 	}
-	want := steady.Jobs()
+	want := steady.Table().List()
 	if !holds(want, "long") || holds(want, "x0") {
 		t.Fatal("the cut did not forget exactly the jobs that finished first")
 	}
-	sameJobs(t, restarted.Jobs(), want)
+	sameJobs(t, restarted.Table().List(), want)
 }
 
 // A follower fed the Subscribe cut forgets the same jobs as its leader.
@@ -127,10 +140,10 @@ func TestSubscribeCutKeepsFollowerInStep(t *testing.T) {
 			}
 		}
 	}
-	if _, finished, _ := leader.Footprint(); finished != job.KeepTerminal {
+	if _, finished := footprint(leader); finished != job.KeepTerminal {
 		t.Fatalf("leader holds %d finished jobs; the window's cut did not run", finished)
 	}
-	sameJobs(t, follower.Jobs(), leader.Jobs())
+	sameJobs(t, follower.Table().List(), leader.Table().List())
 }
 
 // A FAILED marked WillRestart is not finished: the window's cuts pass it
@@ -151,9 +164,9 @@ func TestWillRestartFailureIsNeverForgotten(t *testing.T) {
 		finish(t, j, fmt.Sprintf("x%d", i), int64(10*(i+1)))
 	}
 	must(j.Append(ctx, Entry{Kind: KindState, Time: 10 * (2*job.KeepTerminal + 2), Contact: "r", State: "PENDING", Restarts: 1}))
-	js, ok := j.jobStateLocked("r")
-	if !ok || js.State != job.Pending || js.Restarts != 1 {
-		t.Fatalf("restarting job folded to %+v (held: %v)", js, ok)
+	js, err := j.Table().Get("r")
+	if err != nil || js.State != job.Pending || js.Restarts != 1 {
+		t.Fatalf("restarting job folded to %+v (%v)", js, err)
 	}
 }
 
@@ -174,23 +187,24 @@ func TestRevivedJobRetiresOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if live, finished, order := j.Footprint(); live != 0 || finished != 1 || order != 1 {
-		t.Fatalf("fold holds live=%d finished=%d order=%d; want 0, 1, 1", live, finished, order)
+	if live, finished := footprint(j); live != 0 || finished != 1 {
+		t.Fatalf("table holds live=%d finished=%d; want 0, 1", live, finished)
 	}
 	if err := j.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	_, rec := openTestJournal(t, dir, nil)
-	if len(rec.Jobs) != 1 || rec.Jobs[0].State != job.Done || rec.Jobs[0].Restarts != 1 {
-		t.Fatalf("recovered %+v", rec.Jobs)
+	j2, _ := openTestJournal(t, dir, nil)
+	if jobs := j2.Table().List(); len(jobs) != 1 || jobs[0].State != job.Done || jobs[0].Restarts != 1 {
+		t.Fatalf("recovered %+v", jobs)
 	}
 }
 
 // A snapshot written before the window existed lists every finished job
 // ever run, in submission order. Recovery keeps the newest KeepTerminal
 // of them by finishing time, whatever their place in the file, and so
-// does the next snapshot.
+// does the next snapshot. (Neither keeps the file's order: the table has
+// none, and recovery needs none.)
 func TestOldSnapshotKeepsNewestFinished(t *testing.T) {
 	const n = job.KeepTerminal
 	const total = 2*n + 100
@@ -208,6 +222,7 @@ func TestOldSnapshotKeepsNewestFinished(t *testing.T) {
 		}
 	}
 	want = append([]string{"live"}, want...)
+	sort.Strings(want)
 	b, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -218,11 +233,11 @@ func TestOldSnapshotKeepsNewestFinished(t *testing.T) {
 	}
 
 	j, rec := openTestJournal(t, dir, nil)
-	if got := contacts(rec.Jobs); !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered %d jobs; want the live one and the newest %d finished, in file order", len(got), n)
+	if got := contacts(j.Table().List()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %d jobs; want the live one and the newest %d finished", len(got), n)
 	}
-	if live, finished, order := j.Footprint(); live != 1 || finished != n || order != n+1 {
-		t.Fatalf("fold holds live=%d finished=%d order=%d; want 1, %d, %d", live, finished, order, n, n+1)
+	if live, finished := footprint(j); live != 1 || finished != n || !reflect.DeepEqual(rec.Unfinished, []string{"live"}) {
+		t.Fatalf("table holds live=%d finished=%d, unfinished %v; want 1, %d, [live]", live, finished, rec.Unfinished, n)
 	}
 	if err := j.Snapshot(); err != nil {
 		t.Fatal(err)
@@ -236,7 +251,11 @@ func TestOldSnapshotKeepsNewestFinished(t *testing.T) {
 	if err := json.Unmarshal(b, &next); err != nil {
 		t.Fatal(err)
 	}
-	if got := contacts(next.Jobs); !reflect.DeepEqual(got, want) {
+	got := make([]string, 0, len(next.Jobs))
+	for _, js := range next.Jobs {
+		got = append(got, js.Contact)
+	}
+	if sort.Strings(got); !reflect.DeepEqual(got, want) {
 		t.Fatalf("next snapshot holds %d jobs; want the %d recovered", len(got), len(want))
 	}
 }

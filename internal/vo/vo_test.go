@@ -210,12 +210,12 @@ func TestBrokerWaitOnExpiredPlacement(t *testing.T) {
 	// straight into its job table rather than run.
 	tbl := g.Members[0].Service.Table()
 	later := time.Now().Add(time.Second)
+	var done []job.Record
 	for i := 0; i < 2*job.KeepTerminal; i++ {
 		at := later.Add(time.Duration(i) * time.Microsecond)
-		if err := tbl.Create(job.Record{Contact: tbl.NewContact(at), State: job.Done, Submitted: at, Updated: at}); err != nil {
-			t.Fatal(err)
-		}
+		done = append(done, job.Record{Contact: tbl.NewContact(at), State: job.Done, Submitted: at, Updated: at})
 	}
+	tbl.Restore(done, 0)
 	_, err = broker.Wait(ctx, p)
 	if !errors.Is(err, job.ErrExpired) || !strings.Contains(err.Error(), p.Contact) {
 		t.Fatalf("Wait on a forgotten placement = %v; want job.ErrExpired naming %s", err, p.Contact)

@@ -44,6 +44,15 @@ go test -race -count=1 \
 	-run '^(TestPoolSurvivesServerRestart|TestGIISMemberRestart|TestGatewayNeverResubmits|TestGatewayNeverRecancels|TestGatewaySharesOneConnection)$' \
 	./internal/core/ ./internal/mds/ ./internal/wsgw/
 
+# The tests where the job table, the journal, a follower and a recovery
+# must hold the same jobs re-run uncached under -race: retention, the
+# restart window, the Subscribe cut and recovery race appends, snapshots,
+# cuts and resumed jobs against one another.
+echo "== one job store: retention, restarts, cuts, recovery (-race) =="
+go test -race -count=1 \
+	-run '^(TestTableKeepsFinishedWindow|TestApplyStaleRecordCannotReviveFinishedJob|TestTransitionAndApplyAgree|TestFoldForgetsOldestFinishedAcrossSnapshot|TestSubscribeCutKeepsFollowerInStep|TestWillRestartFailureIsNeverForgotten|TestSubscribeCutIsConsistent|TestSubscribeCutRoundTrip|TestLegacyJournalRecoversUnchanged|TestSnapshotLastIDKeepsEvictedContactExpired|TestStaleRecordAfterFinishStaysFinishedOnRecovery|TestRetentionBoundsJobHistory|TestTableAndJournalAgreeWhenFinishesCross|TestRestartOutlivesTheWindow|TestRefusedSubmitIsInNoCopy|TestRecoverySnapshotsLoseNoJob|TestStaleRecordIsNotResumed|TestFollowerInterruptedResyncKeepsJournal|TestFollowerKeepsStaleRecordFromReviving)$' \
+	./internal/job/ ./internal/journal/ ./internal/gram/ ./internal/cluster/
+
 # CHECK_FUZZTIME extends the per-target fuzz budget (e.g. the nightly CI
 # run passes 60s); the default keeps interactive runs quick.
 fuzztime=${CHECK_FUZZTIME:-10s}
