@@ -47,6 +47,7 @@ package journal
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -55,6 +56,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -124,8 +126,9 @@ type JobState = job.Record
 
 // Recovered describes what Open replayed into the journal's table.
 type Recovered struct {
-	// Unfinished lists, by contact, the replayed jobs that are neither
-	// DONE nor FAILED for good: the ones recovery resumes.
+	// Unfinished lists, in submission order, the contacts of the replayed
+	// jobs that are neither DONE nor FAILED for good: the ones recovery
+	// resumes.
 	Unfinished []string
 	// Segments counts the segment files replayed.
 	Segments int
@@ -814,12 +817,18 @@ func (j *Journal) replay() (*Recovered, int, error) {
 		rec.TornTail = rec.TornTail || torn
 	}
 
+	var unfinished []job.Record
 	j.table.Range(func(r *job.Record) {
 		if !r.Finished() {
-			rec.Unfinished = append(rec.Unfinished, r.Contact)
+			unfinished = append(unfinished, *r)
 		}
 	})
-	sort.Strings(rec.Unfinished)
+	slices.SortFunc(unfinished, func(a, b job.Record) int {
+		return cmp.Or(a.Submitted.Compare(b.Submitted), strings.Compare(a.Contact, b.Contact))
+	})
+	for _, r := range unfinished {
+		rec.Unfinished = append(rec.Unfinished, r.Contact)
+	}
 	return rec, epoch, nil
 }
 
