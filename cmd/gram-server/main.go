@@ -28,7 +28,6 @@ func main() {
 		logPath     = flag.String("log", "", "job log file (disabled when empty)")
 		stateDir    = flag.String("state-dir", "", "durable job-state directory (write-ahead journal + snapshots); crash recovery replays it on boot (empty = in-memory only)")
 		fsync       = flag.String("fsync", "interval", "journal fsync policy: always, interval, or never")
-		slots       = flag.Int("queue-slots", 4, "slots in the batch queue backend")
 		metrics     = flag.String("metrics-addr", "", "serve Prometheus text metrics on this address at /metrics, plus /debug/traces and /debug/pprof")
 		traceSample = flag.Float64("trace-sample", 1.0, "fraction of healthy traces to keep (errored and slow traces are always kept; 0 keeps only those)")
 		traceSlow   = flag.Duration("trace-slow", 0, "always keep traces at least this slow (0 disables the slow rule)")
@@ -81,7 +80,7 @@ func main() {
 		Backends: gram.Backends{
 			Exec:  &scheduler.Fork{},
 			Func:  scheduler.NewFunc(scheduler.TrustedMode, scheduler.Budgets{}),
-			Queue: scheduler.NewPBS(*slots, nil, &scheduler.Fork{}),
+			Queue: scheduler.NewPBS(scheduler.BatchSlots, nil, &scheduler.Fork{}),
 		},
 		Log:     logger,
 		Journal: jnl,

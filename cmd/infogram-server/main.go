@@ -171,7 +171,7 @@ func main() {
 
 	queue := scheduler.NewQueue(scheduler.QueueConfig{
 		Name:            "pbs",
-		Slots:           4,
+		Slots:           scheduler.BatchSlots,
 		Policy:          scheduler.FIFO{},
 		Executor:        &scheduler.Fork{},
 		DepthGauge:      tel.Gauge("infogram_queue_depth", "tasks pending in the batch queue"),

@@ -493,11 +493,6 @@ func (c *Client) Query(req xrsl.InfoRequest) (InfoResult, error) {
 	return c.QueryRaw(req.Encode())
 }
 
-// QueryContext is Query carrying the caller's context.
-func (c *Client) QueryContext(ctx context.Context, req xrsl.InfoRequest) (InfoResult, error) {
-	return c.QueryRawContext(ctx, req.Encode())
-}
-
 // Schema fetches the service reflection schema (§6.4).
 func (c *Client) Schema() ([]ldif.Entry, error) {
 	res, err := c.Query(xrsl.InfoRequest{Schema: true})

@@ -320,10 +320,6 @@ func (s *Service) Telemetry() *telemetry.Registry { return s.cfg.Telemetry }
 // Tracer returns the service's tracer (nil when tracing is disabled).
 func (s *Service) Tracer() *telemetry.Tracer { return s.cfg.Tracer }
 
-// SnapshotCache writes a response-cache snapshot now. A no-op (nil error)
-// when cache persistence is not configured.
-func (s *Service) SnapshotCache() error { return s.persist.Snapshot() }
-
 // Close shuts the service down.
 func (s *Service) Close() error {
 	s.dialer.Close()

@@ -81,38 +81,36 @@ func errorReply(f wire.Frame) error {
 	return job.RemoteError("gram: server error: ", strings.TrimSpace(string(f.Payload)))
 }
 
+// expect performs one exchange and returns a reply with verb want, or the
+// error any other reply (an ERROR) carries.
+func (c *Client) expect(verb, payload, want string) (wire.Frame, error) {
+	resp, err := c.call(wire.Frame{Verb: verb, Payload: []byte(payload)})
+	if err == nil && resp.Verb != want {
+		err = errorReply(resp)
+	}
+	return resp, err
+}
+
 // Ping checks service liveness.
 func (c *Client) Ping() error {
-	resp, err := c.call(wire.Frame{Verb: VerbPing})
-	if err != nil {
-		return err
-	}
-	if resp.Verb != VerbPong {
-		return errorReply(resp)
-	}
-	return nil
+	_, err := c.expect(VerbPing, "", VerbPong)
+	return err
 }
 
 // Submit sends an RSL job specification and returns the job contact.
 func (c *Client) Submit(rslSrc string) (string, error) {
-	resp, err := c.call(wire.Frame{Verb: VerbSubmit, Payload: []byte(rslSrc)})
+	resp, err := c.expect(VerbSubmit, rslSrc, VerbSubmitted)
 	if err != nil {
 		return "", err
-	}
-	if resp.Verb != VerbSubmitted {
-		return "", errorReply(resp)
 	}
 	return string(resp.Payload), nil
 }
 
 // Status polls a job by contact.
 func (c *Client) Status(contact string) (StatusReply, error) {
-	resp, err := c.call(wire.Frame{Verb: VerbStatus, Payload: []byte(contact)})
+	resp, err := c.expect(VerbStatus, contact, VerbStatusOK)
 	if err != nil {
 		return StatusReply{}, err
-	}
-	if resp.Verb != VerbStatusOK {
-		return StatusReply{}, errorReply(resp)
 	}
 	var reply StatusReply
 	if err := json.Unmarshal(resp.Payload, &reply); err != nil {
@@ -123,26 +121,14 @@ func (c *Client) Status(contact string) (StatusReply, error) {
 
 // Cancel cancels a job by contact.
 func (c *Client) Cancel(contact string) error {
-	resp, err := c.call(wire.Frame{Verb: VerbCancel, Payload: []byte(contact)})
-	if err != nil {
-		return err
-	}
-	if resp.Verb != VerbCancelOK {
-		return errorReply(resp)
-	}
-	return nil
+	_, err := c.expect(VerbCancel, contact, VerbCancelOK)
+	return err
 }
 
 // Signal suspends or resumes a job ("suspend" / "resume").
 func (c *Client) Signal(contact, signal string) error {
-	resp, err := c.call(wire.Frame{Verb: VerbSignal, Payload: []byte(contact + " " + signal)})
-	if err != nil {
-		return err
-	}
-	if resp.Verb != VerbSignalOK {
-		return errorReply(resp)
-	}
-	return nil
+	_, err := c.expect(VerbSignal, contact+" "+signal, VerbSignalOK)
+	return err
 }
 
 // WaitTerminal polls until the job reaches DONE or FAILED, with the given

@@ -210,7 +210,7 @@ func (m *Manager) submit(ctx context.Context, req *xrsl.JobRequest, rec job.Reco
 	}); err != nil {
 		return "", fmt.Errorf("gram: submit not durable: %w", err)
 	}
-	if err := m.transition(ctx, rec.Contact, req, job.Mutation{State: job.Pending}); err != nil {
+	if err := m.transition(ctx, req, job.Entry{Contact: rec.Contact, State: job.Pending.String()}); err != nil {
 		return "", err
 	}
 	// The job context deliberately detaches from the request context: the
@@ -221,22 +221,28 @@ func (m *Manager) submit(ctx context.Context, req *xrsl.JobRequest, rec job.Reco
 	if sp := telemetry.SpanFrom(ctx); sp != nil {
 		base = telemetry.ContextWithSpan(base, sp)
 	}
+	m.launch(base, rec.Contact, req, 0)
+	m.cfg.SpawnLatency.Observe(m.cfg.Clock.Now().Sub(now))
+	return rec.Contact, nil
+}
+
+// launch starts the manager goroutine of contact's job at attempt start,
+// under a cancellable child of base.
+func (m *Manager) launch(base context.Context, contact string, req *xrsl.JobRequest, start int) {
 	jobCtx, cancel := context.WithCancel(base)
 	m.mu.Lock()
-	m.cancels[rec.Contact] = cancel
+	m.cancels[contact] = cancel
 	m.mu.Unlock()
 	go func() {
 		defer func() {
 			cancel()
 			m.mu.Lock()
-			delete(m.cancels, rec.Contact)
+			delete(m.cancels, contact)
 			m.mu.Unlock()
 		}()
-		m.run(jobCtx, rec.Contact, req)
+		m.run(jobCtx, contact, req, start)
 	}()
 	m.cfg.JobsSpawned.Inc()
-	m.cfg.SpawnLatency.Observe(m.cfg.Clock.Now().Sub(now))
-	return rec.Contact, nil
 }
 
 // Cancel requests cancellation of a running or pending job, the GRAMP
@@ -258,24 +264,36 @@ func (m *Manager) Cancel(contact string) error {
 	return nil
 }
 
-// transition applies a table transition, through the journal when there
-// is one, logs it, and notifies callbacks. The record is written before
-// the callback so an event is never observable outside the process ahead
-// of its durable record.
-func (m *Manager) transition(ctx context.Context, contact string, req *xrsl.JobRequest, mut job.Mutation) error {
+// transition files one state change: e, stamped now as a state record,
+// changes the table, through the journal when there is one, and that same
+// record goes to the audit log; the event goes to the callback. The record
+// is written before the callback so an event is never observable outside
+// the process ahead of its durable record. A state record always carries
+// the job's restart count: the table refuses one below it.
+func (m *Manager) transition(ctx context.Context, req *xrsl.JobRequest, e job.Entry) error {
+	return m.change(ctx, req, e, false)
+}
+
+// change is transition, or with resume the PENDING with which recovery
+// re-queues an unfinished job (see job.Table.Resume).
+func (m *Manager) change(ctx context.Context, req *xrsl.JobRequest, e job.Entry, resume bool) error {
+	e.Kind, e.Time = job.KindState, m.cfg.Clock.Now().UnixNano()
 	var ev job.Event
 	var err error
-	if m.cfg.Journal != nil {
-		ev, err = m.cfg.Journal.Transition(ctx, contact, mut, m.cfg.Clock.Now())
-	} else {
-		ev, err = m.cfg.Table.Transition(contact, mut, m.cfg.Clock.Now())
+	switch {
+	case m.cfg.Journal == nil && resume:
+		ev, err = m.cfg.Table.Resume(e)
+	case m.cfg.Journal == nil:
+		ev, err = m.cfg.Table.Transition(e)
+	case resume:
+		ev, err = m.cfg.Journal.Resume(ctx, e)
+	default:
+		ev, err = m.cfg.Journal.Transition(ctx, e)
 	}
 	if err != nil {
 		return err
 	}
-	if m.cfg.Log != nil {
-		_ = m.cfg.Log.AppendEntry(job.StateEntry(ev, mut), string(telemetry.TraceFrom(ctx)))
-	}
+	_ = m.cfg.Log.AppendEntry(e, string(telemetry.TraceFrom(ctx))) // logging failures must not break job flow
 	if m.cfg.Notify != nil && req != nil && req.CallbackContact != "" {
 		m.cfg.Notify.Notify(req.CallbackContact, ev)
 	}
@@ -300,16 +318,11 @@ func (m *Manager) record(ctx context.Context, e job.Entry) error {
 }
 
 // run is the per-job manager: it executes the job with fault-tolerant
-// restarts (paper §6.1) and timeout actions (§6.5 Extensions).
-func (m *Manager) run(ctx context.Context, contact string, req *xrsl.JobRequest) {
-	m.runFrom(ctx, contact, req, 0)
-}
-
-// runFrom is run starting at a given attempt index: 0 for fresh
-// submissions, the journaled restart count for jobs resumed by crash
-// recovery — the interrupted attempt is re-run and only the remaining
-// restart budget is consumed.
-func (m *Manager) runFrom(ctx context.Context, contact string, req *xrsl.JobRequest, start int) {
+// restarts (paper §6.1) and timeout actions (§6.5 Extensions), starting at
+// attempt start: 0 for fresh submissions, the journaled restart count for
+// jobs resumed by crash recovery — the interrupted attempt is re-run and
+// only the remaining restart budget is consumed.
+func (m *Manager) run(ctx context.Context, contact string, req *xrsl.JobRequest, start int) {
 	backend, err := m.cfg.Backends.Select(req.JobType)
 	if err != nil {
 		m.fail(ctx, contact, req, scheduler.Result{}, -1, err.Error(), start, false)
@@ -321,8 +334,7 @@ func (m *Manager) runFrom(ctx context.Context, contact string, req *xrsl.JobRequ
 		if attempt > start {
 			// Fault-tolerant restart: FAILED -> PENDING with the restart
 			// counter bumped.
-			restarts := attempt
-			if err := m.transition(ctx, contact, req, job.Mutation{State: job.Pending, Restarts: &restarts}); err != nil {
+			if err := m.transition(ctx, req, job.Entry{Contact: contact, State: job.Pending.String(), Restarts: attempt}); err != nil {
 				return
 			}
 		}
@@ -331,7 +343,7 @@ func (m *Manager) runFrom(ctx context.Context, contact string, req *xrsl.JobRequ
 		// reacts to ACTIVE with SIGNAL or CANCEL always finds them.
 		var activeErr error
 		res, runErr := m.attempt(ctx, backend, contact, req, func() error {
-			activeErr = m.transition(ctx, contact, req, job.Mutation{State: job.Active, Restarts: intPtr(attempt)})
+			activeErr = m.transition(ctx, req, job.Entry{Contact: contact, State: job.Active.String(), Restarts: attempt})
 			return activeErr
 		})
 		if activeErr != nil {
@@ -344,12 +356,14 @@ func (m *Manager) runFrom(ctx context.Context, contact string, req *xrsl.JobRequ
 		}
 		switch {
 		case runErr == nil && res.ExitCode == 0:
-			stdout, stderr := res.Stdout, res.Stderr
-			_ = m.transition(ctx, contact, req, job.Mutation{
-				State:    job.Done,
-				Stdout:   &stdout,
-				Stderr:   &stderr,
-				Restarts: intPtr(attempt),
+			exit := 0
+			_ = m.transition(ctx, req, job.Entry{
+				Contact:  contact,
+				State:    job.Done.String(),
+				ExitCode: &exit,
+				Stdout:   &res.Stdout,
+				Stderr:   &res.Stderr,
+				Restarts: attempt,
 			})
 			return
 		case runErr == nil:
@@ -468,11 +482,12 @@ func (m *Manager) Signal(contact, signal string) error {
 		if err := signalAll(handles, true); err != nil {
 			return err
 		}
-		if err := m.transitionState(contact, job.Suspended); err != nil {
-			// The job completed concurrently with the stop signal; undo
-			// the stop so nothing lingers and report the terminal state.
+		if err := m.transitionState(rec, job.Suspended); err != nil {
+			// The attempt ended (the job finished or restarted)
+			// concurrently with the stop signal; undo the stop so nothing
+			// lingers and report why.
 			_ = signalAll(handles, false)
-			return fmt.Errorf("gram: job %q completed during suspend: %w", contact, err)
+			return fmt.Errorf("gram: job %q moved on during suspend: %w", contact, err)
 		}
 		return nil
 	case "resume":
@@ -482,11 +497,11 @@ func (m *Manager) Signal(contact, signal string) error {
 		// Mark ACTIVE before waking the process: the instant SIGCONT
 		// lands the job may finish, and SUSPENDED -> DONE would race a
 		// late ACTIVE transition.
-		if err := m.transitionState(contact, job.Active); err != nil {
+		if err := m.transitionState(rec, job.Active); err != nil {
 			return err
 		}
 		if err := signalAll(handles, false); err != nil {
-			_ = m.transitionState(contact, job.Suspended)
+			_ = m.transitionState(rec, job.Suspended)
 			return err
 		}
 		return nil
@@ -495,9 +510,12 @@ func (m *Manager) Signal(contact, signal string) error {
 	}
 }
 
-// transitionState applies a bare state transition without callback data.
-func (m *Manager) transitionState(contact string, st job.State) error {
-	return m.transition(context.Background(), contact, nil, job.Mutation{State: st})
+// transitionState moves the job rec was read from to st, without callback
+// data. The record carries rec's restart count: the table refuses it once
+// the job has restarted since, so a suspend or resume meant for one attempt
+// never reaches the next, nor journals a count the job has moved past.
+func (m *Manager) transitionState(rec job.Record, st job.State) error {
+	return m.transition(context.Background(), nil, job.Entry{Contact: rec.Contact, State: st.String(), Restarts: rec.Restarts})
 }
 
 // signalAll suspends or resumes every handle; backends without suspend
@@ -548,9 +566,6 @@ func (m *Manager) waitWithTimeout(ctx context.Context, handles []scheduler.Handl
 				h.Cancel()
 			}
 			o := <-done
-			if o.err != nil {
-				return o.res, fmt.Errorf("gram: timeout after %s: job cancelled", req.Timeout)
-			}
 			return o.res, fmt.Errorf("gram: timeout after %s: job cancelled", req.Timeout)
 		case xrsl.ActionException:
 			// Report the exception but let the command keep executing
@@ -596,19 +611,17 @@ func waitAll(ctx context.Context, handles []scheduler.Handle) (scheduler.Result,
 // attempt produced. willRestart marks a FAILED the next attempt follows,
 // which keeps the job from being forgotten in between.
 func (m *Manager) fail(ctx context.Context, contact string, req *xrsl.JobRequest, res scheduler.Result, exitCode int, msg string, attempt int, willRestart bool) {
-	stdout, stderr := res.Stdout, res.Stderr
-	_ = m.transition(ctx, contact, req, job.Mutation{
-		State:       job.Failed,
-		ExitCode:    exitCode,
+	_ = m.transition(ctx, req, job.Entry{
+		Contact:     contact,
+		State:       job.Failed.String(),
+		ExitCode:    &exitCode,
 		Error:       msg,
-		Stdout:      &stdout,
-		Stderr:      &stderr,
-		Restarts:    intPtr(attempt),
+		Stdout:      &res.Stdout,
+		Stderr:      &res.Stderr,
+		Restarts:    attempt,
 		WillRestart: willRestart,
 	})
 }
-
-func intPtr(n int) *int { return &n }
 
 // Resume restarts the manager goroutine of an unfinished job the table
 // holds from a journal replay, under its original contact. Execution
@@ -622,12 +635,7 @@ func (m *Manager) Resume(req *xrsl.JobRequest, rec job.Record) error {
 	if rec.WillRestart {
 		start++
 	}
-	if start > req.Restart {
-		start = req.Restart
-	}
-	if start < 0 {
-		start = 0
-	}
+	start = max(0, min(start, req.Restart))
 	if _, err := m.cfg.Backends.Select(req.JobType); err != nil {
 		// The backend the job ran on does not exist in this process: it
 		// cannot be re-attached, only reported.
@@ -635,25 +643,12 @@ func (m *Manager) Resume(req *xrsl.JobRequest, rec job.Record) error {
 			"recovery: "+err.Error(), start, false)
 		return nil
 	}
-	if err := m.transition(context.Background(), rec.Contact, req, job.Mutation{
-		State: job.Pending, Restarts: intPtr(start), Resumed: true,
-	}); err != nil {
+	if err := m.change(context.Background(), req, job.Entry{
+		Contact: rec.Contact, State: job.Pending.String(), Restarts: start,
+	}, true); err != nil {
 		return err
 	}
-	jobCtx, cancel := context.WithCancel(context.Background())
-	m.mu.Lock()
-	m.cancels[rec.Contact] = cancel
-	m.mu.Unlock()
-	go func() {
-		defer func() {
-			cancel()
-			m.mu.Lock()
-			delete(m.cancels, rec.Contact)
-			m.mu.Unlock()
-		}()
-		m.runFrom(jobCtx, rec.Contact, req, start)
-	}()
-	m.cfg.JobsSpawned.Inc()
+	m.launch(context.Background(), rec.Contact, req, start)
 	return nil
 }
 

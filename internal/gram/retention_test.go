@@ -241,7 +241,7 @@ func TestTableAndJournalAgreeWhenFinishesCross(t *testing.T) {
 		if err := jnl.Append(ctx, journal.Entry{Kind: journal.KindSubmit, Time: at.UnixNano(), Contact: c, Spec: noopSpec}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := jnl.Transition(ctx, c, job.Mutation{State: job.Pending}, at); err != nil {
+		if _, err := jnl.Transition(ctx, journal.Entry{Kind: journal.KindState, Time: at.UnixNano(), Contact: c, State: job.Pending.String()}); err != nil {
 			t.Fatal(err)
 		}
 		clock++
@@ -249,7 +249,8 @@ func TestTableAndJournalAgreeWhenFinishesCross(t *testing.T) {
 	}
 	finish := func(c string, at time.Time) {
 		t.Helper()
-		if _, err := jnl.Transition(ctx, c, job.Mutation{State: job.Done}, at); err != nil {
+		exit := 0
+		if _, err := jnl.Transition(ctx, journal.Entry{Kind: journal.KindState, Time: at.UnixNano(), Contact: c, State: job.Done.String(), ExitCode: &exit}); err != nil {
 			t.Fatal(err)
 		}
 	}

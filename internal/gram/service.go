@@ -3,6 +3,7 @@ package gram
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -165,7 +166,11 @@ func (s *Service) Close() error {
 // Manager.RecoverJournal). Call it after Listen and before serving
 // traffic. It returns the contacts of the resumed (non-terminal) jobs.
 func (s *Service) RecoverJournal(rec *journal.Recovered) ([]string, error) {
-	return s.Manager().RecoverJournal(rec, s.env)
+	m := s.Manager()
+	if m == nil {
+		return nil, errors.New("gram: RecoverJournal before Listen")
+	}
+	return m.RecoverJournal(rec, s.env)
 }
 
 // errorFrame builds an ERROR response.

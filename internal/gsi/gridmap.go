@@ -60,18 +60,6 @@ func (g *Gridmap) Len() int {
 	return len(g.entries)
 }
 
-// Subjects returns the mapped subjects in sorted order.
-func (g *Gridmap) Subjects() []string {
-	g.mu.RLock()
-	out := make([]string, 0, len(g.entries))
-	for s := range g.entries {
-		out = append(out, s)
-	}
-	g.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
 // ParseGridmap reads gridmap entries from r.
 func ParseGridmap(r io.Reader) (*Gridmap, error) {
 	g := NewGridmap()

@@ -79,9 +79,9 @@ func TestApplyStaleRecordCannotReviveFinishedJob(t *testing.T) {
 	}
 }
 
-// Transition leaves a record exactly as Apply leaves it for the record
-// the journal writes of that transition: the live path and replay share
-// one rule.
+// Transition leaves a record exactly as Apply leaves it for the same
+// record, which is the one the journal writes: the live path and replay
+// share one rule. The sequence is a restart, a suspend and a resume.
 func TestTransitionAndApplyAgree(t *testing.T) {
 	live := NewTable("h:1")
 	replayed := NewTable("h:1")
@@ -89,49 +89,82 @@ func TestTransitionAndApplyAgree(t *testing.T) {
 	submit := Entry{Kind: KindSubmit, Time: now.UnixNano(), Contact: c, Spec: "&(executable=x)(restart=1)", Owner: "alice"}
 	live.Apply(submit)
 	replayed.Apply(submit)
-	at := now
-	for _, m := range []Mutation{
-		{State: Pending},
-		{State: Active},
-		{State: Failed, ExitCode: 2, Error: "exit code 2 (will restart)", Stdout: strp("a"), Stderr: strp(""), Restarts: intp(0), WillRestart: true},
-		{State: Pending, Restarts: intp(1)},
-		{State: Active, Restarts: intp(1)},
-		{State: Suspended},
-		{State: Active},
-		{State: Done, Stdout: strp("b"), Restarts: intp(1)},
+	for i, e := range []Entry{
+		{State: "PENDING"},
+		{State: "ACTIVE"},
+		{State: "FAILED", ExitCode: intp(2), Error: "exit code 2 (will restart)", Stdout: strp("a"), Stderr: strp(""), WillRestart: true},
+		{State: "PENDING", Restarts: 1},
+		{State: "ACTIVE", Restarts: 1},
+		{State: "SUSPENDED", Restarts: 1},
+		{State: "ACTIVE", Restarts: 1},
+		{State: "DONE", ExitCode: intp(0), Stdout: strp("b"), Restarts: 1},
 	} {
-		at = at.Add(time.Second)
-		ev, err := live.Transition(c, m, at)
+		e.Kind, e.Time, e.Contact = KindState, now.Add(time.Duration(i+1)*time.Second).UnixNano(), c
+		ev, err := live.Transition(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		replayed.Apply(StateEntry(ev, m))
+		replayed.Apply(e)
 		got, _ := replayed.Get(c)
 		want, _ := live.Get(c)
-		want.Updated = time.Unix(0, want.Updated.UnixNano())
 		if got != want {
-			t.Fatalf("after %s:\n live     %+v\n replayed %+v", m.State, want, got)
+			t.Fatalf("after %s:\n live     %+v\n replayed %+v", e.State, want, got)
+		}
+		if wantEv := (Event{Contact: c, State: want.State, ExitCode: want.ExitCode, Error: want.Error, Restarts: want.Restarts, Time: want.Updated}); ev != wantEv {
+			t.Fatalf("after %s: event %+v; want %+v", e.State, ev, wantEv)
 		}
 	}
 }
 
+// A live record whose restart count is below the job's is refused: a
+// suspend made for an earlier attempt would otherwise journal a count
+// from which recovery re-grants spent restarts.
+func TestTransitionRefusesFewerRestarts(t *testing.T) {
+	tbl := NewTable("h:1")
+	c := newJob(t, tbl)
+	walkTo(t, tbl, c, Failed)
+	second := func(st State) Entry {
+		e := to(c, st)
+		e.Restarts = 1
+		return e
+	}
+	for _, e := range []Entry{second(Pending), second(Active)} {
+		if _, err := tbl.Transition(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tbl.Transition(to(c, Suspended)); err == nil {
+		t.Error("a SUSPENDED with restarts 0 was accepted on the second attempt")
+	}
+	if rec, _ := tbl.Get(c); rec.State != Active || rec.Restarts != 1 {
+		t.Errorf("after the refused record: %s, restarts %d; want ACTIVE, 1", rec.State, rec.Restarts)
+	}
+	if _, err := tbl.Transition(second(Suspended)); err != nil {
+		t.Errorf("a SUSPENDED carrying the job's count: %v", err)
+	}
+}
+
 // Recovery re-queues an unfinished job from whatever state its crashed
-// attempt left it in; a finished job cannot be re-queued.
+// attempt left it in, through Resume; Transition does not, and a finished
+// job cannot be re-queued.
 func TestResumedPendingLeavesAnyUnfinishedState(t *testing.T) {
 	tbl := NewTable("h:1")
 	for _, st := range []State{Active, Suspended} {
 		c := newJob(t, tbl)
 		walkTo(t, tbl, c, st)
-		if _, err := tbl.Transition(c, Mutation{State: Pending}, now); err == nil {
-			t.Errorf("%s -> PENDING accepted without Resumed", st)
+		if _, err := tbl.Transition(to(c, Pending)); err == nil {
+			t.Errorf("%s -> PENDING accepted by Transition", st)
 		}
-		if _, err := tbl.Transition(c, Mutation{State: Pending, Resumed: true}, now); err != nil {
+		if _, err := tbl.Resume(to(c, Done)); err == nil {
+			t.Errorf("%s resumed as DONE", st)
+		}
+		if _, err := tbl.Resume(to(c, Pending)); err != nil {
 			t.Errorf("resumed %s -> PENDING: %v", st, err)
 		}
 	}
 	c := newJob(t, tbl)
 	walkTo(t, tbl, c, Done)
-	if _, err := tbl.Transition(c, Mutation{State: Pending, Resumed: true}, now); err == nil {
+	if _, err := tbl.Resume(to(c, Pending)); err == nil {
 		t.Error("a DONE job was re-queued")
 	}
 }

@@ -4,7 +4,10 @@
 // is filed as, and an in-memory job table with event subscription used
 // for both polling and callback notification. The table is the only
 // in-memory copy of job state: a journal replays into it, folds every
-// record into it (Table.Apply) and snapshots from it.
+// record into it (Table.Apply) and snapshots from it. An Entry is the only
+// description of a change: a live transition (Table.Transition) is the
+// same state record the journal writes and replays, and one function
+// assigns it to the job.
 package job
 
 import (
@@ -171,33 +174,12 @@ type Entry struct {
 	// WillRestart marks a FAILED that a restart will follow. Without it a
 	// terminal state is final, as in every journal written before it.
 	WillRestart bool `json:"willRestart,omitempty"`
-	// Stdout/Stderr are pointers so "unchanged" and "set to empty" encode
-	// differently, mirroring Mutation.
+	// Stdout/Stderr are pointers so "unchanged" (nil) and "set to empty"
+	// encode differently.
 	Stdout *string `json:"stdout,omitempty"`
 	Stderr *string `json:"stderr,omitempty"`
 
 	Checkpoint string `json:"ckpt,omitempty"`
-}
-
-// StateEntry is the journal record of a transition: the event Transition
-// returned for m.
-func StateEntry(ev Event, m Mutation) Entry {
-	e := Entry{
-		Kind:        KindState,
-		Time:        ev.Time.UnixNano(),
-		Contact:     ev.Contact,
-		State:       ev.State.String(),
-		Error:       ev.Error,
-		Restarts:    ev.Restarts,
-		WillRestart: m.WillRestart,
-		Stdout:      m.Stdout,
-		Stderr:      m.Stderr,
-	}
-	if ev.State.Terminal() {
-		exit := ev.ExitCode
-		e.ExitCode = &exit
-	}
-	return e
 }
 
 // KeepTerminal is how many finished jobs a job table keeps answering for.
@@ -389,32 +371,42 @@ func (t *Table) Apply(e Entry) {
 	switch e.Kind {
 	case KindSubmit:
 		rec.Spec, rec.Owner, rec.Identity = e.Spec, e.Owner, e.Identity
+		rec.Updated = time.Unix(0, e.Time)
 	case KindState:
-		if st, err := ParseState(e.State); err == nil {
-			if rec.State.Terminal() && !validTransition(rec.State, st) {
-				return
-			}
-			rec.State = st
+		st, err := ParseState(e.State)
+		if err != nil {
+			st = rec.State // an unreadable state moves no state
+		} else if rec.State.Terminal() && !validTransition(rec.State, st) {
+			return
 		}
-		if e.ExitCode != nil {
-			rec.ExitCode = *e.ExitCode
-		}
-		rec.Error = e.Error
-		rec.Restarts = e.Restarts
-		rec.WillRestart = e.WillRestart
-		if e.Stdout != nil {
-			rec.Stdout = *e.Stdout
-		}
-		if e.Stderr != nil {
-			rec.Stderr = *e.Stderr
-		}
+		rec.setState(st, &e)
 	case KindCheckpoint:
 		rec.Checkpoint = e.Checkpoint
+		rec.Updated = time.Unix(0, e.Time)
 	default:
 		return
 	}
-	rec.Updated = time.Unix(0, e.Time)
 	t.countLocked(ent)
+}
+
+// setState assigns state record e, whose state is st, to the job: the one
+// rule by which a job changes state, live (Transition) or folded (Apply).
+// An exit code and output change only where e carries them.
+func (r *Record) setState(st State, e *Entry) {
+	r.State = st
+	if e.ExitCode != nil {
+		r.ExitCode = *e.ExitCode
+	}
+	r.Error = e.Error
+	r.Restarts = e.Restarts
+	r.WillRestart = e.WillRestart
+	if e.Stdout != nil {
+		r.Stdout = *e.Stdout
+	}
+	if e.Stderr != nil {
+		r.Stderr = *e.Stderr
+	}
+	r.Updated = time.Unix(0, e.Time)
 }
 
 // countLocked brings e's place in the window up to date with its record.
@@ -490,63 +482,60 @@ func (t *Table) Len() int {
 	return len(t.jobs)
 }
 
-// Mutation describes a state update applied by Transition.
-type Mutation struct {
-	State    State
-	ExitCode int // kept only by a terminal state
-	Error    string
-	Stdout   *string // nil leaves unchanged
-	Stderr   *string
-	Restarts *int
-	// WillRestart marks a FAILED that a restart will follow: the job is
-	// not finished, so it cannot be forgotten before its next PENDING.
-	WillRestart bool
-	// Resumed marks the PENDING with which recovery re-queues an
-	// unfinished job: the attempt it was in ended with the process that
-	// ran it, so the job may leave any state short of finished.
-	Resumed bool
+// Transition applies state record e, a live change of e.Contact's job, if
+// the state machine allows it, and notifies subscribers. The job's record
+// ends as Apply leaves it for e: the journal writes e, and a follower or a
+// recovery folds it. A record whose restart count is below the job's is
+// refused, so a change made during an earlier attempt cannot hand a job
+// its spent restarts back.
+func (t *Table) Transition(e Entry) (Event, error) {
+	return t.transition(e, false)
 }
 
-// Transition applies a validated state change and notifies subscribers.
-// It leaves the record as Apply leaves it for StateEntry(event, m).
-func (t *Table) Transition(contact string, m Mutation, now time.Time) (Event, error) {
+// Resume is Transition for the PENDING with which recovery re-queues an
+// unfinished job: the attempt the job was in ended with the process that
+// ran it, so the job may leave any state short of finished, and recovery
+// sets the attempt it resumes from.
+func (t *Table) Resume(e Entry) (Event, error) {
+	return t.transition(e, true)
+}
+
+func (t *Table) transition(e Entry, resume bool) (Event, error) {
+	if e.Kind != KindState {
+		return Event{}, fmt.Errorf("job: a kind %d record is no transition", e.Kind)
+	}
+	st, err := ParseState(e.State)
+	if err != nil {
+		return Event{}, err
+	}
 	t.mu.Lock()
-	e, ok := t.jobs[contact]
+	ent, ok := t.jobs[e.Contact]
 	if !ok {
 		t.mu.Unlock()
-		return Event{}, t.missing(contact)
+		return Event{}, t.missing(e.Contact)
 	}
-	if from := e.rec.State; !validTransition(from, m.State) && !(m.Resumed && m.State == Pending && !e.finished) {
+	rec := &ent.rec
+	allowed := validTransition(rec.State, st) && e.Restarts >= rec.Restarts
+	if resume {
+		allowed = st == Pending && !ent.finished
+	}
+	if !allowed {
 		t.mu.Unlock()
-		return Event{}, fmt.Errorf("job: invalid transition %s -> %s for %q", from, m.State, contact)
+		return Event{}, fmt.Errorf("job: invalid transition %s (restarts %d) -> %s (restarts %d) for %q",
+			rec.State, rec.Restarts, st, e.Restarts, e.Contact)
 	}
-	e.rec.State = m.State
-	if m.State.Terminal() {
-		e.rec.ExitCode = m.ExitCode
-	}
-	e.rec.Error = m.Error
-	e.rec.WillRestart = m.WillRestart
-	e.rec.Updated = now
-	if m.Stdout != nil {
-		e.rec.Stdout = *m.Stdout
-	}
-	if m.Stderr != nil {
-		e.rec.Stderr = *m.Stderr
-	}
-	if m.Restarts != nil {
-		e.rec.Restarts = *m.Restarts
-	}
+	rec.setState(st, &e)
 	ev := Event{
-		Contact:  contact,
-		State:    e.rec.State,
-		ExitCode: e.rec.ExitCode,
-		Error:    e.rec.Error,
-		Restarts: e.rec.Restarts,
-		Time:     now,
+		Contact:  e.Contact,
+		State:    st,
+		ExitCode: rec.ExitCode,
+		Error:    rec.Error,
+		Restarts: rec.Restarts,
+		Time:     rec.Updated,
 	}
-	subs := make([]chan Event, len(e.subs))
-	copy(subs, e.subs)
-	t.countLocked(e)
+	subs := make([]chan Event, len(ent.subs))
+	copy(subs, ent.subs)
+	t.countLocked(ent)
 	t.mu.Unlock()
 
 	for _, ch := range subs {

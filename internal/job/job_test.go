@@ -45,6 +45,11 @@ func TestTerminal(t *testing.T) {
 	}
 }
 
+// to is the state record moving contact's job to st, stamped now.
+func to(contact string, st State) Entry {
+	return Entry{Kind: KindState, Time: now.UnixNano(), Contact: contact, State: st.String()}
+}
+
 func newJob(t *testing.T, tbl *Table) string {
 	t.Helper()
 	contact := tbl.NewContact(now)
@@ -61,7 +66,7 @@ func TestLifecycle(t *testing.T) {
 
 	steps := []State{Pending, Active, Done}
 	for _, st := range steps {
-		if _, err := tbl.Transition(contact, Mutation{State: st}, now); err != nil {
+		if _, err := tbl.Transition(to(contact, st)); err != nil {
 			t.Fatalf("to %s: %v", st, err)
 		}
 	}
@@ -88,7 +93,7 @@ func TestInvalidTransitions(t *testing.T) {
 	for _, c := range bad {
 		contact := newJob(t, tbl)
 		walkTo(t, tbl, contact, c.from)
-		if _, err := tbl.Transition(contact, Mutation{State: c.to}, now); err == nil {
+		if _, err := tbl.Transition(to(contact, c.to)); err == nil {
 			t.Errorf("transition %s -> %s allowed", c.from, c.to)
 		}
 	}
@@ -112,7 +117,7 @@ func walkTo(t *testing.T, tbl *Table, contact string, target State) {
 		path = []State{Pending, Failed}
 	}
 	for _, st := range path {
-		if _, err := tbl.Transition(contact, Mutation{State: st}, now); err != nil {
+		if _, err := tbl.Transition(to(contact, st)); err != nil {
 			t.Fatalf("walk to %s: %v", st, err)
 		}
 	}
@@ -123,8 +128,9 @@ func TestFailedRestartsToPending(t *testing.T) {
 	tbl := NewTable("h:1")
 	contact := newJob(t, tbl)
 	walkTo(t, tbl, contact, Failed)
-	restarts := 1
-	ev, err := tbl.Transition(contact, Mutation{State: Pending, Restarts: &restarts}, now)
+	restart := to(contact, Pending)
+	restart.Restarts = 1
+	ev, err := tbl.Transition(restart)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
@@ -137,7 +143,7 @@ func TestSuspendResume(t *testing.T) {
 	tbl := NewTable("h:1")
 	contact := newJob(t, tbl)
 	walkTo(t, tbl, contact, Suspended)
-	if _, err := tbl.Transition(contact, Mutation{State: Active}, now); err != nil {
+	if _, err := tbl.Transition(to(contact, Active)); err != nil {
 		t.Errorf("resume: %v", err)
 	}
 }
@@ -146,11 +152,11 @@ func TestTransitionUpdatesRecord(t *testing.T) {
 	tbl := NewTable("h:1")
 	contact := newJob(t, tbl)
 	walkTo(t, tbl, contact, Active)
-	stdout, stderr := "out", "err"
 	later := now.Add(time.Minute)
-	if _, err := tbl.Transition(contact, Mutation{
-		State: Done, ExitCode: 0, Stdout: &stdout, Stderr: &stderr,
-	}, later); err != nil {
+	if _, err := tbl.Transition(Entry{
+		Kind: KindState, Time: later.UnixNano(), Contact: contact,
+		State: "DONE", ExitCode: intp(0), Stdout: strp("out"), Stderr: strp("err"),
+	}); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ := tbl.Get(contact)
@@ -164,7 +170,7 @@ func TestUnknownContact(t *testing.T) {
 	if _, err := tbl.Get("gram://nope/1/2"); err == nil {
 		t.Error("Get unknown succeeded")
 	}
-	if _, err := tbl.Transition("gram://nope/1/2", Mutation{State: Pending}, now); err == nil {
+	if _, err := tbl.Transition(to("gram://nope/1/2", Pending)); err == nil {
 		t.Error("Transition unknown succeeded")
 	}
 	if _, _, err := tbl.Subscribe("gram://nope/1/2"); err == nil {
@@ -245,8 +251,8 @@ func TestSlowSubscriberDoesNotBlock(t *testing.T) {
 		defer close(done)
 		walkTo(t, tbl, contact, Active)
 		for i := 0; i < 100; i++ {
-			_, _ = tbl.Transition(contact, Mutation{State: Suspended}, now)
-			_, _ = tbl.Transition(contact, Mutation{State: Active}, now)
+			_, _ = tbl.Transition(to(contact, Suspended))
+			_, _ = tbl.Transition(to(contact, Active))
 		}
 	}()
 	select {
@@ -283,7 +289,7 @@ func TestConcurrentTransitions(t *testing.T) {
 				contact := tbl.NewContact(now)
 				tbl.Apply(Entry{Kind: KindSubmit, Contact: contact})
 				for _, st := range []State{Pending, Active, Done} {
-					if _, err := tbl.Transition(contact, Mutation{State: st}, now); err != nil {
+					if _, err := tbl.Transition(to(contact, st)); err != nil {
 						t.Error(err)
 						return
 					}

@@ -13,7 +13,9 @@ func finishJob(t *testing.T, tbl *Table, i int) string {
 	t.Helper()
 	c := newJob(t, tbl)
 	for _, st := range []State{Pending, Done} {
-		if _, err := tbl.Transition(c, Mutation{State: st}, now.Add(time.Duration(i)*time.Second)); err != nil {
+		e := to(c, st)
+		e.Time = now.Add(time.Duration(i) * time.Second).UnixNano()
+		if _, err := tbl.Transition(e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -27,7 +29,9 @@ func TestTableKeepsFinishedWindow(t *testing.T) {
 	tbl := NewTable("h:1")
 	live := newJob(t, tbl)
 	restarting := newJob(t, tbl)
-	if _, err := tbl.Transition(restarting, Mutation{State: Failed, Error: "exit code 1 (will restart)", WillRestart: true}, now); err != nil {
+	failed := to(restarting, Failed)
+	failed.ExitCode, failed.Error, failed.WillRestart = intp(1), "exit code 1 (will restart)", true
+	if _, err := tbl.Transition(failed); err != nil {
 		t.Fatal(err)
 	}
 	var done []string
@@ -51,13 +55,13 @@ func TestTableKeepsFinishedWindow(t *testing.T) {
 	if !errors.Is(err, ErrExpired) || err.Error() != fmt.Sprintf("job: contact %q expired", oldest) {
 		t.Errorf("Get(forgotten) = %v; want ErrExpired", err)
 	}
-	if _, err := tbl.Transition(oldest, Mutation{State: Done}, now); !errors.Is(err, ErrExpired) {
+	if _, err := tbl.Transition(to(oldest, Done)); !errors.Is(err, ErrExpired) {
 		t.Errorf("Transition(forgotten) = %v; want ErrExpired", err)
 	}
 	if _, _, err := tbl.Subscribe(oldest); !errors.Is(err, ErrExpired) {
 		t.Errorf("Subscribe(forgotten) = %v; want ErrExpired", err)
 	}
-	if _, err := tbl.Transition(restarting, Mutation{State: Pending}, now); err != nil {
+	if _, err := tbl.Transition(to(restarting, Pending)); err != nil {
 		t.Errorf("restart after the cut: %v", err)
 	}
 }

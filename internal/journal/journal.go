@@ -193,9 +193,9 @@ const (
 )
 
 // Journal is an open write-ahead journal. All methods are safe for
-// concurrent use, and all but Transition, which needs the journal's
-// table, are safe on a nil receiver (no-ops), so callers need few "is
-// durability enabled" branches.
+// concurrent use, and all but Transition and Resume, which need the
+// journal's table, are safe on a nil receiver (no-ops), so callers need
+// few "is durability enabled" branches.
 type Journal struct {
 	opts Options
 
@@ -355,22 +355,38 @@ func (j *Journal) append(ctx context.Context, e Entry) error {
 	return j.commitLocked(ctx, e, true)
 }
 
-// Transition applies a validated state change to the table (see
-// job.Table.Transition) and journals its record, both under the journal
-// lock, so the table and the journal see transitions in one order. A
-// record that only repeats what recovery infers from the submission is
-// not journaled (see recoveryNeutral). The returned error is the table's:
-// a record that fails to append is counted and the transition stands —
-// the submission is durable, and recovery re-runs a job whose tail
-// transitions are missing. Like Append, it records a "journal.append" span.
-func (j *Journal) Transition(ctx context.Context, contact string, m job.Mutation, now time.Time) (job.Event, error) {
+// Transition applies state record e to the table (see
+// job.Table.Transition) and journals that same record, both under the
+// journal lock, so the table and the journal see transitions in one
+// order. A record that only repeats what recovery infers from the
+// submission is not journaled (see recoveryNeutral). The returned error is
+// the table's: a record that fails to append is counted and the transition
+// stands — the submission is durable, and recovery re-runs a job whose
+// tail transitions are missing. Like Append, it records a "journal.append"
+// span.
+func (j *Journal) Transition(ctx context.Context, e Entry) (job.Event, error) {
+	return j.transition(ctx, e, false)
+}
+
+// Resume is Transition for the PENDING with which recovery re-queues an
+// unfinished job (see job.Table.Resume).
+func (j *Journal) Resume(ctx context.Context, e Entry) (job.Event, error) {
+	return j.transition(ctx, e, true)
+}
+
+func (j *Journal) transition(ctx context.Context, e Entry, resume bool) (job.Event, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	ev, err := j.table.Transition(contact, m, now)
+	var ev job.Event
+	var err error
+	if resume {
+		ev, err = j.table.Resume(e)
+	} else {
+		ev, err = j.table.Transition(e)
+	}
 	if err != nil {
 		return ev, err
 	}
-	e := job.StateEntry(ev, m)
 	if recoveryNeutral(e) {
 		return ev, nil
 	}

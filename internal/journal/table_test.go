@@ -193,3 +193,58 @@ func TestAppendAllocations(t *testing.T) {
 		t.Errorf("a DONE append allocates %.0f; want 0", got)
 	}
 }
+
+// A live transition allocates only what its record asks for: journaling a
+// DONE through Transition costs what the table's own Transition does, and
+// the table, with or without a journal, builds no second record.
+func TestTransitionAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const runs = 500
+	exit, out := 0, "ok"
+	queued := func(apply func(Entry) error) []Entry {
+		dones := make([]Entry, runs+1)
+		for i := range dones {
+			c := fmt.Sprintf("gram://site:1/%d/1", i+1)
+			for _, e := range []Entry{
+				{Kind: KindSubmit, Time: 1, Contact: c, Spec: "&(executable=noop)(jobtype=func)"},
+				{Kind: KindState, Time: 2, Contact: c, State: "PENDING"},
+			} {
+				if err := apply(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dones[i] = Entry{Kind: KindState, Time: 3, Contact: c, State: "DONE", ExitCode: &exit, Stdout: &out}
+		}
+		return dones
+	}
+
+	j, _ := openTestJournal(t, t.TempDir(), func(o *Options) { o.SnapshotEvery = -1 })
+	ctx := context.Background()
+	dones := queued(func(e Entry) error {
+		if e.Kind == KindSubmit {
+			return j.Append(ctx, e)
+		}
+		_, err := j.Transition(ctx, e)
+		return err
+	})
+	i := 0
+	if got := testing.AllocsPerRun(runs, func() { _, _ = j.Transition(ctx, dones[i]); i++ }); got != 0 {
+		t.Errorf("a journaled DONE transition allocates %.0f; want 0", got)
+	}
+
+	tbl := job.NewTable("site:1")
+	dones = queued(func(e Entry) error {
+		if e.Kind == KindSubmit {
+			tbl.Apply(e)
+			return nil
+		}
+		_, err := tbl.Transition(e)
+		return err
+	})
+	i = 0
+	if got := testing.AllocsPerRun(runs, func() { _, _ = tbl.Transition(dones[i]); i++ }); got != 0 {
+		t.Errorf("a DONE transition allocates %.0f; want 0", got)
+	}
+}

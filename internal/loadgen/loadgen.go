@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -593,25 +592,4 @@ func (g *Generator) issue(ctx context.Context, client *core.Client, verb, query,
 	default:
 		return client.PingContext(ctx)
 	}
-}
-
-// Curve runs one generator per rate, serially, and returns the reports in
-// rate order — the users-vs-throughput experiment as a library call.
-func Curve(ctx context.Context, base Config, rates []float64) []Report {
-	sorted := append([]float64(nil), rates...)
-	sort.Float64s(sorted)
-	out := make([]Report, 0, len(sorted))
-	for _, r := range sorted {
-		if ctx.Err() != nil {
-			break
-		}
-		cfg := base
-		cfg.Rate = r
-		g, err := New(cfg)
-		if err != nil {
-			continue
-		}
-		out = append(out, g.Run(ctx))
-	}
-	return out
 }

@@ -121,9 +121,6 @@ func (sb *Sandbox) Alloc(n int64) error {
 // Steps returns the accounted work units.
 func (sb *Sandbox) Steps() int64 { return sb.steps.Load() }
 
-// Allocated returns the accounted allocation bytes.
-func (sb *Sandbox) Allocated() int64 { return sb.alloc.Load() }
-
 // Printf appends formatted text to the job's stdout.
 func (sb *Sandbox) Printf(format string, args ...any) {
 	sb.outMu.Lock()

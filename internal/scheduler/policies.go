@@ -107,6 +107,12 @@ func (f *Fairshare) Usage(owner string) float64 {
 	return f.usage[owner]
 }
 
+// BatchSlots is the slot count of the batch queue ("pbs") that the
+// gram-server and infogram-server commands run, so the two-protocol
+// deployment (Figure 2) and InfoGram's (Figure 4) put jobs through the
+// same queue.
+const BatchSlots = 4
+
 // NewPBS builds a PBS-style backend: FIFO dispatch over named queues with
 // walltime limits.
 func NewPBS(slots int, queues map[string]QueueLimits, exec Backend) *Queue {

@@ -171,15 +171,6 @@ func (s *Span) End() {
 	s.tracer.finish(s, s.tracer.now())
 }
 
-// EndAt is End with a caller-supplied completion time, for call sites
-// that already measured the operation on their own clock.
-func (s *Span) EndAt(end time.Time) {
-	if s == nil || !s.ended.CompareAndSwap(false, true) {
-		return
-	}
-	s.tracer.finish(s, end)
-}
-
 type spanKey struct{}
 
 // ContextWithSpan returns a context carrying the span as the current

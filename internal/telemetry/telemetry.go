@@ -27,7 +27,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -571,13 +570,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// SortLabels orders labels by key, normalizing instances created from
-// differently-ordered label lists. Exposed for providers that render
-// snapshots deterministically.
-func SortLabels(labels []Label) []Label {
-	out := append([]Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }

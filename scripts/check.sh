@@ -50,7 +50,7 @@ go test -race -count=1 \
 # cuts and resumed jobs against one another.
 echo "== one job store: retention, restarts, cuts, recovery (-race) =="
 go test -race -count=1 \
-	-run '^(TestTableKeepsFinishedWindow|TestApplyStaleRecordCannotReviveFinishedJob|TestTransitionAndApplyAgree|TestFoldForgetsOldestFinishedAcrossSnapshot|TestSubscribeCutKeepsFollowerInStep|TestWillRestartFailureIsNeverForgotten|TestSubscribeCutIsConsistent|TestSubscribeCutRoundTrip|TestLegacyJournalRecoversUnchanged|TestSnapshotLastIDKeepsEvictedContactExpired|TestStaleRecordAfterFinishStaysFinishedOnRecovery|TestRetentionBoundsJobHistory|TestTableAndJournalAgreeWhenFinishesCross|TestRestartOutlivesTheWindow|TestRefusedSubmitIsInNoCopy|TestRecoverySnapshotsLoseNoJob|TestStaleRecordIsNotResumed|TestFollowerInterruptedResyncKeepsJournal|TestFollowerKeepsStaleRecordFromReviving)$' \
+	-run '^(TestTableKeepsFinishedWindow|TestApplyStaleRecordCannotReviveFinishedJob|TestTransitionAndApplyAgree|TestFoldForgetsOldestFinishedAcrossSnapshot|TestSubscribeCutKeepsFollowerInStep|TestWillRestartFailureIsNeverForgotten|TestSubscribeCutIsConsistent|TestSubscribeCutRoundTrip|TestLegacyJournalRecoversUnchanged|TestSnapshotLastIDKeepsEvictedContactExpired|TestStaleRecordAfterFinishStaysFinishedOnRecovery|TestRetentionBoundsJobHistory|TestTableAndJournalAgreeWhenFinishesCross|TestRestartOutlivesTheWindow|TestRefusedSubmitIsInNoCopy|TestRecoverySnapshotsLoseNoJob|TestStaleRecordIsNotResumed|TestFollowerInterruptedResyncKeepsJournal|TestFollowerKeepsStaleRecordFromReviving|TestTransitionRefusesFewerRestarts|TestSuspendOnSecondAttemptKeepsRestarts)$' \
 	./internal/job/ ./internal/journal/ ./internal/gram/ ./internal/cluster/
 
 # CHECK_FUZZTIME extends the per-target fuzz budget (e.g. the nightly CI
