@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"infogram/internal/bootstrap"
@@ -94,12 +95,15 @@ func main() {
 	fmt.Printf("gram: serving GRAMP on %s (jobs only; pair with mds-server for information)\n", bound)
 
 	if replayed > 0 {
-		contacts, err := svc.RecoverJournal(recovered)
+		resumed, failed, err := svc.RecoverJournal(recovered)
 		if err != nil {
 			log.Printf("recover: %v", err)
 		}
-		fmt.Printf("gram: journal replayed %d job(s) from %s (%d resumed)\n",
-			replayed, *stateDir, len(contacts))
+		fmt.Printf("gram: journal replayed %d job(s) from %s (%d resumed)", replayed, *stateDir, len(resumed))
+		if len(failed) > 0 {
+			fmt.Printf(", %d failed at recovery: %s", len(failed), strings.Join(failed, " "))
+		}
+		fmt.Println()
 	}
 
 	if *metrics != "" {

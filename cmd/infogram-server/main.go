@@ -215,12 +215,15 @@ func main() {
 		name, bound, registry.Len(), mode)
 
 	if replayed > 0 {
-		contacts, err := svc.RecoverJournal(recovered)
+		resumed, failed, err := svc.RecoverJournal(recovered)
 		if err != nil {
 			log.Printf("recover: %v", err)
 		}
-		fmt.Printf("infogram: journal replayed %d job(s) from %s (%d resumed)\n",
-			replayed, *stateDir, len(contacts))
+		fmt.Printf("infogram: journal replayed %d job(s) from %s (%d resumed)", replayed, *stateDir, len(resumed))
+		if len(failed) > 0 {
+			fmt.Printf(", %d failed at recovery: %s", len(failed), strings.Join(failed, " "))
+		}
+		fmt.Println()
 	}
 
 	if *metrics != "" {

@@ -171,8 +171,10 @@ func TestMaxInflightShedsUnderOverload(t *testing.T) {
 func TestSubmitBacklogRejects(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
+	started := make(chan struct{}, 2) // one per job that reaches the slot
 	fn := scheduler.NewFunc(scheduler.TrustedMode, scheduler.Budgets{})
 	fn.RegisterFunc("block", func(ctx context.Context, sb *scheduler.Sandbox, args []string, stdin string) (string, error) {
+		started <- struct{}{}
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -192,11 +194,19 @@ func TestSubmitBacklogRejects(t *testing.T) {
 	defer cl.Close()
 
 	const job = "&(executable=block)(jobtype=queue)"
-	// Job 1 occupies the slot, job 2 the backlog.
-	for i := 0; i < 2; i++ {
-		if _, err := cl.Submit(job); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
+	// Job 1 occupies the slot, job 2 the backlog. Job 2 is submitted only
+	// once job 1 runs: while job 1 still waits in the queue it is the
+	// backlog, and job 2 would be refused.
+	if _, err := cl.Submit(job); err != nil {
+		t.Fatalf("submit 0: %v", err)
+	}
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("job 1 never reached the slot")
+	}
+	if _, err := cl.Submit(job); err != nil {
+		t.Fatalf("submit 1: %v", err)
 	}
 	// Backend submission is asynchronous (the manager goroutine selects
 	// the backend); wait for the backlog to be observable.

@@ -200,11 +200,14 @@ func (c *Client) connect(ctx context.Context) (*session.Client, error) {
 	})
 }
 
+// callCtx bounds one exchange by RequestTimeout. Without one the caller's
+// context is the bound, used as it is: wrapping it would only give the
+// wire layer a cancellation to watch on every frame.
 func (c *Client) callCtx(parent context.Context) (context.Context, context.CancelFunc) {
 	if c.opts.RequestTimeout > 0 {
 		return context.WithTimeout(parent, c.opts.RequestTimeout)
 	}
-	return context.WithCancel(parent)
+	return parent, func() {}
 }
 
 // Server returns the authenticated server identity.

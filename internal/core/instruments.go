@@ -65,6 +65,10 @@ func newInstruments(tel *telemetry.Registry) *instruments {
 				BytesRead:    tel.Counter("infogram_wire_bytes_read_total", "protocol bytes read from clients, framing included"),
 				BytesWritten: tel.Counter("infogram_wire_bytes_written_total", "protocol bytes written to clients, framing included"),
 				FrameErrors:  tel.Counter("infogram_wire_frame_errors_total", "malformed or oversized protocol frames"),
+				UnboundedReads: tel.Counter("infogram_wire_unbounded_ops_total", "frame reads and writes that ran with no deadline and no cancellation",
+					telemetry.Label{Key: "dir", Value: "read"}),
+				UnboundedWrites: tel.Counter("infogram_wire_unbounded_ops_total", "frame reads and writes that ran with no deadline and no cancellation",
+					telemetry.Label{Key: "dir", Value: "write"}),
 			},
 			AuthOK:      tel.Counter("infogram_auth_total", "GSI handshake outcomes", telemetry.Label{Key: "outcome", Value: "ok"}),
 			AuthFailed:  tel.Counter("infogram_auth_total", "GSI handshake outcomes", telemetry.Label{Key: "outcome", Value: "failed"}),

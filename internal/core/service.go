@@ -363,13 +363,13 @@ func (s *Service) GRIS() *mds.GRIS {
 // the last journaled checkpoint with their remaining restart budget, and
 // those that cannot be re-attached are failed with a "recovery:"
 // annotation. Call it after Listen and before serving traffic; it returns
-// the contacts of the resumed jobs.
-func (s *Service) RecoverJournal(rec *journal.Recovered) ([]string, error) {
+// the contacts of the resumed jobs and of those failed at recovery.
+func (s *Service) RecoverJournal(rec *journal.Recovered) (resumed, failed []string, err error) {
 	s.mu.Lock()
 	m := s.manager
 	s.mu.Unlock()
 	if m == nil {
-		return nil, fmt.Errorf("core: RecoverJournal before Listen")
+		return nil, nil, fmt.Errorf("core: RecoverJournal before Listen")
 	}
 	return m.RecoverJournal(rec, s.env)
 }
@@ -415,7 +415,7 @@ func (s *Service) dispatch(ctx context.Context, sp *session.Peer, f wire.Frame) 
 		}
 	}
 	elapsed := s.cfg.Clock.Now().Sub(start)
-	s.instr.requestLatency(f.Verb).ObserveTrace(elapsed, telemetry.TraceFrom(ctx))
+	s.instr.requestLatency(f.Verb).ObserveRef(elapsed, telemetry.RefFrom(ctx))
 	s.instr.inFlight.Dec()
 	return resp
 }

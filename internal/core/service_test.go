@@ -588,7 +588,7 @@ func TestRestartRecovery(t *testing.T) {
 	g2.fn.RegisterFunc("block", func(ctx context.Context, sb *scheduler.Sandbox, args []string, stdin string) (string, error) {
 		return "recovered-run", nil
 	})
-	contacts, err := g2.svc.RecoverJournal(rec)
+	contacts, _, err := g2.svc.RecoverJournal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +665,7 @@ func TestCheckpointResume(t *testing.T) {
 	g2.fn.RegisterFunc("phased", func(ctx context.Context, sb *scheduler.Sandbox, args []string, stdin string) (string, error) {
 		return "resumed-from-checkpoint:" + sb.Restored(), nil
 	})
-	contacts, err := g2.svc.RecoverJournal(rec)
+	contacts, _, err := g2.svc.RecoverJournal(rec)
 	if err != nil || len(contacts) != 1 {
 		t.Fatalf("recovered %d (%v)", len(contacts), err)
 	}
@@ -720,7 +720,7 @@ func TestRecoveredRestartIsAccountedOnce(t *testing.T) {
 	g2.fn.RegisterFunc("flaky", func(ctx context.Context, sb *scheduler.Sandbox, args []string, stdin string) (string, error) {
 		return "recovered-run", nil
 	})
-	if _, err := g2.svc.RecoverJournal(rec); err != nil {
+	if _, _, err := g2.svc.RecoverJournal(rec); err != nil {
 		t.Fatal(err)
 	}
 	if st := waitTerminal(t, g2, contact); st.State != job.Done || st.Restarts != 1 {
@@ -780,7 +780,7 @@ func TestRecoverJournalUndecodableSpecFails(t *testing.T) {
 	const contact = "gram://old.host:1/8/1234"
 	jnl, rec := crashState(t, contact, "&(executable=")
 	g := newTestGridConfig(t, provider.NewRegistry(nil), nil, withJournal(jnl))
-	resumed, err := g.svc.RecoverJournal(rec)
+	resumed, _, err := g.svc.RecoverJournal(rec)
 	if err != nil || len(resumed) != 0 {
 		t.Fatalf("RecoverJournal = %v, %v; want nothing resumed and no error", resumed, err)
 	}
@@ -794,7 +794,7 @@ func TestRecoverBeforeListenIsAnError(t *testing.T) {
 	jnl, rec := crashState(t, "gram://old.host:1/9/1234", "&(executable=hello)(jobtype=func)")
 	defer jnl.Close()
 	svc := core.NewService(core.Config{ResourceName: "unbound", Registry: provider.NewRegistry(nil), Journal: jnl})
-	if _, err := svc.RecoverJournal(rec); err == nil {
+	if _, _, err := svc.RecoverJournal(rec); err == nil {
 		t.Error("RecoverJournal before Listen succeeded; want an error")
 	}
 }

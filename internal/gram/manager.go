@@ -188,7 +188,6 @@ func (m *Manager) submit(ctx context.Context, req *xrsl.JobRequest, rec job.Reco
 		}
 	}
 	now := m.cfg.Clock.Now()
-	trace := telemetry.TraceFrom(ctx)
 	if rec.Contact == "" {
 		rec.Contact = m.cfg.Table.NewContact(now)
 	} else if _, err := m.cfg.Table.Get(rec.Contact); err == nil {
@@ -213,23 +212,18 @@ func (m *Manager) submit(ctx context.Context, req *xrsl.JobRequest, rec job.Reco
 	if err := m.transition(ctx, req, job.Entry{Contact: rec.Contact, State: job.Pending.String()}); err != nil {
 		return "", err
 	}
-	// The job context deliberately detaches from the request context: the
-	// job outlives the connection that submitted it. The trace ID and the
-	// spawn span are carried over so the job's later spans stay
-	// correlatable and parent under the submit that launched them.
-	base := telemetry.WithTrace(context.Background(), trace)
-	if sp := telemetry.SpanFrom(ctx); sp != nil {
-		base = telemetry.ContextWithSpan(base, sp)
-	}
-	m.launch(base, rec.Contact, req, 0)
+	m.launch(ctx, rec.Contact, req, 0)
 	m.cfg.SpawnLatency.Observe(m.cfg.Clock.Now().Sub(now))
 	return rec.Contact, nil
 }
 
-// launch starts the manager goroutine of contact's job at attempt start,
-// under a cancellable child of base.
-func (m *Manager) launch(base context.Context, contact string, req *xrsl.JobRequest, start int) {
-	jobCtx, cancel := context.WithCancel(base)
+// launch starts the manager goroutine of contact's job at attempt start.
+// The job context deliberately detaches from the request context: the job
+// outlives the request that submitted it, whose context the session
+// reuses. The trace and the spawn span are copied over so the job's later
+// spans stay correlatable and parent under the submit that launched them.
+func (m *Manager) launch(ctx context.Context, contact string, req *xrsl.JobRequest, start int) {
+	jobCtx, cancel := telemetry.Detach(ctx)
 	m.mu.Lock()
 	m.cancels[contact] = cancel
 	m.mu.Unlock()
@@ -293,7 +287,7 @@ func (m *Manager) change(ctx context.Context, req *xrsl.JobRequest, e job.Entry,
 	if err != nil {
 		return err
 	}
-	_ = m.cfg.Log.AppendEntry(e, string(telemetry.TraceFrom(ctx))) // logging failures must not break job flow
+	m.audit(ctx, e)
 	if m.cfg.Notify != nil && req != nil && req.CallbackContact != "" {
 		m.cfg.Notify.Notify(req.CallbackContact, ev)
 	}
@@ -312,9 +306,17 @@ func (m *Manager) record(ctx context.Context, e job.Entry) error {
 		m.cfg.Table.Apply(e)
 	}
 	if err == nil || e.Kind != job.KindSubmit {
-		_ = m.cfg.Log.AppendEntry(e, string(telemetry.TraceFrom(ctx))) // logging failures must not break job flow
+		m.audit(ctx, e)
 	}
 	return err
+}
+
+// audit hands e to the audit log, when there is one, with the trace it
+// was made under; logging failures must not break job flow.
+func (m *Manager) audit(ctx context.Context, e job.Entry) {
+	if m.cfg.Log != nil {
+		_ = m.cfg.Log.AppendEntry(e, string(telemetry.TraceFrom(ctx)))
+	}
 }
 
 // run is the per-job manager: it executes the job with fault-tolerant
@@ -629,27 +631,27 @@ func (m *Manager) fail(ctx context.Context, contact string, req *xrsl.JobRequest
 // budget), so the interrupted attempt is re-run rather than the job
 // gaining a fresh budget; a job journaled as a FAILED that will restart
 // starts at the attempt after it. The submission is not re-journaled
-// here: the journal it was replayed from already holds it.
-func (m *Manager) Resume(req *xrsl.JobRequest, rec job.Record) error {
+// here: the journal it was replayed from already holds it. It reports
+// false, with a nil error, when the job's backend does not exist in this
+// process: the job cannot be re-attached, so it is failed instead.
+func (m *Manager) Resume(req *xrsl.JobRequest, rec job.Record) (bool, error) {
 	start := rec.Restarts
 	if rec.WillRestart {
 		start++
 	}
 	start = max(0, min(start, req.Restart))
 	if _, err := m.cfg.Backends.Select(req.JobType); err != nil {
-		// The backend the job ran on does not exist in this process: it
-		// cannot be re-attached, only reported.
 		m.fail(context.Background(), rec.Contact, req, scheduler.Result{}, -1,
 			"recovery: "+err.Error(), start, false)
-		return nil
+		return false, nil
 	}
 	if err := m.change(context.Background(), req, job.Entry{
 		Contact: rec.Contact, State: job.Pending.String(), Restarts: start,
 	}, true); err != nil {
-		return err
+		return false, err
 	}
 	m.launch(context.Background(), rec.Contact, req, start)
-	return nil
+	return true, nil
 }
 
 // RecoverJournal is the one restart path. The journal has already
@@ -658,20 +660,21 @@ func (m *Manager) Resume(req *xrsl.JobRequest, rec job.Record) error {
 // their original contacts, from their last journaled checkpoint and with
 // their remaining restart budget. Jobs whose spec no longer decodes — or
 // whose backend is absent — are failed with a "recovery:" annotation
-// instead of vanishing. It returns the contacts of the jobs resumed, and
-// may run once.
-func (m *Manager) RecoverJournal(rec *journal.Recovered, envFor func(owner string) rsl.Env) ([]string, error) {
+// instead of vanishing. It returns the contacts of the jobs resumed and,
+// separately, of those failed at recovery, counts only the resumed ones,
+// and may run once.
+func (m *Manager) RecoverJournal(rec *journal.Recovered, envFor func(owner string) rsl.Env) (resumed, failed []string, err error) {
 	if rec == nil {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if !m.recovered.CompareAndSwap(false, true) {
-		return nil, errors.New("gram: journal already recovered")
+		return nil, nil, errors.New("gram: journal already recovered")
 	}
-	var resumed []string
+	defer func() { m.cfg.Journal.NoteRecovered(len(resumed)) }()
 	for _, contact := range rec.Unfinished {
 		js, err := m.cfg.Table.Get(contact)
 		if err != nil {
-			return resumed, fmt.Errorf("gram: recover %q: %w", contact, err)
+			return resumed, failed, fmt.Errorf("gram: recover %q: %w", contact, err)
 		}
 		req, err := xrsl.DecodeOne(js.Spec, envFor(js.Owner))
 		if err != nil || req.Kind != xrsl.KindJob {
@@ -680,15 +683,20 @@ func (m *Manager) RecoverJournal(rec *journal.Recovered, envFor func(owner strin
 				msg = "recovery: " + err.Error()
 			}
 			m.fail(context.Background(), contact, nil, scheduler.Result{}, -1, msg, js.Restarts, false)
+			failed = append(failed, contact)
 			continue
 		}
 		// Resume from the last checkpoint the crashed run journaled (§10).
 		req.Job.Checkpoint = js.Checkpoint
-		if err := m.Resume(req.Job, js); err != nil {
-			return resumed, fmt.Errorf("gram: recover %q: %w", contact, err)
+		ok, err := m.Resume(req.Job, js)
+		if err != nil {
+			return resumed, failed, fmt.Errorf("gram: recover %q: %w", contact, err)
 		}
-		resumed = append(resumed, contact)
+		if ok {
+			resumed = append(resumed, contact)
+		} else {
+			failed = append(failed, contact)
+		}
 	}
-	m.cfg.Journal.NoteRecovered(len(rec.Unfinished))
-	return resumed, nil
+	return resumed, failed, nil
 }

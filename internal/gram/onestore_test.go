@@ -17,6 +17,7 @@ import (
 	"infogram/internal/journal"
 	"infogram/internal/rsl"
 	"infogram/internal/scheduler"
+	"infogram/internal/telemetry"
 )
 
 // A SUBMIT the journal refuses never enters the table, so no snapshot and
@@ -173,7 +174,7 @@ func TestRecoverySnapshotsLoseNoJob(t *testing.T) {
 		Journal:  jnl,
 		Notify:   gram.NotifierFunc(func(string, job.Event) { snapshot() }),
 	})
-	resumed, err := m.RecoverJournal(rec, func(string) rsl.Env { snapshot(); return nil })
+	resumed, _, err := m.RecoverJournal(rec, func(string) rsl.Env { snapshot(); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestStaleRecordIsNotResumed(t *testing.T) {
 		return "again", nil
 	})
 	m := gram.NewManager(gram.ManagerConfig{Backends: gram.Backends{Func: fn}, Journal: jnl})
-	resumed, err := m.RecoverJournal(rec, func(string) rsl.Env { return nil })
+	resumed, _, err := m.RecoverJournal(rec, func(string) rsl.Env { return nil })
 	if err != nil || len(resumed) != 0 {
 		t.Fatalf("RecoverJournal = %v, %v; want nothing resumed", resumed, err)
 	}
@@ -281,5 +282,66 @@ func TestSubmitRefusesDuplicateContact(t *testing.T) {
 	}
 	if got, _ := r.table.Get(c); got.Owner != "alice" || got.Spec != noopSpec || got.State != job.Done {
 		t.Errorf("the first job became %+v", got)
+	}
+}
+
+// Recovery reports what it did: a journaled job whose backend is absent
+// in the recovering process is failed, listed among the failed and not
+// the resumed, and left out of the recovered-jobs counter, while a job
+// whose backend exists is resumed and counted.
+func TestRecoveryWithoutBackendIsFailedNotResumed(t *testing.T) {
+	dir := t.TempDir()
+	jnl, _, err := journal.Open(journal.Options{Dir: dir, Fsync: journal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queued, funcJob = "gram://site:1/1/1", "gram://site:1/2/1"
+	for _, e := range []journal.Entry{
+		{Kind: journal.KindSubmit, Time: 1, Contact: queued, Spec: "&(executable=noop)(jobtype=queue)"},
+		{Kind: journal.KindState, Time: 2, Contact: queued, State: "PENDING"},
+		{Kind: journal.KindSubmit, Time: 3, Contact: funcJob, Spec: "&(executable=noop)(jobtype=func)"},
+		{Kind: journal.KindState, Time: 4, Contact: funcJob, State: "PENDING"},
+	} {
+		if err := jnl.Append(context.Background(), e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	jnl, rec, err := journal.Open(journal.Options{Dir: dir, Fsync: journal.FsyncNever, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	fn := scheduler.NewFunc(scheduler.TrustedMode, scheduler.Budgets{})
+	fn.RegisterFunc("noop", func(context.Context, *scheduler.Sandbox, []string, string) (string, error) { return "", nil })
+	m := gram.NewManager(gram.ManagerConfig{Backends: gram.Backends{Func: fn}, Journal: jnl})
+	resumed, failed, err := m.RecoverJournal(rec, func(string) rsl.Env { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed) != 1 || resumed[0] != funcJob || len(failed) != 1 || failed[0] != queued {
+		t.Fatalf("RecoverJournal resumed %v, failed %v; want [%s], [%s]", resumed, failed, funcJob, queued)
+	}
+	if got, err := m.Table().Get(queued); err != nil || got.State != job.Failed || !strings.Contains(got.Error, "recovery: ") {
+		t.Errorf("queue job after recovery = %+v (%v); want FAILED with a recovery error", got, err)
+	}
+	counted := int64(-1)
+	for _, p := range reg.Snapshot() {
+		if p.Name == "infogram_journal_recovered_jobs_total" {
+			counted = p.Value
+		}
+	}
+	if counted != 1 {
+		t.Errorf("recovered-jobs counter = %d, want 1", counted)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if got, _ := m.Table().Get(funcJob); got.State == job.Done {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("resumed job = %+v; want DONE", got)
+		}
 	}
 }

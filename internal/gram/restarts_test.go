@@ -157,7 +157,7 @@ func TestSuspendOnSecondAttemptKeepsRestarts(t *testing.T) {
 	}
 	again := &stepBackend{fail: 2}
 	m2 := gram.NewManager(gram.ManagerConfig{Backends: gram.Backends{Func: again}, Journal: reopened})
-	if _, err := m2.RecoverJournal(rec, func(string) rsl.Env { return nil }); err != nil {
+	if _, _, err := m2.RecoverJournal(rec, func(string) rsl.Env { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	for {
@@ -195,7 +195,7 @@ func TestRecoverBeforeListenIsAnError(t *testing.T) {
 	}
 	defer jnl.Close()
 	svc := gram.NewService(gram.Config{Journal: jnl})
-	if _, err := svc.RecoverJournal(rec); err == nil {
+	if _, _, err := svc.RecoverJournal(rec); err == nil {
 		t.Error("RecoverJournal before Listen succeeded; want an error")
 	}
 }

@@ -194,7 +194,7 @@ func TestRetentionBoundsJobHistory(t *testing.T) {
 		defer jnl.Close()
 		table := gram.ServedTable(jnl, "site:1")
 		m := gram.NewManager(gram.ManagerConfig{Journal: jnl})
-		if _, err := m.RecoverJournal(rec, func(string) rsl.Env { return nil }); err != nil {
+		if _, _, err := m.RecoverJournal(rec, func(string) rsl.Env { return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := table.Get(oldest); !errors.Is(err, job.ErrExpired) {

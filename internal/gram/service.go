@@ -164,11 +164,12 @@ func (s *Service) Close() error {
 
 // RecoverJournal resumes the unfinished jobs a journal replay found (see
 // Manager.RecoverJournal). Call it after Listen and before serving
-// traffic. It returns the contacts of the resumed (non-terminal) jobs.
-func (s *Service) RecoverJournal(rec *journal.Recovered) ([]string, error) {
+// traffic. It returns the contacts of the resumed jobs and of those
+// failed at recovery.
+func (s *Service) RecoverJournal(rec *journal.Recovered) (resumed, failed []string, err error) {
 	m := s.Manager()
 	if m == nil {
-		return nil, errors.New("gram: RecoverJournal before Listen")
+		return nil, nil, errors.New("gram: RecoverJournal before Listen")
 	}
 	return m.RecoverJournal(rec, s.env)
 }

@@ -126,7 +126,7 @@ func promote(t *testing.T, d *deployment, dir string, release <-chan struct{}) (
 	if _, err := svc.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := svc.RecoverJournal(rec)
+	resumed, _, err := svc.RecoverJournal(rec)
 	if err != nil {
 		t.Fatalf("RecoverJournal on mirrored state: %v", err)
 	}

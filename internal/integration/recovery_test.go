@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -205,17 +206,23 @@ func TestJournalKillAndRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svcB.Close()
-	resumed, err := svcB.RecoverJournal(recB)
+	// The func jobs are resumed; the queue job, whose backend is gone,
+	// is failed at recovery and reported as such, not as resumed.
+	resumed, failed, err := svcB.RecoverJournal(recB)
 	if err != nil {
 		t.Fatalf("RecoverJournal: %v", err)
 	}
-	if len(resumed) != len(inflight) {
-		t.Fatalf("resumed %v; want the %d in-flight jobs %v", resumed, len(inflight), inflight)
+	sort.Strings(resumed)
+	wantResumed := append([]string{}, blockContacts...)
+	sort.Strings(wantResumed)
+	if !slices.Equal(resumed, wantResumed) || len(failed) != 1 || failed[0] != queueContact {
+		t.Fatalf("resumed %v, failed %v; want the func jobs %v resumed and the queue job %s failed",
+			resumed, failed, blockContacts, queueContact)
 	}
 	recoveredCounter := telB.Counter("infogram_journal_recovered_jobs_total",
 		"non-terminal jobs replayed from the journal and resubmitted at boot")
-	if got := recoveredCounter.Value(); got != int64(len(inflight)) {
-		t.Errorf("infogram_journal_recovered_jobs_total = %d; want %d", got, len(inflight))
+	if got := recoveredCounter.Value(); got != int64(len(blockContacts)) {
+		t.Errorf("infogram_journal_recovered_jobs_total = %d; want %d", got, len(blockContacts))
 	}
 
 	clB, err := core.Dial(addrB, d.user, d.trust)
@@ -366,7 +373,7 @@ func TestJournalRecoveryHonorsRestartBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svcB.Close()
-	if _, err := svcB.RecoverJournal(recB); err != nil {
+	if _, _, err := svcB.RecoverJournal(recB); err != nil {
 		t.Fatal(err)
 	}
 	clB, err := core.Dial(addrB, d.user, d.trust)

@@ -117,21 +117,17 @@ func (cl *Client) establish(ctx context.Context, o DialOptions) error {
 // ID otherwise, a freshly minted trace as the last resort — is prefixed
 // to the request so the server joins the caller's trace.
 func (cl *Client) Call(ctx context.Context, req wire.Frame) (wire.Frame, error) {
+	var p wire.Prefix
 	if cl.Traced {
-		tc := wire.TraceContext{Sampled: true}
-		if sp := telemetry.SpanFrom(ctx); sp != nil {
-			tc.Trace, tc.Parent = sp.Trace(), sp.ID()
-		} else if trace := telemetry.TraceFrom(ctx); trace != "" {
-			tc.Trace = trace
-		} else {
-			tc.Trace = telemetry.NewTraceID()
+		p = wire.Prefix{Traced: true, Trace: telemetry.RefFrom(ctx), Parent: telemetry.SpanFrom(ctx).ID(), Sampled: true}
+		if p.Trace.IsZero() {
+			p.Trace = telemetry.NewTraceRef()
 		}
-		req = wire.EncodeTraceCtx(tc, req)
 	}
 	if cl.Mux != nil {
-		return cl.Mux.Call(ctx, req)
+		return cl.Mux.CallPrefixed(ctx, p, req)
 	}
-	return cl.Conn.CallContext(ctx, req)
+	return cl.Conn.CallPrefixed(ctx, p, req)
 }
 
 // Broken reports whether the connection must be dropped after a failed

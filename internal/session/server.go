@@ -289,7 +289,7 @@ func (cn *conn) serveMux() {
 			return
 		}
 		if refusal, ok := cn.gate(); !ok {
-			_ = cn.c.Write(wire.EncodeMux(id, refusal))
+			_ = cn.c.WritePrefixed(context.Background(), wire.Prefix{Mux: true, ID: id}, refusal)
 			return
 		}
 		wg.Add(1)
@@ -305,24 +305,35 @@ func (cn *conn) work(id uint64, req wire.Frame, sem chan struct{}, wg *sync.Wait
 	instr.MuxInFlight.Inc()
 	resp := cn.handle(req)
 	instr.MuxInFlight.Dec()
-	_ = cn.c.Write(wire.EncodeMux(id, resp))
+	_ = cn.c.WritePrefixed(context.Background(), wire.Prefix{Mux: true, ID: id}, resp)
 	<-sem
 	wg.Done()
 }
+
+// scopes holds the trace bookkeeping of requests between uses: one
+// request's Scope serves a later one once its handler has returned, so a
+// traced request allocates nothing for its spans.
+var scopes = sync.Pool{New: func() any { return new(telemetry.Scope) }}
 
 // handle joins the request's trace, bounds its context, and calls the
 // handler.
 func (cn *conn) handle(f wire.Frame) wire.Frame {
 	cfg := cn.cfg
-	ctx, root, f, err := cn.joinTrace(f)
-	if err != nil {
-		cfg.Instruments.Conn.FrameErrors.Inc()
-		return cn.errorFrame(err.Error())
-	}
+	ctx := context.Background()
 	if cfg.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 		defer cancel()
+	}
+	var root *telemetry.Span
+	if cfg.Tracer != nil {
+		sc := scopes.Get().(*telemetry.Scope)
+		defer scopes.Put(sc)
+		var err error
+		if ctx, root, f, err = cn.joinTrace(ctx, sc, f); err != nil {
+			cfg.Instruments.Conn.FrameErrors.Inc()
+			return cn.errorFrame(err.Error())
+		}
 	}
 	resp := cfg.Handler(ctx, &cn.peer, f)
 	if root != nil {
@@ -335,35 +346,64 @@ func (cn *conn) handle(f wire.Frame) wire.Frame {
 }
 
 // joinTrace strips a negotiated trace-context prefix and roots the
-// request's span tree. It is its own function so that its locals are off
-// the stack while the handler runs: request goroutines start on small
-// stacks, and growing one costs more than the session's whole share of a
-// cached query.
-func (cn *conn) joinTrace(f wire.Frame) (context.Context, *telemetry.Span, wire.Frame, error) {
+// request's span tree in sc. It is its own function so that its locals
+// are off the stack while the handler runs: request goroutines start on
+// small stacks, and growing one costs more than the session's whole share
+// of a cached query.
+func (cn *conn) joinTrace(ctx context.Context, sc *telemetry.Scope, f wire.Frame) (context.Context, *telemetry.Span, wire.Frame, error) {
 	cfg := cn.cfg
-	ctx := context.Background()
-	var root *telemetry.Span
+	var p wire.Prefix
 	if cn.traced {
 		// Join the caller's trace instead of minting one, so multi-hop
 		// queries build one coherent tree.
-		tc, inner, err := wire.DecodeTraceCtx(f)
-		if err != nil {
-			return nil, nil, f, err
+		var err error
+		if p, f, err = wire.DecodeTracePrefix(f); err != nil {
+			return ctx, nil, f, err
 		}
-		f = inner
-		ctx = telemetry.WithTrace(ctx, tc.Trace)
-		if tc.Sampled {
-			ctx, root = cfg.Tracer.JoinTrace(ctx, tc.Trace, tc.Parent, "request:"+f.Verb)
+		if !p.Sampled {
+			return telemetry.WithTrace(ctx, p.Trace.ID()), nil, f, nil
 		}
-	} else if cfg.Tracer != nil {
-		// Legacy peer on a tracing server: mint a server-local trace.
-		ctx, root = cfg.Tracer.StartTrace(ctx, "request:"+f.Verb)
 	}
-	if root != nil {
-		root.SetAttr("peer", cn.peer.Identity)
-		if cn.hsPending.CompareAndSwap(true, false) {
-			cfg.Tracer.RecordSpan(root, "gsi.handshake", cn.hsStart, cn.hsDur, "")
-		}
+	// A legacy peer on a tracing server gets a server-local trace: Begin
+	// mints one for the zero p.Trace.
+	ctx, root := cfg.Tracer.Begin(ctx, sc, p.Trace, p.Parent, rootName(f.Verb))
+	root.SetAttr("peer", cn.peer.Identity)
+	if cn.hsPending.CompareAndSwap(true, false) {
+		cfg.Tracer.RecordSpan(root, "gsi.handshake", cn.hsStart, cn.hsDur, "")
 	}
 	return ctx, root, f, nil
+}
+
+// rootNames interns each verb's root span name, "request:"+verb, so that
+// naming a request allocates nothing. A peer can send any verb, so it
+// stops growing at maxRootNames and names the rest by concatenation.
+var rootNames struct {
+	mu    sync.Mutex
+	names atomic.Pointer[map[string]string] // copied on write
+}
+
+const maxRootNames = 64
+
+func rootName(verb string) string {
+	if m := rootNames.names.Load(); m != nil {
+		if name, ok := (*m)[verb]; ok {
+			return name
+		}
+	}
+	name := "request:" + verb
+	rootNames.mu.Lock()
+	defer rootNames.mu.Unlock()
+	old := rootNames.names.Load()
+	if old != nil && len(*old) >= maxRootNames {
+		return name
+	}
+	m := make(map[string]string, maxRootNames)
+	if old != nil {
+		for k, v := range *old {
+			m[k] = v
+		}
+	}
+	m[verb] = name
+	rootNames.names.Store(&m)
+	return name
 }

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"context"
 	"math/rand/v2"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,10 +17,11 @@ import (
 // caller's trace instead of minting their own, so a GIIS-style nested
 // query produces one coherent multi-hop tree.
 //
-// The disarmed path — no Tracer in the context chain — costs one context
-// lookup and allocates nothing: StartSpan returns (ctx, nil) and every
-// Span method is safe on a nil receiver, so instrumented code carries no
-// "is tracing on" branches.
+// A warm traced request allocates nothing: a span is its own context, a
+// request's spans come from its reused Scope, and a kept tree is copied
+// into a reused store slot. The disarmed path — no span in the context
+// chain — costs one context lookup: StartSpan returns (ctx, nil) and
+// every Span method is safe on a nil receiver.
 
 // SpanID identifies one span within a trace. Zero means "no span".
 type SpanID uint64
@@ -41,21 +41,7 @@ func (id SpanID) String() string {
 		return ""
 	}
 	var b [16]byte
-	s := strconv.AppendUint(b[:0], uint64(id), 16)
-	for len(s) < 16 {
-		s = append(s[:1], s...)
-		s[0] = '0'
-	}
-	return string(s)
-}
-
-// ParseSpanID parses the hex form produced by String; "" parses to 0.
-func ParseSpanID(s string) (SpanID, error) {
-	if s == "" {
-		return 0, nil
-	}
-	v, err := strconv.ParseUint(s, 16, 64)
-	return SpanID(v), err
+	return string(appendHex16(b[:0], uint64(id)))
 }
 
 // MarshalJSON renders the ID as a quoted hex string.
@@ -84,36 +70,52 @@ type SpanRecord struct {
 	Attrs    []SpanAttr    `json:"attrs,omitempty"`
 }
 
-// traceBuf accumulates the spans of one root request until the root span
-// ends, at which point the tail-sampling decision is made once for the
-// whole tree. Spans that finish after the root (async job work spawned by
-// a SUBMIT that already acked) append directly to the store iff the trace
-// was kept.
-type traceBuf struct {
-	mu        sync.Mutex
-	trace     TraceID
-	root      SpanID
-	spans     []SpanRecord
-	err       bool
-	finalized bool
-	kept      bool
+// arena hands out the spans of a Scope or a detached context from a fixed
+// array, and from the heap once that is used up.
+type arena struct {
+	spans []Span
+	next  atomic.Int32
 }
 
-// Span is one in-flight timed operation. All methods are safe on a nil
-// receiver, which is what StartSpan returns when tracing is disarmed.
+func (a *arena) take() *Span {
+	if a != nil {
+		if i := int(a.next.Add(1)) - 1; i < len(a.spans) {
+			return &a.spans[i]
+		}
+	}
+	return new(Span)
+}
+
+// Span is one in-flight timed operation, and the context of the work
+// under it: it answers for itself as the current span and delegates the
+// rest to the context it was started under. All Span methods are safe on
+// a nil receiver, which is what StartSpan returns when tracing is
+// disarmed.
 type Span struct {
-	tracer *Tracer
-	buf    *traceBuf
-	trace  TraceID
+	context.Context // the context the span was started under
+
+	tracer *Tracer // nil: the span only carries its trace
+	sc     *Scope  // the request whose tree the span joins
+	gen    uint64  // sc's generation when that request began
+	kids   *arena  // where the span's children come from
+	trace  TraceRef
 	id     SpanID
 	parent SpanID
 	name   string
 	start  time.Time
-	root   bool
 	attrs  [MaxSpanAttrs]SpanAttr
 	nattrs int
 	errMsg string
 	ended  atomic.Bool
+	root   bool
+}
+
+// Value answers the package's key with the span itself.
+func (s *Span) Value(key any) any {
+	if key == (ctxKey{}) {
+		return s
+	}
+	return s.Context.Value(key)
 }
 
 // Trace returns the span's trace ID ("" on nil).
@@ -121,7 +123,7 @@ func (s *Span) Trace() TraceID {
 	if s == nil {
 		return ""
 	}
-	return s.trace
+	return s.trace.ID()
 }
 
 // ID returns the span's ID (0 on nil).
@@ -168,15 +170,15 @@ func (s *Span) End() {
 	if s == nil || !s.ended.CompareAndSwap(false, true) {
 		return
 	}
-	s.tracer.finish(s, s.tracer.now())
+	s.tracer.finish(s, s.tracer.clock())
 }
 
-type spanKey struct{}
-
-// ContextWithSpan returns a context carrying the span as the current
-// parent for StartSpan.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	return context.WithValue(ctx, spanKey{}, s)
+// begin initializes s, fresh or reused, as a span of t under ctx.
+func (s *Span) begin(ctx context.Context, t *Tracer, sc *Scope, gen uint64, kids *arena, trace TraceRef, parent SpanID, name string) {
+	s.Context, s.tracer, s.sc, s.gen, s.kids = ctx, t, sc, gen, kids
+	s.trace, s.id, s.parent, s.name, s.start = trace, NewSpanID(), parent, name, t.clock()
+	s.nattrs, s.errMsg, s.root = 0, "", false
+	s.ended.Store(false)
 }
 
 // SpanFrom extracts the current span from ctx (nil when absent).
@@ -184,21 +186,88 @@ func SpanFrom(ctx context.Context) *Span {
 	if ctx == nil {
 		return nil
 	}
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
+	if s, _ := ctx.Value(ctxKey{}).(*Span); s != nil && s.tracer != nil {
+		return s
+	}
+	return nil
 }
 
-// StartSpan starts a child of the context's current span. When the
-// context carries no span (tracing disarmed, or the request was not
-// sampled) it returns (ctx, nil) at the cost of one context lookup and
+// StartSpan starts a child of the context's current span; the child is
+// the returned context. When the context carries no span (tracing
+// disarmed) it returns (ctx, nil) at the cost of one context lookup and
 // zero allocations; the nil span accepts SetAttr/Fail/End as no-ops.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent := SpanFrom(ctx)
 	if parent == nil {
 		return ctx, nil
 	}
-	s := parent.tracer.child(parent, name)
-	return ContextWithSpan(ctx, s), s
+	s := parent.kids.take()
+	s.begin(ctx, parent.tracer, parent.sc, parent.gen, parent.kids, parent.trace, parent.id, name)
+	return s, s
+}
+
+// scopeSpans is how many spans a request takes from its Scope before it
+// allocates: a cold eight-keyword query has seventeen.
+const scopeSpans = 24
+
+// Scope is one request's trace bookkeeping: its root span, the spans
+// below it, and the records of those finished before the root. The
+// session that serves the request reuses it for a later request once the
+// root has ended and the handler has returned, so nothing may keep the
+// request's context past that: work that outlives the request takes
+// Detach's copy. The zero value is ready.
+type Scope struct {
+	root  Span
+	kids  arena
+	spans [scopeSpans]Span
+
+	mu   sync.Mutex
+	gen  uint64 // bumped per request, so a late span finds its own
+	buf  spanBuf
+	err  bool
+	done bool // the root ended: the tree went to the store or was dropped
+}
+
+// detached is the context Detach returns. Its spans array holds the work's
+// first spans: a journaled job's attempt, its ACTIVE and its final state.
+type detached struct {
+	context.Context
+	span  Span // the request's span, copied
+	kids  arena
+	spans [4]Span
+}
+
+func (d *detached) Value(key any) any {
+	if key == (ctxKey{}) {
+		if d.span.trace.IsZero() {
+			return nil
+		}
+		return &d.span
+	}
+	return d.Context.Value(key)
+}
+
+// Detach returns a cancellable context for work that outlives the request
+// of ctx — a SUBMIT's job. It copies ctx's trace and current span, so the
+// work's spans join the request's tree, or its stored trace once the
+// request is over; it takes nothing else from ctx, so neither the end of
+// the request nor the reuse of its Scope can cancel or corrupt the work.
+// It costs the same allocations traced or not.
+func Detach(ctx context.Context) (context.Context, context.CancelFunc) {
+	d := &detached{}
+	var cancel context.CancelFunc
+	d.Context, cancel = context.WithCancel(context.Background())
+	switch p := ctx.Value(ctxKey{}).(type) {
+	case *Span:
+		d.kids.spans = d.spans[:]
+		s := &d.span
+		s.Context, s.tracer, s.sc, s.gen, s.kids = d.Context, p.tracer, p.sc, p.gen, &d.kids
+		s.trace, s.id, s.parent, s.name, s.start = p.trace, p.id, p.parent, p.name, p.start
+		s.ended.Store(true) // the copy is a parent, never recorded
+	case TraceRef:
+		d.span.Context, d.span.trace = d.Context, p
+	}
+	return d, cancel
 }
 
 // TracerOptions configures a Tracer. The zero value traces everything
@@ -284,6 +353,7 @@ func NewTracer(opts TracerOptions) *Tracer {
 		t.spansOverflow = reg.Counter("infogram_trace_spans_overflow_total", "spans dropped because their trace hit the per-trace span bound")
 		t.spansLate = reg.Counter("infogram_trace_spans_late_dropped_total", "late spans dropped because their trace was not retained")
 	}
+	t.store.maxSpans, t.store.overflow = maxSpans, t.spansOverflow
 	return t
 }
 
@@ -295,61 +365,30 @@ func (t *Tracer) Store() *TraceStore {
 	return t.store
 }
 
-func (t *Tracer) now() time.Time {
-	if t == nil {
-		return time.Now()
-	}
-	return t.clock()
-}
-
-// StartTrace mints a fresh trace rooted at a new span named name, and
-// returns a context carrying both the trace ID and the root span. On a
-// nil tracer it returns (ctx, nil).
-func (t *Tracer) StartTrace(ctx context.Context, name string) (context.Context, *Span) {
+// Begin roots a request's span tree in sc, which the caller reuses from
+// request to request, so that tracing the request allocates nothing. The
+// root joins a caller's trace and parent span; a zero trace mints a fresh
+// one. The root span is also the request's context. On a nil tracer it
+// returns (ctx, nil).
+func (t *Tracer) Begin(ctx context.Context, sc *Scope, trace TraceRef, parent SpanID, name string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
 	}
-	return t.join(ctx, NewTraceID(), 0, name)
-}
-
-// JoinTrace roots a new span tree under a caller-propagated trace context:
-// the root span's trace is the caller's trace ID and its parent is the
-// caller's span. On a nil tracer it returns (ctx, nil).
-func (t *Tracer) JoinTrace(ctx context.Context, trace TraceID, parent SpanID, name string) (context.Context, *Span) {
-	if t == nil {
-		return ctx, nil
+	if trace.IsZero() {
+		trace = NewTraceRef()
 	}
-	if trace == "" {
-		trace = NewTraceID()
-	}
-	return t.join(ctx, trace, parent, name)
-}
-
-func (t *Tracer) join(ctx context.Context, trace TraceID, parent SpanID, name string) (context.Context, *Span) {
-	s := &Span{
-		tracer: t,
-		trace:  trace,
-		id:     NewSpanID(),
-		parent: parent,
-		name:   name,
-		start:  t.now(),
-		root:   true,
-	}
-	s.buf = &traceBuf{trace: trace, root: s.id}
-	return ContextWithSpan(WithTrace(ctx, trace), s), s
-}
-
-// child mints a non-root span under parent, sharing its trace buffer.
-func (t *Tracer) child(parent *Span, name string) *Span {
-	return &Span{
-		tracer: t,
-		buf:    parent.buf,
-		trace:  parent.trace,
-		id:     NewSpanID(),
-		parent: parent.id,
-		name:   name,
-		start:  t.now(),
-	}
+	sc.mu.Lock()
+	sc.gen++
+	gen := sc.gen
+	sc.buf.reset()
+	sc.err, sc.done = false, false
+	sc.mu.Unlock()
+	sc.kids.spans = sc.spans[:]
+	sc.kids.next.Store(0)
+	s := &sc.root
+	s.begin(ctx, t, sc, gen, &sc.kids, trace, parent, name)
+	s.root = true
+	return s, s
 }
 
 // RecordSpan records a pre-measured operation (e.g. the GSI handshake,
@@ -359,15 +398,16 @@ func (t *Tracer) RecordSpan(parent *Span, name string, start time.Time, d time.D
 	if t == nil || parent == nil {
 		return
 	}
-	s := t.child(parent, name)
-	s.start = start
-	s.errMsg = errMsg
+	_, s := StartSpan(parent, name)
+	s.start, s.errMsg = start, errMsg
 	s.ended.Store(true)
 	t.finish(s, start.Add(d))
 }
 
-// finish appends the span to its trace buffer; the root span's finish
-// makes the tail-sampling decision and commits (or drops) the tree.
+// finish records the span into its request's buffer while the request is
+// in flight — the root's finish then tail-samples the tree — and, once the
+// root has ended (e.g. the job a SUBMIT spawned), straight into the stored
+// trace when it was kept, counting the drop otherwise.
 func (t *Tracer) finish(s *Span, end time.Time) {
 	t.spansTotal.Inc()
 	rec := SpanRecord{
@@ -375,60 +415,39 @@ func (t *Tracer) finish(s *Span, end time.Time) {
 		Parent:   s.parent,
 		Name:     s.name,
 		Start:    s.start,
-		Duration: end.Sub(s.start),
+		Duration: max(end.Sub(s.start), 0),
 		Err:      s.errMsg,
+		Attrs:    s.attrs[:s.nattrs:s.nattrs],
 	}
-	if rec.Duration < 0 {
-		rec.Duration = 0
-	}
-	if s.nattrs > 0 {
-		rec.Attrs = append([]SpanAttr(nil), s.attrs[:s.nattrs]...)
-	}
-	b := s.buf
-	b.mu.Lock()
-	if b.finalized {
-		// Late span: the root already ended (async work outliving the
-		// request, e.g. the job a SUBMIT spawned). Append to the stored
-		// trace when it was kept; count the drop otherwise.
-		kept := b.kept
-		b.mu.Unlock()
-		if kept && t.store.AppendSpan(b.trace, rec) {
+	if sc := s.sc; sc != nil {
+		sc.mu.Lock()
+		if sc.gen == s.gen && !sc.done {
+			sc.err = sc.err || rec.Err != ""
+			if !sc.buf.add(rec, t.maxSpans) {
+				t.spansOverflow.Inc()
+			}
+			if s.root {
+				t.commit(sc, s, rec.Duration)
+			}
+			sc.mu.Unlock()
 			return
 		}
+		sc.mu.Unlock()
+	}
+	if !t.store.appendSpan(s.trace, rec) {
 		t.spansLate.Inc()
-		return
 	}
-	if rec.Err != "" {
-		b.err = true
-	}
-	if len(b.spans) < t.maxSpans {
-		b.spans = append(b.spans, rec)
-	} else {
-		t.spansOverflow.Inc()
-	}
-	if !s.root {
-		b.mu.Unlock()
-		return
-	}
-	keep := b.err || (t.slow > 0 && rec.Duration >= t.slow) || t.sampleHit()
-	b.finalized = true
-	b.kept = keep
-	spans := b.spans
-	b.spans = nil
-	b.mu.Unlock()
-	if !keep {
+}
+
+// commit tail-samples the tree whose root just ended; sc.mu is held.
+func (t *Tracer) commit(sc *Scope, root *Span, d time.Duration) {
+	sc.done = true
+	if !sc.err && (t.slow <= 0 || d < t.slow) && !t.sampleHit() {
 		t.tracesSampled.Inc()
 		return
 	}
 	t.tracesKept.Inc()
-	t.store.Put(TraceRecord{
-		Trace:    b.trace,
-		Root:     b.root,
-		Err:      b.err,
-		Start:    s.start,
-		Duration: rec.Duration,
-		Spans:    spans,
-	})
+	t.store.put(root.trace, root.id, sc.err, root.start, d, sc.buf.spans)
 }
 
 func (t *Tracer) sampleHit() bool {

@@ -8,6 +8,11 @@ import (
 	"time"
 )
 
+// startTrace roots a fresh trace in a Scope of its own.
+func startTrace(tr *Tracer, name string) (context.Context, *Span) {
+	return tr.Begin(context.Background(), new(Scope), TraceRef{}, 0, name)
+}
+
 func TestSpanIDString(t *testing.T) {
 	if got := SpanID(0).String(); got != "" {
 		t.Errorf("zero ID = %q, want empty", got)
@@ -19,12 +24,8 @@ func TestSpanIDString(t *testing.T) {
 	if id == 0 {
 		t.Fatal("NewSpanID minted zero")
 	}
-	back, err := ParseSpanID(id.String())
-	if err != nil || back != id {
-		t.Errorf("roundtrip %v -> %q -> %v, %v", id, id.String(), back, err)
-	}
-	if v, err := ParseSpanID(""); err != nil || v != 0 {
-		t.Errorf("ParseSpanID(\"\") = %v, %v", v, err)
+	if got := SpanID(0xfedcba9876543210).String(); got != "fedcba9876543210" {
+		t.Errorf("SpanID(0xfedcba9876543210) = %q", got)
 	}
 }
 
@@ -50,7 +51,7 @@ func TestStartSpanDisarmed(t *testing.T) {
 
 func TestSpanTreeRecorded(t *testing.T) {
 	tr := NewTracer(TracerOptions{Telemetry: NewRegistry()})
-	ctx, root := tr.StartTrace(context.Background(), "request:SUBMIT")
+	ctx, root := startTrace(tr, "request:SUBMIT")
 	root.SetAttr("peer", "/O=Grid/CN=alice")
 
 	ctx2, child := StartSpan(ctx, "cache.lookup")
@@ -89,7 +90,7 @@ func TestJoinTraceUsesCallerIDs(t *testing.T) {
 	tr := NewTracer(TracerOptions{})
 	callerTrace := NewTraceID()
 	callerSpan := NewSpanID()
-	ctx, root := tr.JoinTrace(context.Background(), callerTrace, callerSpan, "request:SUBMIT")
+	ctx, root := tr.Begin(context.Background(), new(Scope), RefOf(callerTrace), callerSpan, "request:SUBMIT")
 	if root.Trace() != callerTrace || root.Parent() != callerSpan {
 		t.Fatalf("joined root = (%v, parent %v)", root.Trace(), root.Parent())
 	}
@@ -106,13 +107,13 @@ func TestTailSamplingKeepsErrored(t *testing.T) {
 	// Negative rate: only errored or slow traces survive.
 	tr := NewTracer(TracerOptions{SampleRate: -1, Telemetry: NewRegistry()})
 
-	_, healthy := tr.StartTrace(context.Background(), "ok")
+	_, healthy := startTrace(tr, "ok")
 	healthy.End()
 	if _, ok := tr.Store().Get(healthy.Trace()); ok {
 		t.Error("healthy trace retained under sample=-1")
 	}
 
-	ctx, root := tr.StartTrace(context.Background(), "bad")
+	ctx, root := startTrace(tr, "bad")
 	_, child := StartSpan(ctx, "journal.append")
 	child.Fail("disk full")
 	child.End()
@@ -131,14 +132,14 @@ func TestTailSamplingKeepsSlow(t *testing.T) {
 	clk := func() time.Time { return now }
 	tr := NewTracer(TracerOptions{SampleRate: -1, SlowThreshold: 50 * time.Millisecond, Clock: clk})
 
-	_, fast := tr.StartTrace(context.Background(), "fast")
+	_, fast := startTrace(tr, "fast")
 	now = now.Add(10 * time.Millisecond)
 	fast.End()
 	if _, ok := tr.Store().Get(fast.Trace()); ok {
 		t.Error("fast healthy trace retained")
 	}
 
-	_, slow := tr.StartTrace(context.Background(), "slow")
+	_, slow := startTrace(tr, "slow")
 	now = now.Add(80 * time.Millisecond)
 	slow.End()
 	if rec, ok := tr.Store().Get(slow.Trace()); !ok || rec.Duration < 50*time.Millisecond {
@@ -148,13 +149,14 @@ func TestTailSamplingKeepsSlow(t *testing.T) {
 
 func TestLateSpansAppendToKeptTrace(t *testing.T) {
 	tr := NewTracer(TracerOptions{})
-	ctx, root := tr.StartTrace(context.Background(), "request:SUBMIT")
+	ctx, root := startTrace(tr, "request:SUBMIT")
 	_, spawn := StartSpan(ctx, "gram.spawn")
 	spawn.End()
 	root.End() // SUBMIT acked; the job keeps running
 
 	// The async job's span finishes after the root finalized.
-	jobCtx := ContextWithSpan(context.Background(), spawn)
+	jobCtx, cancel := Detach(spawn)
+	defer cancel()
 	_, sched := StartSpan(jobCtx, "scheduler.run")
 	sched.End()
 
@@ -174,12 +176,14 @@ func TestLateSpansAppendToKeptTrace(t *testing.T) {
 func TestLateSpanOnDroppedTraceCounted(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(TracerOptions{SampleRate: -1, Telemetry: reg})
-	ctx, root := tr.StartTrace(context.Background(), "healthy")
+	ctx, root := startTrace(tr, "healthy")
 	_, spawn := StartSpan(ctx, "gram.spawn")
 	spawn.End()
 	root.End() // dropped: healthy under sample=-1
 
-	_, late := StartSpan(ContextWithSpan(context.Background(), spawn), "scheduler.run")
+	jobCtx, cancel := Detach(spawn)
+	defer cancel()
+	_, late := StartSpan(jobCtx, "scheduler.run")
 	late.End()
 	if got := counterValue(t, reg, "infogram_trace_spans_late_dropped_total"); got != 1 {
 		t.Errorf("late-dropped counter = %d, want 1", got)
@@ -189,7 +193,7 @@ func TestLateSpanOnDroppedTraceCounted(t *testing.T) {
 func TestSpanOverflowBound(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(TracerOptions{MaxSpans: 4, Telemetry: reg})
-	ctx, root := tr.StartTrace(context.Background(), "burst")
+	ctx, root := startTrace(tr, "burst")
 	for i := 0; i < 10; i++ {
 		_, sp := StartSpan(ctx, fmt.Sprintf("op%d", i))
 		sp.End()
@@ -217,10 +221,10 @@ func TestStoreEvictionFIFO(t *testing.T) {
 	var traces []TraceID
 	for len(traces) < 4*storeStripes {
 		id := NewTraceID()
-		if st := store.stripe(id); perStripe[st] < 4 {
+		if st := store.stripe(RefOf(id)); perStripe[st] < 4 {
 			perStripe[st]++
 			traces = append(traces, id)
-			store.Put(TraceRecord{Trace: id, Start: time.Unix(int64(len(traces)), 0)})
+			store.put(RefOf(id), 0, false, time.Unix(int64(len(traces)), 0), 0, nil)
 		}
 	}
 	if n := store.Len(); n != storeStripes {
@@ -240,10 +244,8 @@ func TestStoreMergesSameTrace(t *testing.T) {
 	store := NewTraceStore(0)
 	trace := NewTraceID()
 	t0 := time.Unix(100, 0)
-	store.Put(TraceRecord{Trace: trace, Start: t0, Duration: time.Second,
-		Spans: []SpanRecord{{ID: 1, Name: "a"}}})
-	store.Put(TraceRecord{Trace: trace, Start: t0.Add(2 * time.Second), Duration: time.Second,
-		Err: true, Spans: []SpanRecord{{ID: 2, Name: "b"}}})
+	store.put(RefOf(trace), 0, false, t0, time.Second, []SpanRecord{{ID: 1, Name: "a"}})
+	store.put(RefOf(trace), 0, true, t0.Add(2*time.Second), time.Second, []SpanRecord{{ID: 2, Name: "b"}})
 	rec, ok := store.Get(trace)
 	if !ok {
 		t.Fatal("trace missing")
@@ -264,7 +266,7 @@ func TestTracerConcurrentTraces(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				ctx, root := tr.StartTrace(context.Background(), "request")
+				ctx, root := startTrace(tr, "request")
 				_, child := StartSpan(ctx, "work")
 				child.End()
 				root.End()
@@ -281,7 +283,7 @@ func TestHistogramExemplar(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("lat", "latency")
 	trace := NewTraceID()
-	h.ObserveTrace(3*time.Millisecond, trace)
+	h.ObserveRef(3*time.Millisecond, RefOf(trace))
 	h.Observe(4 * time.Millisecond) // no trace: must not clobber exemplar shape
 	found := false
 	for _, p := range reg.Snapshot() {
@@ -304,7 +306,7 @@ func TestHistogramExemplar(t *testing.T) {
 
 func TestDoubleEndIsNoOp(t *testing.T) {
 	tr := NewTracer(TracerOptions{})
-	_, root := tr.StartTrace(context.Background(), "once")
+	_, root := startTrace(tr, "once")
 	root.End()
 	root.End()
 	rec, ok := tr.Store().Get(root.Trace())

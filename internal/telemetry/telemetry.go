@@ -160,10 +160,14 @@ type Exemplar struct {
 // Observe is allocation-free and safe on a nil receiver.
 type Histogram struct {
 	stripes [histStripes]histStripe
-	// exemplars holds the latest traced observation per bucket. They are
-	// surfaced via Snapshot and the /debug/traces endpoint, deliberately
-	// not in the Prometheus 0.0.4 text format (which predates exemplars).
-	exemplars [NumBuckets + 1]atomic.Pointer[Exemplar]
+	// exemplars holds a recent traced observation per bucket (bound:
+	// NumBuckets+1). They are surfaced via Snapshot and /debug/traces,
+	// not the Prometheus 0.0.4 text format, which predates exemplars.
+	exMu      sync.Mutex
+	exemplars [NumBuckets + 1]struct {
+		trace TraceRef
+		value time.Duration
+	}
 }
 
 // Observe records one duration sample. Negative durations count as zero.
@@ -180,18 +184,18 @@ func (h *Histogram) Observe(d time.Duration) {
 	s.addSq(d)
 }
 
-// ObserveTrace is Observe plus an exemplar: when trace is non-empty the
+// ObserveRef is Observe plus an exemplar: when trace is non-zero the
 // sample's bucket remembers it, linking the latency distribution to a
-// concrete trace in the trace store.
-func (h *Histogram) ObserveTrace(d time.Duration, trace TraceID) {
+// concrete trace in the trace store. An exemplar update that would wait
+// for another is skipped: an exemplar is a recent sample, not the latest.
+func (h *Histogram) ObserveRef(d time.Duration, trace TraceRef) {
 	h.Observe(d)
-	if h == nil || trace == "" {
+	if h == nil || trace.IsZero() || !h.exMu.TryLock() {
 		return
 	}
-	if d < 0 {
-		d = 0
-	}
-	h.exemplars[bucketIndex(d)].Store(&Exemplar{Trace: trace, Value: d})
+	ex := &h.exemplars[bucketIndex(max(d, 0))]
+	ex.trace, ex.value = trace, max(d, 0)
+	h.exMu.Unlock()
 }
 
 // HistogramSnapshot is a point-in-time aggregate of a histogram.
@@ -284,8 +288,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 			out.Count += n
 		}
 	}
-	for b := range h.exemplars {
-		out.Exemplars[b] = h.exemplars[b].Load()
+	h.exMu.Lock()
+	defer h.exMu.Unlock()
+	for b, ex := range h.exemplars {
+		if !ex.trace.IsZero() {
+			out.Exemplars[b] = &Exemplar{Trace: ex.trace.ID(), Value: ex.value}
+		}
 	}
 	return out
 }
@@ -308,15 +316,10 @@ const (
 
 // String names the kind as Prometheus spells it.
 func (k Kind) String() string {
-	switch k {
-	case KindCounter:
-		return "counter"
-	case KindGauge:
-		return "gauge"
-	case KindHistogram:
-		return "histogram"
+	if k < 0 || k > KindHistogram {
+		return "unknown"
 	}
-	return "unknown"
+	return [...]string{"counter", "gauge", "histogram"}[k]
 }
 
 // family groups all label variants of one metric name.
@@ -364,22 +367,6 @@ func (r *Registry) MarkStart(t time.Time) {
 	r.mu.Unlock()
 }
 
-func labelSig(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	for i, l := range labels {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(l.Key)
-		sb.WriteByte('=')
-		sb.WriteString(l.Value)
-	}
-	return sb.String()
-}
-
 func (r *Registry) instance(name, help string, kind Kind, labels []Label) *instance {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -392,7 +379,7 @@ func (r *Registry) instance(name, help string, kind Kind, labels []Label) *insta
 	if f.kind != kind {
 		panic(fmt.Sprintf("telemetry: metric %q registered as %s, requested as %s", name, f.kind, kind))
 	}
-	sig := labelSig(labels)
+	sig := renderLabels(labels)
 	inst, ok := f.bysig[sig]
 	if !ok {
 		inst = &instance{labels: append([]Label(nil), labels...)}
@@ -438,6 +425,7 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 // Point is one metric instance in a snapshot.
 type Point struct {
 	Name   string
+	Help   string
 	Labels []Label
 	Kind   Kind
 	// Value holds counter/gauge values.
@@ -459,7 +447,7 @@ func (r *Registry) Snapshot() []Point {
 		f := r.byName[name]
 		for _, sig := range f.order {
 			inst := f.bysig[sig]
-			p := Point{Name: name, Labels: inst.labels, Kind: f.kind}
+			p := Point{Name: name, Help: f.help, Labels: inst.labels, Kind: f.kind}
 			switch f.kind {
 			case KindCounter:
 				p.Value = inst.c.Value()
@@ -501,73 +489,38 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	r.mu.Lock()
-	names := append([]string(nil), r.names...)
-	fams := make([]*family, len(names))
-	for i, n := range names {
-		fams[i] = r.byName[n]
-	}
 	started, hasStart := r.started, r.hasStart
 	r.mu.Unlock()
-
-	for _, f := range fams {
-		if f.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
-				return err
+	var b strings.Builder
+	prev := ""
+	for _, p := range r.Snapshot() {
+		if p.Name != prev {
+			prev = p.Name
+			if p.Help != "" {
+				fmt.Fprintf(&b, "# HELP %s %s\n", p.Name, p.Help)
 			}
+			fmt.Fprintf(&b, "# TYPE %s %s\n", p.Name, p.Kind)
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
-			return err
+		if p.Kind != KindHistogram {
+			fmt.Fprintf(&b, "%s%s %d\n", p.Name, renderLabels(p.Labels), p.Value)
+			continue
 		}
-		// Copy instances under the registry lock to keep exposition
-		// consistent with concurrent registration.
-		r.mu.Lock()
-		sigs := append([]string(nil), f.order...)
-		insts := make([]*instance, len(sigs))
-		for i, sig := range sigs {
-			insts[i] = f.bysig[sig]
-		}
-		r.mu.Unlock()
-		for _, inst := range insts {
-			switch f.kind {
-			case KindCounter:
-				if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, renderLabels(inst.labels), inst.c.Value()); err != nil {
-					return err
-				}
-			case KindGauge:
-				if _, err := fmt.Fprintf(w, "%s%s %d\n", f.name, renderLabels(inst.labels), inst.g.Value()); err != nil {
-					return err
-				}
-			case KindHistogram:
-				snap := inst.h.Snapshot()
-				var cum uint64
-				for i := 0; i < NumBuckets; i++ {
-					cum += snap.Buckets[i]
-					le := strconv.FormatFloat(BucketBound(i).Seconds(), 'g', -1, 64)
-					if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-						f.name, renderLabels(inst.labels, Label{"le", le}), cum); err != nil {
-						return err
-					}
-				}
-				cum += snap.Buckets[NumBuckets]
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-					f.name, renderLabels(inst.labels, Label{"le", "+Inf"}), cum); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, renderLabels(inst.labels),
-					strconv.FormatFloat(snap.Sum.Seconds(), 'g', -1, 64)); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, renderLabels(inst.labels), snap.Count); err != nil {
-					return err
-				}
+		var cum uint64
+		for i := 0; i <= NumBuckets; i++ {
+			cum += p.Hist.Buckets[i]
+			le := "+Inf"
+			if i < NumBuckets {
+				le = strconv.FormatFloat(BucketBound(i).Seconds(), 'g', -1, 64)
 			}
+			fmt.Fprintf(&b, "%s_bucket%s %d\n", p.Name, renderLabels(p.Labels, Label{"le", le}), cum)
 		}
+		fmt.Fprintf(&b, "%s_sum%s %s\n", p.Name, renderLabels(p.Labels),
+			strconv.FormatFloat(p.Hist.Sum.Seconds(), 'g', -1, 64))
+		fmt.Fprintf(&b, "%s_count%s %d\n", p.Name, renderLabels(p.Labels), p.Hist.Count)
 	}
 	if hasStart {
-		if _, err := fmt.Fprintf(w, "# TYPE infogram_start_time_seconds gauge\ninfogram_start_time_seconds %d\n",
-			started.Unix()); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "# TYPE infogram_start_time_seconds gauge\ninfogram_start_time_seconds %d\n", started.Unix())
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }

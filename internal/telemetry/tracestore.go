@@ -22,21 +22,60 @@ type TraceRecord struct {
 // storeStripes shards the trace store; must be a power of two.
 const storeStripes = 8
 
+// spanBuf holds finished spans and their attributes. A reset buffer keeps
+// its capacity, so refilling it allocates nothing once warm.
+type spanBuf struct {
+	spans []SpanRecord
+	attrs []SpanAttr
+}
+
+func (b *spanBuf) reset() { b.spans, b.attrs = b.spans[:0], b.attrs[:0] }
+
+// add appends r, copying its attributes in, unless max spans are held.
+// r.Attrs may point into a live span, so no stored record keeps it, even
+// empty: it would pin the span's Scope or job context.
+func (b *spanBuf) add(r SpanRecord, max int) bool {
+	if len(b.spans) >= max {
+		return false
+	}
+	if n := len(b.attrs); len(r.Attrs) > 0 {
+		b.attrs = append(b.attrs, r.Attrs...)
+		r.Attrs = b.attrs[n:len(b.attrs):len(b.attrs)]
+	} else {
+		r.Attrs = nil
+	}
+	b.spans = append(b.spans, r)
+	return true
+}
+
+// traceSlot is one retained trace.
+type traceSlot struct {
+	trace TraceRef
+	root  SpanID
+	err   bool
+	start time.Time
+	dur   time.Duration
+	buf   spanBuf
+}
+
+// storeStripe is a fixed ring of slots; once full, the next slot to fill
+// holds the oldest trace.
 type storeStripe struct {
-	mu      sync.Mutex
-	byTrace map[TraceID]*TraceRecord
-	order   []TraceID // FIFO insertion order for eviction
+	mu    sync.Mutex
+	slots []traceSlot
+	next  int // the slot the next new trace takes
+	used  int // slots [0, used) hold a trace
 }
 
 // TraceStore is a bounded, lock-striped in-process store of retained
-// traces. When a stripe is full its oldest trace is evicted (counted, so
-// retention loss is never silent). Put merges spans into an existing
-// record with the same trace ID — concurrent requests joining the same
-// client-minted trace land in one tree.
+// traces. Bound: Capacity traces of at most MaxSpans spans each; a full
+// stripe evicts its oldest trace, counted so retention loss is never
+// silent. Requests joining the same client-minted trace merge into one.
 type TraceStore struct {
 	stripes  [storeStripes]storeStripe
-	perShard int
+	maxSpans int
 	evicted  Counter
+	overflow *Counter // the tracer's span-overflow counter
 }
 
 // DefaultTraceCapacity is the store bound when TracerOptions.Capacity is
@@ -49,85 +88,107 @@ func NewTraceStore(capacity int) *TraceStore {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	per := capacity / storeStripes
-	if per < 1 {
-		per = 1
-	}
-	s := &TraceStore{perShard: per}
+	s := &TraceStore{maxSpans: 256}
 	for i := range s.stripes {
-		s.stripes[i].byTrace = make(map[TraceID]*TraceRecord)
+		s.stripes[i].slots = make([]traceSlot, max(capacity/storeStripes, 1))
 	}
 	return s
 }
 
-// fnv-1a over the trace ID selects the stripe.
-func (s *TraceStore) stripe(trace TraceID) *storeStripe {
-	h := uint32(2166136261)
-	for i := 0; i < len(trace); i++ {
-		h ^= uint32(trace[i])
-		h *= 16777619
+// stripe picks trace's stripe; an ID not minted here goes through fnv-1a.
+func (s *TraceStore) stripe(trace TraceRef) *storeStripe {
+	h := trace.id
+	if h == 0 {
+		h = 14695981039346656037
+		for i := 0; i < len(trace.ext); i++ {
+			h = (h ^ uint64(trace.ext[i])) * 1099511628211
+		}
 	}
 	return &s.stripes[h&(storeStripes-1)]
 }
 
-// Put stores rec, merging into any existing record for the same trace:
-// spans append, the error bit ORs, and the trace window extends to cover
-// both requests. A full stripe evicts its oldest trace.
-func (s *TraceStore) Put(rec TraceRecord) {
-	if s == nil {
-		return
-	}
-	st := s.stripe(rec.Trace)
-	st.mu.Lock()
-	if cur, ok := st.byTrace[rec.Trace]; ok {
-		cur.Spans = append(cur.Spans, rec.Spans...)
-		cur.Err = cur.Err || rec.Err
-		curEnd := cur.Start.Add(cur.Duration)
-		recEnd := rec.Start.Add(rec.Duration)
-		if rec.Start.Before(cur.Start) {
-			cur.Start = rec.Start
+// find returns the slot holding trace, or nil; st.mu is held. A stripe
+// holds tens of slots.
+func (st *storeStripe) find(trace TraceRef) *traceSlot {
+	for i := 0; i < st.used; i++ {
+		if st.slots[i].trace == trace {
+			return &st.slots[i]
 		}
-		end := curEnd
-		if recEnd.After(end) {
-			end = recEnd
-		}
-		cur.Duration = end.Sub(cur.Start)
-		st.mu.Unlock()
-		return
 	}
-	if len(st.order) >= s.perShard {
-		oldest := st.order[0]
-		st.order = st.order[1:]
-		delete(st.byTrace, oldest)
-		s.evicted.Inc()
-	}
-	cp := rec
-	st.byTrace[rec.Trace] = &cp
-	st.order = append(st.order, rec.Trace)
-	st.mu.Unlock()
+	return nil
 }
 
-// AppendSpan adds a late span to an already-stored trace, extending the
+// add appends one span to a slot, counting it when the slot is full.
+func (s *TraceStore) add(sl *traceSlot, r SpanRecord) {
+	sl.err = sl.err || r.Err != ""
+	if !sl.buf.add(r, s.maxSpans) {
+		s.overflow.Inc()
+	}
+}
+
+// extend widens the slot's window to end no earlier than start+d and,
+// with from, to begin no later than start.
+func (sl *traceSlot) extend(start time.Time, d time.Duration, from bool) {
+	end := sl.start.Add(sl.dur)
+	if e := start.Add(d); e.After(end) {
+		end = e
+	}
+	if from && start.Before(sl.start) {
+		sl.start = start
+	}
+	sl.dur = end.Sub(sl.start)
+}
+
+// put stores a trace, merging into any existing record for the same
+// trace: spans append, the error bit ORs, and the trace window extends to
+// cover both requests. A full stripe evicts its oldest trace.
+func (s *TraceStore) put(trace TraceRef, root SpanID, err bool, start time.Time, d time.Duration, spans []SpanRecord) {
+	st := s.stripe(trace)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	sl := st.find(trace)
+	if sl == nil {
+		sl = &st.slots[st.next]
+		st.next = (st.next + 1) % len(st.slots)
+		if st.used < len(st.slots) {
+			st.used++
+		} else {
+			s.evicted.Inc()
+		}
+		sl.trace, sl.root, sl.err, sl.start, sl.dur = trace, root, false, start, d
+		sl.buf.reset()
+	}
+	sl.extend(start, d, true)
+	sl.err = sl.err || err
+	for _, r := range spans {
+		s.add(sl, r)
+	}
+}
+
+// appendSpan adds a late span to an already-stored trace, extending the
 // trace window to cover it. It reports whether the trace was present.
-func (s *TraceStore) AppendSpan(trace TraceID, rec SpanRecord) bool {
+func (s *TraceStore) appendSpan(trace TraceRef, rec SpanRecord) bool {
 	if s == nil {
 		return false
 	}
 	st := s.stripe(trace)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	cur, ok := st.byTrace[trace]
-	if !ok {
-		return false
+	sl := st.find(trace)
+	if sl != nil {
+		s.add(sl, rec)
+		sl.extend(rec.Start, rec.Duration, false)
 	}
-	cur.Spans = append(cur.Spans, rec)
-	if rec.Err != "" {
-		cur.Err = true
+	return sl != nil
+}
+
+// record renders the slot as a TraceRecord that shares nothing with it.
+func (sl *traceSlot) record() TraceRecord {
+	var cp spanBuf
+	for _, r := range sl.buf.spans {
+		cp.add(r, len(sl.buf.spans))
 	}
-	if end := rec.Start.Add(rec.Duration); end.After(cur.Start.Add(cur.Duration)) {
-		cur.Duration = end.Sub(cur.Start)
-	}
-	return true
+	return TraceRecord{Trace: sl.trace.ID(), Root: sl.root, Err: sl.err, Start: sl.start, Duration: sl.dur, Spans: cp.spans}
 }
 
 // Get returns a deep copy of the stored trace, or false.
@@ -135,14 +196,14 @@ func (s *TraceStore) Get(trace TraceID) (TraceRecord, bool) {
 	if s == nil {
 		return TraceRecord{}, false
 	}
-	st := s.stripe(trace)
+	ref := RefOf(trace)
+	st := s.stripe(ref)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	cur, ok := st.byTrace[trace]
-	if !ok {
-		return TraceRecord{}, false
+	if sl := st.find(ref); sl != nil {
+		return sl.record(), true
 	}
-	return copyRecord(cur), true
+	return TraceRecord{}, false
 }
 
 // Snapshot returns deep copies of every stored trace, newest first.
@@ -154,8 +215,8 @@ func (s *TraceStore) Snapshot() []TraceRecord {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		for _, trace := range st.order {
-			out = append(out, copyRecord(st.byTrace[trace]))
+		for j := 0; j < st.used; j++ {
+			out = append(out, st.slots[j].record())
 		}
 		st.mu.Unlock()
 	}
@@ -172,7 +233,7 @@ func (s *TraceStore) Len() int {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		n += len(st.byTrace)
+		n += st.used
 		st.mu.Unlock()
 	}
 	return n
@@ -184,12 +245,6 @@ func (s *TraceStore) Evicted() int64 {
 		return 0
 	}
 	return s.evicted.Value()
-}
-
-func copyRecord(r *TraceRecord) TraceRecord {
-	cp := *r
-	cp.Spans = append([]SpanRecord(nil), r.Spans...)
-	return cp
 }
 
 // traceDebugPayload is the /debug/traces JSON shape.

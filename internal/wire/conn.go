@@ -33,7 +33,11 @@ type Conn struct {
 
 	wmu  sync.Mutex
 	w    *bufio.Writer // nil once closed
-	whdr [64]byte      // frame-header scratch, guarded by wmu
+	whdr [128]byte     // frame-header and prefix scratch, guarded by wmu
+
+	// rwake and wwake wait out a running cancellation callback (see
+	// armDeadline).
+	rwake, wwake sync.WaitGroup
 
 	callMu sync.Mutex
 
@@ -58,6 +62,10 @@ type ConnInstruments struct {
 	// FrameErrors counts framing failures (malformed headers, oversized
 	// payloads, short reads, I/O deadline expiries) in either direction.
 	FrameErrors *telemetry.Counter
+	// UnboundedReads and UnboundedWrites count frame operations that ran
+	// with no deadline at all: no I/O timeout and a context that can
+	// neither expire nor be cancelled.
+	UnboundedReads, UnboundedWrites *telemetry.Counter
 }
 
 // Instrument attaches telemetry to the connection. The write is atomic,
@@ -137,16 +145,17 @@ var finNop = func(err error) error { return err }
 
 // armDeadline installs the effective deadline — the earlier of the
 // per-operation I/O timeout and the context deadline — on the write (or,
-// with write false, read) side of the underlying conn, and watches the
-// context so cancellation interrupts an in-flight operation. The returned
-// function must be called exactly once with the operation's error: it
-// stops the watcher, clears the deadline, and maps a deadline expiry
-// caused by the context back to the context's error.
-func (c *Conn) armDeadline(ctx context.Context, write bool) func(error) error {
+// with write false, read) side of the underlying conn, and has
+// context.AfterFunc interrupt the operation on cancellation; one bounded
+// by neither is counted as unbounded. The returned function must be
+// called once with the operation's error: it stops the watch (waiting out
+// a running callback, which could cut the next operation short), clears
+// the deadline, and maps an expiry caused by the context to its error.
+func (c *Conn) armDeadline(ctx context.Context, write bool, unbounded *telemetry.Counter) func(error) error {
 	var dl time.Time
-	timeout := &c.readTimeout
+	timeout, wake := &c.readTimeout, &c.rwake
 	if write {
-		timeout = &c.writeTimeout
+		timeout, wake = &c.writeTimeout, &c.wwake
 	}
 	if io := time.Duration(timeout.Load()); io > 0 {
 		dl = time.Now().Add(io)
@@ -158,38 +167,30 @@ func (c *Conn) armDeadline(ctx context.Context, write bool) func(error) error {
 	}
 	watch := ctx.Done() != nil
 	if dl.IsZero() && !watch {
+		unbounded.Inc()
 		return finNop
 	}
-	// The method value is created only past the fast path above, keeping
-	// deadline-free frame I/O allocation-free.
-	set := c.nc.SetReadDeadline
-	if write {
-		set = c.nc.SetWriteDeadline
-	}
 	if !dl.IsZero() {
-		_ = set(dl)
+		c.setDeadline(write, dl)
 	}
-	var stop, exited chan struct{}
+	var stop func() bool
 	if watch {
-		stop = make(chan struct{})
-		exited = make(chan struct{})
-		go func() {
-			defer close(exited)
-			select {
-			case <-ctx.Done():
-				// A deadline in the past fails the in-flight operation
-				// immediately with os.ErrDeadlineExceeded.
-				_ = set(time.Unix(1, 0))
-			case <-stop:
-			}
-		}()
+		wake.Add(1)
+		stop = context.AfterFunc(ctx, func() {
+			// A deadline in the past fails the in-flight operation
+			// immediately with os.ErrDeadlineExceeded.
+			c.setDeadline(write, time.Unix(1, 0))
+			wake.Done()
+		})
 	}
 	return func(err error) error {
 		if watch {
-			close(stop)
-			<-exited
+			if stop() {
+				wake.Done()
+			}
+			wake.Wait()
 		}
-		_ = set(time.Time{})
+		c.setDeadline(write, time.Time{})
 		if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
 			if cerr := ctx.Err(); cerr != nil {
 				return fmt.Errorf("wire: %w", cerr)
@@ -202,6 +203,14 @@ func (c *Conn) armDeadline(ctx context.Context, write bool) func(error) error {
 			}
 		}
 		return err
+	}
+}
+
+func (c *Conn) setDeadline(write bool, t time.Time) {
+	if write {
+		_ = c.nc.SetWriteDeadline(t)
+	} else {
+		_ = c.nc.SetReadDeadline(t)
 	}
 }
 
@@ -246,11 +255,11 @@ func (c *Conn) readFrame(ctx context.Context) (Frame, error) {
 	if c.r == nil {
 		return Frame{}, errClosed
 	}
-	fin := c.armDeadline(ctx, false)
+	instr := c.instruments()
+	fin := c.armDeadline(ctx, false, instr.UnboundedReads)
 	f, err := ReadFrame(c.r)
 	raw := err
 	err = fin(err)
-	instr := c.instruments()
 	switch {
 	case err == nil:
 		instr.BytesRead.Add(int64(f.WireSize()))
@@ -269,6 +278,12 @@ func (c *Conn) Write(f Frame) error {
 // cancellation bound the write in addition to the connection's I/O
 // timeout.
 func (c *Conn) WriteContext(ctx context.Context, f Frame) error {
+	return c.WritePrefixed(ctx, Prefix{}, f)
+}
+
+// WritePrefixed writes the frame p.Encode(f), with the prefix written
+// straight into the connection's buffer instead of copied before f.
+func (c *Conn) WritePrefixed(ctx context.Context, p Prefix, f Frame) error {
 	// The failpoint runs before wmu is taken, so an injected delay or
 	// hang holds no lock Close waits for.
 	v, ferr := faultinject.Eval(ctx, faultinject.WireWrite)
@@ -283,26 +298,29 @@ func (c *Conn) WriteContext(ctx context.Context, f Frame) error {
 	if v.Drop {
 		return nil // injected drop: report success without sending
 	}
-	fin := c.armDeadline(ctx, true)
-	wrote := f.WireSize()
+	instr := c.instruments()
+	fin := c.armDeadline(ctx, true, instr.UnboundedWrites)
+	// Header and prefix are built in the connection's scratch buffer (wmu
+	// is held), so a steady-state frame write allocates nothing.
+	pre := p.append(c.whdr[64:64])
+	n := len(pre) + len(f.Payload)
+	wrote := wireSize(f.Verb, n)
 	var err error
-	if v.Truncate > 0 && len(f.Payload) > v.Truncate {
+	if v.Truncate > 0 && n > v.Truncate {
 		// Injected truncation: the header advertises the full payload
 		// length but only Truncate bytes follow, so the peer sees a
 		// sender that died mid-frame.
-		err = writeTruncatedFrame(c.w, f, v.Truncate)
-		wrote -= len(f.Payload) - v.Truncate
+		body := append(pre, f.Payload...)[:v.Truncate]
+		err = writeFrame(c.w, f.Verb, n, nil, body)
+		wrote -= n - v.Truncate
 	} else {
-		// The header is built in the connection's scratch buffer (wmu is
-		// held), so a steady-state frame write allocates nothing.
-		err = writeFrameInto(c.w, f, c.whdr[:0])
+		err = writeFrame(c.w, f.Verb, n, c.whdr[:0], pre, f.Payload)
 	}
 	if err == nil {
 		err = c.w.Flush()
 	}
 	raw := err
 	err = fin(err)
-	instr := c.instruments()
 	if raw != nil {
 		if IsFrameError(raw) || errors.Is(raw, os.ErrDeadlineExceeded) {
 			instr.FrameErrors.Inc()
@@ -329,22 +347,18 @@ func (c *Conn) Call(req Frame) (Frame, error) {
 
 // CallContext is Call bounded by the context's deadline and cancellation.
 func (c *Conn) CallContext(ctx context.Context, req Frame) (Frame, error) {
+	return c.CallPrefixed(ctx, Prefix{}, req)
+}
+
+// CallPrefixed is CallContext for a request written with WritePrefixed.
+func (c *Conn) CallPrefixed(ctx context.Context, p Prefix, req Frame) (Frame, error) {
 	c.callMu.Lock()
 	defer c.callMu.Unlock()
-	if err := c.WriteContext(ctx, req); err != nil {
+	if err := c.WritePrefixed(ctx, p, req); err != nil {
 		return Frame{}, err
 	}
 	return c.ReadContext(ctx)
 }
-
-// SetDeadline sets the read and write deadline on the underlying conn.
-func (c *Conn) SetDeadline(t time.Time) error { return c.nc.SetDeadline(t) }
-
-// RemoteAddr returns the remote network address.
-func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
-
-// LocalAddr returns the local network address.
-func (c *Conn) LocalAddr() net.Addr { return c.nc.LocalAddr() }
 
 // Close closes the underlying connection and returns the frame buffers to
 // their pools. It waits for a frame read or write already in progress to

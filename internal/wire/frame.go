@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 )
 
 // MaxPayload bounds the size of a single frame payload. The information
@@ -39,9 +40,11 @@ type Frame struct {
 
 // WireSize returns the number of bytes the frame occupies on the wire:
 // header (verb, space, decimal length, LF) plus payload.
-func (f Frame) WireSize() int {
-	n := len(f.Verb) + 2 + len(f.Payload) // verb, SP, LF, payload
-	l := len(f.Payload)
+func (f Frame) WireSize() int { return wireSize(f.Verb, len(f.Payload)) }
+
+// wireSize is the wire size of a frame with an n-byte payload.
+func wireSize(verb string, l int) int {
+	n := len(verb) + 2 + l // verb, SP, LF, payload
 	for {
 		n++
 		l /= 10
@@ -93,33 +96,37 @@ func validVerb(s string) bool {
 	return true
 }
 
-// appendFrameHeader appends f's wire header — verb, SP, decimal payload
-// length, LF — to hdr. A validated verb (≤ maxVerbLen bytes) plus the
-// widest length fits in 54 bytes, so a caller passing a fixed-size
-// scratch buffer of 64 bytes never triggers a grow.
-func appendFrameHeader(hdr []byte, f Frame) []byte {
-	hdr = append(hdr, f.Verb...)
+// appendFrameHeader appends the wire header of an n-byte payload — verb,
+// SP, decimal length, LF — to hdr. A validated verb (≤ maxVerbLen bytes)
+// plus the widest length fits in 54 bytes, so a caller passing a
+// fixed-size scratch buffer of 64 bytes never triggers a grow.
+func appendFrameHeader(hdr []byte, verb string, n int) []byte {
+	hdr = append(hdr, verb...)
 	hdr = append(hdr, ' ')
-	hdr = strconv.AppendInt(hdr, int64(len(f.Payload)), 10)
+	hdr = strconv.AppendInt(hdr, int64(n), 10)
 	return append(hdr, '\n')
 }
 
-// writeFrameInto writes f to w, building the header in hdr's backing
-// array; the Conn write path passes a per-connection scratch so
-// steady-state frame writes allocate nothing.
-func writeFrameInto(w io.Writer, f Frame, hdr []byte) error {
-	if !validVerb(f.Verb) {
-		return fmt.Errorf("%w: %q", ErrVerbSyntax, f.Verb)
+// writeFrame writes a frame whose header advertises an n-byte payload and
+// whose body is parts, building the header in hdr's backing array; the
+// Conn write path passes a per-connection scratch so steady-state frame
+// writes allocate nothing. Fault injection passes fewer bytes than n to
+// simulate a sender dying mid-frame.
+func writeFrame(w io.Writer, verb string, n int, hdr []byte, parts ...[]byte) error {
+	if !validVerb(verb) {
+		return fmt.Errorf("%w: %q", ErrVerbSyntax, verb)
 	}
-	if len(f.Payload) > MaxPayload {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(f.Payload))
+	if n > MaxPayload {
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
-	if _, err := w.Write(appendFrameHeader(hdr, f)); err != nil {
+	if _, err := w.Write(appendFrameHeader(hdr, verb, n)); err != nil {
 		return fmt.Errorf("wire: write header: %w", err)
 	}
-	if len(f.Payload) > 0 {
-		if _, err := w.Write(f.Payload); err != nil {
-			return fmt.Errorf("wire: write payload: %w", err)
+	for _, b := range parts {
+		if len(b) > 0 {
+			if _, err := w.Write(b); err != nil {
+				return fmt.Errorf("wire: write payload: %w", err)
+			}
 		}
 	}
 	return nil
@@ -127,26 +134,7 @@ func writeFrameInto(w io.Writer, f Frame, hdr []byte) error {
 
 // WriteFrame writes f to w in wire format.
 func WriteFrame(w io.Writer, f Frame) error {
-	return writeFrameInto(w, f, nil)
-}
-
-// writeTruncatedFrame writes a deliberately broken frame: the header
-// advertises f's full payload length, but only the first n payload bytes
-// follow. Fault injection uses it to simulate a sender dying mid-frame.
-func writeTruncatedFrame(w io.Writer, f Frame, n int) error {
-	if !validVerb(f.Verb) {
-		return fmt.Errorf("%w: %q", ErrVerbSyntax, f.Verb)
-	}
-	if len(f.Payload) > MaxPayload {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(f.Payload))
-	}
-	if _, err := w.Write(appendFrameHeader(nil, f)); err != nil {
-		return fmt.Errorf("wire: write header: %w", err)
-	}
-	if _, err := w.Write(f.Payload[:n]); err != nil {
-		return fmt.Errorf("wire: write payload: %w", err)
-	}
-	return nil
+	return writeFrame(w, f.Verb, len(f.Payload), nil, f.Payload)
 }
 
 // ReadFrame reads one frame from r.
@@ -159,13 +147,7 @@ func ReadFrame(r *bufio.Reader) (Frame, error) {
 		return Frame{}, fmt.Errorf("wire: read header: %w", err)
 	}
 	line = line[:len(line)-1] // strip LF
-	sp := -1
-	for i := 0; i < len(line); i++ {
-		if line[i] == ' ' {
-			sp = i
-			break
-		}
-	}
+	sp := strings.IndexByte(line, ' ')
 	if sp <= 0 || sp == len(line)-1 { // no verb, or no length
 		return Frame{}, fmt.Errorf("%w: %q", ErrFrameSyntax, line)
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -32,24 +33,12 @@ var ErrMuxClosed = errors.New("wire: mux connection closed")
 
 // EncodeMux wraps f with the correlation ID, producing the frame that
 // actually crosses the wire in mux mode.
-func EncodeMux(id uint64, f Frame) Frame {
-	p := make([]byte, 0, 21+len(f.Payload))
-	p = strconv.AppendUint(p, id, 10)
-	p = append(p, ' ')
-	p = append(p, f.Payload...)
-	return Frame{Verb: f.Verb, Payload: p}
-}
+func EncodeMux(id uint64, f Frame) Frame { return Prefix{Mux: true, ID: id}.Encode(f) }
 
 // DecodeMux splits a mux-framed message into its correlation ID and the
 // inner frame. The inner payload aliases f's buffer (no copy).
 func DecodeMux(f Frame) (uint64, Frame, error) {
-	sp := -1
-	for i := 0; i < len(f.Payload); i++ {
-		if f.Payload[i] == ' ' {
-			sp = i
-			break
-		}
-	}
+	sp := bytes.IndexByte(f.Payload, ' ')
 	if sp <= 0 {
 		return 0, Frame{}, fmt.Errorf("%w: %s", ErrMuxSyntax, f)
 	}
@@ -164,6 +153,12 @@ func (m *MuxConn) forget(id uint64) {
 // the connection for its siblings (the late response, if any, is
 // discarded by its correlation ID).
 func (m *MuxConn) Call(ctx context.Context, req Frame) (Frame, error) {
+	return m.CallPrefixed(ctx, Prefix{}, req)
+}
+
+// CallPrefixed is Call for a request whose payload follows p's trace
+// context (see Conn.WritePrefixed); the correlation ID is the call's own.
+func (m *MuxConn) CallPrefixed(ctx context.Context, p Prefix, req Frame) (Frame, error) {
 	id := m.nextID.Add(1)
 	ch := make(chan muxResult, 1)
 	m.mu.Lock()
@@ -174,7 +169,8 @@ func (m *MuxConn) Call(ctx context.Context, req Frame) (Frame, error) {
 	}
 	m.calls[id] = ch
 	m.mu.Unlock()
-	if err := m.conn.WriteContext(ctx, EncodeMux(id, req)); err != nil {
+	p.Mux, p.ID = true, id
+	if err := m.conn.WritePrefixed(ctx, p, req); err != nil {
 		m.forget(id)
 		return Frame{}, err
 	}

@@ -35,27 +35,59 @@ type TraceContext struct {
 	Sampled bool
 }
 
+// Prefix is what a negotiated connection puts before a frame's payload:
+// the mux correlation ID, then, on a traced request, the trace context.
+type Prefix struct {
+	Mux     bool
+	ID      uint64
+	Traced  bool
+	Trace   telemetry.TraceRef
+	Parent  telemetry.SpanID
+	Sampled bool
+}
+
+// append appends p's encoding to b.
+func (p *Prefix) append(b []byte) []byte {
+	if p.Mux {
+		b = strconv.AppendUint(b, p.ID, 10)
+		b = append(b, ' ')
+	}
+	if p.Traced {
+		b = p.Trace.Append(b)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(p.Parent), 16)
+		sampled := byte('0')
+		if p.Sampled {
+			sampled = '1'
+		}
+		b = append(b, ' ', sampled, ' ')
+	}
+	return b
+}
+
+// Encode returns f with p in front of its payload, in a new buffer.
+func (p Prefix) Encode(f Frame) Frame {
+	return Frame{Verb: f.Verb, Payload: append(p.append(nil), f.Payload...)}
+}
+
 // EncodeTraceCtx prefixes f's payload with the trace context, producing
 // the frame that actually crosses the wire once trace is granted.
 func EncodeTraceCtx(tc TraceContext, f Frame) Frame {
-	p := make([]byte, 0, len(tc.Trace)+21+len(f.Payload))
-	p = append(p, tc.Trace...)
-	p = append(p, ' ')
-	p = strconv.AppendUint(p, uint64(tc.Parent), 16)
-	p = append(p, ' ')
-	if tc.Sampled {
-		p = append(p, '1')
-	} else {
-		p = append(p, '0')
-	}
-	p = append(p, ' ')
-	p = append(p, f.Payload...)
-	return Frame{Verb: f.Verb, Payload: p}
+	return Prefix{Traced: true, Trace: telemetry.RefOf(tc.Trace), Parent: tc.Parent, Sampled: tc.Sampled}.Encode(f)
 }
 
 // DecodeTraceCtx splits a trace-prefixed frame into its trace context
 // and the inner frame. The inner payload aliases f's buffer (no copy).
 func DecodeTraceCtx(f Frame) (TraceContext, Frame, error) {
+	p, inner, err := DecodeTracePrefix(f)
+	if err != nil {
+		return TraceContext{}, Frame{}, err
+	}
+	return TraceContext{Trace: p.Trace.ID(), Parent: p.Parent, Sampled: p.Sampled}, inner, nil
+}
+
+// DecodeTracePrefix is DecodeTraceCtx with the trace ID left in binary.
+func DecodeTracePrefix(f Frame) (Prefix, Frame, error) {
 	var idx [3]int
 	n := 0
 	for i := 0; i < len(f.Payload) && n < 3; i++ {
@@ -65,22 +97,14 @@ func DecodeTraceCtx(f Frame) (TraceContext, Frame, error) {
 		}
 	}
 	if n < 3 || idx[0] == 0 {
-		return TraceContext{}, Frame{}, fmt.Errorf("%w: %s", ErrTraceSyntax, f)
+		return Prefix{}, Frame{}, fmt.Errorf("%w: %s", ErrTraceSyntax, f)
 	}
-	trace := telemetry.TraceID(f.Payload[:idx[0]])
 	parent, err := strconv.ParseUint(string(f.Payload[idx[0]+1:idx[1]]), 16, 64)
-	if err != nil {
-		return TraceContext{}, Frame{}, fmt.Errorf("%w: %s", ErrTraceSyntax, f)
+	sampled := f.Payload[idx[1]+1 : idx[2]]
+	if err != nil || len(sampled) != 1 || (sampled[0] != '0' && sampled[0] != '1') {
+		return Prefix{}, Frame{}, fmt.Errorf("%w: %s", ErrTraceSyntax, f)
 	}
-	var sampled bool
-	switch string(f.Payload[idx[1]+1 : idx[2]]) {
-	case "1":
-		sampled = true
-	case "0":
-		sampled = false
-	default:
-		return TraceContext{}, Frame{}, fmt.Errorf("%w: %s", ErrTraceSyntax, f)
-	}
-	tc := TraceContext{Trace: trace, Parent: telemetry.SpanID(parent), Sampled: sampled}
-	return tc, Frame{Verb: f.Verb, Payload: f.Payload[idx[2]+1:]}, nil
+	p := Prefix{Traced: true, Trace: telemetry.RefOf(f.Payload[:idx[0]]),
+		Parent: telemetry.SpanID(parent), Sampled: sampled[0] == '1'}
+	return p, Frame{Verb: f.Verb, Payload: f.Payload[idx[2]+1:]}, nil
 }

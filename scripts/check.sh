@@ -35,6 +35,15 @@ echo "== benchmark module (vet, test -race) =="
 echo "== trace chaos (-race) =="
 go test -race -count=1 -run '^TestTraceChaos$|^TestTraceConcurrentPoolCalls$' ./internal/integration/
 
+# The reused trace bookkeeping re-runs uncached under -race: store slots
+# reused under eviction while readers snapshot, a running job's late span
+# after its trace's slot went to another trace, a job's detached context
+# outliving the request whose Scope is reused, a stored span pinning
+# nothing live, and a cancellation racing a write.
+echo "== trace slot and scope reuse (-race) =="
+go test -race -count=1 -run '^(TestTraceSlotReuseUnderEviction|TestLateSpanAfterSlotReuse|TestDetachedJobContext|TestStoredSpanPinsNothing)$' ./internal/telemetry/
+go test -race -count=1 -run '^TestLateCancelDoesNotPoisonNextWrite$' ./internal/wire/
+
 # The pool and reconnect scenarios re-run uncached under -race: they
 # rebind a restarted server's port, race Close against in-flight leases
 # and race concurrent first requests for one dial, which a cached result
@@ -64,6 +73,7 @@ for target in \
 	FuzzGlobMatch:./internal/core \
 	FuzzFrameRoundTrip:./internal/wire \
 	FuzzFrameDecode:./internal/wire \
+	FuzzWirePrefix:./internal/wire \
 	FuzzRejectFrameDecode:./internal/wire \
 	FuzzSessionFrames:./internal/session \
 	FuzzFollowerStream:./internal/cluster \
