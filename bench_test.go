@@ -53,7 +53,7 @@ func BenchmarkTable1(b *testing.B) {
 			b.Fatal(err)
 		}
 		reg := provider.NewRegistry(nil)
-		if _, err := cfg.Apply(reg); err != nil {
+		if _, _, err := config.NewManager(reg).Load(cfg); err != nil {
 			b.Fatal(err)
 		}
 		ctx := context.Background()

@@ -18,6 +18,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -48,7 +49,7 @@ func main() {
 		mdsAddr     = flag.String("mds-addr", "", "also serve the MDS GRIS protocol on this address")
 		wsAddr      = flag.String("ws-addr", "", "also serve the Web-services (SOAP/WSDL) gateway on this address")
 		wsToken     = flag.String("ws-token", "", "shared token required from Web-services clients")
-		stateDir    = flag.String("state-dir", "", "durable job-state directory (write-ahead journal + snapshots); crash recovery replays it on boot (empty = in-memory only)")
+		stateDir    = flag.String("state-dir", "", "durable job-state directory (write-ahead journal + snapshots); crash recovery replays it on boot; with -cache-ttl the response cache also snapshots here every minute and on shutdown, and restarts warm (empty = in-memory only)")
 		fsync       = flag.String("fsync", "interval", "journal fsync policy: always, interval, or never")
 		sandbox     = flag.Bool("restricted", false, "run in-process jobs in the restricted sandbox")
 		metrics     = flag.String("metrics-addr", "", "serve Prometheus text metrics on this address at /metrics, plus /debug/traces and /debug/pprof")
@@ -63,7 +64,6 @@ func main() {
 		submitBL    = flag.Int("submit-backlog", 0, "refuse job submissions with REJECT while the selected backend holds this many pending tasks (0 disables)")
 		cacheTTL    = flag.Duration("cache-ttl", 0, "enable the sharded response cache: rendered info bodies served zero-copy for up to this long, capped by each covered provider's TTL (0 disables)")
 		cacheMaxB   = flag.Int64("cache-max-bytes", 0, "response-cache total byte budget (0 = 256 MiB)")
-		cacheSnap   = flag.Duration("cache-snapshot-interval", time.Minute, "background response-cache snapshot period into -state-dir; restarts restore the snapshot and serve previously cached answers warm (needs -cache-ttl and -state-dir; 0 snapshots only on shutdown)")
 		refreshFrac = flag.Float64("refresh-ahead", 0, "refresh-ahead threshold as a fraction of entry TTL: hot cached answers past it are re-collected in the background so they never expire under load (e.g. 0.8; 0 disables)")
 		clusterMem  = flag.String("cluster-members", "", "comma-separated backend gatekeeper addresses: run as a consistent-hash routing proxy over them instead of a gatekeeper")
 		clusterFail = flag.Int("cluster-fail-threshold", 0, "consecutive forward failures that eject a member from routing until a probe readmits it (0 = 3)")
@@ -189,23 +189,30 @@ func main() {
 			Func:  fn,
 			Queue: queue,
 		},
-		Log:                   logger,
-		Journal:               jnl,
-		Telemetry:             tel,
-		TraceOptions:          telemetry.TracerOptionsFromFlags(*traceSample, *traceSlow),
-		RequestTimeout:        *reqTO,
-		ProviderTimeout:       *provTO,
-		Quota:                 quota,
-		MaxInflight:           *maxInflight,
-		ShedQueue:             *shedQueue,
-		QueueTimeout:          *queueTO,
-		SubmitBacklog:         *submitBL,
-		CacheTTL:              *cacheTTL,
-		CacheMaxBytes:         *cacheMaxB,
-		CacheStateDir:         *stateDir,
-		CacheSnapshotInterval: *cacheSnap,
-		RefreshAhead:          *refreshFrac,
+		Log:             logger,
+		Journal:         jnl,
+		Telemetry:       tel,
+		TraceOptions:    telemetry.TracerOptionsFromFlags(*traceSample, *traceSlow),
+		RequestTimeout:  *reqTO,
+		ProviderTimeout: *provTO,
+		Quota:           quota,
+		MaxInflight:     *maxInflight,
+		ShedQueue:       *shedQueue,
+		QueueTimeout:    *queueTO,
+		SubmitBacklog:   *submitBL,
+		CacheTTL:        *cacheTTL,
+		CacheMaxBytes:   *cacheMaxB,
+		RefreshAhead:    *refreshFrac,
 	})
+	if *stateDir != "" {
+		cache := svc.NewPersister(filepath.Join(*stateDir, "respcache.snap"))
+		if st, err := cache.Start(); err != nil {
+			log.Printf("response cache: cold start: %v", err)
+		} else if st.Restored > 0 {
+			fmt.Printf("infogram: response cache restored %d entries\n", st.Restored)
+		}
+		defer cache.Close() // after svc.Close: the final snapshot holds the last state
+	}
 	bound, err := svc.Listen(*addr)
 	if err != nil {
 		log.Fatalf("listen: %v", err)

@@ -14,9 +14,9 @@ import (
 	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"infogram/internal/bootstrap"
+	"infogram/internal/bytecache"
 	"infogram/internal/config"
 	"infogram/internal/mds"
 	"infogram/internal/provider"
@@ -37,8 +37,7 @@ func main() {
 		traceSlow   = flag.Duration("trace-slow", 0, "always keep traces at least this slow (0 disables the slow rule)")
 		cacheTTL    = flag.Duration("cache-ttl", 0, "enable the sharded response cache: rendered LDIF bodies served zero-copy for up to this long, capped by each covered provider's TTL (0 disables)")
 		cacheMaxB   = flag.Int64("cache-max-bytes", 0, "response-cache total byte budget (0 = 256 MiB)")
-		stateDir    = flag.String("state-dir", "", "durable cache-state directory: the GRIS (and GIIS) response caches snapshot here and restore warm on restart (needs -cache-ttl; empty = memory only)")
-		cacheSnap   = flag.Duration("cache-snapshot-interval", time.Minute, "background cache snapshot period into -state-dir (0 snapshots only on shutdown)")
+		stateDir    = flag.String("state-dir", "", "durable cache-state directory: the GRIS (and GIIS) response caches snapshot here every minute and on shutdown, and restore warm on restart (needs -cache-ttl; empty = memory only)")
 		refreshFrac = flag.Float64("refresh-ahead", 0, "refresh-ahead threshold as a fraction of -cache-ttl: hot cached searches past it are re-run in the background so they never expire under load (e.g. 0.8; 0 disables)")
 	)
 	flag.Parse()
@@ -63,11 +62,7 @@ func main() {
 	registry := provider.NewRegistry(nil)
 	registry.SetTelemetry(tel)
 	if *confPath != "" {
-		cfg, err := config.Load(*confPath)
-		if err != nil {
-			log.Fatalf("config: %v", err)
-		}
-		if _, err := cfg.Apply(registry); err != nil {
+		if _, _, err := config.NewManager(registry).LoadFile(*confPath); err != nil {
 			log.Fatalf("config: %v", err)
 		}
 	} else {
@@ -86,16 +81,9 @@ func main() {
 		Telemetry:     tel,
 	})
 	if *stateDir != "" {
-		if p := gris.NewPersister(filepath.Join(*stateDir, "gris.snap"), *cacheSnap); p != nil {
-			p.SetTelemetry(tel)
-			if st, err := p.Restore(); err != nil {
-				log.Printf("gris cache: cold start: %v", err)
-			} else if st.Restored > 0 {
-				fmt.Printf("mds: GRIS cache restored %d entries\n", st.Restored)
-			}
-			p.Start()
-			defer p.Close()
-		}
+		p := gris.NewPersister(filepath.Join(*stateDir, "gris.snap"))
+		startPersister(p, "GRIS")
+		defer p.Close()
 	}
 	bound, err := gris.Listen(*addr)
 	if err != nil {
@@ -129,16 +117,9 @@ func main() {
 		// gated on a digest of the member set, so a memberless restore would
 		// refuse it.
 		if *stateDir != "" {
-			if p := giis.NewPersister(filepath.Join(*stateDir, "giis.snap"), *cacheSnap); p != nil {
-				p.SetTelemetry(tel)
-				if st, err := p.Restore(); err != nil {
-					log.Printf("giis cache: cold start: %v", err)
-				} else if st.Restored > 0 {
-					fmt.Printf("mds: GIIS cache restored %d entries\n", st.Restored)
-				}
-				p.Start()
-				defer p.Close()
-			}
+			p := giis.NewPersister(filepath.Join(*stateDir, "giis.snap"))
+			startPersister(p, "GIIS")
+			defer p.Close()
 		}
 		fmt.Printf("mds: GIIS on %s (%d members)\n", giisBound, len(giis.Members()))
 	}
@@ -159,4 +140,14 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("mds: shutting down")
+}
+
+// startPersister restores a tier's cache snapshot and starts its
+// background snapshots; a nil persister (cache disabled) does nothing.
+func startPersister(p *bytecache.Persister, tier string) {
+	if st, err := p.Start(); err != nil {
+		log.Printf("%s cache: cold start: %v", strings.ToLower(tier), err)
+	} else if st.Restored > 0 {
+		fmt.Printf("mds: %s cache restored %d entries\n", tier, st.Restored)
+	}
 }

@@ -12,9 +12,10 @@ import (
 
 // FuzzSnapshotRestore feeds arbitrary bytes — seeded with genuine
 // snapshots, then truncated and bit-flipped by the fuzzer — through
-// RestoreSnapshot. The contract under test: never panic, never leave the
-// cache half-poisoned (an error means zero entries survive), and stay
-// fully usable afterwards.
+// RestoreSnapshot under the restore rule (digest 9, live generation 4).
+// The contract under test: never panic, never leave the cache
+// half-poisoned (an error means zero entries survive), and stay fully
+// usable afterwards.
 func FuzzSnapshotRestore(f *testing.F) {
 	clk := clock.NewFake(time.Unix(1000, 0))
 	src := New(Options{Shards: 2, Clock: clk})
@@ -28,7 +29,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add(whole.Bytes())
 	f.Add(whole.Bytes()[:whole.Len()/2])
 	// Keys as a Managed cache writes them — generation stamp first — so the
-	// fuzzer also starts from input the mapper re-stamps instead of drops.
+	// fuzzer also starts from input the rule re-stamps instead of drops.
 	stamped := NewManaged(ManagedOptions{
 		Options:    Options{Shards: 2, Clock: clk},
 		Generation: func() uint64 { return 3 },
@@ -53,9 +54,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := New(Options{Shards: 1, Clock: clock.NewFake(time.Unix(2000, 0))})
-		st, _, err := c.RestoreSnapshot(bytes.NewReader(data), RestoreOptions{
-			MapKey: GenKeyMapper(0, 4),
-		})
+		st, err := c.RestoreSnapshot(bytes.NewReader(data), SnapshotMeta{Generation: 4, Digest: 9})
 		if err != nil && st.Restored != 0 {
 			t.Fatalf("error %v but %d entries claimed restored", err, st.Restored)
 		}

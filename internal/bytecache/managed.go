@@ -26,8 +26,8 @@ import (
 //     popular and past RefreshAhead of their lifetime onto a bounded queue,
 //     and a fixed worker pool re-runs the owner's miss path through Refill.
 //     With RefreshAhead zero nothing is tracked and no goroutine runs.
-//   - Snapshot wiring (Persister): the generation re-stamp and the digest
-//     trust gate.
+//   - Snapshot wiring (Persister, persist.go): the generation re-stamp and
+//     the digest trust gate.
 //
 // The owner supplies what is genuinely its own: Generation, Digest, the key
 // body it appends after the stamp, the per-entry TTL, and Refill. Get, Set,
@@ -39,6 +39,7 @@ type Managed struct {
 	gen    func() uint64
 	digest func() uint64
 	negTTL time.Duration
+	tel    *telemetry.Registry
 
 	// Refresh-ahead state; queue is nil when RefreshAhead is zero, and
 	// everything below is then unused.
@@ -82,10 +83,11 @@ type ManagedOptions struct {
 	// single-flight Entry still coalesces the execution and still enforces
 	// the minimum inter-execution delay.
 	Refill func(ctx context.Context, req any) (stored bool, err error)
-	// Telemetry, when set, receives the byte cache's series and — with the
-	// pool armed — Family_{total,errors_total,skipped_total,tracked} carrying
-	// Labels. Subject is spliced into their help texts ("directory " for the
-	// MDS tiers).
+	// Telemetry, when set, receives the byte cache's series, its
+	// Persister's, and — with the pool armed —
+	// Family_{total,errors_total,skipped_total,tracked} carrying Labels.
+	// Subject is spliced into their help texts ("directory " for the MDS
+	// tiers).
 	Telemetry *telemetry.Registry
 	Family    string
 	Subject   string
@@ -129,6 +131,7 @@ func NewManaged(opts ManagedOptions) *Managed {
 		Cache:  New(opts.Options),
 		gen:    opts.Generation,
 		digest: opts.Digest,
+		tel:    opts.Telemetry,
 		refill: opts.Refill,
 	}
 	m.SetTelemetry(opts.Telemetry)
@@ -306,29 +309,6 @@ func (m *Managed) Close() {
 	}
 	m.cancel()
 	m.pool.Wait()
-}
-
-// Persister wires the snapshot lifecycle for this cache: snapshots carry
-// the owner's generation and digest, restore refuses a snapshot taken under
-// another digest and re-stamps every key from the snapshot's generation to
-// the current one (keys of any other generation are orphans and dropped).
-// Returns nil for a nil cache, which every Persister method tolerates.
-func (m *Managed) Persister(path, name string, interval time.Duration) *Persister {
-	if m == nil {
-		return nil
-	}
-	return NewPersister(m.Cache, PersistOptions{
-		Path:     path,
-		Interval: interval,
-		Name:     name,
-		Meta: func() SnapshotMeta {
-			return SnapshotMeta{Generation: m.gen(), Digest: m.digest()}
-		},
-		MapKey: func(_, cur SnapshotMeta) func([]byte, SnapshotMeta) ([]byte, bool) {
-			return GenKeyMapper(0, cur.Generation)
-		},
-		Clock: m.clk,
-	})
 }
 
 // scratch pools the buffers callers assemble keys and values in, so the

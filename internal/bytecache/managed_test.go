@@ -353,13 +353,13 @@ func TestManagedPersisterRestampsAndGates(t *testing.T) {
 	src.m.Set(src.key("old"), []byte("orphan"), 0)
 	src.gen.Store(5)
 	src.m.Set(src.key("k"), []byte("v"), 0)
-	if err := src.m.Persister(path, "stub", 0).Snapshot(); err != nil {
+	if err := src.m.Persister(path, "stub").Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 
 	dst := newStubOwner(t, 0)
 	dst.gen.Store(9)
-	st, err := dst.m.Persister(path, "stub", 0).Restore()
+	st, err := dst.m.Persister(path, "stub").Restore()
 	if err != nil || st.Restored != 1 || st.DroppedKey != 1 {
 		t.Fatalf("restore = %+v, %v; want 1 restored, 1 orphan dropped", st, err)
 	}
@@ -372,11 +372,11 @@ func TestManagedPersisterRestampsAndGates(t *testing.T) {
 		Generation: func() uint64 { return 5 },
 		Digest:     func() uint64 { return 78 },
 	})
-	if _, err := foreign.Persister(path, "stub", 0).Restore(); !errors.Is(err, ErrSnapshotRejected) {
+	if _, err := foreign.Persister(path, "stub").Restore(); !errors.Is(err, ErrSnapshotRejected) {
 		t.Fatalf("foreign-digest restore err = %v; want ErrSnapshotRejected", err)
 	}
 	var none *Managed
-	if p := none.Persister(path, "stub", 0); p != nil {
+	if p := none.Persister(path, "stub"); p != nil {
 		t.Fatal("nil cache produced a persister")
 	}
 }

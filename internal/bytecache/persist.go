@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"infogram/internal/clock"
 	"infogram/internal/journal"
 	"infogram/internal/telemetry"
 )
@@ -40,19 +39,21 @@ const (
 	// maxSnapshotPayload bounds one frame: one entry's header, key, and
 	// value. Values are rendered response bodies, far below this.
 	maxSnapshotPayload = 64 << 20
+	// snapshotInterval is the period of a Persister's background snapshots.
+	snapshotInterval = time.Minute
 )
 
-// ErrSnapshotRejected reports a structurally valid snapshot whose metadata
-// the caller's Accept hook refused — a different provider population or
-// membership digest. The cache stays cold; nothing was restored.
+// ErrSnapshotRejected reports a structurally valid snapshot taken under
+// another digest — a different provider population or member set. The
+// cache stays cold; nothing was restored.
 var ErrSnapshotRejected = errors.New("bytecache: snapshot rejected by metadata")
 
 // SnapshotMeta travels in the snapshot header frame and gates restore.
 type SnapshotMeta struct {
 	// Generation is the cache owner's invalidation counter at snapshot
 	// time (the respcache registry generation, the GIIS membership
-	// generation). Restore re-stamps keys from this value to the current
-	// one via RestoreOptions.MapKey.
+	// generation), stamped little-endian into key bytes [0,8). Restore
+	// re-stamps keys from this value to the current one.
 	Generation uint64
 	// Digest fingerprints whatever the generation counter ranges over
 	// (provider population and TTLs, member set) so a restore into a
@@ -66,20 +67,8 @@ type SnapshotMeta struct {
 type RestoreStats struct {
 	Restored       int  // entries brought back live
 	DroppedExpired int  // entries past their deadline at restore time
-	DroppedKey     int  // entries refused by MapKey (orphaned generation)
+	DroppedKey     int  // entries of another generation (orphans)
 	Torn           bool // snapshot ended mid-frame; the intact prefix was kept
-}
-
-// RestoreOptions customizes RestoreSnapshot.
-type RestoreOptions struct {
-	// Accept inspects the header before any entry is read; returning false
-	// aborts with ErrSnapshotRejected. Nil accepts everything.
-	Accept func(meta SnapshotMeta) bool
-	// MapKey translates a snapshotted key into a live one — typically
-	// re-stamping an embedded generation counter — or drops it by
-	// returning false. The slice passed in is scratch: it may be mutated
-	// in place and returned, and is copied on store. Nil keeps keys as-is.
-	MapKey func(key []byte, meta SnapshotMeta) ([]byte, bool)
 }
 
 // WriteSnapshot streams every live entry to w in the CRC-framed snapshot
@@ -128,32 +117,33 @@ func (c *Cache) WriteSnapshot(w io.Writer, meta SnapshotMeta) (int, error) {
 	return entries, nil
 }
 
-// RestoreSnapshot reads a snapshot from r into the cache. Entries expired
-// by now are dropped; a torn tail keeps the intact prefix; any corruption
-// (bad CRC, malformed entry, wrong magic or version) clears the cache and
-// returns an error — the caller continues cold. Never panics on arbitrary
-// input.
-func (c *Cache) RestoreSnapshot(r io.Reader, opts RestoreOptions) (RestoreStats, SnapshotMeta, error) {
+// RestoreSnapshot reads a snapshot from r into the cache under the one
+// restore rule. A snapshot whose digest is not cur.Digest is refused with
+// ErrSnapshotRejected before any entry is read. An entry whose key starts
+// with the snapshot's generation is stored re-stamped to cur.Generation;
+// any other key is an orphan of an older generation and dropped. Entries
+// expired by now are dropped; a torn tail keeps the intact prefix; any
+// corruption (bad CRC, malformed entry, wrong magic or version) clears the
+// cache and returns an error — the caller continues cold. Never panics on
+// arbitrary input.
+func (c *Cache) RestoreSnapshot(r io.Reader, cur SnapshotMeta) (RestoreStats, error) {
 	var st RestoreStats
-	var meta SnapshotMeta
 
 	br := bufio.NewReaderSize(r, 256<<10)
 	fr := journal.NewFrameReader(br, maxSnapshotPayload)
 	header, err := fr.Next()
 	if err != nil {
-		return st, meta, fmt.Errorf("bytecache: restore header: %w", err)
+		return st, fmt.Errorf("bytecache: restore header: %w", err)
 	}
 	if len(header) != snapshotHeaderLen || string(header[:4]) != snapshotMagic {
-		return st, meta, fmt.Errorf("%w: not a cache snapshot", journal.ErrFrameCorrupt)
+		return st, fmt.Errorf("%w: not a cache snapshot", journal.ErrFrameCorrupt)
 	}
 	if header[4] != snapshotVersion {
-		return st, meta, fmt.Errorf("bytecache: restore: snapshot version %d not supported", header[4])
+		return st, fmt.Errorf("bytecache: restore: snapshot version %d not supported", header[4])
 	}
-	meta.Generation = binary.LittleEndian.Uint64(header[5:])
-	meta.Digest = binary.LittleEndian.Uint64(header[13:])
-	meta.SavedAt = int64(binary.LittleEndian.Uint64(header[21:]))
-	if opts.Accept != nil && !opts.Accept(meta) {
-		return st, meta, ErrSnapshotRejected
+	snapGen := binary.LittleEndian.Uint64(header[5:])
+	if binary.LittleEndian.Uint64(header[13:]) != cur.Digest {
+		return st, ErrSnapshotRejected
 	}
 
 	now := c.clk.Now().UnixNano()
@@ -161,20 +151,20 @@ func (c *Cache) RestoreSnapshot(r io.Reader, opts RestoreOptions) (RestoreStats,
 		payload, err := fr.Next()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
-				return st, meta, nil
+				return st, nil
 			}
 			if errors.Is(err, journal.ErrTornFrame) {
 				st.Torn = true
-				return st, meta, nil
+				return st, nil
 			}
 			// CRC mismatch or oversize length: no guarantee about anything
 			// already restored either, so start over cold.
 			c.Clear()
-			return RestoreStats{}, meta, fmt.Errorf("bytecache: restore: %w", err)
+			return RestoreStats{}, fmt.Errorf("bytecache: restore: %w", err)
 		}
 		if len(payload) < entryHeaderLen {
 			c.Clear()
-			return RestoreStats{}, meta, fmt.Errorf("%w: entry frame %d bytes", journal.ErrFrameCorrupt, len(payload))
+			return RestoreStats{}, fmt.Errorf("%w: entry frame %d bytes", journal.ErrFrameCorrupt, len(payload))
 		}
 		klen := binary.LittleEndian.Uint32(payload)
 		vlen := binary.LittleEndian.Uint32(payload[4:])
@@ -182,7 +172,7 @@ func (c *Cache) RestoreSnapshot(r io.Reader, opts RestoreOptions) (RestoreStats,
 		expire := int64(binary.LittleEndian.Uint64(payload[16:]))
 		if int64(klen)+int64(vlen)+entryHeaderLen != int64(len(payload)) {
 			c.Clear()
-			return RestoreStats{}, meta, fmt.Errorf("%w: entry lengths disagree with frame", journal.ErrFrameCorrupt)
+			return RestoreStats{}, fmt.Errorf("%w: entry lengths disagree with frame", journal.ErrFrameCorrupt)
 		}
 		key := payload[entryHeaderLen : entryHeaderLen+klen]
 		value := payload[entryHeaderLen+klen:]
@@ -190,62 +180,25 @@ func (c *Cache) RestoreSnapshot(r io.Reader, opts RestoreOptions) (RestoreStats,
 			st.DroppedExpired++
 			continue
 		}
-		if opts.MapKey != nil {
-			mapped, ok := opts.MapKey(key, meta)
-			if !ok {
-				st.DroppedKey++
-				continue
-			}
-			key = mapped
+		if len(key) < 8 || binary.LittleEndian.Uint64(key) != snapGen {
+			st.DroppedKey++
+			continue
 		}
+		// key aliases the frame reader's buffer, and put copies it.
+		binary.LittleEndian.PutUint64(key, cur.Generation)
 		c.put(key, value, stored, expire)
 		st.Restored++
 	}
 }
 
-// GenKeyMapper returns a MapKey hook for key layouts that embed a
-// little-endian uint64 generation counter at a fixed offset: keys stamped
-// with the snapshot's generation are re-stamped to current, anything else
-// (orphans of an older generation, short keys) is dropped.
-func GenKeyMapper(offset int, current uint64) func(key []byte, meta SnapshotMeta) ([]byte, bool) {
-	return func(key []byte, meta SnapshotMeta) ([]byte, bool) {
-		if len(key) < offset+8 {
-			return nil, false
-		}
-		if binary.LittleEndian.Uint64(key[offset:]) != meta.Generation {
-			return nil, false
-		}
-		binary.LittleEndian.PutUint64(key[offset:], current)
-		return key, true
-	}
-}
-
-// PersistOptions configures a Persister.
-type PersistOptions struct {
-	// Path is the snapshot file. Writes go to Path+".tmp" and rename over
-	// Path, so a crash mid-snapshot leaves the previous snapshot intact.
-	Path string
-	// Interval between background snapshots; 0 snapshots only on Close.
-	Interval time.Duration
-	// Name labels this persister's telemetry series (e.g. "resp", "gris").
-	Name string
-	// Meta supplies the current metadata, called at every snapshot and at
-	// restore (where it gates acceptance). Nil persists zero metadata and
-	// accepts any snapshot.
-	Meta func() SnapshotMeta
-	// MapKey is passed through to RestoreSnapshot, built per restore so it
-	// can close over the current generation. Nil keeps keys as-is.
-	MapKey func(snap, current SnapshotMeta) func(key []byte, meta SnapshotMeta) ([]byte, bool)
-	// Clock defaults to the system clock.
-	Clock clock.Clock
-}
-
-// Persister owns the snapshot lifecycle of one cache: restore at boot,
-// periodic background snapshots, a final snapshot on Close.
+// Persister owns the snapshot lifecycle of one managed cache: Start
+// restores the snapshot and launches a loop that writes one every
+// snapshotInterval, Close stops the loop and writes the final one. Every
+// method is nil-safe, so an owner whose cache is disabled hands out nil.
 type Persister struct {
-	c    *Cache
-	opts PersistOptions
-	clk  clock.Clock
+	m        *Managed
+	path     string
+	interval time.Duration // snapshotInterval; a field only so tests can shorten it
 
 	mu   sync.Mutex // serializes Snapshot against itself and Close
 	stop chan struct{}
@@ -260,42 +213,41 @@ type Persister struct {
 	coldStart *telemetry.Counter
 }
 
-// NewPersister builds a Persister for c. Call Restore once before serving,
-// Start to begin the background loop, Close to stop it and write the final
-// snapshot.
-func NewPersister(c *Cache, opts PersistOptions) *Persister {
-	clk := opts.Clock
-	if clk == nil {
-		clk = clock.System
+// Persister wires the snapshot lifecycle for this cache at path (written
+// through path+".tmp" and a rename, so a crash mid-snapshot leaves the
+// previous one intact). Snapshots carry the owner's generation and digest,
+// and restore applies RestoreSnapshot's rule against the live ones. Its
+// metrics go to the cache's registry, labeled cache=name so several
+// persisters in one process stay distinct. Returns nil for a nil cache.
+func (m *Managed) Persister(path, name string) *Persister {
+	if m == nil {
+		return nil
 	}
-	return &Persister{c: c, opts: opts, clk: clk}
+	reg, lb := m.tel, telemetry.Label{Key: "cache", Value: name}
+	return &Persister{
+		m:         m,
+		path:      path,
+		interval:  snapshotInterval,
+		snaps:     reg.Counter("infogram_cache_snapshot_total", "cache snapshots written", lb),
+		snapErrs:  reg.Counter("infogram_cache_snapshot_errors_total", "cache snapshots that failed", lb),
+		snapDur:   reg.Histogram("infogram_cache_snapshot_duration_seconds", "wall-clock duration of one cache snapshot", lb),
+		snapSize:  reg.Gauge("infogram_cache_snapshot_entries", "entries in the newest cache snapshot", lb),
+		restored:  reg.Gauge("infogram_cache_restored_entries", "entries brought back by the boot-time restore", lb),
+		dropped:   reg.Counter("infogram_cache_restore_dropped_total", "snapshot entries not restored (expired or orphaned)", lb),
+		coldStart: reg.Counter("infogram_cache_restore_cold_total", "boot-time restores that fell back to a cold start", lb),
+	}
 }
 
-// SetTelemetry binds the persister's metrics, labeled by the configured
-// name so several persisters (GRIS and GIIS in one process) stay distinct.
-func (p *Persister) SetTelemetry(reg *telemetry.Registry) {
-	if p == nil || reg == nil {
-		return
-	}
-	lb := telemetry.Label{Key: "cache", Value: p.opts.Name}
-	p.snaps = reg.Counter("infogram_cache_snapshot_total", "cache snapshots written", lb)
-	p.snapErrs = reg.Counter("infogram_cache_snapshot_errors_total", "cache snapshots that failed", lb)
-	p.snapDur = reg.Histogram("infogram_cache_snapshot_duration_seconds", "wall-clock duration of one cache snapshot", lb)
-	p.snapSize = reg.Gauge("infogram_cache_snapshot_entries", "entries in the newest cache snapshot", lb)
-	p.restored = reg.Gauge("infogram_cache_restored_entries", "entries brought back by the boot-time restore", lb)
-	p.dropped = reg.Counter("infogram_cache_restore_dropped_total", "snapshot entries not restored (expired or orphaned)", lb)
-	p.coldStart = reg.Counter("infogram_cache_restore_cold_total", "boot-time restores that fell back to a cold start", lb)
-}
-
-// Restore loads the snapshot at Path, if any. Every failure mode — no
-// file, rejected metadata, torn tail, corruption — degrades to a cold (or
-// partially warm) start and is reported in the stats; the returned error
-// is informational and never fatal to the caller's boot.
+// Restore loads the snapshot at the persister's path, if any. Every
+// failure mode — no file, a foreign digest, torn tail, corruption —
+// degrades to a cold (or partially warm) start and is reported in the
+// stats; the returned error is informational and never fatal to the
+// caller's boot.
 func (p *Persister) Restore() (RestoreStats, error) {
 	if p == nil {
 		return RestoreStats{}, nil
 	}
-	f, err := os.Open(p.opts.Path)
+	f, err := os.Open(p.path)
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
 			p.coldStart.Inc()
@@ -303,26 +255,7 @@ func (p *Persister) Restore() (RestoreStats, error) {
 		return RestoreStats{}, nil // no snapshot: ordinary cold boot
 	}
 	defer f.Close()
-
-	var current SnapshotMeta
-	if p.opts.Meta != nil {
-		current = p.opts.Meta()
-	}
-	ropts := RestoreOptions{
-		Accept: func(snap SnapshotMeta) bool { return snap.Digest == current.Digest },
-	}
-	if p.opts.MapKey != nil {
-		// The mapper is built per restore so it can re-stamp from the
-		// snapshot's generation to the current one.
-		var mk func([]byte, SnapshotMeta) ([]byte, bool)
-		ropts.MapKey = func(key []byte, meta SnapshotMeta) ([]byte, bool) {
-			if mk == nil {
-				mk = p.opts.MapKey(meta, current)
-			}
-			return mk(key, meta)
-		}
-	}
-	st, _, err := p.c.RestoreSnapshot(f, ropts)
+	st, err := p.m.RestoreSnapshot(f, SnapshotMeta{Generation: p.m.gen(), Digest: p.m.digest()})
 	p.restored.Set(int64(st.Restored))
 	p.dropped.Add(int64(st.DroppedExpired + st.DroppedKey))
 	if err != nil {
@@ -331,64 +264,49 @@ func (p *Persister) Restore() (RestoreStats, error) {
 	return st, err
 }
 
-// Snapshot writes one snapshot now, atomically (tmp + rename).
+// Snapshot writes one snapshot now and syncs its directory.
 func (p *Persister) Snapshot() error {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	start := p.clk.Now()
-	var meta SnapshotMeta
-	if p.opts.Meta != nil {
-		meta = p.opts.Meta()
-	}
-	meta.SavedAt = start.UnixNano()
-
-	tmp := p.opts.Path + ".tmp"
-	if err := os.MkdirAll(filepath.Dir(p.opts.Path), 0o755); err != nil {
-		p.snapErrs.Inc()
-		return fmt.Errorf("bytecache: snapshot: %w", err)
-	}
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		p.snapErrs.Inc()
-		return fmt.Errorf("bytecache: snapshot: %w", err)
-	}
-	entries, err := p.c.WriteSnapshot(f, meta)
+	start := p.m.clk.Now()
+	meta := SnapshotMeta{Generation: p.m.gen(), Digest: p.m.digest(), SavedAt: start.UnixNano()}
+	dir := filepath.Dir(p.path)
+	entries := 0
+	err := os.MkdirAll(dir, 0o755)
 	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+		err = journal.ReplaceFile(p.path, func(w io.Writer) (err error) {
+			entries, err = p.m.WriteSnapshot(w, meta)
+			return err
+		})
 	}
 	if err == nil {
-		err = os.Rename(tmp, p.opts.Path)
-	}
-	if err == nil {
-		err = journal.SyncDir(filepath.Dir(p.opts.Path))
+		err = journal.SyncDir(dir)
 	}
 	if err != nil {
-		_ = os.Remove(tmp)
 		p.snapErrs.Inc()
 		return fmt.Errorf("bytecache: snapshot: %w", err)
 	}
 	p.snaps.Inc()
 	p.snapSize.Set(int64(entries))
-	p.snapDur.Observe(p.clk.Since(start))
+	p.snapDur.Observe(p.m.clk.Since(start))
 	return nil
 }
 
-// Start launches the periodic snapshot loop when an interval is set.
-func (p *Persister) Start() {
-	if p == nil || p.opts.Interval <= 0 || p.stop != nil {
-		return
+// Start restores the snapshot (Restore) and then launches the background
+// loop. Call it once, after whatever the digest covers is in place and
+// before the owner serves, so the first request already hits warm.
+func (p *Persister) Start() (RestoreStats, error) {
+	if p == nil {
+		return RestoreStats{}, nil
 	}
-	p.stop = make(chan struct{})
-	p.done = make(chan struct{})
+	st, err := p.Restore()
+	p.stop, p.done = make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(p.done)
-		t := time.NewTicker(p.opts.Interval)
+		t := time.NewTicker(p.interval)
 		defer t.Stop()
 		for {
 			select {
@@ -399,10 +317,11 @@ func (p *Persister) Start() {
 			}
 		}
 	}()
+	return st, err
 }
 
 // Close stops the loop and writes a final snapshot, so a clean shutdown
-// always restarts warm even with no interval configured.
+// always restarts warm.
 func (p *Persister) Close() error {
 	if p == nil {
 		return nil

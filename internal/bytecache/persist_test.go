@@ -2,6 +2,7 @@ package bytecache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -13,6 +14,12 @@ import (
 	"infogram/internal/journal"
 	"infogram/internal/telemetry"
 )
+
+// genKey is a key as a Managed cache writes it: the little-endian
+// generation stamp, then the body.
+func genKey(gen uint64, body string) []byte {
+	return append(binary.LittleEndian.AppendUint64(nil, gen), body...)
+}
 
 func snapshotBytes(t *testing.T, c *Cache, meta SnapshotMeta) []byte {
 	t.Helper()
@@ -31,23 +38,20 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		if i%2 == 0 {
 			ttl = time.Duration(i+1) * time.Minute
 		}
-		src.Set(fmt.Appendf(nil, "key-%03d", i), fmt.Appendf(nil, "value-%03d", i), ttl)
+		src.Set(genKey(7, fmt.Sprintf("key-%03d", i)), fmt.Appendf(nil, "value-%03d", i), ttl)
 	}
 	snap := snapshotBytes(t, src, SnapshotMeta{Generation: 7, Digest: 42})
 
 	dst := New(Options{Shards: 8, Clock: clk}) // shard count need not match
-	st, meta, err := dst.RestoreSnapshot(bytes.NewReader(snap), RestoreOptions{})
+	st, err := dst.RestoreSnapshot(bytes.NewReader(snap), SnapshotMeta{Generation: 7, Digest: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Generation != 7 || meta.Digest != 42 {
-		t.Fatalf("meta = %+v", meta)
-	}
-	if st.Restored != 100 || st.DroppedExpired != 0 || st.Torn {
+	if st.Restored != 100 || st.DroppedExpired != 0 || st.DroppedKey != 0 || st.Torn {
 		t.Fatalf("stats = %+v", st)
 	}
 	for i := 0; i < 100; i++ {
-		v, ok := dst.Get(fmt.Appendf(nil, "key-%03d", i))
+		v, ok := dst.Get(genKey(7, fmt.Sprintf("key-%03d", i)))
 		if !ok || string(v) != fmt.Sprintf("value-%03d", i) {
 			t.Fatalf("key %d: got %q, %v", i, v, ok)
 		}
@@ -57,31 +61,31 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 func TestRestoreKeepsOriginalDeadlines(t *testing.T) {
 	clk := clock.NewFake(time.Unix(1000, 0))
 	src := New(Options{Shards: 1, Clock: clk})
-	src.Set([]byte("short"), []byte("v1"), time.Minute)
-	src.Set([]byte("long"), []byte("v2"), time.Hour)
+	src.Set(genKey(0, "short"), []byte("v1"), time.Minute)
+	src.Set(genKey(0, "long"), []byte("v2"), time.Hour)
 	snap := snapshotBytes(t, src, SnapshotMeta{})
 
 	// 30 minutes pass before the restart: "short" is past its deadline and
 	// must be dropped, "long" keeps the remainder of its original TTL.
 	clk.Advance(30 * time.Minute)
 	dst := New(Options{Shards: 1, Clock: clk})
-	st, _, err := dst.RestoreSnapshot(bytes.NewReader(snap), RestoreOptions{})
+	st, err := dst.RestoreSnapshot(bytes.NewReader(snap), SnapshotMeta{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Restored != 1 || st.DroppedExpired != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if _, ok := dst.Get([]byte("short")); ok {
+	if _, ok := dst.Get(genKey(0, "short")); ok {
 		t.Fatal("expired entry resurrected")
 	}
-	if _, ok := dst.Get([]byte("long")); !ok {
+	if _, ok := dst.Get(genKey(0, "long")); !ok {
 		t.Fatal("unexpired entry missing after restore")
 	}
 	// The original deadline, not a fresh TTL: 31 more minutes put "long"
 	// past its 60-minute life even though it was restored 30 minutes in.
 	clk.Advance(31 * time.Minute)
-	if _, ok := dst.Get([]byte("long")); ok {
+	if _, ok := dst.Get(genKey(0, "long")); ok {
 		t.Fatal("restored entry outlived its original deadline")
 	}
 }
@@ -90,12 +94,12 @@ func TestRestoreTornTailKeepsPrefix(t *testing.T) {
 	clk := clock.NewFake(time.Unix(1000, 0))
 	src := New(Options{Shards: 1, Clock: clk})
 	for i := 0; i < 10; i++ {
-		src.Set(fmt.Appendf(nil, "key-%d", i), []byte("value"), time.Hour)
+		src.Set(genKey(0, fmt.Sprintf("key-%d", i)), []byte("value"), time.Hour)
 	}
 	snap := snapshotBytes(t, src, SnapshotMeta{})
 
 	dst := New(Options{Shards: 1, Clock: clk})
-	st, _, err := dst.RestoreSnapshot(bytes.NewReader(snap[:len(snap)-7]), RestoreOptions{})
+	st, err := dst.RestoreSnapshot(bytes.NewReader(snap[:len(snap)-7]), SnapshotMeta{})
 	if err != nil {
 		t.Fatalf("torn tail must not error: %v", err)
 	}
@@ -111,7 +115,7 @@ func TestRestoreCorruptionColdStarts(t *testing.T) {
 	clk := clock.NewFake(time.Unix(1000, 0))
 	src := New(Options{Shards: 1, Clock: clk})
 	for i := 0; i < 10; i++ {
-		src.Set(fmt.Appendf(nil, "key-%d", i), []byte("value"), time.Hour)
+		src.Set(genKey(0, fmt.Sprintf("key-%d", i)), []byte("value"), time.Hour)
 	}
 	snap := snapshotBytes(t, src, SnapshotMeta{})
 
@@ -120,7 +124,7 @@ func TestRestoreCorruptionColdStarts(t *testing.T) {
 	bad := append([]byte(nil), snap...)
 	bad[len(bad)/2] ^= 0x10
 	dst := New(Options{Shards: 1, Clock: clk})
-	st, _, err := dst.RestoreSnapshot(bytes.NewReader(bad), RestoreOptions{})
+	st, err := dst.RestoreSnapshot(bytes.NewReader(bad), SnapshotMeta{})
 	if err == nil {
 		t.Fatal("corruption must be reported")
 	}
@@ -138,32 +142,25 @@ func TestRestoreCorruptionColdStarts(t *testing.T) {
 	badHeader := append([]byte(nil), snap...)
 	badHeader[9] ^= 0x01
 	dst2 := New(Options{Shards: 1, Clock: clk})
-	if _, _, err := dst2.RestoreSnapshot(bytes.NewReader(badHeader), RestoreOptions{}); err == nil {
+	if _, err := dst2.RestoreSnapshot(bytes.NewReader(badHeader), SnapshotMeta{}); err == nil {
 		t.Fatal("corrupt header accepted")
 	}
 }
 
+// TestRestoreAcceptAndMapKey pins the one restore rule: a foreign digest
+// refuses the snapshot, a key of the snapshot's generation is re-stamped
+// to the live one, and any other key is dropped as an orphan.
 func TestRestoreAcceptAndMapKey(t *testing.T) {
 	clk := clock.NewFake(time.Unix(1000, 0))
 	src := New(Options{Shards: 1, Clock: clk})
-	// Keys carry a little-endian generation at offset 0, like the response
-	// cache's; generation 3 was current at snapshot time.
-	key := func(gen uint64, n int) []byte {
-		k := make([]byte, 8)
-		for i := 0; i < 8; i++ {
-			k[i] = byte(gen >> (8 * i))
-		}
-		return fmt.Appendf(k, "key-%d", n)
-	}
-	src.Set(key(3, 1), []byte("current"), time.Hour)
-	src.Set(key(2, 2), []byte("orphan"), time.Hour) // older generation
+	// Generation 3 was current at snapshot time.
+	src.Set(genKey(3, "key-1"), []byte("current"), time.Hour)
+	src.Set(genKey(2, "key-2"), []byte("orphan"), time.Hour) // older generation
+	src.Set([]byte("short"), []byte("unstamped"), time.Hour)
 	snap := snapshotBytes(t, src, SnapshotMeta{Generation: 3, Digest: 99})
 
-	// Accept hook refuses a foreign digest.
 	dst := New(Options{Shards: 1, Clock: clk})
-	_, _, err := dst.RestoreSnapshot(bytes.NewReader(snap), RestoreOptions{
-		Accept: func(m SnapshotMeta) bool { return m.Digest == 100 },
-	})
+	_, err := dst.RestoreSnapshot(bytes.NewReader(snap), SnapshotMeta{Generation: 8, Digest: 100})
 	if !errors.Is(err, ErrSnapshotRejected) {
 		t.Fatalf("want ErrSnapshotRejected, got %v", err)
 	}
@@ -171,39 +168,39 @@ func TestRestoreAcceptAndMapKey(t *testing.T) {
 		t.Fatal("entries restored despite rejection")
 	}
 
-	// GenKeyMapper re-stamps generation 3 keys to generation 8 and drops
-	// the orphan.
-	st, _, err := dst.RestoreSnapshot(bytes.NewReader(snap), RestoreOptions{
-		MapKey: GenKeyMapper(0, 8),
-	})
+	st, err := dst.RestoreSnapshot(bytes.NewReader(snap), SnapshotMeta{Generation: 8, Digest: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Restored != 1 || st.DroppedKey != 1 {
+	if st.Restored != 1 || st.DroppedKey != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if v, ok := dst.Get(key(8, 1)); !ok || string(v) != "current" {
+	if v, ok := dst.Get(genKey(8, "key-1")); !ok || string(v) != "current" {
 		t.Fatalf("re-stamped key: %q, %v", v, ok)
 	}
-	if _, ok := dst.Get(key(3, 1)); ok {
+	if _, ok := dst.Get(genKey(3, "key-1")); ok {
 		t.Fatal("old-generation key still resolves")
 	}
 }
 
-func TestPersisterLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	clk := clock.NewFake(time.Unix(1000, 0))
-	c := New(Options{Shards: 2, Clock: clk})
-	c.Set([]byte("alpha"), []byte("1"), time.Hour)
-	c.Set([]byte("beta"), []byte("2"), time.Hour)
-
-	gen := uint64(5)
-	p := NewPersister(c, PersistOptions{
-		Path:  dir + "/cache.snap",
-		Name:  "test",
-		Meta:  func() SnapshotMeta { return SnapshotMeta{Generation: gen, Digest: 17} },
-		Clock: clk,
+// persisted is a Managed cache over a generation and digest the test sets.
+func persisted(clk clock.Clock, gen, digest uint64, tel *telemetry.Registry) *Managed {
+	return NewManaged(ManagedOptions{
+		Options:    Options{Shards: 2, Clock: clk},
+		Generation: func() uint64 { return gen },
+		Digest:     func() uint64 { return digest },
+		Telemetry:  tel,
 	})
+}
+
+func TestPersisterLifecycle(t *testing.T) {
+	path := t.TempDir() + "/cache.snap"
+	clk := clock.NewFake(time.Unix(1000, 0))
+	m := persisted(clk, 5, 17, nil)
+	m.Set(genKey(5, "alpha"), []byte("1"), time.Hour)
+	m.Set(genKey(5, "beta"), []byte("2"), time.Hour)
+
+	p := m.Persister(path, "test")
 	// No file yet: cold boot, no error.
 	if st, err := p.Restore(); err != nil || st.Restored != 0 {
 		t.Fatalf("missing snapshot: %+v, %v", st, err)
@@ -211,33 +208,70 @@ func TestPersisterLifecycle(t *testing.T) {
 	if err := p.Close(); err != nil { // final snapshot on close
 		t.Fatal(err)
 	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temporary file left behind: %v", err)
+	}
 
-	// Same digest, newer generation: restored with keys intact (no MapKey).
-	c2 := New(Options{Shards: 2, Clock: clk})
-	gen = 6
-	p2 := NewPersister(c2, PersistOptions{
-		Path:  dir + "/cache.snap",
-		Name:  "test",
-		Meta:  func() SnapshotMeta { return SnapshotMeta{Generation: gen, Digest: 17} },
-		Clock: clk,
-	})
-	if st, err := p2.Restore(); err != nil || st.Restored != 2 {
+	// Same digest, newer generation: restored under the new stamp.
+	m2 := persisted(clk, 6, 17, nil)
+	if st, err := m2.Persister(path, "test").Restore(); err != nil || st.Restored != 2 {
 		t.Fatalf("restore: %+v, %v", st, err)
 	}
-	if _, ok := c2.Get([]byte("alpha")); !ok {
+	if _, ok := m2.Get(genKey(6, "alpha")); !ok {
 		t.Fatal("entry missing after persister restore")
 	}
 
 	// Different digest: refused, cold.
-	c3 := New(Options{Shards: 2, Clock: clk})
-	p3 := NewPersister(c3, PersistOptions{
-		Path:  dir + "/cache.snap",
-		Name:  "test",
-		Meta:  func() SnapshotMeta { return SnapshotMeta{Digest: 18} },
-		Clock: clk,
-	})
-	if st, err := p3.Restore(); !errors.Is(err, ErrSnapshotRejected) || st.Restored != 0 {
+	m3 := persisted(clk, 5, 18, nil)
+	if st, err := m3.Persister(path, "test").Restore(); !errors.Is(err, ErrSnapshotRejected) || st.Restored != 0 {
 		t.Fatalf("foreign digest: %+v, %v", st, err)
+	}
+}
+
+// TestPersisterBackgroundLoop starts a persister with a short period: the
+// loop writes at least one snapshot on its own, Close writes a final one
+// holding what was stored after it, and the loop goroutine is gone.
+func TestPersisterBackgroundLoop(t *testing.T) {
+	path := t.TempDir() + "/cache.snap"
+	tel := telemetry.NewRegistry()
+	m := persisted(clock.System, 1, 2, tel)
+	m.Set(genKey(1, "early"), []byte("1"), time.Hour)
+	p := m.Persister(path, "loop")
+	p.interval = 5 * time.Millisecond
+	if st, err := p.Start(); err != nil || st.Restored != 0 {
+		t.Fatalf("start on an empty dir: %+v, %v", st, err)
+	}
+	snaps := tel.Counter("infogram_cache_snapshot_total", "", telemetry.Label{Key: "cache", Value: "loop"})
+	for deadline := time.Now().Add(5 * time.Second); snaps.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no background snapshot within 5s")
+		}
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("background snapshot left no file: %v", err)
+	}
+
+	m.Set(genKey(1, "late"), []byte("2"), time.Hour)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-p.done:
+	default:
+		t.Fatal("snapshot loop still running after Close")
+	}
+	after := snaps.Value()
+	time.Sleep(4 * p.interval)
+	if snaps.Value() != after {
+		t.Fatal("a snapshot was written after Close returned")
+	}
+
+	warm := persisted(clock.System, 4, 2, nil)
+	if st, err := warm.Persister(path, "loop").Restore(); err != nil || st.Restored != 2 {
+		t.Fatalf("restore of the final snapshot = %+v, %v; want 2 restored", st, err)
+	}
+	if v, ok := warm.Get(genKey(4, "late")); !ok || string(v) != "2" {
+		t.Fatalf("entry stored after the last tick = %q, %v; want it in the final snapshot", v, ok)
 	}
 }
 
@@ -303,7 +337,7 @@ func TestFrameReaderGuardsSnapshotOversize(t *testing.T) {
 	frame[2] = 0xFF
 	frame[3] = 0x7F
 	c := New(Options{Shards: 1})
-	if _, _, err := c.RestoreSnapshot(bytes.NewReader(frame), RestoreOptions{}); err == nil {
+	if _, err := c.RestoreSnapshot(bytes.NewReader(frame), SnapshotMeta{}); err == nil {
 		t.Fatal("oversize frame accepted")
 	}
 }
@@ -325,13 +359,8 @@ func TestSnapshotVersion2IsColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := telemetry.NewRegistry()
-	m := NewManaged(ManagedOptions{
-		Options:    Options{Shards: 2, Clock: clk},
-		Generation: func() uint64 { return 3 },
-		Digest:     func() uint64 { return 9 },
-	})
-	p := m.Persister(path, "resp", 0)
-	p.SetTelemetry(tel)
+	m := persisted(clk, 3, 9, tel)
+	p := m.Persister(path, "resp")
 	st, err := p.Restore()
 	if err == nil || st != (RestoreStats{}) || m.Stats().Entries != 0 {
 		t.Fatalf("version-2 restore = %+v, %v, %d resident; want a cold start", st, err, m.Stats().Entries)
@@ -345,12 +374,8 @@ func TestSnapshotVersion2IsColdStart(t *testing.T) {
 	if err := p.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	warm := NewManaged(ManagedOptions{
-		Options:    Options{Shards: 2, Clock: clk},
-		Generation: func() uint64 { return 3 },
-		Digest:     func() uint64 { return 9 },
-	})
-	if st, err := warm.Persister(path, "resp", 0).Restore(); err != nil || st.Restored != 1 {
+	warm := persisted(clk, 3, 9, nil)
+	if st, err := warm.Persister(path, "resp").Restore(); err != nil || st.Restored != 1 {
 		t.Fatalf("restore after the rewrite = %+v, %v; want 1 restored", st, err)
 	}
 }

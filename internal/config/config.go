@@ -32,7 +32,6 @@ import (
 	"strings"
 	"time"
 
-	"infogram/internal/provider"
 	"infogram/internal/quality"
 )
 
@@ -215,25 +214,6 @@ func (c *Config) Render(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Apply registers an ExecProvider for every entry into reg, returning the
-// registrations in file order.
-func (c *Config) Apply(reg *provider.Registry) ([]*provider.Registered, error) {
-	out := make([]*provider.Registered, 0, len(c.Entries))
-	for _, e := range c.Entries {
-		p, err := provider.NewExecProvider(e.Keyword, e.Command)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, reg.Register(p, provider.RegisterOptions{
-			TTL:     e.TTL,
-			Delay:   e.Delay,
-			Degrade: e.Degrade,
-			Format:  e.Format,
-		}))
-	}
-	return out, nil
 }
 
 // Table1 is the verbatim configuration of the paper's Table 1 ("The

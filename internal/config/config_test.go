@@ -171,6 +171,8 @@ func TestLoadFromFile(t *testing.T) {
 	}
 }
 
+// TestApply loads a configuration through a Manager, the one way a
+// configuration reaches a registry.
 func TestApply(t *testing.T) {
 	// A runnable variant of Table 1 using real binaries.
 	src := `60 Date date -u
@@ -183,12 +185,12 @@ func TestApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := provider.NewRegistry(nil)
-	regs, err := cfg.Apply(reg)
+	updated, removed, err := NewManager(reg).Load(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) != 2 || reg.Len() != 2 {
-		t.Fatalf("registrations = %d", len(regs))
+	if updated != 2 || removed != 0 || reg.Len() != 2 {
+		t.Fatalf("updated, removed = %d, %d; %d registered", updated, removed, reg.Len())
 	}
 	g, ok := reg.Lookup("Date")
 	if !ok {
@@ -213,7 +215,7 @@ func TestApply(t *testing.T) {
 
 func TestApplyBadCommand(t *testing.T) {
 	cfg := &Config{Entries: []Entry{{Keyword: "X", Command: ""}}}
-	if _, err := cfg.Apply(provider.NewRegistry(nil)); err == nil {
+	if _, _, err := NewManager(provider.NewRegistry(nil)).Load(cfg); err == nil {
 		t.Error("empty command applied")
 	}
 }

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"infogram/internal/provider"
@@ -45,7 +46,7 @@ func (m *Manager) Load(cfg *Config) (updated, removed int, err error) {
 			Degrade: e.Degrade,
 			Format:  e.Format,
 		})
-		next[lowerKeyword(e.Keyword)] = true
+		next[strings.ToLower(e.Keyword)] = true
 		updated++
 	}
 	for kw := range m.applied {
@@ -77,14 +78,4 @@ func (m *Manager) Keywords() []string {
 		out = append(out, kw)
 	}
 	return out
-}
-
-func lowerKeyword(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + ('a' - 'A')
-		}
-	}
-	return string(b)
 }

@@ -262,7 +262,7 @@ func TestRespCachePersistRoundTrip(t *testing.T) {
 	negReq := &xrsl.InfoRequest{Keywords: []string{"Ghost"}}
 	rc1.store(req, "warm-body", false)
 	rc1.storeNegative(negReq, `provider: unknown keyword "Ghost"`)
-	if err := rc1.c.Persister(path, "resp", 0).Snapshot(); err != nil {
+	if err := rc1.c.Persister(path, "resp").Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -277,7 +277,7 @@ func TestRespCachePersistRoundTrip(t *testing.T) {
 		t.Fatal("test needs distinct registry generations")
 	}
 	rc2 := testRespCache(reg2, 1<<20, time.Minute, clk)
-	st, err := rc2.c.Persister(path, "resp", 0).Restore()
+	st, err := rc2.c.Persister(path, "resp").Restore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestRespCachePersistRoundTrip(t *testing.T) {
 	// lapsed; the negative entry (15s) is still alive.
 	clk.Advance(11 * time.Second)
 	rc3 := testRespCache(reg2, 1<<20, time.Minute, clk)
-	st, err = rc3.c.Persister(path, "resp", 0).Restore()
+	st, err = rc3.c.Persister(path, "resp").Restore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestRespCachePersistRoundTrip(t *testing.T) {
 		return provider.Attributes{{Name: "free", Value: "9"}}, nil
 	}), provider.RegisterOptions{TTL: time.Minute, Clock: clk})
 	rcOther := testRespCache(regOther, 1<<20, time.Minute, clk)
-	st, err = rcOther.c.Persister(path, "resp", 0).Restore()
+	st, err = rcOther.c.Persister(path, "resp").Restore()
 	if !errors.Is(err, bytecache.ErrSnapshotRejected) {
 		t.Fatalf("foreign-registry restore err = %v; want ErrSnapshotRejected", err)
 	}
@@ -350,7 +350,7 @@ func TestRespCacheRestoresParentLayoutSnapshot(t *testing.T) {
 	}
 
 	rc := testRespCache(reg, 1<<20, time.Minute, clk)
-	st, err := rc.c.Persister(path, "resp", 0).Restore()
+	st, err := rc.c.Persister(path, "resp").Restore()
 	if err != nil || st.Restored != 1 {
 		t.Fatalf("restore = %+v, %v; want 1 restored", st, err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"net"
 	"testing"
@@ -10,7 +11,9 @@ import (
 	"infogram/internal/faultinject"
 	"infogram/internal/gsi"
 	"infogram/internal/provider"
+	"infogram/internal/session"
 	"infogram/internal/telemetry"
+	"infogram/internal/wire"
 )
 
 // fastRetry keeps retry tests quick without disabling the policy.
@@ -121,5 +124,31 @@ func TestQueryRetriedOnTransportFault(t *testing.T) {
 	}
 	if got := retriesCounter(tel).Value(); got == 0 {
 		t.Fatal("recovery happened without a counted retry")
+	}
+}
+
+// A mux'd call whose write times out (the server stopped reading) kills
+// its session, so the client's next call re-dials instead of failing on
+// the dead connection forever.
+func TestClientRedialsAfterWriteTimeout(t *testing.T) {
+	g := newTestGrid(t, provider.NewRegistry(nil))
+	cl := core.NewClient(g.addr, g.user, g.trust, core.Options{})
+	defer cl.Close()
+	a, b := net.Pipe()
+	defer b.Close() // the stalled peer never reads
+	conn := wire.NewConn(a)
+	mux := wire.NewMuxConn(conn)
+	cl.SetSession(&session.Client{Conn: conn, Mux: mux})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := cl.PingContext(ctx); err == nil {
+		t.Fatal("ping to a peer that never reads succeeded")
+	}
+	if mux.Err() == nil {
+		t.Fatal("the timed-out write left its connection reporting healthy")
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("the call after a timed-out write did not re-dial: %v", err)
 	}
 }

@@ -24,8 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"path/filepath"
-
 	"infogram/internal/bytecache"
 	"infogram/internal/clock"
 	"infogram/internal/gram"
@@ -153,19 +151,6 @@ type Config struct {
 	// CacheMaxBytes is the response cache's total byte budget; 0 selects
 	// bytecache.DefaultMaxBytes.
 	CacheMaxBytes int64
-	// CacheStateDir, when set (and the cache is enabled), persists the
-	// response cache across restarts: a snapshot is restored at
-	// construction, written periodically (CacheSnapshotInterval) and on
-	// Close, so a restarted server answers previously hot keys warm
-	// instead of re-paying every provider. Entries are restored with their
-	// original deadlines (expired ones dropped), keys are re-stamped to
-	// the current registry generation, and a corrupt or foreign snapshot
-	// falls back to a cold start.
-	CacheStateDir string
-	// CacheSnapshotInterval is the period between background cache
-	// snapshots; 0 snapshots only at Close (a clean shutdown still
-	// restarts warm, a kill does not).
-	CacheSnapshotInterval time.Duration
 	// RefreshAhead, when in (0,1), proactively re-fills hot cache entries
 	// once that fraction of their TTL has elapsed: a bounded worker pool
 	// re-executes the provider collect + render through the single-flight
@@ -184,7 +169,6 @@ type Service struct {
 	dialer  *gram.CallbackDialer
 	info    *infoEngine
 	resp    *respCache
-	persist *bytecache.Persister
 	instr   *instruments
 	gate    *gate
 
@@ -240,18 +224,6 @@ func NewService(cfg Config) *Service {
 	}
 	if cfg.CacheTTL > 0 {
 		s.resp = newRespCache(cfg, s.info)
-		if cfg.CacheStateDir != "" {
-			// Restore happens here — after the self providers above are
-			// registered, so the registry digest the snapshot is checked
-			// against matches the one it was taken under; and before
-			// Listen, so the first request already hits warm.
-			s.persist = s.resp.c.Persister(
-				filepath.Join(cfg.CacheStateDir, "respcache.snap"), "resp",
-				cfg.CacheSnapshotInterval)
-			s.persist.SetTelemetry(cfg.Telemetry)
-			_, _ = s.persist.Restore() // every failure mode is a cold start
-			s.persist.Start()
-		}
 	}
 	sc := session.Config{
 		Credential:  cfg.Credential,
@@ -327,15 +299,22 @@ func (s *Service) Close() error {
 		s.resp.c.Close()
 	}
 	err := s.server.Close()
-	// The final snapshot runs after the server stops accepting requests,
-	// so it captures the cache's last state.
-	if perr := s.persist.Close(); err == nil && perr != nil {
-		err = perr
-	}
 	if jerr := s.cfg.Journal.Close(); err == nil {
 		err = jerr
 	}
 	return err
+}
+
+// NewPersister wires the response cache's snapshot lifecycle at path, or
+// returns nil when the cache is disabled. Start it after NewService, which
+// registers the self providers the snapshot's registry digest covers, and
+// before Listen, so the first request already hits warm; Close it after
+// Service.Close, so the final snapshot holds the cache's last state.
+func (s *Service) NewPersister(path string) *bytecache.Persister {
+	if s.resp == nil {
+		return nil
+	}
+	return s.resp.c.Persister(path, "resp")
 }
 
 // GRIS exposes the same provider registry through the MDS directory

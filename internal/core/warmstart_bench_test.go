@@ -67,7 +67,7 @@ func warmBenchSnapshot(tb testing.TB, path string) []*xrsl.InfoRequest {
 		}
 		rc.store(reqs[i], body, empty)
 	}
-	if err := rc.c.Persister(path, "resp", 0).Snapshot(); err != nil {
+	if err := rc.c.Persister(path, "resp").Snapshot(); err != nil {
 		tb.Fatal(err)
 	}
 	return reqs
@@ -100,7 +100,7 @@ func warmFirstHit(tb testing.TB, path string, req *xrsl.InfoRequest) time.Durati
 	reg := warmBenchRegistry(warmProviderDelay)
 	rc := testRespCache(reg, 64<<20, time.Hour, clock.System)
 	t0 := time.Now()
-	st, err := rc.c.Persister(path, "resp", 0).Restore()
+	st, err := rc.c.Persister(path, "resp").Restore()
 	if err != nil {
 		tb.Fatal(err)
 	}

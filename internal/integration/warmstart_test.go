@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"infogram/internal/bytecache"
 	"infogram/internal/core"
 	"infogram/internal/provider"
 	"infogram/internal/telemetry"
@@ -26,12 +27,15 @@ const warmKeys = 16
 // warmGen is one service generation over a shared cache state directory:
 // its own registry (the same population every generation, exactly as a
 // restarted process rebuilds it from config) with a per-generation
-// provider-execution counter.
+// provider-execution counter. It wires its response-cache persister the
+// way infogram-server does: started after NewService, before Listen, and
+// closed after the service.
 type warmGen struct {
-	svc   *core.Service
-	cl    *core.Client
-	tel   *telemetry.Registry
-	execs *atomic.Int64
+	svc     *core.Service
+	persist *bytecache.Persister
+	cl      *core.Client
+	tel     *telemetry.Registry
+	execs   *atomic.Int64
 }
 
 func startWarmGen(t *testing.T, d *deployment, stateDir string) *warmGen {
@@ -51,27 +55,31 @@ func startWarmGen(t *testing.T, d *deployment, stateDir string) *warmGen {
 	g.svc = core.NewService(core.Config{
 		ResourceName: "warm-site",
 		Credential:   d.svcCred, Trust: d.trust, Gridmap: d.gridmap,
-		Registry:      reg,
-		Backends:      d.backends(),
-		Telemetry:     g.tel,
-		CacheTTL:      time.Hour,
-		CacheStateDir: stateDir,
+		Registry:  reg,
+		Backends:  d.backends(),
+		Telemetry: g.tel,
+		CacheTTL:  time.Hour,
 	})
+	g.persist = g.svc.NewPersister(filepath.Join(stateDir, "respcache.snap"))
+	_, _ = g.persist.Start() // every failure mode is a cold start, read from telemetry
 	addr, err := g.svc.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.cl, err = core.Dial(addr, d.user, d.trust)
 	if err != nil {
-		g.svc.Close()
+		g.close()
 		t.Fatal(err)
 	}
 	return g
 }
 
 func (g *warmGen) close() {
-	g.cl.Close()
+	if g.cl != nil {
+		g.cl.Close()
+	}
 	g.svc.Close()
+	g.persist.Close() // the final snapshot
 }
 
 // queryKeys issues the keyed population — one distinct filter per key, so
@@ -118,7 +126,7 @@ func TestCacheSnapshotKillAndRestart(t *testing.T) {
 	if got := genA.execs.Load(); got != 1 {
 		t.Fatalf("repeat queries executed the provider (%d executions)", got)
 	}
-	genA.close() // Close writes the final snapshot
+	genA.close() // the persister's Close writes the final snapshot
 
 	snapPath := filepath.Join(stateDir, "respcache.snap")
 	if _, err := os.Stat(snapPath); err != nil {

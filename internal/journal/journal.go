@@ -673,18 +673,11 @@ func (j *Journal) snapshotLocked(ctx context.Context) error {
 		return err
 	}
 	nextSeg := j.segIndex
-	tmp := filepath.Join(j.opts.Dir, snapshotName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: snapshot: %w", err)
-	}
-	jobs, err := j.writeSnapshot(f, nextSeg)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	var jobs int
+	err := ReplaceFile(filepath.Join(j.opts.Dir, snapshotName), func(w io.Writer) (err error) {
+		jobs, err = j.writeSnapshot(w, nextSeg)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("journal: snapshot: %w", err)
 	}
@@ -692,9 +685,6 @@ func (j *Journal) snapshotLocked(ctx context.Context) error {
 	// directory is synced: only then may covered segments go. A crash in
 	// between leaves extra segments behind, which recovery skips via
 	// NextSeg. The fsync failpoint sits at this last barrier.
-	if err := os.Rename(tmp, filepath.Join(j.opts.Dir, snapshotName)); err != nil {
-		return fmt.Errorf("journal: snapshot: %w", err)
-	}
 	if _, err := faultinject.Eval(ctx, faultinject.JournalFsync); err != nil {
 		return fmt.Errorf("journal: snapshot fsync: %w", err)
 	}
@@ -735,6 +725,33 @@ func (j *Journal) writeSnapshot(w io.Writer, nextSeg int) (jobs int, err error) 
 	j.encBuf = b
 	_, _ = bw.WriteString("]}")
 	return jobs, bw.Flush()
+}
+
+// ReplaceFile replaces path whole: write fills path+".tmp", which is
+// synced, closed and renamed over path, so a crash at any point leaves
+// either the old file or the new one. On failure the temporary file is
+// removed and path is untouched. The rename is durable only once the
+// caller syncs the directory (SyncDir).
+func ReplaceFile(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
+	}
+	return err
 }
 
 // SyncDir fsyncs directory dir, making a rename into it durable. A file

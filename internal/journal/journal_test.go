@@ -3,6 +3,7 @@ package journal
 import (
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -347,6 +348,39 @@ func TestFsyncFailpointFailsAlwaysPolicyAppend(t *testing.T) {
 	err := j.Append(context.Background(), Entry{Kind: KindSubmit, Contact: "c1", Time: time.Now().UnixNano()})
 	if err == nil || !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("fsync failpoint not surfaced under FsyncAlways: %v", err)
+	}
+}
+
+// TestReplaceFileFailureKeepsOld: a whole-file write that fails leaves the
+// file it was replacing as it was and no temporary file behind; one that
+// succeeds replaces it.
+func TestReplaceFileFailureKeepsOld(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state")
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	err := ReplaceFile(path, func(w io.Writer) error {
+		_, _ = io.WriteString(w, "half")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v; want the writer's error", err)
+	}
+	if b, _ := os.ReadFile(path); string(b) != "old" {
+		t.Fatalf("failed replace changed the file to %q", b)
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temporary file left behind: %v", err)
+	}
+	if err := ReplaceFile(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "new")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(path); string(b) != "new" {
+		t.Fatalf("replaced file = %q; want new", b)
 	}
 }
 

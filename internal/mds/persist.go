@@ -3,7 +3,6 @@ package mds
 import (
 	"hash/fnv"
 	"sort"
-	"time"
 
 	"infogram/internal/bytecache"
 )
@@ -31,17 +30,17 @@ func membershipDigest(members []string) uint64 {
 }
 
 // NewPersister wires the GRIS response cache's snapshot lifecycle, or
-// returns nil when the cache is disabled. Call Restore before serving,
-// Start for the background loop, Close on shutdown.
-func (g *GRIS) NewPersister(path string, interval time.Duration) *bytecache.Persister {
-	return g.resp.Persister(path, "gris", interval)
+// returns nil when the cache is disabled. Start it before serving, Close
+// it after the GRIS.
+func (g *GRIS) NewPersister(path string) *bytecache.Persister {
+	return g.resp.Persister(path, "gris")
 }
 
 // NewPersister wires the GIIS aggregate cache's snapshot lifecycle, or
 // returns nil when the cache is disabled. The membership digest is taken
 // from the live member set, so callers must register (or restore) their
-// members BEFORE calling Restore — mds-server registers the -member flags
+// members BEFORE calling Start — mds-server registers the -member flags
 // first — or the digest comes up empty and every snapshot is refused.
-func (g *GIIS) NewPersister(path string, interval time.Duration) *bytecache.Persister {
-	return g.resp.Persister(path, "giis", interval)
+func (g *GIIS) NewPersister(path string) *bytecache.Persister {
+	return g.resp.Persister(path, "giis")
 }

@@ -52,7 +52,7 @@ func TestGRISPersistWarmRestart(t *testing.T) {
 	if counts1["Memory"].Load() != 1 {
 		t.Fatalf("Memory executions = %d", counts1["Memory"].Load())
 	}
-	if err := g1.NewPersister(path, 0).Snapshot(); err != nil {
+	if err := g1.NewPersister(path).Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -71,7 +71,7 @@ func TestGRISPersistWarmRestart(t *testing.T) {
 		ResourceName: "res", Registry: reg2, Credential: f.svc, Trust: f.trust,
 		Clock: clk, CacheTTL: time.Hour, Telemetry: tel,
 	})
-	st, err := g2.NewPersister(path, 0).Restore()
+	st, err := g2.NewPersister(path).Restore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestGRISPersistForeignRegistryColdStart(t *testing.T) {
 	if _, err := g1.Search(ctx, mds.SearchRequest{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g1.NewPersister(path, 0).Snapshot(); err != nil {
+	if err := g1.NewPersister(path).Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -120,7 +120,7 @@ func TestGRISPersistForeignRegistryColdStart(t *testing.T) {
 		ResourceName: "res", Registry: reg2, Credential: f.svc, Trust: f.trust,
 		Clock: clk, CacheTTL: time.Hour,
 	})
-	st, err := g2.NewPersister(path, 0).Restore()
+	st, err := g2.NewPersister(path).Restore()
 	if err == nil || st.Restored != 0 {
 		t.Fatalf("foreign snapshot accepted: stats=%+v err=%v", st, err)
 	}
@@ -156,7 +156,7 @@ func TestGIISPersistWarmRestart(t *testing.T) {
 	if len(entries) != 4 {
 		t.Fatalf("fan-out entries = %d, want 4", len(entries))
 	}
-	if err := giis1.NewPersister(path, 0).Snapshot(); err != nil {
+	if err := giis1.NewPersister(path).Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -169,7 +169,7 @@ func TestGIISPersistWarmRestart(t *testing.T) {
 	bare := mds.NewGIIS(mds.GIISConfig{
 		OrgName: "vo", Credential: f.svc, Trust: f.trust, CacheTTL: time.Hour,
 	})
-	if st, err := bare.NewPersister(path, 0).Restore(); err == nil || st.Restored != 0 {
+	if st, err := bare.NewPersister(path).Restore(); err == nil || st.Restored != 0 {
 		t.Fatalf("memberless GIIS accepted the snapshot: stats=%+v err=%v", st, err)
 	}
 
@@ -179,7 +179,7 @@ func TestGIISPersistWarmRestart(t *testing.T) {
 	})
 	giis2.Register(g1.Addr())
 	giis2.Register(g2.Addr())
-	st, err := giis2.NewPersister(path, 0).Restore()
+	st, err := giis2.NewPersister(path).Restore()
 	if err != nil {
 		t.Fatal(err)
 	}

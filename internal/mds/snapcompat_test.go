@@ -50,8 +50,7 @@ func TestGRISPreUpgradeSnapshotIsOneColdStart(t *testing.T) {
 		ResourceName: "res", Registry: reg, Credential: f.svc, Trust: f.trust,
 		Clock: clk, CacheTTL: time.Minute, Telemetry: tel,
 	})
-	p := g.NewPersister(path, 0)
-	p.SetTelemetry(tel)
+	p := g.NewPersister(path)
 	st, err := p.Restore()
 	if err != nil || st.Restored != 0 || st.DroppedKey != len(filters) {
 		t.Fatalf("restore = %+v, %v; want 0 restored, %d dropped, no error", st, err, len(filters))

@@ -149,9 +149,10 @@ func (m *MuxConn) forget(id uint64) {
 // Call performs one correlated request/response exchange. It is safe for
 // concurrent use: calls in flight at the same time share the connection
 // and their responses may return in any order. The context bounds the
-// whole exchange; a call that times out fails alone without poisoning
-// the connection for its siblings (the late response, if any, is
-// discarded by its correlation ID).
+// whole exchange; a call that times out waiting for its response fails
+// alone without poisoning the connection for its siblings (the late
+// response, if any, is discarded by its correlation ID). A call whose
+// write fails takes the connection down with it.
 func (m *MuxConn) Call(ctx context.Context, req Frame) (Frame, error) {
 	return m.CallPrefixed(ctx, Prefix{}, req)
 }
@@ -172,6 +173,14 @@ func (m *MuxConn) CallPrefixed(ctx context.Context, p Prefix, req Frame) (Frame,
 	p.Mux, p.ID = true, id
 	if err := m.conn.WritePrefixed(ctx, p, req); err != nil {
 		m.forget(id)
+		// A failpoint refusal comes before any byte is buffered and fails
+		// this call alone. Any other failed write may have left part of a
+		// frame buffered or sent, and the writer keeps its error: the
+		// connection is dead for every call.
+		if !errors.Is(err, faultinject.ErrInjected) {
+			m.fail(err)
+			m.conn.Close()
+		}
 		return Frame{}, err
 	}
 	select {

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"infogram/internal/faultinject"
 )
 
 func TestMuxEncodeDecodeRoundTrip(t *testing.T) {
@@ -253,5 +255,55 @@ func TestMuxCallTimeoutFailsAlone(t *testing.T) {
 	hold <- struct{}{}
 	if err := <-done; err != nil {
 		t.Fatalf("follow-up call after sibling timeout: %v", err)
+	}
+}
+
+// A call whose write times out — the peer stopped reading — fails the
+// connection, not only the call: part of the frame may be buffered or
+// sent, and the writer keeps its error, so every later call would fail
+// the same way while the connection still looked healthy.
+func TestMuxWriteTimeoutFailsConn(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close() // the peer never reads
+	m := NewMuxConn(NewConn(a))
+	defer m.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := m.Call(ctx, Frame{Verb: "REQ", Payload: []byte("stuck")}); err == nil {
+		t.Fatal("a call whose write cannot complete succeeded")
+	}
+	if m.Err() == nil {
+		t.Fatal("a failed write left the connection reporting healthy")
+	}
+	if _, err := m.Call(context.Background(), Frame{Verb: "REQ"}); err == nil {
+		t.Fatal("a call on the dead connection succeeded")
+	}
+}
+
+// A wire.write failpoint refuses a call before anything is buffered: that
+// call fails alone and the next one goes through.
+func TestMuxWriteFailpointFailsAlone(t *testing.T) {
+	faultinject.Reset()
+	defer faultinject.Reset()
+	m := muxPair(t, func(c *Conn) {
+		for {
+			f, err := c.Read()
+			if err != nil {
+				return
+			}
+			_ = c.Write(f)
+		}
+	})
+	faultinject.Arm(faultinject.WireWrite, faultinject.Action{Count: 1})
+	if _, err := m.Call(context.Background(), Frame{Verb: "REQ"}); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("refused call: err = %v; want the injected fault", err)
+	}
+	if err := m.Err(); err != nil {
+		t.Fatalf("a refused write killed the connection: %v", err)
+	}
+	resp, err := m.Call(context.Background(), Frame{Verb: "REQ", Payload: []byte("next")})
+	if err != nil || string(resp.Payload) != "next" {
+		t.Fatalf("call after the refusal = %q, %v", resp.Payload, err)
 	}
 }

@@ -39,10 +39,11 @@ go test -race -count=1 -run '^TestTraceChaos$|^TestTraceConcurrentPoolCalls$' ./
 # reused under eviction while readers snapshot, a running job's late span
 # after its trace's slot went to another trace, a job's detached context
 # outliving the request whose Scope is reused, a stored span pinning
-# nothing live, and a cancellation racing a write.
+# nothing live, a cancellation racing a write, and a mux'd write that
+# times out failing its whole connection.
 echo "== trace slot and scope reuse (-race) =="
 go test -race -count=1 -run '^(TestTraceSlotReuseUnderEviction|TestLateSpanAfterSlotReuse|TestDetachedJobContext|TestStoredSpanPinsNothing)$' ./internal/telemetry/
-go test -race -count=1 -run '^TestLateCancelDoesNotPoisonNextWrite$' ./internal/wire/
+go test -race -count=1 -run '^(TestLateCancelDoesNotPoisonNextWrite|TestMuxWriteTimeoutFailsConn)$' ./internal/wire/
 
 # The pool and reconnect scenarios re-run uncached under -race: they
 # rebind a restarted server's port, race Close against in-flight leases
