@@ -28,7 +28,7 @@ import (
 // tracing costs per request, and it is zero.
 const (
 	budgetHotInfo     = 34 // measured 31.1: one cached info query
-	budgetSubmitCycle = 86 // measured 82.0: SUBMIT, the job to DONE, one STATUS
+	budgetSubmitCycle = 55 // measured 51.0: SUBMIT, the job to DONE, one STATUS
 )
 
 // pipeRig is a journaled service and a client joined by net.Pipe.

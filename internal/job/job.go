@@ -269,7 +269,12 @@ func (t *Table) LastID() uint64 { return t.seq.Load() }
 // GRAM convention of address + job id + timestamp.
 func (t *Table) NewContact(now time.Time) string {
 	id := t.seq.Add(1)
-	return fmt.Sprintf("%s%d/%d", t.prefix, id, now.UnixNano())
+	var buf [128]byte
+	b := append(buf[:0], t.prefix...)
+	b = strconv.AppendUint(b, id, 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, now.UnixNano(), 10)
+	return string(b)
 }
 
 // noteLocked moves the job-id sequence above the id of a contact the

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -300,5 +301,33 @@ func TestConcurrentTransitions(t *testing.T) {
 	wg.Wait()
 	if tbl.Len() != 8*50 {
 		t.Errorf("Len = %d", tbl.Len())
+	}
+}
+
+// TestNewContactLayout: a contact is the table's prefix, the job id and
+// the submission time in Unix nanoseconds, and its id reads back through
+// issuedSeq.
+func TestNewContactLayout(t *testing.T) {
+	tbl := NewTable("h:1")
+	at := time.Unix(1700000000, 123456789)
+	for want := uint64(1); want <= 3; want++ {
+		c := tbl.NewContact(at)
+		if c != fmt.Sprintf("gram://h:1/%d/%d", want, at.UnixNano()) {
+			t.Fatalf("contact %d = %q", want, c)
+		}
+		if seq, ok := tbl.issuedSeq(c); !ok || seq != want {
+			t.Fatalf("issuedSeq(%q) = %d, %v; want %d", c, seq, ok, want)
+		}
+	}
+}
+
+// TestNewContactAllocations pins a contact at one allocation: its string.
+func TestNewContactAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	tbl := NewTable("gram.example.org:2119")
+	if allocs := testing.AllocsPerRun(200, func() { tbl.NewContact(now) }); allocs > 1 {
+		t.Errorf("NewContact allocates %.1f times per call, want 1", allocs)
 	}
 }

@@ -2,7 +2,6 @@ package rsl
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -221,29 +220,6 @@ func (s *Spec) All(attr string) ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// Int returns the attribute's first value parsed as an int, or def when
-// absent.
-func (s *Spec) Int(attr string, def int) (int, error) {
-	v, ok, err := s.First(attr)
-	if err != nil || !ok {
-		return def, err
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(v))
-	if err != nil {
-		return def, fmt.Errorf("rsl: attribute %q is not an integer: %w", attr, err)
-	}
-	return n, nil
-}
-
-// String returns the attribute's first value, or def when absent.
-func (s *Spec) String(attr, def string) (string, error) {
-	v, ok, err := s.First(attr)
-	if err != nil || !ok {
-		return def, err
-	}
-	return v, nil
 }
 
 // Unparse renders the evaluated spec canonically.

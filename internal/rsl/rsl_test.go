@@ -263,12 +263,11 @@ func TestSpecAccessors(t *testing.T) {
 	if err != nil || len(all) != 2 || all[0] != "Memory" || all[1] != "CPU" {
 		t.Errorf("All = %v %v", all, err)
 	}
-	n, err := spec.Int("count", 1)
-	if err != nil || n != 3 {
-		t.Errorf("Int = %d %v", n, err)
+	if v, ok, err := spec.First("count"); err != nil || !ok || v != "3" {
+		t.Errorf("First(count) = %q %v %v", v, ok, err)
 	}
-	if n, err := spec.Int("absent", 7); err != nil || n != 7 {
-		t.Errorf("Int default = %d %v", n, err)
+	if v, ok, err := spec.First("absent"); err != nil || ok || v != "" {
+		t.Errorf("First(absent) = %q %v %v", v, ok, err)
 	}
 }
 
@@ -277,8 +276,8 @@ func TestSpecAttrCanonicalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := spec.Int("maxtime", 0); n != 5 {
-		t.Errorf("maxtime = %d, canonicalization failed", n)
+	if v, _, _ := spec.First("maxtime"); v != "5" {
+		t.Errorf("maxtime = %q, canonicalization failed", v)
 	}
 	if !AttrEqual("Max_Time", "maxtime") || AttrEqual("a", "b") {
 		t.Error("AttrEqual misbehaves")

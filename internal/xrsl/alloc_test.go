@@ -26,3 +26,33 @@ func TestDecodeInfoAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeJobAllocations pins the single pass's cost for the job shapes
+// clients send: the result slice, the Request, the JobRequest and its
+// argument slice, with no RSL tree, no Spec and no Unparse: the Source is
+// the source itself.
+func TestDecodeJobAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, c := range []struct {
+		name, src string
+	}{
+		{"suite", "&(executable=noop)(jobtype=func)(arguments=1y2p0ij32e8e7)"},
+		{"date", "&(executable=/bin/date)(arguments=-u)"},
+		{"sleep", "&(executable=/bin/sleep)(arguments=30)(timeout=200)(action=cancel)"},
+	} {
+		reqs, err := Decode(c.src, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if reqs[0].Source != c.src {
+			t.Fatalf("%s: Source = %q, want the source itself", c.name, reqs[0].Source)
+		}
+		allocs := testing.AllocsPerRun(200, func() { _, _ = Decode(c.src, nil) })
+		if allocs > 5 {
+			t.Errorf("%s: Decode allocates %.1f times per call, want at most 5", c.name, allocs)
+		}
+		t.Logf("%s: %.1f allocations", c.name, allocs)
+	}
+}

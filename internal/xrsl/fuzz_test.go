@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"infogram/internal/cache"
 	"infogram/internal/rsl"
@@ -85,7 +86,8 @@ func FuzzParseXRSL(f *testing.F) {
 
 // FuzzDecodeSinglePass holds Decode's single pass to the parser path it
 // short-cuts: for every input, Decode and decodeParsed must agree on
-// error-or-not, on the error text, and on the decoded requests.
+// error-or-not, on the error text, and on the decoded requests, a job's
+// Source included.
 func FuzzDecodeSinglePass(f *testing.F) {
 	// Every shape InfoRequest.Encode produces.
 	for _, r := range []InfoRequest{
@@ -102,7 +104,61 @@ func FuzzDecodeSinglePass(f *testing.F) {
 	} {
 		f.Add(r.Encode())
 	}
+	// Every shape JobRequest.Encode produces.
+	for _, j := range []JobRequest{
+		{Executable: "/bin/date"},
+		{Executable: "/bin/echo", Arguments: []string{"a", "b c", ""}, Directory: "/tmp", Stdin: "/etc/hostname",
+			Count: 2, JobType: "func", Queue: "default", MaxWallTime: time.Minute, Timeout: 1500 * time.Millisecond,
+			Action: ActionCancel, Restart: 3, CallbackContact: "127.0.0.1:9999", Environment: map[string]string{"A": "1", "B": "x y"}},
+		{Executable: "/bin/echo", Arguments: []string{"a", "b c", ""}, Directory: "/tmp", Stdin: "/etc/hostname",
+			Count: 2, JobType: "func", Queue: "default", MaxWallTime: time.Minute, Timeout: 1500 * time.Millisecond,
+			Action: ActionCancel, Restart: 3, CallbackContact: "127.0.0.1:9999"},
+		{Executable: "noop", JobType: "func", Arguments: []string{"1y2p0ij32e8e7"}},
+		{Executable: "x", JobType: "queue", Queue: "batch", Timeout: time.Second, Action: ActionException},
+		{Executable: "ümlaut prog", MaxWallTime: 90 * time.Second, Arguments: []string{"a(b)", "$(X)", "a#b", "it's"}},
+		{Executable: "say", Arguments: []string{`"hi"`}},
+	} {
+		f.Add(j.Encode())
+	}
 	for _, s := range []string{
+		// The job strings of the suite, the examples and the commands.
+		"&(executable=noop)(jobtype=func)(arguments=1y2p0ij32e8e7)", "&(executable=noop)(jobtype=func)",
+		"&(executable=flaky-sim)(jobtype=func)(restart=3)(callback=127.0.0.1:40123)",
+		"&(executable=/bin/sleep)(arguments=30)(timeout=200)(action=cancel)",
+		"&(executable=/bin/date)(arguments=-u)", "(executable=compute-pi)(jobtype=func)", "(executable=/bin/date)",
+		"+(&(info=Resource))(&(executable=/bin/echo)(arguments=one round trip))", "+(&(info=all))(&(executable=/bin/date))",
+		`&(executable=/bin/sh)(arguments=-c "sleep 0.05; echo finished")(callback=127.0.0.1:1)`,
+		// Lists: several values, repeated relations, adjacent tokens.
+		"&(executable=x)(arguments=a b c)", "&(executable=x)(arguments=a)(arguments=b c)",
+		"&(arguments=a)(executable=x)(arguments=b)", `&(executable=x)(arguments="a"b)`, `&(executable=x)(arguments=a"b c")`,
+		"&(executable=x y)", "&(executable=x)(directory=a b)(jobtype=func exec)",
+		// Attributes in mixed case and with underscores.
+		"&(Job_Type=func)(executable=x)", "&(EXECUTABLE=x)(JOBTYPE=FUNC)", "&(executable=x)(JobType=func)",
+		"&(executable=x)(Max_Time=5)(TIME_OUT=10)(Action=CANCEL)", "&(_executable_=x)(Arguments=A)",
+		// Quoted values that need quoting and that do not.
+		`&(executable="/bin/x")`, `&(executable="a b")(arguments="" "c d" e)`, `&(executable="")`,
+		`&(executable=x)(arguments="it's")`, `&(executable=x)(arguments="ü")`, `&(executable=x)(stdin="a=b")`,
+		// Whitespace around tokens, and a bare relation list with no '&'.
+		" &(executable=x)", "& (executable=x)", "&( executable=x)", "&(executable =x)", "&(executable= x)",
+		"&(executable=x )", "&(executable=x) ", "&(executable=x) (jobtype=func)", "&(executable=x)(arguments=a  b)",
+		"&(executable=x)(arguments=a\tb)", "\t&\n(executable=x)(arguments=a\nb)\r", "(executable=x)(jobtype=func)",
+		// Validation failures both paths must word the same.
+		"&(executable=x)(count=0)", "&(executable=x)(count= 3)", `&(executable=x)(count=" 3 ")`, "&(executable=x)(count=three)",
+		"&(executable=x)(restart=-1)", "&(executable=x)(jobtype=bogus)", "&(executable=x)(action=cancel)",
+		"&(executable=x)(action=bogus)(timeout=5)", "&(executable=x)(timeout=-5)", "&(executable=x)(maxtime=1m0s)",
+		"&(executable=x)(maxtime=soon)", "&(executable=x)(timeout=1.5s)(action=Exception)",
+		// executable with info, unknown attributes and neither.
+		"&(executable=x)(info=all)", "&(info=a)(executable=x)", "&(executable=x)(foo=bar)", "&(foo=bar)(executable=x)(foo=baz)",
+		"&(foo=bar)", "&(jobtype=func)",
+		// Every fallback case: variables, concatenation, single and doubled
+		// quotes, environment and rsl_substitution, other operators and
+		// boolean operators.
+		"&(executable=$(HOME)/x)", "&(executable=x)(arguments=$(X))", "&(executable=a#b)", `&(executable="a"#"b")`,
+		"&(executable='x')", `&(executable=x)(arguments="say ""hi""")`, "&(executable=x)(environment=(A 1)(B 2))",
+		"&(executable=x)(environment=A)", "&(rsl_substitution=(X x))(executable=$(X))", "&(rsl_substitution=x)(executable=x)",
+		"&(executable=x)(count>1)", "&(executable!=x)", "&(executable=x)(arguments<=a)",
+		"+(&(executable=x))(&(executable=y))", "|(executable=x)(executable=y)", "&(&(executable=x))", "&(executable=(x))",
+		"&(executable=)", "&(executable=x", "&(executable=x))", "&(executable=x)y",
 		// Case and underscores in tags; several values in one relation.
 		"(info=a b)", "(In_Fo=x)", "(INFO=ALL)", "(info=Schema)(FORMAT=XML)",
 		// Duplicate tags: the first value of each wins.

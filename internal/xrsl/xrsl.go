@@ -145,16 +145,20 @@ type Request struct {
 	Job  *JobRequest
 	// Source is a job's specification in canonical RSL, kept in its job
 	// record for accounting and restart recovery. Info requests leave it
-	// empty: nothing reads it for them.
+	// empty: nothing reads it for them. When the source is already
+	// canonical, Source is the source itself, and on a server that is the
+	// request frame's payload: wire.ReadFrame allocates each payload at
+	// exactly the frame's length and never reuses it, so a job record
+	// holding that alias pins no more than a copy of the source would.
 	Source string
 }
 
 // Decode parses and classifies a full xRSL string, expanding
-// multi-requests into their components. The canonical info shape is
-// decoded in a single pass over src (decodeSinglePass); any other input is
-// parsed into an RSL tree (decodeParsed). Both paths return the same
-// requests and the same errors; on the single pass the keywords and the
-// filter are substrings of src.
+// multi-requests into their components. The canonical info and job shapes
+// are decoded in a single pass over src (decodeSinglePass); any other input
+// is parsed into an RSL tree (decodeParsed). Both paths return the same
+// requests and the same errors; on the single pass the values are
+// substrings of src, and a job's Source is src itself.
 func Decode(src string, env rsl.Env) ([]*Request, error) {
 	if reqs, ok, err := decodeSinglePass(src); ok {
 		return reqs, err
@@ -199,8 +203,19 @@ func DecodeOne(src string, env rsl.Env) (*Request, error) {
 
 // DecodeSpec classifies one evaluated specification.
 func DecodeSpec(spec *rsl.Spec) (*Request, error) {
-	hasExec := spec.Has("executable")
-	infos, err := spec.All("info")
+	req, err := decodeRequest(&relations{spec: spec})
+	if err == nil && req.Kind == KindJob {
+		req.Source = spec.Unparse()
+	}
+	return req, err
+}
+
+// decodeRequest classifies one request's relations, read through r, and
+// validates them as a job submission or an information query. The caller
+// sets a job's Source.
+func decodeRequest(r *relations) (*Request, error) {
+	hasExec := r.present(tagExecutable)
+	infos, err := r.all(tagInfo)
 	if err != nil {
 		return nil, err
 	}
@@ -209,13 +224,13 @@ func DecodeSpec(spec *rsl.Spec) (*Request, error) {
 	case hasExec && hasInfo:
 		return nil, fmt.Errorf("xrsl: a request cannot carry both executable and info tags; use a multi-request (+)")
 	case hasExec:
-		job, err := decodeJob(spec)
+		job, err := decodeJob(r)
 		if err != nil {
 			return nil, err
 		}
-		return &Request{Kind: KindJob, Job: job, Source: spec.Unparse()}, nil
+		return &Request{Kind: KindJob, Job: job}, nil
 	case hasInfo:
-		info, err := decodeInfo(&infoTags{spec: spec, infos: infos})
+		info, err := decodeInfo(r, infos)
 		if err != nil {
 			return nil, err
 		}
@@ -225,12 +240,12 @@ func DecodeSpec(spec *rsl.Spec) (*Request, error) {
 	}
 }
 
-// decodeInfo validates an info request's tags, read through t. It owns
-// t.infos: the keywords are filtered into it in place.
-func decodeInfo(t *infoTags) (*InfoRequest, error) {
+// decodeInfo validates an info request's tags, read through r. It owns
+// infos: the keywords are filtered into it in place.
+func decodeInfo(r *relations, infos []string) (*InfoRequest, error) {
 	req := &InfoRequest{Format: FormatLDIF}
-	keywords := t.infos[:0]
-	for _, kw := range t.infos {
+	keywords := infos[:0]
+	for _, kw := range infos {
 		switch {
 		case lowerEquals(kw, "all"):
 			req.All = true
@@ -245,7 +260,7 @@ func decodeInfo(t *infoTags) (*InfoRequest, error) {
 		req.Keywords = keywords
 	}
 
-	respStr, _, err := t.first(tagResponse)
+	respStr, _, err := r.first(tagResponse)
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +270,7 @@ func decodeInfo(t *infoTags) (*InfoRequest, error) {
 	}
 	req.Response = mode
 
-	if q, ok, err := t.first(tagQuality); err != nil {
+	if q, ok, err := r.first(tagQuality); err != nil {
 		return nil, err
 	} else if ok {
 		f, err := strconv.ParseFloat(strings.TrimSuffix(q, "%"), 64)
@@ -268,7 +283,7 @@ func decodeInfo(t *infoTags) (*InfoRequest, error) {
 		req.Quality = quality.Score(f)
 	}
 
-	if p, ok, err := t.first(tagPerformance); err != nil {
+	if p, ok, err := r.first(tagPerformance); err != nil {
 		return nil, err
 	} else if ok {
 		b, err := parseBool(p)
@@ -278,7 +293,7 @@ func decodeInfo(t *infoTags) (*InfoRequest, error) {
 		req.Performance = b
 	}
 
-	fstr, _, err := t.first(tagFormat)
+	fstr, _, err := r.first(tagFormat)
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +303,7 @@ func decodeInfo(t *infoTags) (*InfoRequest, error) {
 	}
 	req.Format = format
 
-	req.Filter, _, err = t.first(tagFilter)
+	req.Filter, _, err = r.first(tagFilter)
 	if err != nil {
 		return nil, err
 	}
@@ -315,28 +330,29 @@ func lowerEquals(s, lower string) bool {
 	return true
 }
 
-func decodeJob(spec *rsl.Spec) (*JobRequest, error) {
-	job := &JobRequest{Count: 1, JobType: "exec"}
+// decodeJob validates a job submission's tags, read through r.
+func decodeJob(r *relations) (*JobRequest, error) {
+	job := &JobRequest{}
 	var err error
-	if job.Executable, err = spec.String("executable", ""); err != nil {
+	if job.Executable, err = r.str(tagExecutable, ""); err != nil {
 		return nil, err
 	}
-	if job.Arguments, err = spec.All("arguments"); err != nil {
+	if job.Arguments, err = r.all(tagArguments); err != nil {
 		return nil, err
 	}
-	if job.Directory, err = spec.String("directory", ""); err != nil {
+	if job.Directory, err = r.str(tagDirectory, ""); err != nil {
 		return nil, err
 	}
-	if job.Stdin, err = spec.String("stdin", ""); err != nil {
+	if job.Stdin, err = r.str(tagStdin, ""); err != nil {
 		return nil, err
 	}
-	if job.Count, err = spec.Int("count", 1); err != nil {
+	if job.Count, err = r.num(tagCount, 1); err != nil {
 		return nil, err
 	}
 	if job.Count < 1 {
 		return nil, fmt.Errorf("xrsl: count must be positive, got %d", job.Count)
 	}
-	if job.JobType, err = spec.String("jobtype", "exec"); err != nil {
+	if job.JobType, err = r.str(tagJobType, "exec"); err != nil {
 		return nil, err
 	}
 	switch job.JobType {
@@ -344,26 +360,26 @@ func decodeJob(spec *rsl.Spec) (*JobRequest, error) {
 	default:
 		return nil, fmt.Errorf("xrsl: unknown jobtype %q (want exec, func, or queue)", job.JobType)
 	}
-	if job.Queue, err = spec.String("queue", ""); err != nil {
+	if job.Queue, err = r.str(tagQueue, ""); err != nil {
 		return nil, err
 	}
-	if job.CallbackContact, err = spec.String("callback", ""); err != nil {
+	if job.CallbackContact, err = r.str(tagCallback, ""); err != nil {
 		return nil, err
 	}
-	if job.Restart, err = spec.Int("restart", 0); err != nil {
+	if job.Restart, err = r.num(tagRestart, 0); err != nil {
 		return nil, err
 	}
 	if job.Restart < 0 {
 		return nil, fmt.Errorf("xrsl: restart budget must be non-negative")
 	}
 
-	if job.MaxWallTime, err = durationAttr(spec, "maxtime", time.Minute); err != nil {
+	if job.MaxWallTime, err = r.duration(tagMaxTime, time.Minute); err != nil {
 		return nil, err
 	}
-	if job.Timeout, err = durationAttr(spec, "timeout", time.Millisecond); err != nil {
+	if job.Timeout, err = r.duration(tagTimeout, time.Millisecond); err != nil {
 		return nil, err
 	}
-	actionStr, err := spec.String("action", "")
+	actionStr, err := r.str(tagAction, "")
 	if err != nil {
 		return nil, err
 	}
@@ -377,32 +393,55 @@ func decodeJob(spec *rsl.Spec) (*JobRequest, error) {
 		return nil, fmt.Errorf("xrsl: action tag requires a positive timeout tag")
 	}
 
-	// Environment: (environment=(NAME value)(NAME2 value2)).
-	env, err := decodeEnvironment(spec)
-	if err != nil {
-		return nil, err
+	// Environment: (environment=(NAME value)(NAME2 value2)). Its values
+	// are sequences, which only the parser path reads.
+	if r.spec != nil {
+		if job.Environment, err = decodeEnvironment(r.spec); err != nil {
+			return nil, err
+		}
 	}
-	job.Environment = env
 	return job, nil
 }
 
-// durationAttr reads an attribute as a duration; bare integers take the
+// str returns t's first value, or def when it is absent.
+func (r *relations) str(t tag, def string) (string, error) {
+	v, ok, err := r.first(t)
+	if err != nil || !ok {
+		return def, err
+	}
+	return v, nil
+}
+
+// num returns t's first value as an integer, or def when it is absent.
+func (r *relations) num(t tag, def int) (int, error) {
+	v, ok, err := r.first(t)
+	if err != nil || !ok {
+		return def, err
+	}
+	n, err := strconv.Atoi(strings.TrimSpace(v))
+	if err != nil {
+		return def, fmt.Errorf("rsl: attribute %q is not an integer: %w", tagNames[t], err)
+	}
+	return n, nil
+}
+
+// duration reads t's first value as a duration; bare integers take the
 // given unit, matching GRAM (maxtime in minutes) and the paper's timeout
 // example ((timeout=1000) is milliseconds).
-func durationAttr(spec *rsl.Spec, attr string, unit time.Duration) (time.Duration, error) {
-	v, ok, err := spec.First(attr)
+func (r *relations) duration(t tag, unit time.Duration) (time.Duration, error) {
+	v, ok, err := r.first(t)
 	if err != nil || !ok {
 		return 0, err
 	}
 	if n, err := strconv.ParseInt(v, 10, 64); err == nil {
 		if n < 0 {
-			return 0, fmt.Errorf("xrsl: %s must be non-negative", attr)
+			return 0, fmt.Errorf("xrsl: %s must be non-negative", tagNames[t])
 		}
 		return time.Duration(n) * unit, nil
 	}
 	d, err := time.ParseDuration(v)
 	if err != nil || d < 0 {
-		return 0, fmt.Errorf("xrsl: %s is not a duration: %q", attr, v)
+		return 0, fmt.Errorf("xrsl: %s is not a duration: %q", tagNames[t], v)
 	}
 	return d, nil
 }

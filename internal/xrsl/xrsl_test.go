@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"infogram/internal/cache"
+	"infogram/internal/rsl"
 )
 
 func TestDecodeInfoQuery(t *testing.T) {
@@ -160,6 +161,8 @@ func TestDecodeValidation(t *testing.T) {
 		"(executable=x)(action=cancel)", // action without timeout
 		"(executable=x)(action=explode)(timeout=10)",
 		"(executable=x)(timeout=-5)",
+		"&(executable=x)(count=three)",
+		"&(executable=x)(jobtype=Func)",
 		"(info=all)(quality=150)",
 		"(info=all)(quality=-1)",
 		"(info=all)(quality=abc)",
@@ -331,5 +334,46 @@ func TestPaperXRSLExamples(t *testing.T) {
 	req, err = DecodeOne("(executable=myjavaapplication.jar)", nil)
 	if err != nil || req.Job.Executable != "myjavaapplication.jar" {
 		t.Errorf("jar example: %+v %v", req, err)
+	}
+}
+
+// TestSinglePassJobSource: the single pass takes a job only when its source
+// is already what rsl's Unparse writes, and then the Source is the source
+// itself; any other job goes to the parser path, which renders it. Either
+// way the Source is the canonical rendering.
+func TestSinglePassJobSource(t *testing.T) {
+	for _, c := range []struct {
+		src    string
+		single bool
+	}{
+		{"&(executable=noop)(jobtype=func)(arguments=1y2p0ij32e8e7)", true},
+		{(&JobRequest{Executable: "/bin/echo", Arguments: []string{"a", "b c", ""}, Directory: "/tmp", Count: 2,
+			JobType: "func", MaxWallTime: time.Minute, Timeout: time.Second, Action: ActionCancel, Restart: 1}).Encode(), true},
+		{`&(Executable="a b")(arguments="" c)(foo=bar)`, true},
+		{"&(executable=x)(jobtype=bogus)", true}, // an error either way
+		{"(executable=x)", false},
+		{"(executable=x)(jobtype=func)", false},
+		{"&(executable=x) ", false},
+		{"&( executable=x)", false},
+		{`&(executable="x")`, false},
+		{"&(executable=x)(arguments=a  b)", false},
+		{"&(executable=x)(arguments=a\tb)", false},
+		{`&(executable=x)(arguments="a"b)`, false},
+		{"&(executable=x)(environment=(A 1))", false},
+	} {
+		_, single, _ := decodeSinglePass(c.src)
+		if single != c.single {
+			t.Errorf("%q: single pass took it = %v, want %v", c.src, single, c.single)
+		}
+		reqs, err := Decode(c.src, nil)
+		if err != nil {
+			continue
+		}
+		if want := rsl.MustParse(c.src).Unparse(); reqs[0].Source != want {
+			t.Errorf("%q: Source = %q, want %q", c.src, reqs[0].Source, want)
+		}
+		if single && reqs[0].Source != c.src {
+			t.Errorf("%q: single-pass Source = %q, want the source itself", c.src, reqs[0].Source)
+		}
 	}
 }

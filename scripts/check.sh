@@ -23,6 +23,12 @@ go vet ./...
 echo "== go test -race =="
 go test -race ./...
 
+# The allocation pins (testing.AllocsPerRun budgets) skip under the race
+# detector, whose instrumentation allocates, so the run above never
+# checks them: run them here without it, uncached.
+echo "== allocation pins (no -race) =="
+go test -count=1 -run 'Alloc|AllocatesNothing' ./internal/...
+
 # The benchmark suite is a nested module that ./... does not reach: vet
 # and test it here, so a refactor of internal/ that breaks it fails this
 # gate instead of the next benchmark run.
