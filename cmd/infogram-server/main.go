@@ -30,7 +30,6 @@ import (
 	"infogram/internal/faultinject"
 	"infogram/internal/gram"
 	"infogram/internal/gsi"
-	"infogram/internal/journal"
 	"infogram/internal/logging"
 	"infogram/internal/provider"
 	"infogram/internal/scheduler"
@@ -53,8 +52,7 @@ func main() {
 		fsync       = flag.String("fsync", "interval", "journal fsync policy: always, interval, or never")
 		sandbox     = flag.Bool("restricted", false, "run in-process jobs in the restricted sandbox")
 		metrics     = flag.String("metrics-addr", "", "serve Prometheus text metrics on this address at /metrics, plus /debug/traces and /debug/pprof")
-		traceSample = flag.Float64("trace-sample", 1.0, "fraction of healthy traces to keep (errored and slow traces are always kept; 0 keeps only those)")
-		traceSlow   = flag.Duration("trace-slow", 0, "always keep traces at least this slow (0 disables the slow rule)")
+		traceOpts   = bootstrap.TraceFlags()
 		reqTO       = flag.Duration("request-timeout", 0, "per-request deadline and slow-client I/O timeout (0 disables)")
 		provTO      = flag.Duration("provider-timeout", 0, "per-provider collection timeout; failures degrade replies instead of erroring (0 disables)")
 		quotaPath   = flag.String("quota", "", "admission-control contract file: §5.3 contracts with rate=/burst=/priority= clauses metering each identity with a token bucket (empty = unmetered)")
@@ -145,28 +143,9 @@ func main() {
 		}
 		fmt.Printf("infogram: fault injection armed: %v\n", faultinject.Armed())
 	}
-	var (
-		jnl       *journal.Journal
-		recovered *journal.Recovered
-		replayed  int // jobs the journal replayed into its table
-	)
-	if *stateDir != "" {
-		policy, err := journal.ParsePolicy(*fsync)
-		if err != nil {
-			log.Fatalf("fsync: %v", err)
-		}
-		jnl, recovered, err = journal.Open(journal.Options{
-			Dir:       *stateDir,
-			Fsync:     policy,
-			Telemetry: tel,
-		})
-		if err != nil {
-			log.Fatalf("journal: %v", err)
-		}
-		replayed = jnl.Table().Len()
-		if recovered.TornTail {
-			log.Printf("journal: torn record at the tail of the newest segment was discarded")
-		}
+	jnl, recoverJobs, err := bootstrap.OpenJournal("infogram", *stateDir, *fsync, tel)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	queue := scheduler.NewQueue(scheduler.QueueConfig{
@@ -192,7 +171,7 @@ func main() {
 		Log:             logger,
 		Journal:         jnl,
 		Telemetry:       tel,
-		TraceOptions:    telemetry.TracerOptionsFromFlags(*traceSample, *traceSlow),
+		TraceOptions:    traceOpts(),
 		RequestTimeout:  *reqTO,
 		ProviderTimeout: *provTO,
 		Quota:           quota,
@@ -220,30 +199,13 @@ func main() {
 	defer svc.Close()
 	fmt.Printf("infogram: resource %q serving on %s (%d providers, sandbox %s)\n",
 		name, bound, registry.Len(), mode)
+	recoverJobs(svc.Gatekeeper)
 
-	if replayed > 0 {
-		resumed, failed, err := svc.RecoverJournal(recovered)
-		if err != nil {
-			log.Printf("recover: %v", err)
-		}
-		fmt.Printf("infogram: journal replayed %d job(s) from %s (%d resumed)", replayed, *stateDir, len(resumed))
-		if len(failed) > 0 {
-			fmt.Printf(", %d failed at recovery: %s", len(failed), strings.Join(failed, " "))
-		}
-		fmt.Println()
+	stopDebug, err := bootstrap.ServeDebug("infogram", *metrics, tel, svc.Tracer())
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	if *metrics != "" {
-		mux := telemetry.NewDebugMux(tel, svc.Tracer())
-		ln, err := net.Listen("tcp", *metrics)
-		if err != nil {
-			log.Fatalf("metrics listen: %v", err)
-		}
-		metricsSrv := session.NewHTTPServer(mux)
-		go func() { _ = metricsSrv.Serve(ln) }()
-		defer metricsSrv.Close()
-		fmt.Printf("infogram: Prometheus metrics on http://%s/metrics (traces at /debug/traces, profiles at /debug/pprof)\n", ln.Addr())
-	}
+	defer stopDebug()
 
 	if *mdsAddr != "" {
 		gris := svc.GRIS()
@@ -333,17 +295,11 @@ func runProxy(fabric *bootstrap.Fabric, addr, members string, failThresh int, pr
 	fmt.Printf("infogram: cluster proxy on %s routing %d member(s): %s\n",
 		bound, len(backends), strings.Join(backends, ", "))
 
-	if metricsAddr != "" {
-		mux := telemetry.NewDebugMux(tel, nil)
-		ln, err := net.Listen("tcp", metricsAddr)
-		if err != nil {
-			log.Fatalf("metrics listen: %v", err)
-		}
-		metricsSrv := session.NewHTTPServer(mux)
-		go func() { _ = metricsSrv.Serve(ln) }()
-		defer metricsSrv.Close()
-		fmt.Printf("infogram: Prometheus metrics on http://%s/metrics\n", ln.Addr())
+	stopDebug, err := bootstrap.ServeDebug("infogram", metricsAddr, tel, nil)
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer stopDebug()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

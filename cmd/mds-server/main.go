@@ -8,7 +8,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -20,7 +19,6 @@ import (
 	"infogram/internal/config"
 	"infogram/internal/mds"
 	"infogram/internal/provider"
-	"infogram/internal/session"
 	"infogram/internal/telemetry"
 )
 
@@ -33,8 +31,7 @@ func main() {
 		giisAddr    = flag.String("giis-addr", "", "also run a GIIS aggregate on this address")
 		members     = flag.String("giis-members", "", "comma-separated GRIS addresses to pre-register in the GIIS")
 		metrics     = flag.String("metrics-addr", "", "serve Prometheus text metrics on this address at /metrics, plus /debug/traces and /debug/pprof")
-		traceSample = flag.Float64("trace-sample", 1.0, "fraction of healthy traces to keep (errored and slow traces are always kept; 0 keeps only those)")
-		traceSlow   = flag.Duration("trace-slow", 0, "always keep traces at least this slow (0 disables the slow rule)")
+		traceOpts   = bootstrap.TraceFlags()
 		cacheTTL    = flag.Duration("cache-ttl", 0, "enable the sharded response cache: rendered LDIF bodies served zero-copy for up to this long, capped by each covered provider's TTL (0 disables)")
 		cacheMaxB   = flag.Int64("cache-max-bytes", 0, "response-cache total byte budget (0 = 256 MiB)")
 		stateDir    = flag.String("state-dir", "", "durable cache-state directory: the GRIS (and GIIS) response caches snapshot here every minute and on shutdown, and restore warm on restart (needs -cache-ttl; empty = memory only)")
@@ -55,9 +52,9 @@ func main() {
 	}
 
 	tel := telemetry.NewRegistry()
-	traceOpts := telemetry.TracerOptionsFromFlags(*traceSample, *traceSlow)
-	traceOpts.Telemetry = tel
-	tracer := telemetry.NewTracer(traceOpts)
+	opts := traceOpts()
+	opts.Telemetry = tel
+	tracer := telemetry.NewTracer(opts)
 
 	registry := provider.NewRegistry(nil)
 	registry.SetTelemetry(tel)
@@ -124,17 +121,11 @@ func main() {
 		fmt.Printf("mds: GIIS on %s (%d members)\n", giisBound, len(giis.Members()))
 	}
 
-	if *metrics != "" {
-		mux := telemetry.NewDebugMux(tel, tracer)
-		ln, err := net.Listen("tcp", *metrics)
-		if err != nil {
-			log.Fatalf("metrics listen: %v", err)
-		}
-		metricsSrv := session.NewHTTPServer(mux)
-		go func() { _ = metricsSrv.Serve(ln) }()
-		defer metricsSrv.Close()
-		fmt.Printf("mds: Prometheus metrics on http://%s/metrics (traces at /debug/traces, profiles at /debug/pprof)\n", ln.Addr())
+	stopDebug, err := bootstrap.ServeDebug("mds", *metrics, tel, tracer)
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer stopDebug()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

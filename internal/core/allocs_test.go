@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"net"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,15 +31,44 @@ import (
 // kept and with every healthy trace dropped: the difference is what
 // tracing costs per request, and it is zero.
 const (
-	budgetHotInfo     = 34 // measured 31.1: one cached info query
-	budgetSubmitCycle = 55 // measured 51.0: SUBMIT, the job to DONE, one STATUS
+	budgetHotInfo     = 34  // measured 31.1: one cached info query
+	budgetSubmitCycle = 55  // measured 51.0: SUBMIT, the job to DONE, one STATUS
+	budgetColdFilter  = 225 // measured 221.2: an 8-keyword response-cache miss with a filter
 )
 
 // pipeRig is a journaled service and a client joined by net.Pipe.
 type pipeRig struct {
-	svc *Service
-	cl  *Client
+	svc  *Service
+	cl   *Client
+	cold int // the next of coldQueries to ask
 }
+
+// coldKeywords providers of attrGroups groups of four attributes each
+// back the cold-miss shape, whose queries never repeat within a rig.
+const (
+	coldKeywords = 48
+	attrGroups   = 8
+)
+
+var coldQueries = func() []string {
+	rng := rand.New(rand.NewSource(1))
+	seen := make(map[string]bool)
+	var out []string
+	for len(out) < 1000 {
+		var kws []string
+		for len(kws) < 8 {
+			if kw := fmt.Sprintf("K%02d", rng.Intn(coldKeywords)); !slices.Contains(kws, kw) {
+				kws = append(kws, kw)
+			}
+		}
+		set := slices.Sorted(slices.Values(kws))
+		if key := strings.Join(set, " "); !seen[key] {
+			seen[key] = true
+			out = append(out, "&(info="+strings.Join(kws, ")(info=")+`)(filter="*:g`+fmt.Sprint(len(out)%attrGroups)+`x*")`)
+		}
+	}
+	return out
+}()
 
 func newPipeRig(t *testing.T, trace string) *pipeRig {
 	t.Helper()
@@ -63,6 +96,16 @@ func newPipeRig(t *testing.T, trace string) *pipeRig {
 	reg.Register(&provider.StaticProvider{KeywordName: "Memory",
 		Values: provider.Attributes{{Name: "total", Value: "1024"}, {Name: "free", Value: "512"}}},
 		provider.RegisterOptions{TTL: time.Hour})
+	for k := 0; k < coldKeywords; k++ {
+		var attrs provider.Attributes
+		for g := 0; g < attrGroups; g++ {
+			for i := 0; i < 4; i++ {
+				attrs = append(attrs, provider.Attr{Name: fmt.Sprintf("g%dx%d", g, i), Value: fmt.Sprintf("v%d.%d.%d", k, g, i)})
+			}
+		}
+		reg.Register(&provider.StaticProvider{KeywordName: fmt.Sprintf("K%02d", k), Values: attrs},
+			provider.RegisterOptions{TTL: time.Hour})
+	}
 	fn := scheduler.NewFunc(scheduler.TrustedMode, scheduler.Budgets{})
 	fn.RegisterFunc("noop", func(context.Context, *scheduler.Sandbox, []string, string) (string, error) { return "", nil })
 	cfg := Config{
@@ -105,6 +148,17 @@ func newPipeRig(t *testing.T, trace string) *pipeRig {
 
 func (r *pipeRig) hotInfo(t *testing.T) {
 	if _, err := r.cl.QueryRaw("&(info=Memory)"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// coldMiss asks an 8-keyword query with a filter that the rig has not
+// asked before: a response-cache miss, so the keywords' reports are
+// collected from the provider cache, filtered, rendered and stored.
+func (r *pipeRig) coldMiss(t *testing.T) {
+	src := coldQueries[r.cold%len(coldQueries)]
+	r.cold++
+	if _, err := r.cl.QueryRaw(src); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,6 +212,7 @@ func TestRequestShapeAllocations(t *testing.T) {
 	}{
 		{"hot info hit", (*pipeRig).hotInfo, budgetHotInfo},
 		{"submit to done", (*pipeRig).submitCycle, budgetSubmitCycle},
+		{"cold miss with filter", (*pipeRig).coldMiss, budgetColdFilter},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			off := allocsPerRequest(t, "off", c.shape)

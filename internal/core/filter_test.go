@@ -12,37 +12,12 @@ import (
 	"infogram/internal/xrsl"
 )
 
-// refGlobMatch is the straightforward matcher — lower-case both strings,
-// split the pattern at '*', place each part leftmost — kept as the oracle
-// FuzzGlobMatch checks the compiled, allocation-free matcher against.
-func refGlobMatch(pattern, s string) bool {
-	p := strings.ToLower(pattern)
-	v := strings.ToLower(s)
-	if !strings.Contains(p, "*") {
-		return p == v
-	}
-	parts := strings.Split(p, "*")
-	if !strings.HasPrefix(v, parts[0]) {
-		return false
-	}
-	v = v[len(parts[0]):]
-	last := parts[len(parts)-1]
-	for _, mid := range parts[1 : len(parts)-1] {
-		if mid == "" {
-			continue
-		}
-		idx := strings.Index(v, mid)
-		if idx < 0 {
-			return false
-		}
-		v = v[idx+len(mid):]
-	}
-	return strings.HasSuffix(v, last)
-}
-
-// FuzzGlobMatch checks the compiled, case-folding glob against the oracle
-// for arbitrary (pattern, name) pairs, and isStructural against
-// lower-casing the name and comparing it with each structural name.
+// FuzzGlobMatch checks the filter tag's per-attribute rule for arbitrary
+// (pattern, name) pairs: isStructural against lower-casing the name and
+// comparing it with each structural name, and applyFilter keeping an
+// entry that holds name beside a structural attribute exactly when name
+// is not structural and ldif's glob, fuzzed against its own oracle there,
+// matches it.
 func FuzzGlobMatch(f *testing.F) {
 	seeds := [][2]string{
 		{"Memory:*", "memory:total"},
@@ -72,17 +47,19 @@ func FuzzGlobMatch(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s[0], s[1])
 	}
-	structural := []string{"objectclass", "kw", "resource", "keyword"}
+	structuralNames := []string{"objectclass", "kw", "resource", "keyword"}
 	f.Fuzz(func(t *testing.T, pattern, name string) {
-		if got, want := compileGlob(pattern).match(name), refGlobMatch(pattern, name); got != want {
-			t.Fatalf("glob %q on %q = %v, oracle %v", pattern, name, got, want)
+		structural := false
+		for _, s := range structuralNames {
+			structural = structural || strings.ToLower(name) == s
 		}
-		want := false
-		for _, s := range structural {
-			want = want || strings.ToLower(name) == s
+		if got := isStructural(name); got != structural {
+			t.Fatalf("isStructural(%q) = %v, want %v", name, got, structural)
 		}
-		if got := isStructural(name); got != want {
-			t.Fatalf("isStructural(%q) = %v, want %v", name, got, want)
+		e := ldif.Entry{DN: "kw=x", Attrs: []ldif.Attr{{Name: "kw", Value: "x"}, {Name: name, Value: "v"}}}
+		kept := len(applyFilter([]ldif.Entry{e}, pattern)) == 1
+		if want := !structural && ldif.CompileGlob(pattern).Match(name); kept != want {
+			t.Fatalf("applyFilter(%q) on attribute %q kept the entry: %v, want %v", pattern, name, kept, want)
 		}
 	})
 }
@@ -105,23 +82,6 @@ func filterTestEntries(n int) []ldif.Entry {
 	return entries
 }
 
-// TestGlobMatchAllocs pins a compiled glob's match on ASCII names at zero
-// allocations.
-func TestGlobMatchAllocs(t *testing.T) {
-	names := []string{"Kw3:g1x5", "KW3:G2X6", "quality:score", "objectclass"}
-	globs := []glob{compileGlob("*:g1x*"), compileGlob("*G2*"), compileGlob("kw3:g1x5"), compileGlob("*a*b*c*")}
-	allocs := testing.AllocsPerRun(100, func() {
-		for _, g := range globs {
-			for _, n := range names {
-				g.match(n)
-			}
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("compiled glob match on ASCII: %.1f allocs, want 0", allocs)
-	}
-}
-
 // TestApplyFilterAllocs pins applyFilter on fresh ASCII entries at the
 // cost of compiling its pattern: the entries are compacted in place.
 func TestApplyFilterAllocs(t *testing.T) {
@@ -137,7 +97,7 @@ func TestApplyFilterAllocs(t *testing.T) {
 			entries[i] = ldif.Entry{DN: tmpl[i].DN, Attrs: append(backing[i][:0], tmpl[i].Attrs...)}
 		}
 	}
-	compile := testing.AllocsPerRun(100, func() { compileGlob(pattern) })
+	compile := testing.AllocsPerRun(100, func() { ldif.CompileGlob(pattern) })
 	allocs := testing.AllocsPerRun(100, func() {
 		refill()
 		if out := applyFilter(entries, pattern); len(out) != len(tmpl) {

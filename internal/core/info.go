@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-	"unicode/utf8"
 
 	"infogram/internal/ldif"
 	"infogram/internal/provider"
@@ -189,7 +188,7 @@ func (e *infoEngine) schemaEntries() []ldif.Entry {
 // call: apart from compiling the glob, filtering ASCII names allocates
 // nothing.
 func applyFilter(entries []ldif.Entry, pattern string) []ldif.Entry {
-	g := compileGlob(pattern)
+	g := ldif.CompileGlob(pattern)
 	out := entries[:0]
 	for _, e := range entries {
 		kept := e.Attrs[:0]
@@ -197,7 +196,7 @@ func applyFilter(entries []ldif.Entry, pattern string) []ldif.Entry {
 		for _, a := range e.Attrs {
 			switch {
 			case isStructural(a.Name):
-			case g.match(a.Name):
+			case g.Match(a.Name):
 				matched = true
 			default:
 				continue
@@ -215,95 +214,18 @@ func applyFilter(entries []ldif.Entry, pattern string) []ldif.Entry {
 // structuralAttrs are the attribute names applyFilter keeps regardless of
 // the pattern, compiled as exact globs so they fold case exactly as the
 // pattern does.
-var structuralAttrs = [...]glob{
-	compileGlob("objectclass"),
-	compileGlob("kw"),
-	compileGlob("resource"),
-	compileGlob("keyword"),
+var structuralAttrs = [...]ldif.Glob{
+	ldif.CompileGlob("objectclass"),
+	ldif.CompileGlob("kw"),
+	ldif.CompileGlob("resource"),
+	ldif.CompileGlob("keyword"),
 }
 
 func isStructural(name string) bool {
 	for _, g := range structuralAttrs {
-		if g.match(name) {
+		if g.Match(name) {
 			return true
 		}
 	}
 	return false
-}
-
-// glob is a filter pattern with '*' wildcards, compiled for
-// case-insensitive matching: the pattern lower-cased and split at '*'
-// once, so matching a name allocates nothing unless the name is not ASCII.
-// A pattern without a wildcard is the single part that must equal the
-// whole name.
-type glob []string
-
-func compileGlob(pattern string) glob {
-	return strings.Split(strings.ToLower(pattern), "*")
-}
-
-// match reports whether s, lower-cased, matches the pattern: leftmost
-// placement of each middle part, then a suffix test on what is left.
-func (g glob) match(s string) bool {
-	if !isASCII(s) {
-		// Unicode lower-casing can change a name's length; take the
-		// allocating path and compare the lowered bytes.
-		s = strings.ToLower(s)
-	}
-	if len(g) == 1 {
-		return len(s) == len(g[0]) && hasPrefixFold(s, g[0])
-	}
-	if !hasPrefixFold(s, g[0]) {
-		return false
-	}
-	s = s[len(g[0]):]
-	last := g[len(g)-1]
-	for _, mid := range g[1 : len(g)-1] {
-		if mid == "" {
-			continue
-		}
-		idx := indexFold(s, mid)
-		if idx < 0 {
-			return false
-		}
-		s = s[idx+len(mid):]
-	}
-	return len(s) >= len(last) && hasPrefixFold(s[len(s)-len(last):], last)
-}
-
-func isASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= utf8.RuneSelf {
-			return false
-		}
-	}
-	return true
-}
-
-// hasPrefixFold reports whether s begins with lower, folding A–Z in s.
-// lower is already lower-cased, so it holds no A–Z.
-func hasPrefixFold(s, lower string) bool {
-	if len(s) < len(lower) {
-		return false
-	}
-	for i := 0; i < len(lower); i++ {
-		c := s[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != lower[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// indexFold is strings.Index(strings.ToLower(s), lower) for ASCII-folded s.
-func indexFold(s, lower string) int {
-	for i := 0; i+len(lower) <= len(s); i++ {
-		if hasPrefixFold(s[i:], lower) {
-			return i
-		}
-	}
-	return -1
 }

@@ -28,7 +28,6 @@ import (
 	"infogram/internal/clock"
 	"infogram/internal/gram"
 	"infogram/internal/gsi"
-	"infogram/internal/job"
 	"infogram/internal/journal"
 	"infogram/internal/logging"
 	"infogram/internal/mds"
@@ -160,19 +159,16 @@ type Config struct {
 	RefreshAhead float64
 }
 
-// Service is one InfoGram instance.
+// Service is one InfoGram instance: GRAM's gatekeeper, whose job half
+// it embeds, with the information service added behind the same session.
 type Service struct {
-	cfg     Config
-	manager *gram.Manager
-	table   *job.Table
-	server  *session.Server
-	dialer  *gram.CallbackDialer
-	info    *infoEngine
-	resp    *respCache
-	instr   *instruments
-	gate    *gate
-
-	mu sync.Mutex
+	*gram.Gatekeeper
+	cfg    Config
+	server *session.Server
+	info   *infoEngine
+	resp   *respCache
+	instr  *instruments
+	gate   *gate
 }
 
 // NewService builds an InfoGram service.
@@ -214,8 +210,16 @@ func NewService(cfg Config) *Service {
 			cfg.Registry.Register(provider.NewSelfTrace(cfg.Tracer), provider.RegisterOptions{})
 		}
 	}
-	s := &Service{cfg: cfg, dialer: gram.NewCallbackDialer()}
-	s.instr = newInstruments(cfg.Telemetry)
+	s := &Service{cfg: cfg, instr: newInstruments(cfg.Telemetry)}
+	s.Gatekeeper = gram.NewGatekeeper(cfg.Policy, cfg.Env, gram.ManagerConfig{
+		Backends:     cfg.Backends,
+		Log:          cfg.Log,
+		Journal:      cfg.Journal,
+		Clock:        cfg.Clock,
+		SpawnLatency: s.instr.spawnLatency,
+		JobsSpawned:  s.instr.jobsSpawned,
+		MaxBacklog:   cfg.SubmitBacklog,
+	})
 	s.gate = newGate(cfg.MaxInflight, cfg.ShedQueue, cfg.QueueTimeout)
 	s.info = &infoEngine{
 		resource:        cfg.ResourceName,
@@ -251,21 +255,7 @@ func (s *Service) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
-	s.table = gram.ServedTable(s.cfg.Journal, bound)
-	s.manager = gram.NewManager(gram.ManagerConfig{
-		Table:        s.table,
-		Backends:     s.cfg.Backends,
-		Log:          s.cfg.Log,
-		Journal:      s.cfg.Journal,
-		Notify:       s.dialer,
-		Clock:        s.cfg.Clock,
-		SpawnLatency: s.instr.spawnLatency,
-		JobsSpawned:  s.instr.jobsSpawned,
-		MaxBacklog:   s.cfg.SubmitBacklog,
-	})
-	s.mu.Unlock()
-	_ = s.cfg.Log.Append(logging.Record{Time: s.cfg.Clock.Now(), Kind: logging.KindServiceStart})
+	s.Bind(bound)
 	return bound, nil
 }
 
@@ -274,13 +264,6 @@ func (s *Service) Addr() string { return s.server.Addr() }
 
 // Registry returns the provider registry.
 func (s *Service) Registry() *provider.Registry { return s.cfg.Registry }
-
-// Table returns the job table (nil before Listen).
-func (s *Service) Table() *job.Table {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.table
-}
 
 // AcceptedConns reports accepted connections (experiments E3/E4).
 func (s *Service) AcceptedConns() int64 { return s.server.AcceptedConns() }
@@ -294,13 +277,12 @@ func (s *Service) Tracer() *telemetry.Tracer { return s.cfg.Tracer }
 
 // Close shuts the service down.
 func (s *Service) Close() error {
-	s.dialer.Close()
 	if s.resp != nil {
 		s.resp.c.Close()
 	}
 	err := s.server.Close()
-	if jerr := s.cfg.Journal.Close(); err == nil {
-		err = jerr
+	if gerr := s.Gatekeeper.Close(); err == nil {
+		err = gerr
 	}
 	return err
 }
@@ -333,24 +315,6 @@ func (s *Service) GRIS() *mds.GRIS {
 		CacheTTL:      s.cfg.CacheTTL,
 		CacheMaxBytes: s.cfg.CacheMaxBytes,
 	})
-}
-
-// RecoverJournal resumes the unfinished jobs a journal replay found (see
-// gram.Manager.RecoverJournal). The table already answers for every
-// replayed job under its original contact, finished ones with their
-// recorded output; unfinished ones are resubmitted to their backends from
-// the last journaled checkpoint with their remaining restart budget, and
-// those that cannot be re-attached are failed with a "recovery:"
-// annotation. Call it after Listen and before serving traffic; it returns
-// the contacts of the resumed jobs and of those failed at recovery.
-func (s *Service) RecoverJournal(rec *journal.Recovered) (resumed, failed []string, err error) {
-	s.mu.Lock()
-	m := s.manager
-	s.mu.Unlock()
-	if m == nil {
-		return nil, nil, fmt.Errorf("core: RecoverJournal before Listen")
-	}
-	return m.RecoverJournal(rec, s.env)
 }
 
 // dispatch is the service's session handler: it instruments and evaluates
@@ -389,7 +353,7 @@ func (s *Service) dispatch(ctx context.Context, sp *session.Peer, f wire.Frame) 
 		resp = s.handleSubmit(ctx, zerocopy.String(f.Payload), peer, sp.Local)
 	default:
 		var ok bool
-		if resp, ok = s.manager.Control(f); !ok {
+		if resp, ok = s.Manager().Control(f); !ok {
 			resp = errorFrame(fmt.Sprintf("infogram: unknown verb %s", f.Verb))
 		}
 	}
@@ -426,7 +390,7 @@ func (s *Service) handleSubmit(ctx context.Context, src string, peer *gsi.Peer, 
 	// Only a $(NAME) reference reads the substitution environment.
 	var env rsl.Env
 	if strings.IndexByte(src, '$') >= 0 {
-		env = s.env(local)
+		env = s.Env(local)
 	}
 	reqs, err := xrsl.Decode(src, env)
 	if err != nil {
@@ -511,18 +475,10 @@ func partFrame(part PartResult) wire.Frame {
 // info-query or job-submission counter before execution so a selfmetrics
 // query observes itself.
 func (s *Service) evalPart(ctx context.Context, req *xrsl.Request, peer *gsi.Peer, local string) PartResult {
-	now := s.cfg.Clock.Now()
 	switch req.Kind {
 	case xrsl.KindJob:
 		s.instr.jobSubmissions.Inc()
-		if err := s.cfg.Policy.Authorize(peer.Identity, gsi.OpJobSubmit, now); err != nil {
-			return PartResult{Kind: "error", Error: err.Error()}
-		}
-		contact, err := s.manager.Submit(ctx, req.Job, job.Record{
-			Spec:     req.Source,
-			Owner:    local,
-			Identity: peer.Identity,
-		})
+		contact, err := s.SubmitJob(ctx, req, peer.Identity, local)
 		if err != nil {
 			// A saturated backlog is backpressure, not failure: surface the
 			// drain estimate so the response becomes a REJECT with a
@@ -537,7 +493,7 @@ func (s *Service) evalPart(ctx context.Context, req *xrsl.Request, peer *gsi.Pee
 		return PartResult{Kind: "job", Contact: contact}
 	case xrsl.KindInfo:
 		s.instr.infoQueries.Inc()
-		if err := s.cfg.Policy.Authorize(peer.Identity, gsi.OpInfoQuery, now); err != nil {
+		if err := s.cfg.Policy.Authorize(peer.Identity, gsi.OpInfoQuery, s.cfg.Clock.Now()); err != nil {
 			return PartResult{Kind: "error", Error: err.Error()}
 		}
 		s.logInfoQuery(ctx, req.Info, peer, local)
@@ -602,13 +558,4 @@ func (s *Service) logInfoQuery(ctx context.Context, info *xrsl.InfoRequest, peer
 		Keywords: keywords,
 		Trace:    string(telemetry.TraceFrom(ctx)),
 	})
-}
-
-// env mirrors gram.Service's substitution environment.
-func (s *Service) env(local string) rsl.Env {
-	env := rsl.NewEnv("LOGNAME", local, "HOME", "/home/"+local)
-	for k, v := range s.cfg.Env {
-		env[k] = v
-	}
-	return env
 }

@@ -5,8 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"infogram/internal/clock"
 	"infogram/internal/gsi"
@@ -78,27 +79,22 @@ type Config struct {
 	Tracer *telemetry.Tracer
 }
 
-// Service is the GRAM middle tier: gatekeeper plus job managers.
+// Service is the GRAM middle tier: a session server in front of the
+// gatekeeper's job half, serving jobs only.
 type Service struct {
-	cfg     Config
-	manager *Manager
-	table   *job.Table
-	server  *session.Server
-	dialer  *CallbackDialer
-
-	mu sync.Mutex
+	*Gatekeeper
+	server *session.Server
 }
 
 // NewService builds a GRAM service. The job table is created when the
 // listener address is known.
 func NewService(cfg Config) *Service {
-	if cfg.Clock == nil {
-		cfg.Clock = clock.System
-	}
-	if cfg.Policy == nil {
-		cfg.Policy = gsi.AllowAll()
-	}
-	s := &Service{cfg: cfg, dialer: NewCallbackDialer()}
+	s := &Service{Gatekeeper: NewGatekeeper(cfg.Policy, cfg.Env, ManagerConfig{
+		Backends: cfg.Backends,
+		Log:      cfg.Log,
+		Journal:  cfg.Journal,
+		Clock:    cfg.Clock,
+	})}
 	s.server = session.NewServer(session.Config{
 		Credential: cfg.Credential,
 		Trust:      cfg.Trust,
@@ -117,61 +113,23 @@ func (s *Service) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
-	s.table = ServedTable(s.cfg.Journal, bound)
-	s.manager = NewManager(ManagerConfig{
-		Table:    s.table,
-		Backends: s.cfg.Backends,
-		Log:      s.cfg.Log,
-		Journal:  s.cfg.Journal,
-		Notify:   s.dialer,
-		Clock:    s.cfg.Clock,
-	})
-	s.mu.Unlock()
-	_ = s.cfg.Log.Append(logging.Record{Time: s.cfg.Clock.Now(), Kind: logging.KindServiceStart})
+	s.Bind(bound)
 	return bound, nil
 }
 
 // Addr returns the bound address.
 func (s *Service) Addr() string { return s.server.Addr() }
 
-// Table returns the job table (nil before Listen).
-func (s *Service) Table() *job.Table {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.table
-}
-
-// Manager returns the job manager (nil before Listen).
-func (s *Service) Manager() *Manager {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.manager
-}
-
 // AcceptedConns reports connections accepted so far (experiment E3).
 func (s *Service) AcceptedConns() int64 { return s.server.AcceptedConns() }
 
 // Close shuts the service down.
 func (s *Service) Close() error {
-	s.dialer.Close()
 	err := s.server.Close()
-	if jerr := s.cfg.Journal.Close(); err == nil {
-		err = jerr
+	if gerr := s.Gatekeeper.Close(); err == nil {
+		err = gerr
 	}
 	return err
-}
-
-// RecoverJournal resumes the unfinished jobs a journal replay found (see
-// Manager.RecoverJournal). Call it after Listen and before serving
-// traffic. It returns the contacts of the resumed jobs and of those
-// failed at recovery.
-func (s *Service) RecoverJournal(rec *journal.Recovered) (resumed, failed []string, err error) {
-	m := s.Manager()
-	if m == nil {
-		return nil, nil, errors.New("gram: RecoverJournal before Listen")
-	}
-	return m.RecoverJournal(rec, s.env)
 }
 
 // errorFrame builds an ERROR response.
@@ -187,22 +145,21 @@ func (s *Service) dispatch(ctx context.Context, peer *session.Peer, f wire.Frame
 	case VerbPing:
 		return wire.Frame{Verb: VerbPong}
 	case VerbSubmit:
-		return s.handleSubmit(ctx, string(f.Payload), peer)
+		// The payload buffer is freshly allocated per frame and never
+		// reused, so it may be aliased as a string without a copy.
+		return s.handleSubmit(ctx, zerocopy.String(f.Payload), peer)
 	}
-	if resp, ok := s.manager.Control(f); ok {
+	if resp, ok := s.Manager().Control(f); ok {
 		return resp
 	}
 	return errorFrame(fmt.Sprintf("gram: unknown verb %s", f.Verb))
 }
 
 func (s *Service) handleSubmit(ctx context.Context, src string, peer *session.Peer) wire.Frame {
-	if err := s.cfg.Policy.Authorize(peer.Identity, gsi.OpJobSubmit, s.cfg.Clock.Now()); err != nil {
-		return errorFrame(err.Error())
-	}
 	// Only a $(NAME) reference reads the substitution environment.
 	var env rsl.Env
 	if strings.IndexByte(src, '$') >= 0 {
-		env = s.env(peer.Local)
+		env = s.Env(peer.Local)
 	}
 	req, err := xrsl.DecodeOne(src, env)
 	if err != nil {
@@ -213,25 +170,108 @@ func (s *Service) handleSubmit(ctx context.Context, src string, peer *session.Pe
 		// queries need the separate MDS service and protocol (Figure 2).
 		return errorFrame("gram: this service accepts job submissions only; query MDS for information")
 	}
-	contact, err := s.manager.Submit(ctx, req.Job, job.Record{
-		Spec:     src,
-		Owner:    peer.Local,
-		Identity: peer.Identity,
-	})
+	contact, err := s.SubmitJob(ctx, req, peer.Identity, peer.Local)
 	if err != nil {
 		return errorFrame(err.Error())
 	}
 	return wire.Frame{Verb: VerbSubmitted, Payload: []byte(contact)}
 }
 
-// env merges the service environment with per-user bindings, the variable
-// set GRAM exposes to RSL substitution.
-func (s *Service) env(local string) rsl.Env {
-	env := rsl.NewEnv("LOGNAME", local, "HOME", "/home/"+local)
-	for k, v := range s.cfg.Env {
-		env[k] = v
+// Gatekeeper is the job half of a gatekeeper, which GRAM and InfoGram
+// serve identically (Figure 3): it authorizes job submissions, runs them
+// through a job manager over the table its bound address names, delivers
+// their callbacks, and resumes a journal's unfinished jobs. gram.Service
+// and core.Service each put their own session server and dispatch in
+// front of it.
+type Gatekeeper struct {
+	policy  *gsi.Policy
+	env     rsl.Env
+	mc      ManagerConfig // the manager's configuration, but for its Table
+	dialer  *CallbackDialer
+	manager atomic.Pointer[Manager]
+}
+
+// NewGatekeeper builds a gatekeeper that authorizes submissions with
+// policy (nil allows all authenticated users) and offers env to RSL
+// substitution. Its job manager is built from mc by Bind, once the
+// listener address is known; mc.Notify is the gatekeeper's callback
+// dialer.
+func NewGatekeeper(policy *gsi.Policy, env rsl.Env, mc ManagerConfig) *Gatekeeper {
+	if policy == nil {
+		policy = gsi.AllowAll()
 	}
+	if mc.Clock == nil {
+		mc.Clock = clock.System
+	}
+	g := &Gatekeeper{policy: policy, env: env, dialer: NewCallbackDialer()}
+	mc.Notify = g.dialer
+	g.mc = mc
+	return g
+}
+
+// Bind builds the job table and manager for the address the service
+// listens on, which every job contact names, and logs the service start.
+func (g *Gatekeeper) Bind(bound string) {
+	mc := g.mc
+	mc.Table = ServedTable(mc.Journal, bound)
+	g.manager.Store(NewManager(mc))
+	_ = mc.Log.Append(logging.Record{Time: mc.Clock.Now(), Kind: logging.KindServiceStart})
+}
+
+// Manager returns the job manager (nil before Bind).
+func (g *Gatekeeper) Manager() *Manager { return g.manager.Load() }
+
+// Table returns the job table (nil before Bind).
+func (g *Gatekeeper) Table() *job.Table {
+	if m := g.manager.Load(); m != nil {
+		return m.Table()
+	}
+	return nil
+}
+
+// Env merges the service environment with per-user bindings, the variable
+// set GRAM exposes to RSL substitution.
+func (g *Gatekeeper) Env(local string) rsl.Env {
+	env := rsl.NewEnv("LOGNAME", local, "HOME", "/home/"+local)
+	maps.Copy(env, g.env)
 	return env
+}
+
+// SubmitJob authorizes identity to submit a decoded job and starts it
+// under the local account, returning its contact. The job is recorded,
+// and journaled, as req.Source: its canonical RSL.
+func (g *Gatekeeper) SubmitJob(ctx context.Context, req *xrsl.Request, identity, local string) (string, error) {
+	if err := g.policy.Authorize(identity, gsi.OpJobSubmit, g.mc.Clock.Now()); err != nil {
+		return "", err
+	}
+	return g.manager.Load().Submit(ctx, req.Job, job.Record{
+		Spec:     req.Source,
+		Owner:    local,
+		Identity: identity,
+	})
+}
+
+// RecoverJournal resumes the unfinished jobs a journal replay found (see
+// Manager.RecoverJournal). The table already answers for every replayed
+// job under its original contact, finished ones with their recorded
+// output; unfinished ones are resubmitted to their backends from the last
+// journaled checkpoint with their remaining restart budget, and those
+// that cannot be re-attached are failed with a "recovery:" annotation.
+// Call it after Listen and before serving traffic; it returns the
+// contacts of the resumed jobs and of those failed at recovery.
+func (g *Gatekeeper) RecoverJournal(rec *journal.Recovered) (resumed, failed []string, err error) {
+	m := g.manager.Load()
+	if m == nil {
+		return nil, nil, errors.New("gram: RecoverJournal before Listen")
+	}
+	return m.RecoverJournal(rec, g.Env)
+}
+
+// Close stops callback delivery and closes the journal. The service calls
+// it once its session server has closed.
+func (g *Gatekeeper) Close() error {
+	g.dialer.Close()
+	return g.mc.Journal.Close()
 }
 
 // Control answers the job-control verbs — STATUS, CANCEL, SIGNAL — that

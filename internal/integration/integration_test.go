@@ -6,7 +6,9 @@ package integration_test
 
 import (
 	"context"
+	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"infogram/internal/gram"
 	"infogram/internal/gsi"
 	"infogram/internal/job"
+	"infogram/internal/journal"
 	"infogram/internal/mds"
 	"infogram/internal/provider"
 	"infogram/internal/scheduler"
@@ -263,51 +266,147 @@ func TestGRAMClientAgainstInfoGram(t *testing.T) {
 	// "This Job Execution service within J-GRAM is protocol-compatible
 	// with the C-GRAM distributed with the Globus Toolkit" — and InfoGram
 	// keeps that protocol, so an unmodified GRAM client can submit, poll,
-	// signal, and cancel jobs against an InfoGram service.
+	// signal, and cancel jobs against an InfoGram service. The same plain
+	// GRAM client drives both front doors through the same script, and
+	// each answer must match the other's, verb and payload, once the
+	// contacts are normalised; so must what each journal recorded.
 	d := newDeployment(t)
-	svc := core.NewService(core.Config{
-		ResourceName: "site",
-		Credential:   d.svcCred, Trust: d.trust, Gridmap: d.gridmap,
-		Registry: d.reg,
-		Backends: d.backends(),
-	})
-	addr, err := svc.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	doors := []struct {
+		name  string
+		start func(jnl *journal.Journal) (addr string, close func() error)
+	}{
+		{"gram", func(jnl *journal.Journal) (string, func() error) {
+			svc := gram.NewService(gram.Config{
+				Credential: d.svcCred, Trust: d.trust, Gridmap: d.gridmap,
+				Backends: d.backends(), Journal: jnl,
+			})
+			addr, err := svc.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return addr, svc.Close
+		}},
+		{"infogram", func(jnl *journal.Journal) (string, func() error) {
+			svc := core.NewService(core.Config{
+				ResourceName: "site",
+				Credential:   d.svcCred, Trust: d.trust, Gridmap: d.gridmap,
+				Registry: d.reg, Backends: d.backends(), Journal: jnl,
+			})
+			addr, err := svc.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return addr, svc.Close
+		}},
 	}
-	defer svc.Close()
+	var transcripts, specs [2]string
+	for n, door := range doors {
+		dir := t.TempDir()
+		jnl, _, err := journal.Open(journal.Options{Dir: dir, Fsync: journal.FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, closeSvc := door.start(jnl)
+		cl, err := gram.Dial(addr, d.user, d.trust)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		var (
+			lines    []string
+			contacts []string
+		)
+		record := func(step string, reply any, err error) {
+			if err != nil {
+				reply = "ERROR " + err.Error()
+			}
+			lines = append(lines, fmt.Sprintf("%s: %+v", step, reply))
+		}
+		submit := func(src string) string {
+			contact, err := cl.Submit(src)
+			if err != nil {
+				t.Fatalf("%s: Submit(%s): %v", door.name, src, err)
+			}
+			if !strings.HasPrefix(contact, "gram://"+addr+"/") {
+				t.Fatalf("%s: contact %q does not name the service", door.name, contact)
+			}
+			contacts = append(contacts, contact)
+			record("SUBMIT "+src, "SUBMITTED", nil)
+			return contact
+		}
+		waitFor := func(contact string, done func(job.State) bool) {
+			for {
+				st, err := cl.Status(contact)
+				if err != nil || done(st.State) {
+					record("STATUS", st, err)
+					return
+				}
+				if ctx.Err() != nil {
+					t.Fatalf("%s: %s stuck in %s", door.name, contact, st.State)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
 
-	// A plain GRAM client, knowing nothing about InfoGram.
-	cl, err := gram.Dial(addr, d.user, d.trust)
-	if err != nil {
-		t.Fatal(err)
+		record("PING", "PONG", cl.Ping())
+		noop := submit("&(executable=noop)(jobtype=func)")
+		waitFor(noop, job.State.Terminal)
+
+		sleeper := submit("&(executable=/bin/sleep)(arguments=30)")
+		waitFor(sleeper, func(s job.State) bool { return s == job.Active })
+		record("SIGNAL suspend", "SIGNAL-OK", cl.Signal(sleeper, "suspend"))
+		waitFor(sleeper, func(job.State) bool { return true })
+		record("SIGNAL resume", "SIGNAL-OK", cl.Signal(sleeper, "resume"))
+		waitFor(sleeper, func(job.State) bool { return true })
+		record("CANCEL", "CANCEL-OK", cl.Cancel(sleeper))
+		waitFor(sleeper, job.State.Terminal)
+
+		unknown, err := cl.Status("gram://elsewhere.example:2119/1/1")
+		record("STATUS unknown", unknown, err)
+		// Job id 1 was issued, but never under this timestamp: the
+		// contact reads as one the table has forgotten.
+		expired, err := cl.Status("gram://" + addr + "/1/0")
+		record("STATUS expired", expired, err)
+
+		// A job spelled with whitespace: both doors journal its canonical
+		// RSL, not the bytes the client sent.
+		spaced := submit("& (executable = noop) (jobtype = func)")
+		waitFor(spaced, job.State.Terminal)
+
+		cancel()
+		cl.Close()
+		if err := closeSvc(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, _, err := journal.Open(journal.Options{Dir: dir, Fsync: journal.FsyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := reopened.Table().Get(spaced)
+		reopened.Close()
+		if err != nil {
+			t.Fatalf("%s: journal lost %s: %v", door.name, spaced, err)
+		}
+		specs[n] = rec.Spec
+
+		transcript := strings.Join(lines, "\n")
+		for i, c := range contacts {
+			transcript = strings.ReplaceAll(transcript, c, fmt.Sprintf("<job %d>", i+1))
+		}
+		transcripts[n] = strings.ReplaceAll(transcript, addr, "HOST")
 	}
-	defer cl.Close()
-	if err := cl.Ping(); err != nil {
-		t.Fatalf("Ping: %v", err)
+	if transcripts[0] != transcripts[1] {
+		t.Errorf("the GRAM client saw different answers:\n-- %s:\n%s\n-- %s:\n%s",
+			doors[0].name, transcripts[0], doors[1].name, transcripts[1])
 	}
-	contact, err := cl.Submit("&(executable=noop)(jobtype=func)")
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
+	for _, want := range []string{"STATUS: {Contact:<job 1> State:DONE ExitCode:0 Error: Stdout:done", "SIGNAL suspend: SIGNAL-OK",
+		"STATUS: {Contact:<job 2> State:SUSPENDED", "STATUS: {Contact:<job 2> State:FAILED", "unknown contact", "expired"} {
+		if !strings.Contains(transcripts[1], want) {
+			t.Errorf("transcript lacks %q:\n%s", want, transcripts[1])
+		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	st, err := cl.WaitTerminal(ctx, contact, 5*time.Millisecond)
-	if err != nil || st.State != job.Done || st.Stdout != "done" {
-		t.Fatalf("GRAM client against InfoGram: %+v %v", st, err)
-	}
-	// Cancellation through the same handle.
-	contact2, err := cl.Submit("&(executable=/bin/sleep)(arguments=30)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if err := cl.Cancel(contact2); err != nil {
-		t.Fatalf("Cancel: %v", err)
-	}
-	st, err = cl.WaitTerminal(ctx, contact2, 5*time.Millisecond)
-	if err != nil || st.State != job.Failed {
-		t.Errorf("cancelled job = %+v %v", st, err)
+	if specs[0] != specs[1] {
+		t.Errorf("journaled Spec: %s %q, %s %q", doors[0].name, specs[0], doors[1].name, specs[1])
 	}
 }
 

@@ -81,7 +81,8 @@ const (
 type leafFilter struct {
 	attr    string
 	op      cmpOp
-	pattern string // raw value with possible '*' wildcards for opEq
+	pattern string    // raw value with possible '*' wildcards for opEq
+	glob    ldif.Glob // pattern compiled, for opEq
 }
 
 func (f *leafFilter) String() string {
@@ -116,7 +117,7 @@ func (f *leafFilter) Matches(e *ldif.Entry) bool {
 func (f *leafFilter) matchValue(v string) bool {
 	switch f.op {
 	case opEq:
-		return wildcardMatch(f.pattern, v)
+		return f.glob.Match(v)
 	case opGe:
 		return numericCompare(v, f.pattern) >= 0
 	case opLe:
@@ -141,34 +142,6 @@ func numericCompare(a, b string) int {
 		}
 	}
 	return strings.Compare(a, b)
-}
-
-// wildcardMatch matches pattern (with '*' wildcards) against value,
-// case-insensitively like LDAP caseIgnoreMatch.
-func wildcardMatch(pattern, value string) bool {
-	p := strings.ToLower(pattern)
-	v := strings.ToLower(value)
-	if !strings.Contains(p, "*") {
-		return p == v
-	}
-	parts := strings.Split(p, "*")
-	// First fragment must prefix, last must suffix, middles in order.
-	if !strings.HasPrefix(v, parts[0]) {
-		return false
-	}
-	v = v[len(parts[0]):]
-	last := parts[len(parts)-1]
-	for _, mid := range parts[1 : len(parts)-1] {
-		if mid == "" {
-			continue
-		}
-		idx := strings.Index(v, mid)
-		if idx < 0 {
-			return false
-		}
-		v = v[idx+len(mid):]
-	}
-	return strings.HasSuffix(v, last)
 }
 
 // ParseFilter parses an LDAP filter string.
@@ -316,11 +289,24 @@ func (p *filterParser) parseLeaf() (Filter, error) {
 	if err := p.expect(')'); err != nil {
 		return nil, err
 	}
-	return &leafFilter{attr: attr, op: op, pattern: value}, nil
+	return newLeaf(attr, op, value), nil
 }
 
+// newLeaf builds a leaf, compiling an equality pattern once for every
+// entry it is matched against.
+func newLeaf(attr string, op cmpOp, pattern string) *leafFilter {
+	f := &leafFilter{attr: attr, op: op, pattern: pattern}
+	if op == opEq {
+		f.glob = ldif.CompileGlob(pattern)
+	}
+	return f
+}
+
+// matchAll is shared: a parsed filter is never modified.
+var matchAll = newLeaf("objectclass", opEq, "*")
+
 // MatchAll is the (objectclass=*) filter.
-func MatchAll() Filter { return &leafFilter{attr: "objectclass", op: opEq, pattern: "*"} }
+func MatchAll() Filter { return matchAll }
 
 // KeywordHints computes which of the known keywords' entries f could
 // possibly match, so a GRIS collects only those providers instead of
@@ -408,7 +394,7 @@ func leafHintVec(f *leafFilter, known []string) (inc []bool, all bool) {
 		}
 		inc = make([]bool, len(known))
 		for i, k := range known {
-			inc[i] = wildcardMatch(f.pattern, k)
+			inc[i] = f.glob.Match(k)
 		}
 		return inc, false
 	case "objectclass", "resource", "dn":

@@ -293,17 +293,6 @@ type TracerOptions struct {
 	Clock func() time.Time
 }
 
-// TracerOptionsFromFlags maps the server binaries' -trace-sample and
-// -trace-slow flag values onto TracerOptions. The flag's 0 means "keep
-// only errored and slow traces", which TracerOptions spells as a
-// negative rate (its own 0 means "default to 1.0").
-func TracerOptionsFromFlags(sample float64, slow time.Duration) TracerOptions {
-	if sample == 0 {
-		sample = -1
-	}
-	return TracerOptions{SampleRate: sample, SlowThreshold: slow}
-}
-
 // Tracer mints spans, buffers them per trace, and tail-samples finished
 // traces into its store. All methods are safe on a nil receiver.
 type Tracer struct {

@@ -69,6 +69,67 @@ go test -race -count=1 \
 	-run '^(TestTableKeepsFinishedWindow|TestApplyStaleRecordCannotReviveFinishedJob|TestTransitionAndApplyAgree|TestFoldForgetsOldestFinishedAcrossSnapshot|TestSubscribeCutKeepsFollowerInStep|TestWillRestartFailureIsNeverForgotten|TestSubscribeCutIsConsistent|TestSubscribeCutRoundTrip|TestLegacyJournalRecoversUnchanged|TestSnapshotLastIDKeepsEvictedContactExpired|TestStaleRecordAfterFinishStaysFinishedOnRecovery|TestRetentionBoundsJobHistory|TestTableAndJournalAgreeWhenFinishesCross|TestRestartOutlivesTheWindow|TestRefusedSubmitIsInNoCopy|TestRecoverySnapshotsLoseNoJob|TestStaleRecordIsNotResumed|TestFollowerInterruptedResyncKeepsJournal|TestFollowerKeepsStaleRecordFromReviving|TestTransitionRefusesFewerRestarts|TestSuspendOnSecondAttemptKeepsRestarts)$' \
 	./internal/job/ ./internal/journal/ ./internal/gram/ ./internal/cluster/
 
+# The binaries have no tests of their own. Boot each gatekeeper on a
+# fresh state directory, run a job through it with the command-line
+# client, scrape its metrics, then SIGTERM it and boot it again on the
+# same directory: the journal must replay the job. mds-server must boot
+# and serve its metrics. Every wait is bounded, and every child still
+# running is killed on exit.
+echo "== binary boot smoke =="
+smoke=$(mktemp -d)
+pids=""
+trap 'for p in $pids; do kill "$p" 2>/dev/null || true; done; rm -rf "$smoke"' EXIT
+go build -o "$smoke/bin/" ./cmd/gram-server ./cmd/infogram-server ./cmd/mds-server ./cmd/infogram
+
+# boot LOG BINARY ARGS... starts a server logging to LOG and waits, at most
+# 20 s, for the metrics line it prints once it serves; booted is its pid.
+boot() {
+	log=$1
+	shift
+	"$smoke/bin/$@" -fabric "$smoke/fabric" -addr 127.0.0.1:0 -metrics-addr 127.0.0.1:0 >"$log" 2>&1 &
+	booted=$!
+	pids="$pids $booted"
+	i=0
+	until grep -q 'Prometheus metrics on' "$log"; do
+		i=$((i + 1))
+		if [ "$i" -gt 200 ] || ! kill -0 "$booted" 2>/dev/null; then
+			echo "boot smoke: $1 did not come up:" >&2
+			cat "$log" >&2
+			exit 1
+		fi
+		sleep 0.1
+	done
+}
+
+# scrape LOG fetches /metrics from the address the server logged.
+scrape() {
+	url=$(sed -n 's|.*Prometheus metrics on \(http://[^ ]*\).*|\1|p' "$1")
+	curl -sf --max-time 10 "$url" | grep -q '^# TYPE '
+}
+
+for gk in gram-server infogram-server; do
+	state="$smoke/$gk.state"
+	boot "$smoke/$gk.1.log" "$gk" -state-dir "$state"
+	addr=$(sed -n 's|.*serving.* on \([0-9.]*:[0-9]*\).*|\1|p' "$smoke/$gk.1.log")
+	timeout 30 "$smoke/bin/infogram" -fabric "$smoke/fabric" -server "$addr" -timeout 20s \
+		run '(executable=/bin/true)' >/dev/null
+	scrape "$smoke/$gk.1.log"
+	kill -TERM "$booted"
+	wait "$booted"
+	boot "$smoke/$gk.2.log" "$gk" -state-dir "$state"
+	if ! grep -q 'journal replayed 1 job(s)' "$smoke/$gk.2.log"; then
+		echo "boot smoke: $gk did not replay its journal:" >&2
+		cat "$smoke/$gk.2.log" >&2
+		exit 1
+	fi
+	kill -TERM "$booted"
+	wait "$booted"
+done
+boot "$smoke/mds-server.log" mds-server
+scrape "$smoke/mds-server.log"
+kill -TERM "$booted"
+wait "$booted"
+
 # CHECK_FUZZTIME extends the per-target fuzz budget (e.g. the nightly CI
 # run passes 60s); the default keeps interactive runs quick.
 fuzztime=${CHECK_FUZZTIME:-10s}
@@ -77,6 +138,7 @@ for target in \
 	FuzzParse:./internal/rsl \
 	FuzzEvalValue:./internal/rsl \
 	FuzzAttrEqual:./internal/rsl \
+	FuzzGlobMatch:./internal/ldif \
 	FuzzGlobMatch:./internal/core \
 	FuzzFrameRoundTrip:./internal/wire \
 	FuzzFrameDecode:./internal/wire \
