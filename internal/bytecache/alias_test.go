@@ -70,3 +70,53 @@ func TestGetAliasSurvivesCompaction(t *testing.T) {
 		t.Fatal("aliased bytes changed after churn")
 	}
 }
+
+// A value returned by Get is capped at its own bytes: appending to it
+// copies, so no other entry — nor the arena tail the next Set fills —
+// changes under the caller's append.
+func TestGetValueCappedAtItsEnd(t *testing.T) {
+	c := New(Options{Shards: 1, MaxBytes: 64 << 10})
+	keys := []string{"first", "middle", "last"}
+	for _, k := range keys {
+		c.Set([]byte(k), []byte("value-of-"+k), -1)
+	}
+	v, ok := c.Get([]byte("middle"))
+	if !ok {
+		t.Fatal("middle missing")
+	}
+	if cap(v) != len(v) {
+		t.Fatalf("cap(v) = %d, len(v) = %d; want equal", cap(v), len(v))
+	}
+	_ = append(v, "XXXXXXXXXXXXXXXXXXXXXXXX"...)
+	c.Set([]byte("next"), []byte("value-of-next"), -1)
+	for _, k := range append(keys, "next") {
+		got, ok := c.Get([]byte(k))
+		if !ok || string(got) != "value-of-"+k {
+			t.Fatalf("Get(%q) = %q, %v after an append to another value; want %q", k, got, ok, "value-of-"+k)
+		}
+	}
+}
+
+// A compaction sizes the fresh arena for the appends until the next one,
+// so the Set that follows it appends in place instead of regrowing and
+// copying the shard.
+func TestCompactionLeavesRoomForSets(t *testing.T) {
+	c := New(Options{Shards: 1, MaxBytes: 1 << 20, CompactFraction: 0.25})
+	s := &c.shards[0]
+	val := bytes.Repeat([]byte("v"), 100)
+	for i := 0; i < 100; i++ {
+		c.Set(fmt.Appendf(nil, "k%03d", i), val, -1)
+	}
+	before := s.compactions
+	for i := 0; s.compactions == before; i++ {
+		c.Delete(fmt.Appendf(nil, "k%03d", i))
+	}
+	if want := int64(float64(s.live) / (1 - 0.25)); int64(cap(s.arena)) < want {
+		t.Fatalf("compacted arena cap = %d for %d live bytes; want ≥ %d", cap(s.arena), s.live, want)
+	}
+	arena := &s.arena[:1][0]
+	c.Set([]byte("after"), val, -1)
+	if &s.arena[:1][0] != arena {
+		t.Fatal("the first Set after a compaction regrew the arena")
+	}
+}

@@ -241,9 +241,9 @@ func hashBytes(b []byte) uint64 {
 }
 
 // Get looks key up and returns the stored value, aliasing the shard
-// arena. The returned slice must be treated as read-only; it remains
-// valid after eviction or compaction because arenas are never mutated in
-// place. The second result reports whether a fresh entry was found.
+// arena. The returned slice must be treated as read-only; its capacity
+// ends with the value, so appending to it copies. It remains valid after
+// eviction or compaction because arenas are never mutated in place. The second result reports whether a fresh entry was found.
 func (c *Cache) Get(key []byte) ([]byte, bool) {
 	h := hashBytes(key)
 	s := &c.shards[h&c.mask]
@@ -282,7 +282,11 @@ func (c *Cache) Get(key []byte) ([]byte, bool) {
 		sl.hits++
 	}
 	s.index[h] = sl
-	v := s.arena[sl.off+int64(sl.klen) : sl.off+sl.size()]
+	// The three-index slice caps the value at its own bytes: a caller's
+	// append copies instead of writing into the next entry or the tail
+	// the next Set fills.
+	end := sl.off + sl.size()
+	v := s.arena[sl.off+int64(sl.klen) : end : end]
 	s.hits++
 	s.mu.Unlock()
 	c.hitsC.Inc()
@@ -470,7 +474,11 @@ func (c *Cache) maybeCompactLocked(s *shard) {
 		return
 	}
 	start := c.clk.Now()
-	fresh := make([]byte, 0, s.live)
+	// The fresh arena has room for the appends until the next compaction,
+	// which comes when dead bytes reach compactAt of the arena: sized for
+	// the live bytes alone, the first Set after a compaction would regrow
+	// and copy it.
+	fresh := make([]byte, 0, int64(float64(s.live)/(1-c.compactAt)))
 	for h, sl := range s.index {
 		off := int64(len(fresh))
 		fresh = append(fresh, s.arena[sl.off:sl.off+sl.size()]...)

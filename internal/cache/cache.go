@@ -274,6 +274,30 @@ func (e *Entry) StaleResult() (Result, bool) {
 	return r, true
 }
 
+// Answers reports whether a Get under mode and threshold would, now,
+// answer without executing the provider or waiting on another caller's
+// execution: a Last read, a fresh Cached read, or a read the
+// inter-execution delay serves from the store. It is the test Get itself
+// makes first, without Get's hit accounting; the entry can expire between
+// the two, so a Get after a true answer may still execute.
+func (e *Entry) Answers(mode Mode, threshold quality.Score) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	now := e.opts.Clock.Now()
+	switch mode {
+	case Last:
+		return true
+	case Cached:
+		if e.freshLocked(now, threshold) {
+			return true
+		}
+	case Immediate:
+	default:
+		return true // Get fails an invalid mode at once
+	}
+	return e.withinDelayLocked(now)
+}
+
 // Update is the paper's blocking updateState: it refreshes the value
 // (subject to the inter-execution delay and single-flight coalescing) and
 // returns it.

@@ -33,7 +33,7 @@ import (
 const (
 	budgetHotInfo     = 34  // measured 31.1: one cached info query
 	budgetSubmitCycle = 55  // measured 51.0: SUBMIT, the job to DONE, one STATUS
-	budgetColdFilter  = 225 // measured 221.2: an 8-keyword response-cache miss with a filter
+	budgetColdFilter  = 138 // measured 134.1: an 8-keyword response-cache miss with a filter
 )
 
 // pipeRig is a journaled service and a client joined by net.Pipe.

@@ -6,12 +6,14 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"infogram/internal/ldif"
 	"infogram/internal/provider"
 	"infogram/internal/quality"
 	"infogram/internal/xmlenc"
 	"infogram/internal/xrsl"
+	"infogram/internal/zerocopy"
 )
 
 // infoEngine answers decoded information queries from the provider
@@ -32,33 +34,35 @@ type infoEngine struct {
 // negative TTL. degraded reports whether one or more providers failed or
 // timed out and the reply is therefore partial.
 func (e *infoEngine) Answer(ctx context.Context, req *xrsl.InfoRequest) (body string, empty, degraded bool, err error) {
-	var entries []ldif.Entry
-	var missing []provider.DegradedKeyword
-	switch {
-	case req.Schema:
-		entries = e.schemaEntries()
-	case e.providerTimeout > 0:
-		reports, deg, err := e.registry.CollectDegraded(ctx, req.Keywords, req.Response, req.Quality, e.providerTimeout)
-		if err != nil {
-			return "", false, false, err
-		}
-		missing = deg
-		entries = provider.ReportEntries(e.resource, reports)
-		e.augmentQuality(entries, reports)
-		if req.Performance {
-			e.augmentPerformance(entries, reports)
-		}
-	default:
-		reports, err := e.registry.Collect(ctx, req.Keywords, req.Response, req.Quality)
-		if err != nil {
-			return "", false, false, err
-		}
-		entries = provider.ReportEntries(e.resource, reports)
-		e.augmentQuality(entries, reports)
-		if req.Performance {
-			e.augmentPerformance(entries, reports)
-		}
+	if req.Schema {
+		return render(req, e.schemaEntries(), nil, e.resource)
 	}
+	var reports []provider.Report
+	var missing []provider.DegradedKeyword
+	if e.providerTimeout > 0 {
+		reports, missing, err = e.registry.CollectDegraded(ctx, req.Keywords, req.Response, req.Quality, e.providerTimeout)
+	} else {
+		reports, err = e.registry.Collect(ctx, req.Keywords, req.Response, req.Quality)
+	}
+	if err != nil {
+		return "", false, false, err
+	}
+	return e.answerReports(req, reports, missing)
+}
+
+// answerReports is Answer past the collect: the reports become entries,
+// gain their quality (and performance) attributes, and are filtered and
+// rendered with the degradation marker for the missing keywords.
+func (e *infoEngine) answerReports(req *xrsl.InfoRequest, reports []provider.Report, missing []provider.DegradedKeyword) (body string, empty, degraded bool, err error) {
+	entries := provider.ReportEntries(e.resource, reports)
+	e.augment(entries, reports, req.Performance)
+	return render(req, entries, missing, e.resource)
+}
+
+// render applies req's filter to entries, appends the status entry that
+// flags a partial reply when keywords are missing, and renders the result
+// in req's format.
+func render(req *xrsl.InfoRequest, entries []ldif.Entry, missing []provider.DegradedKeyword, resource string) (body string, empty, degraded bool, err error) {
 	if req.Filter != "" {
 		entries = applyFilter(entries, req.Filter)
 	}
@@ -66,18 +70,18 @@ func (e *infoEngine) Answer(ctx context.Context, req *xrsl.InfoRequest) (body st
 	// The degradation marker is appended after filtering so a client that
 	// projected attributes away still learns its reply is partial.
 	if len(missing) > 0 {
-		entries = append(entries, degradedEntry(e.resource, missing))
+		entries = append(entries, degradedEntry(resource, missing))
 	}
-	var render func([]ldif.Entry) (string, error)
+	var marshal func([]ldif.Entry) (string, error)
 	switch req.Format {
 	case xrsl.FormatXML:
-		render = xmlenc.Marshal
+		marshal = xmlenc.Marshal
 	case xrsl.FormatDSML:
-		render = xmlenc.MarshalDSML
+		marshal = xmlenc.MarshalDSML
 	default:
-		render = ldif.Marshal
+		marshal = ldif.Marshal
 	}
-	body, err = render(entries)
+	body, err = marshal(entries)
 	return body, empty, len(missing) > 0, err
 }
 
@@ -103,46 +107,77 @@ func degradedEntry(resource string, missing []provider.DegradedKeyword) ldif.Ent
 	return entry
 }
 
-// augmentQuality attaches the quality-of-information assessment of §6.3 to
-// each returned keyword block: the degradation score, the value's age, and
-// the function that produced the score.
-func (e *infoEngine) augmentQuality(entries []ldif.Entry, reports []provider.Report) {
+// augmentBytes and performanceBytes size augment's number buffer per
+// entry: a score and an age in seconds, then a mean, a deviation and a
+// sample count. A longer number only grows the buffer.
+const (
+	augmentBytes     = 32
+	performanceBytes = 40
+)
+
+// numbers is augment's buffer: each number appended to it is returned as
+// a view of its own bytes, which nothing writes again — a regrown buffer
+// leaves the earlier views on the old array.
+type numbers []byte
+
+// float appends v as strconv.FormatFloat(v, 'f', prec, 64) — what
+// fmt's %.<prec>f prints — followed by suffix.
+func (b *numbers) float(v float64, prec int, suffix string) string {
+	at := len(*b)
+	*b = append(strconv.AppendFloat(*b, v, 'f', prec, 64), suffix...)
+	return zerocopy.String((*b)[at:])
+}
+
+// uint appends v in decimal.
+func (b *numbers) uint(v uint64) string {
+	at := len(*b)
+	*b = strconv.AppendUint(*b, v, 10)
+	return zerocopy.String((*b)[at:])
+}
+
+// augment attaches the quality-of-information assessment of §6.3 to each
+// returned keyword block — the degradation score, the value's age, and
+// the function that produced the score — and, when performance is set,
+// the performance tag: "the number of seconds and the standard deviation
+// about how long it takes to obtain a particular information value"
+// (§6.5). Every number is formatted into one buffer.
+func (e *infoEngine) augment(entries []ldif.Entry, reports []provider.Report, performance bool) {
+	per := augmentBytes
+	if performance {
+		per += performanceBytes
+	}
+	nums := make(numbers, 0, per*len(reports))
 	for i := range reports {
-		entries[i].Add("quality:score", fmt.Sprintf("%.2f", float64(reports[i].Result.Quality)))
+		res := &reports[i].Result
+		entries[i].Add("quality:score", nums.float(float64(res.Quality), 2, ""))
 		// Age renders as ASCII seconds; time.Duration's µs unit would
 		// force base64 in LDIF.
-		entries[i].Add("quality:age", fmt.Sprintf("%.6fs", reports[i].Result.Age.Seconds()))
-		entries[i].Add("quality:fromCache", strconv.FormatBool(reports[i].Result.FromCache))
-		if reports[i].Result.Stale {
+		entries[i].Add("quality:age", nums.float(res.Age.Seconds(), 6, "s"))
+		entries[i].Add("quality:fromCache", strconv.FormatBool(res.FromCache))
+		if res.Stale {
 			// Served past its TTL during a provider outage — the client
 			// sees exactly which keyword blocks are beyond their lifetime.
 			entries[i].Add("quality:stale", "true")
 		}
-		if g, ok := e.registry.Lookup(reports[i].Keyword); ok && g.Degradation() != nil {
-			entries[i].Add("quality:function", g.Degradation().Name())
-			// Self-correcting functions expose their observed drift, the
-			// "standard deviation ... of the value" context §5.2 asks for.
-			if sc, ok := g.Degradation().(*quality.SelfCorrecting); ok && sc.Observations() > 0 {
-				entries[i].Add("quality:driftSigma", fmt.Sprintf("%.6f", sc.DriftSigma()))
-				entries[i].Add("quality:driftObservations", strconv.FormatInt(sc.Observations(), 10))
-			}
-		}
-	}
-}
-
-// augmentPerformance implements the performance tag: "the number of
-// seconds and the standard deviation about how long it takes to obtain a
-// particular information value" (§6.5).
-func (e *infoEngine) augmentPerformance(entries []ldif.Entry, reports []provider.Report) {
-	for i := range reports {
 		g, ok := e.registry.Lookup(reports[i].Keyword)
 		if !ok {
 			continue
 		}
-		st := g.AverageUpdateTime()
-		entries[i].Add("performance:mean", fmt.Sprintf("%.6f", st.Mean().Seconds()))
-		entries[i].Add("performance:stddev", fmt.Sprintf("%.6f", st.StdDev().Seconds()))
-		entries[i].Add("performance:samples", strconv.FormatUint(st.Count, 10))
+		if d := g.Degradation(); d != nil {
+			entries[i].Add("quality:function", d.Name())
+			// Self-correcting functions expose their observed drift, the
+			// "standard deviation ... of the value" context §5.2 asks for.
+			if sc, ok := d.(*quality.SelfCorrecting); ok && sc.Observations() > 0 {
+				entries[i].Add("quality:driftSigma", nums.float(sc.DriftSigma(), 6, ""))
+				entries[i].Add("quality:driftObservations", nums.uint(uint64(sc.Observations())))
+			}
+		}
+		if performance {
+			st := g.AverageUpdateTime()
+			entries[i].Add("performance:mean", nums.float(st.Mean().Seconds(), 6, ""))
+			entries[i].Add("performance:stddev", nums.float(st.StdDev().Seconds(), 6, ""))
+			entries[i].Add("performance:samples", nums.uint(st.Count))
+		}
 	}
 }
 
@@ -213,7 +248,8 @@ func applyFilter(entries []ldif.Entry, pattern string) []ldif.Entry {
 
 // structuralAttrs are the attribute names applyFilter keeps regardless of
 // the pattern, compiled as exact globs so they fold case exactly as the
-// pattern does.
+// pattern does. isStructural needs them only for a name that is not
+// ASCII.
 var structuralAttrs = [...]ldif.Glob{
 	ldif.CompileGlob("objectclass"),
 	ldif.CompileGlob("kw"),
@@ -221,11 +257,31 @@ var structuralAttrs = [...]ldif.Glob{
 	ldif.CompileGlob("keyword"),
 }
 
+// isStructural reports whether name, lower-cased, is one of the
+// structural names. An ASCII name is decided by its length and an ASCII
+// case fold; any other one by the compiled globs, because Unicode
+// lower-casing can turn a longer name into a structural one.
 func isStructural(name string) bool {
-	for _, g := range structuralAttrs {
-		if g.Match(name) {
-			return true
+	var want string
+	switch len(name) {
+	case len("kw"):
+		want = "kw"
+	case len("keyword"):
+		want = "keyword"
+	case len("resource"):
+		want = "resource"
+	case len("objectclass"):
+		want = "objectclass"
+	}
+	for i := 0; i < len(name); i++ {
+		if name[i] >= utf8.RuneSelf {
+			for _, g := range structuralAttrs {
+				if g.Match(name) {
+					return true
+				}
+			}
+			return false
 		}
 	}
-	return false
+	return want != "" && strings.EqualFold(name, want)
 }

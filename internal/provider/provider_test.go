@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -371,11 +373,9 @@ func TestReportEntries(t *testing.T) {
 	}
 }
 
-// TestReportEntriesAllocs pins ReportEntries' allocation budget: one slice
-// for the result, then three per entry — its DN, its attribute slice, and
-// the one string its namespaced names are sliced from.
-func TestReportEntriesAllocs(t *testing.T) {
-	reports := make([]Report, 8)
+// entryReports builds n reports of twelve attributes each.
+func entryReports(n int) []Report {
+	reports := make([]Report, n)
 	for i := range reports {
 		attrs := make(Attributes, 12)
 		for j := range attrs {
@@ -383,18 +383,84 @@ func TestReportEntriesAllocs(t *testing.T) {
 		}
 		reports[i] = Report{Keyword: fmt.Sprintf("Kw%d", i), Attrs: attrs}
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		entries := ReportEntries("bench.resource", reports)
-		// The spare capacity holds the quality attributes the
-		// information service appends without regrowing.
-		for i := range entries {
-			for range qualityAttrs {
-				entries[i].Add("quality:x", "1")
+	return reports
+}
+
+// TestReportEntriesAllocs pins ReportEntries' allocation budget: three,
+// however many entries — the entry slice, the attribute array and the
+// string of DNs and names — with the quality and performance attributes
+// the information service appends fitting in each entry's headroom.
+func TestReportEntriesAllocs(t *testing.T) {
+	for _, n := range []int{1, 8, 64} {
+		reports := entryReports(n)
+		allocs := testing.AllocsPerRun(100, func() {
+			entries := ReportEntries("bench.resource", reports)
+			for i := range entries {
+				for range qualityAttrs + performanceAttrs {
+					entries[i].Add("quality:x", "1")
+				}
 			}
+		})
+		if allocs > 3 {
+			t.Errorf("ReportEntries: %.0f allocs for %d entries, budget 3", allocs, n)
+		}
+	}
+}
+
+// An entry that outgrows its headroom moves to an array of its own; it
+// never writes into the next entry's attributes.
+func TestReportEntriesHeadroomIsolated(t *testing.T) {
+	reports := entryReports(3)
+	entries := ReportEntries("res", reports)
+	want := ReportEntries("res", reports)
+	for range qualityAttrs + performanceAttrs + 5 {
+		entries[1].Add("extra", "x")
+	}
+	for _, i := range []int{0, 2} {
+		if !slices.Equal(entries[i].Attrs, want[i].Attrs) || entries[i].DN != want[i].DN {
+			t.Fatalf("entry %d changed when entry 1 grew:\n%v\nwant\n%v", i, entries[i], want[i])
+		}
+	}
+	if got, wantN := len(entries[1].Attrs), len(want[1].Attrs)+qualityAttrs+performanceAttrs+5; got != wantN {
+		t.Fatalf("entry 1 has %d attributes; want %d", got, wantN)
+	}
+}
+
+// TestLookupAllocs pins Lookup's stack fold: a mixed-case ASCII keyword
+// finds its registration without allocating.
+func TestLookupAllocs(t *testing.T) {
+	reg := NewRegistry(nil)
+	reg.Register(&StaticProvider{KeywordName: "CPULoad"}, RegisterOptions{TTL: time.Hour})
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := reg.Lookup("cpuLOAD"); !ok {
+			t.Fatal("cpuLOAD not found")
 		}
 	})
-	if max := float64(1 + 3*len(reports)); allocs > max {
-		t.Errorf("ReportEntries: %.0f allocs for %d entries, budget %.0f", allocs, len(reports), max)
+	if allocs != 0 {
+		t.Errorf("Lookup: %.1f allocs, want 0", allocs)
+	}
+}
+
+// Lookup folds case the way Register does for every keyword: ASCII,
+// non-ASCII (strings.ToLower maps "İ" to an ASCII "i"), and one longer
+// than the stack buffer.
+func TestLookupFoldsLikeRegister(t *testing.T) {
+	long := strings.Repeat("Kw", foldedKeywordMax)
+	reg := NewRegistry(nil)
+	for _, kw := range []string{"Memory", "CAFÉ", "İx", long} {
+		reg.Register(&StaticProvider{KeywordName: kw}, RegisterOptions{})
+	}
+	for _, c := range []struct {
+		query string
+		want  bool
+	}{
+		{"memory", true}, {"MEMORY", true}, {"café", true}, {"Café", true},
+		{"İX", true}, {"ix", true}, {"i̇x", false}, {strings.ToUpper(long), true},
+		{long[:foldedKeywordMax], false}, {"Memor", false}, {"memoryy", false},
+	} {
+		if _, ok := reg.Lookup(c.query); ok != c.want {
+			t.Errorf("Lookup(%q) found = %v, want %v", c.query, ok, c.want)
+		}
 	}
 }
 

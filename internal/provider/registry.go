@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"infogram/internal/cache"
 	"infogram/internal/clock"
@@ -246,11 +247,38 @@ func (r *Registry) Unregister(keyword string) bool {
 	return true
 }
 
-// Lookup finds the registration for keyword (case-insensitive).
+// foldedKeywordMax is the longest ASCII keyword Lookup folds on the
+// stack; a longer one takes the strings.ToLower path.
+const foldedKeywordMax = 64
+
+// Lookup finds the registration for keyword (case-insensitive). An ASCII
+// keyword is folded into a stack buffer, so the lookup allocates nothing;
+// any other keyword is lower-cased with strings.ToLower, as Register
+// lower-cases every key.
 func (r *Registry) Lookup(keyword string) (*Registered, bool) {
+	var buf [foldedKeywordMax]byte
+	n := 0
+	if len(keyword) <= len(buf) {
+		for ; n < len(keyword); n++ {
+			c := keyword[n]
+			if c >= utf8.RuneSelf {
+				break
+			}
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			buf[n] = c
+		}
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	g, ok := r.byKeyword[strings.ToLower(keyword)]
+	var g *Registered
+	var ok bool
+	if n == len(keyword) {
+		g, ok = r.byKeyword[string(buf[:n])]
+	} else {
+		g, ok = r.byKeyword[strings.ToLower(keyword)]
+	}
 	return g, ok
 }
 
@@ -274,12 +302,14 @@ func (r *Registry) Len() int {
 }
 
 // Collect queries the named keywords (or all, when keywords is empty)
-// through the cache with the given mode and threshold. Retrieval fans out
-// across a worker pool bounded by SetParallelism, so slow providers
-// overlap instead of queueing; results are still in request order.
-// Querying an unknown keyword fails the whole request, the all-or-nothing
-// semantics of §6.3 — as does any provider failure, in which case the
-// error of the earliest failing keyword in request order is returned.
+// through the cache with the given mode and threshold. A keyword the
+// cache answers without executing its provider is read on the calling
+// goroutine; the executions fan out across a worker pool bounded by
+// SetParallelism, so slow providers overlap instead of queueing. Results
+// are in request order either way. Querying an unknown keyword fails the
+// whole request, the all-or-nothing semantics of §6.3 — as does any
+// provider failure, in which case the error of the earliest failing
+// keyword in request order is returned.
 func (r *Registry) Collect(ctx context.Context, keywords []string, mode cache.Mode, threshold quality.Score) ([]Report, error) {
 	regs, err := r.resolve(keywords)
 	if err != nil {
@@ -314,23 +344,37 @@ func (r *Registry) resolve(keywords []string) ([]*Registered, error) {
 	return regs, nil
 }
 
-// collectOutcome is one keyword's fan-out result slot.
+// collectOutcome is one keyword's result slot.
 type collectOutcome struct {
 	rep Report
 	err error
+	// exec marks a keyword whose read executes its provider; only those
+	// fan out.
+	exec bool
 }
 
-// collectAll retrieves every registration, in parallel when the
-// configured bound and the request size allow it. outs[i] always
-// corresponds to regs[i], which is what preserves request order in the
-// callers. Cache single-flight coalescing makes concurrent Entry.Get on
-// the same keyword safe, so no extra per-keyword locking is needed here.
+// collectAll retrieves every registration. outs[i] always corresponds to
+// regs[i], which is what preserves request order in the callers. A
+// keyword its cache entry answers without an execution — fresh for mode
+// and threshold, a Last read, or inside its inter-execution delay — is
+// read on the calling goroutine: that read costs a lock and a copy, less
+// than handing it to a worker. The keywords that must execute fan out
+// over at most Parallelism workers, started before the inline reads so
+// they overlap them; a single execution runs inline too. An entry that
+// expires between the test and the read executes inline, once, as Get
+// would anywhere. Cache single-flight coalescing makes concurrent
+// Entry.Get on the same keyword safe, so no extra per-keyword locking is
+// needed here.
 func (r *Registry) collectAll(ctx context.Context, regs []*Registered, mode cache.Mode, threshold quality.Score, perTimeout time.Duration) []collectOutcome {
 	outs := make([]collectOutcome, len(regs))
-	workers := r.Parallelism()
-	if workers > len(regs) {
-		workers = len(regs)
+	execs := 0
+	for i, g := range regs {
+		if !g.entry.Answers(mode, threshold) {
+			outs[i].exec = true
+			execs++
+		}
 	}
+	workers := min(r.Parallelism(), execs)
 	if workers <= 1 {
 		for i, g := range regs {
 			outs[i].rep, outs[i].err = collectOne(ctx, g, mode, threshold, perTimeout)
@@ -343,7 +387,15 @@ func (r *Registry) collectAll(ctx context.Context, regs []*Registered, mode cach
 	r.mu.RUnlock()
 	start := r.clk.Now()
 
-	next := make(chan int)
+	// Sized to the executions, so queuing them never blocks the inline
+	// reads behind a busy worker.
+	next := make(chan int, execs)
+	for i := range outs {
+		if outs[i].exec {
+			next <- i
+		}
+	}
+	close(next)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -356,10 +408,11 @@ func (r *Registry) collectAll(ctx context.Context, regs []*Registered, mode cach
 			}
 		}()
 	}
-	for i := range regs {
-		next <- i
+	for i, g := range regs {
+		if !outs[i].exec {
+			outs[i].rep, outs[i].err = collectOne(ctx, g, mode, threshold, perTimeout)
+		}
 	}
-	close(next)
 	wg.Wait()
 	latency.Observe(r.clk.Since(start))
 	return outs
@@ -379,7 +432,7 @@ type DegradedKeyword struct {
 // keyword's retrieval is bounded by perTimeout (0 means unbounded, though
 // the caller's context still applies) and a provider that fails or blows
 // its timeout becomes a DegradedKeyword entry instead of failing the whole
-// request. Retrieval fans out like Collect's, so one hung provider costs
+// request. Executions fan out like Collect's, so one hung provider costs
 // the query perTimeout once instead of serializing behind every healthy
 // keyword; both the reports and the degraded list stay in request order.
 // Unknown keywords remain all-or-nothing errors — they indicate a

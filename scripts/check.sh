@@ -60,6 +60,16 @@ go test -race -count=1 \
 	-run '^(TestPoolSurvivesServerRestart|TestGIISMemberRestart|TestGatewayNeverResubmits|TestGatewayNeverRecancels|TestGatewaySharesOneConnection)$' \
 	./internal/core/ ./internal/mds/ ./internal/wsgw/
 
+# The collect fan-out's semantics re-run uncached under -race, three
+# times: fresh keywords read on the calling goroutine beside overlapping
+# gated executions, a keyword expiring between the freshness test and its
+# read, and the degraded collect's per-provider timeout beside inline
+# reads.
+echo "== collect fan-out: inline reads beside executions (-race -count=3) =="
+go test -race -count=3 \
+	-run '^(TestCollectFreshStartsNoWorker|TestCollectFreshBesideGatedExecutions|TestCollectKeywordExpiringAfterTestExecutesOnce|TestCollectDegradedTimeoutBesideFreshKeywords)$' \
+	./internal/provider/
+
 # The tests where the job table, the journal, a follower and a recovery
 # must hold the same jobs re-run uncached under -race: retention, the
 # restart window, the Subscribe cut and recovery race appends, snapshots,
@@ -140,6 +150,7 @@ for target in \
 	FuzzAttrEqual:./internal/rsl \
 	FuzzGlobMatch:./internal/ldif \
 	FuzzGlobMatch:./internal/core \
+	FuzzInfoAnswer:./internal/core \
 	FuzzFrameRoundTrip:./internal/wire \
 	FuzzFrameDecode:./internal/wire \
 	FuzzWirePrefix:./internal/wire \
