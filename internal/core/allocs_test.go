@@ -16,6 +16,7 @@ import (
 	"infogram/internal/job"
 	"infogram/internal/journal"
 	"infogram/internal/provider"
+	"infogram/internal/quality"
 	"infogram/internal/scheduler"
 	"infogram/internal/session"
 	"infogram/internal/telemetry"
@@ -34,6 +35,7 @@ const (
 	budgetHotInfo     = 34  // measured 31.1: one cached info query
 	budgetSubmitCycle = 55  // measured 51.0: SUBMIT, the job to DONE, one STATUS
 	budgetColdFilter  = 138 // measured 134.1: an 8-keyword response-cache miss with a filter
+	budgetColdDegrade = 417 // measured 413.1: an 8-keyword miss, no filter, over keywords with exponential(30s)
 )
 
 // pipeRig is a journaled service and a client joined by net.Pipe.
@@ -44,31 +46,44 @@ type pipeRig struct {
 }
 
 // coldKeywords providers of attrGroups groups of four attributes each
-// back the cold-miss shape, whose queries never repeat within a rig.
+// back the cold-miss shape, whose queries never repeat within a rig: K00…
+// without a degradation function, E00… with exponential(30s).
 const (
 	coldKeywords = 48
 	attrGroups   = 8
 )
 
-var coldQueries = func() []string {
+var (
+	coldQueries     = coldQueryList("K", true)
+	degradedQueries = coldQueryList("E", false)
+)
+
+// coldQueryList returns 1000 8-keyword queries over the keywords named
+// prefix00…, each set asked once; filtered ones carry a filter keeping one
+// of the attrGroups groups, which drops the quality attributes.
+func coldQueryList(prefix string, filtered bool) []string {
 	rng := rand.New(rand.NewSource(1))
 	seen := make(map[string]bool)
 	var out []string
 	for len(out) < 1000 {
 		var kws []string
 		for len(kws) < 8 {
-			if kw := fmt.Sprintf("K%02d", rng.Intn(coldKeywords)); !slices.Contains(kws, kw) {
+			if kw := fmt.Sprintf("%s%02d", prefix, rng.Intn(coldKeywords)); !slices.Contains(kws, kw) {
 				kws = append(kws, kw)
 			}
 		}
 		set := slices.Sorted(slices.Values(kws))
 		if key := strings.Join(set, " "); !seen[key] {
 			seen[key] = true
-			out = append(out, "&(info="+strings.Join(kws, ")(info=")+`)(filter="*:g`+fmt.Sprint(len(out)%attrGroups)+`x*")`)
+			q := "&(info=" + strings.Join(kws, ")(info=") + ")"
+			if filtered {
+				q += `(filter="*:g` + fmt.Sprint(len(out)%attrGroups) + `x*")`
+			}
+			out = append(out, q)
 		}
 	}
 	return out
-}()
+}
 
 func newPipeRig(t *testing.T, trace string) *pipeRig {
 	t.Helper()
@@ -105,6 +120,8 @@ func newPipeRig(t *testing.T, trace string) *pipeRig {
 		}
 		reg.Register(&provider.StaticProvider{KeywordName: fmt.Sprintf("K%02d", k), Values: attrs},
 			provider.RegisterOptions{TTL: time.Hour})
+		reg.Register(&provider.StaticProvider{KeywordName: fmt.Sprintf("E%02d", k), Values: attrs},
+			provider.RegisterOptions{TTL: time.Hour, Degrade: quality.Exponential{HalfLife: 30 * time.Second}})
 	}
 	fn := scheduler.NewFunc(scheduler.TrustedMode, scheduler.Budgets{})
 	fn.RegisterFunc("noop", func(context.Context, *scheduler.Sandbox, []string, string) (string, error) { return "", nil })
@@ -155,12 +172,25 @@ func (r *pipeRig) hotInfo(t *testing.T) {
 // coldMiss asks an 8-keyword query with a filter that the rig has not
 // asked before: a response-cache miss, so the keywords' reports are
 // collected from the provider cache, filtered, rendered and stored.
-func (r *pipeRig) coldMiss(t *testing.T) {
-	src := coldQueries[r.cold%len(coldQueries)]
+func (r *pipeRig) coldMiss(t *testing.T) { r.miss(t, coldQueries) }
+
+// degradedMiss is coldMiss over keywords with a degradation function and
+// without a filter: every entry of the answer carries all its attributes
+// and the function's name.
+func (r *pipeRig) degradedMiss(t *testing.T) {
+	if res := r.miss(t, degradedQueries); !strings.Contains(res.Raw, "quality:function: exponential(30s)") {
+		t.Fatalf("answer carries no degradation function:\n%s", res.Raw)
+	}
+}
+
+func (r *pipeRig) miss(t *testing.T, queries []string) InfoResult {
+	src := queries[r.cold%len(queries)]
 	r.cold++
-	if _, err := r.cl.QueryRaw(src); err != nil {
+	res, err := r.cl.QueryRaw(src)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return res
 }
 
 // submitCycle submits a no-op job, waits for the table to show it DONE,
@@ -213,6 +243,7 @@ func TestRequestShapeAllocations(t *testing.T) {
 		{"hot info hit", (*pipeRig).hotInfo, budgetHotInfo},
 		{"submit to done", (*pipeRig).submitCycle, budgetSubmitCycle},
 		{"cold miss with filter", (*pipeRig).coldMiss, budgetColdFilter},
+		{"cold miss with degradation functions", (*pipeRig).degradedMiss, budgetColdDegrade},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			off := allocsPerRequest(t, "off", c.shape)

@@ -1,3 +1,9 @@
+// The InfoGram client: the job verbs it shares with gram.Client
+// (gram.Verbs) and the information queries only InfoGram answers, over
+// one connection policy — redial after a transport failure, retry of
+// idempotent requests only, mux, and an admission REJECT returned as
+// *RejectedError.
+
 package core
 
 import (
@@ -17,7 +23,6 @@ import (
 	"infogram/internal/faultinject"
 	"infogram/internal/gram"
 	"infogram/internal/gsi"
-	"infogram/internal/job"
 	"infogram/internal/ldif"
 	"infogram/internal/session"
 	"infogram/internal/telemetry"
@@ -114,6 +119,12 @@ type Options struct {
 // one GSI-authenticated connection out of order; against a pre-mux server
 // they serialize on it.
 type Client struct {
+	// Verbs are the job verbs — Ping, Submit, Status, Cancel, Signal,
+	// each with a Context form, and WaitTerminal — shared with
+	// gram.Client and run over call. A Submit of an information query
+	// fails naming the reply's verb: use Query.
+	gram.Verbs
+
 	addr    string
 	cred    *gsi.Credential
 	trust   *gsi.TrustStore
@@ -137,11 +148,6 @@ func Dial(addr string, cred *gsi.Credential, trust *gsi.TrustStore) (*Client, er
 	return DialWithOptions(addr, cred, trust, Options{})
 }
 
-// DialClock is Dial with an injected clock.
-func DialClock(addr string, cred *gsi.Credential, trust *gsi.TrustStore, clk clock.Clock) (*Client, error) {
-	return DialWithOptions(addr, cred, trust, Options{Clock: clk})
-}
-
 // DialWithOptions is Dial with timeouts, a retry policy, and telemetry.
 // Connection establishment itself honours the retry policy: transient
 // dial and handshake failures back off and try again.
@@ -156,6 +162,7 @@ func NewClient(addr string, cred *gsi.Credential, trust *gsi.TrustStore, opts Op
 		opts.Clock = clock.System
 	}
 	c := &Client{addr: addr, cred: cred, trust: trust, opts: opts, clk: opts.Clock}
+	c.Verbs = gram.NewVerbs((*exchange)(c))
 	if opts.Telemetry != nil {
 		c.retries = opts.Telemetry.Counter("infogram_client_retries_total",
 			"transparent client retries after transient connect, handshake, or wire failures")
@@ -355,6 +362,15 @@ func (c *Client) call(parent context.Context, req wire.Frame, idempotent bool) (
 	return wire.Frame{}, lastErr
 }
 
+// exchange is a Client's gram.Exchange: its call, with redial, retry of
+// idempotent verbs, mux and *RejectedError. The pointer conversion hands
+// the client to the verbs without an allocation.
+type exchange Client
+
+func (x *exchange) Call(ctx context.Context, req wire.Frame, idempotent bool) (wire.Frame, error) {
+	return (*Client)(x).call(ctx, req, idempotent)
+}
+
 // isTransient classifies errors worth retrying: transport-level failures
 // where the server never (or no longer) holds the request. Protocol-level
 // rejections — authentication denials, server ERROR frames — are not
@@ -374,53 +390,6 @@ func isTransient(err error) bool {
 	}
 	var ne net.Error
 	return errors.As(err, &ne)
-}
-
-// serverError converts an ERROR frame to an error; an expired contact
-// keeps errors.Is(err, job.ErrExpired).
-func serverError(f wire.Frame) error {
-	return job.RemoteError("infogram: server error: ", strings.TrimSpace(string(f.Payload)))
-}
-
-// Ping checks service liveness.
-func (c *Client) Ping() error { return c.PingContext(context.Background()) }
-
-// PingContext is Ping carrying the caller's context (and, on a traced
-// connection, its trace context).
-func (c *Client) PingContext(ctx context.Context) error {
-	resp, err := c.call(ctx, wire.Frame{Verb: gram.VerbPing}, true)
-	if err != nil {
-		return err
-	}
-	if resp.Verb != gram.VerbPong {
-		return serverError(resp)
-	}
-	return nil
-}
-
-// Submit sends raw xRSL. For a job it returns the job contact; an info
-// query submitted through Submit fails with a type hint — use Query.
-// Submissions are never retried: a transport failure after the request
-// was sent leaves the job's fate unknown, and replaying could run it
-// twice.
-func (c *Client) Submit(xrslSrc string) (string, error) {
-	return c.SubmitContext(context.Background(), xrslSrc)
-}
-
-// SubmitContext is Submit carrying the caller's context.
-func (c *Client) SubmitContext(ctx context.Context, xrslSrc string) (string, error) {
-	resp, err := c.call(ctx, wire.Frame{Verb: gram.VerbSubmit, Payload: []byte(xrslSrc)}, false)
-	if err != nil {
-		return "", err
-	}
-	switch resp.Verb {
-	case gram.VerbSubmitted:
-		return string(resp.Payload), nil
-	case VerbResultLDIF, VerbResultXML, VerbResultDSML:
-		return "", fmt.Errorf("infogram: specification was an information query; use Query")
-	default:
-		return "", serverError(resp)
-	}
 }
 
 // InfoResult is a decoded information response.
@@ -475,7 +444,7 @@ func decodeInfoFrame(resp wire.Frame) (InfoResult, error) {
 	case gram.VerbSubmitted:
 		return InfoResult{}, fmt.Errorf("infogram: specification was a job submission; use Submit")
 	default:
-		return InfoResult{}, serverError(resp)
+		return InfoResult{}, gram.ServerError(resp)
 	}
 	// One copy of the payload serves both the decode and Raw.
 	raw := string(resp.Payload)
@@ -544,7 +513,7 @@ func (c *Client) SubmitMultiContext(ctx context.Context, xrslSrc string) ([]Mult
 			}
 			return []MultiPart{{Kind: "info", Info: &res, Degraded: res.Degraded}}, nil
 		default:
-			return nil, serverError(resp)
+			return nil, gram.ServerError(resp)
 		}
 	}
 	var parts []PartResult
@@ -604,79 +573,4 @@ func (c *Client) ForwardContext(ctx context.Context, req wire.Frame, idempotent 
 		return wire.Frame{}, err
 	}
 	return resp, nil
-}
-
-// Status polls a job by contact. Status reads are idempotent and retried.
-func (c *Client) Status(contact string) (gram.StatusReply, error) {
-	return c.StatusContext(context.Background(), contact)
-}
-
-// StatusContext is Status carrying the caller's context.
-func (c *Client) StatusContext(ctx context.Context, contact string) (gram.StatusReply, error) {
-	resp, err := c.call(ctx, wire.Frame{Verb: gram.VerbStatus, Payload: []byte(contact)}, true)
-	if err != nil {
-		return gram.StatusReply{}, err
-	}
-	if resp.Verb != gram.VerbStatusOK {
-		return gram.StatusReply{}, serverError(resp)
-	}
-	var reply gram.StatusReply
-	if err := json.Unmarshal(resp.Payload, &reply); err != nil {
-		return gram.StatusReply{}, fmt.Errorf("infogram: decode status: %w", err)
-	}
-	return reply, nil
-}
-
-// Cancel cancels a job by contact.
-func (c *Client) Cancel(contact string) error { return c.CancelContext(context.Background(), contact) }
-
-// CancelContext is Cancel carrying the caller's context.
-func (c *Client) CancelContext(ctx context.Context, contact string) error {
-	resp, err := c.call(ctx, wire.Frame{Verb: gram.VerbCancel, Payload: []byte(contact)}, false)
-	if err != nil {
-		return err
-	}
-	if resp.Verb != gram.VerbCancelOK {
-		return serverError(resp)
-	}
-	return nil
-}
-
-// Signal suspends or resumes a job ("suspend" / "resume").
-func (c *Client) Signal(contact, signal string) error {
-	resp, err := c.call(context.Background(), wire.Frame{Verb: gram.VerbSignal, Payload: []byte(contact + " " + signal)}, false)
-	if err != nil {
-		return err
-	}
-	if resp.Verb != gram.VerbSignalOK {
-		return serverError(resp)
-	}
-	return nil
-}
-
-// WaitTerminal polls until the job reaches a terminal state. A server
-// answers for a finished job only until job.KeepTerminal to
-// 2·job.KeepTerminal later jobs have finished; after that it returns an
-// error satisfying errors.Is(err, job.ErrExpired), and the server's audit
-// log is the record of the job's outcome.
-func (c *Client) WaitTerminal(ctx context.Context, contact string, poll time.Duration) (gram.StatusReply, error) {
-	if poll <= 0 {
-		poll = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		st, err := c.StatusContext(ctx, contact)
-		if err != nil {
-			return gram.StatusReply{}, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-ticker.C:
-		}
-	}
 }

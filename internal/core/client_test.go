@@ -6,15 +6,88 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"infogram/internal/cache"
 	"infogram/internal/core"
+	"infogram/internal/gram"
+	"infogram/internal/gsi"
 	"infogram/internal/provider"
+	"infogram/internal/session"
+	"infogram/internal/wire"
 	"infogram/internal/xrsl"
 )
+
+// TestWaitTerminalHonoursContextOnSilentStatus: a WaitTerminal whose
+// context expires while its STATUS is unanswered returns promptly with
+// context.DeadlineExceeded, from the baseline gram.Client (no I/O timeout
+// of its own, so only the context can end the wait) as from core.Client.
+func TestWaitTerminalHonoursContextOnSilentStatus(t *testing.T) {
+	now := time.Now()
+	ca, err := gsi.NewCA("/O=Grid/CN=Test CA", time.Hour, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trust := gsi.NewTrustStore(ca.Certificate())
+	svcCred, _ := ca.IssueIdentity("/O=Grid/CN=service", time.Hour, now)
+	user, _ := ca.IssueIdentity("/O=Grid/CN=alice", time.Hour, now)
+	release := make(chan struct{})
+	srv := session.NewServer(session.Config{
+		Credential: svcCred,
+		Trust:      trust,
+		ErrorVerb:  gram.VerbError,
+		Handler: func(_ context.Context, _ *session.Peer, req wire.Frame) wire.Frame {
+			if req.Verb == gram.VerbStatus {
+				<-release // never answered while the test runs
+			}
+			return wire.Frame{Verb: gram.VerbError, Payload: []byte("released")}
+		},
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer close(release)
+
+	type waiter interface {
+		WaitTerminal(context.Context, string, time.Duration) (gram.StatusReply, error)
+		Close() error
+	}
+	for _, c := range []struct {
+		name string
+		dial func() (waiter, error)
+	}{
+		{"gram", func() (waiter, error) { return gram.Dial(addr, user, trust) }},
+		{"core", func() (waiter, error) { return core.Dial(addr, user, trust) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cl, err := c.dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, err := cl.WaitTerminal(ctx, "gram://"+addr+"/job/1", time.Millisecond)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("WaitTerminal = %v, want context.DeadlineExceeded", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Error("WaitTerminal still blocked 5s after a 100ms context")
+			}
+		})
+	}
+}
 
 func TestMultiRequestWithErrorPart(t *testing.T) {
 	reg := provider.NewRegistry(nil)

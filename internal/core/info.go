@@ -164,7 +164,7 @@ func (e *infoEngine) augment(entries []ldif.Entry, reports []provider.Report, pe
 			continue
 		}
 		if d := g.Degradation(); d != nil {
-			entries[i].Add("quality:function", d.Name())
+			entries[i].Add("quality:function", g.DegradationName())
 			// Self-correcting functions expose their observed drift, the
 			// "standard deviation ... of the value" context §5.2 asks for.
 			if sc, ok := d.(*quality.SelfCorrecting); ok && sc.Observations() > 0 {

@@ -112,6 +112,31 @@ func TestSubmitMisuseHints(t *testing.T) {
 	}
 }
 
+// TestSubmitMisuseIsOneErrorForBothClients: the two clients share one
+// Submit, so a SUBMIT of an information query fails the same way from
+// each, naming the reply's verb.
+func TestSubmitMisuseIsOneErrorForBothClients(t *testing.T) {
+	reg := provider.NewRegistry(nil)
+	reg.Register(&provider.StaticProvider{KeywordName: "K"}, provider.RegisterOptions{TTL: time.Hour})
+	g := newTestGrid(t, reg)
+	icl, err := core.Dial(g.addr, g.user, g.trust)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer icl.Close()
+	gcl, err := gram.Dial(g.addr, g.user, g.trust)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gcl.Close()
+	const want = "gram: SUBMIT answered RESULT-LDIF, not SUBMITTED"
+	for name, submit := range map[string]func(string) (string, error){"core": icl.Submit, "gram": gcl.Submit} {
+		if _, err := submit("&(info=K)"); err == nil || err.Error() != want {
+			t.Errorf("%s: Submit of an info query = %v, want %q", name, err, want)
+		}
+	}
+}
+
 func TestClientDisconnectMidJob(t *testing.T) {
 	// A client that submits and vanishes: the job still runs to
 	// completion and is visible to a second client.

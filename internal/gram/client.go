@@ -1,3 +1,9 @@
+// The client side of GRAMP: the job verbs, written once in Verbs over an
+// Exchange, and Client, the baseline GRAM client that runs them over one
+// authenticated connection. core.Client runs the same Verbs over its own
+// connection policy (redial, retry of idempotent verbs, mux), so the
+// verbs behave alike under both.
+
 package gram
 
 import (
@@ -7,108 +13,88 @@ import (
 	"strings"
 	"time"
 
-	"infogram/internal/clock"
 	"infogram/internal/gsi"
 	"infogram/internal/job"
 	"infogram/internal/session"
 	"infogram/internal/wire"
 )
 
-// Client speaks GRAMP to a GRAM (or InfoGram) job endpoint over one
-// authenticated connection. It corresponds to the client tier of Figure 1:
-// submit a job, poll its status through the job handle, cancel it, or
-// receive event notifications through a callback listener.
-type Client struct {
-	sess    *session.Client
-	timeout time.Duration
+// Exchange performs one request/response round trip with a job endpoint.
+// idempotent says whether the request may be sent again after a transport
+// failure (PING and STATUS may; SUBMIT, CANCEL and SIGNAL never are); an
+// Exchange that never retries ignores it.
+type Exchange interface {
+	Call(ctx context.Context, req wire.Frame, idempotent bool) (wire.Frame, error)
 }
 
-// Dial connects and authenticates to a GRAM service at addr.
-func Dial(addr string, cred *gsi.Credential, trust *gsi.TrustStore) (*Client, error) {
-	return DialClock(addr, cred, trust, clock.System)
-}
+// Verbs are GRAMP's job verbs over an Exchange: the one implementation of
+// the request frames, the reply checks, the ERROR conversion, the STATUS
+// decode and the WaitTerminal poll. A client embeds them; what differs
+// between clients is only the Exchange, its connection policy.
+type Verbs struct{ x Exchange }
 
-// DialTimeout is Dial with a bound on connection establishment, the
-// handshake, and every subsequent request/response exchange. Zero means
-// unbounded.
-func DialTimeout(addr string, cred *gsi.Credential, trust *gsi.TrustStore, timeout time.Duration) (*Client, error) {
-	return dial(addr, cred, trust, clock.System, timeout)
-}
+// NewVerbs returns the job verbs over x. A pointer-typed x fits the
+// interface as it is, so this costs no allocation.
+func NewVerbs(x Exchange) Verbs { return Verbs{x} }
 
-// DialClock is Dial with an injected clock for tests.
-func DialClock(addr string, cred *gsi.Credential, trust *gsi.TrustStore, clk clock.Clock) (*Client, error) {
-	return dial(addr, cred, trust, clk, 0)
-}
-
-func dial(addr string, cred *gsi.Credential, trust *gsi.TrustStore, clk clock.Clock, timeout time.Duration) (*Client, error) {
-	// Trace propagation is offered; an old server declines with ERROR and
-	// the client simply sends unprefixed frames.
-	sess, err := session.Dial(context.Background(), addr, session.DialOptions{
-		Credential:  cred,
-		Trust:       trust,
-		Clock:       clk,
-		DialTimeout: timeout,
-		Timeout:     timeout,
-		Trace:       true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Client{sess: sess, timeout: timeout}, nil
-}
-
-// call performs one deadline-bounded request/response exchange. On a
-// trace-negotiated connection each request carries a freshly minted,
-// sampled trace context so the server records a span tree for it.
-func (c *Client) call(req wire.Frame) (wire.Frame, error) {
-	ctx := context.Background()
-	if c.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.timeout)
-		defer cancel()
-	}
-	return c.sess.Call(ctx, req)
-}
-
-// Server returns the authenticated server identity.
-func (c *Client) Server() *gsi.Peer { return c.sess.Peer }
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.sess.Close() }
-
-// errorReply converts an ERROR frame to an error.
-func errorReply(f wire.Frame) error {
+// ServerError converts an ERROR frame to an error; an expired contact
+// keeps errors.Is(err, job.ErrExpired).
+func ServerError(f wire.Frame) error {
 	return job.RemoteError("gram: server error: ", strings.TrimSpace(string(f.Payload)))
 }
 
-// expect performs one exchange and returns a reply with verb want, or the
-// error any other reply (an ERROR) carries.
-func (c *Client) expect(verb, payload, want string) (wire.Frame, error) {
-	resp, err := c.call(wire.Frame{Verb: verb, Payload: []byte(payload)})
-	if err == nil && resp.Verb != want {
-		err = errorReply(resp)
+// expect performs one exchange and returns the reply if its verb is want.
+// An ERROR becomes the server's error; any other reply is a misuse, such
+// as a SUBMIT of a specification an InfoGram service answers as an
+// information query, and the error names the verbs involved.
+func (v Verbs) expect(ctx context.Context, verb, payload, want string, idempotent bool) (wire.Frame, error) {
+	resp, err := v.x.Call(ctx, wire.Frame{Verb: verb, Payload: []byte(payload)}, idempotent)
+	switch {
+	case err != nil:
+		return wire.Frame{}, err
+	case resp.Verb == want:
+		return resp, nil
+	case resp.Verb == VerbError:
+		return wire.Frame{}, ServerError(resp)
 	}
-	return resp, err
+	return wire.Frame{}, fmt.Errorf("gram: %s answered %s, not %s", verb, resp.Verb, want)
 }
 
 // Ping checks service liveness.
-func (c *Client) Ping() error {
-	_, err := c.expect(VerbPing, "", VerbPong)
+func (v Verbs) Ping() error { return v.PingContext(context.Background()) }
+
+// PingContext is Ping carrying the caller's context (and, on a traced
+// connection, its trace context). A ping may be retried.
+func (v Verbs) PingContext(ctx context.Context) error {
+	_, err := v.expect(ctx, VerbPing, "", VerbPong, true)
 	return err
 }
 
-// Submit sends an RSL job specification and returns the job contact.
-func (c *Client) Submit(rslSrc string) (string, error) {
-	resp, err := c.expect(VerbSubmit, rslSrc, VerbSubmitted)
+// Submit sends a job specification and returns the job contact.
+// Submissions are never retried: a transport failure after the request
+// was sent leaves the job's fate unknown, and replaying could run it
+// twice.
+func (v Verbs) Submit(src string) (string, error) {
+	return v.SubmitContext(context.Background(), src)
+}
+
+// SubmitContext is Submit carrying the caller's context.
+func (v Verbs) SubmitContext(ctx context.Context, src string) (string, error) {
+	resp, err := v.expect(ctx, VerbSubmit, src, VerbSubmitted, false)
 	if err != nil {
 		return "", err
 	}
 	return string(resp.Payload), nil
 }
 
-// Status polls a job by contact.
-func (c *Client) Status(contact string) (StatusReply, error) {
-	resp, err := c.expect(VerbStatus, contact, VerbStatusOK)
+// Status polls a job by contact. Status reads may be retried.
+func (v Verbs) Status(contact string) (StatusReply, error) {
+	return v.StatusContext(context.Background(), contact)
+}
+
+// StatusContext is Status carrying the caller's context.
+func (v Verbs) StatusContext(ctx context.Context, contact string) (StatusReply, error) {
+	resp, err := v.expect(ctx, VerbStatus, contact, VerbStatusOK, true)
 	if err != nil {
 		return StatusReply{}, err
 	}
@@ -120,31 +106,40 @@ func (c *Client) Status(contact string) (StatusReply, error) {
 }
 
 // Cancel cancels a job by contact.
-func (c *Client) Cancel(contact string) error {
-	_, err := c.expect(VerbCancel, contact, VerbCancelOK)
+func (v Verbs) Cancel(contact string) error { return v.CancelContext(context.Background(), contact) }
+
+// CancelContext is Cancel carrying the caller's context.
+func (v Verbs) CancelContext(ctx context.Context, contact string) error {
+	_, err := v.expect(ctx, VerbCancel, contact, VerbCancelOK, false)
 	return err
 }
 
 // Signal suspends or resumes a job ("suspend" / "resume").
-func (c *Client) Signal(contact, signal string) error {
-	_, err := c.expect(VerbSignal, contact+" "+signal, VerbSignalOK)
+func (v Verbs) Signal(contact, signal string) error {
+	return v.SignalContext(context.Background(), contact, signal)
+}
+
+// SignalContext is Signal carrying the caller's context.
+func (v Verbs) SignalContext(ctx context.Context, contact, signal string) error {
+	_, err := v.expect(ctx, VerbSignal, contact+" "+signal, VerbSignalOK, false)
 	return err
 }
 
 // WaitTerminal polls until the job reaches DONE or FAILED, with the given
-// poll interval (the paper's polling alternative to event notification).
-// A finished job's result expires once job.KeepTerminal to
-// 2·job.KeepTerminal later jobs have finished on the server: WaitTerminal
-// then returns an error satisfying errors.Is(err, job.ErrExpired), and the
-// server's audit log is the record of the job's outcome.
-func (c *Client) WaitTerminal(ctx context.Context, contact string, poll time.Duration) (StatusReply, error) {
+// poll interval (the paper's polling alternative to event notification);
+// each poll carries ctx. A finished job's result expires once
+// job.KeepTerminal to 2·job.KeepTerminal later jobs have finished on the
+// server: WaitTerminal then returns an error satisfying errors.Is(err,
+// job.ErrExpired), and the server's audit log is the record of the job's
+// outcome.
+func (v Verbs) WaitTerminal(ctx context.Context, contact string, poll time.Duration) (StatusReply, error) {
 	if poll <= 0 {
 		poll = 10 * time.Millisecond
 	}
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
 	for {
-		st, err := c.Status(contact)
+		st, err := v.StatusContext(ctx, contact)
 		if err != nil {
 			return StatusReply{}, err
 		}
@@ -158,6 +153,49 @@ func (c *Client) WaitTerminal(ctx context.Context, contact string, poll time.Dur
 		}
 	}
 }
+
+// Client speaks GRAMP to a GRAM (or InfoGram) job endpoint over one
+// authenticated connection. It corresponds to the client tier of Figure 1:
+// submit a job, poll its status through the job handle, cancel it, or
+// receive event notifications through a callback listener. It is the
+// baseline client: it asks for trace but not mux, never redials and never
+// retries. A call ended by its context leaves the connection's framing
+// unknown; discard the client afterwards.
+type Client struct {
+	Verbs
+	sess *session.Client
+}
+
+// exchange is a Client's Exchange: one Call on its session, whatever the
+// verb.
+type exchange session.Client
+
+func (x *exchange) Call(ctx context.Context, req wire.Frame, _ bool) (wire.Frame, error) {
+	return (*session.Client)(x).Call(ctx, req)
+}
+
+// Dial connects and authenticates to a GRAM service at addr.
+func Dial(addr string, cred *gsi.Credential, trust *gsi.TrustStore) (*Client, error) {
+	// Trace propagation is offered; an old server declines with ERROR and
+	// the client simply sends unprefixed frames. Each request then carries
+	// its caller's trace context, or a freshly minted sampled one, so the
+	// server records a span tree for it.
+	sess, err := session.Dial(context.Background(), addr, session.DialOptions{
+		Credential: cred,
+		Trust:      trust,
+		Trace:      true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Client{Verbs: NewVerbs((*exchange)(sess)), sess: sess}, nil
+}
+
+// Server returns the authenticated server identity.
+func (c *Client) Server() *gsi.Peer { return c.sess.Peer }
+
+// Close closes the connection.
+func (c *Client) Close() error { return c.sess.Close() }
 
 // CallbackListener receives job event notifications pushed by the service,
 // the event-notification path of Figure 1. Its contact address goes into

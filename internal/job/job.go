@@ -230,7 +230,14 @@ func RemoteError(prefix, msg string) error {
 // is the only in-memory copy of them: a journal replays into it and
 // snapshots from it.
 type Table struct {
-	mu       sync.RWMutex
+	mu sync.RWMutex
+	// jobs holds the unfinished jobs and fewer than 2·KeepTerminal
+	// finished ones: the finished set is cut back to the newest
+	// KeepTerminal whenever it reaches 2·KeepTerminal. Go maps never
+	// shrink, so after the first cut the map keeps its capacity for
+	// 2·KeepTerminal entries, plus the unfinished jobs of that moment (or
+	// whatever a Restore of an older, larger snapshot loaded), for the
+	// table's life.
 	jobs     map[string]*entry
 	finished int // entries with finished set
 	seq      atomic.Uint64

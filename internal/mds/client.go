@@ -23,17 +23,12 @@ type Client struct {
 
 // Dial connects and authenticates to an MDS server.
 func Dial(addr string, cred *gsi.Credential, trust *gsi.TrustStore) (*Client, error) {
-	return DialClock(addr, cred, trust, clock.System)
+	return DialContext(context.Background(), addr, cred, trust, clock.System)
 }
 
-// DialClock is Dial with an injected clock.
-func DialClock(addr string, cred *gsi.Credential, trust *gsi.TrustStore, clk clock.Clock) (*Client, error) {
-	return DialContext(context.Background(), addr, cred, trust, clk)
-}
-
-// DialContext is DialClock bounded by the context: the TCP connect, the
-// GSI handshake, and nothing else. Subsequent calls carry their own
-// contexts.
+// DialContext is Dial with an injected clock, bounded by ctx: the TCP
+// connect and the GSI handshake, nothing else. Subsequent calls carry
+// their own contexts.
 func DialContext(ctx context.Context, addr string, cred *gsi.Credential, trust *gsi.TrustStore, clk clock.Clock) (*Client, error) {
 	// No capability is offered: the directory protocol's client is the
 	// baseline's, byte for byte.

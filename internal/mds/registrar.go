@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -70,7 +71,7 @@ func (r *Registrar) loop() {
 }
 
 func (r *Registrar) registerOnce() error {
-	cl, err := DialClock(r.giisAddr, r.cred, r.trust, r.clk)
+	cl, err := DialContext(context.Background(), r.giisAddr, r.cred, r.trust, r.clk)
 	if err != nil {
 		r.count(false)
 		return err

@@ -105,7 +105,10 @@ type Registered struct {
 	execTime *telemetry.Histogram
 	ttl      time.Duration
 	degrade  quality.Degradation
-	format   string
+	// degradeName is degrade's Name, formatted once at registration: a
+	// miss and the schema read it for every degraded keyword.
+	degradeName string
+	format      string
 }
 
 var _ SystemInformation = (*Registered)(nil)
@@ -136,6 +139,9 @@ func (g *Registered) CacheStats() cache.Stats { return g.entry.Stats() }
 
 // Degradation returns the attached degradation function, or nil.
 func (g *Registered) Degradation() quality.Degradation { return g.degrade }
+
+// DegradationName returns the degradation function's name, or "".
+func (g *Registered) DegradationName() string { return g.degradeName }
 
 // QueryState implements the non-blocking read.
 func (g *Registered) QueryState() (Attributes, error) {

@@ -173,6 +173,9 @@ func (r *Registry) Register(p Provider, opts RegisterOptions) *Registered {
 		degrade:  opts.Degrade,
 		format:   opts.Format,
 	}
+	if opts.Degrade != nil {
+		reg.degradeName = opts.Degrade.Name()
+	}
 	r.mu.RLock()
 	tel := r.tel
 	r.mu.RUnlock()
@@ -524,9 +527,7 @@ func (r *Registry) Schema() []KeywordSchema {
 			TTL:         g.TTL(),
 			Format:      g.Format(),
 			Performance: g.AverageUpdateTime(),
-		}
-		if g.degrade != nil {
-			ks.Degradation = g.degrade.Name()
+			Degradation: g.degradeName,
 		}
 		if sp, ok := g.provider.(SchemaProvider); ok {
 			ks.Attributes = sp.AttrSchemas()

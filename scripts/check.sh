@@ -54,11 +54,13 @@ go test -race -count=1 -run '^(TestLateCancelDoesNotPoisonNextWrite|TestMuxWrite
 # The pool and reconnect scenarios re-run uncached under -race: they
 # rebind a restarted server's port, race Close against in-flight leases
 # and race concurrent first requests for one dial, which a cached result
-# would hide.
+# would hide. With them run the job verbs both clients share: the GRAM
+# client against both gatekeepers, the Submit misuse error and a
+# WaitTerminal that only its context can end.
 echo "== pool restarts, reconnects and no re-send (-race) =="
 go test -race -count=1 \
-	-run '^(TestPoolSurvivesServerRestart|TestGIISMemberRestart|TestGatewayNeverResubmits|TestGatewayNeverRecancels|TestGatewaySharesOneConnection)$' \
-	./internal/core/ ./internal/mds/ ./internal/wsgw/
+	-run '^(TestPoolSurvivesServerRestart|TestGIISMemberRestart|TestGatewayNeverResubmits|TestGatewayNeverRecancels|TestGatewaySharesOneConnection|TestGRAMClientAgainstInfoGram|TestSubmitMisuseHints|TestWaitTerminalHonoursContextOnSilentStatus)$' \
+	./internal/core/ ./internal/mds/ ./internal/wsgw/ ./internal/integration/
 
 # The collect fan-out's semantics re-run uncached under -race, three
 # times: fresh keywords read on the calling goroutine beside overlapping
