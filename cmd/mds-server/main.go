@@ -24,18 +24,17 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:2135", "GRIS listen address (MDS's classic port by default)")
-		fabricDir   = flag.String("fabric", "./fabric", "security fabric directory")
-		confPath    = flag.String("config", "", "provider configuration file (Table 1 format)")
-		resource    = flag.String("resource", "", "resource name (hostname when empty)")
-		giisAddr    = flag.String("giis-addr", "", "also run a GIIS aggregate on this address")
-		members     = flag.String("giis-members", "", "comma-separated GRIS addresses to pre-register in the GIIS")
-		metrics     = flag.String("metrics-addr", "", "serve Prometheus text metrics on this address at /metrics, plus /debug/traces and /debug/pprof")
-		traceOpts   = bootstrap.TraceFlags()
-		cacheTTL    = flag.Duration("cache-ttl", 0, "enable the sharded response cache: rendered LDIF bodies served zero-copy for up to this long, capped by each covered provider's TTL (0 disables)")
-		cacheMaxB   = flag.Int64("cache-max-bytes", 0, "response-cache total byte budget (0 = 256 MiB)")
-		stateDir    = flag.String("state-dir", "", "durable cache-state directory: the GRIS (and GIIS) response caches snapshot here every minute and on shutdown, and restore warm on restart (needs -cache-ttl; empty = memory only)")
-		refreshFrac = flag.Float64("refresh-ahead", 0, "refresh-ahead threshold as a fraction of -cache-ttl: hot cached searches past it are re-run in the background so they never expire under load (e.g. 0.8; 0 disables)")
+		addr      = flag.String("addr", "127.0.0.1:2135", "GRIS listen address (MDS's classic port by default)")
+		fabricDir = flag.String("fabric", "./fabric", "security fabric directory")
+		confPath  = flag.String("config", "", "provider configuration file (Table 1 format)")
+		resource  = flag.String("resource", "", "resource name (hostname when empty)")
+		giisAddr  = flag.String("giis-addr", "", "also run a GIIS aggregate on this address")
+		members   = flag.String("giis-members", "", "comma-separated GRIS addresses to pre-register in the GIIS")
+		metrics   = flag.String("metrics-addr", "", "serve Prometheus text metrics on this address at /metrics, plus /debug/traces and /debug/pprof")
+		traceOpts = bootstrap.TraceFlags()
+		cacheTTL  = flag.Duration("cache-ttl", 0, "enable the sharded response cache: rendered LDIF bodies served zero-copy for up to this long, capped by each covered provider's TTL (0 disables)")
+		cacheMaxB = flag.Int64("cache-max-bytes", 0, "response-cache total byte budget (0 = 256 MiB)")
+		stateDir  = flag.String("state-dir", "", "durable cache-state directory: the GRIS (and GIIS) response caches snapshot here every minute and on shutdown, and restore warm on restart (needs -cache-ttl; empty = memory only)")
 	)
 	flag.Parse()
 
@@ -74,7 +73,6 @@ func main() {
 		Tracer:        tracer,
 		CacheTTL:      *cacheTTL,
 		CacheMaxBytes: *cacheMaxB,
-		RefreshAhead:  *refreshFrac,
 		Telemetry:     tel,
 	})
 	if *stateDir != "" {
@@ -96,7 +94,6 @@ func main() {
 			Trust:         fabric.Trust,
 			CacheTTL:      *cacheTTL,
 			CacheMaxBytes: *cacheMaxB,
-			RefreshAhead:  *refreshFrac,
 			Telemetry:     tel,
 		})
 		giisBound, err := giis.Listen(*giisAddr)

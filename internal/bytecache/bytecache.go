@@ -89,7 +89,6 @@ type slot struct {
 	expire int64  // unix nanos; 0 = no expiry
 	stored int64  // unix nanos when the entry was written
 	tick   uint64 // shard LRU clock at last access
-	hits   uint32 // reads since stored (halved on overwrite, saturating)
 }
 
 func (s slot) size() int64 { return int64(s.klen) + int64(s.vlen) }
@@ -278,9 +277,6 @@ func (c *Cache) Get(key []byte) ([]byte, bool) {
 	}
 	s.tick++
 	sl.tick = s.tick
-	if sl.hits != ^uint32(0) {
-		sl.hits++
-	}
 	s.index[h] = sl
 	// The three-index slice caps the value at its own bytes: a caller's
 	// append copies instead of writing into the next entry or the tail
@@ -291,33 +287,6 @@ func (c *Cache) Get(key []byte) ([]byte, bool) {
 	s.mu.Unlock()
 	c.hitsC.Inc()
 	return v, true
-}
-
-// EntryInfo describes a resident entry's freshness and popularity, for the
-// refresh-ahead scanner. It is a pure read: no hit/miss accounting, no LRU
-// tick bump, no expired-entry reaping.
-type EntryInfo struct {
-	Stored int64  // unix nanos when the entry was written
-	Expire int64  // unix nanos; 0 = no expiry
-	Hits   uint32 // reads since stored (halved on overwrite)
-}
-
-// Info reports the freshness metadata of the entry under key. The second
-// result is false when the key is absent or already expired.
-func (c *Cache) Info(key []byte) (EntryInfo, bool) {
-	h := hashBytes(key)
-	s := &c.shards[h&c.mask]
-	now := c.clk.Now().UnixNano()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sl, ok := s.index[h]
-	if !ok || (sl.expire > 0 && now > sl.expire) {
-		return EntryInfo{}, false
-	}
-	if !bytes.Equal(s.arena[sl.off:sl.off+int64(sl.klen)], key) {
-		return EntryInfo{}, false
-	}
-	return EntryInfo{Stored: sl.stored, Expire: sl.expire, Hits: sl.hits}, true
 }
 
 // Set stores value under key with the given ttl (zero selects the
@@ -346,14 +315,9 @@ func (c *Cache) put(key, value []byte, stored, expire int64) {
 	size := int64(len(key)) + int64(len(value))
 
 	s.mu.Lock()
-	// An overwrite of a hot entry (the refresh-ahead swap) keeps half the
-	// accumulated hit count, so popularity survives the refresh with decay
-	// instead of resetting to cold every cycle.
-	var carried uint32
 	if old, ok := s.index[h]; ok {
 		// Overwrite (same key or 64-bit collision): the old bytes die but
 		// the index entry survives until replaced below.
-		carried = old.hits / 2
 		s.live -= old.size()
 		s.dead += old.size()
 		c.residentG.Add(-old.size())
@@ -380,7 +344,6 @@ func (c *Cache) put(key, value []byte, stored, expire int64) {
 			expire: expire,
 			stored: stored,
 			tick:   s.tick,
-			hits:   carried,
 		}
 		s.live += size
 		s.sets++
@@ -574,7 +537,6 @@ type View struct {
 	Value  []byte
 	Stored int64 // unix nanos when the entry was written
 	Expire int64 // unix nanos; 0 = no expiry
-	Hits   uint32
 }
 
 // Range calls fn for every live, unexpired entry until fn returns false.
@@ -602,7 +564,6 @@ func (c *Cache) Range(fn func(View) bool) {
 				Value:  s.arena[sl.off+int64(sl.klen) : sl.off+sl.size() : sl.off+sl.size()],
 				Stored: sl.stored,
 				Expire: sl.expire,
-				Hits:   sl.hits,
 			})
 		}
 		s.mu.Unlock()

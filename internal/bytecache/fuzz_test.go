@@ -36,7 +36,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 		Digest:     func() uint64 { return 9 },
 	})
 	for i := 0; i < 8; i++ {
-		stamped.Set(fmt.Appendf(stamped.AppendGen(nil), "key-%d", i), bytes.Repeat([]byte{byte(i)}, i*7), time.Hour)
+		stamped.Set(fmt.Appendf(AppendGen(nil, stamped.Generation()), "key-%d", i), bytes.Repeat([]byte{byte(i)}, i*7), time.Hour)
 	}
 	var managed bytes.Buffer
 	if _, err := stamped.WriteSnapshot(&managed, SnapshotMeta{Generation: 3, Digest: 9}); err != nil {

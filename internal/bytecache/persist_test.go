@@ -275,41 +275,6 @@ func TestPersisterBackgroundLoop(t *testing.T) {
 	}
 }
 
-func TestInfoAndHitTracking(t *testing.T) {
-	clk := clock.NewFake(time.Unix(1000, 0))
-	c := New(Options{Shards: 1, Clock: clk})
-	c.Set([]byte("k"), []byte("v"), time.Minute)
-
-	info, ok := c.Info([]byte("k"))
-	if !ok || info.Hits != 0 {
-		t.Fatalf("fresh entry: %+v, %v", info, ok)
-	}
-	if info.Expire != clk.Now().Add(time.Minute).UnixNano() {
-		t.Fatalf("expire = %d", info.Expire)
-	}
-	for i := 0; i < 5; i++ {
-		c.Get([]byte("k"))
-	}
-	if info, _ = c.Info([]byte("k")); info.Hits != 5 {
-		t.Fatalf("hits = %d, want 5", info.Hits)
-	}
-	// Overwrite halves the count instead of resetting it.
-	c.Set([]byte("k"), []byte("v2"), time.Minute)
-	if info, _ = c.Info([]byte("k")); info.Hits != 2 {
-		t.Fatalf("hits after overwrite = %d, want 2", info.Hits)
-	}
-	// Info is a pure read: no hit/miss accounting.
-	st := c.Stats()
-	if st.Hits != 5 || st.Misses != 0 {
-		t.Fatalf("Info perturbed stats: %+v", st)
-	}
-	// Expired entries are invisible.
-	clk.Advance(2 * time.Minute)
-	if _, ok := c.Info([]byte("k")); ok {
-		t.Fatal("Info returned an expired entry")
-	}
-}
-
 func TestRangeSkipsExpired(t *testing.T) {
 	clk := clock.NewFake(time.Unix(1000, 0))
 	c := New(Options{Shards: 4, Clock: clk})
@@ -370,7 +335,7 @@ func TestSnapshotVersion2IsColdStart(t *testing.T) {
 		t.Fatalf("restore_cold_total = %d, want 1", n)
 	}
 
-	m.Set(append(m.AppendGen(nil), "k"...), []byte("v"), time.Hour)
+	m.Set(append(AppendGen(nil, m.Generation()), "k"...), []byte("v"), time.Hour)
 	if err := p.Snapshot(); err != nil {
 		t.Fatal(err)
 	}

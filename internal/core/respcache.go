@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"strings"
 	"time"
 
 	"infogram/internal/bytecache"
@@ -25,13 +23,15 @@ import (
 // Keys embed the registry's membership generation, so registering or
 // unregistering a provider makes every previously cached response
 // unreachable in O(1); the dead entries age out through TTL eviction and
-// arena compaction.
+// arena compaction. A request reads the generation once, before its
+// lookup, and its store uses that same value: an answer collected while a
+// provider registers is filed under the generation it was computed from,
+// which the registration has already orphaned.
 type respCache struct {
 	// c is the managed stack: the byte cache, the generation stamp, the
-	// negative TTL, refresh-ahead and the snapshot wiring.
-	c    *bytecache.Managed
-	reg  *provider.Registry
-	info *infoEngine // the fill path refresh-ahead re-runs
+	// negative TTL and the snapshot wiring.
+	c   *bytecache.Managed
+	reg *provider.Registry
 	// ttl caps every entry's lifetime; effective TTL is min(ttl, the
 	// smallest provider TTL among the keywords a response covers), so a
 	// rendered blob never outlives the §5.1 freshness of its inputs.
@@ -48,23 +48,18 @@ const (
 )
 
 // newRespCache builds the response cache from the service configuration
-// (CacheTTL must be positive); info is the engine whose Answer filled the
-// entries and re-fills them ahead of expiry.
-func newRespCache(cfg Config, info *infoEngine) *respCache {
-	rc := &respCache{reg: cfg.Registry, info: info, ttl: cfg.CacheTTL}
+// (CacheTTL must be positive).
+func newRespCache(cfg Config) *respCache {
+	rc := &respCache{reg: cfg.Registry, ttl: cfg.CacheTTL}
 	rc.c = bytecache.NewManaged(bytecache.ManagedOptions{
 		Options: bytecache.Options{
 			MaxBytes:   cfg.CacheMaxBytes,
 			DefaultTTL: cfg.CacheTTL,
 			Clock:      cfg.Clock,
 		},
-		Generation:    cfg.Registry.Generation,
-		Digest:        cfg.Registry.Digest,
-		RefreshAhead:  cfg.RefreshAhead,
-		RefillTimeout: cfg.RequestTimeout,
-		Refill:        rc.refill,
-		Telemetry:     cfg.Telemetry,
-		Family:        "infogram_refresh_ahead",
+		Generation: cfg.Registry.Generation,
+		Digest:     cfg.Registry.Digest,
+		Telemetry:  cfg.Telemetry,
 	})
 	rc.negHits = cfg.Telemetry.Counter("infogram_respcache_negative_hits_total",
 		"information queries answered from a cached negative result")
@@ -81,11 +76,11 @@ func (rc *respCache) cacheable(req *xrsl.InfoRequest) bool {
 	return req.Response == cache.Cached && req.Quality == 0 && !req.Schema && !req.Performance
 }
 
-// appendKey renders the cache key for req into buf: registry generation
-// first (membership churn invalidates wholesale), then every request
-// dimension that selects a distinct rendered body.
-func (rc *respCache) appendKey(buf []byte, req *xrsl.InfoRequest) []byte {
-	buf = rc.c.AppendGen(buf)
+// appendKey renders the cache key for req into buf: the request's registry
+// generation first (membership churn invalidates wholesale), then every
+// request dimension that selects a distinct rendered body.
+func (rc *respCache) appendKey(buf []byte, gen uint64, req *xrsl.InfoRequest) []byte {
+	buf = bytecache.AppendGen(buf, gen)
 	var flags byte
 	if req.All {
 		flags |= 1
@@ -102,13 +97,13 @@ func (rc *respCache) appendKey(buf []byte, req *xrsl.InfoRequest) []byte {
 	return buf
 }
 
-// lookup answers req from the cache. ok reports a hit; on a hit, either
-// negErr carries a cached deterministic failure or body aliases the
-// cached blob (zero-copy — the arena is append-only, so the alias stays
-// valid). The hit path performs no heap allocation.
-func (rc *respCache) lookup(req *xrsl.InfoRequest) (body string, negErr string, ok bool) {
+// lookup answers req from the cache under generation gen. ok reports a
+// hit; on a hit, either negErr carries a cached deterministic failure or
+// body aliases the cached blob (zero-copy — the arena is append-only, so
+// the alias stays valid). The hit path performs no heap allocation.
+func (rc *respCache) lookup(req *xrsl.InfoRequest, gen uint64) (body string, negErr string, ok bool) {
 	bufp := bytecache.GetScratch()
-	key := rc.appendKey((*bufp)[:0], req)
+	key := rc.appendKey((*bufp)[:0], gen, req)
 	blob, hit := rc.c.Get(key)
 	bytecache.PutScratch(bufp, key)
 	if !hit || len(blob) == 0 {
@@ -122,74 +117,38 @@ func (rc *respCache) lookup(req *xrsl.InfoRequest) (body string, negErr string, 
 	return payload, "", true
 }
 
-// store caches a successful rendered body and remembers the request for
-// refresh-ahead. empty marks a response whose filter matched nothing: still
-// worth caching (the evaluation cost is identical) but under the shorter
-// negative TTL, so new data appears promptly, and never refreshed.
-func (rc *respCache) store(req *xrsl.InfoRequest, body string, empty bool) {
+// store caches a successful rendered body under gen, the generation the
+// request's lookup saw. empty marks a response whose filter matched
+// nothing: still worth caching (the evaluation cost is identical) but
+// under the shorter negative TTL, so new data appears promptly.
+func (rc *respCache) store(req *xrsl.InfoRequest, gen uint64, body string, empty bool) {
 	ttl, ok := rc.storeTTL(req)
 	if !ok {
 		return
 	}
 	if empty {
-		rc.put(req, respOK, body, min(ttl, rc.c.NegTTL()), nil)
-		return
+		ttl = min(ttl, rc.c.NegTTL())
 	}
-	rc.put(req, respOK, body, ttl, func() any { return detach(req) })
-}
-
-// detach copies req for the refresh-ahead table. Its keywords and filter
-// may be substrings of the request frame's payload (xrsl.Decode's single
-// pass), so they are copied too: a tracked request lives as long as its
-// entry keeps being refreshed and must not pin a payload of up to
-// wire.MaxPayload.
-func detach(req *xrsl.InfoRequest) *xrsl.InfoRequest {
-	clone := *req
-	clone.Keywords = nil
-	for _, kw := range req.Keywords {
-		clone.Keywords = append(clone.Keywords, strings.Clone(kw))
-	}
-	clone.Filter = strings.Clone(req.Filter)
-	return &clone
-}
-
-// refill is the refresh-ahead callback: re-execute one tracked request's
-// fill and swap the blob in place. Immediate mode forces the provider
-// executions the refresh exists for; the entry is re-stored under the
-// original request (and its original response mode), so the key matches
-// what clients look up. When providers are down the entry keeps aging
-// toward its TTL, and once it expires the request path's CollectDegraded
-// serves the provider cache's last value, marked stale.
-func (rc *respCache) refill(ctx context.Context, tracked any) (bool, error) {
-	req := tracked.(*xrsl.InfoRequest)
-	fresh := *req
-	fresh.Response = cache.Immediate
-	body, empty, degraded, err := rc.info.Answer(ctx, &fresh)
-	if err != nil || degraded {
-		return false, err
-	}
-	rc.store(req, body, empty)
-	return true, nil
+	rc.put(req, gen, respOK, body, ttl)
 }
 
 // storeNegative caches a deterministic failure (an unknown keyword) under
 // the negative TTL, so a flood of identical bad queries stops paying
 // resolve cost — and a subsequent registration, by advancing the
 // generation, makes the entry unreachable immediately.
-func (rc *respCache) storeNegative(req *xrsl.InfoRequest, errText string) {
-	rc.put(req, respNeg, errText, rc.c.NegTTL(), nil)
+func (rc *respCache) storeNegative(req *xrsl.InfoRequest, gen uint64, errText string) {
+	rc.put(req, gen, respNeg, errText, rc.c.NegTTL())
 }
 
 // put assembles key and flag+payload in pooled scratch and inserts them;
-// the cache copies both, so the buffers are immediately reusable. track,
-// when non-nil, clones req for the refresh-ahead table.
-func (rc *respCache) put(req *xrsl.InfoRequest, flag byte, payload string, ttl time.Duration, track func() any) {
+// the cache copies both, so the buffers are immediately reusable.
+func (rc *respCache) put(req *xrsl.InfoRequest, gen uint64, flag byte, payload string, ttl time.Duration) {
 	keyp := bytecache.GetScratch()
-	key := rc.appendKey((*keyp)[:0], req)
+	key := rc.appendKey((*keyp)[:0], gen, req)
 	valp := bytecache.GetScratch()
 	val := append((*valp)[:0], flag)
 	val = append(val, payload...)
-	rc.c.Store(key, val, ttl, track)
+	rc.c.Set(key, val, ttl)
 	bytecache.PutScratch(keyp, key)
 	bytecache.PutScratch(valp, val)
 }

@@ -71,7 +71,7 @@ func BenchmarkRespCacheHit1MZipf(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, req := range reqs {
-		rc.store(req, body, false)
+		rc.store(req, rc.c.Generation(), body, false)
 	}
 	access := benchZipfAccess(benchRespKeys, 1<<16, 1.1)
 
@@ -79,7 +79,7 @@ func BenchmarkRespCacheHit1MZipf(b *testing.B) {
 	b.ReportAllocs()
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := rc.lookup(reqs[access[i%len(access)]]); ok {
+		if _, _, ok := rc.lookup(reqs[access[i%len(access)]], rc.c.Generation()); ok {
 			hits++
 		}
 	}

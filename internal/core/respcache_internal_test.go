@@ -7,9 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,8 +17,8 @@ import (
 	"infogram/internal/clock"
 	"infogram/internal/gsi"
 	"infogram/internal/provider"
+	"infogram/internal/wire"
 	"infogram/internal/xrsl"
-	"infogram/internal/zerocopy"
 )
 
 func respTestRegistry(clk clock.Clock) *provider.Registry {
@@ -33,10 +32,8 @@ func respTestRegistry(clk clock.Clock) *provider.Registry {
 	return reg
 }
 
-// testRespCache builds a response cache with refresh-ahead off, which needs
-// no fill engine.
 func testRespCache(reg *provider.Registry, maxBytes int64, ttl time.Duration, clk clock.Clock) *respCache {
-	return newRespCache(Config{Registry: reg, CacheMaxBytes: maxBytes, CacheTTL: ttl, Clock: clk}, nil)
+	return newRespCache(Config{Registry: reg, CacheMaxBytes: maxBytes, CacheTTL: ttl, Clock: clk})
 }
 
 func TestRespCacheStoreLookup(t *testing.T) {
@@ -45,22 +42,22 @@ func TestRespCacheStoreLookup(t *testing.T) {
 	rc := testRespCache(reg, 1<<20, time.Minute, clk)
 	req := &xrsl.InfoRequest{Keywords: []string{"Memory"}, Filter: "Memory:*"}
 
-	if _, _, ok := rc.lookup(req); ok {
+	if _, _, ok := rc.lookup(req, rc.c.Generation()); ok {
 		t.Fatal("hit on empty cache")
 	}
-	rc.store(req, "rendered-body", false)
-	body, neg, ok := rc.lookup(req)
+	rc.store(req, rc.c.Generation(), "rendered-body", false)
+	body, neg, ok := rc.lookup(req, rc.c.Generation())
 	if !ok || neg != "" || body != "rendered-body" {
 		t.Fatalf("lookup = (%q, %q, %v)", body, neg, ok)
 	}
 
 	// Distinct request dimensions must be distinct entries.
 	other := &xrsl.InfoRequest{Keywords: []string{"Memory"}, Filter: "Memory:free"}
-	if _, _, ok := rc.lookup(other); ok {
+	if _, _, ok := rc.lookup(other, rc.c.Generation()); ok {
 		t.Fatal("different filter hit the same entry")
 	}
 	xml := &xrsl.InfoRequest{Keywords: []string{"Memory"}, Filter: "Memory:*", Format: xrsl.FormatXML}
-	if _, _, ok := rc.lookup(xml); ok {
+	if _, _, ok := rc.lookup(xml, rc.c.Generation()); ok {
 		t.Fatal("different format hit the same entry")
 	}
 }
@@ -72,18 +69,18 @@ func TestRespCacheTTLCappedByProviderTTL(t *testing.T) {
 	// expire with its input.
 	rc := testRespCache(reg, 1<<20, time.Minute, clk)
 	req := &xrsl.InfoRequest{Keywords: []string{"Memory"}}
-	rc.store(req, "body", false)
+	rc.store(req, rc.c.Generation(), "body", false)
 	clk.Advance(11 * time.Second)
-	if _, _, ok := rc.lookup(req); ok {
+	if _, _, ok := rc.lookup(req, rc.c.Generation()); ok {
 		t.Fatal("blob outlived its provider's TTL")
 	}
 
 	// CPULoad's TTL (1m) exceeds the cap: capped at the cache TTL.
 	rc2 := testRespCache(reg, 1<<20, 5*time.Second, clk)
 	req2 := &xrsl.InfoRequest{Keywords: []string{"CPULoad"}}
-	rc2.store(req2, "body", false)
+	rc2.store(req2, rc2.c.Generation(), "body", false)
 	clk.Advance(6 * time.Second)
-	if _, _, ok := rc2.lookup(req2); ok {
+	if _, _, ok := rc2.lookup(req2, rc2.c.Generation()); ok {
 		t.Fatal("blob outlived the cache TTL cap")
 	}
 }
@@ -97,14 +94,14 @@ func TestRespCacheZeroTTLProviderNeverCached(t *testing.T) {
 	rc := testRespCache(reg, 1<<20, time.Minute, clk)
 
 	req := &xrsl.InfoRequest{Keywords: []string{"Live"}}
-	rc.store(req, "body", false)
-	if _, _, ok := rc.lookup(req); ok {
+	rc.store(req, rc.c.Generation(), "body", false)
+	if _, _, ok := rc.lookup(req, rc.c.Generation()); ok {
 		t.Fatal("execute-every-request keyword was response-cached")
 	}
 	// A multi-keyword query covering the TTL-0 keyword is tainted too.
 	mixed := &xrsl.InfoRequest{Keywords: []string{"Memory", "Live"}}
-	rc.store(mixed, "body", false)
-	if _, _, ok := rc.lookup(mixed); ok {
+	rc.store(mixed, rc.c.Generation(), "body", false)
+	if _, _, ok := rc.lookup(mixed, rc.c.Generation()); ok {
 		t.Fatal("response covering a TTL-0 keyword was cached")
 	}
 }
@@ -116,13 +113,13 @@ func TestRespCacheNegativeShorterTTL(t *testing.T) {
 	rc := testRespCache(reg, 1<<20, 40*time.Second, clk)
 
 	req := &xrsl.InfoRequest{Keywords: []string{"Ghost"}}
-	rc.storeNegative(req, `provider: unknown keyword "Ghost"`)
-	_, neg, ok := rc.lookup(req)
+	rc.storeNegative(req, rc.c.Generation(), `provider: unknown keyword "Ghost"`)
+	_, neg, ok := rc.lookup(req, rc.c.Generation())
 	if !ok || neg == "" {
 		t.Fatalf("negative lookup = (%q, %v)", neg, ok)
 	}
 	clk.Advance(11 * time.Second)
-	if _, _, ok := rc.lookup(req); ok {
+	if _, _, ok := rc.lookup(req, rc.c.Generation()); ok {
 		t.Fatal("negative entry outlived the negative TTL")
 	}
 
@@ -130,14 +127,14 @@ func TestRespCacheNegativeShorterTTL(t *testing.T) {
 	// stored at the same instant survives.
 	emptyReq := &xrsl.InfoRequest{Keywords: []string{"Memory"}, Filter: "NoSuch:*"}
 	fullReq := &xrsl.InfoRequest{Keywords: []string{"Memory"}}
-	rc.store(emptyReq, "", true)
-	rc.store(fullReq, "body", false)
+	rc.store(emptyReq, rc.c.Generation(), "", true)
+	rc.store(fullReq, rc.c.Generation(), "body", false)
 	clk.Advance(9 * time.Second) // < Memory's 10s provider TTL... both alive
-	if _, _, ok := rc.lookup(emptyReq); !ok {
+	if _, _, ok := rc.lookup(emptyReq, rc.c.Generation()); !ok {
 		t.Fatal("empty-match entry gone before negative TTL")
 	}
 	clk.Advance(2 * time.Second) // 11s: past negTTL 10s and provider TTL 10s
-	if _, _, ok := rc.lookup(emptyReq); ok {
+	if _, _, ok := rc.lookup(emptyReq, rc.c.Generation()); ok {
 		t.Fatal("empty-match entry outlived the negative TTL")
 	}
 }
@@ -148,8 +145,8 @@ func TestRespCacheInvalidatedByRegistryGeneration(t *testing.T) {
 	rc := testRespCache(reg, 1<<20, time.Minute, clk)
 
 	req := &xrsl.InfoRequest{Keywords: []string{"Ghost"}}
-	rc.storeNegative(req, `provider: unknown keyword "Ghost"`)
-	if _, neg, ok := rc.lookup(req); !ok || neg == "" {
+	rc.storeNegative(req, rc.c.Generation(), `provider: unknown keyword "Ghost"`)
+	if _, neg, ok := rc.lookup(req, rc.c.Generation()); !ok || neg == "" {
 		t.Fatal("negative entry not cached")
 	}
 	// Registering the keyword bumps the generation: the cached error must
@@ -157,15 +154,15 @@ func TestRespCacheInvalidatedByRegistryGeneration(t *testing.T) {
 	reg.Register(provider.NewFuncProvider("Ghost", func(ctx context.Context) (provider.Attributes, error) {
 		return provider.Attributes{{Name: "v", Value: "now-exists"}}, nil
 	}), provider.RegisterOptions{TTL: time.Minute, Clock: clk})
-	if _, _, ok := rc.lookup(req); ok {
+	if _, _, ok := rc.lookup(req, rc.c.Generation()); ok {
 		t.Fatal("stale negative entry served after re-registration")
 	}
 
 	// Positive entries are invalidated by membership churn too.
 	pos := &xrsl.InfoRequest{Keywords: []string{"Memory"}}
-	rc.store(pos, "body", false)
+	rc.store(pos, rc.c.Generation(), "body", false)
 	reg.Unregister("Ghost")
-	if _, _, ok := rc.lookup(pos); ok {
+	if _, _, ok := rc.lookup(pos, rc.c.Generation()); ok {
 		t.Fatal("cached body survived a membership change")
 	}
 }
@@ -198,9 +195,9 @@ func TestRespCacheLookupAllocationFree(t *testing.T) {
 	clk := clock.NewFake(time.Unix(5000, 0))
 	rc := testRespCache(respTestRegistry(clk), 1<<20, time.Minute, clk)
 	req := &xrsl.InfoRequest{Keywords: []string{"Memory", "CPULoad"}, Filter: "Memory:*"}
-	rc.store(req, "the rendered body", false)
+	rc.store(req, rc.c.Generation(), "the rendered body", false)
 	allocs := testing.AllocsPerRun(1000, func() {
-		body, _, ok := rc.lookup(req)
+		body, _, ok := rc.lookup(req, rc.c.Generation())
 		if !ok || body == "" {
 			t.Fatal("unexpected miss")
 		}
@@ -236,13 +233,13 @@ func TestRespCacheNegativeTTLFloor(t *testing.T) {
 	// after 500ms; it must now survive most of a second.
 	rc := testRespCache(reg, 1<<20, 2*time.Second, clk)
 	req := &xrsl.InfoRequest{Keywords: []string{"Ghost"}}
-	rc.storeNegative(req, `provider: unknown keyword "Ghost"`)
+	rc.storeNegative(req, rc.c.Generation(), `provider: unknown keyword "Ghost"`)
 	clk.Advance(900 * time.Millisecond)
-	if _, neg, ok := rc.lookup(req); !ok || neg == "" {
+	if _, neg, ok := rc.lookup(req, rc.c.Generation()); !ok || neg == "" {
 		t.Fatal("negative entry expired before the 1s floor")
 	}
 	clk.Advance(200 * time.Millisecond)
-	if _, _, ok := rc.lookup(req); ok {
+	if _, _, ok := rc.lookup(req, rc.c.Generation()); ok {
 		t.Fatal("negative entry outlived the floored TTL")
 	}
 }
@@ -260,8 +257,8 @@ func TestRespCachePersistRoundTrip(t *testing.T) {
 	rc1 := testRespCache(reg1, 1<<20, time.Minute, clk)
 	req := &xrsl.InfoRequest{Keywords: []string{"Memory"}, Filter: "Memory:*"}
 	negReq := &xrsl.InfoRequest{Keywords: []string{"Ghost"}}
-	rc1.store(req, "warm-body", false)
-	rc1.storeNegative(negReq, `provider: unknown keyword "Ghost"`)
+	rc1.store(req, rc1.c.Generation(), "warm-body", false)
+	rc1.storeNegative(negReq, rc1.c.Generation(), `provider: unknown keyword "Ghost"`)
 	if err := rc1.c.Persister(path, "resp").Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -284,10 +281,10 @@ func TestRespCachePersistRoundTrip(t *testing.T) {
 	if st.Restored != 2 || st.DroppedExpired != 0 || st.DroppedKey != 0 {
 		t.Fatalf("restore stats = %+v; want 2 restored", st)
 	}
-	if body, _, ok := rc2.lookup(req); !ok || body != "warm-body" {
+	if body, _, ok := rc2.lookup(req, rc2.c.Generation()); !ok || body != "warm-body" {
 		t.Fatalf("restored lookup = (%q, %v); want warm-body hit", body, ok)
 	}
-	if _, neg, ok := rc2.lookup(negReq); !ok || neg == "" {
+	if _, neg, ok := rc2.lookup(negReq, rc2.c.Generation()); !ok || neg == "" {
 		t.Fatal("restored negative entry not served")
 	}
 
@@ -303,7 +300,7 @@ func TestRespCachePersistRoundTrip(t *testing.T) {
 	if st.Restored != 1 || st.DroppedExpired != 1 {
 		t.Fatalf("post-expiry restore stats = %+v; want 1 restored, 1 dropped", st)
 	}
-	if _, _, ok := rc3.lookup(req); ok {
+	if _, _, ok := rc3.lookup(req, rc3.c.Generation()); ok {
 		t.Fatal("restore resurrected an entry past its deadline")
 	}
 
@@ -355,69 +352,16 @@ func TestRespCacheRestoresParentLayoutSnapshot(t *testing.T) {
 		t.Fatalf("restore = %+v, %v; want 1 restored", st, err)
 	}
 	req := &xrsl.InfoRequest{Keywords: []string{"Memory"}, Filter: "Memory:*"}
-	if body, _, ok := rc.lookup(req); !ok || body != "warm-body" {
+	if body, _, ok := rc.lookup(req, rc.c.Generation()); !ok || body != "warm-body" {
 		t.Fatalf("lookup after restore = (%q, %v); want a warm hit", body, ok)
 	}
 }
 
-// TestRespCacheRefill checks the gatekeeper's half of refresh-ahead — the
-// callback the managed cache's workers run (the scan policy itself is
-// tested in internal/bytecache): the provider is re-executed even though
-// its own cache is fresh, the blob is swapped under the key clients look
-// up, and a failing provider leaves the old blob serving.
-func TestRespCacheRefill(t *testing.T) {
-	clk := clock.NewFake(time.Unix(9000, 0))
-	var calls atomic.Int32
-	var fail atomic.Bool
-	reg := provider.NewRegistry(clk)
-	reg.Register(provider.NewFuncProvider("Hot", func(ctx context.Context) (provider.Attributes, error) {
-		if fail.Load() {
-			return nil, errors.New("probe down")
-		}
-		return provider.Attributes{{Name: "n", Value: fmt.Sprint(calls.Add(1))}}, nil
-	}), provider.RegisterOptions{TTL: time.Hour, Clock: clk})
-	eng := &infoEngine{resource: "test.resource", registry: reg}
-	rc := newRespCache(Config{Registry: reg, CacheTTL: 10 * time.Second, Clock: clk}, eng)
-
-	req := &xrsl.InfoRequest{Keywords: []string{"Hot"}}
-	ctx := context.Background()
-	body, empty, _, err := eng.Answer(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc.store(req, body, empty)
-	first, _, _ := rc.lookup(req)
-
-	clk.Advance(6 * time.Second)
-	stored, err := rc.refill(ctx, req)
-	if !stored || err != nil {
-		t.Fatalf("refill = (%v, %v); want stored", stored, err)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("provider calls after refill = %d; want 2 (Immediate mode)", calls.Load())
-	}
-	// Past the original deadline the entry is still served, with the
-	// refreshed body: the refill restarted its TTL under the same key.
-	clk.Advance(6 * time.Second)
-	second, _, ok := rc.lookup(req)
-	if !ok || second == first {
-		t.Fatalf("lookup after refill = (%v, changed %v); want a fresh hit", ok, second != first)
-	}
-
-	fail.Store(true)
-	if stored, _ := rc.refill(ctx, req); stored {
-		t.Fatal("refill reported a store while the provider was failing")
-	}
-	if got, _, ok := rc.lookup(req); !ok || got != second {
-		t.Fatal("failed refill disturbed the serving blob")
-	}
-}
-
-// TestNoTrackingWithoutRefreshAhead pins the tracker drift: with
-// refresh-ahead off nothing will ever scan the candidate table, so a miss
-// must not copy its key into it. At the parent the table saturated at 4096
-// and every later miss still allocated a key copy and took its lock.
-func TestNoTrackingWithoutRefreshAhead(t *testing.T) {
+// TestRespCacheStoreAllocationFree pins the store path at zero heap
+// allocations on a populated cache: key and value are assembled in pooled
+// scratch and copied into the arena, and nothing else is kept per stored
+// answer.
+func TestRespCacheStoreAllocationFree(t *testing.T) {
 	s := NewService(Config{
 		ResourceName: "test.resource", Registry: respTestRegistry(nil),
 		CacheTTL: time.Minute, DisableTracing: true,
@@ -434,45 +378,63 @@ func TestNoTrackingWithoutRefreshAhead(t *testing.T) {
 	if got := s.resp.c.Stats().Sets; got != 10000 {
 		t.Fatalf("cache stores = %d; want 10000 (queries not cacheable?)", got)
 	}
-	if got := s.resp.c.Tracked(); got != 0 {
-		t.Fatalf("tracked requests with refresh-ahead off = %d; want 0", got)
-	}
 	if raceEnabled {
 		return // the pooled scratch below allocates under -race
 	}
 	// A lower-case keyword keeps the registry lookup allocation-free, so
-	// what is left is the store path itself: key and value are assembled in
-	// pooled scratch and copied into the arena.
+	// what is left is the store path itself.
 	req := &xrsl.InfoRequest{Keywords: []string{"memory"}, Filter: "Memory:free"}
-	if allocs := testing.AllocsPerRun(200, func() { s.resp.store(req, "body", false) }); allocs != 0 {
-		t.Fatalf("store allocates %.0f objects per call with refresh-ahead off; want 0", allocs)
+	gen := s.resp.c.Generation()
+	if allocs := testing.AllocsPerRun(200, func() { s.resp.store(req, gen, "body", false) }); allocs != 0 {
+		t.Fatalf("store allocates %.0f objects per call; want 0", allocs)
 	}
 }
 
-// TestDetachOwnsItsStrings: the refresh-ahead copy of a request decoded
-// by the single pass survives its frame payload being overwritten.
-func TestDetachOwnsItsStrings(t *testing.T) {
-	for _, src := range []string{`&(info=Memory)(info=CPU)(filter="Memory:*")`, `&(info=all)`} {
-		payload := []byte(src)
-		req, err := xrsl.DecodeOne(zerocopy.String(payload), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := *req.Info
-		want.Keywords = nil
-		for _, kw := range req.Info.Keywords {
-			want.Keywords = append(want.Keywords, strings.Clone(kw))
-		}
-		want.Filter = strings.Clone(req.Info.Filter)
-		got := detach(req.Info)
-		if !reflect.DeepEqual(*got, want) {
-			t.Fatalf("detach(%q) = %+v; want %+v", src, *got, want)
-		}
-		for i := range payload {
-			payload[i] = 'X'
-		}
-		if !reflect.DeepEqual(*got, want) {
-			t.Errorf("detach(%q) changed with its payload: %+v", src, *got)
-		}
+// TestRespCacheStoresUnderTheLookupGeneration: a keyword registered while
+// an all-keywords query is collecting shows in the next all-keywords
+// query. The first answer was computed from the old registry, so it is
+// stored under the generation its lookup saw, which the registration
+// orphaned — not under the new one, where it would hide the keyword for
+// the cache TTL.
+func TestRespCacheStoresUnderTheLookupGeneration(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	reg := provider.NewRegistry(nil)
+	reg.Register(provider.NewFuncProvider("Slow", func(ctx context.Context) (provider.Attributes, error) {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return provider.Attributes{{Name: "v", Value: "1"}}, nil
+	}), provider.RegisterOptions{TTL: time.Hour})
+	s := NewService(Config{
+		ResourceName: "test.resource", Registry: reg,
+		CacheTTL: time.Minute, DisableTracing: true,
+	})
+	defer s.Close()
+	// selfmetrics executes on every request (TTL 0), which would make
+	// every all-keywords answer uncacheable.
+	reg.Unregister(provider.SelfMetricsKeyword)
+
+	ctx := context.Background()
+	peer := &gsi.Peer{Identity: "/O=Grid/CN=alice"}
+	first := make(chan wire.Frame, 1)
+	go func() { first <- s.handleSubmit(ctx, `&(info=all)`, peer, "alice") }()
+	<-entered
+	reg.Register(&provider.StaticProvider{
+		KeywordName: "LateKeyword",
+		Values:      provider.Attributes{{Name: "v", Value: "2"}},
+	}, provider.RegisterOptions{TTL: time.Hour})
+	close(release)
+	if f := <-first; f.Verb != VerbResultLDIF {
+		t.Fatalf("first query answered %s %s", f.Verb, f.Payload)
+	}
+
+	f := s.handleSubmit(ctx, `&(info=all)`, peer, "alice")
+	if f.Verb != VerbResultLDIF || !strings.Contains(string(f.Payload), "LateKeyword") {
+		t.Fatalf("all-keywords query after a mid-collect registration = %s %s; want LateKeyword in it (the old registry's answer served as current?)", f.Verb, f.Payload)
+	}
+	if got := s.resp.c.Stats().Sets; got != 2 {
+		t.Fatalf("cache stores = %d; want 2 (answers not cacheable?)", got)
 	}
 }

@@ -150,13 +150,6 @@ type Config struct {
 	// CacheMaxBytes is the response cache's total byte budget; 0 selects
 	// bytecache.DefaultMaxBytes.
 	CacheMaxBytes int64
-	// RefreshAhead, when in (0,1), proactively re-fills hot cache entries
-	// once that fraction of their TTL has elapsed: a bounded worker pool
-	// re-executes the provider collect + render through the single-flight
-	// fill path (still honouring each provider's §6.2 inter-execution
-	// delay) and swaps the blob in place, so steady-state hot keys never
-	// pay the provider path on a request. 0 disables.
-	RefreshAhead float64
 }
 
 // Service is one InfoGram instance: GRAM's gatekeeper, whose job half
@@ -227,7 +220,7 @@ func NewService(cfg Config) *Service {
 		providerTimeout: cfg.ProviderTimeout,
 	}
 	if cfg.CacheTTL > 0 {
-		s.resp = newRespCache(cfg, s.info)
+		s.resp = newRespCache(cfg)
 	}
 	sc := session.Config{
 		Credential:  cfg.Credential,
@@ -277,9 +270,6 @@ func (s *Service) Tracer() *telemetry.Tracer { return s.cfg.Tracer }
 
 // Close shuts the service down.
 func (s *Service) Close() error {
-	if s.resp != nil {
-		s.resp.c.Close()
-	}
 	err := s.server.Close()
 	if gerr := s.Gatekeeper.Close(); err == nil {
 		err = gerr
@@ -501,8 +491,13 @@ func (s *Service) evalPart(ctx context.Context, req *xrsl.Request, peer *gsi.Pee
 		// zero-copy — no collect, no filter, no render, no allocation
 		// beyond what the transport needs.
 		useCache := s.resp != nil && s.resp.cacheable(req.Info)
+		// The generation is read once, before the lookup, and the stores
+		// below reuse it: a provider registered mid-collect orphans this
+		// answer instead of being hidden behind it.
+		var gen uint64
 		if useCache {
-			if body, negErr, ok := s.resp.lookup(req.Info); ok {
+			gen = s.resp.c.Generation()
+			if body, negErr, ok := s.resp.lookup(req.Info, gen); ok {
 				if negErr != "" {
 					return PartResult{Kind: "error", Error: negErr}
 				}
@@ -522,7 +517,7 @@ func (s *Service) evalPart(ctx context.Context, req *xrsl.Request, peer *gsi.Pee
 			// cached.
 			var unk *provider.UnknownKeywordError
 			if useCache && errors.As(err, &unk) {
-				s.resp.storeNegative(req.Info, err.Error())
+				s.resp.storeNegative(req.Info, gen, err.Error())
 			}
 			return PartResult{Kind: "error", Error: err.Error()}
 		}
@@ -532,7 +527,7 @@ func (s *Service) evalPart(ctx context.Context, req *xrsl.Request, peer *gsi.Pee
 		// Degraded bodies are partial — caching one would pin the outage
 		// into every answer for a TTL.
 		if useCache && !degraded {
-			s.resp.store(req.Info, body, empty)
+			s.resp.store(req.Info, gen, body, empty)
 		}
 		return PartResult{Kind: "info", Format: string(req.Info.Format), Body: body, Degraded: degraded}
 	default:

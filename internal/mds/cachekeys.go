@@ -12,11 +12,3 @@ func appendSearchKey(b []byte, kind byte, req *SearchRequest) []byte {
 	}
 	return b
 }
-
-// clone copies the request for the refresh-ahead table, which outlives the
-// caller's buffers.
-func (req *SearchRequest) clone() any {
-	c := *req
-	c.Attrs = append([]string(nil), req.Attrs...)
-	return &c
-}

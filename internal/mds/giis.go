@@ -48,11 +48,6 @@ type GIISConfig struct {
 	// 0 selects defaultMemberTimeout. A member that exceeds it is reported
 	// in the degraded status entry instead of stalling the whole search.
 	MemberTimeout time.Duration
-	// RefreshAhead, when in (0,1) and the cache is enabled, proactively
-	// re-runs hot cached fan-outs once they age past this fraction of
-	// CacheTTL, so a steady-state hot aggregate query never pays the
-	// member fan-out on a request. Zero disables the pool.
-	RefreshAhead float64
 	// Telemetry, when set together with CacheTTL, receives the byte
 	// cache's counters and per-shard occupancy series.
 	Telemetry *telemetry.Registry
@@ -73,8 +68,7 @@ type GIIS struct {
 	// NOT soft-state re-registration (registrars re-register continuously
 	// and must not thrash the cache). Cache keys embed it.
 	memGen atomic.Uint64
-	// resp caches rendered fan-out bodies and, with RefreshAhead set, keeps
-	// hot ones from expiring under load; nil when CacheTTL is zero.
+	// resp caches rendered fan-out bodies; nil when CacheTTL is zero.
 	resp *bytecache.Managed
 	// pools holds one connection pool per live member, so the fan-out
 	// pays no dial + GSI handshake per query. A pool is closed when its
@@ -107,17 +101,9 @@ func NewGIIS(cfg GIISConfig) *GIIS {
 				DefaultTTL: cfg.CacheTTL,
 				Clock:      cfg.Clock,
 			},
-			Generation:   g.memGen.Load,
-			Digest:       func() uint64 { return membershipDigest(g.Members()) },
-			RefreshAhead: cfg.RefreshAhead,
-			Refill: func(ctx context.Context, req any) (bool, error) {
-				_, stored, err := g.fillSearch(ctx, req.(*SearchRequest))
-				return stored, err
-			},
-			Telemetry: cfg.Telemetry,
-			Family:    "mds_refresh_ahead",
-			Subject:   "directory ",
-			Labels:    []telemetry.Label{{Key: "tier", Value: "giis"}},
+			Generation: g.memGen.Load,
+			Digest:     func() uint64 { return membershipDigest(g.Members()) },
+			Telemetry:  cfg.Telemetry,
 		})
 	}
 	g.server = session.NewServer(session.Config{
@@ -138,7 +124,6 @@ func (g *GIIS) Addr() string { return g.server.Addr() }
 
 // Close shuts the GIIS down and closes the member pools.
 func (g *GIIS) Close() error {
-	g.resp.Close()
 	g.mu.Lock()
 	pools := g.pools
 	g.pools = nil
@@ -232,36 +217,31 @@ func (g *GIIS) Search(ctx context.Context, req SearchRequest) ([]ldif.Entry, err
 // failing it, matching the decentralized tolerance a Grid information
 // service requires (§3).
 func (g *GIIS) SearchLDIF(ctx context.Context, req SearchRequest) ([]byte, error) {
+	// The generation is fixed before the lookup and the fan-out: if the
+	// membership changes mid-flight the stored entry is orphaned, never
+	// served stale.
+	var gen uint64
 	if g.resp != nil {
+		gen = g.resp.Generation()
 		keyp := bytecache.GetScratch()
-		key := appendSearchKey(g.resp.AppendGen((*keyp)[:0]), 'g', &req)
+		key := appendSearchKey(bytecache.AppendGen((*keyp)[:0], gen), 'g', &req)
 		blob, ok := g.resp.Get(key)
 		bytecache.PutScratch(keyp, key)
 		if ok {
 			return blob, nil
 		}
 	}
-
-	body, _, err := g.fillSearch(ctx, &req)
-	return body, err
+	return g.fillSearch(ctx, &req, gen)
 }
 
-// fillSearch is the miss path, shared with the refresh-ahead pool: fan
-// out, merge, and (when no member failed) store and track. The second
-// result reports whether a rendering was stored — degraded merges never
-// are, so the next search retries the failed members instead of pinning
-// the partial body for CacheTTL.
-func (g *GIIS) fillSearch(ctx context.Context, req *SearchRequest) ([]byte, bool, error) {
-	// The key — and with it the generation — is fixed before the fan-out:
-	// if the membership changes mid-flight the stored entry is orphaned,
-	// never served stale.
-	var key []byte
-	if g.resp != nil {
-		key = appendSearchKey(g.resp.AppendGen(nil), 'g', req)
-	}
+// fillSearch is the miss path: fan out, merge, and (when no member failed)
+// store under gen. Degraded merges are never stored, so the next search
+// retries the failed members instead of pinning the partial body for
+// CacheTTL.
+func (g *GIIS) fillSearch(ctx context.Context, req *SearchRequest, gen uint64) ([]byte, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
-		return nil, false, fmt.Errorf("mds: encode search: %w", err)
+		return nil, fmt.Errorf("mds: encode search: %w", err)
 	}
 	results := g.scatter(ctx, g.Members(), payload)
 	failed := 0
@@ -273,15 +253,16 @@ func (g *GIIS) fillSearch(ctx context.Context, req *SearchRequest) ([]byte, bool
 	}
 	out, err := splice(g.cfg.OrgName, results)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if failed > 0 {
 		g.fanDegraded.Inc()
 	}
-	stored := false
 	if g.resp != nil && failed == 0 {
-		g.resp.Store(key, out, g.cfg.CacheTTL, req.clone)
-		stored = true
+		keyp := bytecache.GetScratch()
+		key := appendSearchKey(bytecache.AppendGen((*keyp)[:0], gen), 'g', req)
+		g.resp.Set(key, out, g.cfg.CacheTTL)
+		bytecache.PutScratch(keyp, key)
 	}
-	return out, stored, nil
+	return out, nil
 }

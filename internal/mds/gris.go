@@ -65,11 +65,6 @@ type GRISConfig struct {
 	// CacheMaxBytes is the byte cache's total budget; 0 selects
 	// bytecache.DefaultMaxBytes.
 	CacheMaxBytes int64
-	// RefreshAhead, when in (0,1) and the cache is enabled, proactively
-	// re-fills hot cached searches once they age past this fraction of
-	// their TTL, so a steady-state hot filter never pays a provider
-	// collection on a request. Zero disables the pool.
-	RefreshAhead float64
 	// Telemetry, when set together with CacheTTL, receives the byte
 	// cache's counters and per-shard occupancy series.
 	Telemetry *telemetry.Registry
@@ -83,8 +78,7 @@ type GRIS struct {
 	server *session.Server
 	// resp caches rendered LDIF bodies and filter→keyword projections,
 	// keyed by the registry generation so provider churn invalidates both
-	// wholesale; with RefreshAhead set it also keeps hot searches from
-	// expiring under load. Nil when CacheTTL is zero.
+	// wholesale. Nil when CacheTTL is zero.
 	resp *bytecache.Managed
 }
 
@@ -104,17 +98,9 @@ func NewGRIS(cfg GRISConfig) *GRIS {
 				DefaultTTL: cfg.CacheTTL,
 				Clock:      cfg.Clock,
 			},
-			Generation:   cfg.Registry.Generation,
-			Digest:       cfg.Registry.Digest,
-			RefreshAhead: cfg.RefreshAhead,
-			Refill: func(ctx context.Context, req any) (bool, error) {
-				_, stored, err := g.fillSearch(ctx, req.(*SearchRequest), cache.Immediate)
-				return stored, err
-			},
-			Telemetry: cfg.Telemetry,
-			Family:    "mds_refresh_ahead",
-			Subject:   "directory ",
-			Labels:    []telemetry.Label{{Key: "tier", Value: "gris"}},
+			Generation: cfg.Registry.Generation,
+			Digest:     cfg.Registry.Digest,
+			Telemetry:  cfg.Telemetry,
 		})
 	}
 	g.server = session.NewServer(session.Config{
@@ -138,10 +124,7 @@ func (g *GRIS) Addr() string { return g.server.Addr() }
 func (g *GRIS) AcceptedConns() int64 { return g.server.AcceptedConns() }
 
 // Close shuts the GRIS down.
-func (g *GRIS) Close() error {
-	g.resp.Close()
-	return g.server.Close()
-}
+func (g *GRIS) Close() error { return g.server.Close() }
 
 // errorFrame builds an MDS-ERROR response.
 func errorFrame(msg string) wire.Frame {
@@ -200,36 +183,35 @@ func (g *GRIS) Search(ctx context.Context, req SearchRequest) ([]ldif.Entry, err
 // the cache's append-only arena (valid indefinitely — arenas are never
 // mutated in place).
 func (g *GRIS) SearchLDIF(ctx context.Context, req SearchRequest) ([]byte, error) {
+	// One generation per request, read before the lookup: the projection
+	// and the body are stored under the generation the search started
+	// from, so a provider registered mid-collect orphans them instead of
+	// being hidden behind them.
+	var gen uint64
 	if g.resp != nil {
+		gen = g.resp.Generation()
 		keyp := bytecache.GetScratch()
-		key := appendSearchKey(g.resp.AppendGen((*keyp)[:0]), 'b', &req)
+		key := appendSearchKey(bytecache.AppendGen((*keyp)[:0], gen), 'b', &req)
 		blob, ok := g.resp.Get(key)
 		bytecache.PutScratch(keyp, key)
 		if ok {
 			return blob, nil
 		}
 	}
-	body, _, err := g.fillSearch(ctx, &req, cache.Cached)
-	return body, err
+	return g.fillSearch(ctx, &req, gen)
 }
 
-// fillSearch is the miss path, shared with the refresh-ahead pool:
-// evaluate, render, and (when cacheable) store and track. The second
-// result reports whether a rendering was stored. The refresh pool passes
-// cache.Immediate, forcing the provider executions the refresh exists
-// for — each provider's Entry still coalesces concurrent fills and still
-// enforces the §6.2 minimum inter-execution delay, so refresh-ahead can
-// never hammer a provider harder than the paper allows.
-func (g *GRIS) fillSearch(ctx context.Context, req *SearchRequest, mode cache.Mode) ([]byte, bool, error) {
-	entries, ttl, err := g.search(ctx, *req, mode)
+// fillSearch is the miss path: evaluate, render, and (when cacheable)
+// store under gen.
+func (g *GRIS) fillSearch(ctx context.Context, req *SearchRequest, gen uint64) ([]byte, error) {
+	entries, ttl, err := g.search(ctx, *req, gen)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	out, err := ldif.Marshal(entries)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	stored := false
 	if g.resp != nil && ttl > 0 {
 		if len(entries) == 0 {
 			// Filters that matched nothing are worth caching — evaluation
@@ -238,12 +220,11 @@ func (g *GRIS) fillSearch(ctx context.Context, req *SearchRequest, mode cache.Mo
 			ttl = min(ttl, g.resp.NegTTL())
 		}
 		keyp := bytecache.GetScratch()
-		key := appendSearchKey(g.resp.AppendGen((*keyp)[:0]), 'b', req)
-		g.resp.Store(key, zerocopy.Bytes(out), ttl, req.clone)
+		key := appendSearchKey(bytecache.AppendGen((*keyp)[:0], gen), 'b', req)
+		g.resp.Set(key, zerocopy.Bytes(out), ttl)
 		bytecache.PutScratch(keyp, key)
-		stored = true
 	}
-	return zerocopy.Bytes(out), stored, nil
+	return zerocopy.Bytes(out), nil
 }
 
 // search collects, filters, and projects. It also reports the lifetime a
@@ -251,7 +232,7 @@ func (g *GRIS) fillSearch(ctx context.Context, req *SearchRequest, mode cache.Mo
 // to the smallest provider TTL among the collected keywords, 0 when any
 // collected keyword executes on every request (TTL 0) and the result is
 // therefore uncacheable.
-func (g *GRIS) search(ctx context.Context, req SearchRequest, mode cache.Mode) ([]ldif.Entry, time.Duration, error) {
+func (g *GRIS) search(ctx context.Context, req SearchRequest, gen uint64) ([]ldif.Entry, time.Duration, error) {
 	filter := MatchAll()
 	if strings.TrimSpace(req.Filter) != "" {
 		var err error
@@ -263,14 +244,14 @@ func (g *GRIS) search(ctx context.Context, req SearchRequest, mode cache.Mode) (
 	// Collect only the keywords the filter can match (and none at all for
 	// a filter that provably matches no provider entry), instead of
 	// executing every provider on every query.
-	kws, all := g.keywordHints(req.Filter, filter)
+	kws, all := g.keywordHints(req.Filter, filter, gen)
 	var reports []provider.Report
 	if all || len(kws) > 0 {
 		if all {
 			kws = nil
 		}
 		var err error
-		reports, err = g.cfg.Registry.Collect(ctx, kws, mode, 0)
+		reports, err = g.cfg.Registry.Collect(ctx, kws, cache.Cached, 0)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -298,16 +279,16 @@ func (g *GRIS) search(ctx context.Context, req SearchRequest, mode cache.Mode) (
 }
 
 // keywordHints resolves the filter→keyword projection, caching it under
-// (registry generation, filter text) when the response cache is enabled:
-// the projection of a hot filter is computed once per membership
+// (the request's generation gen, filter text) when the response cache is
+// enabled: the projection of a hot filter is computed once per membership
 // generation, not once per query.
-func (g *GRIS) keywordHints(raw string, f Filter) ([]string, bool) {
+func (g *GRIS) keywordHints(raw string, f Filter, gen uint64) ([]string, bool) {
 	known := g.cfg.Registry.Keywords()
 	if g.resp == nil {
 		return KeywordHints(f, known)
 	}
 	keyp := bytecache.GetScratch()
-	key := append(g.resp.AppendGen((*keyp)[:0]), 'p')
+	key := append(bytecache.AppendGen((*keyp)[:0], gen), 'p')
 	key = append(key, raw...)
 	blob, ok := g.resp.Get(key)
 	if ok && len(blob) > 0 {

@@ -2,6 +2,7 @@ package mds_test
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -268,64 +269,46 @@ func TestGIISCacheInvalidatedByMembership(t *testing.T) {
 	}
 }
 
-// TestGRISRefreshAhead: a hot cached search is re-filled in the
-// background once it ages past the configured fraction of its TTL, so
-// subsequent requests keep hitting without the entry ever expiring.
-func TestGRISRefreshAhead(t *testing.T) {
-	f := newFabric(t)
-	var execs atomic.Int64
+// TestGRISStoresUnderTheLookupGeneration: a keyword registered while a
+// search is collecting shows in the next empty-filter search. The first
+// search's answer was computed from the old registry, so it is stored
+// under the generation its lookup saw, which the registration orphaned —
+// not under the new one, where it would hide the keyword for CacheTTL.
+func TestGRISStoresUnderTheLookupGeneration(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
 	reg := provider.NewRegistry(nil)
-	reg.Register(provider.NewFuncProvider("Load", func(ctx context.Context) (provider.Attributes, error) {
-		execs.Add(1)
+	reg.Register(provider.NewFuncProvider("Slow", func(ctx context.Context) (provider.Attributes, error) {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
 		return provider.Attributes{{Name: "v", Value: "1"}}, nil
 	}), provider.RegisterOptions{TTL: time.Hour})
-	tel := telemetry.NewRegistry()
-	g := mds.NewGRIS(mds.GRISConfig{
-		ResourceName: "res", Registry: reg, Credential: f.svc, Trust: f.trust,
-		CacheTTL:     500 * time.Millisecond,
-		RefreshAhead: 0.3,
-		Telemetry:    tel,
-	})
-	if _, err := g.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	g := mds.NewGRIS(mds.GRISConfig{ResourceName: "res", Registry: reg, CacheTTL: time.Minute})
 	defer g.Close()
 
-	// One fill plus enough hits to cross the popularity bar.
-	for i := 0; i < 3; i++ {
-		if _, err := g.SearchLDIF(context.Background(), mds.SearchRequest{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := execs.Load(); got != 1 {
-		t.Fatalf("execs after warm-up = %d, want 1 (cache broken?)", got)
-	}
-
-	// Wait past the refresh threshold (150ms) and give the scanner time
-	// to run; the provider must execute again without any request.
-	deadline := time.Now().Add(2 * time.Second)
-	for execs.Load() < 2 && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if got := execs.Load(); got < 2 {
-		t.Fatalf("refresh-ahead never re-executed the provider (execs = %d)", got)
-	}
-
-	// The entry was refreshed in place: this is still a hit.
-	before := execs.Load()
-	if _, err := g.SearchLDIF(context.Background(), mds.SearchRequest{}); err != nil {
+	ctx := context.Background()
+	first := make(chan error, 1)
+	go func() {
+		_, err := g.Search(ctx, mds.SearchRequest{})
+		first <- err
+	}()
+	<-entered
+	reg.Register(&provider.StaticProvider{
+		KeywordName: "Late",
+		Values:      provider.Attributes{{Name: "v", Value: "2"}},
+	}, provider.RegisterOptions{TTL: time.Hour})
+	close(release)
+	if err := <-first; err != nil {
 		t.Fatal(err)
 	}
-	if got := execs.Load(); got != before {
-		t.Errorf("post-refresh search missed the cache (execs %d -> %d)", before, got)
+
+	entries, err := g.Search(ctx, mds.SearchRequest{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	refreshed := int64(-1)
-	for _, p := range tel.Snapshot() {
-		if p.Name == "mds_refresh_ahead_total" {
-			refreshed = p.Value
-		}
-	}
-	if refreshed < 1 {
-		t.Errorf("mds_refresh_ahead_total = %d, want >= 1", refreshed)
+	if len(entries) != 2 {
+		t.Fatalf("entries after a mid-collect registration = %d, want 2 (the old registry's answer served as current?)", len(entries))
 	}
 }

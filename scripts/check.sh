@@ -62,6 +62,15 @@ go test -race -count=1 \
 	-run '^(TestPoolSurvivesServerRestart|TestGIISMemberRestart|TestGatewayNeverResubmits|TestGatewayNeverRecancels|TestGatewaySharesOneConnection|TestGRAMClientAgainstInfoGram|TestSubmitMisuseHints|TestWaitTerminalHonoursContextOnSilentStatus)$' \
 	./internal/core/ ./internal/mds/ ./internal/wsgw/ ./internal/integration/
 
+# One generation per request re-runs uncached under -race: a provider
+# registered while a query collects, on the gatekeeper's response cache
+# and on the GRIS, must show in the next all-keywords answer instead of
+# hiding behind the answer collected without it.
+echo "== one generation per request (-race) =="
+go test -race -count=1 \
+	-run '^(TestRespCacheStoresUnderTheLookupGeneration|TestGRISStoresUnderTheLookupGeneration)$' \
+	./internal/core/ ./internal/mds/
+
 # The collect fan-out's semantics re-run uncached under -race, three
 # times: fresh keywords read on the calling goroutine beside overlapping
 # gated executions, a keyword expiring between the freshness test and its

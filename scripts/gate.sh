@@ -9,8 +9,8 @@
 #    verifier. Numbers are compared against the parent commit by the PR
 #    pipeline, never against a checked-in baseline, so there is no
 #    baseline file and nothing to re-baseline.
-# 2. The warm-restart / refresh-ahead reference point. The test asserts
-#    its own ratio thresholds (see TestWarmRestartReference).
+# 2. The warm-restart reference point. The test asserts its own ratio
+#    threshold (see TestWarmRestartReference).
 # 3. Kill-leader failover through the real binaries. A journaled leader
 #    accepts a mix of terminal and long-running jobs, then dies with
 #    SIGKILL. A -follow -promote standby that has been replicating the
@@ -39,7 +39,7 @@ fail() {
 echo "== 1/3 benchmark suite (result: benchmark/out/suite.json) =="
 bash benchmark/run.sh >benchmark/out/suite.json
 
-echo "== 2/3 warm restart + refresh-ahead reference point =="
+echo "== 2/3 warm restart reference point =="
 INFOGRAM_WARMBENCH=1 go test -count=1 -run '^TestWarmRestartReference$' ./internal/core/
 
 echo "== 3/3 kill-leader failover =="
