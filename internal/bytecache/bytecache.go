@@ -27,8 +27,9 @@
 //     approximate LRU (sampling the index, evicting the stalest of the
 //     sample) until the shard is back under its byte budget.
 //   - Compaction is incremental: when a shard's dead bytes cross
-//     CompactFraction of its arena, the inserting goroutine rewrites just
-//     that shard. No global stop-the-world pass exists.
+//     CompactFraction of its arena (and a small fixed floor), the
+//     inserting goroutine rewrites just that shard. No global
+//     stop-the-world pass exists.
 //
 // The hit path — hash, one mutex, one map probe, key compare, tick bump —
 // performs zero heap allocations (pinned by testing.AllocsPerRun in the
@@ -352,7 +353,7 @@ func (c *Cache) put(key, value []byte, stored, expire int64) {
 			c.entriesG.Add(1)
 		}
 	}
-	c.maybeCompactLocked(s)
+	c.maybeCompactLocked(s, size)
 	s.publishLocked()
 	s.mu.Unlock()
 	c.setsC.Inc()
@@ -365,7 +366,7 @@ func (c *Cache) Delete(key []byte) {
 	s.mu.Lock()
 	if sl, ok := s.index[h]; ok {
 		c.dropLocked(s, h, sl)
-		c.maybeCompactLocked(s)
+		c.maybeCompactLocked(s, 0)
 		s.publishLocked()
 	}
 	s.mu.Unlock()
@@ -424,13 +425,23 @@ func (c *Cache) evictForLocked(s *shard, size int64) {
 	}
 }
 
-// maybeCompactLocked rewrites the shard arena when dead bytes cross the
-// configured fraction: live entries are copied into a fresh arena in index
-// order and the old arena is released to the garbage collector (readers
-// holding blobs from it keep it alive until they drop them).
-func (c *Cache) maybeCompactLocked(s *shard) {
+// minCompactDead is the dead-byte floor below which a shard is never
+// compacted: without it a shard holding few live bytes would cross the
+// fraction, and rewrite its arena, on nearly every overwrite.
+const minCompactDead = 4 << 10
+
+// maybeCompactLocked rewrites the shard arena when dead bytes reach both
+// minCompactDead and the configured fraction of the arena: live entries
+// are copied into a fresh arena in index order and the old arena is
+// released to the garbage collector (readers holding blobs from it keep
+// it alive until they drop them). After every store or delete a shard
+// therefore holds fewer dead bytes than the larger of minCompactDead and
+// f/(1−f) of its live bytes, for CompactFraction f: at the default, the
+// larger of 4 KiB and a third of its live bytes. size is the size of the
+// entry just stored, 0 after a delete.
+func (c *Cache) maybeCompactLocked(s *shard, size int64) {
 	arenaLen := int64(len(s.arena))
-	if arenaLen == 0 || s.dead <= 0 {
+	if arenaLen == 0 || s.dead < minCompactDead {
 		return
 	}
 	if float64(s.dead)/float64(arenaLen) < c.compactAt {
@@ -438,10 +449,12 @@ func (c *Cache) maybeCompactLocked(s *shard) {
 	}
 	start := c.clk.Now()
 	// The fresh arena has room for the appends until the next compaction,
-	// which comes when dead bytes reach compactAt of the arena: sized for
-	// the live bytes alone, the first Set after a compaction would regrow
-	// and copy it.
-	fresh := make([]byte, 0, int64(float64(s.live)/(1-c.compactAt)))
+	// which comes when dead bytes reach the floor and compactAt of the
+	// arena, plus the store that crosses them, taken to be the size of
+	// this one: sized for the live bytes alone, the first Set after a
+	// compaction would regrow and copy it.
+	room := max(int64(float64(s.live)*c.compactAt/(1-c.compactAt)), minCompactDead) + size
+	fresh := make([]byte, 0, s.live+room)
 	for h, sl := range s.index {
 		off := int64(len(fresh))
 		fresh = append(fresh, s.arena[sl.off:sl.off+sl.size()]...)

@@ -3,6 +3,7 @@ package bytecache
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -345,6 +346,34 @@ func TestMissAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("miss allocates %.1f objects; want 0", allocs)
+	}
+}
+
+// TestOverwriteInEmptyCacheAllocations pins the compaction floor: a shard
+// holding one small entry compacts once its dead bytes reach
+// minCompactDead, not on every overwrite, so refreshing one key in an
+// otherwise empty cache costs almost nothing per store.
+func TestOverwriteInEmptyCacheAllocations(t *testing.T) {
+	c := New(Options{})
+	key, val := []byte("refreshed-key"), bytes.Repeat([]byte("v"), 200)
+	c.Set(key, val, 0)
+	// testing.AllocsPerRun rounds down to whole allocations, so count
+	// the fraction directly.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const stores = 10000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < stores; i++ {
+		c.Set(key, val, 0)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / stores
+	if allocs >= 0.1 {
+		t.Fatalf("overwriting one key allocates %.3f objects per store; want < 0.1", allocs)
+	}
+	t.Logf("%.3f allocations per store", allocs)
+	if st := c.Stats(); st.Compactions == 0 || st.DeadBytes >= minCompactDead {
+		t.Fatalf("stats %+v: want compactions, and dead bytes under the %d-byte floor", st, minCompactDead)
 	}
 }
 

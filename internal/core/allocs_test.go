@@ -32,17 +32,21 @@ import (
 // kept and with every healthy trace dropped: the difference is what
 // tracing costs per request, and it is zero.
 const (
-	budgetHotInfo     = 34  // measured 31.1: one cached info query
-	budgetSubmitCycle = 55  // measured 51.0: SUBMIT, the job to DONE, one STATUS
-	budgetColdFilter  = 138 // measured 134.1: an 8-keyword response-cache miss with a filter
-	budgetColdDegrade = 417 // measured 413.1: an 8-keyword miss, no filter, over keywords with exponential(30s)
+	budgetHotInfo     = 32  // measured 29.1: one cached info query
+	budgetSubmitCycle = 51  // measured 47.0: SUBMIT, the job to DONE, one STATUS
+	budgetColdFilter  = 136 // measured 132.1: an 8-keyword response-cache miss with a filter
+	budgetColdDegrade = 415 // measured 411.1: an 8-keyword miss, no filter, over keywords with exponential(30s)
+	budgetDialQuery   = 153 // measured 149.5: Dial (connect, GSI, HELLO), one cached info query, Close
 )
 
-// pipeRig is a journaled service and a client joined by net.Pipe.
+// pipeRig is a journaled service and a client joined by net.Pipe. The
+// service also listens on loopback TCP, for shapes that dial.
 type pipeRig struct {
-	svc  *Service
-	cl   *Client
-	cold int // the next of coldQueries to ask
+	svc   *Service
+	cl    *Client
+	cold  int // the next of coldQueries to ask
+	user  *gsi.Credential
+	trust *gsi.TrustStore
 }
 
 // coldKeywords providers of attrGroups groups of four attributes each
@@ -160,7 +164,7 @@ func newPipeRig(t *testing.T, trace string) *pipeRig {
 	cl := NewClient("pipe", user, trust, Options{})
 	cl.sess, cl.peer = sess, peer
 	t.Cleanup(func() { cl.Close() })
-	return &pipeRig{svc: svc, cl: cl}
+	return &pipeRig{svc: svc, cl: cl, user: user, trust: trust}
 }
 
 func (r *pipeRig) hotInfo(t *testing.T) {
@@ -191,6 +195,20 @@ func (r *pipeRig) miss(t *testing.T, queries []string) InfoResult {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// dialQuery is connect_query's operation: Dial over loopback TCP — the
+// connect, GSI mutual authentication and the HELLO exchange — one cached
+// info query, and Close.
+func (r *pipeRig) dialQuery(t *testing.T) {
+	cl, err := Dial(r.svc.Addr(), r.user, r.trust)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.QueryRaw("&(info=Memory)"); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
 }
 
 // submitCycle submits a no-op job, waits for the table to show it DONE,
@@ -265,4 +283,19 @@ func TestRequestShapeAllocations(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDialQueryAllocations pins the connect-to-first-answer shape, both
+// ends over loopback TCP. The server's side of a connection ends after
+// the client's Close returns, so one run's teardown can land in the
+// next run's count; over the warm-up and the runs that evens out.
+func TestDialQueryAllocations(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("allocation pins need the race detector off and a full run")
+	}
+	got := allocsPerRequest(t, "off", (*pipeRig).dialQuery)
+	if got > budgetDialQuery {
+		t.Errorf("dial and one query: %.1f allocations, budget %d", got, budgetDialQuery)
+	}
+	t.Logf("dial and one query: %.1f allocations", got)
 }

@@ -2,7 +2,6 @@ package mds
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -67,11 +66,7 @@ func (c *Client) SearchContext(ctx context.Context, req SearchRequest) ([]ldif.E
 // reply's LDIF body as received. The body is a fresh allocation that the
 // caller owns.
 func (c *Client) SearchLDIFContext(ctx context.Context, req SearchRequest) ([]byte, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("mds: encode search: %w", err)
-	}
-	return c.searchLDIF(ctx, payload)
+	return c.searchLDIF(ctx, appendSearchRequest(nil, &req))
 }
 
 // searchLDIF sends an encoded SearchRequest, which it only reads.

@@ -2,7 +2,9 @@ package mds
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -156,9 +158,23 @@ func splice(org string, results []memberResult) ([]byte, error) {
 	return out, nil
 }
 
-// queryMember performs one authenticated search against a member under
-// the per-member deadline, on a connection leased from the member's pool,
-// and returns the reply body. A failed lease is discarded, not returned.
+// memberTimeout is GIISConfig.MemberTimeout with its default applied.
+func (g *GIIS) memberTimeout() time.Duration {
+	if g.cfg.MemberTimeout > 0 {
+		return g.cfg.MemberTimeout
+	}
+	return defaultMemberTimeout
+}
+
+// queryMember performs one authenticated search against a member within
+// the member timeout, on a connection leased from the member's pool, and
+// returns the reply body. A failed lease is discarded, not returned.
+//
+// A free slot with a fresh idle lease is the fast path: the lease's own
+// I/O timeout, the member timeout, bounds the call, so no context is
+// built. Everything else — the wait for a slot, the idle ping, the dial
+// and handshake, a retry — runs under a context that ends when the
+// member timeout, counted from the query's start, does.
 func (g *GIIS) queryMember(ctx context.Context, addr string, payload []byte) ([]byte, error) {
 	g.mu.Lock()
 	pool := g.pools[addr]
@@ -166,32 +182,41 @@ func (g *GIIS) queryMember(ctx context.Context, addr string, payload []byte) ([]
 	if pool == nil {
 		return nil, session.ErrPoolClosed // the member expired, or the GIIS closed
 	}
-	timeout := g.cfg.MemberTimeout
-	if timeout <= 0 {
-		timeout = defaultMemberTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	cl, err := pool.Checkout(ctx)
-	if err != nil {
-		return nil, err
-	}
-	body, err := cl.searchLDIF(ctx, payload)
-	if err != nil && ctx.Err() == nil {
+	deadline := time.Now().Add(g.memberTimeout())
+	retry := true
+	if cl, ok := pool.TryCheckout(); ok {
+		body, err := cl.searchLDIF(ctx, payload)
+		if err == nil {
+			pool.Checkin(cl)
+			return body, nil
+		}
+		pool.Discard(cl)
+		if ctx.Err() != nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			return nil, err
+		}
 		// A lease younger than the pool's health check is not pinged, so
 		// a member restart under traffic shows up here. Drop its idle
 		// siblings too and try once on a fresh dial.
-		pool.Discard(cl)
 		pool.CloseIdle()
-		if cl, err = pool.Checkout(ctx); err != nil {
+		retry = false
+	}
+	ctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
+	for {
+		cl, err := pool.Checkout(ctx)
+		if err != nil {
 			return nil, err
 		}
-		body, err = cl.searchLDIF(ctx, payload)
-	}
-	if err != nil {
+		body, err := cl.searchLDIF(ctx, payload)
+		if err == nil {
+			pool.Checkin(cl)
+			return body, nil
+		}
 		pool.Discard(cl)
-		return nil, err
+		if !retry || ctx.Err() != nil {
+			return nil, err
+		}
+		pool.CloseIdle() // as above
+		retry = false
 	}
-	pool.Checkin(cl)
-	return body, nil
 }

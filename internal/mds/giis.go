@@ -2,7 +2,6 @@ package mds
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -44,9 +43,11 @@ type GIISConfig struct {
 	// bytecache.DefaultMaxBytes.
 	CacheMaxBytes int64
 	// MemberTimeout bounds each member query (the wait for a pooled
-	// connection, dial, handshake, and call);
-	// 0 selects defaultMemberTimeout. A member that exceeds it is reported
-	// in the degraded status entry instead of stalling the whole search.
+	// connection, dial, handshake, and call); 0 selects
+	// defaultMemberTimeout. It is also each member connection's I/O
+	// timeout, so a call on a pooled connection is bounded by the
+	// connection alone. A member that exceeds it is reported in the
+	// degraded status entry instead of stalling the whole search.
 	MemberTimeout time.Duration
 	// Telemetry, when set together with CacheTTL, receives the byte
 	// cache's counters and per-shard occupancy series.
@@ -145,7 +146,11 @@ func (g *GIIS) Register(addr string) {
 		// before reuse after a second idle, reaped after a minute.
 		if g.pools != nil {
 			dial := func(ctx context.Context) (*Client, error) {
-				return DialContext(ctx, addr, g.cfg.Credential, g.cfg.Trust, g.cfg.Clock)
+				cl, err := DialContext(ctx, addr, g.cfg.Credential, g.cfg.Trust, g.cfg.Clock)
+				if err == nil {
+					cl.sess.Conn.SetIOTimeout(g.memberTimeout())
+				}
+				return cl, err
 			}
 			ping := func(ctx context.Context, cl *Client) error { return cl.ping(ctx) }
 			g.pools[addr] = session.NewPool(dial, ping, session.PoolOptions{Clock: g.cfg.Clock})
@@ -217,6 +222,12 @@ func (g *GIIS) Search(ctx context.Context, req SearchRequest) ([]ldif.Entry, err
 // failing it, matching the decentralized tolerance a Grid information
 // service requires (§3).
 func (g *GIIS) SearchLDIF(ctx context.Context, req SearchRequest) ([]byte, error) {
+	return g.answer(ctx, req, nil)
+}
+
+// answer is SearchLDIF for a request decoded from payload, which a miss
+// forwards to the members as it is; a nil payload is encoded from req.
+func (g *GIIS) answer(ctx context.Context, req SearchRequest, payload []byte) ([]byte, error) {
 	// The generation is fixed before the lookup and the fan-out: if the
 	// membership changes mid-flight the stored entry is orphaned, never
 	// served stale.
@@ -231,17 +242,16 @@ func (g *GIIS) SearchLDIF(ctx context.Context, req SearchRequest) ([]byte, error
 			return blob, nil
 		}
 	}
-	return g.fillSearch(ctx, &req, gen)
+	return g.fillSearch(ctx, &req, payload, gen)
 }
 
 // fillSearch is the miss path: fan out, merge, and (when no member failed)
 // store under gen. Degraded merges are never stored, so the next search
 // retries the failed members instead of pinning the partial body for
 // CacheTTL.
-func (g *GIIS) fillSearch(ctx context.Context, req *SearchRequest, gen uint64) ([]byte, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("mds: encode search: %w", err)
+func (g *GIIS) fillSearch(ctx context.Context, req *SearchRequest, payload []byte, gen uint64) ([]byte, error) {
+	if payload == nil {
+		payload = appendSearchRequest(nil, req)
 	}
 	results := g.scatter(ctx, g.Members(), payload)
 	failed := 0

@@ -2,7 +2,6 @@ package mds
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -23,7 +22,7 @@ import (
 // GRAMP: the Figure 2 baseline requires clients to implement two wire
 // protocols and contact two ports per resource.
 const (
-	VerbSearch   = "SEARCH"     // payload: JSON SearchRequest
+	VerbSearch   = "SEARCH"     // payload: JSON SearchRequest (codec.go)
 	VerbResult   = "RESULT"     // payload: LDIF
 	VerbRegister = "REGISTER"   // payload: GRIS address (GIIS only)
 	VerbRegOK    = "REGISTERED" // payload: echo of address
@@ -131,9 +130,10 @@ func errorFrame(msg string) wire.Frame {
 	return wire.Frame{Verb: VerbMDSError, Payload: []byte(msg)}
 }
 
-// searcher is what GRIS and GIIS share: a search answered as rendered LDIF.
+// searcher is what GRIS and GIIS share: a decoded search, with the
+// SEARCH payload it came in, answered as rendered LDIF.
 type searcher interface {
-	SearchLDIF(ctx context.Context, req SearchRequest) ([]byte, error)
+	answer(ctx context.Context, req SearchRequest, payload []byte) ([]byte, error)
 }
 
 // searchFrame answers one SEARCH for either directory server: authorize,
@@ -144,11 +144,13 @@ func searchFrame(ctx context.Context, s searcher, policy *gsi.Policy, now time.T
 	if err := policy.Authorize(peer.Identity, gsi.OpInfoQuery, now); err != nil {
 		return errorFrame(err.Error())
 	}
-	var req SearchRequest
-	if err := json.Unmarshal(payload, &req); err != nil {
+	// The request's strings may alias payload: the frame's own
+	// allocation, which nothing writes to.
+	req, err := decodeSearchRequest(payload)
+	if err != nil {
 		return errorFrame(fmt.Sprintf("mds: bad search payload: %v", err))
 	}
-	body, err := s.SearchLDIF(ctx, req)
+	body, err := s.answer(ctx, req, payload)
 	if err != nil {
 		return errorFrame(err.Error())
 	}
@@ -176,6 +178,11 @@ func (g *GRIS) Search(ctx context.Context, req SearchRequest) ([]ldif.Entry, err
 		return nil, err
 	}
 	return ldif.Unmarshal(zerocopy.String(body))
+}
+
+// answer is SearchLDIF; a GRIS has no use for the payload.
+func (g *GRIS) answer(ctx context.Context, req SearchRequest, _ []byte) ([]byte, error) {
+	return g.SearchLDIF(ctx, req)
 }
 
 // SearchLDIF evaluates a request and returns the rendered LDIF body. The

@@ -178,6 +178,34 @@ func (p *Pool[C]) Checkout(ctx context.Context) (C, error) {
 	return conn, nil
 }
 
+// TryCheckout leases a connection only when that takes no wait and no
+// I/O: a free slot and an idle connection used within HealthCheckAfter.
+// Otherwise it takes nothing and reports false, and the caller goes
+// through Checkout. The lease is returned as Checkout's is.
+func (p *Pool[C]) TryCheckout() (C, bool) {
+	var zero C
+	select {
+	case p.slots <- struct{}{}:
+	default:
+		return zero, false
+	}
+	now := p.clk.Now()
+	p.mu.Lock()
+	n := len(p.idle)
+	if p.closed || n == 0 || now.Sub(p.idle[n-1].lastUsed) > p.healthCheckAfter {
+		p.mu.Unlock()
+		<-p.slots
+		return zero, false
+	}
+	conn := p.idle[n-1].conn
+	p.idle[n-1] = idleConn[C]{} // drop the reference the backing array holds
+	p.idle = p.idle[:n-1]
+	p.mu.Unlock()
+	p.connsIdle.Dec()
+	p.checkoutWait.Observe(0)
+	return conn, true
+}
+
 // popIdle takes the most recently used idle connection.
 func (p *Pool[C]) popIdle() (idleConn[C], bool) {
 	p.mu.Lock()

@@ -35,16 +35,18 @@ type Conn struct {
 	w    *bufio.Writer // nil once closed
 	whdr [128]byte     // frame-header and prefix scratch, guarded by wmu
 
-	// rwake and wwake wait out a running cancellation callback (see
-	// armDeadline).
-	rwake, wwake sync.WaitGroup
+	// watches[d-1] serves the exchanges over directions d: bare reads
+	// (under rmu), bare writes (under wmu) and calls (under callMu), so
+	// each is used by one exchange at a time (see arm).
+	watches [dirBoth]watch
 
 	callMu sync.Mutex
 
-	// readTimeout and writeTimeout bound each individual frame read and
-	// write, in nanoseconds. Zero means unbounded (context deadlines, when
-	// present, still apply). Atomic so the setters are safe while a reader
-	// or writer goroutine is in flight.
+	// readTimeout and writeTimeout bound each exchange — a bare frame
+	// read or write, or a whole Call — in nanoseconds. Zero means
+	// unbounded (context deadlines, when present, still apply). Atomic so
+	// the setters are safe while a reader or writer goroutine is in
+	// flight.
 	readTimeout, writeTimeout atomic.Int64
 
 	// instr is atomic for the same reason: the server attaches telemetry
@@ -114,7 +116,7 @@ func Dial(addr string) (*Conn, error) {
 }
 
 // DialTimeout is Dial with a connect timeout. The same duration becomes
-// the connection's per-operation I/O timeout, so a peer that accepts and
+// the connection's per-exchange I/O timeout, so a peer that accepts and
 // then goes silent cannot hang a subsequent Read or Call forever.
 func DialTimeout(addr string, d time.Duration) (*Conn, error) {
 	nc, err := net.DialTimeout("tcp", addr, d)
@@ -126,10 +128,12 @@ func DialTimeout(addr string, d time.Duration) (*Conn, error) {
 	return c, nil
 }
 
-// SetIOTimeout bounds every subsequent frame read and write individually;
-// zero removes the bound. The write is atomic, so it is safe while other
-// goroutines are already reading or writing; operations that are already
-// in flight keep the deadline they armed with.
+// SetIOTimeout bounds every subsequent exchange; zero removes the bound.
+// An exchange is a bare Read or Write, bounded frame by frame, or a
+// Call, whose request write and response read share one deadline set
+// when the call starts. The write is atomic, so it is safe while other
+// goroutines are already reading or writing; exchanges already in
+// flight keep the deadline they armed with.
 func (c *Conn) SetIOTimeout(d time.Duration) {
 	c.readTimeout.Store(int64(d))
 	c.writeTimeout.Store(int64(d))
@@ -140,77 +144,133 @@ func (c *Conn) SetIOTimeout(d time.Duration) {
 // to wait without limit while its writes stay bounded.
 func (c *Conn) SetReadTimeout(d time.Duration) { c.readTimeout.Store(int64(d)) }
 
-// finNop finishes an operation that armed no deadline and no watcher.
-var finNop = func(err error) error { return err }
+// dirs names the directions of the connection one exchange bounds.
+type dirs uint8
 
-// armDeadline installs the effective deadline — the earlier of the
-// per-operation I/O timeout and the context deadline — on the write (or,
-// with write false, read) side of the underlying conn, and has
-// context.AfterFunc interrupt the operation on cancellation; one bounded
-// by neither is counted as unbounded. The returned function must be
-// called once with the operation's error: it stops the watch (waiting out
-// a running callback, which could cut the next operation short), clears
-// the deadline, and maps an expiry caused by the context to its error.
-func (c *Conn) armDeadline(ctx context.Context, write bool, unbounded *telemetry.Counter) func(error) error {
+const (
+	dirRead dirs = 1 << iota
+	dirWrite
+	dirBoth = dirRead | dirWrite
+)
+
+// watch is the cancellation machinery of one direction set: the
+// callback a cancelled context runs, built on first use and kept for the
+// life of the connection, and the WaitGroup a finishing exchange waits
+// out a running callback on.
+type watch struct {
+	cut  func()
+	wake sync.WaitGroup
+}
+
+// exchange is one armed exchange; finish ends it. Its zero value armed
+// nothing and finishes as a no-op.
+type exchange struct {
+	c        *Conn
+	ctx      context.Context
+	stop     func() bool // the watcher's; nil when none runs
+	d        dirs
+	ctxBound bool // the context's deadline is the one set
+}
+
+// arm starts an exchange over directions d. It sets one deadline on
+// every direction in d — the earlier of the I/O timeout and the
+// context's deadline — and, only when ctx can be cancelled, starts one
+// context.AfterFunc watcher that cuts the exchange short. An exchange
+// bounded by neither counts as one unbounded operation per direction.
+// The caller holds the lock that serializes d's exchanges (see watches)
+// and calls finish once with the exchange's error.
+func (c *Conn) arm(ctx context.Context, d dirs, instr *ConnInstruments) exchange {
 	var dl time.Time
-	timeout, wake := &c.readTimeout, &c.rwake
-	if write {
-		timeout, wake = &c.writeTimeout, &c.wwake
-	}
-	if io := time.Duration(timeout.Load()); io > 0 {
+	if io := c.ioTimeout(d); io > 0 {
 		dl = time.Now().Add(io)
 	}
 	ctxBound := false
-	if d, ok := ctx.Deadline(); ok && (dl.IsZero() || d.Before(dl)) {
-		dl = d
-		ctxBound = true
+	if cd, ok := ctx.Deadline(); ok && (dl.IsZero() || cd.Before(dl)) {
+		dl, ctxBound = cd, true
 	}
-	watch := ctx.Done() != nil
-	if dl.IsZero() && !watch {
-		unbounded.Inc()
-		return finNop
+	cancellable := ctx.Done() != nil
+	if dl.IsZero() && !cancellable {
+		if d&dirRead != 0 {
+			instr.UnboundedReads.Inc()
+		}
+		if d&dirWrite != 0 {
+			instr.UnboundedWrites.Inc()
+		}
+		return exchange{}
 	}
 	if !dl.IsZero() {
-		c.setDeadline(write, dl)
+		c.setDeadline(d, dl)
 	}
-	var stop func() bool
-	if watch {
-		wake.Add(1)
-		stop = context.AfterFunc(ctx, func() {
-			// A deadline in the past fails the in-flight operation
-			// immediately with os.ErrDeadlineExceeded.
-			c.setDeadline(write, time.Unix(1, 0))
-			wake.Done()
-		})
-	}
-	return func(err error) error {
-		if watch {
-			if stop() {
-				wake.Done()
-			}
-			wake.Wait()
-		}
-		c.setDeadline(write, time.Time{})
-		if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
-			if cerr := ctx.Err(); cerr != nil {
-				return fmt.Errorf("wire: %w", cerr)
-			}
-			// The armed deadline was the context's, but the net poller's
-			// timer can fire a hair before the context's own — report the
-			// deadline the caller actually set.
-			if ctxBound {
-				return fmt.Errorf("wire: %w", context.DeadlineExceeded)
+	x := exchange{c: c, ctx: ctx, d: d, ctxBound: ctxBound}
+	if cancellable {
+		w := &c.watches[d-1]
+		if w.cut == nil {
+			w.cut = func() {
+				// A deadline in the past fails the in-flight operation
+				// immediately with os.ErrDeadlineExceeded.
+				c.setDeadline(d, time.Unix(1, 0))
+				w.wake.Done()
 			}
 		}
-		return err
+		w.wake.Add(1)
+		x.stop = context.AfterFunc(ctx, w.cut)
 	}
+	return x
 }
 
-func (c *Conn) setDeadline(write bool, t time.Time) {
-	if write {
-		_ = c.nc.SetWriteDeadline(t)
-	} else {
+// ioTimeout is the I/O timeout of an exchange over d: a call's is the
+// shorter of the read and write timeouts that are set.
+func (c *Conn) ioTimeout(d dirs) time.Duration {
+	r, w := time.Duration(c.readTimeout.Load()), time.Duration(c.writeTimeout.Load())
+	switch {
+	case d == dirRead:
+		return r
+	case d == dirWrite:
+		return w
+	case r == 0 || w == 0:
+		return max(r, w)
+	}
+	return min(r, w)
+}
+
+// finish ends the exchange with its operation's error: it stops the
+// watcher (waiting out a running callback, which could cut the next
+// exchange short), clears the deadline, and maps an expiry caused by the
+// context to the context's error.
+func (x exchange) finish(err error) error {
+	if x.c == nil {
+		return err
+	}
+	if x.stop != nil {
+		w := &x.c.watches[x.d-1]
+		if x.stop() {
+			w.wake.Done()
+		}
+		w.wake.Wait()
+	}
+	x.c.setDeadline(x.d, time.Time{})
+	if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
+		if cerr := x.ctx.Err(); cerr != nil {
+			return fmt.Errorf("wire: %w", cerr)
+		}
+		// The armed deadline was the context's, but the net poller's
+		// timer can fire a hair before the context's own — report the
+		// deadline the caller actually set.
+		if x.ctxBound {
+			return fmt.Errorf("wire: %w", context.DeadlineExceeded)
+		}
+	}
+	return err
+}
+
+func (c *Conn) setDeadline(d dirs, t time.Time) {
+	switch d {
+	case dirRead:
 		_ = c.nc.SetReadDeadline(t)
+	case dirWrite:
+		_ = c.nc.SetWriteDeadline(t)
+	default:
+		_ = c.nc.SetDeadline(t)
 	}
 }
 
@@ -224,8 +284,14 @@ func (c *Conn) Read() (Frame, error) {
 // cancellation bound the read in addition to the connection's I/O
 // timeout.
 func (c *Conn) ReadContext(ctx context.Context) (Frame, error) {
+	return c.readContext(ctx, true)
+}
+
+// readContext is ReadContext; with arm false the caller's exchange
+// already bounds the read.
+func (c *Conn) readContext(ctx context.Context, arm bool) (Frame, error) {
 	for {
-		f, err := c.readFrame(ctx)
+		f, err := c.readFrame(ctx, arm)
 		if err != nil {
 			return Frame{}, err
 		}
@@ -248,18 +314,22 @@ func (c *Conn) ReadContext(ctx context.Context) (Frame, error) {
 	}
 }
 
-// readFrame reads one frame under rmu.
-func (c *Conn) readFrame(ctx context.Context) (Frame, error) {
+// readFrame reads one frame under rmu, in an exchange of its own when
+// arm is set.
+func (c *Conn) readFrame(ctx context.Context, arm bool) (Frame, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	if c.r == nil {
 		return Frame{}, errClosed
 	}
 	instr := c.instruments()
-	fin := c.armDeadline(ctx, false, instr.UnboundedReads)
+	var x exchange
+	if arm {
+		x = c.arm(ctx, dirRead, &instr)
+	}
 	f, err := ReadFrame(c.r)
 	raw := err
-	err = fin(err)
+	err = x.finish(err)
 	switch {
 	case err == nil:
 		instr.BytesRead.Add(int64(f.WireSize()))
@@ -284,6 +354,12 @@ func (c *Conn) WriteContext(ctx context.Context, f Frame) error {
 // WritePrefixed writes the frame p.Encode(f), with the prefix written
 // straight into the connection's buffer instead of copied before f.
 func (c *Conn) WritePrefixed(ctx context.Context, p Prefix, f Frame) error {
+	return c.writePrefixed(ctx, p, f, true)
+}
+
+// writePrefixed is WritePrefixed; with arm false the caller's exchange
+// already bounds the write.
+func (c *Conn) writePrefixed(ctx context.Context, p Prefix, f Frame, arm bool) error {
 	// The failpoint runs before wmu is taken, so an injected delay or
 	// hang holds no lock Close waits for.
 	v, ferr := faultinject.Eval(ctx, faultinject.WireWrite)
@@ -299,7 +375,10 @@ func (c *Conn) WritePrefixed(ctx context.Context, p Prefix, f Frame) error {
 		return nil // injected drop: report success without sending
 	}
 	instr := c.instruments()
-	fin := c.armDeadline(ctx, true, instr.UnboundedWrites)
+	var x exchange
+	if arm {
+		x = c.arm(ctx, dirWrite, &instr)
+	}
 	// Header and prefix are built in the connection's scratch buffer (wmu
 	// is held), so a steady-state frame write allocates nothing.
 	pre := p.append(c.whdr[64:64])
@@ -320,7 +399,7 @@ func (c *Conn) WritePrefixed(ctx context.Context, p Prefix, f Frame) error {
 		err = c.w.Flush()
 	}
 	raw := err
-	err = fin(err)
+	err = x.finish(err)
 	if raw != nil {
 		if IsFrameError(raw) || errors.Is(raw, os.ErrDeadlineExceeded) {
 			instr.FrameErrors.Inc()
@@ -339,8 +418,9 @@ func (c *Conn) WriteString(verb, payload string) error {
 // Call writes a request frame and reads a single response frame. It is the
 // basic request/response step used by all three protocol clients. Calls are
 // serialized per connection so concurrent callers sharing a client cannot
-// interleave each other's request/response pairs. Each leg is bounded by
-// the connection's I/O timeout, if set.
+// interleave each other's request/response pairs. A call is one exchange:
+// the connection's I/O timeout, if set, bounds the write and the read
+// together, from the call's start.
 func (c *Conn) Call(req Frame) (Frame, error) {
 	return c.CallContext(context.Background(), req)
 }
@@ -351,13 +431,24 @@ func (c *Conn) CallContext(ctx context.Context, req Frame) (Frame, error) {
 }
 
 // CallPrefixed is CallContext for a request written with WritePrefixed.
+// The request and the response share one deadline, the earlier of the
+// I/O timeout and the context's, and at most one watcher, so a call owns
+// both directions while it runs: a bare Read or Write on the connection
+// meanwhile would move its deadline.
 func (c *Conn) CallPrefixed(ctx context.Context, p Prefix, req Frame) (Frame, error) {
 	c.callMu.Lock()
 	defer c.callMu.Unlock()
-	if err := c.WritePrefixed(ctx, p, req); err != nil {
+	instr := c.instruments()
+	x := c.arm(ctx, dirBoth, &instr)
+	err := c.writePrefixed(ctx, p, req, false)
+	var f Frame
+	if err == nil {
+		f, err = c.readContext(ctx, false)
+	}
+	if err = x.finish(err); err != nil {
 		return Frame{}, err
 	}
-	return c.ReadContext(ctx)
+	return f, nil
 }
 
 // Close closes the underlying connection and returns the frame buffers to

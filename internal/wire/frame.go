@@ -16,11 +16,13 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+
+	"infogram/internal/zerocopy"
 )
 
 // MaxPayload bounds the size of a single frame payload. The information
@@ -137,34 +139,79 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return writeFrame(w, f.Verb, len(f.Payload), nil, f.Payload)
 }
 
-// ReadFrame reads one frame from r.
+// knownVerbs interns the verbs of the three protocols and of the wire
+// layer itself (gsi's AUTH exchange; gram's, mds's and core's verbs;
+// HELLO, REJECT and REPL), so ReadFrame returns a shared string for
+// them instead of allocating one per frame. It is filled once here and
+// never written again, so it stays at these 30 entries: an unknown
+// verb costs its frame one allocation and is never added.
+var knownVerbs = func() map[string]string {
+	m := make(map[string]string)
+	for _, v := range []string{
+		"AUTH", "AUTH-OK", "AUTH-FIN", "AUTH-ERR",
+		VerbHello, VerbHelloOK, VerbReject, VerbReplLive, VerbReplRec,
+		"SUBMIT", "SUBMITTED", "STATUS", "STATUS-OK", "CANCEL", "CANCEL-OK",
+		"SIGNAL", "SIGNAL-OK", "ERROR", "CALLBACK", "PING", "PONG",
+		"SEARCH", "RESULT", "REGISTER", "REGISTERED", "MDS-ERROR",
+		"RESULT-LDIF", "RESULT-XML", "RESULT-DSML", "MULTI",
+	} {
+		m[v] = v
+	}
+	return m
+}()
+
+// readError is a frame read that the connection, not the peer's
+// framing, ended: EOF mid-frame, a reset, a closed or timed-out socket.
+// It wraps the cause without rendering it, so a connection's end costs
+// one allocation instead of a formatted message nobody may read.
+type readError struct {
+	op  string // "read header" or "read payload"
+	err error
+}
+
+func (e *readError) Error() string { return "wire: " + e.op + ": " + e.err.Error() }
+func (e *readError) Unwrap() error { return e.err }
+
+// ReadFrame reads one frame from r. The header is parsed in r's buffer
+// and never copied: a known verb is the interned string, and the
+// header is done with before the payload read reuses the buffer. A
+// header that does not fit in r's buffer is malformed.
 func ReadFrame(r *bufio.Reader) (Frame, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		if err == io.EOF && line == "" {
-			return Frame{}, io.EOF
-		}
-		return Frame{}, fmt.Errorf("wire: read header: %w", err)
+	line, err := r.ReadSlice('\n')
+	switch {
+	case err == nil:
+	case err == io.EOF && len(line) == 0:
+		return Frame{}, io.EOF
+	case errors.Is(err, bufio.ErrBufferFull):
+		return Frame{}, fmt.Errorf("%w: header longer than %d bytes", ErrFrameSyntax, r.Size())
+	default:
+		return Frame{}, &readError{"read header", err}
 	}
 	line = line[:len(line)-1] // strip LF
-	sp := strings.IndexByte(line, ' ')
+	sp := bytes.IndexByte(line, ' ')
 	if sp <= 0 || sp == len(line)-1 { // no verb, or no length
 		return Frame{}, fmt.Errorf("%w: %q", ErrFrameSyntax, line)
 	}
-	verb, lenStr := line[:sp], line[sp+1:]
-	if !validVerb(verb) {
-		return Frame{}, fmt.Errorf("%w: %q", ErrVerbSyntax, verb)
+	vb, lb := line[:sp], line[sp+1:]
+	verb, ok := knownVerbs[string(vb)]
+	if !ok {
+		if !validVerb(zerocopy.String(vb)) {
+			return Frame{}, fmt.Errorf("%w: %q", ErrVerbSyntax, vb)
+		}
+		verb = string(vb)
 	}
-	n, err := strconv.ParseInt(lenStr, 10, 64)
+	// zerocopy: ParseInt keeps nothing of its argument, and the length
+	// is read before the payload read overwrites the buffer.
+	n, err := strconv.ParseInt(zerocopy.String(lb), 10, 64)
 	if err != nil || n < 0 {
-		return Frame{}, fmt.Errorf("%w: bad length %q", ErrFrameSyntax, lenStr)
+		return Frame{}, fmt.Errorf("%w: bad length %q", ErrFrameSyntax, lb)
 	}
 	if n > MaxPayload {
 		return Frame{}, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return Frame{}, fmt.Errorf("wire: read payload: %w", err)
+		return Frame{}, &readError{"read payload", err}
 	}
 	return Frame{Verb: verb, Payload: payload}, nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -56,6 +57,15 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte(" 3\nabc"))
 	f.Add([]byte(""))
 	f.Add([]byte("VERB \n")) // empty length
+	// A verb of exactly maxVerbLen bytes, and one byte over.
+	f.Add([]byte(strings.Repeat("V", maxVerbLen) + " 1\nx"))
+	f.Add([]byte(strings.Repeat("V", maxVerbLen+1) + " 1\nx"))
+	// A header longer than the reader's buffer.
+	f.Add([]byte("VERB " + strings.Repeat("1", 5000) + "\n"))
+	// A known (interned) verb next to an unknown one.
+	f.Add([]byte("SEARCH 2\n{}SEARCHX 2\n{}RESULT 0\n"))
+	// CRLF line ends.
+	f.Add([]byte("PING 0\r\nPONG 0\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		for i := 0; i < 16; i++ {

@@ -171,7 +171,37 @@ func TestUnboundedOpsCounted(t *testing.T) {
 	if reads.Value() != 1 {
 		t.Errorf("unbounded reads = %d, want 1", reads.Value())
 	}
+
+	// A Call is one exchange: unbounded, it counts one write and one
+	// read; under an I/O timeout, none. Neither allocates.
+	var creads, cwrites telemetry.Counter
+	cc := NewConn(pongConn{})
+	cc.Instrument(ConnInstruments{UnboundedReads: &creads, UnboundedWrites: &cwrites})
+	call := func() {
+		if f, err := cc.Call(Frame{Verb: "PING"}); err != nil || f.Verb != "PONG" {
+			t.Fatalf("call: %v, %v", f, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+		t.Errorf("unbounded call allocates %v times, want 0", allocs)
+	}
+	if cwrites.Value() != 101 || creads.Value() != 101 {
+		t.Errorf("unbounded call writes/reads = %d/%d, want 101/101", cwrites.Value(), creads.Value())
+	}
+	cc.SetIOTimeout(time.Second)
+	if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+		t.Errorf("timed call allocates %v times, want 0", allocs)
+	}
+	if cwrites.Value() != 101 || creads.Value() != 101 {
+		t.Errorf("a timed call was counted unbounded (%d/%d)", cwrites.Value(), creads.Value())
+	}
 }
+
+// pongConn discards what is written to it and reads as an endless run of
+// empty PONG frames.
+type pongConn struct{ discardConn }
+
+func (pongConn) Read(b []byte) (int, error) { return copy(b, "PONG 0\n"), nil }
 
 // A cancellation that lands after its write has finished cannot cut the
 // connection's next write short: the write waits out a cancellation

@@ -137,6 +137,31 @@ func TestReadFrameTruncatedPayload(t *testing.T) {
 	}
 }
 
+// A frame read the connection ended keeps its cause: errors.Is reaches
+// it, the text names the step and the cause, and it is not a framing
+// error. A header longer than the reader's buffer is one.
+func TestReadFrameConnectionEnd(t *testing.T) {
+	for _, c := range []struct {
+		input, text string
+		cause       error
+	}{
+		{"VERB 10\nshort", "wire: read payload: unexpected EOF", io.ErrUnexpectedEOF},
+		{"VERB 10", "wire: read header: EOF", io.EOF},
+	} {
+		_, err := ReadFrame(bufio.NewReader(strings.NewReader(c.input)))
+		if !errors.Is(err, c.cause) || err.Error() != c.text || IsFrameError(err) {
+			t.Errorf("ReadFrame(%q) = %v; want %q, wrapping %v, not a frame error", c.input, err, c.text, c.cause)
+		}
+	}
+	if _, err := ReadFrame(bufio.NewReader(strings.NewReader(""))); err != io.EOF {
+		t.Errorf("ReadFrame at a clean end = %v; want io.EOF itself", err)
+	}
+	long := "VERB " + strings.Repeat("1", 5000) + "\n"
+	if _, err := ReadFrame(bufio.NewReader(strings.NewReader(long))); !errors.Is(err, ErrFrameSyntax) {
+		t.Errorf("a header longer than the buffer: err = %v; want ErrFrameSyntax", err)
+	}
+}
+
 func TestServerEcho(t *testing.T) {
 	srv := NewServer(HandlerFunc(func(c *Conn) {
 		for {

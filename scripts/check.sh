@@ -51,6 +51,17 @@ echo "== trace slot and scope reuse (-race) =="
 go test -race -count=1 -run '^(TestTraceSlotReuseUnderEviction|TestLateSpanAfterSlotReuse|TestDetachedJobContext|TestStoredSpanPinsNothing)$' ./internal/telemetry/
 go test -race -count=1 -run '^(TestLateCancelDoesNotPoisonNextWrite|TestMuxWriteTimeoutFailsConn)$' ./internal/wire/
 
+# One deadline per exchange re-runs uncached under -race: a member that
+# reads SEARCH and never replies degrades a GIIS search within 1.5 ×
+# MemberTimeout, on a pooled lease and with eight searches queued on its
+# four leases; a call cancelled mid-read returns context.Canceled and
+# leaves the next call whole, as does a cancel racing a finished call;
+# and a Call counts as one write and one read when nothing bounds it, as
+# none when its I/O timeout does.
+echo "== one deadline per exchange (-race) =="
+go test -race -count=1 -run '^TestGIISSilentMemberBoundedByMemberTimeout$' ./internal/mds/
+go test -race -count=1 -run '^(TestCancelledCallLeavesNextCallWhole|TestLateCancelDoesNotPoisonNextCall|TestUnboundedOpsCounted)$' ./internal/wire/
+
 # The pool and reconnect scenarios re-run uncached under -race: they
 # rebind a restarted server's port, race Close against in-flight leases
 # and race concurrent first requests for one dial, which a cached result
@@ -172,6 +183,7 @@ for target in \
 	FuzzDecodeSinglePass:./internal/xrsl \
 	FuzzParseFilter:./internal/mds \
 	FuzzGIISSplice:./internal/mds \
+	FuzzSearchRequestCodec:./internal/mds \
 	FuzzLDIFSplit:./internal/ldif \
 	FuzzJournalOpen:./internal/journal \
 	FuzzReplay:./internal/logging \
