@@ -33,10 +33,10 @@ import (
 // tracing costs per request, and it is zero.
 const (
 	budgetHotInfo     = 32  // measured 29.1: one cached info query
-	budgetSubmitCycle = 51  // measured 47.0: SUBMIT, the job to DONE, one STATUS
+	budgetSubmitCycle = 45  // measured 41.0: SUBMIT, the job to DONE, one STATUS
 	budgetColdFilter  = 136 // measured 132.1: an 8-keyword response-cache miss with a filter
 	budgetColdDegrade = 415 // measured 411.1: an 8-keyword miss, no filter, over keywords with exponential(30s)
-	budgetDialQuery   = 153 // measured 149.5: Dial (connect, GSI, HELLO), one cached info query, Close
+	budgetDialQuery   = 111 // measured 107.4: Dial (connect, GSI, HELLO), one cached info query, Close
 )
 
 // pipeRig is a journaled service and a client joined by net.Pipe. The

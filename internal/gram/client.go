@@ -98,8 +98,8 @@ func (v Verbs) StatusContext(ctx context.Context, contact string) (StatusReply, 
 	if err != nil {
 		return StatusReply{}, err
 	}
-	var reply StatusReply
-	if err := json.Unmarshal(resp.Payload, &reply); err != nil {
+	reply, err := decodeStatusReply(resp.Payload)
+	if err != nil {
 		return StatusReply{}, fmt.Errorf("gram: decode status: %w", err)
 	}
 	return reply, nil

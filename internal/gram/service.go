@@ -2,7 +2,6 @@ package gram
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
@@ -307,7 +306,7 @@ func (m *Manager) status(contact string) wire.Frame {
 	if err != nil {
 		return errorFrame(err.Error())
 	}
-	b, err := json.Marshal(StatusReply{
+	r := StatusReply{
 		Contact:  rec.Contact,
 		State:    rec.State,
 		ExitCode: rec.ExitCode,
@@ -315,9 +314,7 @@ func (m *Manager) status(contact string) wire.Frame {
 		Stdout:   rec.Stdout,
 		Stderr:   rec.Stderr,
 		Restarts: rec.Restarts,
-	})
-	if err != nil {
-		return errorFrame(err.Error())
 	}
-	return wire.Frame{Verb: VerbStatusOK, Payload: b}
+	size := 96 + len(r.Contact) + len(r.Error) + len(r.Stdout) + len(r.Stderr)
+	return wire.Frame{Verb: VerbStatusOK, Payload: appendStatusReply(make([]byte, 0, size), &r)}
 }

@@ -99,6 +99,11 @@ func (ts *TrustStore) root(subject string) (*Certificate, bool) {
 	return r, ok
 }
 
+// tbsScratch is the stack room VerifyChain encodes a certificate's signed
+// bytes in; a longer encoding, of subjects far longer than usual, goes to
+// the heap.
+const tbsScratch = 512
+
 // VerifyChain validates a leaf-first chain at time now: every link must be
 // signed by its successor, validity windows must cover now, proxy subjects
 // must extend their issuer's subject, delegation depths must decrease, and
@@ -107,6 +112,7 @@ func (ts *TrustStore) VerifyChain(ch Chain, now time.Time) error {
 	if len(ch) == 0 {
 		return fmt.Errorf("gsi: empty certificate chain")
 	}
+	var tbs [tbsScratch]byte // the signed bytes, encoded per link
 	for i, cert := range ch {
 		if cert == nil {
 			return fmt.Errorf("gsi: null certificate in chain")
@@ -127,7 +133,7 @@ func (ts *TrustStore) VerifyChain(ch Chain, now time.Time) error {
 			if err := root.validAt(now); err != nil {
 				return err
 			}
-			if err := cert.checkSignature(root.PublicKey); err != nil {
+			if err := cert.checkSignature(root.PublicKey, tbs[:0]); err != nil {
 				return err
 			}
 			if cert.IsProxy {
@@ -140,7 +146,7 @@ func (ts *TrustStore) VerifyChain(ch Chain, now time.Time) error {
 			return fmt.Errorf("gsi: chain broken: %q issued by %q, next element is %q",
 				cert.Subject, cert.Issuer, issuer.Subject)
 		}
-		if err := cert.checkSignature(issuer.PublicKey); err != nil {
+		if err := cert.checkSignature(issuer.PublicKey, tbs[:0]); err != nil {
 			return err
 		}
 		if !cert.IsProxy {

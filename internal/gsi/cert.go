@@ -16,7 +16,6 @@ package gsi
 import (
 	"crypto/ed25519"
 	"crypto/rand"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -44,12 +43,10 @@ type Certificate struct {
 	Signature []byte `json:"signature"`
 }
 
-// tbs returns the canonical to-be-signed bytes: the JSON encoding with the
-// signature removed.
-func (c *Certificate) tbs() ([]byte, error) {
-	cp := *c
-	cp.Signature = nil
-	b, err := json.Marshal(&cp)
+// appendTBS appends the canonical to-be-signed bytes to dst: the JSON
+// encoding with the signature null.
+func (c *Certificate) appendTBS(dst []byte) ([]byte, error) {
+	b, err := appendCertificate(dst, c, nil)
 	if err != nil {
 		return nil, fmt.Errorf("gsi: encode certificate: %w", err)
 	}
@@ -58,7 +55,7 @@ func (c *Certificate) tbs() ([]byte, error) {
 
 // sign signs the certificate with the issuer's private key.
 func (c *Certificate) sign(issuerKey ed25519.PrivateKey) error {
-	b, err := c.tbs()
+	b, err := c.appendTBS(nil)
 	if err != nil {
 		return err
 	}
@@ -66,12 +63,14 @@ func (c *Certificate) sign(issuerKey ed25519.PrivateKey) error {
 	return nil
 }
 
-// checkSignature verifies the certificate against the issuer public key.
-func (c *Certificate) checkSignature(issuerPub ed25519.PublicKey) error {
+// checkSignature verifies the certificate against the issuer public key,
+// appending the signed bytes to buf, which VerifyChain passes empty with
+// room for them.
+func (c *Certificate) checkSignature(issuerPub ed25519.PublicKey, buf []byte) error {
 	if len(issuerPub) != ed25519.PublicKeySize {
 		return fmt.Errorf("gsi: issuer of certificate %q has a malformed public key", c.Subject)
 	}
-	b, err := c.tbs()
+	b, err := c.appendTBS(buf)
 	if err != nil {
 		return err
 	}

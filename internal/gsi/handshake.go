@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/ed25519"
 	"crypto/rand"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -83,7 +82,7 @@ func ClientHandshakeContext(ctx context.Context, conn *wire.Conn, cred *Credenti
 	if err != nil {
 		return nil, err
 	}
-	req, err := json.Marshal(authMsg{Chain: cred.Chain, Nonce: nonce})
+	req, err := appendAuth(make([]byte, 0, certSize*len(cred.Chain)+memberSize), &authMsg{Chain: cred.Chain, Nonce: nonce})
 	if err != nil {
 		return nil, fmt.Errorf("gsi: encode auth: %w", err)
 	}
@@ -98,8 +97,8 @@ func ClientHandshakeContext(ctx context.Context, conn *wire.Conn, cred *Credenti
 	default:
 		return nil, fmt.Errorf("gsi: unexpected handshake frame %s", resp.Verb)
 	}
-	var ok authOKMsg
-	if err := json.Unmarshal(resp.Payload, &ok); err != nil {
+	ok, err := decodeAuthOK(resp.Payload)
+	if err != nil {
 		return nil, fmt.Errorf("gsi: decode auth-ok: %w", err)
 	}
 	if err := trust.VerifyChain(ok.Chain, now); err != nil {
@@ -112,10 +111,7 @@ func ClientHandshakeContext(ctx context.Context, conn *wire.Conn, cred *Credenti
 	if !ed25519.Verify(leaf.PublicKey, nonce, ok.Sig) {
 		return nil, fmt.Errorf("gsi: server failed proof of possession")
 	}
-	fin, err := json.Marshal(authFinMsg{Sig: ed25519.Sign(cred.Key, ok.Nonce)})
-	if err != nil {
-		return nil, fmt.Errorf("gsi: encode auth-fin: %w", err)
-	}
+	fin := appendAuthFin(make([]byte, 0, memberSize), &authFinMsg{Sig: ed25519.Sign(cred.Key, ok.Nonce)})
 	if err := conn.WriteContext(ctx, wire.Frame{Verb: verbAuthFin, Payload: fin}); err != nil {
 		return nil, fmt.Errorf("gsi: send auth-fin: %w", err)
 	}
@@ -165,8 +161,8 @@ func serverHandshakeFrame(ctx context.Context, conn *wire.Conn, first wire.Frame
 	if first.Verb != verbAuth {
 		return fail("expected AUTH, got %s", first.Verb)
 	}
-	var req authMsg
-	if err := json.Unmarshal(first.Payload, &req); err != nil {
+	req, err := decodeAuth(first.Payload)
+	if err != nil {
 		return fail("malformed AUTH payload: %v", err)
 	}
 	if len(req.Nonce) != nonceLen {
@@ -183,7 +179,7 @@ func serverHandshakeFrame(ctx context.Context, conn *wire.Conn, first wire.Frame
 	if err != nil {
 		return nil, err
 	}
-	okPayload, err := json.Marshal(authOKMsg{
+	okPayload, err := appendAuthOK(make([]byte, 0, certSize*len(cred.Chain)+2*memberSize), &authOKMsg{
 		Chain: cred.Chain,
 		Nonce: nonce,
 		Sig:   ed25519.Sign(cred.Key, req.Nonce),
@@ -201,8 +197,8 @@ func serverHandshakeFrame(ctx context.Context, conn *wire.Conn, first wire.Frame
 	if finFrame.Verb != verbAuthFin {
 		return fail("expected AUTH-FIN, got %s", finFrame.Verb)
 	}
-	var fin authFinMsg
-	if err := json.Unmarshal(finFrame.Payload, &fin); err != nil {
+	fin, err := decodeAuthFin(finFrame.Payload)
+	if err != nil {
 		return fail("malformed AUTH-FIN payload: %v", err)
 	}
 	if !ed25519.Verify(leaf.PublicKey, nonce, fin.Sig) {

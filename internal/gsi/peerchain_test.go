@@ -11,14 +11,16 @@ import (
 	"infogram/internal/wire"
 )
 
-// decodeChain decodes raw as a handshake peer's chain field would be.
+// decodeChain decodes raw as the chain field of a peer's AUTH, with the
+// decoder the handshake runs.
 func decodeChain(t testing.TB, raw []byte) (Chain, bool) {
 	t.Helper()
-	var ch Chain
-	if err := json.Unmarshal(raw, &ch); err != nil {
+	payload := append(append([]byte(`{"chain":`), raw...), `,"nonce":null}`...)
+	m, err := decodeAuth(payload)
+	if err != nil {
 		return nil, false
 	}
-	return ch, true
+	return m.Chain, true
 }
 
 // Regression: peer-supplied chains with a null certificate, or with a

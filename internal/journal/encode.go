@@ -125,6 +125,7 @@ func appendJobState(dst []byte, js *JobState) []byte {
 // and states in practice; anything else (control bytes, non-ASCII,
 // escapes) takes encoding/json's encoder so the semantics, including
 // invalid-UTF-8 replacement, stay identical.
+// It is not canonjson.AppendString: the journal drops the HTML escaping.
 func appendJSONString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {

@@ -38,6 +38,15 @@ const (
 	budgetFanout      = 13 // measured 10.5: the search less its legs, codec, splice and the client's call
 )
 
+// budgetGRISMiss pins a GRIS search on its miss path, in process: the
+// filter is parsed, its keywords resolved and collected from fresh
+// provider caches, every entry tested and the answer rendered. An entry
+// copied to the heap to be tested costs one allocation more per entry,
+// griskeywords of them.
+const budgetGRISMiss = 53 // measured 50.0: one filtered search over griskeywords entries, response cache off
+
+const griskeywords = 16
+
 // allocsPer counts the allocations of op the way core's pins do: after a
 // warm-up past every first-use allocation, on one P, without rounding
 // down, and counting every goroutine — servers included.
@@ -244,4 +253,38 @@ func containsDegraded(body []byte) bool {
 		}
 	}
 	return false
+}
+
+func TestGRISMissAllocations(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("allocation pins need the race detector off and a full run")
+	}
+	reg := provider.NewRegistry(nil)
+	for k := 0; k < griskeywords; k++ {
+		var attrs provider.Attributes
+		for i := 0; i < 4; i++ {
+			attrs = append(attrs, provider.Attr{Name: fmt.Sprintf("a%d", i), Value: fmt.Sprintf("v%d.%d", k, i)})
+		}
+		reg.Register(&provider.StaticProvider{KeywordName: fmt.Sprintf("K%02d", k), Values: attrs},
+			provider.RegisterOptions{TTL: time.Hour})
+	}
+	// No response cache: every search takes the miss path.
+	g := NewGRIS(GRISConfig{ResourceName: "gris", Registry: reg})
+	req := SearchRequest{Filter: "(&(objectclass=InfoGramProvider)(resource=gris))"}
+	ctx := context.Background()
+	search := func() []byte {
+		body, err := g.SearchLDIF(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	if entries, err := ldif.Split(search(), nil); err != nil || len(entries) != griskeywords {
+		t.Fatalf("search matched %d entries (%v), want %d", len(entries), err, griskeywords)
+	}
+	got := allocsPer(func() { search() })
+	t.Logf("GRIS miss with a filter: %.1f allocations", got)
+	if got > budgetGRISMiss {
+		t.Errorf("GRIS miss with a filter: %.1f allocations, budget %d", got, budgetGRISMiss)
+	}
 }

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 
-	"infogram/internal/zerocopy"
+	"infogram/internal/canonjson"
 )
 
 // The SEARCH payload is JSON, and every client this repository ships
@@ -25,7 +25,7 @@ func appendSearchRequest(dst []byte, req *SearchRequest) []byte {
 	dst = append(dst, '{')
 	if req.Filter != "" {
 		dst = append(dst, filterKey...)
-		dst = appendJSONString(dst, req.Filter)
+		dst = canonjson.AppendString(dst, req.Filter)
 	}
 	if len(req.Attrs) > 0 {
 		if req.Filter != "" {
@@ -36,45 +36,16 @@ func appendSearchRequest(dst []byte, req *SearchRequest) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendJSONString(dst, a)
+			dst = canonjson.AppendString(dst, a)
 		}
 		dst = append(dst, ']')
 	}
 	return append(dst, '}')
 }
 
-// appendJSONString appends s quoted as encoding/json quotes it. A string
-// of printable ASCII is written here, with the escapes encoding/json
-// uses for it: `\"`, `\\`, and `\u003c`, `\u003e`, `\u0026` for the
-// HTML characters. Any other string is json.Marshal's to quote.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(dst, q...)
-		}
-	}
-	dst = append(dst, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '"', '\\':
-			dst = append(dst, '\\', c)
-		case '<':
-			dst = append(dst, `\u003c`...)
-		case '>':
-			dst = append(dst, `\u003e`...)
-		case '&':
-			dst = append(dst, `\u0026`...)
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return append(dst, '"')
-}
-
 // decodeSearchRequest decodes a SEARCH payload. The canonical shape is
-// read by hand; anything else (whitespace, other escapes, bytes outside
-// printable ASCII, other key case or order, unknown keys, null) is
+// read by hand; anything else (whitespace, a \u escape of a surrogate,
+// invalid UTF-8, other key case or order, unknown keys, null) is
 // json.Unmarshal's. A decoded string without escapes aliases payload,
 // which must not change afterwards.
 func decodeSearchRequest(payload []byte) (SearchRequest, error) {
@@ -98,7 +69,7 @@ func decodeCanonical(p []byte) (SearchRequest, bool) {
 	}
 	p = p[1 : len(p)-1]
 	if bytes.HasPrefix(p, []byte(filterKey)) {
-		s, rest, ok := cutJSONString(p[len(filterKey):])
+		s, rest, ok := canonjson.CutString(p[len(filterKey):])
 		if !ok {
 			return r, false
 		}
@@ -113,7 +84,7 @@ func decodeCanonical(p []byte) (SearchRequest, bool) {
 	if bytes.HasPrefix(p, []byte(attrsKey)) {
 		p = p[len(attrsKey):]
 		for {
-			s, rest, ok := cutJSONString(p)
+			s, rest, ok := canonjson.CutString(p)
 			if !ok || len(rest) == 0 {
 				return r, false
 			}
@@ -129,70 +100,4 @@ func decodeCanonical(p []byte) (SearchRequest, bool) {
 		}
 	}
 	return r, len(p) == 0
-}
-
-// cutJSONString reads the quoted string p starts with, of printable
-// ASCII and the escapes appendJSONString writes, and returns its value
-// and the bytes after it. Without escapes the value aliases p.
-func cutJSONString(p []byte) (string, []byte, bool) {
-	if len(p) == 0 || p[0] != '"' {
-		return "", nil, false
-	}
-	escaped := false
-	end := -1
-	for i := 1; i < len(p) && end < 0; i++ {
-		switch c := p[i]; {
-		case c == '"':
-			end = i
-		case c == '\\':
-			_, n := unescape(p[i:])
-			if n == 0 {
-				return "", nil, false
-			}
-			i += n - 1
-			escaped = true
-		case c < 0x20 || c >= 0x80:
-			return "", nil, false
-		}
-	}
-	if end < 0 {
-		return "", nil, false
-	}
-	body := p[1:end]
-	if !escaped {
-		return zerocopy.String(body), p[end+1:], true
-	}
-	out := make([]byte, 0, len(body))
-	for i := 0; i < len(body); i++ {
-		if body[i] != '\\' {
-			out = append(out, body[i])
-			continue
-		}
-		c, n := unescape(body[i:])
-		out = append(out, c)
-		i += n - 1
-	}
-	// zerocopy: out is this call's own allocation, and nothing writes to
-	// it after this.
-	return zerocopy.String(out), p[end+1:], true
-}
-
-// unescape decodes the escape p starts with, when it is one that
-// appendJSONString writes: the byte it stands for and the escape's
-// length, or n 0.
-func unescape(p []byte) (c byte, n int) {
-	if len(p) >= 2 && (p[1] == '"' || p[1] == '\\') {
-		return p[1], 2
-	}
-	if len(p) >= 6 && string(p[1:4]) == "u00" {
-		switch string(p[4:6]) {
-		case "3c":
-			return '<', 6
-		case "3e":
-			return '>', 6
-		case "26":
-			return '&', 6
-		}
-	}
-	return 0, 0
 }

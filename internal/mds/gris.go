@@ -275,12 +275,13 @@ func (g *GRIS) search(ctx context.Context, req SearchRequest, gen uint64) ([]ldi
 		}
 	}
 	entries := provider.ReportEntries(g.cfg.ResourceName, reports)
-	var out []ldif.Entry
-	for _, e := range entries {
-		if !filter.Matches(&e) {
-			continue
+	out := make([]ldif.Entry, 0, len(entries))
+	for i := range entries {
+		// By index: a range variable passed to the interface call would
+		// move every entry to the heap.
+		if e := &entries[i]; filter.Matches(e) {
+			out = append(out, projectAttrs(*e, req.Attrs))
 		}
-		out = append(out, projectAttrs(e, req.Attrs))
 	}
 	return out, ttl, nil
 }

@@ -25,7 +25,10 @@ go test -race ./...
 
 # The allocation pins (testing.AllocsPerRun budgets) skip under the race
 # detector, whose instrumentation allocates, so the run above never
-# checks them: run them here without it, uncached.
+# checks them: run them here without it, uncached. Among them are the
+# GSI handshake over net.Pipe (TestHandshakeAllocations, an identity and a
+# proxy-depth-2 chain) and a GRIS search on its miss path
+# (TestGRISMissAllocations).
 echo "== allocation pins (no -race) =="
 go test -count=1 -run 'Alloc|AllocatesNothing' ./internal/...
 
@@ -188,7 +191,9 @@ for target in \
 	FuzzJournalOpen:./internal/journal \
 	FuzzReplay:./internal/logging \
 	FuzzSnapshotRestore:./internal/bytecache \
-	FuzzVerifyChain:./internal/gsi; do
+	FuzzVerifyChain:./internal/gsi \
+	FuzzHandshakeCodec:./internal/gsi \
+	FuzzStatusReplyCodec:./internal/gram; do
 	name=${target%%:*}
 	pkg=${target#*:}
 	echo "-- $name ($pkg)"
